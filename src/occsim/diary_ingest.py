@@ -43,6 +43,10 @@ STATE_TOKENS = {
     ActivityState.PERSONAL_HYGIENE: "PersonalHygiene",
 }
 STATE_BY_TOKEN = {tok: st for st, tok in STATE_TOKENS.items()}
+# Plain-int views of the same table for the per-cell sequence file loops; a
+# dict, not a list, so that an out-of-range state fails instead of wrapping.
+_TOKEN_BY_INDEX = {int(st): tok for st, tok in STATE_TOKENS.items()}
+_INDEX_BY_TOKEN = {tok: int(st) for st, tok in STATE_TOKENS.items()}
 
 FULL_ALPHABET = tuple(ActivityState)
 PRESENCE_ALPHABET = (ActivityState.SLEEP, ActivityState.AWAY, ActivityState.HOME_ACTIVE)
@@ -243,7 +247,7 @@ _SEQ_HEADER = "respondent_id,day_type,weight," + ",".join(f"s{i:02d}" for i in r
 def write_sequences(path: str | Path, sequences: list[StateSequence]) -> None:
     lines = [_SEQ_HEADER]
     for seq in sequences:
-        tokens = ",".join(STATE_TOKENS[ActivityState(int(s))] for s in seq.states)
+        tokens = ",".join([_TOKEN_BY_INDEX[s] for s in seq.states.tolist()])
         # repr round-trips the float exactly
         lines.append(f"{seq.respondent_id},{seq.day_type},{seq.weight!r},{tokens}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -264,7 +268,7 @@ def read_sequences(path: str | Path) -> list[StateSequence]:
                     f"{path}: row {row}: expected {3 + N_STEPS} fields, got {len(fields)}"
                 )
             try:
-                states = np.array([int(STATE_BY_TOKEN[t]) for t in fields[3:]], dtype=np.int8)
+                states = np.array([_INDEX_BY_TOKEN[t] for t in fields[3:]], dtype=np.int8)
             except KeyError as exc:
                 raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}")
             out.append(StateSequence(fields[0], fields[1], float(fields[2]), states))

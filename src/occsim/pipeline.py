@@ -401,7 +401,8 @@ def run_pipeline(cfg: ProjectConfig, log=sys.stderr) -> int:
         modulation=cfg.modulation,
         log=log,
     )
-    validate_stage(cfg.out, cfg.diaries, cfg.out, code_map=cfg.code_map, log=log)
+    # sequences.csv holds the ingested diaries, so they are not parsed twice.
+    validate_stage(cfg.out, cfg.out / "sequences.csv", cfg.out, log=log)
     marker.unlink()
     print("run: done", file=log)
     return 0

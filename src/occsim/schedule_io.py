@@ -182,15 +182,48 @@ def assemble_schedule(
     return normalize_columns(raw, calendar.n_days)
 
 
+_ROW_TEMPLATE = ",".join(["%.6f"] * len(SCHEDULE_COLUMNS))
+
+
+def _format_unit_rows(data: np.ndarray) -> bytes:
+    """The `%.6f` rows of an all-[0, 1] matrix, formatted as whole arrays.
+
+    Each value prints as `d.dddddd`, so every row has the same width.
+    `rint(v * 1e6)` is off by at most ~1e-10 before rounding, which only
+    matters within that distance of a rounding tie; values within 1e-6 of
+    one take their digits from `%.6f` itself.
+    """
+    scaled = data * 1e6
+    q = np.rint(scaled).astype(np.int32)
+    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6
+    if near_tie.any():
+        q[near_tie] = [int(("%.6f" % v).replace(".", "")) for v in data[near_tie].tolist()]
+    n_rows, n_cols = data.shape
+    cells = np.empty((n_rows, n_cols, 9), dtype=np.uint8)
+    cells[:, :, 0] = q // 1_000_000 + ord("0")
+    cells[:, :, 1] = ord(".")
+    fraction = q % 1_000_000
+    for i, place in enumerate((100_000, 10_000, 1_000, 100, 10, 1)):
+        cells[:, :, 2 + i] = fraction // place % 10 + ord("0")
+    cells[:, :, 8] = ord(",")
+    cells[:, -1, 8] = ord("\n")
+    return cells.tobytes()
+
+
 def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> None:
     """Comment lines recording per-channel peaks, a header row, then
     one row of 6-decimal values per step."""
     lines = [f"# peak,{name},{schedule.peaks[name]:.9g}" for name in SCHEDULE_COLUMNS if name != "occupants"]
     lines.append(",".join(SCHEDULE_COLUMNS))
+    head = ("\n".join(lines) + "\n").encode()
     data = np.column_stack([schedule.columns[name] for name in SCHEDULE_COLUMNS])
-    for row in data:
-        lines.append(",".join(f"{v:.6f}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    data = data.astype(np.float64, copy=False)
+    # Negative, >1, -0.0 and non-finite values change the printed width.
+    if np.all((data >= 0.0) & (data <= 1.0) & ~np.signbit(data)):
+        body = _format_unit_rows(data)
+    else:
+        body = "".join([_ROW_TEMPLATE % tuple(row) + "\n" for row in data.tolist()]).encode()
+    Path(path).write_bytes(head + body)
 
 
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
@@ -236,6 +269,9 @@ def read_reference_file(path: str | Path) -> np.ndarray:
         seen += 1
     if seen != N_STEPS:
         raise ScheduleError(f"{path}: expected {N_STEPS} rows, got {seen}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ScheduleError(f"{path}: step {bad[0]} has non-finite value {values[bad[0]]}")
     if not np.any(values != 0):
         raise ScheduleError(f"{path}: reference schedule is all zero")
     return values

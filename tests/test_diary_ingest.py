@@ -166,6 +166,19 @@ def test_sequences_round_trip(tmp_path):
         assert np.array_equal(a.states, b.states)
 
 
+def test_read_sequences_names_row_and_unknown_token(tmp_path):
+    seqs = [StateSequence(f"r{i}", "WD", 1.0, np.zeros(N_STEPS, dtype=np.int8)) for i in range(2)]
+    path = tmp_path / "seqs.csv"
+    write_sequences(path, seqs)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3 + 10] = "Napping"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DiaryFormatError, match=r"seqs\.csv: row 2: unknown state token 'Napping'"):
+        read_sequences(path)
+
+
 def test_load_sequences_any_detects_both(tmp_path):
     raw = _diary_file(tmp_path, ["r1,WD,1," + ",".join(["s"] * N_MINUTES)])
     seqs, unknown = load_sequences_any(raw, CMAP)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -263,11 +265,54 @@ def test_cli_stagewise_matches_run(synth_tree, pipeline_run, tmp_path):
             seed,
         ]
     ) == 0
+    # The composed run validates against its sequences.csv; stage-wise
+    # validation of the raw diaries must give the same reports.
+    assert main(
+        [
+            "validate",
+            "--sim",
+            str(out),
+            "--reference",
+            str(synth_tree / "diaries.csv"),
+            "--code-map",
+            str(synth_tree / "code_map.csv"),
+        ]
+    ) == 0
     for name in ["sequences.csv", "model.wd.clusters", "model.we.clusters", "household_0.csv",
-                 "household_1.csv", "occupant_days.csv"]:
+                 "household_1.csv", "occupant_days.csv", "validation_report.wd.csv",
+                 "validation_report.we.csv"]:
         assert (out / name).read_bytes() == (pipeline_run / name).read_bytes(), name
     for tpm in (pipeline_run / "tpms").iterdir():
         assert (out / "tpms" / tpm.name).read_bytes() == tpm.read_bytes(), tpm.name
+
+
+def test_simulate_rejects_non_finite_reference(synth_tree, pipeline_run, tmp_path):
+    reference = tmp_path / "reference"
+    shutil.copytree(synth_tree / "reference", reference)
+    path = reference / "lighting.wd.ref"
+    lines = path.read_text().splitlines()
+    lines[40] = "40,nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(
+        [
+            "simulate",
+            "--tpms",
+            str(pipeline_run / "tpms"),
+            "--bundle",
+            str(synth_tree / "bundle"),
+            "--reference",
+            str(reference),
+            "--household-config",
+            str(synth_tree / "household.conf"),
+            "--out",
+            str(tmp_path / "out"),
+            "--days",
+            "2",
+            "--seed",
+            "3",
+        ]
+    ) == 6
+    assert not list((tmp_path / "out").glob("household_*.csv"))
 
 
 def test_simulate_occupant_output(pipeline_run, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from occsim.diary_ingest import N_STEPS
 from occsim.household import (
@@ -159,6 +161,57 @@ def test_schedule_file_round_trip(tmp_path):
         assert back.peaks[name] == pytest.approx(peak, rel=1e-8)
 
 
+def _reference_schedule_bytes(schedule):
+    """The per-value formatter that `write_schedule_file` must match byte for byte."""
+    lines = [f"# peak,{name},{schedule.peaks[name]:.9g}" for name in SCHEDULE_COLUMNS if name != "occupants"]
+    lines.append(",".join(SCHEDULE_COLUMNS))
+    data = np.column_stack([schedule.columns[name] for name in SCHEDULE_COLUMNS])
+    for row in data:
+        lines.append(",".join(f"{v:.6f}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _schedule_cycling(values):
+    """A one-day schedule whose cells cycle through `values`, row by row."""
+    data = np.resize(np.asarray(values, dtype=np.float64), (N_STEPS, len(SCHEDULE_COLUMNS)))
+    columns = {name: data[:, i].copy() for i, name in enumerate(SCHEDULE_COLUMNS)}
+    return HouseholdScheduleYear(1, columns, {name: 0.75 for name in SCHEDULE_COLUMNS[1:]})
+
+
+def _assert_writes_reference_bytes(directory, schedule):
+    path = directory / "h.csv"
+    write_schedule_file(path, schedule)
+    assert path.read_bytes() == _reference_schedule_bytes(schedule)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, 1.0, -0.0, 5e-7, 1.5e-6, 0.1234565, 0.9999995, 0.9999996, 1e-300,
+     -0.25, -1e-9, 1.5, 1e300, np.nan, np.inf, -np.inf],
+)
+def test_schedule_writer_matches_per_value_format(tmp_path, value):
+    _assert_writes_reference_bytes(tmp_path, _schedule_cycling([0.25, value, 0.7]))
+
+
+# Values whose scaled form lies on, or one ulp beside, a 6-decimal rounding tie.
+_NEAR_TIES = st.one_of(
+    st.integers(0, 999_999).map(lambda k: (k + 0.5) / 1e6),
+    st.builds(
+        lambda k, toward: float(np.nextafter((k + 0.5) / 1e6, toward)),
+        st.integers(0, 999_999),
+        st.sampled_from([0.0, 2.0]),
+    ),
+)
+
+
+@given(
+    unit=st.lists(st.one_of(st.floats(0.0, 1.0), _NEAR_TIES), min_size=1, max_size=40),
+    anywhere=st.lists(st.floats(), max_size=3),
+)
+def test_schedule_writer_matches_per_value_format_property(tmp_path_factory, unit, anywhere):
+    _assert_writes_reference_bytes(tmp_path_factory.mktemp("w"), _schedule_cycling(unit + anywhere))
+
+
 def test_read_schedule_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -189,6 +242,17 @@ def test_reference_file_rejects_all_zero(tmp_path):
     path = tmp_path / "z.ref"
     write_reference_file(path, np.zeros(N_STEPS))
     with pytest.raises(ScheduleError, match="all zero"):
+        read_reference_file(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_reference_file_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "n.ref"
+    write_reference_file(path, np.linspace(0.2, 1.0, N_STEPS))
+    lines = path.read_text().splitlines()
+    lines[7] = f"7,{bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScheduleError, match="step 7 has non-finite value"):
         read_reference_file(path)
 
 
@@ -237,16 +301,21 @@ def test_bundle_round_trip_and_missing(tmp_path):
         load_bundle(tmp_path / "nowhere")
 
 
-def test_assemble_schedule_end_to_end():
-    n_days = 2
-    cal = SimCalendar(0, n_days)
-    n = n_days * N_STEPS
+def _two_day_result():
+    """One occupant at home on day 0 and away on day 1, with two events."""
+    n = 2 * N_STEPS
     present = np.ones(n)
     present[N_STEPS:] = 0.0  # day 1 empty
     trace = OccupancyTrace(present, present > 0, 1, present.copy())
     appl = [ApplianceEvent(Appliance.COOKING_RANGE, 30.0, 30.0, 1.0)]
     water = [WaterEvent(Fixture.SHOWER, 600.0, 10.0, 8.0)]
-    result = HouseholdResult(0, 1, [], np.zeros((1, n), dtype=np.int8), trace, appl, water)
+    return HouseholdResult(0, 1, [], np.zeros((1, n), dtype=np.int8), trace, appl, water)
+
+
+def test_assemble_schedule_end_to_end():
+    cal = SimCalendar(0, 2)
+    result = _two_day_result()
+    present = result.trace.present_fraction
     ref = {
         (use, dt): default_reference(use, dt) for use in MODULATED_END_USES for dt in ("WD", "WE")
     }
@@ -261,3 +330,13 @@ def test_assemble_schedule_end_to_end():
     assert np.all(sched.columns["lighting"][N_STEPS:] == wd.min() / peak)
     assert sched.columns["cooking_range"].max() == 1.0
     assert sched.columns["showers"][40] == 1.0
+
+
+def test_schedule_writer_negative_reference_matches_per_value_format(tmp_path):
+    """A negative reference has a peak <= 0, so its column is written unscaled."""
+    ref = {
+        (use, dt): -default_reference(use, dt) for use in MODULATED_END_USES for dt in ("WD", "WE")
+    }
+    sched = assemble_schedule(_two_day_result(), ref, SimCalendar(0, 2))
+    assert sched.peaks["lighting"] < 0 and sched.columns["lighting"].max() < 0
+    _assert_writes_reference_bytes(tmp_path, sched)
