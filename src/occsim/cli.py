@@ -13,14 +13,17 @@ import sys
 from pathlib import Path
 
 from . import streams
-from .diary_ingest import ActivityCodeMap, STATE_TOKENS, load_sequences_any
-from .markov_train import load_model_dir
+from .diary_ingest import STATE_TOKENS
+from .markov_train import FALLBACKS, load_model_dir
 from .occupant_sim import OccupantProfile, SimCalendar, simulate_year
 from .pipeline import (
     ProjectConfig,
     StageError,
     cluster_stage,
+    entropy_seed,
     ingest_stage,
+    load_sequences,
+    parse_k_range,
     run_pipeline,
     simulate_stage,
     train_stage,
@@ -58,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--clusters", type=Path, nargs="+", required=True, help="cluster model files")
     p.add_argument("--out", type=Path, required=True, help="output model directory")
-    p.add_argument("--fallback", choices=["absorbing", "uniform", "laplace"], default="absorbing")
+    p.add_argument("--fallback", choices=FALLBACKS, default="absorbing")
     p.add_argument("--alpha", type=float, default=0.0)
 
     p = sub.add_parser("simulate", help="generate household schedules")
@@ -106,22 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _seed_or_entropy(seed: int | None, log) -> int:
     if seed is not None:
         return seed
-    import secrets
-
-    drawn = secrets.randbits(32)
+    drawn = entropy_seed()
     print(f"seed = {drawn} (drawn from entropy)", file=log)
     return drawn
-
-
-def _load_any(path: Path, code_map: Path | None, stage: str):
-    try:
-        cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
-        sequences, unknown = load_sequences_any(path, cmap)
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
-    if not sequences:
-        raise StageError(stage, f"{path}: no diary records")
-    return sequences, unknown
 
 
 def _cmd_ingest(args, log) -> int:
@@ -130,10 +120,9 @@ def _cmd_ingest(args, log) -> int:
 
 
 def _cmd_cluster(args, log) -> int:
-    sequences, _ = _load_any(args.input, args.code_map, "cluster")
+    sequences, _ = load_sequences(args.input, args.code_map, "cluster")
     try:
-        lo, _, hi = args.k_range.partition(":")
-        k_range = (int(lo), int(hi))
+        k_range = parse_k_range(args.k_range)
     except ValueError as exc:
         raise StageError("cluster", f"bad --k-range {args.k_range!r}") from exc
     args.out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +146,7 @@ def _cmd_cluster(args, log) -> int:
 def _cmd_train(args, log) -> int:
     from .clustering import ClusterModel
 
-    sequences, _ = _load_any(args.diaries, args.code_map, "train")
+    sequences, _ = load_sequences(args.diaries, args.code_map, "train")
     cluster_models = {}
     for path in args.clusters:
         try:

@@ -23,15 +23,9 @@ from .diary_ingest import (
     project_to_presence,
 )
 
-# Population shares and shorthand labels of the default four-cluster
-# configuration shipped for household sampling.
+# Population shares of the default four-cluster configuration shipped for
+# household sampling.
 DEFAULT_CLUSTER_SHARES = (0.36, 0.21, 0.21, 0.22)
-DEFAULT_CLUSTER_NAMES = (
-    "day away, evening home",
-    "mostly home, early riser",
-    "day away, evening away",
-    "mostly home",
-)
 
 
 class ClusterError(ValueError):
@@ -213,7 +207,6 @@ def kmodes(
     if total <= 0:
         raise ClusterError("total weight must be positive")
     shares = shares / total
-    shares = shares / shares.sum()
     return ClusterModel(k, modes, shares, day_type), labels
 
 

@@ -298,12 +298,3 @@ def load_sequences_any(
         f"{path}: unrecognized record width {n_fields}; expected "
         f"{3 + N_STEPS} (sequences) or {3 + N_MINUTES} (raw diaries)"
     )
-
-
-def sequence_matrix(sequences: list[StateSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sequences into an (n, 96) state matrix plus a weight vector."""
-    if not sequences:
-        raise ValueError("no sequences")
-    X = np.stack([s.states for s in sequences])
-    w = np.array([s.weight for s in sequences], dtype=np.float64)
-    return X, w

@@ -11,6 +11,12 @@ import numpy as np
 PROB_TOL = 1e-9
 
 
+def draw_index(cum, r: float) -> int:
+    """Inverse-CDF index: the first i with cum[i] > r, clamped to the last index."""
+    idx = bisect.bisect_right(cum, r)
+    return idx if idx < len(cum) else len(cum) - 1
+
+
 @dataclass
 class EmpiricalDistribution:
     """Discrete distribution over a strictly increasing support.
@@ -32,6 +38,8 @@ class EmpiricalDistribution:
             raise ValueError("support must be a nonempty 1-d array")
         if self.support.shape != self.probs.shape:
             raise ValueError("support and probs must align")
+        if not (np.isfinite(self.support).all() and np.isfinite(self.probs).all()):
+            raise ValueError("support and probabilities must be finite")
         if np.any(np.diff(self.support) <= 0):
             raise ValueError("support must be strictly increasing with no duplicates")
         if np.any(self.probs < 0):
@@ -62,11 +70,7 @@ class EmpiricalDistribution:
 
     def sample(self, rng: np.random.Generator) -> float:
         """Inverse-CDF draw."""
-        r = rng.random()
-        idx = bisect.bisect_right(self._cum, r)
-        if idx >= len(self._cum):
-            idx = len(self._cum) - 1
-        return float(self.support[idx])
+        return float(self.support[draw_index(self._cum, rng.random())])
 
     def sample_int(self, rng: np.random.Generator) -> int:
         return int(round(self.sample(rng)))
@@ -89,16 +93,22 @@ class EmpiricalDistribution:
     @classmethod
     def read(cls, path: str | Path) -> "EmpiricalDistribution":
         path = Path(path)
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("unit,"):
+        lines = [(n, ln) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+        if not lines or not lines[0][1].startswith("unit,"):
             raise ValueError(f"{path}: missing unit header")
-        unit = lines[0].split(",", 1)[1]
+        unit = lines[0][1].split(",", 1)[1]
         values, probs = [], []
-        for ln in lines[1:]:
-            v, p = ln.split(",")
-            values.append(float(v))
-            probs.append(float(p))
-        return cls(np.array(values), np.array(probs), unit)
+        for n, ln in lines[1:]:
+            try:
+                v, p = ln.split(",")
+                values.append(float(v))
+                probs.append(float(p))
+            except ValueError:
+                raise ValueError(f"{path}: line {n}: expected value,probability, got {ln!r}") from None
+        try:
+            return cls(np.array(values), np.array(probs), unit)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:

@@ -16,15 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
+from .conf import read_key_values
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, draw_index
 from .clustering import DEFAULT_CLUSTER_SHARES
-from .markov_train import ClusterDayModel
+from .markov_train import ClusterDayModel, _runs
 from .occupant_sim import (
     RETRY_BUDGET,
     OccupantProfile,
     SimCalendar,
-    SimulationError,
     simulate_year,
 )
 
@@ -42,8 +42,6 @@ class Fixture(enum.Enum):
     SHOWER = "shower"
     BATH = "bath"
     SINK = "sink"
-    DISHWASHER_WATER = "dishwasher_water"
-    CLOTHES_WASHER_WATER = "clothes_washer_water"
 
 
 # Activities whose intervals merge into one shared appliance.
@@ -71,6 +69,35 @@ class BundleError(KeyError):
     """A required sampling distribution is missing from the bundle."""
 
 
+def _occupant_counts(value: str) -> EmpiricalDistribution:
+    pairs = [item.split(":") for item in value.split(",")]
+    return EmpiricalDistribution(
+        np.array([float(v) for v, _ in pairs]),
+        np.array([float(p) for _, p in pairs]),
+        unit="count",
+    )
+
+
+def _shares(value: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in value.split(","))
+
+
+def _vacation(value: str) -> tuple[int, int] | None:
+    if not value:
+        return None
+    lo, hi = value.split(",")
+    return int(lo), int(hi)
+
+
+_HOUSEHOLD_KEYS = {
+    "occupant_count": _occupant_counts,
+    "cluster_shares_wd": _shares,
+    "cluster_shares_we": _shares,
+    "vacation": _vacation,
+    "shower_fraction": float,
+}
+
+
 @dataclass
 class HouseholdConfig:
     """Sampling configuration for household composition and water behavior.
@@ -86,7 +113,7 @@ class HouseholdConfig:
 
     def __post_init__(self) -> None:
         for shares in (self.cluster_shares_wd, self.cluster_shares_we):
-            if abs(sum(shares) - 1.0) > 1e-9:
+            if not abs(sum(shares) - 1.0) <= 1e-9:
                 raise HouseholdError(f"cluster shares sum to {sum(shares)}, not 1")
             if any(s < 0 for s in shares):
                 raise HouseholdError("cluster shares must be nonnegative")
@@ -98,36 +125,17 @@ class HouseholdConfig:
 
     @classmethod
     def read(cls, path: str | Path) -> "HouseholdConfig":
-        fields: dict[str, str] = {}
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        if "occupant_count" not in fields:
+        try:
+            values = read_key_values(path, _HOUSEHOLD_KEYS)
+        except ValueError as exc:
+            raise HouseholdError(str(exc)) from None
+        if "occupant_count" not in values:
             raise HouseholdError(f"{path}: missing occupant_count")
-        pairs = [item.split(":") for item in fields["occupant_count"].split(",")]
-        counts = EmpiricalDistribution(
-            np.array([float(v) for v, _ in pairs]),
-            np.array([float(p) for _, p in pairs]),
-            unit="count",
-        )
-        def shares(key: str) -> tuple[float, ...]:
-            if key not in fields:
-                return DEFAULT_CLUSTER_SHARES
-            return tuple(float(x) for x in fields[key].split(","))
-        vacation = None
-        if "vacation" in fields and fields["vacation"]:
-            lo, hi = fields["vacation"].split(",")
-            vacation = (int(lo), int(hi))
-        return cls(
-            counts,
-            shares("cluster_shares_wd"),
-            shares("cluster_shares_we"),
-            vacation,
-            float(fields.get("shower_fraction", DEFAULT_SHOWER_FRACTION)),
-        )
+        values["occupant_count_dist"] = values.pop("occupant_count")
+        try:
+            return cls(**values)
+        except HouseholdError as exc:
+            raise HouseholdError(f"{path}: {exc}") from None
 
     def write(self, path: str | Path) -> None:
         dist = ",".join(
@@ -194,8 +202,7 @@ class HouseholdResult:
 
 def _draw_index(shares, rng: np.random.Generator) -> int:
     cum = np.cumsum(np.asarray(shares, dtype=np.float64))
-    r = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, r, side="right"), len(cum) - 1))
+    return draw_index(cum, rng.random() * cum[-1])
 
 
 def sample_household(
@@ -218,11 +225,8 @@ def sample_household(
 
 def activity_intervals(states: np.ndarray, activity: ActivityState) -> list[tuple[float, float]]:
     """Maximal runs of `activity` as (start, end) minutes from year start."""
-    B = np.asarray(states) == int(activity)
-    edges = np.diff(np.concatenate([[0], B.astype(np.int8), [0]]))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    return [(float(s * STEP_MINUTES), float(e * STEP_MINUTES)) for s, e in zip(starts, ends)]
+    _, starts, lengths, _ = _runs(np.asarray(states)[None, :] == int(activity))
+    return [(float(s * STEP_MINUTES), float((s + n) * STEP_MINUTES)) for s, n in zip(starts, lengths)]
 
 
 def merge_shared_events(

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .diary_ingest import (
-    EVENT_ACTIVITIES,
     FULL_ALPHABET,
     N_STEPS,
     PRESENCE_ALPHABET,
@@ -60,6 +59,8 @@ class TPMSet:
             raise TrainError("initial distribution does not match alphabet")
         if self.matrices.ndim != 3 or self.matrices.shape[1:] != (S, S) or self.matrices.shape[0] < 1:
             raise TrainError(f"matrices must be (T, {S}, {S})")
+        if not (np.isfinite(self.initial).all() and np.isfinite(self.matrices).all()):
+            raise TrainError("non-finite probabilities")
         if np.any(self.initial < -ROW_TOL) or np.any(self.matrices < -ROW_TOL):
             raise TrainError("negative probabilities")
         if abs(self.initial.sum() - 1.0) > ROW_TOL:
@@ -96,24 +97,34 @@ class TPMSet:
     @classmethod
     def read(cls, path: str | Path) -> "TPMSet":
         path = Path(path)
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        head = lines[0].split(",")
-        cluster_id, day_type = int(head[0]), head[1]
+        rows = [(n, ln.split(",")) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+        if not rows:
+            raise TrainError(f"{path}: empty model file")
+        n, head = rows[0]
         try:
+            cluster_id, day_type = int(head[0]), head[1]
             alphabet = tuple(STATE_BY_TOKEN[t] for t in head[2:])
+        except (ValueError, IndexError):
+            raise TrainError(f"{path}: line {n}: expected cluster_id,day_type,state tokens") from None
         except KeyError as exc:
-            raise TrainError(f"{path}: unknown state token {exc.args[0]!r}")
+            raise TrainError(f"{path}: line {n}: unknown state token {exc.args[0]!r}") from None
+        if len(rows) < 2:
+            raise TrainError(f"{path}: missing initial distribution row")
         S = len(alphabet)
-        initial = np.array([float(x) for x in lines[1].split(",")])
-        body = lines[2:]
-        if len(body) % S != 0:
+        values = np.empty((len(rows) - 1, S))
+        for r, (n, fields) in enumerate(rows[1:]):
+            if len(fields) != S:
+                raise TrainError(f"{path}: line {n}: expected {S} values, got {len(fields)}")
+            try:
+                values[r] = [float(x) for x in fields]
+            except ValueError as exc:
+                raise TrainError(f"{path}: line {n}: {exc}") from None
+        if (len(values) - 1) % S != 0:
             raise TrainError(f"{path}: matrix block size not a multiple of {S}")
-        T = len(body) // S
-        matrices = np.empty((T, S, S))
-        for t in range(T):
-            for i in range(S):
-                matrices[t, i] = [float(x) for x in body[t * S + i].split(",")]
-        return cls(cluster_id, day_type, alphabet, initial, matrices)
+        try:
+            return cls(cluster_id, day_type, alphabet, values[0], values[1:].reshape(-1, S, S))
+        except TrainError as exc:
+            raise TrainError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -260,11 +271,6 @@ def estimate_all_statistics(
     sequences: list[StateSequence], activities: tuple[ActivityState, ...] = FULL_ALPHABET
 ) -> dict[ActivityState, ActivityStats]:
     return {a: estimate_statistics(sequences, a) for a in activities}
-
-
-def sample(dist: EmpiricalDistribution, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw from an empirical distribution."""
-    return dist.sample(rng)
 
 
 def train_cluster_day_model(

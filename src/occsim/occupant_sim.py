@@ -20,7 +20,6 @@ durations well past the sampled distribution.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .diary_ingest import (
     ActivityState,
     StateSequence,
 )
+from .distributions import draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 
 RETRY_BUDGET = 20
@@ -89,11 +89,6 @@ class SimCalendar:
             raise SimulationError(f"unknown weekday name {name!r}")
 
 
-def _draw(cum: list[float] | np.ndarray, r: float) -> int:
-    idx = bisect.bisect_right(cum, r)
-    return min(idx, len(cum) - 1)
-
-
 def _row_tuples(tpms: TPMSet) -> tuple[list[float], list[list[list[float]]], np.ndarray]:
     """Python-list cumulative rows for the scalar sampling loop."""
     cum_init, cum_rows = tpms.cumulative()
@@ -139,10 +134,10 @@ def _chain_states(tpms: TPMSet, rng: np.random.Generator) -> np.ndarray:
     cum_init, cum_rows, _ = _row_tuples(tpms)
     n = tpms.n_steps
     states = np.empty(n, dtype=np.int8)
-    s = _draw(cum_init, rng.random())
+    s = draw_index(cum_init, rng.random())
     states[0] = s
     for t in range(n - 1):
-        s = _draw(cum_rows[t][s], rng.random())
+        s = draw_index(cum_rows[t][s], rng.random())
         states[t + 1] = s
     return states
 
@@ -156,7 +151,7 @@ def _approach3_states(
     event_idx = {i for i, a in enumerate(alphabet) if int(a) in _EVENT_SET}
     n = tpms.n_steps
     states = np.empty(n, dtype=np.int8)
-    s = _draw(cum_init, rng.random())
+    s = draw_index(cum_init, rng.random())
     t = 0
     while True:
         if s in event_idx:
@@ -172,7 +167,7 @@ def _approach3_states(
         if s in event_idx:
             s = _resume_draw(matrices[t, s], s, rng)
         else:
-            s = _draw(cum_rows[t][s], rng.random())
+            s = draw_index(cum_rows[t][s], rng.random())
         t += 1
 
 

@@ -10,12 +10,13 @@ or after a failure, removed on success.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import ClusterModel, SelectKResult, assign_cluster, select_k
+from .conf import read_key_values
 from .diary_ingest import (
     DAY_TYPES,
     DiaryFormatError,
@@ -26,6 +27,7 @@ from .diary_ingest import (
 )
 from .household import HouseholdConfig, HouseholdError, build_household
 from .markov_train import (
+    FALLBACKS,
     ClusterDayModel,
     TrainError,
     estimate_all_statistics,
@@ -37,21 +39,8 @@ from .occupant_sim import SimCalendar, SimulationError
 from .schedule_io import ScheduleError, assemble_schedule, load_bundle, load_reference_dir, write_schedule_file
 from .validate import ComparisonReport, compare_behavior
 
-EXIT_CONFIG = 2
-EXIT_INGEST = 3
-EXIT_CLUSTER = 4
-EXIT_TRAIN = 5
-EXIT_SIMULATE = 6
-EXIT_VALIDATE = 7
-
-_STAGE_CODES = {
-    "config": EXIT_CONFIG,
-    "ingest": EXIT_INGEST,
-    "cluster": EXIT_CLUSTER,
-    "train": EXIT_TRAIN,
-    "simulate": EXIT_SIMULATE,
-    "validate": EXIT_VALIDATE,
-}
+# process exit code of each stage's StageError
+_STAGE_CODES = {"config": 2, "ingest": 3, "cluster": 4, "train": 5, "simulate": 6, "validate": 7}
 
 
 class StageError(Exception):
@@ -63,14 +52,34 @@ class StageError(Exception):
         self.exit_code = _STAGE_CODES[stage]
 
 
-def _entropy_seed() -> int:
+def entropy_seed() -> int:
     import secrets
 
     return secrets.randbits(32)
 
 
+def parse_k_range(value: str) -> tuple[int, int]:
+    lo, _, hi = value.partition(":")
+    return int(lo), int(hi)
+
+
+# ProjectConfig field annotation -> parser of its project.conf value.  Path
+# fields join the config file's directory, which an absolute value replaces.
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "bool": lambda value: value.lower() in ("1", "true", "yes"),
+    "tuple[int, int]": parse_k_range,
+}
+
+
 @dataclass
 class ProjectConfig:
+    """Project settings: each field is the `project.conf` key of the same name,
+    and the fields without a default are required."""
+
     diaries: Path
     bundle: Path
     reference: Path
@@ -91,94 +100,51 @@ class ProjectConfig:
     modulation: str = "present"
     unweighted_clustering: bool = False
 
-    _REQUIRED = ("diaries", "bundle", "reference", "household", "out")
-
     @classmethod
     def read(cls, path: str | Path) -> "ProjectConfig":
         path = Path(path)
         if not path.exists():
             raise StageError("config", f"config file not found: {path}")
-        base = path.parent
-        raw: dict[str, str] = {}
-        for ln, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise StageError("config", f"{path}: line {ln}: expected key = value")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-        missing = [k for k in cls._REQUIRED if k not in raw]
+        parsers = {
+            f.name: path.parent.joinpath if f.type.startswith("Path") else _PARSERS[f.type] for f in fields(cls)
+        }
+        try:
+            values = read_key_values(path, parsers)
+        except ValueError as exc:
+            raise StageError("config", str(exc)) from None
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
         if missing:
             raise StageError("config", f"{path}: missing keys: {', '.join(missing)}")
-
-        def as_path(key: str) -> Path:
-            p = Path(raw[key])
-            return p if p.is_absolute() else base / p
-
-        cfg = cls(
-            diaries=as_path("diaries"),
-            bundle=as_path("bundle"),
-            reference=as_path("reference"),
-            household=as_path("household"),
-            out=as_path("out"),
-        )
-        if "code_map" in raw:
-            cfg.code_map = as_path("code_map")
-        try:
-            if "base_seed" in raw:
-                cfg.base_seed = int(raw["base_seed"])
-            if "n_households" in raw:
-                cfg.n_households = int(raw["n_households"])
-            if "n_days" in raw:
-                cfg.n_days = int(raw["n_days"])
-            if "start_weekday" in raw:
-                cfg.start_weekday = raw["start_weekday"].lower()
-            if "approach" in raw:
-                cfg.approach = int(raw["approach"])
-            if "k_range" in raw:
-                lo, _, hi = raw["k_range"].partition(":")
-                cfg.k_range = (int(lo), int(hi))
-            if "repeats" in raw:
-                cfg.repeats = int(raw["repeats"])
-            if "epsilon" in raw:
-                cfg.epsilon = float(raw["epsilon"])
-            if "silhouette_sample" in raw:
-                cfg.silhouette_sample = int(raw["silhouette_sample"])
-            if "tpm_fallback" in raw:
-                cfg.tpm_fallback = raw["tpm_fallback"]
-            if "tpm_alpha" in raw:
-                cfg.tpm_alpha = float(raw["tpm_alpha"])
-            if "modulation" in raw:
-                cfg.modulation = raw["modulation"]
-            if "unweighted_clustering" in raw:
-                cfg.unweighted_clustering = raw["unweighted_clustering"].lower() in ("1", "true", "yes")
-        except ValueError as exc:
-            raise StageError("config", f"{path}: {exc}") from exc
-        if cfg.approach not in (1, 2, 3):
-            raise StageError("config", f"approach must be 1, 2 or 3, got {cfg.approach}")
-        if cfg.modulation not in ("present", "active"):
-            raise StageError("config", f"modulation must be 'present' or 'active', got {cfg.modulation!r}")
+        cfg = cls(**values)
+        choices = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS}
+        for key, allowed in choices.items():
+            if getattr(cfg, key) not in allowed:
+                raise StageError("config", f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
         if cfg.k_range[0] < 1 or cfg.k_range[1] < cfg.k_range[0]:
             raise StageError("config", f"bad k_range {cfg.k_range}")
         if cfg.n_days < 1 or cfg.n_households < 1:
             raise StageError("config", "n_days and n_households must be positive")
-        if cfg.tpm_fallback not in ("absorbing", "uniform", "laplace"):
-            raise StageError("config", f"unknown tpm_fallback {cfg.tpm_fallback!r}")
         return cfg
+
+
+def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[list[StateSequence], int]:
+    """Diaries or a sequence table plus the unmapped-code tally; bad or empty
+    input is a StageError of `stage`."""
+    try:
+        cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
+        sequences, unknown = load_sequences_any(path, cmap)
+    except (OSError, ValueError) as exc:
+        raise StageError(stage, str(exc)) from exc
+    if not sequences:
+        raise StageError(stage, f"{path}: no diary records")
+    return sequences, unknown
 
 
 def ingest_stage(
     diaries: Path, code_map: Path | None, out_file: Path, log=sys.stderr
 ) -> list[StateSequence]:
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
-    try:
-        cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
-        sequences, unknown = load_sequences_any(diaries, cmap)
-    except (OSError, DiaryFormatError) as exc:
-        raise StageError("ingest", str(exc)) from exc
-    if not sequences:
-        raise StageError("ingest", f"{diaries}: no diary records")
+    sequences, unknown = load_sequences(diaries, code_map, "ingest")
     out_file.parent.mkdir(parents=True, exist_ok=True)
     write_sequences(out_file, sequences)
     if unknown:
@@ -363,7 +329,7 @@ def run_pipeline(cfg: ProjectConfig, log=sys.stderr) -> int:
     """Run ingest, cluster, train, simulate, and validate end to end."""
     seed = cfg.base_seed
     if seed is None:
-        seed = _entropy_seed()
+        seed = entropy_seed()
         print(f"run: base_seed = {seed} (drawn from entropy)", file=log)
     cfg.out.mkdir(parents=True, exist_ok=True)
     marker = cfg.out / ".partial"

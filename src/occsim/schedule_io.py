@@ -18,7 +18,6 @@ import numpy as np
 from .diary_ingest import N_STEPS
 from .distributions import EmpiricalDistribution
 from .household import (
-    MINUTES_PER_DAY,
     Appliance,
     Fixture,
     ApplianceEvent,
@@ -60,8 +59,6 @@ FIXTURE_CHANNEL = {
     Fixture.SHOWER: "showers",
     Fixture.BATH: "baths",
     Fixture.SINK: "sinks",
-    Fixture.DISHWASHER_WATER: "dishwasher_water",
-    Fixture.CLOTHES_WASHER_WATER: "clothes_washer_water",
 }
 
 REQUIRED_BUNDLE = (

@@ -26,7 +26,7 @@ from .diary_ingest import (
     StateSequence,
 )
 from .distributions import EmpiricalDistribution
-from .household import HouseholdConfig
+from .household import HouseholdConfig, _draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 from .occupant_sim import _approach3_states
 
@@ -64,12 +64,7 @@ _DURATIONS = {
 
 
 def planted_duration_dist(activity: ActivityState) -> EmpiricalDistribution:
-    pairs = _DURATIONS[activity]
-    return EmpiricalDistribution(
-        np.array([v for v, _ in pairs], dtype=float),
-        np.array([p for _, p in pairs]),
-        unit="minutes",
-    )
+    return _dist(_DURATIONS[activity], "minutes")
 
 
 def _bumps(spec: list[tuple[float, float, float]]) -> np.ndarray:
@@ -199,15 +194,13 @@ def generate_corpus(
     vary_weights: bool = True,
 ) -> list[StateSequence]:
     """Draw a mixed-cluster corpus with planted shares."""
-    k = len(shares)
-    models = {dt: {c: build_truth_model(c, dt) for c in range(k)} for dt in day_types}
-    cum = np.cumsum(shares)
+    models = {dt: {c: build_truth_model(c, dt) for c in range(len(shares))} for dt in day_types}
     root = streams.root(base_seed)
     out: list[StateSequence] = []
     for di, dt in enumerate(day_types):
         for i in range(n_per_day_type):
             pick = streams.generator(root, streams.SYNTH, di, i, 0)
-            cluster = int(min(np.searchsorted(cum, pick.random() * cum[-1], side="right"), k - 1))
+            cluster = _draw_index(shares, pick)
             day_rng = streams.generator(root, streams.SYNTH, di, i, 1)
             states = generate_day(models[dt][cluster], day_rng)
             weight = 1.0

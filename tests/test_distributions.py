@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from occsim.distributions import EmpiricalDistribution, point_mass
+from occsim.distributions import EmpiricalDistribution, draw_index, point_mass
 
 
 class FixedRng:
@@ -33,6 +33,16 @@ def test_inverse_cdf_boundaries():
     assert d.sample(FixedRng([0.69999])) == 20.0
     assert d.sample(FixedRng([0.7])) == 30.0
     assert d.sample(FixedRng([0.999999])) == 30.0
+
+
+def test_draw_index_edges_and_clamp():
+    cum = [0.2, 0.7, 1.0]
+    assert draw_index(cum, 0.0) == 0
+    assert draw_index(cum, 0.2) == 1
+    assert draw_index(cum, 0.99) == 2
+    # rounding can leave the last cumulative value below the draw
+    assert draw_index([0.2, 0.7, 0.9999999], 0.99999995) == 2
+    assert draw_index(np.array(cum), 1.0) == 2
 
 
 def test_cdf_at_right_continuous():
@@ -66,6 +76,21 @@ def test_validation_errors():
         EmpiricalDistribution.from_weights(np.array([]))
 
 
+@pytest.mark.parametrize(
+    "support, probs",
+    [
+        ([1.0, 2.0], [np.nan, 1.0]),
+        ([1.0, 2.0], [0.5, np.inf]),
+        ([1.0, np.inf], [0.5, 0.5]),
+        ([-np.inf, 1.0], [0.5, 0.5]),
+        ([np.nan], [1.0]),
+    ],
+)
+def test_validation_rejects_non_finite(support, probs):
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalDistribution(np.array(support), np.array(probs))
+
+
 def test_round_trip(tmp_path):
     d = EmpiricalDistribution(
         np.array([1.0, 2.5, 7.0]), np.array([0.125, 0.5, 0.375]), unit="steps"
@@ -82,6 +107,23 @@ def test_read_missing_unit_header(tmp_path):
     path = tmp_path / "bad.dist"
     path.write_text("1.0,1.0\n")
     with pytest.raises(ValueError, match="unit header"):
+        EmpiricalDistribution.read(path)
+
+
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("1.0,0.5\n2.0;0.5\n", r"bad\.dist: line 3: expected value,probability"),
+        ("1.0,0.5\n2.0,half\n", r"bad\.dist: line 3"),
+        ("1.0,0.5,9\n", r"bad\.dist: line 2"),
+        ("1.0,0.5\ninf,0.5\n", r"bad\.dist: .*finite"),
+        ("", r"bad\.dist: support must be a nonempty"),
+    ],
+)
+def test_read_names_file_and_line(tmp_path, body, pattern):
+    path = tmp_path / "bad.dist"
+    path.write_text("unit,minutes\n" + body)
+    with pytest.raises(ValueError, match=pattern):
         EmpiricalDistribution.read(path)
 
 

@@ -350,6 +350,24 @@ def test_household_config_validation(tmp_path):
         HouseholdConfig.read(bad)
 
 
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("occupant_count = 1:1\nshower_fraction 0.5\n", r"bad\.conf: line 2: expected key = value"),
+        ("occupant_count = 1:1\nshower_fration = 0.5\n", r"bad\.conf: line 2: unknown key 'shower_fration'"),
+        ("# people\noccupant_count = 1:0.5,2\n", r"bad\.conf: line 2: occupant_count"),
+        ("occupant_count = 1:1\nvacation = 3\n", r"bad\.conf: line 2: vacation"),
+        ("occupant_count = 1:1\ncluster_shares_wd = 0.5,nan\n", r"bad\.conf: cluster shares"),
+        ("occupant_count = 1:nan\n", r"bad\.conf: line 1: occupant_count: .*finite"),
+    ],
+)
+def test_household_config_read_names_file_and_line(tmp_path, body, pattern):
+    bad = tmp_path / "bad.conf"
+    bad.write_text(body)
+    with pytest.raises(HouseholdError, match=pattern):
+        HouseholdConfig.read(bad)
+
+
 def test_shares_for():
     config = HouseholdConfig(point_mass(1.0, "count"), (1.0,), (0.5, 0.5))
     assert config.shares_for("WD") == (1.0,)

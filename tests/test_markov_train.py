@@ -189,6 +189,53 @@ def test_tpmset_validation():
         TPMSet(0, "WD", FULL_ALPHABET, init * 0.5, m)
 
 
+def test_tpmset_rejects_non_finite():
+    m = np.tile(np.eye(S), (95, 1, 1))
+    init = np.eye(S)[0]
+    nan_init = init.copy()
+    nan_init[1] = np.nan
+    with pytest.raises(TrainError, match="non-finite"):
+        TPMSet(0, "WD", FULL_ALPHABET, nan_init, m)
+    inf_rows = m.copy()
+    inf_rows[3, 2, 4] = np.inf
+    with pytest.raises(TrainError, match="non-finite"):
+        TPMSet(0, "WD", FULL_ALPHABET, init, inf_rows)
+
+
+def _with_cell(lines, row, value):
+    cells = lines[row].split(",")
+    cells[1] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt, pattern",
+    [
+        (lambda lines: [], "empty model file"),
+        (lambda lines: lines[:1], "missing initial distribution row"),
+        (lambda lines: ["0"] + lines[1:], "line 1: expected cluster_id,day_type"),
+        (lambda lines: ["x" + lines[0]] + lines[1:], "line 1: expected cluster_id,day_type"),
+        (lambda lines: lines[:5] + [lines[5] + ",0"] + lines[6:], "line 6: expected 7 values, got 8"),
+        (lambda lines: _with_cell(lines, 5, "abc"), "line 6: could not convert"),
+        (lambda lines: _with_cell(lines, 5, "nan"), "non-finite"),
+        (lambda lines: lines[:-1], "not a multiple of 7"),
+        (lambda lines: lines[:2], r"matrices must be \(T, 7, 7\)"),
+    ],
+    ids=[
+        "empty", "header_only", "short_header", "bad_cluster_id", "wide_row",
+        "not_a_number", "nan", "truncated", "no_matrices",
+    ],
+)
+def test_tpmset_read_errors_name_the_file(tmp_path, corrupt, pattern):
+    tpms = estimate_tpm(random_corpus(np.random.default_rng(5)))
+    path = tmp_path / "c0.wd.tpm"
+    tpms.write(path)
+    path.write_text("".join(ln + "\n" for ln in corrupt(path.read_text().splitlines())))
+    with pytest.raises(TrainError, match=pattern) as exc:
+        TPMSet.read(path)
+    assert str(path) in str(exc.value)
+
+
 def test_tpmset_reduced_horizon_allowed():
     m = np.tile(np.eye(3), (4, 1, 1))
     tpms = TPMSet(0, "WD", PRESENCE_ALPHABET, np.array([1.0, 0, 0]), m)

@@ -114,6 +114,14 @@ def test_config_read_errors(tmp_path):
         assert exc.value.exit_code == 2
 
 
+def test_config_rejects_unknown_key(tmp_path):
+    conf = _write_conf(tmp_path, n_houshold="3")
+    with pytest.raises(StageError, match=r"p\.conf: line 6: unknown key 'n_houshold'") as exc:
+        ProjectConfig.read(conf)
+    assert exc.value.exit_code == 2
+    assert main(["run", "--config", str(conf)]) == 2
+
+
 def test_synth_tree_layout(synth_tree):
     assert (synth_tree / "diaries.csv").exists()
     assert (synth_tree / "code_map.csv").exists()
@@ -312,6 +320,45 @@ def test_simulate_rejects_non_finite_reference(synth_tree, pipeline_run, tmp_pat
             "3",
         ]
     ) == 6
+    assert not list((tmp_path / "out").glob("household_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: [],
+        lambda lines: lines[:1],
+        lambda lines: lines[:-3],
+        lambda lines: lines[:9] + [lines[9] + ",0"] + lines[10:],
+        lambda lines: lines[:9] + ["nan," + lines[9].split(",", 1)[1]] + lines[10:],
+    ],
+    ids=["empty", "header_only", "truncated", "wide_row", "nan"],
+)
+def test_simulate_rejects_bad_model_file(synth_tree, pipeline_run, tmp_path, capsys, corrupt):
+    tpms = tmp_path / "tpms"
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    path = tpms / "c0.wd.tpm"
+    path.write_text("".join(ln + "\n" for ln in corrupt(path.read_text().splitlines())))
+    assert main(
+        [
+            "simulate",
+            "--tpms",
+            str(tpms),
+            "--bundle",
+            str(synth_tree / "bundle"),
+            "--reference",
+            str(synth_tree / "reference"),
+            "--household-config",
+            str(synth_tree / "household.conf"),
+            "--out",
+            str(tmp_path / "out"),
+            "--days",
+            "2",
+            "--seed",
+            "3",
+        ]
+    ) == 6
+    assert "c0.wd.tpm" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("household_*.csv"))
 
 

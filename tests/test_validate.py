@@ -1,5 +1,12 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import occsim
 
 from occsim.diary_ingest import (
     FULL_ALPHABET,
@@ -16,6 +23,7 @@ from occsim.validate import (
     ProfileBand,
     ValidationError,
     band,
+    chi2_sf,
     compare_behavior,
     coverage,
     ks_statistic,
@@ -58,6 +66,37 @@ def test_chi2_frozen_value():
     # obs [90, 110] vs exp [100, 100]: stat 2.0 on 1 dof
     p = occurrence_chi2_p(sim, ref, 200)
     assert p == pytest.approx(0.15729920705028513, rel=1e-12)
+
+
+def test_chi2_sf_closed_form_values():
+    assert chi2_sf(0.0, 1) == 1.0
+    assert chi2_sf(0.0, 7) == 1.0
+    assert chi2_sf(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-15)
+    assert chi2_sf(3.0, 1) == pytest.approx(math.erfc(math.sqrt(1.5)), rel=1e-15)
+    # dof 3: erfc(sqrt(h)) + 2 sqrt(h / pi) exp(-h)
+    h = 2.5
+    want = math.erfc(math.sqrt(h)) + 2 * math.sqrt(h / math.pi) * math.exp(-h)
+    assert chi2_sf(2 * h, 3) == pytest.approx(want, rel=1e-14)
+    # deep tail: log-space terms stay normal where exp(-h) * h**i would not
+    assert 0 < chi2_sf(1500.0, 60) < 1e-250
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    xs = np.concatenate([np.geomspace(1e-8, 2.0, 60), 2.2 * np.arange(1, 1001)])
+    for dof in range(1, 61):
+        want = stats.chi2.sf(xs, dof)
+        got = np.array([chi2_sf(float(x), dof) for x in xs])
+        keep = want >= 1e-290
+        assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12 * want[keep]), dof
+        assert [f"{v:.9g}" for v in got[keep]] == [f"{v:.9g}" for v in want[keep]], dof
+
+
+def test_cli_import_does_not_load_scipy():
+    env_path = str(Path(occsim.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {env_path!r}); import occsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_chi2_pools_small_expected_bins():
