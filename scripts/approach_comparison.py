@@ -20,32 +20,27 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from occsim import streams
-from occsim.diary_ingest import STATE_TOKENS, StateSequence
+from occsim.diary_ingest import N_STEPS, STATE_TOKENS
 from occsim.markov_train import estimate_all_statistics, train_cluster_day_model
-from occsim.occupant_sim import (
-    simulate_day_approach1,
-    simulate_day_approach3,
-    simulate_days_approach2,
-    days_to_sequences,
-)
-from occsim.synth import build_truth_model, generate_day
+from occsim.occupant_sim import days_to_sequences, place_events, walk_days
+from occsim.synth import build_truth_model
 from occsim.validate import compare_behavior
 
 
 def simulate_set(approach, model, n, rng):
-    """Return (sequences, placement_failures) for one approach."""
+    """Return (sequences, placement_failures) for one approach; each walks
+    all n days in one call."""
     failures = 0
-    if approach == 2:
-        return days_to_sequences(simulate_days_approach2(model.tpms, n, rng)), 0
-    seqs = []
-    for i in range(n):
-        if approach == 1:
-            sched, f = simulate_day_approach1(model.presence_tpms, model.stats, rng)
+    if approach == 1:
+        days = walk_days(model.presence_tpms, rng.random((n, N_STEPS)))
+        for i, day in enumerate(days):
+            days[i], f = place_events(day, model.stats, rng)
             failures += f
-        else:
-            sched = simulate_day_approach3(model.tpms, model.stats, rng)
-        seqs.append(StateSequence(f"a{approach}d{i}", model.tpms.day_type, 1.0, sched.states))
-    return seqs, failures
+    elif approach == 2:
+        days = walk_days(model.tpms, rng.random((n, N_STEPS)))
+    else:
+        days = walk_days(model.tpms, rng.random((n, 2 * N_STEPS)), model.stats)
+    return days_to_sequences(days, model.tpms.day_type, f"a{approach}d"), failures
 
 
 def main(argv=None):
@@ -61,11 +56,8 @@ def main(argv=None):
 
     root = streams.root(args.seed)
     truth = build_truth_model(args.cluster, args.day_type)
-    gen = streams.generator(root, streams.SYNTH)
-    corpus = [
-        StateSequence(f"t{i}", args.day_type, 1.0, generate_day(truth, gen))
-        for i in range(args.train)
-    ]
+    u = streams.generator(root, streams.SYNTH).random((args.train, 2 * N_STEPS))
+    corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), args.day_type, "t")
     model = train_cluster_day_model(corpus, args.cluster, args.day_type)
     reference = estimate_all_statistics(corpus)
 

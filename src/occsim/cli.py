@@ -14,9 +14,10 @@ from pathlib import Path
 
 from . import streams
 from .diary_ingest import STATE_TOKENS
-from .markov_train import FALLBACKS, load_model_dir
+from .markov_train import load_model_dir
 from .occupant_sim import OccupantProfile, SimCalendar, simulate_year
 from .pipeline import (
+    CHOICES,
     ProjectConfig,
     StageError,
     cluster_stage,
@@ -49,11 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--day-type", choices=["wd", "we", "both"], default="both")
-    p.add_argument("--k-range", default="3:10", help="inclusive k range, A:B")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--k-range", default="%d:%d" % ProjectConfig.k_range, help="inclusive k range, A:B")
+    p.add_argument("--repeats", type=int, default=ProjectConfig.repeats)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--silhouette-sample", type=int, default=None)
+    p.add_argument("--epsilon", type=float, default=ProjectConfig.epsilon)
+    p.add_argument("--silhouette-sample", type=int, default=ProjectConfig.silhouette_sample)
     p.add_argument("--unweighted", action="store_true", help="ignore respondent weights")
 
     p = sub.add_parser("train", help="fit per-cluster day-type models")
@@ -61,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--clusters", type=Path, nargs="+", required=True, help="cluster model files")
     p.add_argument("--out", type=Path, required=True, help="output model directory")
-    p.add_argument("--fallback", choices=FALLBACKS, default="absorbing")
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--fallback", choices=CHOICES["tpm_fallback"], default=ProjectConfig.tpm_fallback)
+    p.add_argument("--alpha", type=float, default=ProjectConfig.tpm_alpha)
 
     p = sub.add_parser("simulate", help="generate household schedules")
     p.add_argument("--tpms", type=Path, required=True, help="trained model directory")
@@ -70,22 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", type=Path, required=True, help="reference schedule directory")
     p.add_argument("--household-config", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--households", type=int, default=1)
-    p.add_argument("--days", type=int, default=365)
-    p.add_argument("--start-weekday", default="monday")
+    p.add_argument("--households", type=int, default=ProjectConfig.n_households)
+    p.add_argument("--days", type=int, default=ProjectConfig.n_days)
+    p.add_argument("--start-weekday", default=ProjectConfig.start_weekday)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--approach", type=int, choices=[1, 2, 3], default=3)
-    p.add_argument("--modulation", choices=["present", "active"], default="present")
+    p.add_argument("--approach", type=int, choices=CHOICES["approach"], default=ProjectConfig.approach)
+    p.add_argument("--modulation", choices=CHOICES["modulation"], default=ProjectConfig.modulation)
 
     p = sub.add_parser("simulate-occupant", help="simulate one occupant's state sequence")
     p.add_argument("--tpms", type=Path, required=True)
     p.add_argument("--wd-cluster", type=int, required=True)
     p.add_argument("--we-cluster", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--days", type=int, default=365)
-    p.add_argument("--start-weekday", default="monday")
+    p.add_argument("--days", type=int, default=ProjectConfig.n_days)
+    p.add_argument("--start-weekday", default=ProjectConfig.start_weekday)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--approach", type=int, choices=[1, 2, 3], default=3)
+    p.add_argument("--approach", type=int, choices=CHOICES["approach"], default=ProjectConfig.approach)
 
     p = sub.add_parser("validate", help="compare simulated days with a reference corpus")
     p.add_argument("--sim", type=Path, required=True, help="simulation output directory or occupant-day file")

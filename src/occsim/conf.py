@@ -1,9 +1,14 @@
-"""Reader for the `key = value` configuration files."""
+"""Readers for `key = value` configs and `step,value` profile and reference files."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
+
+from .diary_ingest import N_STEPS
 
 
 def read_key_values(path: str | Path, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
@@ -26,3 +31,36 @@ def read_key_values(path: str | Path, parsers: dict[str, Callable[[str], object]
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {key}: {exc}") from None
     return values
+
+
+def read_step_values(path: str | Path) -> np.ndarray:
+    """Values of a `step,value` file: one line per step 0..95 in any order,
+    blank lines skipped.  A wrong field count, a non-number, a step out of
+    range, repeated or left out, or a non-finite value raises ValueError
+    naming the file and line."""
+    values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"expected step,value, got {len(fields)} fields")
+            step, value = int(fields[0]), float(fields[1])
+            if not 0 <= step < N_STEPS:
+                raise ValueError(f"step {step} outside 0..{N_STEPS - 1}")
+            if not np.isnan(values[step]):
+                raise ValueError(f"duplicate step {step}")
+            if not math.isfinite(value):
+                raise ValueError(f"step {step} has non-finite value {value}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
+        values[step] = value
+    if np.isnan(values).any():
+        raise ValueError(f"{path}: expected {N_STEPS} rows, got {int(np.sum(~np.isnan(values)))}")
+    return values
+
+
+def write_step_values(path: str | Path, values: np.ndarray) -> None:
+    lines = [f"{i},{v:.12g}" for i, v in enumerate(np.asarray(values))]
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ default) so every matrix stays stochastic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .diary_ingest import (
     FULL_ALPHABET,
-    N_STEPS,
     PRESENCE_ALPHABET,
     STATE_BY_TOKEN,
     STATE_TOKENS,
@@ -24,6 +24,7 @@ from .diary_ingest import (
     StateSequence,
     project_to_presence,
 )
+from .conf import read_step_values, write_step_values
 from .distributions import EmpiricalDistribution
 
 ROW_TOL = 1e-9
@@ -294,21 +295,7 @@ def train_cluster_day_model(
 
 _ACT_FILE = {a: STATE_TOKENS[a].lower() for a in FULL_ALPHABET}
 _ACT_BY_FILE = {v: k for k, v in _ACT_FILE.items()}
-
-
-def _write_profile(path: Path, values: np.ndarray) -> None:
-    lines = [f"{i},{v:.12g}" for i, v in enumerate(values)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _read_profile(path: Path) -> np.ndarray:
-    values = np.zeros(N_STEPS)
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        step_s, v = line.split(",")
-        values[int(step_s)] = float(v)
-    return values
+_TPM_NAME = re.compile(r"c(\d+)\.(wd|we)\.tpm")
 
 
 def save_model_dir(directory: str | Path, models) -> None:
@@ -328,7 +315,7 @@ def save_model_dir(directory: str | Path, models) -> None:
                 st.duration_dist.write(directory / f"{stem}.{act}.duration.dist")
             if st.onset_dist is not None:
                 st.onset_dist.write(directory / f"{stem}.{act}.onset.dist")
-            _write_profile(directory / f"{stem}.{act}.profile", st.daily_profile)
+            write_step_values(directory / f"{stem}.{act}.profile", st.daily_profile)
 
 
 def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel]]:
@@ -341,10 +328,11 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
     if not tpm_files:
         raise TrainError(f"no TPM files in {directory}")
     for tpm_path in tpm_files:
+        match = _TPM_NAME.fullmatch(tpm_path.name)
+        if match is None:
+            raise TrainError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
         stem = tpm_path.name[: -len(".tpm")]
-        cluster_s, dt_s = stem[1:].split(".")
-        cluster_id = int(cluster_s)
-        day_type = dt_s.upper()
+        cluster_id, day_type = int(match[1]), match[2].upper()
         tpms = TPMSet.read(tpm_path)
         presence_path = directory / f"{stem}.presence.tpm"
         if not presence_path.exists():
@@ -362,7 +350,7 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
                 EmpiricalDistribution.read(duration_path) if duration_path.exists() else None,
                 EmpiricalDistribution.read(onset_path) if onset_path.exists() else None,
                 EmpiricalDistribution.read(count_path),
-                _read_profile(directory / f"{stem}.{act_name}.profile"),
+                read_step_values(directory / f"{stem}.{act_name}.profile"),
             )
         models.setdefault(day_type, {})[cluster_id] = ClusterDayModel(
             cluster_id, day_type, tpms, presence_tpms, stats

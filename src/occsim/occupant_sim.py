@@ -1,21 +1,20 @@
 """Occupant day and year simulation.
 
-Three interchangeable generators produce a day of 96 states:
+Three interchangeable approaches produce a day of 96 states:
 
-* approach 1: simulate the 3-state presence chain, then place sampled
+* approach 1: walk the 3-state presence chain, then place sampled
   event-activity occurrences (count, onset, duration) inside HomeActive
   windows, retrying onsets within a bounded budget;
-* approach 2: step the full 7-state chain directly;
-* approach 3 (default): step the 7-state chain, but when it enters an
-  event activity, sample that activity's duration, hold the state for
-  ceil(duration / 15) steps (clipped at the last step), and resume the
-  chain at the step after the held block conditioned on the held activity.
+* approach 2: walk the full 7-state chain;
+* approach 3 (default): walk the 7-state chain, but on entering an event
+  activity sample its duration, hold the state for ceil(duration / 15)
+  steps (clipped at the last step), and resume after the held block from
+  the held activity's row with its own column excluded and renormalized.
+  Without the exclusion, self-transition mass learned from held runs would
+  compound holds and inflate durations past the sampled distribution.
 
-On resume the held activity's own column is excluded and its row
-renormalized, so a maximal run of an event activity has exactly the
-quantized sampled length; without the exclusion, self-transition mass
-learned from held runs in training data would compound holds and inflate
-durations well past the sampled distribution.
+All three walk through one batched kernel, `walk_days`, which steps every
+day that shares a model at once, each from its own block of uniforms.
 """
 
 from __future__ import annotations
@@ -26,21 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .diary_ingest import (
-    EVENT_ACTIVITIES,
-    N_STEPS,
-    ActivityState,
-    StateSequence,
-)
-from .distributions import draw_index
+from .diary_ingest import EVENT_ACTIVITIES, N_STEPS, ActivityState, StateSequence
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 
 RETRY_BUDGET = 20
 
 WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
-
-_EVENT_SET = frozenset(int(a) for a in EVENT_ACTIVITIES)
-
 
 class SimulationError(ValueError):
     """Invalid simulation configuration."""
@@ -89,102 +79,118 @@ class SimCalendar:
             raise SimulationError(f"unknown weekday name {name!r}")
 
 
-def _row_tuples(tpms: TPMSet) -> tuple[list[float], list[list[list[float]]], np.ndarray]:
-    """Python-list cumulative rows for the scalar sampling loop."""
-    cum_init, cum_rows = tpms.cumulative()
-    cached = getattr(tpms, "_row_lists", None)
-    if cached is None:
-        cached = (
-            cum_init.tolist(),
-            [[row.tolist() for row in cum_rows[t]] for t in range(cum_rows.shape[0])],
-            tpms.matrices,
-        )
-        tpms._row_lists = cached
-    return cached
-
-
 def _hold_steps(duration_minutes: float) -> int:
     return max(1, math.ceil(duration_minutes / 15.0))
 
 
-def _resume_draw(probs: np.ndarray, exclude: int, rng: np.random.Generator) -> int:
-    """Draw from a row with one column removed and the rest renormalized.
+def day_uniforms(tpms: TPMSet, rng: np.random.Generator, holds: dict | None = None) -> np.ndarray:
+    """One day's block of uniforms for `walk_days`: n_steps of them, or
+    2 * n_steps when the walk holds events."""
+    return rng.random(tpms.n_steps if holds is None else 2 * tpms.n_steps)
 
-    If the row has no mass outside the excluded column the excluded state
-    is returned and the caller extends the hold by one step.
+
+def _hold_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats]) -> tuple[np.ndarray, ...]:
+    """Tables for a walk with holds.  Leaving event state s after step t
+    draws from `matrices[t, s]` with column s zeroed and the uniform scaled
+    by `1 - p[s]` (no draw if that is <= 1e-12), falling back to the last
+    nonzero column; other states draw from the plain row.  Cumulative rows
+    read inf from the fallback column on, so counting entries `<= r` gives
+    the drawn column.  Event states with a duration distribution get its
+    cumulative table the same way, and the hold steps of each support value.
     """
-    mass = 1.0 - probs[exclude]
-    if mass <= 1e-12:
-        return exclude
-    r = rng.random() * mass
-    acc = 0.0
-    last = exclude
-    for j, p in enumerate(probs):
-        if j == exclude or p == 0.0:
+    _, cum_rows = tpms.cumulative()
+    S, n_steps = tpms.n_states, tpms.n_steps
+    trans = cum_rows.copy()
+    trans[:, :, -1] = np.inf
+    scale = np.ones(cum_rows.shape[:2])
+    dists = {}
+    for e, activity in enumerate(tpms.alphabet):
+        if activity not in EVENT_ACTIVITIES:
             continue
-        acc += p
-        last = j
-        if r < acc:
-            return j
-    return last
+        p = tpms.matrices[:, e].copy()
+        p[:, e] = 0.0
+        nonzero = p != 0.0
+        last = np.where(nonzero.any(axis=1), S - 1 - np.argmax(nonzero[:, ::-1], axis=1), e)
+        trans[:, e] = np.where(np.arange(S) >= last[:, None], np.inf, np.cumsum(p, axis=1))
+        scale[:, e] = 1.0 - tpms.matrices[:, e, e]
+        st = holds.get(activity)
+        if st is not None and st.duration_dist is not None:
+            dists[e] = st.duration_dist
+    width = max((d.support.size for d in dists.values()), default=1)
+    dur_cum = np.full((S, width), np.inf)
+    dur_steps = np.ones((S, width), dtype=np.intp)
+    for e, d in dists.items():
+        dur_cum[e, : d.support.size - 1] = np.cumsum(d.probs)[:-1]
+        dur_steps[e, : d.support.size] = [min(_hold_steps(v), n_steps) for v in d.support.tolist()]
+    has_dist = np.isin(np.arange(S), list(dists))
+    return trans, scale, has_dist, dur_cum, dur_steps
 
 
-def _chain_states(tpms: TPMSet, rng: np.random.Generator) -> np.ndarray:
-    """Plain chain walk (approach 2 core)."""
-    cum_init, cum_rows, _ = _row_tuples(tpms)
-    n = tpms.n_steps
-    states = np.empty(n, dtype=np.int8)
-    s = draw_index(cum_init, rng.random())
-    states[0] = s
-    for t in range(n - 1):
-        s = draw_index(cum_rows[t][s], rng.random())
-        states[t + 1] = s
-    return states
-
-
-def _approach3_states(
-    tpms: TPMSet, stats: dict[ActivityState, ActivityStats], rng: np.random.Generator
+def walk_days(
+    tpms: TPMSet, u: np.ndarray, holds: dict[ActivityState, ActivityStats] | None = None
 ) -> np.ndarray:
-    """Chain walk with sampled-duration holds on event activities."""
-    cum_init, cum_rows, matrices = _row_tuples(tpms)
-    alphabet = tpms.alphabet
-    event_idx = {i for i, a in enumerate(alphabet) if int(a) in _EVENT_SET}
-    n = tpms.n_steps
-    states = np.empty(n, dtype=np.int8)
-    s = draw_index(cum_init, rng.random())
-    t = 0
-    while True:
-        if s in event_idx:
-            st = stats.get(alphabet[s])
-            dur = st.duration_dist.sample(rng) if st is not None and st.duration_dist else 15.0
-            end = min(t + _hold_steps(dur) - 1, n - 1)
-            states[t : end + 1] = s
-            t = end
-        else:
-            states[t] = s
-        if t == n - 1:
-            return states
-        if s in event_idx:
-            s = _resume_draw(matrices[t, s], s, rng)
-        else:
-            s = draw_index(cum_rows[t][s], rng.random())
-        t += 1
+    """Walk the chain once per row of `u`, all rows at once: (n, n_steps) int8.
+
+    Row i consumes u[i] left to right, one uniform per draw, in the order of
+    a one-day walk: the initial state; on entering an event state that has
+    a duration distribution in `holds`, the duration, held for
+    `max(1, ceil(d / 15))` steps up to the last step (an event state without
+    one holds one step and draws nothing); and, when a hold ends before the
+    last step, the transition.  With `holds` None (approach 2 and the
+    presence chain) every step is one plain transition.  Each draw takes the
+    first index whose cumulative sum exceeds r, as `draw_index` does.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    need = tpms.n_steps if holds is None else 2 * tpms.n_steps
+    if u.ndim != 2 or u.shape[1] < need:
+        raise SimulationError(f"expected (n, >= {need}) uniforms, got shape {u.shape}")
+    n, n_steps = u.shape[0], tpms.n_steps
+    cum_init, cum_rows = tpms.cumulative()
+    out = np.empty((n_steps, n), dtype=np.int8)
+    s = (cum_init[:-1] <= u[:, :1]).sum(axis=1)
+    if holds is None:
+        plain = cum_rows[:, :, :-1]
+        out[0] = s
+        for t in range(n_steps - 1):
+            s = (plain[t, s] <= u[:, t + 1, None]).sum(axis=1)
+            out[t + 1] = s
+        return out.T.copy()
+    trans, scale, has_dist, dur_cum, dur_steps = _hold_tables(tpms, holds)
+    flat = u.ravel()
+    pos = np.arange(n) * u.shape[1] + 1  # flat index of each row's next uniform
+    end = np.zeros(n, dtype=np.intp)  # last step of each row's current hold, unclipped
+    entered = np.arange(n)  # rows whose state was drawn for step t
+    for t in range(n_steps):
+        held = entered[has_dist[s[entered]]]
+        if held.size:
+            sh = s[held]
+            r = flat[pos[held]]
+            pos[held] += 1
+            j = (dur_cum[sh] <= r[:, None]).sum(axis=1)
+            end[held] = t - 1 + dur_steps[sh, j]
+        out[t] = s
+        if t == n_steps - 1:
+            break
+        entered = np.flatnonzero(end <= t)
+        drawn = entered[scale[t, s[entered]] > 1e-12]
+        sd = s[drawn]
+        r = flat[pos[drawn]] * scale[t, sd]
+        pos[drawn] += 1
+        s[drawn] = (trans[t, sd] <= r[:, None]).sum(axis=1)
+    return out.T.copy()
 
 
-def _approach1_states(
-    presence_tpms: TPMSet, stats: dict[ActivityState, ActivityStats], rng: np.random.Generator
+def place_events(
+    presence: np.ndarray, stats: dict[ActivityState, ActivityStats], rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Presence chain plus sampled event placement inside HomeActive windows.
+    """Sampled event placement inside the HomeActive windows of a presence day.
 
     Each sampled occurrence draws a duration once and retries its onset up
     to RETRY_BUDGET times; occurrences that never fit are dropped and
     counted as placement failures.
     """
-    presence = _chain_states(presence_tpms, rng)
     states = presence.copy()
-    n = presence.shape[0]
-    home = presence == int(ActivityState.HOME_ACTIVE)
-    free = home.copy()
+    free = presence == int(ActivityState.HOME_ACTIVE)
     failures = 0
     for activity in EVENT_ACTIVITIES:
         st = stats.get(activity)
@@ -198,18 +204,13 @@ def _approach1_states(
             continue
         for _ in range(count):
             h = _hold_steps(st.duration_dist.sample(rng))
-            placed = False
             for _ in range(RETRY_BUDGET):
                 onset = int(round(st.onset_dist.sample(rng)))
-                if onset < 0 or onset + h > n:
-                    continue
-                window = free[onset : onset + h]
-                if window.all():
+                if 0 <= onset and onset + h <= len(free) and free[onset : onset + h].all():
                     states[onset : onset + h] = int(activity)
                     free[onset : onset + h] = False
-                    placed = True
                     break
-            if not placed:
+            else:
                 failures += 1
     return states, failures
 
@@ -221,7 +222,8 @@ def simulate_day_approach1(
     day_index: int = 0,
     day_type: str | None = None,
 ) -> tuple[OccupantDaySchedule, int]:
-    states, failures = _approach1_states(presence_tpms, stats, rng)
+    presence = walk_days(presence_tpms, day_uniforms(presence_tpms, rng)[None])[0]
+    states, failures = place_events(presence, stats, rng)
     sched = OccupantDaySchedule(day_index, day_type or presence_tpms.day_type, states)
     return sched, failures
 
@@ -229,7 +231,8 @@ def simulate_day_approach1(
 def simulate_day_approach2(
     tpms: TPMSet, rng: np.random.Generator, day_index: int = 0, day_type: str | None = None
 ) -> OccupantDaySchedule:
-    return OccupantDaySchedule(day_index, day_type or tpms.day_type, _chain_states(tpms, rng))
+    states = walk_days(tpms, day_uniforms(tpms, rng)[None])[0]
+    return OccupantDaySchedule(day_index, day_type or tpms.day_type, states)
 
 
 def simulate_day_approach3(
@@ -239,24 +242,8 @@ def simulate_day_approach3(
     day_index: int = 0,
     day_type: str | None = None,
 ) -> OccupantDaySchedule:
-    states = _approach3_states(tpms, stats, rng)
+    states = walk_days(tpms, day_uniforms(tpms, rng, stats)[None], stats)[0]
     return OccupantDaySchedule(day_index, day_type or tpms.day_type, states)
-
-
-def simulate_days_approach2(tpms: TPMSet, n_days: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized bulk chain walk: (n_days, n_steps) state matrix."""
-    cum_init, cum_rows = tpms.cumulative()
-    n_steps = tpms.n_steps
-    out = np.empty((n_days, n_steps), dtype=np.int8)
-    r = rng.random(n_days)
-    s = np.minimum(np.searchsorted(cum_init, r, side="right"), tpms.n_states - 1)
-    out[:, 0] = s
-    for t in range(n_steps - 1):
-        rows = cum_rows[t][s]  # (n_days, S)
-        r = rng.random(n_days)
-        s = np.minimum((rows < r[:, None]).sum(axis=1), tpms.n_states - 1)
-        out[:, t + 1] = s
-    return out
 
 
 def days_to_sequences(
@@ -275,33 +262,34 @@ def simulate_year(
     rng_root: np.random.SeedSequence,
     approach: int = 3,
 ) -> tuple[list[OccupantDaySchedule], int]:
-    """Simulate every calendar day for one occupant.
+    """Simulate every calendar day for one occupant: the day schedules plus
+    the total approach-1 placement failures (zero for the other approaches).
 
-    Each day draws from its own stream derived from `rng_root`, so days are
-    independent and reproducible regardless of evaluation order.  Returns
-    the day schedules plus the total approach-1 placement failures (zero
-    for the other approaches).
+    Day d draws its `day_uniforms` block, and under approach 1 its event
+    placements, from its own stream `streams.child(rng_root, d)`, so days do
+    not depend on each other or on evaluation order.  The days of each day
+    type are walked in one call.
     """
     if approach not in (1, 2, 3):
         raise SimulationError(f"approach must be 1, 2, or 3, got {approach}")
-    days: list[OccupantDaySchedule] = []
+    day_types = [calendar.day_type(d) for d in range(calendar.n_days)]
+    states = np.empty((calendar.n_days, N_STEPS), dtype=np.int8)
     failures = 0
-    for day in range(calendar.n_days):
-        day_type = calendar.day_type(day)
+    for day_type in dict.fromkeys(day_types):
         cluster = profile.weekday_cluster if day_type == "WD" else profile.weekend_cluster
         try:
             model = models[day_type][cluster]
         except KeyError:
             raise SimulationError(f"no trained model for day_type={day_type} cluster={cluster}")
-        rng = streams.generator(streams.child(rng_root, day))
+        days = [d for d, dt in enumerate(day_types) if dt == day_type]
+        rngs = [streams.generator(streams.child(rng_root, d)) for d in days]
+        tpms = model.presence_tpms if approach == 1 else model.tpms
+        holds = model.stats if approach == 3 else None
+        block = walk_days(tpms, np.stack([day_uniforms(tpms, rng, holds) for rng in rngs]), holds)
         if approach == 1:
-            sched, n_fail = simulate_day_approach1(
-                model.presence_tpms, model.stats, rng, day, day_type
-            )
-            failures += n_fail
-        elif approach == 2:
-            sched = simulate_day_approach2(model.tpms, rng, day, day_type)
-        else:
-            sched = simulate_day_approach3(model.tpms, model.stats, rng, day, day_type)
-        days.append(sched)
+            for i, rng in enumerate(rngs):
+                block[i], n_fail = place_events(block[i], model.stats, rng)
+                failures += n_fail
+        states[days] = block
+    days = [OccupantDaySchedule(d, dt, states[d]) for d, dt in enumerate(day_types)]
     return days, failures

@@ -13,12 +13,11 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .clustering import ClusterModel, SelectKResult, assign_cluster, select_k
 from .conf import read_key_values
 from .diary_ingest import (
     DAY_TYPES,
+    N_STEPS,
     DiaryFormatError,
     ActivityCodeMap,
     StateSequence,
@@ -75,6 +74,9 @@ _PARSERS = {
 }
 
 
+CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS}
+
+
 @dataclass
 class ProjectConfig:
     """Project settings: each field is the `project.conf` key of the same name,
@@ -116,8 +118,7 @@ class ProjectConfig:
         if missing:
             raise StageError("config", f"{path}: missing keys: {', '.join(missing)}")
         cfg = cls(**values)
-        choices = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS}
-        for key, allowed in choices.items():
+        for key, allowed in CHOICES.items():
             if getattr(cfg, key) not in allowed:
                 raise StageError("config", f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
         if cfg.k_range[0] < 1 or cfg.k_range[1] < cfg.k_range[0]:
@@ -157,12 +158,12 @@ def cluster_stage(
     sequences: list[StateSequence],
     day_type: str,
     out_file: Path,
-    k_range: tuple[int, int] = (3, 10),
-    repeats: int = 10,
-    base_seed: int = 0,
-    epsilon: float = 0.01,
-    silhouette_sample: int | None = None,
-    use_weights: bool = True,
+    k_range: tuple[int, int],
+    repeats: int,
+    base_seed: int,
+    epsilon: float,
+    silhouette_sample: int | None,
+    use_weights: bool,
     log=sys.stderr,
 ) -> SelectKResult:
     """Select k on one day type's sequences and write the cluster model."""
@@ -195,8 +196,8 @@ def train_stage(
     sequences: list[StateSequence],
     cluster_models: dict[str, ClusterModel],
     out_dir: Path,
-    fallback: str = "absorbing",
-    alpha: float = 0.0,
+    fallback: str,
+    alpha: float,
     log=sys.stderr,
 ) -> dict[str, dict[int, ClusterDayModel]]:
     """Assign sequences to clusters and fit per-(cluster, day-type) models."""
@@ -224,18 +225,12 @@ def train_stage(
 
 
 def _occupant_day_rows(results, calendar: SimCalendar) -> list[StateSequence]:
-    rows: list[StateSequence] = []
-    for res in results:
-        n_days = res.states.shape[1] // 96
-        for o in range(res.n_occupants):
-            days = res.states[o].reshape(n_days, 96)
-            for d in range(n_days):
-                rows.append(
-                    StateSequence(
-                        f"h{res.index}o{o}", calendar.day_type(d), 1.0, days[d].astype(np.int8)
-                    )
-                )
-    return rows
+    return [
+        StateSequence(f"h{res.index}o{o}", calendar.day_type(d), 1.0, day)
+        for res in results
+        for o in range(res.n_occupants)
+        for d, day in enumerate(res.states[o].reshape(-1, N_STEPS))
+    ]
 
 
 def simulate_stage(
@@ -244,12 +239,12 @@ def simulate_stage(
     reference_dir: Path,
     household_conf: Path,
     out_dir: Path,
-    n_households: int = 1,
-    n_days: int = 365,
-    start_weekday: str = "monday",
-    base_seed: int = 0,
-    approach: int = 3,
-    modulation: str = "present",
+    n_households: int,
+    n_days: int,
+    start_weekday: str,
+    base_seed: int,
+    approach: int,
+    modulation: str,
     log=sys.stderr,
 ) -> None:
     """Generate household schedules and the occupant-day table."""

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .conf import read_step_values
 from .diary_ingest import N_STEPS
 from .distributions import EmpiricalDistribution
 from .household import (
@@ -253,32 +254,6 @@ def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
 # -- reference schedules and distribution bundles ---------------------------
 
 
-def read_reference_file(path: str | Path) -> np.ndarray:
-    """96 lines of step,value for one end use and day type."""
-    path = Path(path)
-    values = np.zeros(N_STEPS)
-    seen = 0
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        step_s, v = line.split(",")
-        values[int(step_s)] = float(v)
-        seen += 1
-    if seen != N_STEPS:
-        raise ScheduleError(f"{path}: expected {N_STEPS} rows, got {seen}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ScheduleError(f"{path}: step {bad[0]} has non-finite value {values[bad[0]]}")
-    if not np.any(values != 0):
-        raise ScheduleError(f"{path}: reference schedule is all zero")
-    return values
-
-
-def write_reference_file(path: str | Path, values: np.ndarray) -> None:
-    lines = [f"{i},{v:.12g}" for i, v in enumerate(np.asarray(values))]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_reference_dir(directory: str | Path) -> dict[tuple[str, str], np.ndarray]:
     """Load `<end_use>.<wd|we>.ref` files for every modulated end use."""
     directory = Path(directory)
@@ -288,7 +263,13 @@ def load_reference_dir(directory: str | Path) -> dict[tuple[str, str], np.ndarra
             path = directory / f"{use}.{day_type.lower()}.ref"
             if not path.exists():
                 raise ScheduleError(f"missing reference schedule: {path}")
-            out[(use, day_type)] = read_reference_file(path)
+            try:
+                values = read_step_values(path)
+            except ValueError as exc:
+                raise ScheduleError(str(exc)) from None
+            if not np.any(values != 0):
+                raise ScheduleError(f"{path}: reference schedule is all zero")
+            out[(use, day_type)] = values
     return out
 
 

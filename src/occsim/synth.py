@@ -25,10 +25,11 @@ from .diary_ingest import (
     ActivityCodeMap,
     StateSequence,
 )
+from .conf import write_step_values
 from .distributions import EmpiricalDistribution
 from .household import HouseholdConfig, _draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
-from .occupant_sim import _approach3_states
+from .occupant_sim import day_uniforms, walk_days
 
 SHORT_CODES = {
     ActivityState.SLEEP: "s",
@@ -183,7 +184,7 @@ def truth_models(k: int = 4) -> dict[str, dict[int, ClusterDayModel]]:
 
 def generate_day(model: ClusterDayModel, rng: np.random.Generator) -> np.ndarray:
     """Draw one day from a ground-truth model (chain with duration holds)."""
-    return _approach3_states(model.tpms, model.stats, rng)
+    return walk_days(model.tpms, day_uniforms(model.tpms, rng, model.stats)[None], model.stats)[0]
 
 
 def generate_corpus(
@@ -193,20 +194,27 @@ def generate_corpus(
     day_types: tuple[str, ...] = ("WD", "WE"),
     vary_weights: bool = True,
 ) -> list[StateSequence]:
-    """Draw a mixed-cluster corpus with planted shares."""
+    """Draw a mixed-cluster corpus with planted shares.  Each diary draws its
+    cluster, day and weight from streams of its own; each (day type,
+    cluster) group of days is walked in one call."""
     models = {dt: {c: build_truth_model(c, dt) for c in range(len(shares))} for dt in day_types}
     root = streams.root(base_seed)
     out: list[StateSequence] = []
     for di, dt in enumerate(day_types):
+        picks = [streams.generator(root, streams.SYNTH, di, i, 0) for i in range(n_per_day_type)]
+        clusters = np.array([_draw_index(shares, pick) for pick in picks])
+        states = np.empty((n_per_day_type, N_STEPS), dtype=np.int8)
+        for cluster, model in models[dt].items():
+            rows = np.flatnonzero(clusters == cluster)
+            if rows.size:
+                rngs = [streams.generator(root, streams.SYNTH, di, i, 1) for i in rows]
+                u = np.stack([day_uniforms(model.tpms, rng, model.stats) for rng in rngs])
+                states[rows] = walk_days(model.tpms, u, model.stats)
         for i in range(n_per_day_type):
-            pick = streams.generator(root, streams.SYNTH, di, i, 0)
-            cluster = _draw_index(shares, pick)
-            day_rng = streams.generator(root, streams.SYNTH, di, i, 1)
-            states = generate_day(models[dt][cluster], day_rng)
             weight = 1.0
             if vary_weights:
                 weight = round(float(streams.generator(root, streams.SYNTH, di, i, 2).uniform(0.5, 1.5)), 6)
-            out.append(StateSequence(f"r{dt.lower()}{i:05d}", dt, weight, states))
+            out.append(StateSequence(f"r{dt.lower()}{i:05d}", dt, weight, states[i]))
     return out
 
 
@@ -304,7 +312,7 @@ def write_input_tree(
     n_days: int = 28,
 ) -> SynthLayout:
     """Generate the full demonstration input tree under `out_dir`."""
-    from .schedule_io import write_bundle, write_reference_file
+    from .schedule_io import write_bundle
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,7 +332,7 @@ def write_input_tree(
     layout.reference.mkdir(parents=True, exist_ok=True)
     for use in ("lighting", "plug_loads", "ceiling_fan"):
         for dt in ("WD", "WE"):
-            write_reference_file(layout.reference / f"{use}.{dt.lower()}.ref", default_reference(use, dt))
+            write_step_values(layout.reference / f"{use}.{dt.lower()}.ref", default_reference(use, dt))
     HouseholdConfig(
         occupant_count_dist=_dist(((1, 0.30), (2, 0.45), (3, 0.25)), "count"),
         cluster_shares_wd=PLANTED_SHARES,

@@ -16,7 +16,6 @@ from occsim.diary_ingest import (
     FULL_ALPHABET,
     N_STEPS,
     ActivityState,
-    StateSequence,
 )
 from occsim.distributions import EmpiricalDistribution, point_mass
 from occsim.household import (
@@ -40,12 +39,7 @@ from occsim.markov_train import (
     forward_marginals,
     train_cluster_day_model,
 )
-from occsim.occupant_sim import (
-    SimCalendar,
-    days_to_sequences,
-    simulate_day_approach3,
-    simulate_days_approach2,
-)
+from occsim.occupant_sim import SimCalendar, days_to_sequences, walk_days
 from occsim.pipeline import run_pipeline, ProjectConfig
 from occsim.schedule_io import rasterize_events
 from occsim.synth import (
@@ -53,7 +47,6 @@ from occsim.synth import (
     build_truth_model,
     default_bundle,
     generate_corpus,
-    generate_day,
     truth_models,
     write_input_tree,
 )
@@ -99,7 +92,7 @@ def test_criterion_02_model_recovery():
     alphabet = tuple(FULL_ALPHABET[:S])
     truth = TPMSet(0, "WD", alphabet, np.full(S, 1 / S), m)
     n_days = 50_000
-    days = simulate_days_approach2(truth, n_days, np.random.default_rng(7))
+    days = walk_days(truth, np.random.default_rng(7).random((n_days, N_STEPS)))
     refit = estimate_tpm(days_to_sequences(days), alphabet)
     visits = n_days * forward_marginals(truth)[:-1]
     mask = visits >= 500
@@ -117,18 +110,11 @@ def test_criterion_02_model_recovery():
 def test_criterion_03_approach3_fidelity():
     t0 = time.perf_counter()
     truth = build_truth_model(0, "WD")
-    rng = streams.generator(streams.root(501), 1)
-    corpus = [
-        StateSequence(f"t{i}", "WD", 1.0, generate_day(truth, rng)) for i in range(20_000)
-    ]
+    u = streams.generator(streams.root(501), 1).random((20_000, 2 * N_STEPS))
+    corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), prefix="t")
     model = train_cluster_day_model(corpus, 0, "WD")
-    rng2 = streams.generator(streams.root(501), 2)
-    sim = [
-        StateSequence(
-            f"s{i}", "WD", 1.0, simulate_day_approach3(model.tpms, model.stats, rng2).states
-        )
-        for i in range(10_000)
-    ]
+    u = streams.generator(streams.root(501), 2).random((10_000, 2 * N_STEPS))
+    sim = days_to_sequences(walk_days(model.tpms, u, model.stats), prefix="s")
     report = compare_behavior(sim, estimate_all_statistics(corpus))
     ks_vals = [
         v for r in report.rows for v in (r.ks_duration, r.ks_onset) if v is not None

@@ -362,6 +362,62 @@ def test_simulate_rejects_bad_model_file(synth_tree, pipeline_run, tmp_path, cap
     assert not list((tmp_path / "out").glob("household_*.csv"))
 
 
+def _simulate(synth_tree, tpms, reference, out):
+    return main(
+        [
+            "simulate",
+            "--tpms",
+            str(tpms),
+            "--bundle",
+            str(synth_tree / "bundle"),
+            "--reference",
+            str(reference),
+            "--household-config",
+            str(synth_tree / "household.conf"),
+            "--out",
+            str(out),
+            "--days",
+            "2",
+            "--seed",
+            "3",
+        ]
+    )
+
+
+BAD_STEP_LINES = [
+    ("96,0.5", "line 41: step 96 outside 0..95"),
+    ("-1,0.9", "line 41: step -1 outside 0..95"),
+    ("3,0.5", "line 41: duplicate step 3"),
+    ("40,0.5,1", "line 41: expected step,value, got 3 fields"),
+    ("40,abc", "line 41: could not convert string to float"),
+]
+
+
+@pytest.mark.parametrize("kind", ["profile", "ref"])
+@pytest.mark.parametrize("line, message", BAD_STEP_LINES, ids=["past_end", "negative", "duplicate", "fields", "nan_text"])
+def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path, capsys, kind, line, message):
+    tpms, reference = tmp_path / "tpms", tmp_path / "reference"
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    shutil.copytree(synth_tree / "reference", reference)
+    path = tpms / "c0.wd.cooking.profile" if kind == "profile" else reference / "lighting.wd.ref"
+    lines = path.read_text().splitlines()
+    lines[40] = line
+    path.write_text("\n".join(lines) + "\n")
+    assert _simulate(synth_tree, tpms, reference, tmp_path / "out") == 6
+    assert f"{path.name}: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("household_*.csv"))
+
+
+@pytest.mark.parametrize("name", ["cx.wd.tpm", "c0.wd.x.tpm", "c0.xx.tpm"])
+def test_simulate_rejects_bad_model_file_name(synth_tree, pipeline_run, tmp_path, capsys, name):
+    tpms = tmp_path / "tpms"
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    shutil.copy(tpms / "c0.wd.tpm", tpms / name)
+    shutil.copy(tpms / "c0.wd.presence.tpm", tpms / name.replace(".tpm", ".presence.tpm"))
+    assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
+    assert f"{name}: model file name does not match c<int>.<wd|we>.tpm" in capsys.readouterr().err
+
+
 def test_simulate_occupant_output(pipeline_run, tmp_path):
     out = tmp_path / "occ.csv"
     assert main(

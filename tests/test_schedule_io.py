@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from occsim.conf import read_step_values, write_step_values
 from occsim.diary_ingest import N_STEPS
 from occsim.household import (
     Appliance,
@@ -25,10 +26,8 @@ from occsim.schedule_io import (
     load_reference_dir,
     normalize_columns,
     rasterize_events,
-    read_reference_file,
     read_schedule_file,
     write_bundle,
-    write_reference_file,
     write_schedule_file,
 )
 from occsim.synth import default_bundle, default_reference
@@ -230,44 +229,74 @@ def test_read_schedule_rejects_partial_day(tmp_path):
         read_schedule_file(path)
 
 
+def _reference_dir(directory):
+    for use in MODULATED_END_USES:
+        for dt in ("wd", "we"):
+            write_step_values(directory / f"{use}.{dt}.ref", default_reference(use, dt.upper()))
+    return directory
+
+
 def test_reference_file_round_trip(tmp_path):
     values = np.linspace(0.2, 1.0, N_STEPS)
     path = tmp_path / "lighting.wd.ref"
-    write_reference_file(path, values)
-    back = read_reference_file(path)
+    write_step_values(path, values)
+    back = read_step_values(path)
     assert np.abs(back - values).max() <= 1e-12
 
 
 def test_reference_file_rejects_all_zero(tmp_path):
-    path = tmp_path / "z.ref"
-    write_reference_file(path, np.zeros(N_STEPS))
-    with pytest.raises(ScheduleError, match="all zero"):
-        read_reference_file(path)
+    write_step_values(_reference_dir(tmp_path) / "lighting.we.ref", np.zeros(N_STEPS))
+    with pytest.raises(ScheduleError, match="lighting.we.ref: reference schedule is all zero"):
+        load_reference_dir(tmp_path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_reference_file_rejects_non_finite(tmp_path, bad):
-    path = tmp_path / "n.ref"
-    write_reference_file(path, np.linspace(0.2, 1.0, N_STEPS))
+    path = _reference_dir(tmp_path) / "ceiling_fan.wd.ref"
     lines = path.read_text().splitlines()
     lines[7] = f"7,{bad}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ScheduleError, match="step 7 has non-finite value"):
-        read_reference_file(path)
+    with pytest.raises(ScheduleError, match="line 8: step 7 has non-finite value"):
+        load_reference_dir(tmp_path)
 
 
 def test_reference_file_rejects_short(tmp_path):
-    path = tmp_path / "s.ref"
-    path.write_text("0,1.0\n1,2.0\n")
+    (_reference_dir(tmp_path) / "plug_loads.wd.ref").write_text("0,1.0\n1,2.0\n")
     with pytest.raises(ScheduleError, match="expected 96"):
-        read_reference_file(path)
+        load_reference_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("96,0.5", "step 96 outside 0..95"),
+        ("-1,0.9", "step -1 outside 0..95"),
+        ("3,0.5", "duplicate step 3"),
+        ("40,0.5,1", "expected step,value, got 3 fields"),
+        ("40", "expected step,value, got 1 fields"),
+        ("4x,0.5", "invalid literal for int"),
+        ("40,abc", "could not convert string to float"),
+    ],
+)
+def test_step_values_reject_bad_line_naming_file_and_line(tmp_path, line, message):
+    path = tmp_path / "x.profile"
+    write_step_values(path, np.linspace(0.0, 1.0, N_STEPS))
+    lines = path.read_text().splitlines()
+    lines[40] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"x.profile: line 41: {message}"):
+        read_step_values(path)
+
+
+def test_step_values_skip_blank_lines_and_take_any_order(tmp_path):
+    values = np.linspace(1.0, 2.0, N_STEPS)
+    path = tmp_path / "r.ref"
+    path.write_text("\n".join(f"{i},{float(values[i])!r}\n" for i in reversed(range(N_STEPS))))
+    assert np.array_equal(read_step_values(path), values)
 
 
 def test_load_reference_dir_names_missing_file(tmp_path):
-    for use in MODULATED_END_USES:
-        for dt in ("wd", "we"):
-            write_reference_file(tmp_path / f"{use}.{dt}.ref", default_reference(use, dt.upper()))
-    ref = load_reference_dir(tmp_path)
+    ref = load_reference_dir(_reference_dir(tmp_path))
     assert set(ref) == {(u, dt) for u in MODULATED_END_USES for dt in ("WD", "WE")}
     (tmp_path / "plug_loads.we.ref").unlink()
     with pytest.raises(ScheduleError, match="plug_loads.we.ref"):
