@@ -152,8 +152,8 @@ def _cmd_train(args, log) -> int:
     for path in args.clusters:
         try:
             model = ClusterModel.read(path)
-        except Exception as exc:
-            raise StageError("train", f"{path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise StageError("train", str(exc)) from exc
         if model.day_type in cluster_models:
             raise StageError("train", f"duplicate cluster model for day type {model.day_type}")
         cluster_models[model.day_type] = model

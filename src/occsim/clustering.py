@@ -15,6 +15,7 @@ import numpy as np
 
 from . import streams
 from .diary_ingest import (
+    DAY_TYPES,
     N_STEPS,
     STATE_BY_TOKEN,
     STATE_TOKENS,
@@ -43,8 +44,14 @@ class ClusterModel:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ClusterError(f"k must be a positive integer, got {self.k!r}")
+        if self.day_type not in DAY_TYPES:
+            raise ClusterError(f"day_type must be one of {DAY_TYPES}, got {self.day_type!r}")
         self.modes = np.asarray(self.modes, dtype=np.int8)
         self.shares = np.asarray(self.shares, dtype=np.float64)
+        if not np.all(np.isfinite(self.shares) & (self.shares >= 0)):
+            raise ClusterError(f"shares must be finite and nonnegative, got {self.shares.tolist()}")
         if self.modes.shape != (self.k, N_STEPS):
             raise ClusterError(f"modes must be ({self.k}, {N_STEPS}), got {self.modes.shape}")
         if self.shares.shape != (self.k,):
@@ -75,30 +82,64 @@ class ClusterModel:
         shares = None
         names = None
         modes = []
-        for line in path.read_text().splitlines():
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(",")
-            if key == "k":
-                k = int(rest)
-            elif key == "day_type":
-                day_type = rest
-            elif key == "shares":
-                shares = np.array([float(x) for x in rest.split(",")])
-            elif key == "names":
-                names = tuple(rest.split("|"))
-            elif key == "mode":
-                tokens = rest.split(",")
-                try:
-                    modes.append([int(STATE_BY_TOKEN[t]) for t in tokens])
-                except KeyError as exc:
-                    raise ClusterError(f"{path}: unknown state token {exc.args[0]!r}")
-            else:
-                raise ClusterError(f"{path}: unknown line key {key!r}")
+            try:
+                if key == "k":
+                    k = _read_k(rest)
+                elif key == "day_type":
+                    if rest not in DAY_TYPES:
+                        raise ValueError(f"day_type must be one of {DAY_TYPES}, got {rest!r}")
+                    day_type = rest
+                elif key == "shares":
+                    shares = _read_shares(rest)
+                elif key == "names":
+                    names = tuple(rest.split("|"))
+                elif key == "mode":
+                    modes.append(_read_mode(rest))
+                else:
+                    raise ValueError(f"unknown line key {key!r}")
+            except ValueError as exc:
+                raise ClusterError(f"{path}: line {lineno}: {exc}") from None
         if k is None or day_type is None or shares is None or len(modes) != k:
             raise ClusterError(f"{path}: incomplete cluster model")
-        return cls(k, np.array(modes, dtype=np.int8), shares, day_type, names)
+        try:
+            return cls(k, np.array(modes, dtype=np.int8), shares, day_type, names)
+        except ClusterError as exc:
+            raise ClusterError(f"{path}: {exc}") from None
+
+
+def _read_k(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise ValueError(f"k must be an integer, got {text!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return k
+
+
+def _read_shares(text: str) -> np.ndarray:
+    try:
+        shares = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ValueError(f"shares must be numbers, got {text!r}") from None
+    if not np.all(np.isfinite(shares) & (shares >= 0)):
+        raise ValueError(f"shares must be finite and nonnegative, got {text!r}")
+    return shares
+
+
+def _read_mode(text: str) -> list[int]:
+    tokens = text.split(",")
+    if len(tokens) != N_STEPS:
+        raise ValueError(f"mode has {len(tokens)} states, expected {N_STEPS}")
+    try:
+        return [int(STATE_BY_TOKEN[t]) for t in tokens]
+    except KeyError as exc:
+        raise ValueError(f"unknown state token {exc.args[0]!r}") from None
 
 
 def sequence_distance(a, b) -> int:
@@ -130,29 +171,36 @@ def _distances_to_modes(X: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return D
 
 
-def pairwise_distances(X: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Full matching-dissimilarity matrix, computed in row chunks."""
-    n = X.shape[0]
-    D = np.empty((n, n), dtype=np.int32)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        D[lo:hi] = (X[lo:hi, None, :] != X[None, :, :]).sum(axis=2)
-    return D
+def pairwise_distances(X: np.ndarray) -> np.ndarray:
+    """Full matching-dissimilarity matrix as one GEMM over one-hot rows.
+
+    With O one-hot encoding each row's (step, state) cells, the agreement
+    count of rows i and j is (O·Oᵀ)[i, j] and their distance is steps minus
+    that.  Every partial sum is an integer no larger than the step count, so
+    float32 holds it exactly whatever order BLAS sums in.
+    """
+    X = np.asarray(X)
+    n, steps = X.shape
+    lo = int(X.min())
+    n_states = int(X.max()) - lo + 1
+    onehot = np.zeros((n, steps * n_states), dtype=np.float32)
+    cells = np.arange(steps) * n_states + (X.astype(np.intp) - lo)
+    onehot[np.arange(n)[:, None], cells] = 1.0
+    agree = onehot @ onehot.T
+    return np.subtract(steps, agree, out=agree).astype(np.int32)
 
 
 def _weighted_modes(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
     """Per-dimension weighted most-frequent state for each cluster.
 
     Ties break toward the smallest state value so refits are deterministic.
+    One bincount over the (cluster, step, state) cell of every entry adds the
+    weights of each cell in row order, as a per-cell running sum would.
     """
-    modes = np.zeros((k, X.shape[1]), dtype=np.int8)
-    dims = np.tile(np.arange(X.shape[1]), (X.shape[0], 1))
-    for c in range(k):
-        member = labels == c
-        counts = np.zeros((X.shape[1], n_states), dtype=np.float64)
-        np.add.at(counts, (dims[member].ravel(), X[member].ravel()), np.repeat(w[member], X.shape[1]))
-        modes[c] = counts.argmax(axis=1)  # argmax takes the first maximum
-    return modes
+    steps = X.shape[1]
+    cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
+    counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
+    return counts.reshape(k, steps, n_states).argmax(axis=2).astype(np.int8)  # first maximum
 
 
 def kmodes(
@@ -163,6 +211,7 @@ def kmodes(
     max_iter: int = 50,
     day_type: str = "WD",
     use_weights: bool = True,
+    distinct: np.ndarray | None = None,
 ) -> tuple[ClusterModel, np.ndarray]:
     """Weighted k-modes under matching dissimilarity.
 
@@ -175,6 +224,8 @@ def kmodes(
 
     Returns the fitted model plus per-sequence labels.  The weighted
     within-cluster distance never increases from one iteration to the next.
+    `distinct` is `np.unique(X, axis=0)` for a caller that fits the same data
+    many times.
     """
     X, w = _coerce_data(data, weights)
     if not use_weights:
@@ -182,7 +233,8 @@ def kmodes(
     n = X.shape[0]
     if k < 1:
         raise ClusterError("k must be >= 1")
-    distinct = np.unique(X, axis=0)
+    if distinct is None:
+        distinct = np.unique(X, axis=0)
     if k > distinct.shape[0]:
         raise ClusterError(f"k={k} exceeds the {distinct.shape[0]} distinct sequences")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -242,54 +294,40 @@ def _coerce_data(data, weights):
     return X, w
 
 
-def silhouette(data, labels: np.ndarray) -> float:
-    """Mean silhouette under matching dissimilarity.
+def silhouette(distances: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette from a matching-dissimilarity matrix.
 
-    Per point: a = mean distance to its own cluster's other members,
-    b = smallest mean distance to another cluster, score = (b - a) / max(a, b).
-    Singleton clusters score zero, as does any point with max(a, b) = 0.
+    `distances` is `pairwise_distances` of the labelled rows.  Per point:
+    a = mean distance to its own cluster's other members, b = smallest mean
+    distance to another cluster, score = (b - a) / max(a, b).  Singleton
+    clusters score zero, as does any point with max(a, b) = 0.
     """
-    X, _ = _coerce_data(data, None)
+    D = np.asarray(distances, dtype=np.float64)
     labels = np.asarray(labels)
+    n = labels.shape[0]
+    if D.shape != (n, n):
+        raise ClusterError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
     k = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise ClusterError("every cluster must be non-empty")
     if k < 2:
         raise ClusterError("silhouette needs at least two clusters")
-    return _silhouette_core(X, labels, counts)
-
-
-def _silhouette_core(X: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> float:
-    n = X.shape[0]
-    k = counts.shape[0]
-    D = pairwise_distances(X).astype(np.float64)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    sums = D @ onehot  # (n, k) total distance to each cluster
+    sums = D @ onehot  # (n, k) total distance to each cluster; exact integers
     own = counts[labels]
     scores = np.zeros(n)
     valid = own > 1
     a = np.zeros(n)
     a[valid] = sums[np.arange(n), labels][valid] / (own[valid] - 1)
-    other = sums / np.maximum(counts, 1)[None, :]
+    other = sums / counts[None, :]
     other[np.arange(n), labels] = np.inf
-    other[:, counts == 0] = np.inf
     b = other.min(axis=1)
     denom = np.maximum(a, b)
-    ok = valid & (denom > 0) & np.isfinite(b)
+    ok = valid & (denom > 0)
     scores[ok] = (b[ok] - a[ok]) / denom[ok]
     return float(scores.mean())
-
-
-def _silhouette_subset(X: np.ndarray, labels: np.ndarray) -> float:
-    """Silhouette tolerant of clusters absent from a subsample."""
-    labels = np.asarray(labels)
-    k = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=k)
-    if np.count_nonzero(counts) < 2:
-        return 0.0
-    return _silhouette_core(X, labels, counts)
 
 
 @dataclass
@@ -323,7 +361,10 @@ def select_k(
     Each run's seed derives deterministically from (base_seed, k, repeat).
     The chosen k is the largest whose mean silhouette is within `epsilon`
     of the best mean; the returned model is that k's best-scoring run.
-    For large corpora `silhouette_sample` scores a fixed random subsample.
+    For large corpora `silhouette_sample` scores a fixed random subsample,
+    on which clusters absent from it are left out and fewer than two
+    present clusters score 0.  The distance matrix of the scored rows is
+    built once and shared by every run.
     """
     X, w = _coerce_data(data, weights)
     n = X.shape[0]
@@ -331,6 +372,8 @@ def select_k(
     if silhouette_sample is not None and n > silhouette_sample:
         pick_rng = streams.generator(int(base_seed), streams.CLUSTERING, 0)
         sil_idx = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
+    D = pairwise_distances(X if sil_idx is None else X[sil_idx]).astype(np.float64)
+    distinct = np.unique(X, axis=0)
     table: list[KScore] = []
     best_by_k: dict[int, tuple[float, ClusterModel, np.ndarray]] = {}
     for k in k_range:
@@ -338,12 +381,19 @@ def select_k(
         for r in range(repeats):
             seq = streams.child(streams.root(int(base_seed)), streams.CLUSTERING, k, r)
             model, labels = kmodes(
-                X, w, k=k, seed=np.random.default_rng(seq), day_type=day_type, use_weights=use_weights
+                X,
+                w,
+                k=k,
+                seed=np.random.default_rng(seq),
+                day_type=day_type,
+                use_weights=use_weights,
+                distinct=distinct,
             )
             if sil_idx is None:
-                score = silhouette(X, labels)
+                score = silhouette(D, labels)
             else:
-                score = _silhouette_subset(X[sil_idx], labels[sil_idx])
+                present, sub_labels = np.unique(labels[sil_idx], return_inverse=True)
+                score = silhouette(D, sub_labels) if present.size > 1 else 0.0
             scores.append(score)
             if k not in best_by_k or score > best_by_k[k][0] + 0.0:
                 best_by_k[k] = (score, model, labels)

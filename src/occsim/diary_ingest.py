@@ -63,6 +63,16 @@ class DiaryFormatError(ValueError):
     """Malformed diary, code map, or sequence file."""
 
 
+class _CodeLookup(dict):
+    """Raw code -> state index; an unmapped code reads as `UNMAPPED`, which
+    like every state index fits in one byte."""
+
+    UNMAPPED = 255
+
+    def __missing__(self, code: str) -> int:
+        return self.UNMAPPED
+
+
 def _check_day_type(day_type: str) -> str:
     if day_type not in DAY_TYPES:
         raise DiaryFormatError(f"day_type must be one of {DAY_TYPES}, got {day_type!r}")
@@ -133,6 +143,10 @@ class RawDiary:
             raise DiaryFormatError(
                 f"diary {self.respondent_id}: expected {N_MINUTES} minutes, got {self.minutes.shape}"
             )
+        # resampling counts states in flat (step, state) cells, where a state
+        # out of range would count toward a neighbouring step
+        if self.minutes.view(np.uint8).max() >= len(FULL_ALPHABET):
+            raise DiaryFormatError(f"diary {self.respondent_id}: state outside 0..{len(FULL_ALPHABET) - 1}")
         if self.weight < 0 or not np.isfinite(self.weight):
             raise DiaryFormatError(f"diary {self.respondent_id}: bad weight {self.weight}")
 
@@ -169,7 +183,7 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
     tallied in the result.
     """
     path = Path(path)
-    lut = {code: int(state) for code, state in code_map.mapping.items()}
+    lookup = _CodeLookup((code, int(state)) for code, state in code_map.mapping.items()).__getitem__
     default = int(code_map.default_state)
     result = ParseResult()
     with path.open() as fh:
@@ -194,17 +208,19 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
                 raise DiaryFormatError(f"{path}: row {row}: bad weight {weight_s!r}")
             if weight < 0 or not np.isfinite(weight):
                 raise DiaryFormatError(f"{path}: row {row}: bad weight {weight}")
-            states = np.empty(N_MINUTES, dtype=np.int8)
-            unknown = 0
-            for i, code in enumerate(fields[3:]):
-                mapped = lut.get(code)
-                if mapped is None:
-                    mapped = default
-                    unknown += 1
-                states[i] = mapped
+            states = np.frombuffer(bytearray(map(lookup, fields[3:])), dtype=np.uint8)
+            unmapped = states == _CodeLookup.UNMAPPED
+            unknown = int(np.count_nonzero(unmapped))
+            if unknown:
+                states[unmapped] = default
             result.unknown_codes += unknown
-            result.diaries.append(RawDiary(rid, day_type, weight, states))
+            result.diaries.append(RawDiary(rid, day_type, weight, states.view(np.int8)))
     return result
+
+
+_N_STATES = len(FULL_ALPHABET)
+# flat (step, state) cell index of state 0 in each window
+_WINDOW_CELLS = np.arange(N_STEPS)[:, None] * _N_STATES
 
 
 def resample_to_sequence(diary: RawDiary) -> StateSequence:
@@ -212,18 +228,16 @@ def resample_to_sequence(diary: RawDiary) -> StateSequence:
 
     Ties go to the state that occurs earliest within the window.
     """
-    windows = diary.minutes.reshape(N_STEPS, STEP_MINUTES)
-    n_states = len(FULL_ALPHABET)
-    counts = np.zeros((N_STEPS, n_states), dtype=np.int16)
-    rows = np.repeat(np.arange(N_STEPS), STEP_MINUTES)
-    np.add.at(counts, (rows, windows.ravel()), 1)
-    firsts = np.full((N_STEPS, n_states), STEP_MINUTES, dtype=np.int16)
-    offsets = np.tile(np.arange(STEP_MINUTES, dtype=np.int16), N_STEPS)
-    np.minimum.at(firsts, (rows, windows.ravel()), offsets)
-    best = counts.max(axis=1)
-    # Among states tied at the maximum count, earliest first occurrence wins.
-    rank = np.where(counts == best[:, None], firsts, STEP_MINUTES + 1)
-    states = rank.argmin(axis=1).astype(np.int8)
+    cells = _WINDOW_CELLS + diary.minutes.reshape(N_STEPS, STEP_MINUTES)
+    counts = np.bincount(cells.ravel(), minlength=N_STEPS * _N_STATES)
+    firsts = np.full(N_STEPS * _N_STATES, STEP_MINUTES, dtype=np.int16)
+    # latest offset first, so each cell keeps the earliest offset it occurs at
+    for offset in range(STEP_MINUTES - 1, -1, -1):
+        firsts[cells[:, offset]] = offset
+    # Highest count wins; among tied states, the earliest first occurrence.
+    # States that occur have distinct first offsets, so the key has one maximum.
+    key = counts * (STEP_MINUTES + 1) - firsts
+    states = key.reshape(N_STEPS, _N_STATES).argmax(axis=1).astype(np.int8)
     return StateSequence(diary.respondent_id, diary.day_type, diary.weight, states)
 
 

@@ -142,9 +142,10 @@ def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[list[
 
 
 def ingest_stage(
-    diaries: Path, code_map: Path | None, out_file: Path, log=sys.stderr
+    diaries: Path, code_map: Path | None, out_file: Path, log=None
 ) -> list[StateSequence]:
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
+    log = sys.stderr if log is None else log
     sequences, unknown = load_sequences(diaries, code_map, "ingest")
     out_file.parent.mkdir(parents=True, exist_ok=True)
     write_sequences(out_file, sequences)
@@ -164,9 +165,10 @@ def cluster_stage(
     epsilon: float,
     silhouette_sample: int | None,
     use_weights: bool,
-    log=sys.stderr,
+    log=None,
 ) -> SelectKResult:
     """Select k on one day type's sequences and write the cluster model."""
+    log = sys.stderr if log is None else log
     subset = [s for s in sequences if s.day_type == day_type]
     if not subset:
         raise StageError("cluster", f"no {day_type} sequences")
@@ -198,9 +200,10 @@ def train_stage(
     out_dir: Path,
     fallback: str,
     alpha: float,
-    log=sys.stderr,
+    log=None,
 ) -> dict[str, dict[int, ClusterDayModel]]:
     """Assign sequences to clusters and fit per-(cluster, day-type) models."""
+    log = sys.stderr if log is None else log
     models: dict[str, dict[int, ClusterDayModel]] = {}
     for day_type, cmodel in sorted(cluster_models.items()):
         subset = [s for s in sequences if s.day_type == day_type]
@@ -245,9 +248,10 @@ def simulate_stage(
     base_seed: int,
     approach: int,
     modulation: str,
-    log=sys.stderr,
+    log=None,
 ) -> None:
     """Generate household schedules and the occupant-day table."""
+    log = sys.stderr if log is None else log
     try:
         models = load_model_dir(tpms_dir)
         bundle = load_bundle(bundle_dir)
@@ -292,9 +296,10 @@ def validate_stage(
     reference_diaries: Path,
     out_dir: Path,
     code_map: Path | None = None,
-    log=sys.stderr,
+    log=None,
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus."""
+    log = sys.stderr if log is None else log
     sim_path = sim / "occupant_days.csv" if sim.is_dir() else sim
     try:
         cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
@@ -320,8 +325,9 @@ def validate_stage(
     return reports
 
 
-def run_pipeline(cfg: ProjectConfig, log=sys.stderr) -> int:
+def run_pipeline(cfg: ProjectConfig, log=None) -> int:
     """Run ingest, cluster, train, simulate, and validate end to end."""
+    log = sys.stderr if log is None else log
     seed = cfg.base_seed
     if seed is None:
         seed = entropy_seed()

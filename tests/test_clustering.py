@@ -2,7 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from occsim import clustering, streams
+from occsim.cli import main
 from occsim.clustering import (
     ClusterError,
     ClusterModel,
@@ -11,11 +15,72 @@ from occsim.clustering import (
     assign_cluster,
     kmodes,
     pairwise_distances,
+    presence_matrix,
     select_k,
     sequence_distance,
     silhouette,
 )
 from occsim.diary_ingest import N_STEPS, StateSequence
+from occsim.synth import generate_corpus, write_diaries
+
+
+def _pairwise_reference(X, chunk=256):
+    """The chunked-broadcast matrix the GEMM kernel replaced."""
+    n = X.shape[0]
+    D = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        D[lo:hi] = (X[lo:hi, None, :] != X[None, :, :]).sum(axis=2)
+    return D
+
+
+def _weighted_modes_reference(X, w, labels, k, n_states):
+    """The per-cluster `np.add.at` refit the bincount kernel replaced."""
+    modes = np.zeros((k, X.shape[1]), dtype=np.int8)
+    dims = np.tile(np.arange(X.shape[1]), (X.shape[0], 1))
+    for c in range(k):
+        member = labels == c
+        counts = np.zeros((X.shape[1], n_states), dtype=np.float64)
+        np.add.at(counts, (dims[member].ravel(), X[member].ravel()), np.repeat(w[member], X.shape[1]))
+        modes[c] = counts.argmax(axis=1)
+    return modes
+
+
+def _silhouette_reference(X, labels):
+    """Silhouette of X's rows with the matrix rebuilt per call; clusters absent
+    from `labels` are skipped and fewer than two present ones score 0."""
+    n = X.shape[0]
+    k = int(labels.max()) + 1
+    counts = np.bincount(labels, minlength=k)
+    if np.count_nonzero(counts) < 2:
+        return 0.0
+    D = _pairwise_reference(X).astype(np.float64)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    sums = D @ onehot
+    own = counts[labels]
+    scores = np.zeros(n)
+    valid = own > 1
+    a = np.zeros(n)
+    a[valid] = sums[np.arange(n), labels][valid] / (own[valid] - 1)
+    other = sums / np.maximum(counts, 1)[None, :]
+    other[np.arange(n), labels] = np.inf
+    other[:, counts == 0] = np.inf
+    b = other.min(axis=1)
+    denom = np.maximum(a, b)
+    ok = valid & (denom > 0) & np.isfinite(b)
+    scores[ok] = (b[ok] - a[ok]) / denom[ok]
+    return float(scores.mean())
+
+
+@st.composite
+def state_matrices(draw, max_rows=12):
+    """Small state matrices built from a few base rows, so rows repeat."""
+    steps = draw(st.integers(1, 24))
+    row = st.lists(st.integers(0, 6), min_size=steps, max_size=steps)
+    base = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=max_rows))
+    return np.array([base[i] for i in picks], dtype=np.int8)
 
 
 def planted_matrix(rng, modes, per_cluster, flips):
@@ -145,7 +210,7 @@ def test_assign_with_repair_fills_empty_cluster():
 
 def naive_silhouette(X, labels):
     n = X.shape[0]
-    D = pairwise_distances(X).astype(float)
+    D = _pairwise_reference(X).astype(float)
     k = labels.max() + 1
     scores = []
     for i in range(n):
@@ -168,27 +233,30 @@ def test_silhouette_matches_direct_evaluation():
         X = rng.integers(0, 3, size=(12, 20)).astype(np.int8)
         labels = rng.integers(0, 3, size=12)
         labels[:3] = [0, 1, 2]  # keep all clusters populated
-        assert silhouette(X, labels) == pytest.approx(naive_silhouette(X, labels), abs=1e-12)
+        expected = naive_silhouette(X, labels)
+        assert silhouette(pairwise_distances(X), labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_silhouette_singleton_scores_zero():
     X = np.array([[0, 0], [0, 0], [2, 2]], dtype=np.int8)
     labels = np.array([0, 0, 1])
-    assert silhouette(X, labels) == pytest.approx(2 / 3)
+    assert silhouette(pairwise_distances(X), labels) == pytest.approx(2 / 3)
 
 
 def test_silhouette_zero_denominator():
     X = np.zeros((4, 8), dtype=np.int8)
     labels = np.array([0, 0, 1, 1])
-    assert silhouette(X, labels) == 0.0
+    assert silhouette(pairwise_distances(X), labels) == 0.0
 
 
 def test_silhouette_preconditions():
-    X = np.zeros((4, 8), dtype=np.int8)
+    D = pairwise_distances(np.zeros((4, 8), dtype=np.int8))
     with pytest.raises(ClusterError, match="non-empty"):
-        silhouette(X, np.array([0, 0, 0, 2]))
+        silhouette(D, np.array([0, 0, 0, 2]))
     with pytest.raises(ClusterError, match="two clusters"):
-        silhouette(X, np.zeros(4, dtype=np.int64))
+        silhouette(D, np.zeros(4, dtype=np.int64))
+    with pytest.raises(ClusterError, match="distances must be"):
+        silhouette(np.zeros((4, 8)), np.array([0, 0, 1, 1]))
 
 
 def _three_cluster_data(per=8):
@@ -273,3 +341,137 @@ def test_assign_cluster_projects_event_states():
     # cooking projects to HomeActive, so an all-cooking day matches mode 1
     cooking = StateSequence("r", "WD", 1.0, np.full(N_STEPS, 3, dtype=np.int8))
     assert assign_cluster(cooking, model) == 1
+
+
+def test_cluster_model_rejects_bad_fields():
+    modes = np.zeros((2, N_STEPS), dtype=np.int8)
+    with pytest.raises(ClusterError, match="finite and nonnegative"):
+        ClusterModel(2, modes, np.array([np.nan, 1.0]), "WD")
+    with pytest.raises(ClusterError, match="finite and nonnegative"):
+        ClusterModel(2, modes, np.array([-0.5, 1.5]), "WD")
+    with pytest.raises(ClusterError, match="day_type"):
+        ClusterModel(2, modes, np.array([0.5, 0.5]), "XX")
+    with pytest.raises(ClusterError, match="positive integer"):
+        ClusterModel(2.0, modes, np.array([0.5, 0.5]), "WD")
+
+
+def _cluster_lines():
+    mode = ",".join(["Sleep"] * N_STEPS)
+    return ["k,2", "day_type,WD", "shares,0.5,0.5", f"mode,{mode}", f"mode,{mode}"]
+
+
+BAD_CLUSTER_LINES = [
+    (2, "shares,nan,1", "finite and nonnegative"),
+    (2, "shares,-0.5,1.5", "finite and nonnegative"),
+    (2, "shares,0.5,x", "must be numbers"),
+    (1, "day_type,XX", "day_type must be one of"),
+    (3, "mode," + ",".join(["Sleep"] * (N_STEPS - 1)), f"expected {N_STEPS}"),
+    (3, "mode," + ",".join(["Nap"] * N_STEPS), "unknown state token 'Nap'"),
+    (0, "k,2.5", "k must be an integer"),
+    (0, "k,0", "k must be positive"),
+    (0, "kk,2", "unknown line key"),
+]
+
+
+@pytest.mark.parametrize("index,line,message", BAD_CLUSTER_LINES)
+def test_cli_train_rejects_bad_cluster_file(tmp_path, capsys, index, line, message):
+    sequences = tmp_path / "sequences.csv"
+    write_diaries(sequences, generate_corpus(6, base_seed=3, day_types=("WD",)))
+    lines = _cluster_lines()
+    lines[index] = line
+    path = tmp_path / "bad.clusters"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--diaries", str(sequences), "--clusters", str(path), "--out", str(tmp_path / "tpms")]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert f"{path}: line {index + 1}: " in err and message in err
+
+
+@given(state_matrices())
+@example(np.zeros((1, N_STEPS), dtype=np.int8))
+@example(np.tile(np.arange(N_STEPS, dtype=np.int8) % 3, (5, 1)))
+def test_pairwise_distances_match_reference(X):
+    D = pairwise_distances(X)
+    assert D.dtype == np.int32
+    assert np.array_equal(D, _pairwise_reference(X))
+
+
+def test_pairwise_distances_match_reference_on_a_corpus():
+    X, _ = presence_matrix(generate_corpus(300, base_seed=5, day_types=("WD",)))
+    assert np.array_equal(pairwise_distances(X), _pairwise_reference(X))
+
+
+@given(
+    state_matrices(),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_weighted_modes_match_reference(X, k, data):
+    n = X.shape[0]
+    weights = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)
+    w = np.array(data.draw(st.lists(weights, min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    n_states = int(X.max()) + 1
+    got = _weighted_modes(X, w, labels, k, n_states)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _weighted_modes_reference(X, w, labels, k, n_states))
+
+
+def test_weighted_modes_sum_order_matches_reference():
+    # 1e16 + 1 + 1 rounds to 1e16 but 1 + 1 + 1e16 does not; the order of
+    # the rows decides the tie below, so both kernels must sum in row order
+    X = np.array([[0], [1], [1], [0], [0]], dtype=np.int8)
+    w = np.array([1e16, 1e16, 2.0, 1.0, 1.0])
+    labels = np.zeros(5, dtype=np.int64)
+    expected = _weighted_modes_reference(X, w, labels, 1, 2)
+    assert np.array_equal(_weighted_modes(X, w, labels, 1, 2), expected)
+
+
+def _select_k_reference(X, w, k_range, repeats, base_seed, epsilon, silhouette_sample, monkeypatch):
+    """select_k as a per-run recompute: every run rebuilds its own matrix and
+    distinct rows and refits modes with the `np.add.at` kernel."""
+    n = X.shape[0]
+    rows = np.arange(n)
+    if silhouette_sample is not None and n > silhouette_sample:
+        pick_rng = streams.generator(base_seed, streams.CLUSTERING, 0)
+        rows = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
+    table, best = [], {}
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "_weighted_modes", _weighted_modes_reference)
+        for k in k_range:
+            scores = []
+            for r in range(repeats):
+                seq = streams.child(streams.root(base_seed), streams.CLUSTERING, k, r)
+                model, labels = kmodes(X, w, k=k, seed=np.random.default_rng(seq))
+                score = _silhouette_reference(X[rows], labels[rows])
+                scores.append(score)
+                if k not in best or score > best[k][0]:
+                    best[k] = (score, model, labels)
+            table.append((k, scores, float(np.mean(scores))))
+    best_mean = max(mean for _, _, mean in table)
+    k_star = max(k for k, _, mean in table if mean >= best_mean - epsilon)
+    return k_star, table, best[k_star][1], best[k_star][2]
+
+
+@pytest.mark.parametrize("sample", [None, 500, 150])
+def test_select_k_matches_per_run_reference(monkeypatch, sample):
+    X, w = presence_matrix(generate_corpus(240, base_seed=17, day_types=("WD",)))
+    kwargs = dict(k_range=range(2, 6), repeats=3, base_seed=17, epsilon=0.01, silhouette_sample=sample)
+    got = select_k(X, w, **kwargs)
+    k_star, table, model, labels = _select_k_reference(X, w, **kwargs, monkeypatch=monkeypatch)
+    assert [(row.k, row.scores, row.mean) for row in got.table] == table
+    assert got.k_star == k_star
+    assert np.array_equal(got.model.modes, model.modes)
+    assert np.array_equal(got.model.shares, model.shares)
+    assert np.array_equal(got.labels, labels)
+
+
+def test_select_k_subsample_with_one_present_cluster_scores_zero():
+    # 30 rows of one pattern and 2 of another: a 3-row subsample can miss
+    # the small cluster, and such runs score 0 as in the per-run reference
+    X = np.zeros((32, N_STEPS), dtype=np.int8)
+    X[30:] = 2
+    result = select_k(X, k_range=range(2, 3), repeats=4, base_seed=3, silhouette_sample=3)
+    pick = np.sort(streams.generator(3, streams.CLUSTERING, 0).choice(32, size=3, replace=False))
+    assert np.all(pick < 30)
+    assert result.table[0].scores == [0.0] * 4

@@ -1,8 +1,9 @@
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from occsim.diary_ingest import (
@@ -85,6 +86,52 @@ def _diary_from_minutes(minutes, weight=1.0):
     return RawDiary("r", "WD", weight, np.asarray(minutes, dtype=np.int8))
 
 
+def _resample_reference(minutes):
+    """The `np.add.at` / `np.minimum.at` vote the bincount kernel replaced."""
+    windows = np.asarray(minutes, dtype=np.int8).reshape(N_STEPS, 15)
+    counts = np.zeros((N_STEPS, 7), dtype=np.int16)
+    rows = np.repeat(np.arange(N_STEPS), 15)
+    np.add.at(counts, (rows, windows.ravel()), 1)
+    firsts = np.full((N_STEPS, 7), 15, dtype=np.int16)
+    offsets = np.tile(np.arange(15, dtype=np.int16), N_STEPS)
+    np.minimum.at(firsts, (rows, windows.ravel()), offsets)
+    best = counts.max(axis=1)
+    rank = np.where(counts == best[:, None], firsts, 16)
+    return rank.argmin(axis=1).astype(np.int8)
+
+
+# count patterns of a 15-minute window whose top counts tie
+_TIED_PATTERNS = [(7, 7, 1), (5, 5, 5), (6, 6, 3), (4, 4, 4, 3), (3,) * 5, (2, 2, 2, 2, 2, 2, 3), (15,)]
+
+
+@st.composite
+def tied_windows(draw):
+    """Minutes whose every window is a shuffled multiset with tied top counts."""
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    minutes = []
+    for _ in range(N_STEPS):
+        pattern = rand.choice(_TIED_PATTERNS)
+        states = rand.sample(range(7), len(pattern))
+        window = [s for s, c in zip(states, pattern) for _ in range(c)]
+        rand.shuffle(window)
+        minutes.extend(window)
+    return minutes
+
+
+@given(tied_windows())
+def test_resample_matches_reference_on_tied_windows(minutes):
+    got = resample_to_sequence(_diary_from_minutes(minutes)).states
+    assert np.array_equal(got, _resample_reference(minutes))
+
+
+@pytest.mark.parametrize("state", [-1, 7, 100])
+def test_raw_diary_rejects_state_out_of_range(state):
+    minutes = np.zeros(N_MINUTES, dtype=np.int8)
+    minutes[700] = state
+    with pytest.raises(DiaryFormatError, match="state outside 0..6"):
+        _diary_from_minutes(minutes)
+
+
 def test_resample_majority():
     minutes = np.full(N_MINUTES, int(ActivityState.SLEEP), dtype=np.int8)
     # window 0: 8 minutes Cooking vs 7 Sleep -> Cooking
@@ -116,8 +163,11 @@ def test_resample_preserves_weight_and_day_type():
 
 
 @given(st.lists(st.integers(0, 6), min_size=N_MINUTES, max_size=N_MINUTES))
+@example([0] * N_MINUTES)
+@example([6] * N_MINUTES)
 def test_resample_matches_counting_oracle(minutes):
     seq = resample_to_sequence(_diary_from_minutes(minutes))
+    assert np.array_equal(seq.states, _resample_reference(minutes))
     for step in range(0, N_STEPS, 17):  # spot-check a spread of windows
         window = minutes[step * 15 : (step + 1) * 15]
         counts = Counter(window)
@@ -199,6 +249,22 @@ def test_load_sequences_any_identity_map_default(tmp_path):
     seqs, unknown = load_sequences_any(raw, None)
     assert unknown == 0
     assert seqs[0].day_type == "WE"
+
+
+def test_parse_maps_every_code_and_counts_unmapped(tmp_path):
+    rng = np.random.default_rng(4)
+    codes = ["s", "a", "h", "c", "zz", "", "S"]
+    rows = []
+    expected = []
+    for i in range(3):
+        picks = rng.integers(0, len(codes), N_MINUTES)
+        rows.append(f"r{i},WE,1," + ",".join(codes[j] for j in picks))
+        expected.append(picks)
+    result = parse_diaries(_diary_file(tmp_path, rows), CMAP)
+    lut = [int(CMAP.mapping[c]) if c in CMAP.mapping else int(CMAP.default_state) for c in codes]
+    for diary, picks in zip(result.diaries, expected):
+        assert np.array_equal(diary.minutes, np.array(lut)[picks])
+    assert result.unknown_codes == sum(int(np.count_nonzero(p >= 4)) for p in expected)
 
 
 def test_ingest_counts_unknown(tmp_path):

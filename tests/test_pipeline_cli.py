@@ -1,3 +1,5 @@
+import contextlib
+import io
 import shutil
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from occsim.cli import main
 from occsim.diary_ingest import STATE_TOKENS, load_sequences_any
-from occsim.pipeline import ProjectConfig, StageError
+from occsim.pipeline import ProjectConfig, StageError, run_pipeline
 from occsim.schedule_io import read_schedule_file
 from occsim.synth import write_input_tree
 
@@ -167,6 +169,19 @@ def test_run_pipeline_artifacts(pipeline_run):
 def test_run_recovers_planted_k(pipeline_run):
     text = (pipeline_run / "model.wd.clusters").read_text()
     assert text.splitlines()[0] == "k,4"
+
+
+def test_run_pipeline_logs_to_redirected_stderr(synth_tree, pipeline_run, tmp_path):
+    cfg = ProjectConfig.read(synth_tree / "project.conf")
+    cfg.out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert run_pipeline(cfg) == 0
+    lines = err.getvalue().splitlines()
+    assert lines[0].startswith("ingest: ") and lines[-1] == "run: done"
+    for stage in ("cluster[WD]: ", "cluster[WE]: ", "train: ", "simulate: ", "validate[WD]:"):
+        assert any(line.startswith(stage) for line in lines), stage
+    assert (cfg.out / "sequences.csv").read_bytes() == (pipeline_run / "sequences.csv").read_bytes()
 
 
 def test_partial_marker_left_on_failure(synth_tree, tmp_path):
