@@ -28,14 +28,7 @@ from .markov_train import (
     forward_marginals,
     train_cluster_day_model,
 )
-from .occupant_sim import (
-    OccupantProfile,
-    SimCalendar,
-    simulate_day_approach1,
-    simulate_day_approach2,
-    simulate_day_approach3,
-    simulate_year,
-)
+from .occupant_sim import OccupantProfile, SimCalendar, simulate_year
 from .household import HouseholdConfig, HouseholdResult, build_household, merge_shared_events, modulate_schedule
 from .schedule_io import (
     HouseholdScheduleYear,
@@ -85,9 +78,6 @@ __all__ = [
     "run_pipeline",
     "select_k",
     "silhouette",
-    "simulate_day_approach1",
-    "simulate_day_approach2",
-    "simulate_day_approach3",
     "simulate_year",
     "train_cluster_day_model",
     "write_schedule_file",

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import streams
 from .diary_ingest import STATE_TOKENS
-from .markov_train import load_model_dir
-from .occupant_sim import OccupantProfile, SimCalendar, simulate_year
+from .markov_train import TrainError, load_model_dir
+from .occupant_sim import OccupantProfile, SimCalendar, SimulationError, simulate_year
 from .pipeline import (
     CHOICES,
     ProjectConfig,
@@ -187,19 +187,19 @@ def _cmd_simulate_occupant(args, log) -> int:
         calendar = SimCalendar.from_name(args.start_weekday, args.days)
         profile = OccupantProfile("o0", args.wd_cluster, args.we_cluster)
         rng_root = streams.child(streams.root(seed), streams.OCCUPANT, 0)
-        days, failures = simulate_year(profile, models, calendar, rng_root, approach=args.approach)
-    except Exception as exc:
+        states, failures = simulate_year(profile, models, calendar, rng_root, approach=args.approach)
+    except (TrainError, SimulationError, OSError) as exc:
         raise StageError("simulate", str(exc)) from exc
     header = "day_index,day_type," + ",".join(f"s{i:02d}" for i in range(96))
     lines = [header]
-    for day in days:
-        tokens = ",".join(STATE_TOKENS[int(s)] for s in day.states)
-        lines.append(f"{day.day_index},{day.day_type},{tokens}")
+    for d, day in enumerate(states):
+        tokens = ",".join(STATE_TOKENS[int(s)] for s in day)
+        lines.append(f"{d},{calendar.day_type(d)},{tokens}")
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(lines) + "\n")
     if failures:
         print(f"simulate-occupant: {failures} placement failures", file=log)
-    print(f"simulate-occupant: {len(days)} days -> {args.out}", file=log)
+    print(f"simulate-occupant: {len(states)} days -> {args.out}", file=log)
     return 0
 
 

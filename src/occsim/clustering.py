@@ -142,21 +142,6 @@ def _read_mode(text: str) -> list[int]:
         raise ValueError(f"unknown state token {exc.args[0]!r}") from None
 
 
-def sequence_distance(a, b) -> int:
-    """Matching dissimilarity: number of steps whose states differ."""
-    a = _as_states(a)
-    b = _as_states(b)
-    if a.shape != b.shape:
-        raise ClusterError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
-
-
-def _as_states(x) -> np.ndarray:
-    if isinstance(x, StateSequence):
-        return x.states
-    return np.asarray(x, dtype=np.int8)
-
-
 def presence_matrix(sequences: list[StateSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Project sequences to presence states and stack with weights."""
     X = np.stack([project_to_presence(s).states for s in sequences])
@@ -356,7 +341,7 @@ def select_k(
     silhouette_sample: int | None = None,
     use_weights: bool = True,
 ) -> SelectKResult:
-    """Run repeated k-modes across a k range and pick k by mean silhouette.
+    """Run repeated k-modes across a k range (every k >= 2) and pick k by mean silhouette.
 
     Each run's seed derives deterministically from (base_seed, k, repeat).
     The chosen k is the largest whose mean silhouette is within `epsilon`
@@ -366,6 +351,14 @@ def select_k(
     present clusters score 0.  The distance matrix of the scored rows is
     built once and shared by every run.
     """
+    if not k_range or min(k_range) < 2:
+        raise ClusterError(f"k range must be nonempty with every k >= 2, got {k_range}")
+    if repeats < 1:
+        raise ClusterError(f"repeats must be at least 1, got {repeats}")
+    if not 0 <= epsilon < np.inf:
+        raise ClusterError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if silhouette_sample is not None and silhouette_sample < 2:
+        raise ClusterError(f"silhouette_sample must be at least 2, got {silhouette_sample}")
     X, w = _coerce_data(data, weights)
     n = X.shape[0]
     sil_idx = None

@@ -1,4 +1,4 @@
-"""Readers for `key = value` configs and `step,value` profile and reference files."""
+"""Readers for `key = value` configs and `step,value` reference files."""
 
 from __future__ import annotations
 

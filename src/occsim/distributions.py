@@ -100,16 +100,16 @@ class EmpiricalDistribution:
         values, probs = [], []
         for n, ln in lines[1:]:
             try:
-                v, p = ln.split(",")
-                values.append(float(v))
-                probs.append(float(p))
+                v, p = (float(x) for x in ln.split(","))
             except ValueError:
                 raise ValueError(f"{path}: line {n}: expected value,probability, got {ln!r}") from None
+            if not 0 <= p <= 1:
+                raise ValueError(f"{path}: line {n}: probability {p} outside 0..1")
+            if not np.isfinite(v) or (values and v <= values[-1]):
+                raise ValueError(f"{path}: line {n}: values must be finite and increasing, got {v}")
+            values.append(v)
+            probs.append(p)
         try:
             return cls(np.array(values), np.array(probs), unit)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-
-
-def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:
-    return EmpiricalDistribution(np.array([value]), np.array([1.0]), unit)

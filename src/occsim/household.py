@@ -480,10 +480,10 @@ def build_household(
     states = np.empty((n, n_steps), dtype=np.int8)
     failures = 0
     for o, profile in enumerate(profiles):
-        days, n_fail = simulate_year(
+        year, n_fail = simulate_year(
             profile, models, calendar, streams.child(h_seq, streams.OCCUPANT, o), approach
         )
-        states[o] = np.concatenate([d.states for d in days])
+        states[o] = year.ravel()
         failures += n_fail
 
     year_minutes = calendar.n_days * MINUTES_PER_DAY

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .diary_ingest import (
+    EVENT_ACTIVITIES,
     FULL_ALPHABET,
     PRESENCE_ALPHABET,
     STATE_BY_TOKEN,
@@ -24,7 +25,6 @@ from .diary_ingest import (
     StateSequence,
     project_to_presence,
 )
-from .conf import read_step_values, write_step_values
 from .distributions import EmpiricalDistribution
 
 ROW_TOL = 1e-9
@@ -135,14 +135,15 @@ class ActivityStats:
     Durations are minutes (runs of 15-minute steps, truncated runs counted
     as observed), onsets are run-start steps, occurrences are runs per day
     including zero-run days, and the daily profile is the weighted
-    probability of the activity being on at each step.
+    probability of the activity being on at each step.  Model files hold no
+    profile, so a loaded record has None there.
     """
 
     activity: ActivityState
     duration_dist: EmpiricalDistribution | None
     onset_dist: EmpiricalDistribution | None
     occurrences_dist: EmpiricalDistribution
-    daily_profile: np.ndarray  # (96,)
+    daily_profile: np.ndarray | None = None  # (96,)
     n_days: int = 0
     n_events: int = 0
 
@@ -193,6 +194,8 @@ def estimate_tpm(
     """
     if fallback not in FALLBACKS:
         raise TrainError(f"fallback must be one of {FALLBACKS}")
+    if not 0 <= alpha < np.inf:
+        raise TrainError(f"alpha must be finite and nonnegative, got {alpha}")
     X, w, day_type = _stack(sequences)
     lut = _state_lut(alphabet)
     idx = lut[X]
@@ -281,20 +284,23 @@ def train_cluster_day_model(
     fallback: str = "absorbing",
     alpha: float = 0.0,
 ) -> ClusterDayModel:
-    """Fit the full-state chain, the presence chain, and activity statistics."""
+    """Fit the full-state chain, the presence chain, and the statistics of
+    the event activities, which are all that simulation samples from."""
     tpms = estimate_tpm(sequences, FULL_ALPHABET, cluster_id, fallback, alpha)
     presence = [project_to_presence(s) for s in sequences]
     presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback, alpha)
-    stats = estimate_all_statistics(sequences)
+    stats = estimate_all_statistics(sequences, EVENT_ACTIVITIES)
     if day_type != tpms.day_type:
         raise TrainError(f"sequences are {tpms.day_type}, expected {day_type}")
     return ClusterDayModel(cluster_id, day_type, tpms, presence_tpms, stats)
 
 
 # -- model directory layout --------------------------------------------------
+# Per (cluster, day type) stem `c<id>.<wd|we>`: `<stem>.tpm`, `<stem>.presence.tpm`
+# and, per event activity, `<stem>.<act>.count.dist` plus `.onset.dist` and
+# `.duration.dist` when the count has mass above zero.  Other files are ignored.
 
-_ACT_FILE = {a: STATE_TOKENS[a].lower() for a in FULL_ALPHABET}
-_ACT_BY_FILE = {v: k for k, v in _ACT_FILE.items()}
+_ACT_FILE = {a: STATE_TOKENS[a].lower() for a in EVENT_ACTIVITIES}
 _TPM_NAME = re.compile(r"c(\d+)\.(wd|we)\.tpm")
 
 
@@ -308,14 +314,27 @@ def save_model_dir(directory: str | Path, models) -> None:
         stem = f"c{m.cluster_id}.{m.day_type.lower()}"
         m.tpms.write(directory / f"{stem}.tpm")
         m.presence_tpms.write(directory / f"{stem}.presence.tpm")
-        for activity, st in m.stats.items():
-            act = _ACT_FILE[activity]
+        for activity, act in _ACT_FILE.items():
+            st = m.stats[activity]
             st.occurrences_dist.write(directory / f"{stem}.{act}.count.dist")
             if st.duration_dist is not None:
                 st.duration_dist.write(directory / f"{stem}.{act}.duration.dist")
             if st.onset_dist is not None:
                 st.onset_dist.write(directory / f"{stem}.{act}.onset.dist")
-            write_step_values(directory / f"{stem}.{act}.profile", st.daily_profile)
+
+
+def _read_model_file(path: Path, required: bool = True):
+    """A `.tpm` or `.dist` model file, or None for an absent file that is not
+    `required`; a missing required file or a bad one is a TrainError naming it."""
+    if not path.exists():
+        if required:
+            raise TrainError(f"missing expected file: {path}")
+        return None
+    try:
+        return (TPMSet.read if path.suffix == ".tpm" else EmpiricalDistribution.read)(path)
+    except ValueError as exc:
+        message = str(exc)
+        raise TrainError(message if message.startswith(str(path)) else f"{path}: {message}") from None
 
 
 def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel]]:
@@ -333,25 +352,17 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
             raise TrainError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
         stem = tpm_path.name[: -len(".tpm")]
         cluster_id, day_type = int(match[1]), match[2].upper()
-        tpms = TPMSet.read(tpm_path)
-        presence_path = directory / f"{stem}.presence.tpm"
-        if not presence_path.exists():
-            raise TrainError(f"missing expected file: {presence_path}")
-        presence_tpms = TPMSet.read(presence_path)
+        tpms = _read_model_file(tpm_path)
+        presence_tpms = _read_model_file(directory / f"{stem}.presence.tpm")
         stats: dict[ActivityState, ActivityStats] = {}
-        for act_name, activity in _ACT_BY_FILE.items():
-            count_path = directory / f"{stem}.{act_name}.count.dist"
-            if not count_path.exists():
-                continue
-            duration_path = directory / f"{stem}.{act_name}.duration.dist"
-            onset_path = directory / f"{stem}.{act_name}.onset.dist"
-            stats[activity] = ActivityStats(
-                activity,
-                EmpiricalDistribution.read(duration_path) if duration_path.exists() else None,
-                EmpiricalDistribution.read(onset_path) if onset_path.exists() else None,
-                EmpiricalDistribution.read(count_path),
-                read_step_values(directory / f"{stem}.{act_name}.profile"),
+        for activity, act in _ACT_FILE.items():
+            count = _read_model_file(directory / f"{stem}.{act}.count.dist")
+            has_events = bool(np.any(count.probs[count.support > 0] > 0))
+            duration, onset = (
+                _read_model_file(directory / f"{stem}.{act}.{kind}.dist", has_events)
+                for kind in ("duration", "onset")
             )
+            stats[activity] = ActivityStats(activity, duration, onset, count)
         models.setdefault(day_type, {})[cluster_id] = ClusterDayModel(
             cluster_id, day_type, tpms, presence_tpms, stats
         )

@@ -44,18 +44,6 @@ class OccupantProfile:
 
 
 @dataclass
-class OccupantDaySchedule:
-    day_index: int
-    day_type: str
-    states: np.ndarray  # (96,) int8
-
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=np.int8)
-        if self.states.shape != (N_STEPS,):
-            raise SimulationError(f"day schedule must have {N_STEPS} steps")
-
-
-@dataclass
 class SimCalendar:
     """Day-type calendar: `start_weekday` 0 is Monday; 5 and 6 are weekend."""
 
@@ -215,37 +203,6 @@ def place_events(
     return states, failures
 
 
-def simulate_day_approach1(
-    presence_tpms: TPMSet,
-    stats: dict[ActivityState, ActivityStats],
-    rng: np.random.Generator,
-    day_index: int = 0,
-    day_type: str | None = None,
-) -> tuple[OccupantDaySchedule, int]:
-    presence = walk_days(presence_tpms, day_uniforms(presence_tpms, rng)[None])[0]
-    states, failures = place_events(presence, stats, rng)
-    sched = OccupantDaySchedule(day_index, day_type or presence_tpms.day_type, states)
-    return sched, failures
-
-
-def simulate_day_approach2(
-    tpms: TPMSet, rng: np.random.Generator, day_index: int = 0, day_type: str | None = None
-) -> OccupantDaySchedule:
-    states = walk_days(tpms, day_uniforms(tpms, rng)[None])[0]
-    return OccupantDaySchedule(day_index, day_type or tpms.day_type, states)
-
-
-def simulate_day_approach3(
-    tpms: TPMSet,
-    stats: dict[ActivityState, ActivityStats],
-    rng: np.random.Generator,
-    day_index: int = 0,
-    day_type: str | None = None,
-) -> OccupantDaySchedule:
-    states = walk_days(tpms, day_uniforms(tpms, rng, stats)[None], stats)[0]
-    return OccupantDaySchedule(day_index, day_type or tpms.day_type, states)
-
-
 def days_to_sequences(
     days: np.ndarray, day_type: str = "WD", prefix: str = "sim"
 ) -> list[StateSequence]:
@@ -261,9 +218,10 @@ def simulate_year(
     calendar: SimCalendar,
     rng_root: np.random.SeedSequence,
     approach: int = 3,
-) -> tuple[list[OccupantDaySchedule], int]:
-    """Simulate every calendar day for one occupant: the day schedules plus
-    the total approach-1 placement failures (zero for the other approaches).
+) -> tuple[np.ndarray, int]:
+    """Simulate every calendar day for one occupant: the (n_days, 96) int8
+    states plus the total approach-1 placement failures (zero for the other
+    approaches).
 
     Day d draws its `day_uniforms` block, and under approach 1 its event
     placements, from its own stream `streams.child(rng_root, d)`, so days do
@@ -291,5 +249,4 @@ def simulate_year(
                 block[i], n_fail = place_events(block[i], model.stats, rng)
                 failures += n_fail
         states[days] = block
-    days = [OccupantDaySchedule(d, dt, states[d]) for d, dt in enumerate(day_types)]
-    return days, failures
+    return states, failures

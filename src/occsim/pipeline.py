@@ -121,7 +121,7 @@ class ProjectConfig:
         for key, allowed in CHOICES.items():
             if getattr(cfg, key) not in allowed:
                 raise StageError("config", f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
-        if cfg.k_range[0] < 1 or cfg.k_range[1] < cfg.k_range[0]:
+        if cfg.k_range[0] < 2 or cfg.k_range[1] < cfg.k_range[0]:
             raise StageError("config", f"bad k_range {cfg.k_range}")
         if cfg.n_days < 1 or cfg.n_households < 1:
             raise StageError("config", "n_days and n_households must be positive")
@@ -183,7 +183,7 @@ def cluster_stage(
             silhouette_sample=silhouette_sample,
             use_weights=use_weights,
         )
-    except Exception as exc:
+    except ValueError as exc:  # ClusterError included
         raise StageError("cluster", f"{day_type}: {exc}") from exc
     out_file.parent.mkdir(parents=True, exist_ok=True)
     result.model.write(out_file)

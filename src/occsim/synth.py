@@ -172,7 +172,7 @@ def build_truth_model(cluster_id: int, day_type: str) -> ClusterDayModel:
         occurrences = EmpiricalDistribution(
             np.array([0.0, 1.0, 2.0]), np.array([0.35, 0.40, 0.25]), unit="count"
         )
-        stats[a] = ActivityStats(a, planted_duration_dist(a), onset, occurrences, np.zeros(N_STEPS))
+        stats[a] = ActivityStats(a, planted_duration_dist(a), onset, occurrences)
     return ClusterDayModel(cluster_id, day_type, tpms, presence_tpms, stats)
 
 
@@ -180,11 +180,6 @@ def truth_models(k: int = 4) -> dict[str, dict[int, ClusterDayModel]]:
     return {
         dt: {c: build_truth_model(c, dt) for c in range(k)} for dt in ("WD", "WE")
     }
-
-
-def generate_day(model: ClusterDayModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw one day from a ground-truth model (chain with duration holds)."""
-    return walk_days(model.tpms, day_uniforms(model.tpms, rng, model.stats)[None], model.stats)[0]
 
 
 def generate_corpus(

@@ -17,7 +17,7 @@ from occsim.diary_ingest import (
     N_STEPS,
     ActivityState,
 )
-from occsim.distributions import EmpiricalDistribution, point_mass
+from occsim.distributions import EmpiricalDistribution
 from occsim.household import (
     Appliance,
     ApplianceEvent,
@@ -51,6 +51,7 @@ from occsim.synth import (
     write_input_tree,
 )
 from occsim.validate import compare_behavior
+from tests.helpers import point_mass
 
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:

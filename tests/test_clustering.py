@@ -17,11 +17,11 @@ from occsim.clustering import (
     pairwise_distances,
     presence_matrix,
     select_k,
-    sequence_distance,
     silhouette,
 )
 from occsim.diary_ingest import N_STEPS, StateSequence
 from occsim.synth import generate_corpus, write_diaries
+from tests.helpers import sequence_distance
 
 
 def _pairwise_reference(X, chunk=256):
@@ -300,6 +300,25 @@ def test_select_k_silhouette_subsample_deterministic():
     r2 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, silhouette_sample=30)
     assert r1.k_star == r2.k_star == 3
     assert [s.scores for s in r1.table] == [s.scores for s in r2.table]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k_range": range(1, 4)}, "every k >= 2"),
+        ({"k_range": range(1, 4), "silhouette_sample": 30}, "every k >= 2"),
+        ({"k_range": range(4, 3)}, "nonempty"),
+        ({"repeats": 0}, "repeats must be at least 1"),
+        ({"epsilon": float("nan")}, "epsilon must be finite"),
+        ({"epsilon": float("inf")}, "epsilon must be finite"),
+        ({"epsilon": -0.01}, "epsilon must be finite"),
+        ({"silhouette_sample": 1}, "silhouette_sample must be at least 2"),
+    ],
+)
+def test_select_k_rejects_out_of_range_parameters(kwargs, message):
+    X, _ = _three_cluster_data(per=40)
+    with pytest.raises(ClusterError, match=message):
+        select_k(X, **{"k_range": range(2, 4), "repeats": 1, **kwargs})
 
 
 def test_cluster_model_round_trip(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from occsim.distributions import EmpiricalDistribution, draw_index, point_mass
+from occsim.distributions import EmpiricalDistribution, draw_index
+from tests.helpers import point_mass
 
 
 class FixedRng:

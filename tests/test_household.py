@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from occsim.diary_ingest import N_STEPS, ActivityState
-from occsim.distributions import point_mass
 from occsim.household import (
     Appliance,
     ApplianceEvent,
@@ -26,6 +25,7 @@ from occsim.household import (
 from occsim.markov_train import ClusterDayModel, TPMSet
 from occsim.occupant_sim import SimCalendar
 from occsim.synth import default_bundle
+from tests.helpers import point_mass
 
 SL = int(ActivityState.SLEEP)
 AW = int(ActivityState.AWAY)

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from occsim import streams
+from occsim.conf import write_step_values
 from occsim.diary_ingest import (
+    EVENT_ACTIVITIES,
     FULL_ALPHABET,
     N_STEPS,
     PRESENCE_ALPHABET,
+    STATE_TOKENS,
     ActivityState,
     StateSequence,
 )
 from occsim.markov_train import (
     TPMSet,
     TrainError,
+    estimate_all_statistics,
     estimate_statistics,
     estimate_tpm,
     forward_marginals,
@@ -19,6 +24,7 @@ from occsim.markov_train import (
     save_model_dir,
     train_cluster_day_model,
 )
+from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year
 from tests.conftest import make_seq
 
 S = len(FULL_ALPHABET)
@@ -73,6 +79,12 @@ def test_estimate_tpm_laplace_smoothing():
     assert np.allclose(tpms.matrices[0, 0], expected)
     # rows with no visits become uniform under positive alpha
     assert np.allclose(tpms.matrices[0, 3], np.full(S, 1 / S))
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+def test_estimate_tpm_rejects_bad_alpha(alpha):
+    with pytest.raises(TrainError, match="alpha must be finite and nonnegative"):
+        estimate_tpm([make_seq([0, 1])], fallback="laplace", alpha=alpha)
 
 
 def test_estimate_tpm_laplace_zero_alpha_is_absorbing():
@@ -249,11 +261,14 @@ def test_train_cluster_day_model_folds_presence():
     assert model.tpms.n_states == S
     assert model.presence_tpms.alphabet == PRESENCE_ALPHABET
     assert model.presence_tpms.matrices.shape == (95, 3, 3)
-    assert set(model.stats) == set(FULL_ALPHABET)
+    assert set(model.stats) == set(EVENT_ACTIVITIES)
     # event states project onto HomeActive mass
     full_home = forward_marginals(model.tpms)[:, 2:].sum(axis=1)
     pres_home = forward_marginals(model.presence_tpms)[:, 2]
     assert np.abs(full_home - pres_home).max() <= 1e-9
+
+
+EVENT_FILES = ("cooking", "dishwashing", "laundry", "personalhygiene")
 
 
 def test_save_load_model_dir(tmp_path):
@@ -261,16 +276,86 @@ def test_save_load_model_dir(tmp_path):
     wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), 0, "WD")
     we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), 0, "WE")
     save_model_dir(tmp_path, [wd, we])
+    expected = set()
+    for stem in ("c0.wd", "c0.we"):
+        expected |= {f"{stem}.tpm", f"{stem}.presence.tpm"}
+        expected |= {
+            f"{stem}.{act}.{kind}.dist" for act in EVENT_FILES for kind in ("count", "onset", "duration")
+        }
+    assert {p.name for p in tmp_path.iterdir()} == expected
     loaded = load_model_dir(tmp_path)
     assert set(loaded) == {"WD", "WE"}
     back = loaded["WD"][0]
     assert np.abs(back.tpms.matrices - wd.tpms.matrices).max() <= 1e-9
     assert np.abs(back.presence_tpms.initial - wd.presence_tpms.initial).max() <= 1e-9
+    assert set(back.stats) == set(EVENT_ACTIVITIES)
     cook = back.stats[ActivityState.COOKING]
     ref = wd.stats[ActivityState.COOKING]
-    assert np.abs(cook.daily_profile - ref.daily_profile).max() <= 1e-9
+    assert cook.daily_profile is None
     assert np.allclose(cook.duration_dist.support, ref.duration_dist.support)
+    assert np.allclose(cook.onset_dist.probs, ref.onset_dist.probs)
     assert np.allclose(cook.occurrences_dist.probs, ref.occurrences_dist.probs)
+
+
+def test_save_model_dir_skips_onset_and_duration_without_events(tmp_path):
+    seqs = [make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)]
+    save_model_dir(tmp_path, [train_cluster_day_model(seqs, 0, "WD")])
+    names = {p.name for p in tmp_path.iterdir()}
+    assert "c0.wd.laundry.count.dist" in names and "c0.wd.laundry.onset.dist" not in names
+    back = load_model_dir(tmp_path)["WD"][0].stats[ActivityState.LAUNDRY]
+    assert back.onset_dist is None and back.duration_dist is None
+
+
+def _write_old_extras(directory, model, sequences):
+    """The files older model directories also held: a `.profile` per activity
+    and the `.dist` files of the non-event activities."""
+    stem = f"c{model.cluster_id}.{model.day_type.lower()}"
+    for activity, st in estimate_all_statistics(sequences).items():
+        act = STATE_TOKENS[activity].lower()
+        write_step_values(directory / f"{stem}.{act}.profile", st.daily_profile)
+        if activity not in EVENT_ACTIVITIES:
+            st.occurrences_dist.write(directory / f"{stem}.{act}.count.dist")
+            st.duration_dist.write(directory / f"{stem}.{act}.duration.dist")
+            st.onset_dist.write(directory / f"{stem}.{act}.onset.dist")
+
+
+def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
+    rng = np.random.default_rng(11)
+    corpora = {dt: random_corpus(rng, n=10, day_type=dt) for dt in ("WD", "WE")}
+    models = [train_cluster_day_model(seqs, 0, dt) for dt, seqs in corpora.items()]
+    new, old = tmp_path / "new", tmp_path / "old"
+    save_model_dir(new, models)
+    save_model_dir(old, models)
+    for m in models:
+        _write_old_extras(old, m, corpora[m.day_type])
+    assert len(list(old.iterdir())) == len(list(new.iterdir())) + 2 * (7 + 3 * 3)
+    profile, calendar = OccupantProfile("o", 0, 0), SimCalendar(0, 9)
+    root = streams.root(5)
+    for approach in (1, 2, 3):
+        want, want_fail = simulate_year(profile, load_model_dir(new), calendar, root, approach)
+        got, got_fail = simulate_year(profile, load_model_dir(old), calendar, root, approach)
+        assert np.array_equal(got, want) and got_fail == want_fail
+
+
+@pytest.mark.parametrize(
+    "name", ["c0.wd.cooking.count.dist", "c0.wd.laundry.duration.dist", "c0.wd.dishwashing.onset.dist"]
+)
+def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
+    rng = np.random.default_rng(6)
+    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD")])
+    (tmp_path / name).unlink()
+    with pytest.raises(TrainError, match=f"missing expected file: .*{name}"):
+        load_model_dir(tmp_path)
+
+
+def test_load_model_dir_names_a_bad_dist_file(tmp_path):
+    rng = np.random.default_rng(6)
+    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD")])
+    path = tmp_path / "c0.wd.cooking.onset.dist"
+    path.write_text("unit,steps\n3,abc\n")
+    with pytest.raises(TrainError, match="line 2: expected value,probability") as exc:
+        load_model_dir(tmp_path)
+    assert str(exc.value).startswith(str(path))
 
 
 def test_save_model_dir_accepts_nested_dict(tmp_path):

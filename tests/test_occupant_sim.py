@@ -11,21 +11,20 @@ from occsim.diary_ingest import (
     PRESENCE_ALPHABET,
     ActivityState,
 )
-from occsim.distributions import EmpiricalDistribution, draw_index, point_mass
+from occsim.distributions import EmpiricalDistribution, draw_index
 from occsim.markov_train import ActivityStats, ClusterDayModel, TPMSet, _runs
 from occsim.occupant_sim import (
-    OccupantDaySchedule,
     OccupantProfile,
     SimCalendar,
     SimulationError,
     _hold_steps,
-    simulate_day_approach1,
-    simulate_day_approach2,
-    simulate_day_approach3,
+    day_uniforms,
+    place_events,
     simulate_year,
     walk_days,
 )
 from occsim.synth import truth_models
+from tests.helpers import point_mass
 
 SL = int(ActivityState.SLEEP)
 AW = int(ActivityState.AWAY)
@@ -59,7 +58,6 @@ def stats_for(activity, duration_min=None, onset_step=None, occurrences=None):
         point_mass(duration_min, "minutes") if duration_min is not None else None,
         point_mass(onset_step, "steps") if onset_step is not None else None,
         occ,
-        np.zeros(N_STEPS),
     )
 
 
@@ -132,6 +130,17 @@ def _approach3_states(tpms, stats, rng):
         t += 1
 
 
+def walk_one(tpms, rng, holds=None):
+    """One day drawn from `rng` as `simulate_year` draws it: the day's
+    uniform block, then the walk."""
+    return walk_days(tpms, day_uniforms(tpms, rng, holds)[None], holds)[0]
+
+
+def approach1_day(presence_tpms, stats, rng):
+    """One approach-1 day: the presence walk, then event placement on the same rng."""
+    return place_events(walk_one(presence_tpms, rng), stats, rng)
+
+
 def assert_matches_scalar(tpms, holds, seeds):
     """walk_days on rows drawn from fresh generators equals the scalar walk
     on the same generators, row for row."""
@@ -149,13 +158,12 @@ def test_worked_example_hold_and_resume():
     tpms = const_tpms({PH: row(PERSONAL_HYGIENE=0.9, HOME_ACTIVE=0.1)})
     tpms.matrices[10, SL] = row(PERSONAL_HYGIENE=1.0)
     stats = {ActivityState.PERSONAL_HYGIENE: stats_for(ActivityState.PERSONAL_HYGIENE, 60.0)}
-    for seed in (0, 1, 99):
-        sched = simulate_day_approach3(tpms, stats, np.random.default_rng(seed))
-        expected = np.full(N_STEPS, HA, dtype=np.int8)
-        expected[:11] = SL
-        expected[11:15] = PH  # 60 min hold = 4 steps
-        assert np.array_equal(sched.states, expected)
-        assert sched.day_type == "WD"
+    u = np.stack([day_uniforms(tpms, np.random.default_rng(seed), stats) for seed in (0, 1, 99)])
+    expected = np.full(N_STEPS, HA, dtype=np.int8)
+    expected[:11] = SL
+    expected[11:15] = PH  # 60 min hold = 4 steps
+    for states in walk_days(tpms, u, stats):
+        assert np.array_equal(states, expected)
 
 
 def test_resume_exclusion_caps_event_runs():
@@ -180,17 +188,17 @@ def test_resume_exclusion_caps_event_runs():
 def test_degenerate_self_row_extends_hold():
     tpms = const_tpms({CO: row(COOKING=1.0)}, initial_state=CO)
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 15.0)}
-    sched = simulate_day_approach3(tpms, stats, np.random.default_rng(0))
-    assert np.all(sched.states == CO)
+    states = walk_one(tpms, np.random.default_rng(0), stats)
+    assert np.all(states == CO)
 
 
 def test_hold_clipped_at_day_end():
     tpms = const_tpms({CO: row(COOKING=0.5, HOME_ACTIVE=0.5)})
     tpms.matrices[93, SL] = row(COOKING=1.0)
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 600.0)}
-    sched = simulate_day_approach3(tpms, stats, np.random.default_rng(3))
-    assert np.all(sched.states[:94] == SL)
-    assert np.all(sched.states[94:] == CO)
+    states = walk_one(tpms, np.random.default_rng(3), stats)
+    assert np.all(states[:94] == SL)
+    assert np.all(states[94:] == CO)
 
 
 def test_missing_duration_dist_defaults_to_one_step():
@@ -198,9 +206,9 @@ def test_missing_duration_dist_defaults_to_one_step():
     tpms.matrices[5, SL] = row(COOKING=1.0)
     tpms.matrices[:, HA, :] = row(HOME_ACTIVE=1.0)
     stats = {}  # no stats at all: hold defaults to 15 minutes
-    sched = simulate_day_approach3(tpms, stats, np.random.default_rng(1))
-    assert sched.states[6] == CO
-    assert np.all(sched.states[7:] == HA)
+    states = walk_one(tpms, np.random.default_rng(1), stats)
+    assert states[6] == CO
+    assert np.all(states[7:] == HA)
 
 
 def exact_path_distribution(tpms):
@@ -268,7 +276,7 @@ def test_walk_days_matches_scalar_on_truth_models(chain):
 
 def _multi_duration(activity, minutes, probs):
     dist = EmpiricalDistribution(np.array(minutes, dtype=float), np.array(probs), "minutes")
-    return {activity: ActivityStats(activity, dist, None, point_mass(1.0, "count"), np.zeros(N_STEPS))}
+    return {activity: ActivityStats(activity, dist, None, point_mass(1.0, "count"))}
 
 
 def _edge_cases():
@@ -378,21 +386,21 @@ def test_approach1_places_events_in_home_windows():
         alphabet=PRESENCE_ALPHABET,
     )
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 30.0, onset_step=10.0)}
-    sched, failures = simulate_day_approach1(presence, stats, np.random.default_rng(0))
+    states, failures = approach1_day(presence, stats, np.random.default_rng(0))
     assert failures == 0
-    assert np.all(sched.states[10:12] == CO)
+    assert np.all(states[10:12] == CO)
     mask = np.ones(N_STEPS, dtype=bool)
     mask[10:12] = False
-    assert np.all(sched.states[mask] == HA)
+    assert np.all(states[mask] == HA)
 
 
 def test_approach1_counts_unplaceable_events():
     presence = const_tpms(initial_state=2, alphabet=PRESENCE_ALPHABET)
     # onset forces the block past the end of the day
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 30.0, onset_step=95.0)}
-    sched, failures = simulate_day_approach1(presence, stats, np.random.default_rng(0))
+    states, failures = approach1_day(presence, stats, np.random.default_rng(0))
     assert failures == 1
-    assert np.all(sched.states == HA)
+    assert np.all(states == HA)
 
 
 def test_approach1_no_overlap_same_onset():
@@ -405,17 +413,17 @@ def test_approach1_no_overlap_same_onset():
             occurrences=point_mass(2.0, "count"),
         )
     }
-    sched, failures = simulate_day_approach1(presence, stats, np.random.default_rng(0))
+    states, failures = approach1_day(presence, stats, np.random.default_rng(0))
     assert failures == 1  # second occurrence keeps hitting the taken window
-    assert (sched.states == CO).sum() == 2
+    assert (states == CO).sum() == 2
 
 
 def test_approach1_requires_home_window():
     presence = const_tpms(initial_state=1, alphabet=PRESENCE_ALPHABET)  # away all day
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 30.0, onset_step=10.0)}
-    sched, failures = simulate_day_approach1(presence, stats, np.random.default_rng(0))
+    states, failures = approach1_day(presence, stats, np.random.default_rng(0))
     assert failures == 1
-    assert np.all(sched.states == AW)
+    assert np.all(states == AW)
 
 
 def test_calendar_day_types():
@@ -449,12 +457,10 @@ def test_simulate_year_day_streams_are_stable():
     cal5 = SimCalendar(4, 5)  # friday start: WD WE WE WD WD
     days5, _ = simulate_year(profile, models, cal5, root)
     days3, _ = simulate_year(profile, models, SimCalendar(4, 3), root)
-    for a, b in zip(days3, days5):
-        assert np.array_equal(a.states, b.states)
-        assert a.day_type == b.day_type
-    assert [d.day_type for d in days5] == ["WD", "WE", "WE", "WD", "WD"]
+    assert np.array_equal(days3, days5[:3])
+    assert [cal5.day_type(d) for d in range(5)] == ["WD", "WE", "WE", "WD", "WD"]
     repeat, _ = simulate_year(profile, models, cal5, root)
-    assert all(np.array_equal(a.states, b.states) for a, b in zip(days5, repeat))
+    assert np.array_equal(days5, repeat)
 
 
 @pytest.mark.parametrize("approach", [1, 2, 3])
@@ -462,20 +468,19 @@ def test_simulate_year_day_is_a_one_row_call(approach):
     models = truth_models()
     profile = OccupantProfile("o1", 1, 2)
     root = streams.child(streams.root(7), streams.OCCUPANT, 0)
-    days, failures = simulate_year(profile, models, SimCalendar(3, 10), root, approach)
+    calendar = SimCalendar(3, 10)
+    days, failures = simulate_year(profile, models, calendar, root, approach)
     total = 0
     for d, day in enumerate(days):
-        model = models[day.day_type][1 if day.day_type == "WD" else 2]
+        day_type = calendar.day_type(d)
+        model = models[day_type][1 if day_type == "WD" else 2]
         rng = streams.generator(streams.child(root, d))
         if approach == 1:
-            one, n_fail = simulate_day_approach1(model.presence_tpms, model.stats, rng, d, day.day_type)
+            one, n_fail = approach1_day(model.presence_tpms, model.stats, rng)
             total += n_fail
-        elif approach == 2:
-            one = simulate_day_approach2(model.tpms, rng, d, day.day_type)
         else:
-            one = simulate_day_approach3(model.tpms, model.stats, rng, d, day.day_type)
-        assert (day.day_index, day.day_type) == (one.day_index, one.day_type)
-        assert np.array_equal(day.states, one.states)
+            one = walk_one(model.tpms, rng, model.stats if approach == 3 else None)
+        assert np.array_equal(day, one)
     assert failures == total
 
 
@@ -501,18 +506,6 @@ def test_simulate_year_approaches_run():
         days, failures = simulate_year(
             profile, models, SimCalendar(0, 4), streams.root(3), approach
         )
-        assert len(days) == 4
-        assert all(d.states.shape == (N_STEPS,) for d in days)
+        assert days.shape == (4, N_STEPS) and days.dtype == np.int8
         if approach != 1:
             assert failures == 0
-
-
-def test_day_schedule_validates_length():
-    with pytest.raises(SimulationError, match="96"):
-        OccupantDaySchedule(0, "WD", np.zeros(10, dtype=np.int8))
-
-
-def test_day_type_defaults_to_tpms():
-    tpms = const_tpms(day_type="WE")
-    sched = simulate_day_approach2(tpms, np.random.default_rng(0))
-    assert sched.day_type == "WE"

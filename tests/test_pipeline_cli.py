@@ -2,7 +2,6 @@ import contextlib
 import io
 import shutil
 
-import numpy as np
 import pytest
 
 from occsim.cli import main
@@ -107,6 +106,7 @@ def test_config_read_errors(tmp_path):
         ("modulation", "sometimes", "modulation"),
         ("k_range", "7:3", "k_range"),
         ("k_range", "0:3", "k_range"),
+        ("k_range", "1:3", "k_range"),
         ("n_days", "0", "positive"),
         ("tpm_fallback", "magic", "tpm_fallback"),
         ("repeats", "many", "invalid literal"),
@@ -151,8 +151,8 @@ def test_run_pipeline_artifacts(pipeline_run):
         for dt in ("wd", "we"):
             assert f"c{c}.{dt}.tpm" in tpm_files
             assert f"c{c}.{dt}.presence.tpm" in tpm_files
-            assert f"c{c}.{dt}.sleep.profile" in tpm_files
             assert f"c{c}.{dt}.cooking.count.dist" in tpm_files
+    assert not [name for name in tpm_files if name.endswith(".profile") or ".sleep." in name]
     for h in range(2):
         sched = read_schedule_file(out / f"household_{h}.csv")
         assert sched.n_days == 6
@@ -399,24 +399,46 @@ def _simulate(synth_tree, tpms, reference, out):
     )
 
 
-BAD_STEP_LINES = [
-    ("96,0.5", "line 41: step 96 outside 0..95"),
-    ("-1,0.9", "line 41: step -1 outside 0..95"),
-    ("3,0.5", "line 41: duplicate step 3"),
-    ("40,0.5,1", "line 41: expected step,value, got 3 fields"),
-    ("40,abc", "line 41: could not convert string to float"),
-]
+# Per kind: the corrupted file, the 0-based index of the line replaced and
+# (bad line, message) in the order of the ids below; "{prev}" repeats the
+# line before.
+BAD_LINES = {
+    "dist": (
+        "tpms/c0.wd.cooking.onset.dist",
+        2,
+        [
+            ("0,1.5", "line 3: probability 1.5 outside 0..1"),
+            ("0,-0.5", "line 3: probability -0.5 outside 0..1"),
+            ("{prev}", "line 3: values must be finite and increasing"),
+            ("0,0.5,1", "line 3: expected value,probability, got '0,0.5,1'"),
+            ("0,abc", "line 3: expected value,probability, got '0,abc'"),
+        ],
+    ),
+    "ref": (
+        "reference/lighting.wd.ref",
+        40,
+        [
+            ("96,0.5", "line 41: step 96 outside 0..95"),
+            ("-1,0.9", "line 41: step -1 outside 0..95"),
+            ("3,0.5", "line 41: duplicate step 3"),
+            ("40,0.5,1", "line 41: expected step,value, got 3 fields"),
+            ("40,abc", "line 41: could not convert string to float"),
+        ],
+    ),
+}
 
 
-@pytest.mark.parametrize("kind", ["profile", "ref"])
-@pytest.mark.parametrize("line, message", BAD_STEP_LINES, ids=["past_end", "negative", "duplicate", "fields", "nan_text"])
-def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path, capsys, kind, line, message):
+@pytest.mark.parametrize("kind", ["dist", "ref"])
+@pytest.mark.parametrize("case", range(5), ids=["past_end", "negative", "duplicate", "fields", "nan_text"])
+def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path, capsys, kind, case):
     tpms, reference = tmp_path / "tpms", tmp_path / "reference"
     shutil.copytree(pipeline_run / "tpms", tpms)
     shutil.copytree(synth_tree / "reference", reference)
-    path = tpms / "c0.wd.cooking.profile" if kind == "profile" else reference / "lighting.wd.ref"
+    name, index, cases = BAD_LINES[kind]
+    line, message = cases[case]
+    path = tmp_path / name
     lines = path.read_text().splitlines()
-    lines[40] = line
+    lines[index] = line.format(prev=lines[index - 1])
     path.write_text("\n".join(lines) + "\n")
     assert _simulate(synth_tree, tpms, reference, tmp_path / "out") == 6
     assert f"{path.name}: {message}" in capsys.readouterr().err
@@ -431,6 +453,68 @@ def test_simulate_rejects_bad_model_file_name(synth_tree, pipeline_run, tmp_path
     shutil.copy(tpms / "c0.wd.presence.tpm", tpms / name.replace(".tpm", ".presence.tpm"))
     assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
     assert f"{name}: model file name does not match c<int>.<wd|we>.tpm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["c0.wd.cooking.count.dist", "c1.wd.laundry.duration.dist", "c0.we.dishwashing.onset.dist"]
+)
+def test_simulate_rejects_half_deleted_model(synth_tree, pipeline_run, tmp_path, capsys, name):
+    tpms = tmp_path / "tpms"
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    (tpms / name).unlink()
+    assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
+    assert f"missing expected file: {tpms / name}" in capsys.readouterr().err
+    occupant = ["simulate-occupant", "--tpms", str(tpms), "--wd-cluster", "0", "--we-cluster", "1"]
+    assert main(occupant + ["--out", str(tmp_path / "occ.csv"), "--days", "2", "--seed", "1"]) == 6
+    assert f"missing expected file: {tpms / name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--repeats=0", "repeats must be at least 1, got 0"),
+        ("--epsilon=nan", "epsilon must be finite and nonnegative, got nan"),
+        ("--epsilon=-0.1", "epsilon must be finite and nonnegative, got -0.1"),
+        ("--silhouette-sample=1", "silhouette_sample must be at least 2, got 1"),
+        ("--k-range=1:3", "k range must be nonempty with every k >= 2"),
+    ],
+)
+def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, option, message):
+    args = ["cluster", "--input", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
+    assert main(args + ["--k-range", "2:3", "--repeats", "1", option]) == 4
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.clusters"))
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
+def test_train_rejects_out_of_range_alpha(pipeline_run, tmp_path, capsys, alpha):
+    clusters = [str(pipeline_run / f"model.{dt}.clusters") for dt in ("wd", "we")]
+    args = ["train", "--diaries", str(pipeline_run / "sequences.csv"), "--clusters", *clusters]
+    assert main(args + ["--out", str(tmp_path / "tpms"), "--fallback", "laplace", f"--alpha={alpha}"]) == 5
+    assert "alpha must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "tpms").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, code",
+    [("k_range", "1:4", 2), ("repeats", "0", 4), ("epsilon", "nan", 4), ("silhouette_sample", "1", 4),
+     ("tpm_alpha", "nan", 5)],
+)
+def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, code):
+    settings = {
+        "diaries": synth_tree / "diaries.csv",
+        "code_map": synth_tree / "code_map.csv",
+        "bundle": synth_tree / "bundle",
+        "reference": synth_tree / "reference",
+        "household": synth_tree / "household.conf",
+        "base_seed": 1,
+        "n_days": 2,
+        "k_range": "4:4",
+        "repeats": 1,
+        "tpm_fallback": "laplace",
+    }
+    settings[key] = value
+    assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == code
 
 
 def test_simulate_occupant_output(pipeline_run, tmp_path):

@@ -1,0 +1,25 @@
+"""The example scripts import the library directly; run each on a small
+input so an API change that breaks them fails here."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("approach_comparison.py", ["--train", "300", "--sim", "200"]),
+        ("heterogeneity_experiment.py", ["--households", "3", "--days", "7"]),
+    ],
+)
+def test_script_runs(script, args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -11,15 +11,14 @@ from occsim.diary_ingest import (
     resample_to_sequence,
 )
 from occsim.markov_train import forward_marginals
+from occsim.occupant_sim import day_uniforms, walk_days
 from occsim.schedule_io import MODULATED_END_USES, REQUIRED_BUNDLE
 from occsim.synth import (
-    PLANTED_SHARES,
     build_truth_model,
     default_bundle,
     default_code_map,
     default_reference,
     generate_corpus,
-    generate_day,
     planted_duration_dist,
     truth_models,
     write_diaries,
@@ -76,7 +75,7 @@ def test_truth_stats_use_planted_durations():
 def test_generate_day_shape_and_values():
     model = build_truth_model(2, "WE")
     rng = np.random.default_rng(0)
-    day = generate_day(model, rng)
+    day = walk_days(model.tpms, day_uniforms(model.tpms, rng, model.stats)[None], model.stats)[0]
     assert day.shape == (N_STEPS,)
     assert set(np.unique(day)) <= set(range(7))
 
@@ -144,7 +143,7 @@ def test_presence_projection_of_generated_days():
 
     model = build_truth_model(0, "WD")
     rng = np.random.default_rng(4)
-    day = generate_day(model, rng)
+    day = walk_days(model.tpms, day_uniforms(model.tpms, rng, model.stats)[None], model.stats)[0]
     seq = StateSequence("r0", "WD", 1.0, day)
     proj = project_to_presence(seq)
     assert set(np.unique(proj.states)) <= {0, 1, 2}

@@ -15,7 +15,7 @@ from occsim.diary_ingest import (
     ActivityState,
     StateSequence,
 )
-from occsim.distributions import EmpiricalDistribution, point_mass
+from occsim.distributions import EmpiricalDistribution
 from occsim.markov_train import estimate_all_statistics
 from occsim.validate import (
     ActivityComparison,
@@ -29,6 +29,7 @@ from occsim.validate import (
     ks_statistic,
     occurrence_chi2_p,
 )
+from tests.helpers import point_mass
 
 
 def dist(support, probs, unit="x"):
