@@ -1,16 +1,16 @@
 """Household assembly: occupants, shared events, water draws, occupancy traces.
 
-Occupant-level activity runs become household appliance and water events.
-Cooking, dishwashing, and laundry intervals merge across occupants into
-single shared-appliance events (overlapping or abutting intervals union);
+Occupant-level activity runs become household appliance and water events,
+held as EVENT rows keyed by the schedule column they feed.  Cooking,
+dishwashing, and laundry intervals merge across occupants into single
+shared-appliance events (overlapping or abutting intervals union);
 personal hygiene stays per-occupant and is never merged.  Event times are
 minutes from the start of the simulation year.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,33 +30,34 @@ from .occupant_sim import (
 
 MINUTES_PER_DAY = 1440
 
-
-class Appliance(enum.Enum):
-    COOKING_RANGE = "cooking_range"
-    DISHWASHER = "dishwasher"
-    CLOTHES_WASHER = "clothes_washer"
-    CLOTHES_DRYER = "clothes_dryer"
-
-
-class Fixture(enum.Enum):
-    SHOWER = "shower"
-    BATH = "bath"
-    SINK = "sink"
-
-
-# Activities whose intervals merge into one shared appliance.
-MERGEABLE_ACTIVITIES = (
-    ActivityState.COOKING,
-    ActivityState.DISHWASHING,
-    ActivityState.LAUNDRY,
+# Schedule columns fed by events, in schedule order.
+EVENT_COLUMNS = (
+    "cooking_range",
+    "dishwasher_power",
+    "clothes_washer_power",
+    "clothes_dryer_power",
+    "dishwasher_water",
+    "clothes_washer_water",
+    "showers",
+    "baths",
+    "sinks",
 )
+# One event row: `column` indexes EVENT_COLUMNS, `start` and `duration` are
+# minutes from year start, `magnitude` is a fraction of nameplate power or a
+# volume per minute.
+EVENT = np.dtype([("column", np.uint8), ("start", "f8"), ("duration", "f8"), ("magnitude", "f8")])
+_column = EVENT_COLUMNS.index
+
+# Activity whose intervals merge into one shared appliance -> (bundle key,
+# power column, water column or None).
 ACTIVITY_APPLIANCE = {
-    ActivityState.COOKING: Appliance.COOKING_RANGE,
-    ActivityState.DISHWASHING: Appliance.DISHWASHER,
-    ActivityState.LAUNDRY: Appliance.CLOTHES_WASHER,
+    ActivityState.COOKING: ("cooking_range", _column("cooking_range"), None),
+    ActivityState.DISHWASHING: ("dishwasher", _column("dishwasher_power"), _column("dishwasher_water")),
+    ActivityState.LAUNDRY: (
+        "clothes_washer", _column("clothes_washer_power"), _column("clothes_washer_water")
+    ),
 }
-# Appliances that also draw water during operation.
-WATER_APPLIANCES = (Appliance.DISHWASHER, Appliance.CLOTHES_WASHER)
+MERGEABLE_ACTIVITIES = tuple(ACTIVITY_APPLIANCE)
 
 DEFAULT_SHOWER_FRACTION = 0.921
 
@@ -119,6 +120,8 @@ class HouseholdConfig:
                 raise HouseholdError("cluster shares must be nonnegative")
         if not 0.0 <= self.shower_fraction <= 1.0:
             raise HouseholdError("shower_fraction must be in [0, 1]")
+        if self.vacation is not None and not 0 <= self.vacation[0] < self.vacation[1]:
+            raise HouseholdError(f"vacation window {self.vacation} must have 0 <= start < end")
 
     def shares_for(self, day_type: str) -> tuple[float, ...]:
         return self.cluster_shares_wd if day_type == "WD" else self.cluster_shares_we
@@ -154,26 +157,6 @@ class HouseholdConfig:
 
 
 @dataclass
-class ApplianceEvent:
-    """One appliance operation; water fields are zero for dry appliances."""
-
-    appliance: Appliance
-    start: float  # minutes from year start
-    power_duration: float  # minutes
-    power_level: float  # fraction of nameplate power
-    water_duration: float = 0.0
-    water_flow: float = 0.0
-
-
-@dataclass
-class WaterEvent:
-    fixture: Fixture
-    start: float  # minutes from year start
-    duration: float  # minutes, >= 1
-    flow: float  # volume per minute
-
-
-@dataclass
 class OccupancyTrace:
     """Household occupancy per step.
 
@@ -184,8 +167,7 @@ class OccupancyTrace:
 
     present_fraction: np.ndarray
     active_any: np.ndarray
-    n_occupants: int
-    active_fraction: np.ndarray = field(default=None)  # type: ignore[assignment]
+    active_fraction: np.ndarray
 
 
 @dataclass
@@ -195,8 +177,8 @@ class HouseholdResult:
     profiles: list[OccupantProfile]
     states: np.ndarray  # (n_occupants, 96 * n_days) int8
     trace: OccupancyTrace
-    appliance_events: list[ApplianceEvent]
-    water_events: list[WaterEvent]
+    appliance_events: np.ndarray  # EVENT rows
+    water_events: np.ndarray  # EVENT rows
     placement_failures: int = 0
 
 
@@ -264,55 +246,40 @@ def attach_appliance_events(
     bundle: dict[str, EmpiricalDistribution],
     rng: np.random.Generator,
     year_minutes: float | None = None,
-) -> list[ApplianceEvent]:
-    """Sample power (and water) characteristics for merged activity intervals.
+) -> np.ndarray:
+    """EVENT rows sampling power (and water) for merged activity intervals.
 
-    Laundry intervals produce a washer event plus a dryer event starting
-    when the washer's power cycle ends; a dryer whose start would fall past
-    the end of the year is dropped.  Power cycles may outlast the activity
+    Each operation adds a power row and, for the dishwasher and washer, a
+    water row.  Laundry intervals also produce a dryer row starting when
+    the washer's power cycle ends; a dryer whose start would fall past the
+    end of the year is dropped.  Power cycles may outlast the activity
     interval; they are never clipped to it.
     """
-    events: list[ApplianceEvent] = []
-    for activity in MERGEABLE_ACTIVITIES:
+    dryer = _column("clothes_dryer_power")
+    rows: list[tuple[int, float, float, float]] = []
+    for activity, (key, power, water) in ACTIVITY_APPLIANCE.items():
         intervals = intervals_by_activity.get(activity)
         if not intervals:
             continue
-        appliance = ACTIVITY_APPLIANCE[activity]
-        key = appliance.value
         p_dur = _dist(bundle, f"{key}.power.duration")
         p_lvl = _dist(bundle, f"{key}.power.level")
-        w_dur = w_flow = None
-        if appliance in WATER_APPLIANCES:
+        if water is not None:
             w_dur = _dist(bundle, f"{key}.water.duration")
             w_flow = _dist(bundle, f"{key}.water.flow")
-        chained = None
-        if appliance is Appliance.CLOTHES_WASHER:
-            chained = (
-                _dist(bundle, "clothes_dryer.power.duration"),
-                _dist(bundle, "clothes_dryer.power.level"),
-            )
+        chained = activity is ActivityState.LAUNDRY
+        if chained:
+            d_dur = _dist(bundle, "clothes_dryer.power.duration")
+            d_lvl = _dist(bundle, "clothes_dryer.power.level")
         for start, _end in sorted(intervals):
-            ev = ApplianceEvent(
-                appliance,
-                start,
-                p_dur.sample(rng),
-                p_lvl.sample(rng),
-                w_dur.sample(rng) if w_dur else 0.0,
-                w_flow.sample(rng) if w_flow else 0.0,
-            )
-            events.append(ev)
-            if chained is not None:
-                dryer_start = ev.start + ev.power_duration
+            duration = p_dur.sample(rng)
+            rows.append((power, start, duration, p_lvl.sample(rng)))
+            if water is not None:
+                rows.append((water, start, w_dur.sample(rng), w_flow.sample(rng)))
+            if chained:
+                dryer_start = start + duration
                 if year_minutes is None or dryer_start < year_minutes:
-                    events.append(
-                        ApplianceEvent(
-                            Appliance.CLOTHES_DRYER,
-                            dryer_start,
-                            chained[0].sample(rng),
-                            chained[1].sample(rng),
-                        )
-                    )
-    return events
+                    rows.append((dryer, dryer_start, d_dur.sample(rng), d_lvl.sample(rng)))
+    return np.array(rows, dtype=EVENT)
 
 
 def attach_hygiene_water(
@@ -320,15 +287,16 @@ def attach_hygiene_water(
     bundle: dict[str, EmpiricalDistribution],
     config: HouseholdConfig,
     rng: np.random.Generator,
-) -> list[WaterEvent]:
-    """One shower-or-bath draw per hygiene interval, per occupant.
+) -> np.ndarray:
+    """EVENT rows: one shower-or-bath draw per hygiene interval, per occupant.
 
     The fixture is a shower with probability `shower_fraction`, else a
     bath.  The draw starts uniformly (1-minute resolution) within the part
     of the interval that fits its duration; a duration longer than the
     interval is clipped to it.
     """
-    events: list[WaterEvent] = []
+    showers, baths = _column("showers"), _column("baths")
+    rows: list[tuple[int, float, float, float]] = []
     for intervals in per_occupant:
         for start, end in sorted(intervals):
             is_shower = rng.random() < config.shower_fraction
@@ -341,23 +309,16 @@ def attach_hygiene_water(
                 offset = 0
             else:
                 offset = int(rng.integers(0, int(window - duration) + 1))
-            events.append(
-                WaterEvent(
-                    Fixture.SHOWER if is_shower else Fixture.BATH,
-                    start + offset,
-                    duration,
-                    flow,
-                )
-            )
-    return events
+            rows.append((showers if is_shower else baths, start + offset, duration, flow))
+    return np.array(rows, dtype=EVENT)
 
 
 def generate_sink_events(
     trace: OccupancyTrace,
     bundle: dict[str, EmpiricalDistribution],
     rng: np.random.Generator,
-) -> list[WaterEvent]:
-    """Household-level sink draws across the year.
+) -> np.ndarray:
+    """EVENT rows of household-level sink draws across the year.
 
     Per day, a sampled number of events each draws an onset step; onsets
     landing where no occupant is active are resampled within the retry
@@ -367,25 +328,20 @@ def generate_sink_events(
     onset_dist = _dist(bundle, "sink.onset")
     dur_dist = _dist(bundle, "sink.duration")
     flow_dist = _dist(bundle, "sink.flow")
+    sinks = _column("sinks")
     active = trace.active_any
     n_days = active.shape[0] // N_STEPS
-    events: list[WaterEvent] = []
+    rows: list[tuple[int, float, float, float]] = []
     for day in range(n_days):
         base = day * N_STEPS
         for _ in range(count_dist.sample_int(rng)):
             for _ in range(RETRY_BUDGET):
                 step = onset_dist.sample_int(rng)
                 if 0 <= step < N_STEPS and active[base + step]:
-                    events.append(
-                        WaterEvent(
-                            Fixture.SINK,
-                            float((base + step) * STEP_MINUTES),
-                            dur_dist.sample(rng),
-                            flow_dist.sample(rng),
-                        )
-                    )
+                    start = float((base + step) * STEP_MINUTES)
+                    rows.append((sinks, start, dur_dist.sample(rng), flow_dist.sample(rng)))
                     break
-    return events
+    return np.array(rows, dtype=EVENT)
 
 
 def occupancy_fraction(states: np.ndarray) -> OccupancyTrace:
@@ -397,7 +353,6 @@ def occupancy_fraction(states: np.ndarray) -> OccupancyTrace:
     return OccupancyTrace(
         present_fraction=present.astype(np.float64),
         active_any=active.any(axis=0),
-        n_occupants=n,
         active_fraction=active.sum(axis=0) / n,
     )
 
@@ -436,12 +391,12 @@ def modulate_schedule(
 
 def apply_vacation(
     states: np.ndarray,
-    appliance_events: list[ApplianceEvent],
-    water_events: list[WaterEvent],
+    appliance_events: np.ndarray,
+    water_events: np.ndarray,
     window: tuple[int, int] | None,
     n_days: int,
-) -> tuple[np.ndarray, list[ApplianceEvent], list[WaterEvent]]:
-    """Force Away across a half-open day window and drop events starting in it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Force Away across a half-open day window and drop EVENT rows starting in it.
 
     Events that start before the window and extend into it are retained.
     Returns copies; a missing window returns the inputs unchanged.
@@ -455,8 +410,9 @@ def apply_vacation(
     states[..., start_day * N_STEPS : end_day * N_STEPS] = int(ActivityState.AWAY)
     lo = start_day * MINUTES_PER_DAY
     hi = end_day * MINUTES_PER_DAY
-    keep_a = [ev for ev in appliance_events if not lo <= ev.start < hi]
-    keep_w = [ev for ev in water_events if not lo <= ev.start < hi]
+    keep_a, keep_w = (
+        ev[~((lo <= ev["start"]) & (ev["start"] < hi))] for ev in (appliance_events, water_events)
+    )
     return states, keep_a, keep_w
 
 
@@ -501,7 +457,8 @@ def build_household(
         hygiene, bundle, config, streams.generator(h_seq, streams.HYGIENE)
     )
     trace = occupancy_fraction(states)
-    water_events += generate_sink_events(trace, bundle, streams.generator(h_seq, streams.SINKS))
+    sinks = generate_sink_events(trace, bundle, streams.generator(h_seq, streams.SINKS))
+    water_events = np.concatenate([water_events, sinks])
 
     states, appliance_events, water_events = apply_vacation(
         states, appliance_events, water_events, config.vacation, calendar.n_days

@@ -236,6 +236,26 @@ def _occupant_day_rows(results, calendar: SimCalendar) -> list[StateSequence]:
     ]
 
 
+def load_simulation_inputs(
+    bundle_dir: Path, reference_dir: Path, household_conf: Path, n_days: int, start_weekday: str
+) -> tuple[dict, dict, HouseholdConfig, SimCalendar]:
+    """The bundle, reference schedules, household config and calendar that
+    simulate reads; bad input, a vacation past the calendar included, is a
+    StageError of simulate."""
+    try:
+        bundle = load_bundle(bundle_dir)
+        reference = load_reference_dir(reference_dir)
+        config = HouseholdConfig.read(household_conf)
+        calendar = SimCalendar.from_name(start_weekday, n_days)
+    except (OSError, ValueError, KeyError) as exc:
+        raise StageError("simulate", str(exc)) from exc
+    if config.vacation is not None and config.vacation[1] > n_days:
+        raise StageError(
+            "simulate", f"{household_conf}: vacation window {config.vacation} ends after day {n_days}"
+        )
+    return bundle, reference, config, calendar
+
+
 def simulate_stage(
     tpms_dir: Path,
     bundle_dir: Path,
@@ -254,12 +274,11 @@ def simulate_stage(
     log = sys.stderr if log is None else log
     try:
         models = load_model_dir(tpms_dir)
-        bundle = load_bundle(bundle_dir)
-        reference = load_reference_dir(reference_dir)
-        config = HouseholdConfig.read(household_conf)
-        calendar = SimCalendar.from_name(start_weekday, n_days)
-    except (OSError, ValueError, KeyError, ScheduleError, HouseholdError, TrainError) as exc:
+    except (OSError, ValueError) as exc:
         raise StageError("simulate", str(exc)) from exc
+    bundle, reference, config, calendar = load_simulation_inputs(
+        bundle_dir, reference_dir, household_conf, n_days, start_weekday
+    )
     for day_type in DAY_TYPES:
         if day_type not in models or not models[day_type]:
             raise StageError("simulate", f"model directory has no {day_type} models")
@@ -335,6 +354,7 @@ def run_pipeline(cfg: ProjectConfig, log=None) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     marker = cfg.out / ".partial"
     marker.touch()
+    load_simulation_inputs(cfg.bundle, cfg.reference, cfg.household, cfg.n_days, cfg.start_weekday)
     sequences = ingest_stage(cfg.diaries, cfg.code_map, cfg.out / "sequences.csv", log=log)
     cluster_models: dict[str, ClusterModel] = {}
     for day_type in DAY_TYPES:

@@ -9,7 +9,6 @@ fraction already and passes through unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,49 +17,11 @@ import numpy as np
 from .conf import read_step_values
 from .diary_ingest import N_STEPS
 from .distributions import EmpiricalDistribution
-from .household import (
-    Appliance,
-    Fixture,
-    ApplianceEvent,
-    HouseholdResult,
-    WaterEvent,
-    modulate_schedule,
-)
+from .household import EVENT_COLUMNS, HouseholdResult, modulate_schedule
 from .occupant_sim import SimCalendar
 
-SCHEDULE_COLUMNS = (
-    "occupants",
-    "lighting",
-    "plug_loads",
-    "ceiling_fan",
-    "cooking_range",
-    "dishwasher_power",
-    "clothes_washer_power",
-    "clothes_dryer_power",
-    "dishwasher_water",
-    "clothes_washer_water",
-    "showers",
-    "baths",
-    "sinks",
-)
-
 MODULATED_END_USES = ("lighting", "plug_loads", "ceiling_fan")
-
-POWER_CHANNEL = {
-    Appliance.COOKING_RANGE: "cooking_range",
-    Appliance.DISHWASHER: "dishwasher_power",
-    Appliance.CLOTHES_WASHER: "clothes_washer_power",
-    Appliance.CLOTHES_DRYER: "clothes_dryer_power",
-}
-WATER_CHANNEL = {
-    Appliance.DISHWASHER: "dishwasher_water",
-    Appliance.CLOTHES_WASHER: "clothes_washer_water",
-}
-FIXTURE_CHANNEL = {
-    Fixture.SHOWER: "showers",
-    Fixture.BATH: "baths",
-    Fixture.SINK: "sinks",
-}
+SCHEDULE_COLUMNS = ("occupants",) + MODULATED_END_USES + EVENT_COLUMNS
 
 REQUIRED_BUNDLE = (
     "shower.duration",
@@ -108,43 +69,30 @@ class HouseholdScheduleYear:
                 raise ScheduleError(f"column {name} must have {n_steps} steps")
 
 
-def _accumulate(series: np.ndarray, start: float, duration: float, magnitude: float) -> None:
-    if duration <= 0:
-        return
-    horizon = series.shape[0] * 15.0
-    end = min(start + duration, horizon)
-    start = max(start, 0.0)
-    if end <= start:
-        return
-    first = int(start // 15)
-    last = min(int(math.ceil(end / 15)) - 1, series.shape[0] - 1)
-    for j in range(first, last + 1):
-        overlap = min(end, (j + 1) * 15.0) - max(start, j * 15.0)
-        series[j] += overlap * magnitude
-
-
 def rasterize_events(
-    appliance_events: list[ApplianceEvent],
-    water_events: list[WaterEvent],
-    n_days: int,
+    appliance_events: np.ndarray, water_events: np.ndarray, n_days: int
 ) -> dict[str, np.ndarray]:
-    """Rasterize events to raw per-step channel series (magnitude-minutes)."""
+    """Rasterize EVENT rows to raw per-step series (magnitude-minutes), one
+    per event column.
+
+    A row covers [start, start + duration) clipped to the horizon, and each
+    step it touches gains overlap-minutes times magnitude.  `bincount` adds
+    a cell's terms in row order, appliance rows first, so every sum is the
+    one a loop over the rows would give, bit for bit.
+    """
     n_steps = n_days * N_STEPS
-    channels = {
-        name: np.zeros(n_steps)
-        for name in SCHEDULE_COLUMNS
-        if name not in ("occupants",) + MODULATED_END_USES
-    }
-    for ev in appliance_events:
-        _accumulate(channels[POWER_CHANNEL[ev.appliance]], ev.start, ev.power_duration, ev.power_level)
-        if ev.water_duration > 0:
-            channel = WATER_CHANNEL.get(ev.appliance)
-            if channel is None:
-                raise ScheduleError(f"{ev.appliance.value} events cannot carry water")
-            _accumulate(channels[channel], ev.start, ev.water_duration, ev.water_flow)
-    for ev in water_events:
-        _accumulate(channels[FIXTURE_CHANNEL[ev.fixture]], ev.start, ev.duration, ev.flow)
-    return channels
+    events = np.concatenate([appliance_events, water_events])
+    start = np.maximum(events["start"], 0.0)
+    end = np.minimum(events["start"] + events["duration"], n_steps * 15.0)
+    first = (start // 15).astype(np.int64)
+    last = np.minimum(np.ceil(end / 15).astype(np.int64) - 1, n_steps - 1)
+    counts = np.where(end > start, np.maximum(last - first + 1, 0), 0)
+    row = np.repeat(np.arange(len(events)), counts)
+    step = first[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    overlap = np.minimum(end[row], (step + 1) * 15.0) - np.maximum(start[row], step * 15.0)
+    cells = events["column"][row].astype(np.int64) * n_steps + step
+    raw = np.bincount(cells, overlap * events["magnitude"][row], minlength=len(EVENT_COLUMNS) * n_steps)
+    return dict(zip(EVENT_COLUMNS, raw.reshape(len(EVENT_COLUMNS), n_steps)))
 
 
 def normalize_columns(raw: dict[str, np.ndarray], n_days: int) -> HouseholdScheduleYear:

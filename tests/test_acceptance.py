@@ -19,13 +19,11 @@ from occsim.diary_ingest import (
 )
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import (
-    Appliance,
-    ApplianceEvent,
-    Fixture,
+    EVENT,
+    EVENT_COLUMNS,
     HouseholdConfig,
     HouseholdError,
     OccupancyTrace,
-    WaterEvent,
     attach_hygiene_water,
     build_household,
     merge_shared_events,
@@ -141,7 +139,7 @@ def test_criterion_04_shower_bath_split():
     intervals = [[(0.0, 30.0)] * n]
     rng = streams.generator(streams.root(88), streams.HYGIENE)
     events = attach_hygiene_water(intervals, bundle, config, rng)
-    share = float(np.mean([ev.fixture is Fixture.SHOWER for ev in events]))
+    share = float(np.mean(events["column"] == EVENT_COLUMNS.index("showers")))
     ok = len(events) == n and abs(share - 0.921) <= 0.005
     check(4, "shower/bath split", ok, f"shower fraction {share:.4f} vs 0.921 over {n} events")
 
@@ -241,8 +239,8 @@ def test_criterion_07_modulation_identities():
     ref = rng.uniform(0.05, 1.0, n_days * N_STEPS)
     ones = np.ones(n_days * N_STEPS)
     zeros = np.zeros(n_days * N_STEPS)
-    full = modulate_schedule(ref, OccupancyTrace(ones, ones > 0, 1, ones))
-    empty = modulate_schedule(ref, OccupancyTrace(zeros, zeros > 0, 1, zeros))
+    full = modulate_schedule(ref, OccupancyTrace(ones, ones > 0, ones))
+    empty = modulate_schedule(ref, OccupancyTrace(zeros, zeros > 0, zeros))
     dmin = np.repeat(ref.reshape(n_days, N_STEPS).min(axis=1), N_STEPS)
     full_exact = bool(np.array_equal(full, ref))
     empty_exact = bool(np.array_equal(empty, dmin))
@@ -313,41 +311,35 @@ def test_criterion_09_conservation():
     n_days = 2
     horizon = n_days * 1440.0
     worst_rel = 0.0
-    power_channel = {
-        Appliance.COOKING_RANGE: "cooking_range",
-        Appliance.DISHWASHER: "dishwasher_power",
-        Appliance.CLOTHES_WASHER: "clothes_washer_power",
-        Appliance.CLOTHES_DRYER: "clothes_dryer_power",
-    }
-    water_channel = {
-        Appliance.DISHWASHER: "dishwasher_water",
-        Appliance.CLOTHES_WASHER: "clothes_washer_water",
-    }
-    fixture_channel = {Fixture.SHOWER: "showers", Fixture.BATH: "baths", Fixture.SINK: "sinks"}
+    power_channels = ("cooking_range", "dishwasher_power", "clothes_washer_power", "clothes_dryer_power")
+    water_channel = {"dishwasher_power": "dishwasher_water", "clothes_washer_power": "clothes_washer_water"}
+    fixture_channels = ("showers", "baths", "sinks")
     for _ in range(1000):
         expected: dict[str, float] = {}
         appliance_events = []
         water_events = []
         for _i in range(rng.integers(1, 12)):
-            app = list(power_channel)[rng.integers(0, 4)]
+            power = power_channels[rng.integers(0, 4)]
             p_dur = float(rng.uniform(5, 120))
-            w_dur = float(rng.uniform(2, 40)) if app in water_channel else 0.0
+            w_dur = float(rng.uniform(2, 40)) if power in water_channel else 0.0
             start = float(rng.uniform(0, horizon - max(p_dur, w_dur)))
             p_lvl = float(rng.uniform(0.2, 1.0))
             w_flow = float(rng.uniform(0.5, 8.0)) if w_dur else 0.0
-            appliance_events.append(ApplianceEvent(app, start, p_dur, p_lvl, w_dur, w_flow))
-            expected[power_channel[app]] = expected.get(power_channel[app], 0.0) + p_dur * p_lvl
+            appliance_events.append((EVENT_COLUMNS.index(power), start, p_dur, p_lvl))
+            expected[power] = expected.get(power, 0.0) + p_dur * p_lvl
             if w_dur:
-                expected[water_channel[app]] = (
-                    expected.get(water_channel[app], 0.0) + w_dur * w_flow
-                )
+                water = water_channel[power]
+                appliance_events.append((EVENT_COLUMNS.index(water), start, w_dur, w_flow))
+                expected[water] = expected.get(water, 0.0) + w_dur * w_flow
         for _i in range(rng.integers(1, 12)):
-            fix = list(fixture_channel)[rng.integers(0, 3)]
+            fix = fixture_channels[rng.integers(0, 3)]
             dur = float(rng.uniform(1, 45))
             start = float(rng.uniform(0, horizon - dur))
             flow = float(rng.uniform(0.5, 10.0))
-            water_events.append(WaterEvent(fix, start, dur, flow))
-            expected[fixture_channel[fix]] = expected.get(fixture_channel[fix], 0.0) + dur * flow
+            water_events.append((EVENT_COLUMNS.index(fix), start, dur, flow))
+            expected[fix] = expected.get(fix, 0.0) + dur * flow
+        appliance_events = np.array(appliance_events, dtype=EVENT)
+        water_events = np.array(water_events, dtype=EVENT)
         raw = rasterize_events(appliance_events, water_events, n_days)
         for name, series in raw.items():
             want = expected.get(name, 0.0)
@@ -370,7 +362,8 @@ def test_criterion_10_heterogeneity_control():
     series = []
     for h in range(100):
         res = build_household(h, models, bundle, config, cal, base_seed=424)
-        series.append(rasterize_events(res.appliance_events, [], cal.n_days)["cooking_range"])
+        no_water = np.zeros(0, dtype=EVENT)
+        series.append(rasterize_events(res.appliance_events, no_water, cal.n_days)["cooking_range"])
     series = np.stack(series)
 
     def pmr(x):

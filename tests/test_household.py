@@ -3,14 +3,12 @@ import pytest
 
 from occsim.diary_ingest import N_STEPS, ActivityState
 from occsim.household import (
-    Appliance,
-    ApplianceEvent,
+    EVENT,
+    EVENT_COLUMNS,
     BundleError,
-    Fixture,
     HouseholdConfig,
     HouseholdError,
     OccupancyTrace,
-    WaterEvent,
     activity_intervals,
     apply_vacation,
     attach_appliance_events,
@@ -34,6 +32,9 @@ CO = int(ActivityState.COOKING)
 
 COOKING = ActivityState.COOKING
 HYGIENE = ActivityState.PERSONAL_HYGIENE
+
+C = EVENT_COLUMNS.index
+NO_EVENTS = np.zeros(0, dtype=EVENT)
 
 
 def one_count_config(n=1, **kw):
@@ -127,17 +128,15 @@ def test_attach_appliance_events_frozen():
         ActivityState.LAUNDRY: [(200.0, 230.0)],
     }
     events = attach_appliance_events(intervals, bundle, np.random.default_rng(0))
-    by_app = {ev.appliance: ev for ev in events}
-    assert len(events) == 4
-    cook = by_app[Appliance.COOKING_RANGE]
-    assert (cook.start, cook.power_duration, cook.power_level) == (100.0, 40.0, 0.8)
-    assert cook.water_duration == 0.0 and cook.water_flow == 0.0
-    dish = by_app[Appliance.DISHWASHER]
-    assert (dish.water_duration, dish.water_flow) == (10.0, 5.0)
-    wash = by_app[Appliance.CLOTHES_WASHER]
-    dryer = by_app[Appliance.CLOTHES_DRYER]
-    assert dryer.start == wash.start + wash.power_duration == 245.0
-    assert (dryer.power_duration, dryer.power_level) == (50.0, 0.9)
+    assert events.dtype == EVENT
+    assert events.tolist() == [
+        (C("cooking_range"), 100.0, 40.0, 0.8),
+        (C("dishwasher_power"), 1000.0, 60.0, 0.6),
+        (C("dishwasher_water"), 1000.0, 10.0, 5.0),
+        (C("clothes_washer_power"), 200.0, 45.0, 0.5),
+        (C("clothes_washer_water"), 200.0, 20.0, 7.0),
+        (C("clothes_dryer_power"), 245.0, 50.0, 0.9),  # starts when the washer's power cycle ends
+    ]
 
 
 def test_dryer_dropped_past_year_end():
@@ -145,12 +144,13 @@ def test_dryer_dropped_past_year_end():
     year_minutes = 4 * 1440.0
     intervals = {ActivityState.LAUNDRY: [(year_minutes - 30.0, year_minutes - 15.0)]}
     events = attach_appliance_events(intervals, bundle, np.random.default_rng(0), year_minutes)
-    assert [ev.appliance for ev in events] == [Appliance.CLOTHES_WASHER]
+    assert events["column"].tolist() == [C("clothes_washer_power"), C("clothes_washer_water")]
     # without a year bound the dryer is kept
     events = attach_appliance_events(intervals, bundle, np.random.default_rng(0), None)
-    assert [ev.appliance for ev in events] == [
-        Appliance.CLOTHES_WASHER,
-        Appliance.CLOTHES_DRYER,
+    assert events["column"].tolist() == [
+        C("clothes_washer_power"),
+        C("clothes_washer_water"),
+        C("clothes_dryer_power"),
     ]
 
 
@@ -170,11 +170,12 @@ def test_hygiene_water_within_interval():
     starts = set()
     for _ in range(200):
         (ev,) = attach_hygiene_water([[(600.0, 630.0)]], bundle, config, rng)
-        assert ev.fixture is Fixture.SHOWER
-        assert ev.duration == 10.0 and ev.flow == 8.0
-        assert 600.0 <= ev.start and ev.start + ev.duration <= 630.0
-        assert ev.start == int(ev.start)
-        starts.add(ev.start)
+        column, start, duration, flow = ev.tolist()
+        assert column == C("showers")
+        assert duration == 10.0 and flow == 8.0
+        assert 600.0 <= start and start + duration <= 630.0
+        assert start == int(start)
+        starts.add(start)
     assert starts == {600.0 + k for k in range(21)}  # uniform over the fitting offsets
 
 
@@ -183,15 +184,15 @@ def test_hygiene_water_clips_long_draw():
     bundle["shower.duration"] = point_mass(45.0, "minutes")
     config = one_count_config(shower_fraction=1.0)
     (ev,) = attach_hygiene_water([[(600.0, 630.0)]], bundle, config, np.random.default_rng(0))
-    assert ev.start == 600.0 and ev.duration == 30.0
+    assert ev["start"] == 600.0 and ev["duration"] == 30.0
 
 
 def test_hygiene_water_bath_branch():
     bundle = _pm_bundle()
     config = one_count_config(shower_fraction=0.0)
     (ev,) = attach_hygiene_water([[(0.0, 30.0)]], bundle, config, np.random.default_rng(0))
-    assert ev.fixture is Fixture.BATH
-    assert ev.duration == 12.0 and ev.flow == 9.0
+    assert ev["column"] == C("baths")
+    assert ev["duration"] == 12.0 and ev["magnitude"] == 9.0
 
 
 def test_hygiene_water_shower_share():
@@ -199,37 +200,32 @@ def test_hygiene_water_shower_share():
     config = one_count_config()  # default shower fraction
     rng = np.random.default_rng(11)
     events = attach_hygiene_water([[(0.0, 30.0)] * 4000], bundle, config, rng)
-    share = np.mean([ev.fixture is Fixture.SHOWER for ev in events])
+    share = np.mean(events["column"] == C("showers"))
     assert abs(share - 0.921) < 0.02
 
 
 def _trace_active_window():
     active = np.zeros(N_STEPS, dtype=bool)
     active[40:48] = True
-    return OccupancyTrace(np.ones(N_STEPS), active, 1, active.astype(float))
+    return OccupancyTrace(np.ones(N_STEPS), active, active.astype(float))
 
 
 def test_sink_events_land_on_active_steps():
     bundle = _pm_bundle()
     events = generate_sink_events(_trace_active_window(), bundle, np.random.default_rng(0))
-    assert len(events) == 3
-    for ev in events:
-        assert ev.fixture is Fixture.SINK
-        assert ev.start == 600.0  # step 40
-        assert ev.duration == 2.0 and ev.flow == 3.0
+    assert events.tolist() == [(C("sinks"), 600.0, 2.0, 3.0)] * 3  # step 40
 
 
 def test_sink_events_dropped_when_never_active():
     bundle = _pm_bundle()
     bundle["sink.onset"] = point_mass(10.0, "steps")
     events = generate_sink_events(_trace_active_window(), bundle, np.random.default_rng(0))
-    assert events == []
+    assert events.dtype == EVENT and len(events) == 0
 
 
 def test_occupancy_fraction_frozen():
     states = np.array([[SL, AW, HA, CO], [AW, AW, SL, HA]], dtype=np.int8)
     trace = occupancy_fraction(states)
-    assert trace.n_occupants == 2
     assert np.allclose(trace.present_fraction, [0.5, 0.0, 1.0, 1.0])
     assert trace.active_any.tolist() == [False, False, True, True]
     assert np.allclose(trace.active_fraction, [0.0, 0.0, 0.5, 1.0])
@@ -237,7 +233,7 @@ def test_occupancy_fraction_frozen():
 
 def _const_trace(values):
     f = np.asarray(values, dtype=np.float64)
-    return OccupancyTrace(f, f > 0, 1, f)
+    return OccupancyTrace(f, f > 0, f)
 
 
 def test_modulate_full_occupancy_is_reference_bitwise():
@@ -282,7 +278,7 @@ def test_modulate_active_mode_and_errors():
     ref[0] = 1.0
     present = np.ones(N_STEPS)
     active = np.zeros(N_STEPS)
-    trace = OccupancyTrace(present, active > 0, 1, active)
+    trace = OccupancyTrace(present, active > 0, active)
     assert np.array_equal(modulate_schedule(ref, trace, "present"), ref)
     assert np.all(modulate_schedule(ref, trace, "active") == 1.0)
     with pytest.raises(HouseholdError, match="mode"):
@@ -294,31 +290,38 @@ def test_modulate_active_mode_and_errors():
 def test_apply_vacation_window():
     n_days = 4
     states = np.full((2, n_days * N_STEPS), HA, dtype=np.int8)
-    appl = [
-        ApplianceEvent(Appliance.COOKING_RANGE, 1400.0, 30.0, 1.0),  # day 0, runs into day 1
-        ApplianceEvent(Appliance.COOKING_RANGE, 1500.0, 30.0, 1.0),  # day 1: dropped
-        ApplianceEvent(Appliance.COOKING_RANGE, 4330.0, 30.0, 1.0),  # day 3: kept
-    ]
-    water = [
-        WaterEvent(Fixture.SINK, 2900.0, 2.0, 3.0),  # day 2: dropped
-        WaterEvent(Fixture.SINK, 100.0, 2.0, 3.0),
-    ]
+    cook, sink = C("cooking_range"), C("sinks")
+    appl = np.array(
+        [
+            (cook, 1400.0, 30.0, 1.0),  # day 0, runs into day 1
+            (cook, 1500.0, 30.0, 1.0),  # day 1: dropped
+            (cook, 4330.0, 30.0, 1.0),  # day 3: kept
+        ],
+        dtype=EVENT,
+    )
+    water = np.array(
+        [
+            (sink, 2900.0, 2.0, 3.0),  # day 2: dropped
+            (sink, 100.0, 2.0, 3.0),
+        ],
+        dtype=EVENT,
+    )
     out_states, out_a, out_w = apply_vacation(states, appl, water, (1, 3), n_days)
     assert np.all(out_states[:, N_STEPS : 3 * N_STEPS] == AW)
     assert np.all(out_states[:, : N_STEPS] == HA)
     assert np.all(out_states[:, 3 * N_STEPS :] == HA)
     assert np.all(states == HA)  # input untouched
-    assert [ev.start for ev in out_a] == [1400.0, 4330.0]
-    assert [ev.start for ev in out_w] == [100.0]
+    assert out_a["start"].tolist() == [1400.0, 4330.0]
+    assert out_w.tolist() == [(sink, 100.0, 2.0, 3.0)]
 
 
 def test_apply_vacation_none_and_bad_windows():
     states = np.zeros((1, 2 * N_STEPS), dtype=np.int8)
-    same = apply_vacation(states, [], [], None, 2)
+    same = apply_vacation(states, NO_EVENTS, NO_EVENTS, None, 2)
     assert same[0] is states
     for window in [(1, 1), (-1, 2), (1, 5)]:
         with pytest.raises(HouseholdError, match="vacation"):
-            apply_vacation(states, [], [], window, 2)
+            apply_vacation(states, NO_EVENTS, NO_EVENTS, window, 2)
 
 
 def test_household_config_round_trip(tmp_path):
@@ -344,6 +347,9 @@ def test_household_config_validation(tmp_path):
         HouseholdConfig(point_mass(1.0, "count"), (0.5, 0.2), (1.0,))
     with pytest.raises(HouseholdError, match="shower_fraction"):
         HouseholdConfig(point_mass(1.0, "count"), (1.0,), (1.0,), shower_fraction=1.5)
+    for window in [(-1, 3), (5, 2), (4, 4)]:
+        with pytest.raises(HouseholdError, match="vacation"):
+            HouseholdConfig(point_mass(1.0, "count"), (1.0,), (1.0,), vacation=window)
     bad = tmp_path / "bad.conf"
     bad.write_text("# nothing here\n")
     with pytest.raises(HouseholdError, match="occupant_count"):
@@ -417,8 +423,8 @@ def test_build_household_smoke_and_determinism():
     assert res.trace.present_fraction.shape == (4 * N_STEPS,)
     again = build_household(3, models, bundle, config, cal, base_seed=11)
     assert np.array_equal(res.states, again.states)
-    assert res.appliance_events == again.appliance_events
-    assert res.water_events == again.water_events
+    assert res.appliance_events.tobytes() == again.appliance_events.tobytes()
+    assert res.water_events.tobytes() == again.water_events.tobytes()
     other = build_household(3, models, bundle, config, cal, base_seed=12)
     assert not np.array_equal(res.states, other.states)
 
@@ -432,5 +438,5 @@ def test_build_household_applies_vacation():
     assert np.all(day1 == AW)
     assert np.all(res.trace.present_fraction[N_STEPS : 2 * N_STEPS] == 0.0)
     lo, hi = 1440.0, 2880.0
-    assert all(not lo <= ev.start < hi for ev in res.appliance_events)
-    assert all(not lo <= ev.start < hi for ev in res.water_events)
+    for events in (res.appliance_events, res.water_events):
+        assert len(events) and not np.any((lo <= events["start"]) & (events["start"] < hi))

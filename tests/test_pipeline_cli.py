@@ -517,6 +517,38 @@ def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, co
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == code
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("vacation = 30,40", "ends after day 28"),
+        ("vacation = 5,2", "0 <= start < end"),
+        ("no sink.count", "sink.count"),
+    ],
+)
+def test_run_rejects_bad_simulate_input_before_ingest(synth_tree, tmp_path, capsys, fault, message):
+    shutil.copytree(synth_tree / "bundle", tmp_path / "bundle")
+    household = (synth_tree / "household.conf").read_text()
+    if fault.startswith("vacation"):
+        household += fault + "\n"
+    else:
+        (tmp_path / "bundle" / "sink.count").unlink()
+    (tmp_path / "household.conf").write_text(household)
+    settings = {
+        "diaries": synth_tree / "diaries.csv",
+        "code_map": synth_tree / "code_map.csv",
+        "bundle": tmp_path / "bundle",
+        "reference": synth_tree / "reference",
+        "household": tmp_path / "household.conf",
+        "base_seed": 1,
+        "n_days": 28,
+        "k_range": "4:4",
+        "repeats": 1,
+    }
+    assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == 6
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sequences.csv").exists()
+
+
 def test_simulate_occupant_output(pipeline_run, tmp_path):
     out = tmp_path / "occ.csv"
     assert main(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,21 +7,13 @@ from hypothesis import strategies as st
 
 from occsim.conf import read_step_values, write_step_values
 from occsim.diary_ingest import N_STEPS
-from occsim.household import (
-    Appliance,
-    ApplianceEvent,
-    Fixture,
-    OccupancyTrace,
-    HouseholdResult,
-    WaterEvent,
-)
+from occsim.household import EVENT, EVENT_COLUMNS, OccupancyTrace, HouseholdResult
 from occsim.occupant_sim import SimCalendar
 from occsim.schedule_io import (
     MODULATED_END_USES,
     SCHEDULE_COLUMNS,
     HouseholdScheduleYear,
     ScheduleError,
-    _accumulate,
     assemble_schedule,
     build_reference_year,
     load_bundle,
@@ -32,24 +26,58 @@ from occsim.schedule_io import (
 )
 from occsim.synth import default_bundle, default_reference
 
+C = EVENT_COLUMNS.index
+NO_EVENTS = np.zeros(0, dtype=EVENT)
+
+
+def _events(*rows):
+    return np.array(list(rows), dtype=EVENT)
+
+
+def _accumulate(series, start, duration, magnitude):
+    """Reference for rasterize_events: one event row, one step at a time."""
+    if duration <= 0:
+        return
+    horizon = series.shape[0] * 15.0
+    end = min(start + duration, horizon)
+    start = max(start, 0.0)
+    if end <= start:
+        return
+    first = int(start // 15)
+    last = min(int(math.ceil(end / 15)) - 1, series.shape[0] - 1)
+    for j in range(first, last + 1):
+        overlap = min(end, (j + 1) * 15.0) - max(start, j * 15.0)
+        series[j] += overlap * magnitude
+
+
+def _reference_rasterize(appliance_events, water_events, n_days):
+    channels = {name: np.zeros(n_days * N_STEPS) for name in EVENT_COLUMNS}
+    for ev in [*appliance_events, *water_events]:
+        series = channels[EVENT_COLUMNS[ev["column"]]]
+        _accumulate(series, float(ev["start"]), float(ev["duration"]), float(ev["magnitude"]))
+    return channels
+
+
+def _one_row(start, duration, magnitude):
+    """One day's cooking_range series from a single event row."""
+    raw = rasterize_events(_events((C("cooking_range"), start, duration, magnitude)), NO_EVENTS, 1)
+    return raw["cooking_range"]
+
 
 def test_accumulate_proportional_overlap():
-    s = np.zeros(96)
     # 20 minutes at magnitude 2 starting at minute 10: 5 min in step 0,
     # 15 min in step 1
-    _accumulate(s, 10.0, 20.0, 2.0)
+    s = _one_row(10.0, 20.0, 2.0)
     assert s[0] == pytest.approx(10.0)
     assert s[1] == pytest.approx(30.0)
     assert np.all(s[2:] == 0)
 
 
 def test_accumulate_aligned_and_interior():
-    s = np.zeros(96)
-    _accumulate(s, 15.0, 15.0, 3.0)
+    s = _one_row(15.0, 15.0, 3.0)
     assert s[1] == pytest.approx(45.0)
     assert s.sum() == pytest.approx(45.0)
-    s2 = np.zeros(96)
-    _accumulate(s2, 22.0, 40.0, 1.0)  # minutes 22..62 span steps 1..4
+    s2 = _one_row(22.0, 40.0, 1.0)  # minutes 22..62 span steps 1..4
     assert s2[1] == pytest.approx(8.0)
     assert s2[2] == pytest.approx(15.0)
     assert s2[3] == pytest.approx(15.0)
@@ -57,37 +85,40 @@ def test_accumulate_aligned_and_interior():
 
 
 def test_accumulate_clips_at_horizon():
-    s = np.zeros(4)  # one-hour horizon
-    _accumulate(s, 50.0, 100.0, 1.0)
-    assert s[3] == pytest.approx(10.0)
+    s = _one_row(1430.0, 100.0, 1.0)  # one-day horizon
+    assert s[-1] == pytest.approx(10.0)
     assert s.sum() == pytest.approx(10.0)
-    _accumulate(s, -10.0, 20.0, 1.0)  # clipped at zero
+    s = _one_row(-10.0, 20.0, 1.0)  # clipped at zero
     assert s[0] == pytest.approx(10.0)
+    assert s.sum() == pytest.approx(10.0)
 
 
 def test_accumulate_conserves_event_mass():
     rng = np.random.default_rng(2)
-    s = np.zeros(96 * 2)
+    rows = []
     total = 0.0
     for _ in range(50):
         start = float(rng.uniform(0, 96 * 2 * 15 - 200))
         dur = float(rng.uniform(1, 180))
         mag = float(rng.uniform(0.1, 3))
-        _accumulate(s, start, dur, mag)
+        rows.append((C("cooking_range"), start, dur, mag))
         total += dur * mag
-    assert s.sum() == pytest.approx(total)
+    raw = rasterize_events(_events(*rows), NO_EVENTS, 2)
+    assert raw["cooking_range"].sum() == pytest.approx(total)
+    assert sum(raw[name].sum() for name in EVENT_COLUMNS if name != "cooking_range") == 0.0
 
 
 def test_rasterize_events_routes_channels():
-    appl = [
-        ApplianceEvent(Appliance.COOKING_RANGE, 0.0, 30.0, 1.0),
-        ApplianceEvent(Appliance.DISHWASHER, 60.0, 45.0, 0.5, water_duration=10.0, water_flow=2.0),
-        ApplianceEvent(Appliance.CLOTHES_DRYER, 120.0, 15.0, 1.0),
-    ]
-    water = [
-        WaterEvent(Fixture.SHOWER, 600.0, 10.0, 8.0),
-        WaterEvent(Fixture.SINK, 600.0, 2.0, 3.0),
-    ]
+    appl = _events(
+        (C("cooking_range"), 0.0, 30.0, 1.0),
+        (C("dishwasher_power"), 60.0, 45.0, 0.5),
+        (C("dishwasher_water"), 60.0, 10.0, 2.0),
+        (C("clothes_dryer_power"), 120.0, 15.0, 1.0),
+    )
+    water = _events(
+        (C("showers"), 600.0, 10.0, 8.0),
+        (C("sinks"), 600.0, 2.0, 3.0),
+    )
     raw = rasterize_events(appl, water, 1)
     assert raw["cooking_range"].sum() == pytest.approx(30.0)
     assert raw["dishwasher_power"].sum() == pytest.approx(22.5)
@@ -96,13 +127,37 @@ def test_rasterize_events_routes_channels():
     assert raw["showers"][40] == pytest.approx(80.0)
     assert raw["sinks"][40] == pytest.approx(6.0)
     assert raw["baths"].sum() == 0.0
-    assert "occupants" not in raw and "lighting" not in raw
+    assert tuple(raw) == EVENT_COLUMNS
 
 
-def test_rasterize_rejects_water_on_dry_appliance():
-    appl = [ApplianceEvent(Appliance.COOKING_RANGE, 0.0, 30.0, 1.0, water_duration=5.0, water_flow=1.0)]
-    with pytest.raises(ScheduleError, match="cannot carry water"):
-        rasterize_events(appl, [], 1)
+_HORIZON_STEPS = 2 * N_STEPS
+# Starts anywhere around a two-day horizon, on step edges, one ulp beside
+# them, or stacked on a few shared minutes.
+_STARTS = st.one_of(
+    st.floats(-100.0, _HORIZON_STEPS * 15.0 + 100.0),
+    st.integers(-2, _HORIZON_STEPS + 2).map(lambda k: k * 15.0),
+    st.builds(
+        lambda k, toward: float(np.nextafter(k * 15.0, toward)),
+        st.integers(-1, _HORIZON_STEPS + 1),
+        st.sampled_from([-np.inf, np.inf]),
+    ),
+    st.sampled_from([600.0, 607.5, 614.0]),
+)
+_DURATIONS = st.one_of(st.floats(-10.0, 400.0), st.sampled_from([0.0, 15.0, 1e-9]))
+_ROWS = st.lists(
+    st.tuples(st.integers(0, len(EVENT_COLUMNS) - 1), _STARTS, _DURATIONS, st.floats(-5.0, 10.0)),
+    max_size=60,
+)
+
+
+@given(appliance=_ROWS, water=_ROWS, n_days=st.integers(1, 2))
+def test_rasterize_matches_reference_loop_property(appliance, water, n_days):
+    appl, wat = _events(*appliance), _events(*water)
+    got = rasterize_events(appl, wat, n_days)
+    want = _reference_rasterize(appl, wat, n_days)
+    assert tuple(got) == EVENT_COLUMNS
+    for name in EVENT_COLUMNS:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def _full_raw(n_days=1):
@@ -335,9 +390,9 @@ def _two_day_result():
     n = 2 * N_STEPS
     present = np.ones(n)
     present[N_STEPS:] = 0.0  # day 1 empty
-    trace = OccupancyTrace(present, present > 0, 1, present.copy())
-    appl = [ApplianceEvent(Appliance.COOKING_RANGE, 30.0, 30.0, 1.0)]
-    water = [WaterEvent(Fixture.SHOWER, 600.0, 10.0, 8.0)]
+    trace = OccupancyTrace(present, present > 0, present.copy())
+    appl = _events((C("cooking_range"), 30.0, 30.0, 1.0))
+    water = _events((C("showers"), 600.0, 10.0, 8.0))
     return HouseholdResult(0, 1, [], np.zeros((1, n), dtype=np.int8), trace, appl, water)
 
 
