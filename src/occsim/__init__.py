@@ -9,12 +9,13 @@ resolution.
 from .diary_ingest import (
     ActivityCodeMap,
     ActivityState,
+    SEQUENCE,
     RawDiary,
-    StateSequence,
     ingest,
     parse_diaries,
     project_to_presence,
     resample_to_sequence,
+    sequence_table,
 )
 from .distributions import EmpiricalDistribution
 from .clustering import ClusterModel, assign_cluster, kmodes, select_k, silhouette
@@ -54,8 +55,8 @@ __all__ = [
     "OccupantProfile",
     "ProjectConfig",
     "RawDiary",
+    "SEQUENCE",
     "SimCalendar",
-    "StateSequence",
     "TPMSet",
     "assemble_schedule",
     "assign_cluster",
@@ -77,6 +78,7 @@ __all__ = [
     "resample_to_sequence",
     "run_pipeline",
     "select_k",
+    "sequence_table",
     "silhouette",
     "simulate_year",
     "train_cluster_day_model",

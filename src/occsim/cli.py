@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import streams
-from .diary_ingest import STATE_TOKENS
+from .diary_ingest import write_sequences
 from .markov_train import TrainError, load_model_dir
-from .occupant_sim import OccupantProfile, SimCalendar, SimulationError, simulate_year
+from .occupant_sim import OccupantProfile, SimCalendar, SimulationError, days_to_sequences, simulate_year
 from .pipeline import (
     CHOICES,
     ProjectConfig,
@@ -190,13 +190,8 @@ def _cmd_simulate_occupant(args, log) -> int:
         states, failures = simulate_year(profile, models, calendar, rng_root, approach=args.approach)
     except (TrainError, SimulationError, OSError) as exc:
         raise StageError("simulate", str(exc)) from exc
-    header = "day_index,day_type," + ",".join(f"s{i:02d}" for i in range(96))
-    lines = [header]
-    for d, day in enumerate(states):
-        tokens = ",".join(STATE_TOKENS[int(s)] for s in day)
-        lines.append(f"{d},{calendar.day_type(d)},{tokens}")
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text("\n".join(lines) + "\n")
+    write_sequences(args.out, days_to_sequences(states, [calendar.day_type(d) for d in range(args.days)], "d"))
     if failures:
         print(f"simulate-occupant: {failures} placement failures", file=log)
     print(f"simulate-occupant: {len(states)} days -> {args.out}", file=log)

@@ -20,7 +20,6 @@ from .diary_ingest import (
     STATE_BY_TOKEN,
     STATE_TOKENS,
     ActivityState,
-    StateSequence,
     project_to_presence,
 )
 
@@ -41,7 +40,6 @@ class ClusterModel:
     modes: np.ndarray  # (k, 96) int8 presence states
     shares: np.ndarray  # (k,) weighted population shares
     day_type: str
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
@@ -58,8 +56,6 @@ class ClusterModel:
             raise ClusterError("shares must have one entry per cluster")
         if abs(float(self.shares.sum()) - 1.0) > 1e-9:
             raise ClusterError(f"shares sum to {self.shares.sum()}, not 1")
-        if self.names is not None and len(self.names) != self.k:
-            raise ClusterError("names must have one entry per cluster")
 
     def write(self, path: str | Path) -> None:
         lines = [
@@ -67,8 +63,6 @@ class ClusterModel:
             f"day_type,{self.day_type}",
             "shares," + ",".join(f"{s:.12g}" for s in self.shares),
         ]
-        if self.names is not None:
-            lines.append("names," + "|".join(self.names))
         for mode in self.modes:
             tokens = ",".join(STATE_TOKENS[ActivityState(int(s))] for s in mode)
             lines.append(f"mode,{tokens}")
@@ -80,7 +74,6 @@ class ClusterModel:
         k = None
         day_type = None
         shares = None
-        names = None
         modes = []
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
@@ -96,8 +89,6 @@ class ClusterModel:
                     day_type = rest
                 elif key == "shares":
                     shares = _read_shares(rest)
-                elif key == "names":
-                    names = tuple(rest.split("|"))
                 elif key == "mode":
                     modes.append(_read_mode(rest))
                 else:
@@ -107,7 +98,7 @@ class ClusterModel:
         if k is None or day_type is None or shares is None or len(modes) != k:
             raise ClusterError(f"{path}: incomplete cluster model")
         try:
-            return cls(k, np.array(modes, dtype=np.int8), shares, day_type, names)
+            return cls(k, np.array(modes, dtype=np.int8), shares, day_type)
         except ClusterError as exc:
             raise ClusterError(f"{path}: {exc}") from None
 
@@ -140,13 +131,6 @@ def _read_mode(text: str) -> list[int]:
         return [int(STATE_BY_TOKEN[t]) for t in tokens]
     except KeyError as exc:
         raise ValueError(f"unknown state token {exc.args[0]!r}") from None
-
-
-def presence_matrix(sequences: list[StateSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Project sequences to presence states and stack with weights."""
-    X = np.stack([project_to_presence(s).states for s in sequences])
-    w = np.array([s.weight for s in sequences], dtype=np.float64)
-    return X, w
 
 
 def _distances_to_modes(X: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -189,7 +173,7 @@ def _weighted_modes(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_
 
 
 def kmodes(
-    data,
+    X: np.ndarray,
     weights: np.ndarray | None = None,
     k: int = 4,
     seed: int | np.random.SeedSequence | np.random.Generator = 0,
@@ -212,7 +196,7 @@ def kmodes(
     `distinct` is `np.unique(X, axis=0)` for a caller that fits the same data
     many times.
     """
-    X, w = _coerce_data(data, weights)
+    X, w = _coerce_data(X, weights)
     if not use_weights:
         w = np.ones_like(w)
     n = X.shape[0]
@@ -263,15 +247,11 @@ def _assign_with_repair(X: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _coerce_data(data, weights):
-    if isinstance(data, np.ndarray):
-        X = np.asarray(data, dtype=np.int8)
-        w = np.ones(X.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    else:
-        X, w_seq = presence_matrix(list(data))
-        w = w_seq if weights is None else np.asarray(weights, dtype=np.float64)
+def _coerce_data(X, weights):
+    X = np.asarray(X, dtype=np.int8)
     if X.ndim != 2:
-        raise ClusterError("data must be an (n, steps) matrix or sequence list")
+        raise ClusterError("data must be an (n, steps) matrix")
+    w = np.ones(X.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (X.shape[0],):
         raise ClusterError("weights must align with data rows")
     if np.any(w < 0):
@@ -331,7 +311,7 @@ class SelectKResult:
 
 
 def select_k(
-    data,
+    X: np.ndarray,
     weights: np.ndarray | None = None,
     k_range: range = range(3, 11),
     repeats: int = 10,
@@ -359,7 +339,7 @@ def select_k(
         raise ClusterError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if silhouette_sample is not None and silhouette_sample < 2:
         raise ClusterError(f"silhouette_sample must be at least 2, got {silhouette_sample}")
-    X, w = _coerce_data(data, weights)
+    X, w = _coerce_data(X, weights)
     n = X.shape[0]
     sil_idx = None
     if silhouette_sample is not None and n > silhouette_sample:
@@ -397,23 +377,10 @@ def select_k(
     return SelectKResult(k_star, table, model, labels)
 
 
-def assign_cluster(seq, model: ClusterModel):
-    """Nearest mode by matching dissimilarity on the presence projection.
-
-    Accepts a single sequence (returns int) or a list/matrix of sequences
-    (returns an int array of labels).
-    """
-    if isinstance(seq, (list, tuple)):
-        X, _ = _coerce_data(seq, None)
-        return _distances_to_modes(X, model.modes).argmin(axis=1)
-    if isinstance(seq, np.ndarray) and seq.ndim == 2:
-        X = np.minimum(np.asarray(seq, dtype=np.int8), np.int8(ActivityState.HOME_ACTIVE))
-        return _distances_to_modes(X, model.modes).argmin(axis=1)
-    if isinstance(seq, StateSequence):
-        x = project_to_presence(seq).states
-    else:
-        x = np.minimum(np.asarray(seq, dtype=np.int8), np.int8(ActivityState.HOME_ACTIVE))
-    if x.shape != (N_STEPS,):
-        raise ClusterError(f"sequence must have {N_STEPS} steps")
-    d = np.count_nonzero(model.modes != x[None, :], axis=1)
-    return int(d.argmin())
+def assign_cluster(states: np.ndarray, model: ClusterModel) -> np.ndarray:
+    """Nearest-mode label of each row of an (n, 96) state matrix, by matching
+    dissimilarity on the presence projection."""
+    states = np.asarray(states)
+    if states.ndim != 2 or states.shape[1] != N_STEPS:
+        raise ClusterError(f"states must be (n, {N_STEPS}), got {states.shape}")
+    return _distances_to_modes(project_to_presence(states), model.modes).argmin(axis=1)

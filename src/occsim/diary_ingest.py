@@ -4,7 +4,8 @@ Raw diaries carry one activity code per minute over a 24-hour day that
 starts at 4:00 a.m. (1440 minutes).  Ingestion maps raw codes onto the
 canonical activity alphabet, resamples each diary to 96 fifteen-minute
 steps by majority vote, and optionally projects the result onto the
-3-state presence alphabet used for clustering.
+3-state presence alphabet used for clustering.  A corpus of resampled days
+is one `SEQUENCE` table from ingest to validation.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class DiaryFormatError(ValueError):
 
 
 class _CodeLookup(dict):
-    """Raw code -> state index; an unmapped code reads as `UNMAPPED`, which
-    like every state index fits in one byte."""
+    """Raw code or state token -> state index; an unmapped one reads as
+    `UNMAPPED`, which like every state index fits in one byte."""
 
     UNMAPPED = 255
 
@@ -151,28 +152,49 @@ class RawDiary:
             raise DiaryFormatError(f"diary {self.respondent_id}: bad weight {self.weight}")
 
 
-@dataclass
-class StateSequence:
-    """One respondent-day resampled to 96 fifteen-minute steps."""
+# One row per respondent-day resampled to 96 fifteen-minute steps.
+SEQUENCE = np.dtype([("id", object), ("day_type", "U2"), ("weight", "f8"), ("states", "i1", (N_STEPS,))])
 
-    respondent_id: str
-    day_type: str
-    weight: float
-    states: np.ndarray  # (96,) int8
 
-    def __post_init__(self) -> None:
-        _check_day_type(self.day_type)
-        self.states = np.asarray(self.states, dtype=np.int8)
-        if self.states.shape != (N_STEPS,):
-            raise DiaryFormatError(
-                f"sequence {self.respondent_id}: expected {N_STEPS} steps, got {self.states.shape}"
-            )
+def sequence_table(ids, day_types, weights, states) -> np.ndarray:
+    """A SEQUENCE table from its columns; `day_types` and `weights` may be one value for all rows."""
+    for day_type in dict.fromkeys([day_types] if isinstance(day_types, str) else day_types):
+        _check_day_type(day_type)  # before U2 could truncate it
+    states = np.asarray(states)
+    if states.shape != (len(ids), N_STEPS):
+        raise DiaryFormatError(f"states must be ({len(ids)}, {N_STEPS}), got {states.shape}")
+    table = np.empty(len(ids), dtype=SEQUENCE)
+    table["id"], table["day_type"], table["weight"], table["states"] = ids, day_types, weights, states
+    return table
+
+
+def sequence_rows(table: np.ndarray):
+    """Rows as Python (id, day_type, weight, states list), converting one row's states at a time."""
+    columns = (table[name].tolist() for name in ("id", "day_type", "weight"))
+    return zip(*columns, map(np.ndarray.tolist, table["states"]))
 
 
 @dataclass
 class ParseResult:
     diaries: list[RawDiary] = field(default_factory=list)
     unknown_codes: int = 0
+
+
+def _row_head(path: Path, row: int, fields: list[str], width: int) -> tuple[str, str, float]:
+    """Respondent id, day type and weight of a data row that must be `width`
+    fields wide, with a finite weight >= 0."""
+    if len(fields) != width:
+        raise DiaryFormatError(f"{path}: row {row}: expected {width} fields, got {len(fields)}")
+    rid, day_type, weight_s = fields[:3]
+    if day_type not in DAY_TYPES:
+        raise DiaryFormatError(f"{path}: row {row}: bad day_type {day_type!r}")
+    try:
+        weight = float(weight_s)
+    except ValueError:
+        weight = np.nan
+    if not 0 <= weight < np.inf:
+        raise DiaryFormatError(f"{path}: row {row}: bad weight {weight_s!r}")
+    return rid, day_type, weight
 
 
 def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
@@ -195,19 +217,7 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != 3 + N_MINUTES:
-                raise DiaryFormatError(
-                    f"{path}: row {row}: expected {3 + N_MINUTES} fields, got {len(fields)}"
-                )
-            rid, day_type, weight_s = fields[0], fields[1], fields[2]
-            if day_type not in DAY_TYPES:
-                raise DiaryFormatError(f"{path}: row {row}: bad day_type {day_type!r}")
-            try:
-                weight = float(weight_s)
-            except ValueError:
-                raise DiaryFormatError(f"{path}: row {row}: bad weight {weight_s!r}")
-            if weight < 0 or not np.isfinite(weight):
-                raise DiaryFormatError(f"{path}: row {row}: bad weight {weight}")
+            rid, day_type, weight = _row_head(path, row, fields, 3 + N_MINUTES)
             states = np.frombuffer(bytearray(map(lookup, fields[3:])), dtype=np.uint8)
             unmapped = states == _CodeLookup.UNMAPPED
             unknown = int(np.count_nonzero(unmapped))
@@ -223,8 +233,8 @@ _N_STATES = len(FULL_ALPHABET)
 _WINDOW_CELLS = np.arange(N_STEPS)[:, None] * _N_STATES
 
 
-def resample_to_sequence(diary: RawDiary) -> StateSequence:
-    """Collapse 1440 minutes to 96 steps by per-window majority vote.
+def resample_to_sequence(diary: RawDiary) -> np.ndarray:
+    """Collapse 1440 minutes to 96 int8 steps by per-window majority vote.
 
     Ties go to the state that occurs earliest within the window.
     """
@@ -237,20 +247,23 @@ def resample_to_sequence(diary: RawDiary) -> StateSequence:
     # Highest count wins; among tied states, the earliest first occurrence.
     # States that occur have distinct first offsets, so the key has one maximum.
     key = counts * (STEP_MINUTES + 1) - firsts
-    states = key.reshape(N_STEPS, _N_STATES).argmax(axis=1).astype(np.int8)
-    return StateSequence(diary.respondent_id, diary.day_type, diary.weight, states)
+    return key.reshape(N_STEPS, _N_STATES).argmax(axis=1).astype(np.int8)
 
 
-def project_to_presence(seq: StateSequence) -> StateSequence:
-    """Project onto {Sleep, Away, HomeActive}; event activities imply HomeActive."""
-    projected = np.minimum(seq.states, np.int8(ActivityState.HOME_ACTIVE))
-    return StateSequence(seq.respondent_id, seq.day_type, seq.weight, projected)
+def project_to_presence(states: np.ndarray) -> np.ndarray:
+    """Project states onto {Sleep, Away, HomeActive}; event activities imply HomeActive."""
+    return np.minimum(states, np.int8(ActivityState.HOME_ACTIVE))
 
 
-def ingest(path: str | Path, code_map: ActivityCodeMap) -> tuple[list[StateSequence], int]:
-    """Parse and resample a diary file in one pass."""
+def ingest(path: str | Path, code_map: ActivityCodeMap) -> tuple[np.ndarray, int]:
+    """Parse and resample a diary file into a SEQUENCE table in one pass."""
     parsed = parse_diaries(path, code_map)
-    return [resample_to_sequence(d) for d in parsed.diaries], parsed.unknown_codes
+    rows = parsed.diaries
+    states = np.array([resample_to_sequence(r) for r in rows], dtype=np.int8).reshape(-1, N_STEPS)
+    table = sequence_table(
+        [r.respondent_id for r in rows], [r.day_type for r in rows], [r.weight for r in rows], states
+    )
+    return table, parsed.unknown_codes
 
 
 # -- resampled-sequence artifact -------------------------------------------
@@ -258,18 +271,21 @@ def ingest(path: str | Path, code_map: ActivityCodeMap) -> tuple[list[StateSeque
 _SEQ_HEADER = "respondent_id,day_type,weight," + ",".join(f"s{i:02d}" for i in range(N_STEPS))
 
 
-def write_sequences(path: str | Path, sequences: list[StateSequence]) -> None:
+def write_sequences(path: str | Path, table: np.ndarray) -> None:
     lines = [_SEQ_HEADER]
-    for seq in sequences:
-        tokens = ",".join([_TOKEN_BY_INDEX[s] for s in seq.states.tolist()])
+    for rid, day_type, weight, states in sequence_rows(table):
+        tokens = ",".join([_TOKEN_BY_INDEX[s] for s in states])
         # repr round-trips the float exactly
-        lines.append(f"{seq.respondent_id},{seq.day_type},{seq.weight!r},{tokens}")
+        lines.append(f"{rid},{day_type},{weight!r},{tokens}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_sequences(path: str | Path) -> list[StateSequence]:
+def read_sequences(path: str | Path) -> np.ndarray:
+    """Read a sequence file into a SEQUENCE table; a malformed row is a
+    DiaryFormatError naming the file and row."""
     path = Path(path)
-    out: list[StateSequence] = []
+    lookup = _CodeLookup(_INDEX_BY_TOKEN).__getitem__
+    heads, states = [], bytearray()
     with path.open() as fh:
         fh.readline()
         for row, line in enumerate(fh, start=1):
@@ -277,26 +293,22 @@ def read_sequences(path: str | Path) -> list[StateSequence]:
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != 3 + N_STEPS:
-                raise DiaryFormatError(
-                    f"{path}: row {row}: expected {3 + N_STEPS} fields, got {len(fields)}"
-                )
-            try:
-                states = np.array([_INDEX_BY_TOKEN[t] for t in fields[3:]], dtype=np.int8)
-            except KeyError as exc:
-                raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}")
-            out.append(StateSequence(fields[0], fields[1], float(fields[2]), states))
-    return out
+            heads.append(_row_head(path, row, fields, 3 + N_STEPS))
+            codes = bytes(map(lookup, fields[3:]))
+            if _CodeLookup.UNMAPPED in codes:
+                token = fields[3 + codes.index(_CodeLookup.UNMAPPED)]
+                raise DiaryFormatError(f"{path}: row {row}: unknown state token {token!r}")
+            states += codes
+    ids, day_types, weights = zip(*heads) if heads else ((), (), ())
+    return sequence_table(ids, day_types, weights, np.frombuffer(states, np.int8).reshape(-1, N_STEPS))
 
 
-def load_sequences_any(
-    path: str | Path, code_map: ActivityCodeMap | None = None
-) -> tuple[list[StateSequence], int]:
+def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None) -> tuple[np.ndarray, int]:
     """Load either a resampled-sequence file or a raw diary file.
 
     The two formats are distinguished by field count.  Raw diaries are
     ingested with `code_map` (canonical-token identity map when omitted).
-    Returns (sequences, unknown_code_tally); the tally is zero for
+    Returns (SEQUENCE table, unknown_code_tally); the tally is zero for
     already-resampled input.
     """
     path = Path(path)

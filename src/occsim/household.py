@@ -113,6 +113,9 @@ class HouseholdConfig:
     shower_fraction: float = DEFAULT_SHOWER_FRACTION
 
     def __post_init__(self) -> None:
+        counts = self.occupant_count_dist.support
+        if np.any((counts < 1) | (counts != np.round(counts))):
+            raise HouseholdError(f"occupant_count support must be whole numbers >= 1, got {counts.tolist()}")
         for shares in (self.cluster_shares_wd, self.cluster_shares_we):
             if not abs(sum(shares) - 1.0) <= 1e-9:
                 raise HouseholdError(f"cluster shares sum to {sum(shares)}, not 1")
@@ -192,8 +195,6 @@ def sample_household(
 ) -> tuple[int, list[OccupantProfile]]:
     """Draw occupant count, then weekday and weekend clusters per occupant."""
     n = config.occupant_count_dist.sample_int(rng)
-    if n < 1:
-        raise HouseholdError(f"sampled occupant count {n} is not positive")
     profiles = [
         OccupantProfile(
             f"h{index}o{o}",

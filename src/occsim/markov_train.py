@@ -22,7 +22,6 @@ from .diary_ingest import (
     STATE_BY_TOKEN,
     STATE_TOKENS,
     ActivityState,
-    StateSequence,
     project_to_presence,
 )
 from .distributions import EmpiricalDistribution
@@ -166,21 +165,21 @@ def _state_lut(alphabet: tuple[ActivityState, ...]) -> np.ndarray:
     return lut
 
 
-def _stack(sequences: list[StateSequence]) -> tuple[np.ndarray, np.ndarray, str]:
-    if not sequences:
+def _columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """The states and weight columns of a one-day-type SEQUENCE table, and its day type."""
+    if not len(table):
         raise TrainError("no sequences to train on")
-    day_type = sequences[0].day_type
-    if any(s.day_type != day_type for s in sequences):
+    day_type = str(table["day_type"][0])
+    if np.any(table["day_type"] != day_type):
         raise TrainError("sequences mix day types")
-    X = np.stack([s.states for s in sequences])
-    w = np.array([s.weight for s in sequences], dtype=np.float64)
+    w = table["weight"]
     if w.sum() <= 0:
         raise TrainError("total weight must be positive")
-    return X, w, day_type
+    return table["states"], w, day_type
 
 
 def estimate_tpm(
-    sequences: list[StateSequence],
+    table: np.ndarray,
     alphabet: tuple[ActivityState, ...] = FULL_ALPHABET,
     cluster_id: int = 0,
     fallback: str = "absorbing",
@@ -196,7 +195,7 @@ def estimate_tpm(
         raise TrainError(f"fallback must be one of {FALLBACKS}")
     if not 0 <= alpha < np.inf:
         raise TrainError(f"alpha must be finite and nonnegative, got {alpha}")
-    X, w, day_type = _stack(sequences)
+    X, w, day_type = _columns(table)
     lut = _state_lut(alphabet)
     idx = lut[X]
     if np.any(idx < 0):
@@ -252,9 +251,9 @@ def _runs(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return rows_s, cols_s, lengths, per_row
 
 
-def estimate_statistics(sequences: list[StateSequence], activity: ActivityState) -> ActivityStats:
-    """Reduce a corpus to duration/onset/occurrence distributions and a daily profile."""
-    X, w, _ = _stack(sequences)
+def estimate_statistics(table: np.ndarray, activity: ActivityState) -> ActivityStats:
+    """Reduce a SEQUENCE table to duration/onset/occurrence distributions and a daily profile."""
+    X, w, _ = _columns(table)
     B = X == int(activity)
     rows, onsets, lengths, per_row = _runs(B)
     total_w = w.sum()
@@ -272,13 +271,13 @@ def estimate_statistics(sequences: list[StateSequence], activity: ActivityState)
 
 
 def estimate_all_statistics(
-    sequences: list[StateSequence], activities: tuple[ActivityState, ...] = FULL_ALPHABET
+    table: np.ndarray, activities: tuple[ActivityState, ...] = FULL_ALPHABET
 ) -> dict[ActivityState, ActivityStats]:
-    return {a: estimate_statistics(sequences, a) for a in activities}
+    return {a: estimate_statistics(table, a) for a in activities}
 
 
 def train_cluster_day_model(
-    sequences: list[StateSequence],
+    table: np.ndarray,
     cluster_id: int,
     day_type: str,
     fallback: str = "absorbing",
@@ -286,10 +285,11 @@ def train_cluster_day_model(
 ) -> ClusterDayModel:
     """Fit the full-state chain, the presence chain, and the statistics of
     the event activities, which are all that simulation samples from."""
-    tpms = estimate_tpm(sequences, FULL_ALPHABET, cluster_id, fallback, alpha)
-    presence = [project_to_presence(s) for s in sequences]
+    tpms = estimate_tpm(table, FULL_ALPHABET, cluster_id, fallback, alpha)
+    presence = table.copy()
+    presence["states"] = project_to_presence(table["states"])
     presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback, alpha)
-    stats = estimate_all_statistics(sequences, EVENT_ACTIVITIES)
+    stats = estimate_all_statistics(table, EVENT_ACTIVITIES)
     if day_type != tpms.day_type:
         raise TrainError(f"sequences are {tpms.day_type}, expected {day_type}")
     return ClusterDayModel(cluster_id, day_type, tpms, presence_tpms, stats)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .diary_ingest import EVENT_ACTIVITIES, N_STEPS, ActivityState, StateSequence
+from .diary_ingest import EVENT_ACTIVITIES, N_STEPS, ActivityState, sequence_table
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 
 RETRY_BUDGET = 20
@@ -203,13 +203,9 @@ def place_events(
     return states, failures
 
 
-def days_to_sequences(
-    days: np.ndarray, day_type: str = "WD", prefix: str = "sim"
-) -> list[StateSequence]:
-    """Wrap a (n, 96) simulated state matrix as unit-weight sequences."""
-    return [
-        StateSequence(f"{prefix}{i}", day_type, 1.0, row) for i, row in enumerate(np.asarray(days))
-    ]
+def days_to_sequences(days: np.ndarray, day_type: str | list[str] = "WD", prefix: str = "sim") -> np.ndarray:
+    """Unit-weight SEQUENCE rows `<prefix><i>` of an (n, 96) state matrix; one `day_type` or one per row."""
+    return sequence_table([f"{prefix}{i}" for i in range(len(days))], day_type, 1.0, days)
 
 
 def simulate_year(

@@ -13,6 +13,8 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .clustering import ClusterModel, SelectKResult, assign_cluster, select_k
 from .conf import read_key_values
 from .diary_ingest import (
@@ -20,8 +22,9 @@ from .diary_ingest import (
     N_STEPS,
     DiaryFormatError,
     ActivityCodeMap,
-    StateSequence,
     load_sequences_any,
+    project_to_presence,
+    sequence_table,
     write_sequences,
 )
 from .household import HouseholdConfig, HouseholdError, build_household
@@ -128,22 +131,22 @@ class ProjectConfig:
         return cfg
 
 
-def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[list[StateSequence], int]:
-    """Diaries or a sequence table plus the unmapped-code tally; bad or empty
-    input is a StageError of `stage`."""
+def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.ndarray, int]:
+    """Diaries or a sequence file as a SEQUENCE table, plus the unmapped-code
+    tally; bad or empty input is a StageError of `stage`."""
     try:
         cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
         sequences, unknown = load_sequences_any(path, cmap)
     except (OSError, ValueError) as exc:
         raise StageError(stage, str(exc)) from exc
-    if not sequences:
+    if not len(sequences):
         raise StageError(stage, f"{path}: no diary records")
     return sequences, unknown
 
 
 def ingest_stage(
     diaries: Path, code_map: Path | None, out_file: Path, log=None
-) -> list[StateSequence]:
+) -> np.ndarray:
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
     log = sys.stderr if log is None else log
     sequences, unknown = load_sequences(diaries, code_map, "ingest")
@@ -156,7 +159,7 @@ def ingest_stage(
 
 
 def cluster_stage(
-    sequences: list[StateSequence],
+    sequences: np.ndarray,
     day_type: str,
     out_file: Path,
     k_range: tuple[int, int],
@@ -169,12 +172,13 @@ def cluster_stage(
 ) -> SelectKResult:
     """Select k on one day type's sequences and write the cluster model."""
     log = sys.stderr if log is None else log
-    subset = [s for s in sequences if s.day_type == day_type]
-    if not subset:
+    subset = sequences[sequences["day_type"] == day_type]
+    if not len(subset):
         raise StageError("cluster", f"no {day_type} sequences")
     try:
         result = select_k(
-            subset,
+            project_to_presence(subset["states"]),
+            subset["weight"],
             k_range=range(k_range[0], k_range[1] + 1),
             repeats=repeats,
             base_seed=base_seed,
@@ -195,7 +199,7 @@ def cluster_stage(
 
 
 def train_stage(
-    sequences: list[StateSequence],
+    sequences: np.ndarray,
     cluster_models: dict[str, ClusterModel],
     out_dir: Path,
     fallback: str,
@@ -206,14 +210,14 @@ def train_stage(
     log = sys.stderr if log is None else log
     models: dict[str, dict[int, ClusterDayModel]] = {}
     for day_type, cmodel in sorted(cluster_models.items()):
-        subset = [s for s in sequences if s.day_type == day_type]
-        if not subset:
+        subset = sequences[sequences["day_type"] == day_type]
+        if not len(subset):
             raise StageError("train", f"no {day_type} sequences")
-        labels = assign_cluster(subset, cmodel)
+        labels = assign_cluster(subset["states"], cmodel)
         models[day_type] = {}
         for c in range(cmodel.k):
-            members = [s for s, lab in zip(subset, labels) if lab == c]
-            if not members:
+            members = subset[labels == c]
+            if not len(members):
                 raise StageError("train", f"cluster {c} has no {day_type} sequences")
             try:
                 models[day_type][c] = train_cluster_day_model(
@@ -227,13 +231,12 @@ def train_stage(
     return models
 
 
-def _occupant_day_rows(results, calendar: SimCalendar) -> list[StateSequence]:
-    return [
-        StateSequence(f"h{res.index}o{o}", calendar.day_type(d), 1.0, day)
-        for res in results
-        for o in range(res.n_occupants)
-        for d, day in enumerate(res.states[o].reshape(-1, N_STEPS))
-    ]
+def _occupant_day_rows(results, calendar: SimCalendar) -> np.ndarray:
+    """One SEQUENCE row per occupant-day, by household, occupant, then day."""
+    day_types = [calendar.day_type(d) for d in range(calendar.n_days)]
+    ids = [f"h{res.index}o{o}" for res in results for o in range(res.n_occupants) for _ in day_types]
+    states = [np.empty((0, N_STEPS), np.int8)] + [res.states.reshape(-1, N_STEPS) for res in results]
+    return sequence_table(ids, day_types * (len(ids) // calendar.n_days), 1.0, np.concatenate(states))
 
 
 def load_simulation_inputs(
@@ -329,9 +332,9 @@ def validate_stage(
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:
-        sim_dt = [s for s in sim_days if s.day_type == day_type]
-        ref_dt = [s for s in ref_days if s.day_type == day_type]
-        if not sim_dt or not ref_dt:
+        sim_dt = sim_days[sim_days["day_type"] == day_type]
+        ref_dt = ref_days[ref_days["day_type"] == day_type]
+        if not len(sim_dt) or not len(ref_dt):
             print(f"validate: skipping {day_type} (no data on one side)", file=log)
             continue
         ref_stats = estimate_all_statistics(ref_dt)

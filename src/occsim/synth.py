@@ -23,7 +23,8 @@ from .diary_ingest import (
     STEP_MINUTES,
     ActivityState,
     ActivityCodeMap,
-    StateSequence,
+    sequence_rows,
+    sequence_table,
 )
 from .conf import write_step_values
 from .distributions import EmpiricalDistribution
@@ -188,13 +189,13 @@ def generate_corpus(
     shares: tuple[float, ...] = PLANTED_SHARES,
     day_types: tuple[str, ...] = ("WD", "WE"),
     vary_weights: bool = True,
-) -> list[StateSequence]:
-    """Draw a mixed-cluster corpus with planted shares.  Each diary draws its
-    cluster, day and weight from streams of its own; each (day type,
-    cluster) group of days is walked in one call."""
+) -> np.ndarray:
+    """Draw a mixed-cluster SEQUENCE table with planted shares.  Each diary
+    draws its cluster, day and weight from streams of its own; each (day
+    type, cluster) group of days is walked in one call."""
     models = {dt: {c: build_truth_model(c, dt) for c in range(len(shares))} for dt in day_types}
     root = streams.root(base_seed)
-    out: list[StateSequence] = []
+    ids, weights, blocks = [], [], []
     for di, dt in enumerate(day_types):
         picks = [streams.generator(root, streams.SYNTH, di, i, 0) for i in range(n_per_day_type)]
         clusters = np.array([_draw_index(shares, pick) for pick in picks])
@@ -205,12 +206,15 @@ def generate_corpus(
                 rngs = [streams.generator(root, streams.SYNTH, di, i, 1) for i in rows]
                 u = np.stack([day_uniforms(model.tpms, rng, model.stats) for rng in rngs])
                 states[rows] = walk_days(model.tpms, u, model.stats)
+        blocks.append(states)
         for i in range(n_per_day_type):
             weight = 1.0
             if vary_weights:
                 weight = round(float(streams.generator(root, streams.SYNTH, di, i, 2).uniform(0.5, 1.5)), 6)
-            out.append(StateSequence(f"r{dt.lower()}{i:05d}", dt, weight, states[i]))
-    return out
+            ids.append(f"r{dt.lower()}{i:05d}")
+            weights.append(weight)
+    day_type_column = [dt for dt in day_types for _ in range(n_per_day_type)]
+    return sequence_table(ids, day_type_column, weights, np.concatenate(blocks))
 
 
 def default_code_map() -> ActivityCodeMap:
@@ -219,17 +223,15 @@ def default_code_map() -> ActivityCodeMap:
     )
 
 
-def write_diaries(path: str | Path, sequences: list[StateSequence]) -> None:
-    """Expand 96-step sequences to minute-resolution diary rows."""
+def write_diaries(path: str | Path, table: np.ndarray) -> None:
+    """Expand the 96-step rows of a SEQUENCE table to minute-resolution diary rows."""
     header = "respondent_id,day_type,weight," + ",".join(
         f"m{i:04d}" for i in range(N_STEPS * STEP_MINUTES)
     )
     lines = [header]
-    for seq in sequences:
-        codes = []
-        for s in seq.states:
-            codes.extend([SHORT_CODES[ActivityState(int(s))]] * STEP_MINUTES)
-        lines.append(f"{seq.respondent_id},{seq.day_type},{seq.weight:.12g}," + ",".join(codes))
+    for rid, day_type, weight, states in sequence_rows(table):
+        codes = ",".join([SHORT_CODES[s] for s in states for _ in range(STEP_MINUTES)])
+        lines.append(f"{rid},{day_type},{weight:.12g},{codes}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

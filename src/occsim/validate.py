@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diary_ingest import STATE_TOKENS, ActivityState, StateSequence
+from .diary_ingest import STATE_TOKENS, ActivityState
 from .distributions import EmpiricalDistribution
 from .markov_train import ActivityStats, estimate_statistics
 
@@ -159,13 +159,12 @@ class ComparisonReport:
 
 
 def compare_behavior(
-    sim_days: list[StateSequence],
+    sim_days: np.ndarray,
     ref_stats: dict[ActivityState, ActivityStats],
     activities: tuple[ActivityState, ...] | None = None,
 ) -> ComparisonReport:
-    """Reduce simulated days and compare them per activity against reference
-    statistics."""
-    if not sim_days:
+    """Compare a SEQUENCE table of simulated days per activity against reference statistics."""
+    if not len(sim_days):
         raise ValidationError("no simulated days")
     rows = []
     for activity in activities or tuple(ref_stats):

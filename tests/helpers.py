@@ -3,7 +3,6 @@
 import numpy as np
 
 from occsim.clustering import ClusterError
-from occsim.diary_ingest import StateSequence
 from occsim.distributions import EmpiricalDistribution
 
 
@@ -13,7 +12,7 @@ def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:
 
 def sequence_distance(a, b) -> int:
     """Matching dissimilarity: number of steps whose states differ."""
-    a, b = (x.states if isinstance(x, StateSequence) else np.asarray(x, dtype=np.int8) for x in (a, b))
+    a, b = (np.asarray(x, dtype=np.int8) for x in (a, b))
     if a.shape != b.shape:
         raise ClusterError(f"length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))

@@ -63,11 +63,10 @@ def test_criterion_01_tpm_identity():
     row_err = 0.0
     marg_err = 0.0
     for day_type in ("WD", "WE"):
-        seqs = [s for s in corpus if s.day_type == day_type]
+        seqs = corpus[corpus["day_type"] == day_type]
         tpms = estimate_tpm(seqs)
         row_err = max(row_err, float(np.abs(tpms.matrices.sum(axis=2) - 1.0).max()))
-        X = np.stack([s.states for s in seqs])
-        w = np.array([s.weight for s in seqs])
+        X, w = seqs["states"], seqs["weight"]
         empirical = np.stack(
             [np.bincount(X[:, t], weights=w, minlength=7) for t in range(N_STEPS)]
         ) / w.sum()

@@ -15,11 +15,10 @@ from occsim.clustering import (
     assign_cluster,
     kmodes,
     pairwise_distances,
-    presence_matrix,
     select_k,
     silhouette,
 )
-from occsim.diary_ingest import N_STEPS, StateSequence
+from occsim.diary_ingest import N_STEPS, project_to_presence
 from occsim.synth import generate_corpus, write_diaries
 from tests.helpers import sequence_distance
 
@@ -127,12 +126,6 @@ def test_sequence_distance_frozen():
     b[10] = 2
     assert sequence_distance(a, b) == 1
     assert sequence_distance(a, np.full(N_STEPS, 1, dtype=np.int8)) == N_STEPS
-
-
-def test_sequence_distance_accepts_sequences():
-    s1 = StateSequence("a", "WD", 1.0, np.zeros(N_STEPS, dtype=np.int8))
-    s2 = StateSequence("b", "WD", 1.0, np.ones(N_STEPS, dtype=np.int8))
-    assert sequence_distance(s1, s2) == N_STEPS
 
 
 def test_sequence_distance_length_mismatch():
@@ -323,12 +316,11 @@ def test_select_k_rejects_out_of_range_parameters(kwargs, message):
 
 def test_cluster_model_round_trip(tmp_path):
     modes = np.tile(np.array([[0], [1], [2]], dtype=np.int8), (1, N_STEPS))
-    model = ClusterModel(3, modes, np.array([0.5, 0.25, 0.25]), "WE", ("a", "b", "c"))
+    model = ClusterModel(3, modes, np.array([0.5, 0.25, 0.25]), "WE")
     path = tmp_path / "m.clusters"
     model.write(path)
     back = ClusterModel.read(path)
     assert back.k == 3 and back.day_type == "WE"
-    assert back.names == ("a", "b", "c")
     assert np.array_equal(back.modes, model.modes)
     assert np.allclose(back.shares, model.shares)
 
@@ -346,11 +338,13 @@ def test_assign_cluster_single_and_batch():
     model = ClusterModel(2, modes, np.array([0.5, 0.5]), "WD")
     near_one = np.full(N_STEPS, 2, dtype=np.int8)
     near_one[:5] = 0
-    assert assign_cluster(near_one, model) == 1
-    seq = StateSequence("r", "WD", 1.0, np.zeros(N_STEPS, dtype=np.int8))
-    assert assign_cluster(seq, model) == 0
-    batch = assign_cluster([seq, StateSequence("q", "WD", 1.0, near_one)], model)
-    assert list(batch) == [0, 1]
+    assert assign_cluster(near_one[None], model).tolist() == [1]
+    batch = assign_cluster(np.stack([np.zeros(N_STEPS, dtype=np.int8), near_one]), model)
+    assert batch.tolist() == [0, 1]
+    # one form only: a single day is a one-row matrix
+    for bad in (near_one, np.zeros((2, N_STEPS - 1), dtype=np.int8)):
+        with pytest.raises(ClusterError, match="states must be"):
+            assign_cluster(bad, model)
 
 
 def test_assign_cluster_projects_event_states():
@@ -358,8 +352,8 @@ def test_assign_cluster_projects_event_states():
     modes[1] = 2
     model = ClusterModel(2, modes, np.array([0.5, 0.5]), "WD")
     # cooking projects to HomeActive, so an all-cooking day matches mode 1
-    cooking = StateSequence("r", "WD", 1.0, np.full(N_STEPS, 3, dtype=np.int8))
-    assert assign_cluster(cooking, model) == 1
+    cooking = np.full((1, N_STEPS), 3, dtype=np.int8)
+    assert assign_cluster(cooking, model).tolist() == [1]
 
 
 def test_cluster_model_rejects_bad_fields():
@@ -389,6 +383,7 @@ BAD_CLUSTER_LINES = [
     (0, "k,2.5", "k must be an integer"),
     (0, "k,0", "k must be positive"),
     (0, "kk,2", "unknown line key"),
+    (2, "names,a|b", "unknown line key 'names'"),
 ]
 
 
@@ -416,7 +411,7 @@ def test_pairwise_distances_match_reference(X):
 
 
 def test_pairwise_distances_match_reference_on_a_corpus():
-    X, _ = presence_matrix(generate_corpus(300, base_seed=5, day_types=("WD",)))
+    X = project_to_presence(generate_corpus(300, base_seed=5, day_types=("WD",))["states"])
     assert np.array_equal(pairwise_distances(X), _pairwise_reference(X))
 
 
@@ -474,7 +469,8 @@ def _select_k_reference(X, w, k_range, repeats, base_seed, epsilon, silhouette_s
 
 @pytest.mark.parametrize("sample", [None, 500, 150])
 def test_select_k_matches_per_run_reference(monkeypatch, sample):
-    X, w = presence_matrix(generate_corpus(240, base_seed=17, day_types=("WD",)))
+    corpus = generate_corpus(240, base_seed=17, day_types=("WD",))
+    X, w = project_to_presence(corpus["states"]), corpus["weight"]
     kwargs = dict(k_range=range(2, 6), repeats=3, base_seed=17, epsilon=0.01, silhouette_sample=sample)
     got = select_k(X, w, **kwargs)
     k_star, table, model, labels = _select_k_reference(X, w, **kwargs, monkeypatch=monkeypatch)

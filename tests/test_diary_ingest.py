@@ -14,14 +14,16 @@ from occsim.diary_ingest import (
     ActivityCodeMap,
     ActivityState,
     DiaryFormatError,
+    SEQUENCE,
     RawDiary,
-    StateSequence,
     ingest,
     load_sequences_any,
     parse_diaries,
     project_to_presence,
     read_sequences,
     resample_to_sequence,
+    sequence_rows,
+    sequence_table,
     write_sequences,
 )
 
@@ -120,7 +122,7 @@ def tied_windows(draw):
 
 @given(tied_windows())
 def test_resample_matches_reference_on_tied_windows(minutes):
-    got = resample_to_sequence(_diary_from_minutes(minutes)).states
+    got = resample_to_sequence(_diary_from_minutes(minutes))
     assert np.array_equal(got, _resample_reference(minutes))
 
 
@@ -136,9 +138,10 @@ def test_resample_majority():
     minutes = np.full(N_MINUTES, int(ActivityState.SLEEP), dtype=np.int8)
     # window 0: 8 minutes Cooking vs 7 Sleep -> Cooking
     minutes[:8] = int(ActivityState.COOKING)
-    seq = resample_to_sequence(_diary_from_minutes(minutes))
-    assert seq.states[0] == int(ActivityState.COOKING)
-    assert np.all(seq.states[1:] == int(ActivityState.SLEEP))
+    states = resample_to_sequence(_diary_from_minutes(minutes))
+    assert states.dtype == np.int8 and states.shape == (N_STEPS,)
+    assert states[0] == int(ActivityState.COOKING)
+    assert np.all(states[1:] == int(ActivityState.SLEEP))
 
 
 def test_resample_tie_earliest_occurrence():
@@ -146,80 +149,143 @@ def test_resample_tie_earliest_occurrence():
     # 7 Cooking (minutes 0-6), 7 Laundry (7-13), 1 HomeActive: tie goes to Cooking
     minutes[0:7] = int(ActivityState.COOKING)
     minutes[7:14] = int(ActivityState.LAUNDRY)
-    seq = resample_to_sequence(_diary_from_minutes(minutes))
-    assert seq.states[0] == int(ActivityState.COOKING)
+    assert resample_to_sequence(_diary_from_minutes(minutes))[0] == int(ActivityState.COOKING)
 
     # same counts, Laundry first -> Laundry
     minutes[0:7] = int(ActivityState.LAUNDRY)
     minutes[7:14] = int(ActivityState.COOKING)
-    seq = resample_to_sequence(_diary_from_minutes(minutes))
-    assert seq.states[0] == int(ActivityState.LAUNDRY)
+    assert resample_to_sequence(_diary_from_minutes(minutes))[0] == int(ActivityState.LAUNDRY)
 
 
-def test_resample_preserves_weight_and_day_type():
-    d = RawDiary("x", "WE", 3.25, np.zeros(N_MINUTES, dtype=np.int8))
-    seq = resample_to_sequence(d)
-    assert (seq.respondent_id, seq.day_type, seq.weight) == ("x", "WE", 3.25)
+def test_resample_preserves_weight_and_day_type(tmp_path):
+    path = _diary_file(tmp_path, ["x,WE,3.25," + ",".join(["s"] * N_MINUTES)])
+    table, _ = ingest(path, CMAP)
+    assert table.dtype == SEQUENCE
+    assert (table["id"][0], table["day_type"][0], table["weight"][0]) == ("x", "WE", 3.25)
 
 
 @given(st.lists(st.integers(0, 6), min_size=N_MINUTES, max_size=N_MINUTES))
 @example([0] * N_MINUTES)
 @example([6] * N_MINUTES)
 def test_resample_matches_counting_oracle(minutes):
-    seq = resample_to_sequence(_diary_from_minutes(minutes))
-    assert np.array_equal(seq.states, _resample_reference(minutes))
+    states = resample_to_sequence(_diary_from_minutes(minutes))
+    assert np.array_equal(states, _resample_reference(minutes))
     for step in range(0, N_STEPS, 17):  # spot-check a spread of windows
         window = minutes[step * 15 : (step + 1) * 15]
         counts = Counter(window)
         best = max(counts.values())
         tied = {s for s, c in counts.items() if c == best}
         winner = next(s for s in window if s in tied)
-        assert seq.states[step] == winner
+        assert states[step] == winner
 
 
 @given(st.lists(st.integers(0, 6), min_size=N_STEPS, max_size=N_STEPS))
 def test_projection_idempotent_and_total(states):
-    seq = StateSequence("r", "WD", 1.0, np.array(states, dtype=np.int8))
-    once = project_to_presence(seq)
+    once = project_to_presence(np.array(states, dtype=np.int8))
     twice = project_to_presence(once)
-    assert np.array_equal(once.states, twice.states)
-    assert set(np.unique(once.states)) <= {0, 1, 2}
+    assert once.dtype == np.int8
+    assert np.array_equal(once, twice)
+    assert set(np.unique(once)) <= {0, 1, 2}
 
 
 def test_projection_examples():
     states = np.full(N_STEPS, int(ActivityState.AWAY), dtype=np.int8)
-    assert np.all(project_to_presence(StateSequence("r", "WD", 1, states)).states == 1)
+    assert np.all(project_to_presence(states) == 1)
     states[:3] = [int(ActivityState.COOKING), int(ActivityState.LAUNDRY), int(ActivityState.SLEEP)]
-    out = project_to_presence(StateSequence("r", "WD", 1, states)).states
-    assert list(out[:3]) == [2, 2, 0]
+    out = project_to_presence(np.stack([states, states]))
+    assert out.shape == (2, N_STEPS)
+    assert list(out[1, :3]) == [2, 2, 0]
 
 
 def test_sequence_length_enforced():
-    with pytest.raises(DiaryFormatError):
-        StateSequence("r", "WD", 1.0, np.zeros(95, dtype=np.int8))
+    with pytest.raises(DiaryFormatError, match="states must be"):
+        sequence_table(["r"], "WD", 1.0, np.zeros((1, 95), dtype=np.int8))
+    with pytest.raises(DiaryFormatError, match="states must be"):
+        sequence_table(["r", "q"], "WD", 1.0, np.zeros((1, N_STEPS), dtype=np.int8))
+
+
+@pytest.mark.parametrize("day_types", ["WDX", ["WD", "W"], ["WE", "XX"]])
+def test_sequence_table_rejects_day_type_before_truncating(day_types):
+    # "WDX" would be stored as "WD" by the two-character column
+    with pytest.raises(DiaryFormatError, match="day_type must be one of"):
+        sequence_table(["r", "q"], day_types, 1.0, np.zeros((2, N_STEPS), dtype=np.int8))
+
+
+def test_sequence_table_columns_and_rows():
+    states = np.arange(2 * N_STEPS).reshape(2, N_STEPS) % 7
+    table = sequence_table(["a", "b"], ["WD", "WE"], [0.5, 2.0], states)
+    assert table.dtype == SEQUENCE and len(table) == 2
+    assert table["states"].dtype == np.int8 and np.array_equal(table["states"], states)
+    rows = list(sequence_rows(table))
+    assert rows[1][:3] == ("b", "WE", 2.0)
+    assert rows[1][3] == states[1].tolist()
+    assert [type(v) for v in rows[0]] == [str, str, float, list]
 
 
 def test_sequences_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    seqs = [
-        StateSequence(f"r{i}", "WD" if i % 2 else "WE", float(w), rng.integers(0, 7, N_STEPS).astype(np.int8))
-        for i, w in enumerate(rng.uniform(0.1, 5.0, 6))
-    ]
+    weights = rng.uniform(0.1, 5.0, 6)
+    seqs = sequence_table(
+        [f"r{i}" for i in range(6)],
+        ["WD" if i % 2 else "WE" for i in range(6)],
+        weights,
+        rng.integers(0, 7, (6, N_STEPS)),
+    )
     path = tmp_path / "seqs.csv"
     write_sequences(path, seqs)
     back = read_sequences(path)
-    assert len(back) == 6
-    for a, b in zip(seqs, back):
-        assert a.respondent_id == b.respondent_id
-        assert a.day_type == b.day_type
-        assert abs(a.weight - b.weight) < 1e-12
-        assert np.array_equal(a.states, b.states)
+    assert back.dtype == SEQUENCE and len(back) == 6
+    assert back["id"].tolist() == seqs["id"].tolist()
+    assert back["day_type"].tolist() == seqs["day_type"].tolist()
+    assert back["weight"].tolist() == weights.tolist()  # repr round-trips exactly
+    assert np.array_equal(back["states"], seqs["states"])
+
+
+def test_read_sequences_empty_file_is_an_empty_table(tmp_path):
+    path = tmp_path / "seqs.csv"
+    write_sequences(path, sequence_table([], [], [], np.zeros((0, N_STEPS), dtype=np.int8)))
+    back = read_sequences(path)
+    assert back.dtype == SEQUENCE and back.shape == (0,)
+
+
+def _zero_sequences(path, n=2):
+    write_sequences(path, sequence_table([f"r{i}" for i in range(n)], "WD", 1.0, np.zeros((n, N_STEPS))))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (2, "abc", "bad weight 'abc'"),
+        (2, "nan", "bad weight 'nan'"),
+        (2, "-5", "bad weight '-5'"),
+        (2, "inf", "bad weight 'inf'"),
+        (1, "XX", "bad day_type 'XX'"),
+        (1, "WDX", "bad day_type 'WDX'"),
+        (3, "Sleep,Sleep", f"expected {3 + N_STEPS} fields, got {4 + N_STEPS}"),
+    ],
+)
+def test_read_sequences_checks_row_head(tmp_path, field, value, message):
+    path = tmp_path / "seqs.csv"
+    _zero_sequences(path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[field] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DiaryFormatError, match=rf"seqs\.csv: row 2: {message}"):
+        read_sequences(path)
+
+
+@pytest.mark.parametrize("weight", ["abc", "nan", "inf", "-1"])
+def test_parse_checks_weight_like_read_sequences(tmp_path, weight):
+    path = _diary_file(tmp_path, [f"r1,WD,{weight}," + ",".join(["s"] * N_MINUTES)])
+    with pytest.raises(DiaryFormatError, match=f"d\\.csv: row 1: bad weight '{weight}'"):
+        parse_diaries(path, CMAP)
 
 
 def test_read_sequences_names_row_and_unknown_token(tmp_path):
-    seqs = [StateSequence(f"r{i}", "WD", 1.0, np.zeros(N_STEPS, dtype=np.int8)) for i in range(2)]
     path = tmp_path / "seqs.csv"
-    write_sequences(path, seqs)
+    _zero_sequences(path)
     lines = path.read_text().splitlines()
     fields = lines[2].split(",")
     fields[3 + 10] = "Napping"
@@ -233,13 +299,13 @@ def test_load_sequences_any_detects_both(tmp_path):
     raw = _diary_file(tmp_path, ["r1,WD,1," + ",".join(["s"] * N_MINUTES)])
     seqs, unknown = load_sequences_any(raw, CMAP)
     assert len(seqs) == 1 and unknown == 0
-    assert np.all(seqs[0].states == int(ActivityState.SLEEP))
+    assert np.all(seqs["states"][0] == int(ActivityState.SLEEP))
 
     resampled = tmp_path / "seqs.csv"
     write_sequences(resampled, seqs)
     seqs2, unknown2 = load_sequences_any(resampled)
     assert unknown2 == 0
-    assert np.array_equal(seqs2[0].states, seqs[0].states)
+    assert np.array_equal(seqs2, seqs)
 
 
 def test_load_sequences_any_identity_map_default(tmp_path):
@@ -248,7 +314,7 @@ def test_load_sequences_any_identity_map_default(tmp_path):
     raw = _diary_file(tmp_path, [row])
     seqs, unknown = load_sequences_any(raw, None)
     assert unknown == 0
-    assert seqs[0].day_type == "WE"
+    assert seqs["day_type"][0] == "WE"
 
 
 def test_parse_maps_every_code_and_counts_unmapped(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from occsim.diary_ingest import N_STEPS, ActivityState
+from occsim.distributions import EmpiricalDistribution
 from occsim.household import (
     EVENT,
     EVENT_COLUMNS,
@@ -365,6 +366,7 @@ def test_household_config_validation(tmp_path):
         ("occupant_count = 1:1\nvacation = 3\n", r"bad\.conf: line 2: vacation"),
         ("occupant_count = 1:1\ncluster_shares_wd = 0.5,nan\n", r"bad\.conf: cluster shares"),
         ("occupant_count = 1:nan\n", r"bad\.conf: line 1: occupant_count: .*finite"),
+        ("occupant_count = 0:0.5,1:0.5\n", r"bad\.conf: occupant_count support must be whole numbers >= 1"),
     ],
 )
 def test_household_config_read_names_file_and_line(tmp_path, body, pattern):
@@ -386,9 +388,11 @@ def test_sample_household():
     assert n == 2
     assert [p.occupant_id for p in profiles] == ["h5o0", "h5o1"]
     assert all(p.weekday_cluster == 0 and p.weekend_cluster == 0 for p in profiles)
-    zero = HouseholdConfig(point_mass(0.0, "count"), (1.0,), (1.0,))
-    with pytest.raises(HouseholdError, match="not positive"):
-        sample_household(zero, np.random.default_rng(0))
+    # a count that could sample as zero is rejected when the config is built
+    for counts in ([0.0], [0.0, 1.0], [1.0, 1.5], [-2.0]):
+        dist = EmpiricalDistribution(np.array(counts), np.full(len(counts), 1 / len(counts)), "count")
+        with pytest.raises(HouseholdError, match="whole numbers >= 1"):
+            HouseholdConfig(dist, (1.0,), (1.0,))
 
 
 def _single_cluster_models():

@@ -10,8 +10,8 @@ from occsim.diary_ingest import (
     N_STEPS,
     PRESENCE_ALPHABET,
     STATE_TOKENS,
+    SEQUENCE,
     ActivityState,
-    StateSequence,
 )
 from occsim.markov_train import (
     TPMSet,
@@ -31,16 +31,14 @@ S = len(FULL_ALPHABET)
 
 
 def random_corpus(rng, n=12, day_type="WD"):
-    seqs = []
-    for i in range(n):
-        states = rng.integers(0, S, size=N_STEPS).astype(np.int8)
-        seqs.append(StateSequence(f"r{i}", day_type, float(rng.uniform(0.5, 2.0)), states))
-    return seqs
+    rows = [
+        make_seq(rng.integers(0, S, size=N_STEPS), day_type, float(rng.uniform(0.5, 2.0)), f"r{i}") for i in range(n)
+    ]
+    return np.concatenate(rows)
 
 
 def empirical_marginals(seqs):
-    X = np.stack([s.states for s in seqs])
-    w = np.array([s.weight for s in seqs])
+    X, w = seqs["states"], seqs["weight"]
     out = np.zeros((N_STEPS, S))
     for t in range(N_STEPS):
         out[t] = np.bincount(X[:, t], weights=w, minlength=S)
@@ -50,7 +48,7 @@ def empirical_marginals(seqs):
 def test_estimate_tpm_weighted_frozen():
     a = make_seq([0, 1], weight=2.0, rid="a")
     b = make_seq([0, 2], weight=1.0, rid="b")
-    tpms = estimate_tpm([a, b])
+    tpms = estimate_tpm(np.concatenate([a, b]))
     assert np.allclose(tpms.initial, np.eye(S)[0])
     row = np.zeros(S)
     row[1] = 2 / 3
@@ -65,7 +63,7 @@ def test_estimate_tpm_weighted_frozen():
 
 def test_estimate_tpm_uniform_fallback():
     a = make_seq([0], rid="a")
-    tpms = estimate_tpm([a], fallback="uniform")
+    tpms = estimate_tpm(a, fallback="uniform")
     assert np.allclose(tpms.matrices[0, 1], np.full(S, 1 / S))
     # visited rows are untouched by the fallback
     assert np.allclose(tpms.matrices[0, 0], np.eye(S)[2])
@@ -74,7 +72,7 @@ def test_estimate_tpm_uniform_fallback():
 def test_estimate_tpm_laplace_smoothing():
     a = make_seq([0, 1], weight=2.0, rid="a")
     b = make_seq([0, 2], weight=1.0, rid="b")
-    tpms = estimate_tpm([a, b], fallback="laplace", alpha=1.0)
+    tpms = estimate_tpm(np.concatenate([a, b]), fallback="laplace", alpha=1.0)
     expected = (np.array([0.0, 2.0, 1.0, 0, 0, 0, 0]) + 1.0) / (3.0 + S)
     assert np.allclose(tpms.matrices[0, 0], expected)
     # rows with no visits become uniform under positive alpha
@@ -84,25 +82,27 @@ def test_estimate_tpm_laplace_smoothing():
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
 def test_estimate_tpm_rejects_bad_alpha(alpha):
     with pytest.raises(TrainError, match="alpha must be finite and nonnegative"):
-        estimate_tpm([make_seq([0, 1])], fallback="laplace", alpha=alpha)
+        estimate_tpm(make_seq([0, 1]), fallback="laplace", alpha=alpha)
 
 
 def test_estimate_tpm_laplace_zero_alpha_is_absorbing():
     a = make_seq([0], rid="a")
-    tpms = estimate_tpm([a], fallback="laplace", alpha=0.0)
+    tpms = estimate_tpm(a, fallback="laplace", alpha=0.0)
     assert np.allclose(tpms.matrices[0, 4], np.eye(S)[4])
 
 
 def test_estimate_tpm_input_validation():
     with pytest.raises(TrainError, match="no sequences"):
-        estimate_tpm([])
+        estimate_tpm(np.empty(0, dtype=SEQUENCE))
     with pytest.raises(TrainError, match="day types"):
-        estimate_tpm([make_seq([0], rid="a"), make_seq([0], day_type="WE", rid="b")])
+        estimate_tpm(np.concatenate([make_seq([0], rid="a"), make_seq([0], day_type="WE", rid="b")]))
+    with pytest.raises(TrainError, match="total weight must be positive"):
+        estimate_tpm(np.concatenate([make_seq([0], weight=0.0, rid="a"), make_seq([0], weight=0.0, rid="b")]))
     with pytest.raises(TrainError, match="fallback"):
-        estimate_tpm([make_seq([0])], fallback="magic")
+        estimate_tpm(make_seq([0]), fallback="magic")
     cooking = make_seq([int(ActivityState.COOKING)])
     with pytest.raises(TrainError, match="not in alphabet"):
-        estimate_tpm([cooking], alphabet=PRESENCE_ALPHABET)
+        estimate_tpm(cooking, alphabet=PRESENCE_ALPHABET)
 
 
 def test_forward_marginals_reproduce_frequencies():
@@ -129,7 +129,7 @@ def test_estimate_statistics_frozen():
     day1[10] = c
     day2 = [2] * N_STEPS
     stats = estimate_statistics(
-        [make_seq(day1, rid="a"), make_seq(day2, rid="b")], ActivityState.COOKING
+        np.concatenate([make_seq(day1, rid="a"), make_seq(day2, rid="b")]), ActivityState.COOKING
     )
     assert stats.duration_dist.support.tolist() == [15.0, 30.0]
     assert np.allclose(stats.duration_dist.probs, [0.5, 0.5])
@@ -147,7 +147,7 @@ def test_estimate_statistics_weighted_profile():
     on = [c] * N_STEPS
     off = [2] * N_STEPS
     stats = estimate_statistics(
-        [make_seq(on, weight=3.0, rid="a"), make_seq(off, weight=1.0, rid="b")],
+        np.concatenate([make_seq(on, weight=3.0, rid="a"), make_seq(off, weight=1.0, rid="b")]),
         ActivityState.COOKING,
     )
     assert np.allclose(stats.daily_profile, 0.75)
@@ -160,13 +160,13 @@ def test_estimate_statistics_truncated_run_counted():
     c = int(ActivityState.COOKING)
     day = [2] * N_STEPS
     day[94] = day[95] = c
-    stats = estimate_statistics([make_seq(day)], ActivityState.COOKING)
+    stats = estimate_statistics(make_seq(day), ActivityState.COOKING)
     assert stats.duration_dist.support.tolist() == [30.0]
     assert stats.onset_dist.support.tolist() == [94.0]
 
 
 def test_estimate_statistics_no_events():
-    stats = estimate_statistics([make_seq([2] * N_STEPS)], ActivityState.LAUNDRY)
+    stats = estimate_statistics(make_seq([2] * N_STEPS), ActivityState.LAUNDRY)
     assert stats.duration_dist is None
     assert stats.onset_dist is None
     assert stats.occurrences_dist.support.tolist() == [0.0]
@@ -298,7 +298,7 @@ def test_save_load_model_dir(tmp_path):
 
 
 def test_save_model_dir_skips_onset_and_duration_without_events(tmp_path):
-    seqs = [make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)]
+    seqs = np.concatenate([make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)])
     save_model_dir(tmp_path, [train_cluster_day_model(seqs, 0, "WD")])
     names = {p.name for p in tmp_path.iterdir()}
     assert "c0.wd.laundry.count.dist" in names and "c0.wd.laundry.onset.dist" not in names

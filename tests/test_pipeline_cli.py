@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from occsim.cli import main
-from occsim.diary_ingest import STATE_TOKENS, load_sequences_any
+from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences
 from occsim.pipeline import ProjectConfig, StageError, run_pipeline
 from occsim.schedule_io import read_schedule_file
 from occsim.synth import write_input_tree
@@ -549,34 +549,25 @@ def test_run_rejects_bad_simulate_input_before_ingest(synth_tree, tmp_path, caps
     assert not (tmp_path / "out" / "sequences.csv").exists()
 
 
+def _simulate_occupant(pipeline_run, out, days):
+    argv = ["simulate-occupant", "--tpms", str(pipeline_run / "tpms"), "--wd-cluster", "0", "--we-cluster", "1"]
+    return main(argv + ["--out", str(out), "--days", str(days), "--seed", "9"])
+
+
 def test_simulate_occupant_output(pipeline_run, tmp_path):
     out = tmp_path / "occ.csv"
-    assert main(
-        [
-            "simulate-occupant",
-            "--tpms",
-            str(pipeline_run / "tpms"),
-            "--wd-cluster",
-            "0",
-            "--we-cluster",
-            "1",
-            "--out",
-            str(out),
-            "--days",
-            "3",
-            "--seed",
-            "9",
-        ]
-    ) == 0
+    assert _simulate_occupant(pipeline_run, out, 3) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "day_index,day_type," + ",".join(f"s{i:02d}" for i in range(96))
+    # the sequence file format: one unit-weight row per day, id d<day>
+    assert lines[0] == "respondent_id,day_type,weight," + ",".join(f"s{i:02d}" for i in range(96))
     assert len(lines) == 4
     tokens = set(STATE_TOKENS.values())
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
-        assert cells[0] == str(i)
-        assert cells[1] in ("WD", "WE")
-        assert set(cells[2:]) <= tokens
+        assert cells[:3] == [f"d{i}", "WD", "1.0"]  # Monday start
+        assert set(cells[3:]) <= tokens
+    table = read_sequences(out)
+    assert table.dtype == SEQUENCE and len(table) == 3
     # unknown cluster id surfaces as the simulate exit code
     assert main(
         [
@@ -595,6 +586,61 @@ def test_simulate_occupant_output(pipeline_run, tmp_path):
             "9",
         ]
     ) == 6
+
+
+def test_validate_accepts_simulate_occupant_output(pipeline_run, tmp_path, capsys):
+    week = tmp_path / "week.csv"
+    assert _simulate_occupant(pipeline_run, week, 7) == 0
+    reference = str(pipeline_run / "sequences.csv")
+    assert main(["validate", "--sim", str(week), "--reference", reference, "--out", str(tmp_path / "v")]) == 0
+    assert {p.name for p in (tmp_path / "v").iterdir()} == {"validation_report.wd.csv", "validation_report.we.csv"}
+
+
+def _corrupt_first_row(src, dst, field, value):
+    lines = src.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[field] = value
+    lines[1] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("weight", ["abc", "nan", "-5"])
+def test_validate_rejects_bad_weight(pipeline_run, tmp_path, capsys, weight):
+    sim = _corrupt_first_row(pipeline_run / "occupant_days.csv", tmp_path / "sim.csv", 2, weight)
+    argv = ["validate", "--sim", str(sim), "--reference", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
+    assert main(argv) == 7
+    assert f"{sim}: row 1: bad weight '{weight}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [(2, "-5", "bad weight '-5'"), (1, "XX", "bad day_type 'XX'")])
+def test_train_rejects_bad_sequence_row(pipeline_run, tmp_path, capsys, field, value, message):
+    sequences = _corrupt_first_row(pipeline_run / "sequences.csv", tmp_path / "seqs.csv", field, value)
+    clusters = [str(pipeline_run / f"model.{dt}.clusters") for dt in ("wd", "we")]
+    argv = ["train", "--diaries", str(sequences), "--clusters", *clusters, "--out", str(tmp_path / "tpms")]
+    assert main(argv) == 5
+    assert f"{sequences}: row 1: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "tpms").exists()
+
+
+def test_run_rejects_zero_occupant_count_before_ingest(synth_tree, tmp_path, capsys):
+    household = (synth_tree / "household.conf").read_text().splitlines()
+    household = [line for line in household if not line.startswith("occupant_count")]
+    (tmp_path / "household.conf").write_text("\n".join(["occupant_count = 0:0.5,1:0.5", *household]) + "\n")
+    settings = {
+        "diaries": synth_tree / "diaries.csv",
+        "code_map": synth_tree / "code_map.csv",
+        "bundle": synth_tree / "bundle",
+        "reference": synth_tree / "reference",
+        "household": tmp_path / "household.conf",
+        "base_seed": 1,
+        "n_days": 2,
+        "k_range": "4:4",
+        "repeats": 1,
+    }
+    assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == 6
+    assert "occupant_count support must be whole numbers >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sequences.csv").exists()
 
 
 def test_run_is_deterministic(synth_tree, pipeline_run, tmp_path):

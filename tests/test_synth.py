@@ -5,6 +5,7 @@ from occsim.diary_ingest import (
     EVENT_ACTIVITIES,
     N_STEPS,
     PRESENCE_ALPHABET,
+    SEQUENCE,
     ActivityState,
     parse_diaries,
     project_to_presence,
@@ -83,22 +84,20 @@ def test_generate_day_shape_and_values():
 def test_generate_corpus_deterministic_and_planted_shares():
     c1 = generate_corpus(400, base_seed=5)
     c2 = generate_corpus(400, base_seed=5)
-    assert len(c1) == 800  # both day types
-    for a, b in zip(c1, c2):
-        assert a.respondent_id == b.respondent_id
-        assert a.weight == b.weight
-        assert np.array_equal(a.states, b.states)
-    wd = [s for s in c1 if s.day_type == "WD"]
+    assert c1.dtype == SEQUENCE and len(c1) == 800  # both day types
+    assert c1["id"].tolist() == c2["id"].tolist()
+    assert np.array_equal(c1["weight"], c2["weight"])
+    assert np.array_equal(c1["states"], c2["states"])
+    wd = c1[c1["day_type"] == "WD"]
     assert len(wd) == 400
-    assert wd[0].respondent_id == "rwd00000"
-    assert all(0.5 <= s.weight <= 1.5 for s in c1)
-    diff = [s for s in c1 if not np.array_equal(s.states, c2[0].states)]
-    assert diff  # corpus is not a constant
+    assert wd["id"][0] == "rwd00000"
+    assert np.all((0.5 <= c1["weight"]) & (c1["weight"] <= 1.5))
+    assert np.any(c1["states"] != c2["states"][0])  # corpus is not a constant
 
 
 def test_generate_corpus_weights_can_be_uniform():
     c = generate_corpus(10, base_seed=5, vary_weights=False)
-    assert all(s.weight == 1.0 for s in c)
+    assert np.all(c["weight"] == 1.0)
 
 
 def test_write_diaries_round_trip(tmp_path):
@@ -108,13 +107,12 @@ def test_write_diaries_round_trip(tmp_path):
     result = parse_diaries(path, default_code_map())
     assert result.unknown_codes == 0
     assert len(result.diaries) == len(corpus)
-    for diary, seq in zip(result.diaries, corpus):
-        back = resample_to_sequence(diary)
-        assert back.respondent_id == seq.respondent_id
-        assert back.day_type == seq.day_type
-        assert back.weight == pytest.approx(seq.weight)
+    for diary, (rid, day_type, weight, states) in zip(result.diaries, corpus.tolist()):
+        assert diary.respondent_id == rid
+        assert diary.day_type == day_type
+        assert diary.weight == pytest.approx(weight)
         # 15x minute expansion resamples back to the exact states
-        assert np.array_equal(back.states, seq.states)
+        assert np.array_equal(resample_to_sequence(diary), states)
 
 
 def test_default_bundle_complete():
@@ -139,14 +137,11 @@ def test_default_reference_positive_and_distinct():
 
 
 def test_presence_projection_of_generated_days():
-    from occsim.diary_ingest import StateSequence
-
     model = build_truth_model(0, "WD")
     rng = np.random.default_rng(4)
     day = walk_days(model.tpms, day_uniforms(model.tpms, rng, model.stats)[None], model.stats)[0]
-    seq = StateSequence("r0", "WD", 1.0, day)
-    proj = project_to_presence(seq)
-    assert set(np.unique(proj.states)) <= {0, 1, 2}
+    proj = project_to_presence(day)
+    assert set(np.unique(proj)) <= {0, 1, 2}
     # event steps fold into HomeActive, presence steps pass through
-    assert np.all(proj.states[day >= 3] == 2)
-    assert np.array_equal(proj.states[day < 3], day[day < 3])
+    assert np.all(proj[day >= 3] == 2)
+    assert np.array_equal(proj[day < 3], day[day < 3])

@@ -13,7 +13,7 @@ from occsim.diary_ingest import (
     N_STEPS,
     STATE_TOKENS,
     ActivityState,
-    StateSequence,
+    sequence_table,
 )
 from occsim.distributions import EmpiricalDistribution
 from occsim.markov_train import estimate_all_statistics
@@ -120,11 +120,8 @@ def test_chi2_detects_gross_mismatch():
 
 
 def _random_corpus(rng, n=30):
-    out = []
-    for i in range(n):
-        states = rng.integers(0, len(FULL_ALPHABET), size=N_STEPS).astype(np.int8)
-        out.append(StateSequence(f"r{i}", "WD", 1.0, states))
-    return out
+    states = rng.integers(0, len(FULL_ALPHABET), size=(n, N_STEPS))
+    return sequence_table([f"r{i}" for i in range(n)], "WD", 1.0, states)
 
 
 def test_compare_behavior_self_comparison_is_exact():
@@ -149,7 +146,7 @@ def test_compare_behavior_selected_activities():
     report = compare_behavior(corpus, ref, (ActivityState.COOKING,))
     assert [r.activity for r in report.rows] == [ActivityState.COOKING]
     with pytest.raises(ValidationError, match="no simulated days"):
-        compare_behavior([], ref)
+        compare_behavior(corpus[:0], ref)
 
 
 def test_band_frozen():
