@@ -94,12 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--out", type=Path, default=None, help="report directory (default: sim directory)")
 
-    p = sub.add_parser("synth", help="generate a synthetic demonstration input tree")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--diaries-per-day-type", type=int, default=1500)
-    p.add_argument("--seed", type=int, default=20006)
-    p.add_argument("--households", type=int, default=3)
-    p.add_argument("--days", type=int, default=28)
+    # Unset flags stay out of the namespace, so write_input_tree's defaults apply.
+    p = sub.add_parser(
+        "synth", help="generate a synthetic demonstration input tree", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--out", dest="out_dir", type=Path, required=True)
+    p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=int)
+    p.add_argument("--seed", dest="base_seed", type=int)
+    p.add_argument("--households", dest="n_households", type=int)
+    p.add_argument("--days", dest="n_days", type=int)
 
     p = sub.add_parser("run", help="run the full pipeline from a project config")
     p.add_argument("--config", type=Path, required=True)
@@ -122,6 +125,8 @@ def _cmd_ingest(args, log) -> int:
 
 def _cmd_cluster(args, log) -> int:
     sequences, _ = load_sequences(args.input, args.code_map, "cluster")
+    if args.unweighted:
+        sequences["weight"] = 1.0
     try:
         k_range = parse_k_range(args.k_range)
     except ValueError as exc:
@@ -138,7 +143,6 @@ def _cmd_cluster(args, log) -> int:
             base_seed=args.seed,
             epsilon=args.epsilon,
             silhouette_sample=args.silhouette_sample,
-            use_weights=not args.unweighted,
             log=log,
         )
     return 0
@@ -191,7 +195,7 @@ def _cmd_simulate_occupant(args, log) -> int:
     except (TrainError, SimulationError, OSError) as exc:
         raise StageError("simulate", str(exc)) from exc
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_sequences(args.out, days_to_sequences(states, [calendar.day_type(d) for d in range(args.days)], "d"))
+    write_sequences(args.out, days_to_sequences(states, calendar.day_types, "d"))
     if failures:
         print(f"simulate-occupant: {failures} placement failures", file=log)
     print(f"simulate-occupant: {len(states)} days -> {args.out}", file=log)
@@ -209,13 +213,7 @@ def _cmd_validate(args, log) -> int:
 def _cmd_synth(args, log) -> int:
     from .synth import write_input_tree
 
-    layout = write_input_tree(
-        args.out,
-        n_per_day_type=args.diaries_per_day_type,
-        base_seed=args.seed,
-        n_households=args.households,
-        n_days=args.days,
-    )
+    layout = write_input_tree(**{key: value for key, value in vars(args).items() if key != "command"})
     print(f"synth: input tree -> {layout.root}", file=log)
     print(f"synth: project config -> {layout.project}", file=log)
     return 0

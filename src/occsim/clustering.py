@@ -179,7 +179,6 @@ def kmodes(
     seed: int | np.random.SeedSequence | np.random.Generator = 0,
     max_iter: int = 50,
     day_type: str = "WD",
-    use_weights: bool = True,
     distinct: np.ndarray | None = None,
 ) -> tuple[ClusterModel, np.ndarray]:
     """Weighted k-modes under matching dissimilarity.
@@ -197,8 +196,6 @@ def kmodes(
     many times.
     """
     X, w = _coerce_data(X, weights)
-    if not use_weights:
-        w = np.ones_like(w)
     n = X.shape[0]
     if k < 1:
         raise ClusterError("k must be >= 1")
@@ -319,7 +316,6 @@ def select_k(
     epsilon: float = 0.01,
     day_type: str = "WD",
     silhouette_sample: int | None = None,
-    use_weights: bool = True,
 ) -> SelectKResult:
     """Run repeated k-modes across a k range (every k >= 2) and pick k by mean silhouette.
 
@@ -359,7 +355,6 @@ def select_k(
                 k=k,
                 seed=np.random.default_rng(seq),
                 day_type=day_type,
-                use_weights=use_weights,
                 distinct=distinct,
             )
             if sil_idx is None:

@@ -361,12 +361,13 @@ def occupancy_fraction(states: np.ndarray) -> OccupancyTrace:
 def modulate_schedule(
     reference: np.ndarray, trace: OccupancyTrace, mode: str = "present"
 ) -> np.ndarray:
-    """Scale a reference schedule by occupancy, pinned to each day's minimum.
+    """Scale reference schedules by occupancy, pinned to each day's minimum.
 
     out = daily_min + (reference - daily_min) * fraction.  Full occupancy
     returns the reference exactly and zero occupancy returns the day's
-    minimum exactly (bit-for-bit).  A 96-step reference is tiled across the
-    year. `mode` picks the occupancy signal: "present" or "active".
+    minimum exactly (bit-for-bit).  `reference` is (..., n_steps), one
+    schedule per row, every row scaled by the same trace. `mode` picks the
+    occupancy signal: "present" or "active".
     """
     if mode == "present":
         frac = trace.present_fraction
@@ -376,18 +377,15 @@ def modulate_schedule(
         raise HouseholdError(f"unknown modulation mode {mode!r}")
     n_steps = frac.shape[0]
     reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape == (N_STEPS,) and n_steps != N_STEPS:
-        reference = np.tile(reference, n_steps // N_STEPS)
-    if reference.shape != (n_steps,):
+    if reference.shape[-1:] != (n_steps,):
         raise HouseholdError(f"reference length {reference.shape} does not match trace {n_steps}")
-    n_days = n_steps // N_STEPS
-    ref = reference.reshape(n_days, N_STEPS)
-    f = frac.reshape(n_days, N_STEPS)
-    dmin = ref.min(axis=1, keepdims=True)
+    ref = reference.reshape(*reference.shape[:-1], n_steps // N_STEPS, N_STEPS)
+    f = frac.reshape(n_steps // N_STEPS, N_STEPS)
+    dmin = ref.min(axis=-1, keepdims=True)
     out = dmin + (ref - dmin) * f
     out = np.where(f >= 1.0, ref, out)
-    out = np.where(f <= 0.0, np.broadcast_to(dmin, ref.shape), out)
-    return out.reshape(-1)
+    out = np.where(f <= 0.0, dmin, out)
+    return out.reshape(reference.shape)
 
 
 def apply_vacation(

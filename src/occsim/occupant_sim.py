@@ -56,15 +56,18 @@ class SimCalendar:
         if self.n_days < 1:
             raise SimulationError("n_days must be positive")
 
-    def day_type(self, day: int) -> str:
-        return "WE" if (self.start_weekday + day) % 7 >= 5 else "WD"
+    @property
+    def day_types(self) -> list[str]:
+        """The day type of each calendar day."""
+        return ["WE" if (self.start_weekday + d) % 7 >= 5 else "WD" for d in range(self.n_days)]
 
     @classmethod
     def from_name(cls, name: str, n_days: int) -> "SimCalendar":
         try:
-            return cls(WEEKDAY_NAMES.index(name.lower()), n_days)
+            start_weekday = WEEKDAY_NAMES.index(name.lower())
         except ValueError:
-            raise SimulationError(f"unknown weekday name {name!r}")
+            raise SimulationError(f"unknown weekday name {name!r}") from None
+        return cls(start_weekday, n_days)
 
 
 def _hold_steps(duration_minutes: float) -> int:
@@ -226,7 +229,7 @@ def simulate_year(
     """
     if approach not in (1, 2, 3):
         raise SimulationError(f"approach must be 1, 2, or 3, got {approach}")
-    day_types = [calendar.day_type(d) for d in range(calendar.n_days)]
+    day_types = calendar.day_types
     states = np.empty((calendar.n_days, N_STEPS), dtype=np.int8)
     failures = 0
     for day_type in dict.fromkeys(day_types):

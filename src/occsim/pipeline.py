@@ -167,10 +167,10 @@ def cluster_stage(
     base_seed: int,
     epsilon: float,
     silhouette_sample: int | None,
-    use_weights: bool,
     log=None,
 ) -> SelectKResult:
-    """Select k on one day type's sequences and write the cluster model."""
+    """Select k on one day type's sequences, by their weights, and write the
+    cluster model."""
     log = sys.stderr if log is None else log
     subset = sequences[sequences["day_type"] == day_type]
     if not len(subset):
@@ -185,7 +185,6 @@ def cluster_stage(
             epsilon=epsilon,
             day_type=day_type,
             silhouette_sample=silhouette_sample,
-            use_weights=use_weights,
         )
     except ValueError as exc:  # ClusterError included
         raise StageError("cluster", f"{day_type}: {exc}") from exc
@@ -233,7 +232,7 @@ def train_stage(
 
 def _occupant_day_rows(results, calendar: SimCalendar) -> np.ndarray:
     """One SEQUENCE row per occupant-day, by household, occupant, then day."""
-    day_types = [calendar.day_type(d) for d in range(calendar.n_days)]
+    day_types = calendar.day_types
     ids = [f"h{res.index}o{o}" for res in results for o in range(res.n_occupants) for _ in day_types]
     states = [np.empty((0, N_STEPS), np.int8)] + [res.states.reshape(-1, N_STEPS) for res in results]
     return sequence_table(ids, day_types * (len(ids) // calendar.n_days), 1.0, np.concatenate(states))
@@ -241,7 +240,7 @@ def _occupant_day_rows(results, calendar: SimCalendar) -> np.ndarray:
 
 def load_simulation_inputs(
     bundle_dir: Path, reference_dir: Path, household_conf: Path, n_days: int, start_weekday: str
-) -> tuple[dict, dict, HouseholdConfig, SimCalendar]:
+) -> tuple[dict, np.ndarray, HouseholdConfig, SimCalendar]:
     """The bundle, reference schedules, household config and calendar that
     simulate reads; bad input, a vacation past the calendar included, is a
     StageError of simulate."""
@@ -275,6 +274,8 @@ def simulate_stage(
 ) -> None:
     """Generate household schedules and the occupant-day table."""
     log = sys.stderr if log is None else log
+    if n_households < 1:
+        raise StageError("simulate", f"n_households must be positive, got {n_households}")
     try:
         models = load_model_dir(tpms_dir)
     except (OSError, ValueError) as exc:
@@ -359,10 +360,14 @@ def run_pipeline(cfg: ProjectConfig, log=None) -> int:
     marker.touch()
     load_simulation_inputs(cfg.bundle, cfg.reference, cfg.household, cfg.n_days, cfg.start_weekday)
     sequences = ingest_stage(cfg.diaries, cfg.code_map, cfg.out / "sequences.csv", log=log)
+    clustered = sequences
+    if cfg.unweighted_clustering:  # train still uses the respondent weights
+        clustered = sequences.copy()
+        clustered["weight"] = 1.0
     cluster_models: dict[str, ClusterModel] = {}
     for day_type in DAY_TYPES:
         result = cluster_stage(
-            sequences,
+            clustered,
             day_type,
             cfg.out / f"model.{day_type.lower()}.clusters",
             k_range=cfg.k_range,
@@ -370,7 +375,6 @@ def run_pipeline(cfg: ProjectConfig, log=None) -> int:
             base_seed=seed,
             epsilon=cfg.epsilon,
             silhouette_sample=cfg.silhouette_sample,
-            use_weights=not cfg.unweighted_clustering,
             log=log,
         )
         cluster_models[day_type] = result.model

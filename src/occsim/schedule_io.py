@@ -1,21 +1,24 @@
 """Normalized schedule assembly and serialization.
 
-Events are rasterized onto the 15-minute grid by proportional minute
-overlap (each step accumulates overlap-minutes times event magnitude), so
-channel totals equal the event sums exactly up to rounding.  Channels are
-then normalized by their own annual maximum; the occupants column is a
-fraction already and passes through unchanged.
+A household-year is one float64 matrix with a row per SCHEDULE_COLUMNS
+entry and a column per 15-minute step.  Events are rasterized onto the grid
+by proportional minute overlap (each step accumulates overlap-minutes times
+event magnitude), so channel totals equal the event sums exactly up to
+rounding.  Rows are then normalized by their own annual maximum; the
+occupants row is a fraction already and passes through unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .conf import read_step_values
-from .diary_ingest import N_STEPS
+from .diary_ingest import DAY_TYPES, N_STEPS
 from .distributions import EmpiricalDistribution
 from .household import EVENT_COLUMNS, HouseholdResult, modulate_schedule
 from .occupant_sim import SimCalendar
@@ -53,27 +56,34 @@ class ScheduleError(ValueError):
 
 @dataclass
 class HouseholdScheduleYear:
-    """Normalized year of 15-minute schedule values, one array per column."""
+    """Normalized year of 15-minute schedule values: `values` has one row per
+    SCHEDULE_COLUMNS entry, in that order, and one column per step; `peaks`
+    maps every column but occupants to the maximum it was divided by."""
 
-    n_days: int
-    columns: dict[str, np.ndarray]
+    values: np.ndarray
     peaks: dict[str, float]
 
     def __post_init__(self) -> None:
-        n_steps = self.n_days * N_STEPS
-        missing = [c for c in SCHEDULE_COLUMNS if c not in self.columns]
-        if missing:
-            raise ScheduleError(f"missing columns: {missing}")
-        for name, col in self.columns.items():
-            if np.asarray(col).shape != (n_steps,):
-                raise ScheduleError(f"column {name} must have {n_steps} steps")
+        self.values = np.asarray(self.values, dtype=np.float64)
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != len(SCHEDULE_COLUMNS) or shape[1] % N_STEPS or not shape[1]:
+            raise ScheduleError(f"schedule needs {len(SCHEDULE_COLUMNS)} columns over whole days, got {shape}")
+
+    @property
+    def n_days(self) -> int:
+        return self.values.shape[1] // N_STEPS
+
+    @property
+    def columns(self) -> MappingProxyType:
+        """Read-only {column name: row of `values`} view."""
+        return MappingProxyType(dict(zip(SCHEDULE_COLUMNS, self.values)))
 
 
 def rasterize_events(
     appliance_events: np.ndarray, water_events: np.ndarray, n_days: int
-) -> dict[str, np.ndarray]:
-    """Rasterize EVENT rows to raw per-step series (magnitude-minutes), one
-    per event column.
+) -> np.ndarray:
+    """Rasterize EVENT rows to raw per-step series (magnitude-minutes): an
+    (len(EVENT_COLUMNS), n_days * 96) array, one row per event column.
 
     A row covers [start, start + duration) clipped to the horizon, and each
     step it touches gains overlap-minutes times magnitude.  `bincount` adds
@@ -92,40 +102,34 @@ def rasterize_events(
     overlap = np.minimum(end[row], (step + 1) * 15.0) - np.maximum(start[row], step * 15.0)
     cells = events["column"][row].astype(np.int64) * n_steps + step
     raw = np.bincount(cells, overlap * events["magnitude"][row], minlength=len(EVENT_COLUMNS) * n_steps)
-    return dict(zip(EVENT_COLUMNS, raw.reshape(len(EVENT_COLUMNS), n_steps)))
-
-
-def normalize_columns(raw: dict[str, np.ndarray], n_days: int) -> HouseholdScheduleYear:
-    """Scale every channel except occupants by its annual maximum.
-
-    All-zero channels stay zero and record a zero peak.
-    """
-    columns: dict[str, np.ndarray] = {}
-    peaks: dict[str, float] = {}
-    for name in SCHEDULE_COLUMNS:
-        col = np.asarray(raw[name], dtype=np.float64)
-        if name == "occupants":
-            columns[name] = col.copy()
-            continue
-        peak = float(col.max()) if col.size else 0.0
-        peaks[name] = peak
-        columns[name] = col / peak if peak > 0 else col.copy()
-    return HouseholdScheduleYear(n_days, columns, peaks)
+    return raw.reshape(len(EVENT_COLUMNS), n_steps)
 
 
 def assemble_schedule(
     result: HouseholdResult,
-    reference: dict[tuple[str, str], np.ndarray],
+    reference: np.ndarray,
     calendar: SimCalendar,
     modulation: str = "present",
 ) -> HouseholdScheduleYear:
-    """Combine rasterized events, modulated end uses, and the occupancy trace."""
-    raw = rasterize_events(result.appliance_events, result.water_events, calendar.n_days)
-    raw["occupants"] = result.trace.present_fraction
-    for use in MODULATED_END_USES:
-        ref_year = build_reference_year(reference, use, calendar)
-        raw[use] = modulate_schedule(ref_year, result.trace, modulation)
-    return normalize_columns(raw, calendar.n_days)
+    """The occupancy trace, the modulated end uses and the rasterized events
+    as one schedule, every row but occupants divided by its annual maximum
+    when that is positive.
+
+    `reference` is the `load_reference_dir` array; each day takes its day
+    type's reference day.
+    """
+    n_uses, n_steps = len(MODULATED_END_USES), calendar.n_days * N_STEPS
+    days = [DAY_TYPES.index(day_type) for day_type in calendar.day_types]
+    values = np.empty((len(SCHEDULE_COLUMNS), n_steps))
+    values[0] = result.trace.present_fraction
+    values[1 : 1 + n_uses] = modulate_schedule(
+        reference[:, days].reshape(n_uses, n_steps), result.trace, modulation
+    )
+    values[1 + n_uses :] = rasterize_events(result.appliance_events, result.water_events, calendar.n_days)
+    rows = values[1:]
+    peaks = rows.max(axis=1)
+    rows /= np.where(peaks > 0, peaks, 1.0)[:, None]  # x / 1.0 is x, bit for bit
+    return HouseholdScheduleYear(values, dict(zip(SCHEDULE_COLUMNS[1:], peaks.tolist())))
 
 
 _ROW_TEMPLATE = ",".join(["%.6f"] * len(SCHEDULE_COLUMNS))
@@ -162,8 +166,7 @@ def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> No
     lines = [f"# peak,{name},{schedule.peaks[name]:.9g}" for name in SCHEDULE_COLUMNS if name != "occupants"]
     lines.append(",".join(SCHEDULE_COLUMNS))
     head = ("\n".join(lines) + "\n").encode()
-    data = np.column_stack([schedule.columns[name] for name in SCHEDULE_COLUMNS])
-    data = data.astype(np.float64, copy=False)
+    data = np.ascontiguousarray(schedule.values.T)
     # Negative, >1, -0.0 and non-finite values change the printed width.
     if np.all((data >= 0.0) & (data <= 1.0) & ~np.signbit(data)):
         body = _format_unit_rows(data)
@@ -173,41 +176,44 @@ def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> No
 
 
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
+    """Read a `write_schedule_file` file; malformed input is a ScheduleError
+    naming the file."""
     path = Path(path)
     peaks: dict[str, float] = {}
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            _, name, value = line[1:].strip().split(",")
-            peaks[name] = float(value)
-            continue
-        if header is None:
-            header = line.split(",")
-            if tuple(header) != SCHEDULE_COLUMNS:
-                raise ScheduleError(f"{path}: unexpected column header")
-            continue
-        rows.append([float(x) for x in line.split(",")])
-    if header is None or not rows:
-        raise ScheduleError(f"{path}: no schedule data")
-    data = np.array(rows)
-    if data.shape[0] % N_STEPS != 0:
-        raise ScheduleError(f"{path}: row count {data.shape[0]} is not a whole number of days")
-    columns = {name: data[:, i] for i, name in enumerate(SCHEDULE_COLUMNS)}
-    return HouseholdScheduleYear(data.shape[0] // N_STEPS, columns, peaks)
+    with path.open() as fh:
+        header = None
+        for line in fh:
+            if line.startswith("#"):
+                try:
+                    _, name, value = line[1:].strip().split(",")
+                    peaks[name] = float(value)
+                except ValueError:
+                    raise ScheduleError(f"{path}: bad peak line {line.strip()!r}") from None
+            elif line.strip():
+                header = line.strip().split(",")
+                break
+        if header != list(SCHEDULE_COLUMNS):
+            raise ScheduleError(f"{path}: missing or unexpected column header")
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ScheduleError(f"{path}: no schedule data")
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
+            return HouseholdScheduleYear(data.T, peaks)
+        except ValueError as exc:  # ScheduleError included
+            raise ScheduleError(f"{path}: {exc}") from None
 
 
 # -- reference schedules and distribution bundles ---------------------------
 
 
-def load_reference_dir(directory: str | Path) -> dict[tuple[str, str], np.ndarray]:
-    """Load `<end_use>.<wd|we>.ref` files for every modulated end use."""
+def load_reference_dir(directory: str | Path) -> np.ndarray:
+    """Load `<end_use>.<wd|we>.ref` files for every modulated end use: a
+    (len(MODULATED_END_USES), len(DAY_TYPES), 96) array."""
     directory = Path(directory)
-    out: dict[tuple[str, str], np.ndarray] = {}
-    for use in MODULATED_END_USES:
-        for day_type in ("WD", "WE"):
+    out = np.empty((len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS))
+    for u, use in enumerate(MODULATED_END_USES):
+        for d, day_type in enumerate(DAY_TYPES):
             path = directory / f"{use}.{day_type.lower()}.ref"
             if not path.exists():
                 raise ScheduleError(f"missing reference schedule: {path}")
@@ -217,16 +223,8 @@ def load_reference_dir(directory: str | Path) -> dict[tuple[str, str], np.ndarra
                 raise ScheduleError(str(exc)) from None
             if not np.any(values != 0):
                 raise ScheduleError(f"{path}: reference schedule is all zero")
-            out[(use, day_type)] = values
+            out[u, d] = values
     return out
-
-
-def build_reference_year(
-    reference: dict[tuple[str, str], np.ndarray], use: str, calendar: SimCalendar
-) -> np.ndarray:
-    """Tile per-day-type reference days across the calendar."""
-    days = [reference[(use, calendar.day_type(d))] for d in range(calendar.n_days)]
-    return np.concatenate(days)
 
 
 def load_bundle(directory: str | Path) -> dict[str, EmpiricalDistribution]:

@@ -340,7 +340,7 @@ def test_criterion_09_conservation():
         appliance_events = np.array(appliance_events, dtype=EVENT)
         water_events = np.array(water_events, dtype=EVENT)
         raw = rasterize_events(appliance_events, water_events, n_days)
-        for name, series in raw.items():
+        for name, series in zip(EVENT_COLUMNS, raw):
             want = expected.get(name, 0.0)
             got = float(series.sum())
             if want == 0.0:
@@ -362,7 +362,8 @@ def test_criterion_10_heterogeneity_control():
     for h in range(100):
         res = build_household(h, models, bundle, config, cal, base_seed=424)
         no_water = np.zeros(0, dtype=EVENT)
-        series.append(rasterize_events(res.appliance_events, no_water, cal.n_days)["cooking_range"])
+        raw = rasterize_events(res.appliance_events, no_water, cal.n_days)
+        series.append(raw[EVENT_COLUMNS.index("cooking_range")])
     series = np.stack(series)
 
     def pmr(x):

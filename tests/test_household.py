@@ -257,12 +257,18 @@ def test_modulate_midpoint_formula():
     assert np.allclose(out, 1.0 + (ref - 1.0) * 0.5)
 
 
-def test_modulate_tiles_96_step_reference():
-    ref = np.linspace(1.0, 2.0, N_STEPS)
-    frac = np.concatenate([np.ones(N_STEPS), np.zeros(N_STEPS)])
-    out = modulate_schedule(ref, _const_trace(frac))
-    assert np.array_equal(out[:N_STEPS], ref)
-    assert np.all(out[N_STEPS:] == ref.min())
+def test_modulate_scales_every_row_by_one_trace():
+    rng = np.random.default_rng(6)
+    ref = rng.uniform(0.1, 2.0, (3, 2 * N_STEPS))
+    frac = np.concatenate([np.ones(N_STEPS // 2), rng.uniform(0, 1, N_STEPS), np.zeros(N_STEPS // 2)])
+    trace = _const_trace(frac)
+    out = modulate_schedule(ref, trace)
+    assert out.shape == ref.shape
+    for row, ref_row in zip(out, ref):
+        assert row.tobytes() == modulate_schedule(ref_row, trace).tobytes()
+    # a one-day reference is not tiled across a longer trace
+    with pytest.raises(HouseholdError, match="does not match"):
+        modulate_schedule(ref[0, :N_STEPS], trace)
 
 
 def test_modulate_daily_minimum_is_per_day():

@@ -428,16 +428,17 @@ def test_approach1_requires_home_window():
 
 def test_calendar_day_types():
     cal = SimCalendar(0, 14)
-    assert [cal.day_type(d) for d in range(7)] == ["WD"] * 5 + ["WE"] * 2
-    sat = SimCalendar.from_name("Saturday", 7)
-    assert sat.day_type(0) == "WE" and sat.day_type(1) == "WE" and sat.day_type(2) == "WD"
+    assert cal.day_types == (["WD"] * 5 + ["WE"] * 2) * 2
+    assert SimCalendar.from_name("Saturday", 3).day_types == ["WE", "WE", "WD"]
     assert SimCalendar.from_name("friday", 3).start_weekday == 4
     with pytest.raises(SimulationError, match="unknown weekday"):
         SimCalendar.from_name("someday", 3)
     with pytest.raises(SimulationError, match="0..6"):
         SimCalendar(7, 3)
-    with pytest.raises(SimulationError, match="positive"):
+    with pytest.raises(SimulationError, match="n_days must be positive"):
         SimCalendar(0, 0)
+    with pytest.raises(SimulationError, match="n_days must be positive"):
+        SimCalendar.from_name("monday", 0)
 
 
 def _tiny_models():
@@ -458,7 +459,7 @@ def test_simulate_year_day_streams_are_stable():
     days5, _ = simulate_year(profile, models, cal5, root)
     days3, _ = simulate_year(profile, models, SimCalendar(4, 3), root)
     assert np.array_equal(days3, days5[:3])
-    assert [cal5.day_type(d) for d in range(5)] == ["WD", "WE", "WE", "WD", "WD"]
+    assert cal5.day_types == ["WD", "WE", "WE", "WD", "WD"]
     repeat, _ = simulate_year(profile, models, cal5, root)
     assert np.array_equal(days5, repeat)
 
@@ -472,7 +473,7 @@ def test_simulate_year_day_is_a_one_row_call(approach):
     days, failures = simulate_year(profile, models, calendar, root, approach)
     total = 0
     for d, day in enumerate(days):
-        day_type = calendar.day_type(d)
+        day_type = calendar.day_types[d]
         model = models[day_type][1 if day_type == "WD" else 2]
         rng = streams.generator(streams.child(root, d))
         if approach == 1:

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from occsim.cli import main
-from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences
+from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences, write_sequences
 from occsim.pipeline import ProjectConfig, StageError, run_pipeline
 from occsim.schedule_io import read_schedule_file
 from occsim.synth import write_input_tree
@@ -377,7 +377,7 @@ def test_simulate_rejects_bad_model_file(synth_tree, pipeline_run, tmp_path, cap
     assert not list((tmp_path / "out").glob("household_*.csv"))
 
 
-def _simulate(synth_tree, tpms, reference, out):
+def _simulate(synth_tree, tpms, reference, out, *options):
     return main(
         [
             "simulate",
@@ -395,8 +395,19 @@ def _simulate(synth_tree, tpms, reference, out):
             "2",
             "--seed",
             "3",
+            *options,
         ]
     )
+
+
+@pytest.mark.parametrize(
+    "option, message", [("--days", "n_days must be positive"), ("--households", "n_households must be positive")]
+)
+def test_simulate_rejects_zero_days_or_households(synth_tree, pipeline_run, tmp_path, capsys, option, message):
+    out = tmp_path / "out"
+    assert _simulate(synth_tree, pipeline_run / "tpms", synth_tree / "reference", out, option, "0") == 6
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Per kind: the corrupted file, the 0-based index of the line replaced and
@@ -651,3 +662,35 @@ def test_run_is_deterministic(synth_tree, pipeline_run, tmp_path):
     for rel in ["sequences.csv", "model.wd.clusters", "household_0.csv", "household_1.csv",
                 "occupant_days.csv", "validation_report.wd.csv", "validation_report.we.csv"]:
         assert (tree2 / "out" / rel).read_bytes() == (pipeline_run / rel).read_bytes(), rel
+
+
+def test_cluster_unweighted_clusters_unit_weights(pipeline_run, tmp_path):
+    unit = read_sequences(pipeline_run / "sequences.csv")
+    unit["weight"] = 1.0
+    write_sequences(tmp_path / "unit.csv", unit)
+    options = ["--k-range", "4:4", "--repeats", "2", "--seed", "5"]
+    for name, source, extra in [
+        ("weighted", pipeline_run / "sequences.csv", []),
+        ("unweighted", pipeline_run / "sequences.csv", ["--unweighted"]),
+        ("unit", tmp_path / "unit.csv", []),
+    ]:
+        assert main(["cluster", "--input", str(source), "--out", str(tmp_path / name), *options, *extra]) == 0
+    for day_type in ("wd", "we"):
+        model = f"model.{day_type}.clusters"
+        unweighted = (tmp_path / "unweighted" / model).read_bytes()
+        assert unweighted == (tmp_path / "unit" / model).read_bytes()
+        assert unweighted != (tmp_path / "weighted" / model).read_bytes()
+
+
+def test_synth_leaves_unset_options_to_write_input_tree(tmp_path, monkeypatch):
+    calls = []
+
+    def record(out_dir, **options):
+        calls.append(options)
+        return write_input_tree(out_dir, n_per_day_type=20, n_households=1, n_days=1)
+
+    monkeypatch.setattr("occsim.synth.write_input_tree", record)
+    assert main(["synth", "--out", str(tmp_path / "a")]) == 0
+    argv = ["synth", "--out", str(tmp_path / "b"), "--diaries-per-day-type", "7", "--seed", "8"]
+    assert main(argv + ["--households", "2", "--days", "3"]) == 0
+    assert calls == [{}, {"n_per_day_type": 7, "base_seed": 8, "n_households": 2, "n_days": 3}]

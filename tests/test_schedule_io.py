@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from occsim.conf import read_step_values, write_step_values
-from occsim.diary_ingest import N_STEPS
+from occsim.diary_ingest import DAY_TYPES, N_STEPS
 from occsim.household import EVENT, EVENT_COLUMNS, OccupancyTrace, HouseholdResult
 from occsim.occupant_sim import SimCalendar
 from occsim.schedule_io import (
@@ -15,10 +15,8 @@ from occsim.schedule_io import (
     HouseholdScheduleYear,
     ScheduleError,
     assemble_schedule,
-    build_reference_year,
     load_bundle,
     load_reference_dir,
-    normalize_columns,
     rasterize_events,
     read_schedule_file,
     write_bundle,
@@ -61,7 +59,7 @@ def _reference_rasterize(appliance_events, water_events, n_days):
 def _one_row(start, duration, magnitude):
     """One day's cooking_range series from a single event row."""
     raw = rasterize_events(_events((C("cooking_range"), start, duration, magnitude)), NO_EVENTS, 1)
-    return raw["cooking_range"]
+    return raw[C("cooking_range")]
 
 
 def test_accumulate_proportional_overlap():
@@ -104,8 +102,8 @@ def test_accumulate_conserves_event_mass():
         rows.append((C("cooking_range"), start, dur, mag))
         total += dur * mag
     raw = rasterize_events(_events(*rows), NO_EVENTS, 2)
-    assert raw["cooking_range"].sum() == pytest.approx(total)
-    assert sum(raw[name].sum() for name in EVENT_COLUMNS if name != "cooking_range") == 0.0
+    assert raw[C("cooking_range")].sum() == pytest.approx(total)
+    assert np.delete(raw, C("cooking_range"), axis=0).sum() == 0.0
 
 
 def test_rasterize_events_routes_channels():
@@ -120,14 +118,14 @@ def test_rasterize_events_routes_channels():
         (C("sinks"), 600.0, 2.0, 3.0),
     )
     raw = rasterize_events(appl, water, 1)
-    assert raw["cooking_range"].sum() == pytest.approx(30.0)
-    assert raw["dishwasher_power"].sum() == pytest.approx(22.5)
-    assert raw["dishwasher_water"].sum() == pytest.approx(20.0)
-    assert raw["clothes_dryer_power"][8] == pytest.approx(15.0)
-    assert raw["showers"][40] == pytest.approx(80.0)
-    assert raw["sinks"][40] == pytest.approx(6.0)
-    assert raw["baths"].sum() == 0.0
-    assert tuple(raw) == EVENT_COLUMNS
+    assert raw.shape == (len(EVENT_COLUMNS), N_STEPS)
+    assert raw[C("cooking_range")].sum() == pytest.approx(30.0)
+    assert raw[C("dishwasher_power")].sum() == pytest.approx(22.5)
+    assert raw[C("dishwasher_water")].sum() == pytest.approx(20.0)
+    assert raw[C("clothes_dryer_power")][8] == pytest.approx(15.0)
+    assert raw[C("showers")][40] == pytest.approx(80.0)
+    assert raw[C("sinks")][40] == pytest.approx(6.0)
+    assert raw[C("baths")].sum() == 0.0
 
 
 _HORIZON_STEPS = 2 * N_STEPS
@@ -155,23 +153,25 @@ def test_rasterize_matches_reference_loop_property(appliance, water, n_days):
     appl, wat = _events(*appliance), _events(*water)
     got = rasterize_events(appl, wat, n_days)
     want = _reference_rasterize(appl, wat, n_days)
-    assert tuple(got) == EVENT_COLUMNS
+    assert got.shape == (len(EVENT_COLUMNS), n_days * N_STEPS)
     for name in EVENT_COLUMNS:
-        assert got[name].tobytes() == want[name].tobytes(), name
+        assert got[C(name)].tobytes() == want[name].tobytes(), name
 
 
-def _full_raw(n_days=1):
-    n = n_days * N_STEPS
-    raw = {name: np.zeros(n) for name in SCHEDULE_COLUMNS}
-    raw["occupants"] = np.full(n, 0.5)
-    raw["cooking_range"][3] = 12.0
-    raw["cooking_range"][10] = 6.0
-    raw["lighting"] = np.linspace(1, 2, n)
-    return raw
+def _day_result(present, appliance_events=NO_EVENTS, water_events=NO_EVENTS):
+    """A one-occupant HouseholdResult over `present`, whole days of steps."""
+    present = np.asarray(present, dtype=np.float64)
+    trace = OccupancyTrace(present, present > 0, present.copy())
+    states = np.zeros((1, present.size), dtype=np.int8)
+    return HouseholdResult(0, 1, [], states, trace, appliance_events, water_events)
 
 
-def test_normalize_columns_peaks():
-    sched = normalize_columns(_full_raw(), 1)
+def test_assemble_schedule_normalizes_rows():
+    ref = np.broadcast_to(np.linspace(1, 2, N_STEPS), (len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS))
+    cooking = _events((C("cooking_range"), 45.0, 15.0, 0.8), (C("cooking_range"), 150.0, 15.0, 0.4))
+    sched = assemble_schedule(_day_result(np.full(N_STEPS, 0.5), cooking), ref, SimCalendar(0, 1))
+    assert sched.values.shape == (len(SCHEDULE_COLUMNS), N_STEPS)
+    assert sched.n_days == 1
     assert sched.peaks["cooking_range"] == 12.0
     assert sched.columns["cooking_range"][3] == 1.0
     assert sched.columns["cooking_range"][10] == 0.5
@@ -182,24 +182,26 @@ def test_normalize_columns_peaks():
     assert sched.peaks["baths"] == 0.0
     assert np.all(sched.columns["baths"] == 0.0)
     assert sched.columns["lighting"].max() == 1.0
+    assert list(sched.columns) == list(SCHEDULE_COLUMNS)
+    for i, row in enumerate(sched.columns.values()):
+        assert np.shares_memory(row, sched.values) and np.array_equal(row, sched.values[i])
+    with pytest.raises(TypeError):
+        sched.columns["sinks"] = np.zeros(N_STEPS)
 
 
 def test_schedule_year_validation():
-    raw = _full_raw()
-    del raw["sinks"]
-    with pytest.raises(ScheduleError, match="missing columns"):
-        HouseholdScheduleYear(1, raw, {})
-    raw2 = _full_raw()
-    raw2["sinks"] = np.zeros(10)
-    with pytest.raises(ScheduleError, match="96 steps"):
-        HouseholdScheduleYear(1, raw2, {})
+    n = len(SCHEDULE_COLUMNS)
+    for shape in [(n - 1, N_STEPS), (n, 10), (n, 0), (N_STEPS,), (n, N_STEPS, 1)]:
+        with pytest.raises(ScheduleError, match="over whole days"):
+            HouseholdScheduleYear(np.zeros(shape), {})
 
 
 def test_schedule_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    raw = {name: rng.uniform(0, 5, 2 * N_STEPS) for name in SCHEDULE_COLUMNS}
-    raw["occupants"] = rng.uniform(0, 1, 2 * N_STEPS)
-    sched = normalize_columns(raw, 2)
+    sched = HouseholdScheduleYear(
+        rng.uniform(0, 1, (len(SCHEDULE_COLUMNS), 2 * N_STEPS)),
+        {name: float(rng.uniform(0, 5)) for name in SCHEDULE_COLUMNS[1:]},
+    )
     path = tmp_path / "h0.schedule.csv"
     write_schedule_file(path, sched)
     text = path.read_text()
@@ -209,8 +211,7 @@ def test_schedule_file_round_trip(tmp_path):
     assert len(lines) - n_comments == 1 + 2 * N_STEPS  # header + rows
     back = read_schedule_file(path)
     assert back.n_days == 2
-    for name in SCHEDULE_COLUMNS:
-        assert np.abs(back.columns[name] - sched.columns[name]).max() <= 5e-7
+    assert np.abs(back.values - sched.values).max() <= 5e-7
     for name, peak in sched.peaks.items():
         assert back.peaks[name] == pytest.approx(peak, rel=1e-8)
 
@@ -219,8 +220,7 @@ def _reference_schedule_bytes(schedule):
     """The per-value formatter that `write_schedule_file` must match byte for byte."""
     lines = [f"# peak,{name},{schedule.peaks[name]:.9g}" for name in SCHEDULE_COLUMNS if name != "occupants"]
     lines.append(",".join(SCHEDULE_COLUMNS))
-    data = np.column_stack([schedule.columns[name] for name in SCHEDULE_COLUMNS])
-    for row in data:
+    for row in schedule.values.T:
         lines.append(",".join(f"{v:.6f}" for v in row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -228,8 +228,7 @@ def _reference_schedule_bytes(schedule):
 def _schedule_cycling(values):
     """A one-day schedule whose cells cycle through `values`, row by row."""
     data = np.resize(np.asarray(values, dtype=np.float64), (N_STEPS, len(SCHEDULE_COLUMNS)))
-    columns = {name: data[:, i].copy() for i, name in enumerate(SCHEDULE_COLUMNS)}
-    return HouseholdScheduleYear(1, columns, {name: 0.75 for name in SCHEDULE_COLUMNS[1:]})
+    return HouseholdScheduleYear(data.T, {name: 0.75 for name in SCHEDULE_COLUMNS[1:]})
 
 
 def _assert_writes_reference_bytes(directory, schedule):
@@ -266,6 +265,22 @@ def test_schedule_writer_matches_per_value_format_property(tmp_path_factory, uni
     _assert_writes_reference_bytes(tmp_path_factory.mktemp("w"), _schedule_cycling(unit + anywhere))
 
 
+def _written_schedule(directory, values=(0.25, 0.5, 1.0, 0.0, 0.1234565)):
+    path = directory / "h.csv"
+    write_schedule_file(path, _schedule_cycling(values))
+    return path
+
+
+def test_read_schedule_cells_equal_float_of_each_token(tmp_path):
+    rng = np.random.default_rng(5)
+    path = _written_schedule(tmp_path, rng.uniform(0, 1, 400))
+    rows = [line.split(",") for line in path.read_text().splitlines()[len(SCHEDULE_COLUMNS) :]]
+    want = np.array([[float(token) for token in row] for row in rows])
+    got = read_schedule_file(path).values
+    assert got.shape == (len(SCHEDULE_COLUMNS), N_STEPS)
+    assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
+
+
 def test_read_schedule_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -274,13 +289,40 @@ def test_read_schedule_rejects_bad_header(tmp_path):
 
 
 def test_read_schedule_rejects_partial_day(tmp_path):
-    raw = _full_raw()
-    sched = normalize_columns(raw, 1)
-    path = tmp_path / "h.csv"
-    write_schedule_file(path, sched)
+    path = _written_schedule(tmp_path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ScheduleError, match="whole number of days"):
+    with pytest.raises(ScheduleError, match="h.csv: .*over whole days"):
+        read_schedule_file(path)
+
+
+def _replace_line(text, index, make):
+    lines = text.splitlines()
+    lines[index] = make(lines[index])
+    return "\n".join(lines) + "\n"
+
+
+HEAD = len(SCHEDULE_COLUMNS)  # peak comments plus the header
+BAD_SCHEDULE_FILES = {
+    "ragged_row": (lambda t: _replace_line(t, HEAD + 5, lambda l: l.rsplit(",", 1)[0]), "number of columns"),
+    "non_number": (lambda t: _replace_line(t, HEAD + 7, lambda l: "abc" + l[8:]), "string 'abc'"),
+    "peak_two_fields": (lambda t: _replace_line(t, 2, lambda l: l.rsplit(",", 1)[0]), "bad peak line"),
+    "peak_non_number": (lambda t: _replace_line(t, 0, lambda l: l + "x"), "bad peak line"),
+    "twelve_columns": (
+        lambda t: "\n".join(l.rsplit(",", 1)[0] if i >= HEAD else l for i, l in enumerate(t.splitlines())),
+        f"needs {len(SCHEDULE_COLUMNS)} columns",
+    ),
+    "no_rows": (lambda t: "\n".join(t.splitlines()[:HEAD]) + "\n\n", "no schedule data"),
+    "empty": (lambda t: "", "missing or unexpected column header"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCHEDULE_FILES)
+def test_read_schedule_rejects_bad_file_naming_it(tmp_path, case):
+    corrupt, message = BAD_SCHEDULE_FILES[case]
+    path = _written_schedule(tmp_path)
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(ScheduleError, match=f"h.csv: .*{message}"):
         read_schedule_file(path)
 
 
@@ -352,21 +394,28 @@ def test_step_values_skip_blank_lines_and_take_any_order(tmp_path):
 
 def test_load_reference_dir_names_missing_file(tmp_path):
     ref = load_reference_dir(_reference_dir(tmp_path))
-    assert set(ref) == {(u, dt) for u in MODULATED_END_USES for dt in ("WD", "WE")}
+    assert ref.shape == (len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS)
+    for u, use in enumerate(MODULATED_END_USES):
+        for d, dt in enumerate(DAY_TYPES):
+            assert np.abs(ref[u, d] - default_reference(use, dt)).max() <= 1e-12
     (tmp_path / "plug_loads.we.ref").unlink()
     with pytest.raises(ScheduleError, match="plug_loads.we.ref"):
         load_reference_dir(tmp_path)
 
 
-def test_build_reference_year_tiles_by_day_type():
-    wd = np.full(N_STEPS, 1.0)
-    we = np.full(N_STEPS, 2.0)
-    ref = {("lighting", "WD"): wd, ("lighting", "WE"): we}
+def test_assemble_schedule_takes_reference_by_day_type():
+    # each (use, day type) reference is a constant; WE doubles WD
+    ref = np.ones((len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS))
+    ref *= np.arange(1, len(MODULATED_END_USES) + 1)[:, None, None]
+    ref[:, DAY_TYPES.index("WE")] *= 2
     cal = SimCalendar(4, 4)  # friday start: WD WE WE WD
-    year = build_reference_year(ref, "lighting", cal)
-    assert np.all(year[:N_STEPS] == 1.0)
-    assert np.all(year[N_STEPS : 3 * N_STEPS] == 2.0)
-    assert np.all(year[3 * N_STEPS :] == 1.0)
+    sched = assemble_schedule(_day_result(np.ones(4 * N_STEPS)), ref, cal)
+    for u, use in enumerate(MODULATED_END_USES):
+        assert sched.peaks[use] == 2.0 * (u + 1)
+        row = sched.columns[use]
+        assert np.all(row[:N_STEPS] == 0.5)
+        assert np.all(row[N_STEPS : 3 * N_STEPS] == 1.0)
+        assert np.all(row[3 * N_STEPS :] == 0.5)
 
 
 def test_bundle_round_trip_and_missing(tmp_path):
@@ -387,27 +436,26 @@ def test_bundle_round_trip_and_missing(tmp_path):
 
 def _two_day_result():
     """One occupant at home on day 0 and away on day 1, with two events."""
-    n = 2 * N_STEPS
-    present = np.ones(n)
+    present = np.ones(2 * N_STEPS)
     present[N_STEPS:] = 0.0  # day 1 empty
-    trace = OccupancyTrace(present, present > 0, present.copy())
     appl = _events((C("cooking_range"), 30.0, 30.0, 1.0))
     water = _events((C("showers"), 600.0, 10.0, 8.0))
-    return HouseholdResult(0, 1, [], np.zeros((1, n), dtype=np.int8), trace, appl, water)
+    return _day_result(present, appl, water)
+
+
+def _default_reference_array():
+    return np.array([[default_reference(use, dt) for dt in DAY_TYPES] for use in MODULATED_END_USES])
 
 
 def test_assemble_schedule_end_to_end():
     cal = SimCalendar(0, 2)
     result = _two_day_result()
     present = result.trace.present_fraction
-    ref = {
-        (use, dt): default_reference(use, dt) for use in MODULATED_END_USES for dt in ("WD", "WE")
-    }
+    ref = _default_reference_array()
     sched = assemble_schedule(result, ref, cal)
     assert np.array_equal(sched.columns["occupants"], present)
     # day 0 lighting follows the weekday reference normalized by its own max
-    wd = ref[("lighting", "WD")]
-    year = np.concatenate([wd, ref[("lighting", "WD")]])
+    wd = ref[MODULATED_END_USES.index("lighting"), DAY_TYPES.index("WD")]
     peak = sched.peaks["lighting"]
     assert np.allclose(sched.columns["lighting"][:N_STEPS], wd / peak)
     # empty day pins lighting at the daily minimum
@@ -418,9 +466,6 @@ def test_assemble_schedule_end_to_end():
 
 def test_schedule_writer_negative_reference_matches_per_value_format(tmp_path):
     """A negative reference has a peak <= 0, so its column is written unscaled."""
-    ref = {
-        (use, dt): -default_reference(use, dt) for use in MODULATED_END_USES for dt in ("WD", "WE")
-    }
-    sched = assemble_schedule(_two_day_result(), ref, SimCalendar(0, 2))
+    sched = assemble_schedule(_two_day_result(), -_default_reference_array(), SimCalendar(0, 2))
     assert sched.peaks["lighting"] < 0 and sched.columns["lighting"].max() < 0
     _assert_writes_reference_bytes(tmp_path, sched)
