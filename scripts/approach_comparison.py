@@ -23,6 +23,7 @@ from occsim import streams
 from occsim.diary_ingest import N_STEPS, STATE_TOKENS
 from occsim.markov_train import estimate_all_statistics, train_cluster_day_model
 from occsim.occupant_sim import days_to_sequences, place_events, walk_days
+from occsim.pipeline import Settings
 from occsim.synth import build_truth_model
 from occsim.validate import compare_behavior
 
@@ -58,7 +59,10 @@ def main(argv=None):
     truth = build_truth_model(args.cluster, args.day_type)
     u = streams.generator(root, streams.SYNTH).random((args.train, 2 * N_STEPS))
     corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), args.day_type, "t")
-    model = train_cluster_day_model(corpus, args.cluster, args.day_type)
+    defaults = Settings()
+    model = train_cluster_day_model(
+        corpus, args.cluster, args.day_type, fallback=defaults.tpm_fallback, alpha=defaults.tpm_alpha
+    )
     reference = estimate_all_statistics(corpus)
 
     rows = []

@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import EVENT_COLUMNS, HouseholdConfig, build_household
 from occsim.occupant_sim import SimCalendar
+from occsim.pipeline import Settings
 from occsim.schedule_io import rasterize_events
 from occsim.synth import PLANTED_SHARES, default_bundle, truth_models
 
@@ -52,12 +53,13 @@ def main(argv=None):
         np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.45, 0.25]), "count"
     )
     config = HouseholdConfig(counts, PLANTED_SHARES, PLANTED_SHARES)
-    cal = SimCalendar(args.start_weekday, args.days)
+    cal = SimCalendar(start_weekday=args.start_weekday, n_days=args.days)
 
+    approach = Settings().approach
     t0 = time.perf_counter()
     series = []
     for h in range(args.households):
-        res = build_household(h, models, bundle, config, cal, base_seed=args.seed)
+        res = build_household(h, models, bundle, config, cal, base_seed=args.seed, approach=approach)
         raster = rasterize_events(res.appliance_events, res.water_events, cal.n_days)
         series.append(raster[EVENT_COLUMNS.index(args.channel)])
     series = np.stack(series)

@@ -38,7 +38,7 @@ from .schedule_io import (
     write_schedule_file,
 )
 from .validate import compare_behavior, ks_statistic, occurrence_chi2_p
-from .pipeline import ProjectConfig, run_pipeline
+from .pipeline import ProjectConfig, Settings, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "ProjectConfig",
     "RawDiary",
     "SEQUENCE",
+    "Settings",
     "SimCalendar",
     "TPMSet",
     "assemble_schedule",

@@ -10,30 +10,59 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import streams
-from .diary_ingest import write_sequences
+from .clustering import ClusterModel
+from .diary_ingest import DAY_TYPES, write_sequences
 from .markov_train import TrainError, load_model_dir
 from .occupant_sim import OccupantProfile, SimCalendar, SimulationError, days_to_sequences, simulate_year
 from .pipeline import (
     CHOICES,
+    PARSERS,
     ProjectConfig,
+    Settings,
     StageError,
     cluster_stage,
-    entropy_seed,
     ingest_stage,
     load_sequences,
-    parse_k_range,
+    load_simulation_inputs,
+    resolve_seed,
     run_pipeline,
     simulate_stage,
     train_stage,
     validate_stage,
 )
 
+# The stage flag of each Settings field: `--` and its name with dashes, or
+# one of these shorter flags.
+_SHORT_FLAGS = {
+    "base_seed": "--seed",
+    "n_households": "--households",
+    "n_days": "--days",
+    "tpm_fallback": "--fallback",
+    "tpm_alpha": "--alpha",
+    "unweighted_clustering": "--unweighted",
+}
+FLAGS = {f.name: _SHORT_FLAGS.get(f.name, "--" + f.name.replace("_", "-")) for f in fields(Settings)}
+
 
 def _add_code_map(p: argparse.ArgumentParser) -> None:
     p.add_argument("--code-map", type=Path, default=None, help="activity code map file")
+
+
+def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
+    """The flags of these Settings fields, parsed as their project.conf keys.
+    A flag left out stays out of the namespace, so its field keeps the
+    Settings default."""
+    types = {f.name: f.type for f in fields(Settings)}
+    for name in names:
+        kwargs = {"dest": name, "default": argparse.SUPPRESS, "help": f"project.conf key {name}"}
+        if types[name] == "bool":
+            p.add_argument(FLAGS[name], action="store_true", **kwargs)
+        else:
+            p.add_argument(FLAGS[name], type=PARSERS[types[name]], choices=CHOICES.get(name), **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,20 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--day-type", choices=["wd", "we", "both"], default="both")
-    p.add_argument("--k-range", default="%d:%d" % ProjectConfig.k_range, help="inclusive k range, A:B")
-    p.add_argument("--repeats", type=int, default=ProjectConfig.repeats)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=ProjectConfig.epsilon)
-    p.add_argument("--silhouette-sample", type=int, default=ProjectConfig.silhouette_sample)
-    p.add_argument("--unweighted", action="store_true", help="ignore respondent weights")
+    _add_settings(
+        p, "k_range", "repeats", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering"
+    )
 
     p = sub.add_parser("train", help="fit per-cluster day-type models")
     p.add_argument("--diaries", type=Path, required=True, help="diaries or sequences file")
     _add_code_map(p)
     p.add_argument("--clusters", type=Path, nargs="+", required=True, help="cluster model files")
     p.add_argument("--out", type=Path, required=True, help="output model directory")
-    p.add_argument("--fallback", choices=CHOICES["tpm_fallback"], default=ProjectConfig.tpm_fallback)
-    p.add_argument("--alpha", type=float, default=ProjectConfig.tpm_alpha)
+    _add_settings(p, "tpm_fallback", "tpm_alpha")
 
     p = sub.add_parser("simulate", help="generate household schedules")
     p.add_argument("--tpms", type=Path, required=True, help="trained model directory")
@@ -71,22 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", type=Path, required=True, help="reference schedule directory")
     p.add_argument("--household-config", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--households", type=int, default=ProjectConfig.n_households)
-    p.add_argument("--days", type=int, default=ProjectConfig.n_days)
-    p.add_argument("--start-weekday", default=ProjectConfig.start_weekday)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--approach", type=int, choices=CHOICES["approach"], default=ProjectConfig.approach)
-    p.add_argument("--modulation", choices=CHOICES["modulation"], default=ProjectConfig.modulation)
+    _add_settings(p, "n_households", "n_days", "start_weekday", "base_seed", "approach", "modulation")
 
     p = sub.add_parser("simulate-occupant", help="simulate one occupant's state sequence")
     p.add_argument("--tpms", type=Path, required=True)
     p.add_argument("--wd-cluster", type=int, required=True)
     p.add_argument("--we-cluster", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--days", type=int, default=ProjectConfig.n_days)
-    p.add_argument("--start-weekday", default=ProjectConfig.start_weekday)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--approach", type=int, choices=CHOICES["approach"], default=ProjectConfig.approach)
+    _add_settings(p, "n_days", "start_weekday", "base_seed", "approach")
 
     p = sub.add_parser("validate", help="compare simulated days with a reference corpus")
     p.add_argument("--sim", type=Path, required=True, help="simulation output directory or occupant-day file")
@@ -110,12 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_or_entropy(seed: int | None, log) -> int:
-    if seed is not None:
-        return seed
-    drawn = entropy_seed()
-    print(f"seed = {drawn} (drawn from entropy)", file=log)
-    return drawn
+def _settings(args) -> Settings:
+    """The Settings of the stage flags given."""
+    return Settings(**{name: getattr(args, name) for name in FLAGS if hasattr(args, name)})
 
 
 def _cmd_ingest(args, log) -> int:
@@ -124,33 +138,15 @@ def _cmd_ingest(args, log) -> int:
 
 
 def _cmd_cluster(args, log) -> int:
+    cfg = resolve_seed(_settings(args), log, "cluster")
     sequences, _ = load_sequences(args.input, args.code_map, "cluster")
-    if args.unweighted:
-        sequences["weight"] = 1.0
-    try:
-        k_range = parse_k_range(args.k_range)
-    except ValueError as exc:
-        raise StageError("cluster", f"bad --k-range {args.k_range!r}") from exc
     args.out.mkdir(parents=True, exist_ok=True)
-    day_types = ["WD", "WE"] if args.day_type == "both" else [args.day_type.upper()]
-    for day_type in day_types:
-        cluster_stage(
-            sequences,
-            day_type,
-            args.out / f"model.{day_type.lower()}.clusters",
-            k_range=k_range,
-            repeats=args.repeats,
-            base_seed=args.seed,
-            epsilon=args.epsilon,
-            silhouette_sample=args.silhouette_sample,
-            log=log,
-        )
+    for day_type in DAY_TYPES if args.day_type == "both" else [args.day_type.upper()]:
+        cluster_stage(sequences, day_type, args.out / f"model.{day_type.lower()}.clusters", cfg, log=log)
     return 0
 
 
 def _cmd_train(args, log) -> int:
-    from .clustering import ClusterModel
-
     sequences, _ = load_sequences(args.diaries, args.code_map, "train")
     cluster_models = {}
     for path in args.clusters:
@@ -161,37 +157,25 @@ def _cmd_train(args, log) -> int:
         if model.day_type in cluster_models:
             raise StageError("train", f"duplicate cluster model for day type {model.day_type}")
         cluster_models[model.day_type] = model
-    train_stage(sequences, cluster_models, args.out, fallback=args.fallback, alpha=args.alpha, log=log)
+    train_stage(sequences, cluster_models, args.out, _settings(args), log=log)
     return 0
 
 
 def _cmd_simulate(args, log) -> int:
-    seed = _seed_or_entropy(args.seed, log)
-    simulate_stage(
-        args.tpms,
-        args.bundle,
-        args.reference,
-        args.household_config,
-        args.out,
-        n_households=args.households,
-        n_days=args.days,
-        start_weekday=args.start_weekday,
-        base_seed=seed,
-        approach=args.approach,
-        modulation=args.modulation,
-        log=log,
-    )
+    cfg = resolve_seed(_settings(args), log, "simulate")
+    inputs = load_simulation_inputs(args.bundle, args.reference, args.household_config, cfg)
+    simulate_stage(args.tpms, inputs, args.out, cfg, log=log)
     return 0
 
 
 def _cmd_simulate_occupant(args, log) -> int:
-    seed = _seed_or_entropy(args.seed, log)
+    cfg = resolve_seed(_settings(args), log, "simulate-occupant")
     try:
         models = load_model_dir(args.tpms)
-        calendar = SimCalendar.from_name(args.start_weekday, args.days)
+        calendar = SimCalendar.from_name(cfg.start_weekday, cfg.n_days)
         profile = OccupantProfile("o0", args.wd_cluster, args.we_cluster)
-        rng_root = streams.child(streams.root(seed), streams.OCCUPANT, 0)
-        states, failures = simulate_year(profile, models, calendar, rng_root, approach=args.approach)
+        rng_root = streams.child(streams.root(cfg.base_seed), streams.OCCUPANT, 0)
+        states, failures = simulate_year(profile, models, calendar, rng_root, approach=cfg.approach)
     except (TrainError, SimulationError, OSError) as exc:
         raise StageError("simulate", str(exc)) from exc
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -203,9 +187,7 @@ def _cmd_simulate_occupant(args, log) -> int:
 
 
 def _cmd_validate(args, log) -> int:
-    out_dir = args.out
-    if out_dir is None:
-        out_dir = args.sim if args.sim.is_dir() else args.sim.parent
+    out_dir = args.out or (args.sim if args.sim.is_dir() else args.sim.parent)
     validate_stage(args.sim, args.reference, out_dir, code_map=args.code_map, log=log)
     return 0
 
@@ -220,8 +202,7 @@ def _cmd_synth(args, log) -> int:
 
 
 def _cmd_run(args, log) -> int:
-    cfg = ProjectConfig.read(args.config)
-    return run_pipeline(cfg, log=log)
+    return run_pipeline(ProjectConfig.read(args.config), log=log)
 
 
 _HANDLERS = {
@@ -237,8 +218,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     log = sys.stderr
     try:
         return _HANDLERS[args.command](args, log)

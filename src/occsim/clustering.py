@@ -310,12 +310,13 @@ class SelectKResult:
 def select_k(
     X: np.ndarray,
     weights: np.ndarray | None = None,
-    k_range: range = range(3, 11),
-    repeats: int = 10,
-    base_seed: int = 0,
-    epsilon: float = 0.01,
+    *,
+    k_range: range,
+    repeats: int,
+    base_seed: int,
+    epsilon: float,
+    silhouette_sample: int | None,
     day_type: str = "WD",
-    silhouette_sample: int | None = None,
 ) -> SelectKResult:
     """Run repeated k-modes across a k range (every k >= 2) and pick k by mean silhouette.
 

@@ -359,7 +359,7 @@ def occupancy_fraction(states: np.ndarray) -> OccupancyTrace:
 
 
 def modulate_schedule(
-    reference: np.ndarray, trace: OccupancyTrace, mode: str = "present"
+    reference: np.ndarray, trace: OccupancyTrace, *, mode: str
 ) -> np.ndarray:
     """Scale reference schedules by occupancy, pinned to each day's minimum.
 
@@ -422,7 +422,8 @@ def build_household(
     config: HouseholdConfig,
     calendar: SimCalendar,
     base_seed: int,
-    approach: int = 3,
+    *,
+    approach: int,
 ) -> HouseholdResult:
     """Simulate one household for the whole calendar.
 
@@ -436,7 +437,7 @@ def build_household(
     failures = 0
     for o, profile in enumerate(profiles):
         year, n_fail = simulate_year(
-            profile, models, calendar, streams.child(h_seq, streams.OCCUPANT, o), approach
+            profile, models, calendar, streams.child(h_seq, streams.OCCUPANT, o), approach=approach
         )
         states[o] = year.ravel()
         failures += n_fail

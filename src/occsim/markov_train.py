@@ -182,8 +182,9 @@ def estimate_tpm(
     table: np.ndarray,
     alphabet: tuple[ActivityState, ...] = FULL_ALPHABET,
     cluster_id: int = 0,
-    fallback: str = "absorbing",
-    alpha: float = 0.0,
+    *,
+    fallback: str,
+    alpha: float,
 ) -> TPMSet:
     """Weighted maximum-likelihood estimate of the per-step matrices.
 
@@ -280,15 +281,16 @@ def train_cluster_day_model(
     table: np.ndarray,
     cluster_id: int,
     day_type: str,
-    fallback: str = "absorbing",
-    alpha: float = 0.0,
+    *,
+    fallback: str,
+    alpha: float,
 ) -> ClusterDayModel:
     """Fit the full-state chain, the presence chain, and the statistics of
     the event activities, which are all that simulation samples from."""
-    tpms = estimate_tpm(table, FULL_ALPHABET, cluster_id, fallback, alpha)
+    tpms = estimate_tpm(table, FULL_ALPHABET, cluster_id, fallback=fallback, alpha=alpha)
     presence = table.copy()
     presence["states"] = project_to_presence(table["states"])
-    presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback, alpha)
+    presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback=fallback, alpha=alpha)
     stats = estimate_all_statistics(table, EVENT_ACTIVITIES)
     if day_type != tpms.day_type:
         raise TrainError(f"sequences are {tpms.day_type}, expected {day_type}")

@@ -43,12 +43,12 @@ class OccupantProfile:
     weekend_cluster: int
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SimCalendar:
     """Day-type calendar: `start_weekday` 0 is Monday; 5 and 6 are weekend."""
 
-    start_weekday: int = 0
-    n_days: int = 365
+    start_weekday: int
+    n_days: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.start_weekday <= 6:
@@ -67,7 +67,7 @@ class SimCalendar:
             start_weekday = WEEKDAY_NAMES.index(name.lower())
         except ValueError:
             raise SimulationError(f"unknown weekday name {name!r}") from None
-        return cls(start_weekday, n_days)
+        return cls(start_weekday=start_weekday, n_days=n_days)
 
 
 def _hold_steps(duration_minutes: float) -> int:
@@ -216,7 +216,8 @@ def simulate_year(
     models: dict[str, dict[int, ClusterDayModel]],
     calendar: SimCalendar,
     rng_root: np.random.SeedSequence,
-    approach: int = 3,
+    *,
+    approach: int,
 ) -> tuple[np.ndarray, int]:
     """Simulate every calendar day for one occupant: the (n_days, 96) int8
     states plus the total approach-1 placement failures (zero for the other

@@ -9,8 +9,9 @@ or after a failure, removed on success.
 
 from __future__ import annotations
 
+import secrets
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +55,15 @@ class StageError(Exception):
         self.exit_code = _STAGE_CODES[stage]
 
 
-def entropy_seed() -> int:
-    import secrets
-
-    return secrets.randbits(32)
-
-
 def parse_k_range(value: str) -> tuple[int, int]:
     lo, _, hi = value.partition(":")
     return int(lo), int(hi)
 
 
-# ProjectConfig field annotation -> parser of its project.conf value.  Path
-# fields join the config file's directory, which an absolute value replaces.
-_PARSERS = {
+# ProjectConfig field annotation -> parser of its project.conf value (and of
+# its stage flag's argument).  Path fields join the config file's directory,
+# which an absolute value replaces.
+PARSERS = {
     "int": int,
     "int | None": int,
     "float": float,
@@ -81,16 +77,11 @@ CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fall
 
 
 @dataclass
-class ProjectConfig:
-    """Project settings: each field is the `project.conf` key of the same name,
-    and the fields without a default are required."""
+class Settings:
+    """Run parameters, each with its only default.  A field is the
+    `project.conf` key of the same name and one stage flag (`cli.FLAGS`);
+    `base_seed` None means draw one from entropy (`resolve_seed`)."""
 
-    diaries: Path
-    bundle: Path
-    reference: Path
-    household: Path
-    out: Path
-    code_map: Path | None = None
     base_seed: int | None = None
     n_households: int = 1
     n_days: int = 365
@@ -105,13 +96,26 @@ class ProjectConfig:
     modulation: str = "present"
     unweighted_clustering: bool = False
 
+
+@dataclass(kw_only=True)
+class ProjectConfig(Settings):
+    """A `project.conf`: the run settings plus the paths, each the key of the
+    same name; the fields without a default are required."""
+
+    diaries: Path
+    bundle: Path
+    reference: Path
+    household: Path
+    out: Path
+    code_map: Path | None = None
+
     @classmethod
     def read(cls, path: str | Path) -> "ProjectConfig":
         path = Path(path)
         if not path.exists():
             raise StageError("config", f"config file not found: {path}")
         parsers = {
-            f.name: path.parent.joinpath if f.type.startswith("Path") else _PARSERS[f.type] for f in fields(cls)
+            f.name: path.parent.joinpath if f.type.startswith("Path") else PARSERS[f.type] for f in fields(cls)
         }
         try:
             values = read_key_values(path, parsers)
@@ -131,6 +135,16 @@ class ProjectConfig:
         return cfg
 
 
+def resolve_seed(cfg: Settings, log, command: str) -> Settings:
+    """`cfg` when it has a base_seed, else a copy with one drawn from entropy
+    and logged, so the run can be repeated with it."""
+    if cfg.base_seed is not None:
+        return cfg
+    seed = secrets.randbits(32)
+    print(f"{command}: base_seed = {seed} (drawn from entropy)", file=log)
+    return replace(cfg, base_seed=seed)
+
+
 def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.ndarray, int]:
     """Diaries or a sequence file as a SEQUENCE table, plus the unmapped-code
     tally; bad or empty input is a StageError of `stage`."""
@@ -144,9 +158,7 @@ def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.nd
     return sequences, unknown
 
 
-def ingest_stage(
-    diaries: Path, code_map: Path | None, out_file: Path, log=None
-) -> np.ndarray:
+def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log=None) -> np.ndarray:
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
     log = sys.stderr if log is None else log
     sequences, unknown = load_sequences(diaries, code_map, "ingest")
@@ -159,18 +171,10 @@ def ingest_stage(
 
 
 def cluster_stage(
-    sequences: np.ndarray,
-    day_type: str,
-    out_file: Path,
-    k_range: tuple[int, int],
-    repeats: int,
-    base_seed: int,
-    epsilon: float,
-    silhouette_sample: int | None,
-    log=None,
+    sequences: np.ndarray, day_type: str, out_file: Path, cfg: Settings, log=None
 ) -> SelectKResult:
-    """Select k on one day type's sequences, by their weights, and write the
-    cluster model."""
+    """Select k on one day type's sequences, by their weights unless
+    `cfg.unweighted_clustering`, and write the cluster model."""
     log = sys.stderr if log is None else log
     subset = sequences[sequences["day_type"] == day_type]
     if not len(subset):
@@ -178,13 +182,13 @@ def cluster_stage(
     try:
         result = select_k(
             project_to_presence(subset["states"]),
-            subset["weight"],
-            k_range=range(k_range[0], k_range[1] + 1),
-            repeats=repeats,
-            base_seed=base_seed,
-            epsilon=epsilon,
+            None if cfg.unweighted_clustering else subset["weight"],
+            k_range=range(cfg.k_range[0], cfg.k_range[1] + 1),
+            repeats=cfg.repeats,
+            base_seed=cfg.base_seed,
+            epsilon=cfg.epsilon,
             day_type=day_type,
-            silhouette_sample=silhouette_sample,
+            silhouette_sample=cfg.silhouette_sample,
         )
     except ValueError as exc:  # ClusterError included
         raise StageError("cluster", f"{day_type}: {exc}") from exc
@@ -198,12 +202,7 @@ def cluster_stage(
 
 
 def train_stage(
-    sequences: np.ndarray,
-    cluster_models: dict[str, ClusterModel],
-    out_dir: Path,
-    fallback: str,
-    alpha: float,
-    log=None,
+    sequences: np.ndarray, cluster_models: dict[str, ClusterModel], out_dir: Path, cfg: Settings, log=None
 ) -> dict[str, dict[int, ClusterDayModel]]:
     """Assign sequences to clusters and fit per-(cluster, day-type) models."""
     log = sys.stderr if log is None else log
@@ -220,7 +219,7 @@ def train_stage(
                 raise StageError("train", f"cluster {c} has no {day_type} sequences")
             try:
                 models[day_type][c] = train_cluster_day_model(
-                    members, cluster_id=c, day_type=day_type, fallback=fallback, alpha=alpha
+                    members, cluster_id=c, day_type=day_type, fallback=cfg.tpm_fallback, alpha=cfg.tpm_alpha
                 )
             except TrainError as exc:
                 raise StageError("train", f"cluster {c} {day_type}: {exc}") from exc
@@ -238,9 +237,12 @@ def _occupant_day_rows(results, calendar: SimCalendar) -> np.ndarray:
     return sequence_table(ids, day_types * (len(ids) // calendar.n_days), 1.0, np.concatenate(states))
 
 
+SimulationInputs = tuple[dict, np.ndarray, HouseholdConfig, SimCalendar]
+
+
 def load_simulation_inputs(
-    bundle_dir: Path, reference_dir: Path, household_conf: Path, n_days: int, start_weekday: str
-) -> tuple[dict, np.ndarray, HouseholdConfig, SimCalendar]:
+    bundle_dir: Path, reference_dir: Path, household_conf: Path, cfg: Settings
+) -> SimulationInputs:
     """The bundle, reference schedules, household config and calendar that
     simulate reads; bad input, a vacation past the calendar included, is a
     StageError of simulate."""
@@ -248,41 +250,27 @@ def load_simulation_inputs(
         bundle = load_bundle(bundle_dir)
         reference = load_reference_dir(reference_dir)
         config = HouseholdConfig.read(household_conf)
-        calendar = SimCalendar.from_name(start_weekday, n_days)
+        calendar = SimCalendar.from_name(cfg.start_weekday, cfg.n_days)
     except (OSError, ValueError, KeyError) as exc:
         raise StageError("simulate", str(exc)) from exc
-    if config.vacation is not None and config.vacation[1] > n_days:
+    if config.vacation is not None and config.vacation[1] > cfg.n_days:
         raise StageError(
-            "simulate", f"{household_conf}: vacation window {config.vacation} ends after day {n_days}"
+            "simulate", f"{household_conf}: vacation window {config.vacation} ends after day {cfg.n_days}"
         )
     return bundle, reference, config, calendar
 
 
-def simulate_stage(
-    tpms_dir: Path,
-    bundle_dir: Path,
-    reference_dir: Path,
-    household_conf: Path,
-    out_dir: Path,
-    n_households: int,
-    n_days: int,
-    start_weekday: str,
-    base_seed: int,
-    approach: int,
-    modulation: str,
-    log=None,
-) -> None:
-    """Generate household schedules and the occupant-day table."""
+def simulate_stage(tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg: Settings, log=None) -> None:
+    """Generate household schedules and the occupant-day table from the
+    `load_simulation_inputs` tuple."""
     log = sys.stderr if log is None else log
-    if n_households < 1:
-        raise StageError("simulate", f"n_households must be positive, got {n_households}")
+    if cfg.n_households < 1:
+        raise StageError("simulate", f"n_households must be positive, got {cfg.n_households}")
     try:
         models = load_model_dir(tpms_dir)
     except (OSError, ValueError) as exc:
         raise StageError("simulate", str(exc)) from exc
-    bundle, reference, config, calendar = load_simulation_inputs(
-        bundle_dir, reference_dir, household_conf, n_days, start_weekday
-    )
+    bundle, reference, config, calendar = inputs
     for day_type in DAY_TYPES:
         if day_type not in models or not models[day_type]:
             raise StageError("simulate", f"model directory has no {day_type} models")
@@ -298,10 +286,10 @@ def simulate_stage(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for h in range(n_households):
+    for h in range(cfg.n_households):
         try:
-            result = build_household(h, models, bundle, config, calendar, base_seed, approach=approach)
-            schedule = assemble_schedule(result, reference, calendar, modulation=modulation)
+            result = build_household(h, models, bundle, config, calendar, cfg.base_seed, approach=cfg.approach)
+            schedule = assemble_schedule(result, reference, calendar, modulation=cfg.modulation)
         except (SimulationError, HouseholdError, ScheduleError, KeyError) as exc:
             raise StageError("simulate", f"household {h}: {exc}") from exc
         path = out_dir / f"household_{h}.csv"
@@ -315,11 +303,7 @@ def simulate_stage(
 
 
 def validate_stage(
-    sim: Path,
-    reference_diaries: Path,
-    out_dir: Path,
-    code_map: Path | None = None,
-    log=None,
+    sim: Path, reference_diaries: Path, out_dir: Path, code_map: Path | None = None, log=None
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus."""
     log = sys.stderr if log is None else log
@@ -351,50 +335,18 @@ def validate_stage(
 def run_pipeline(cfg: ProjectConfig, log=None) -> int:
     """Run ingest, cluster, train, simulate, and validate end to end."""
     log = sys.stderr if log is None else log
-    seed = cfg.base_seed
-    if seed is None:
-        seed = entropy_seed()
-        print(f"run: base_seed = {seed} (drawn from entropy)", file=log)
+    cfg = resolve_seed(cfg, log, "run")
     cfg.out.mkdir(parents=True, exist_ok=True)
     marker = cfg.out / ".partial"
     marker.touch()
-    load_simulation_inputs(cfg.bundle, cfg.reference, cfg.household, cfg.n_days, cfg.start_weekday)
+    inputs = load_simulation_inputs(cfg.bundle, cfg.reference, cfg.household, cfg)
     sequences = ingest_stage(cfg.diaries, cfg.code_map, cfg.out / "sequences.csv", log=log)
-    clustered = sequences
-    if cfg.unweighted_clustering:  # train still uses the respondent weights
-        clustered = sequences.copy()
-        clustered["weight"] = 1.0
-    cluster_models: dict[str, ClusterModel] = {}
-    for day_type in DAY_TYPES:
-        result = cluster_stage(
-            clustered,
-            day_type,
-            cfg.out / f"model.{day_type.lower()}.clusters",
-            k_range=cfg.k_range,
-            repeats=cfg.repeats,
-            base_seed=seed,
-            epsilon=cfg.epsilon,
-            silhouette_sample=cfg.silhouette_sample,
-            log=log,
-        )
-        cluster_models[day_type] = result.model
-    train_stage(
-        sequences, cluster_models, cfg.out / "tpms", fallback=cfg.tpm_fallback, alpha=cfg.tpm_alpha, log=log
-    )
-    simulate_stage(
-        cfg.out / "tpms",
-        cfg.bundle,
-        cfg.reference,
-        cfg.household,
-        cfg.out,
-        n_households=cfg.n_households,
-        n_days=cfg.n_days,
-        start_weekday=cfg.start_weekday,
-        base_seed=seed,
-        approach=cfg.approach,
-        modulation=cfg.modulation,
-        log=log,
-    )
+    cluster_models = {
+        dt: cluster_stage(sequences, dt, cfg.out / f"model.{dt.lower()}.clusters", cfg, log=log).model
+        for dt in DAY_TYPES
+    }
+    train_stage(sequences, cluster_models, cfg.out / "tpms", cfg, log=log)
+    simulate_stage(cfg.out / "tpms", inputs, cfg.out, cfg, log=log)
     # sequences.csv holds the ingested diaries, so they are not parsed twice.
     validate_stage(cfg.out, cfg.out / "sequences.csv", cfg.out, log=log)
     marker.unlink()

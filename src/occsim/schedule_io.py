@@ -109,7 +109,8 @@ def assemble_schedule(
     result: HouseholdResult,
     reference: np.ndarray,
     calendar: SimCalendar,
-    modulation: str = "present",
+    *,
+    modulation: str,
 ) -> HouseholdScheduleYear:
     """The occupancy trace, the modulated end uses and the rasterized events
     as one schedule, every row but occupants divided by its annual maximum
@@ -123,7 +124,7 @@ def assemble_schedule(
     values = np.empty((len(SCHEDULE_COLUMNS), n_steps))
     values[0] = result.trace.present_fraction
     values[1 : 1 + n_uses] = modulate_schedule(
-        reference[:, days].reshape(n_uses, n_steps), result.trace, modulation
+        reference[:, days].reshape(n_uses, n_steps), result.trace, mode=modulation
     )
     values[1 + n_uses :] = rasterize_events(result.appliance_events, result.water_events, calendar.n_days)
     rows = values[1:]
@@ -175,9 +176,26 @@ def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> No
     Path(path).write_bytes(head + body)
 
 
+def _bad_data_line(path: Path) -> str | None:
+    """`line N: reason` for the first data row of a schedule file that does
+    not hold len(SCHEDULE_COLUMNS) numbers, counting file lines from 1."""
+    with path.open() as fh:
+        rows = [(n, line.split(",")) for n, line in enumerate(fh, start=1) if line.strip()]
+    header = next(i for i, (_, cells) in enumerate(rows) if not cells[0].startswith("#"))
+    for n, cells in rows[header + 1 :]:
+        if len(cells) != len(SCHEDULE_COLUMNS):
+            return f"line {n}: number of columns is {len(cells)}, expected {len(SCHEDULE_COLUMNS)}"
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {n}: could not convert string {cell.strip()!r} to float"
+    return None
+
+
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
     """Read a `write_schedule_file` file; malformed input is a ScheduleError
-    naming the file."""
+    naming the file, and the line of a malformed row."""
     path = Path(path)
     peaks: dict[str, float] = {}
     with path.open() as fh:
@@ -199,9 +217,12 @@ def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
             raise ScheduleError(f"{path}: no schedule data")
         try:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
-            return HouseholdScheduleYear(data.T, peaks)
-        except ValueError as exc:  # ScheduleError included
-            raise ScheduleError(f"{path}: {exc}") from None
+        except ValueError as exc:  # numpy counts rows, not file lines
+            raise ScheduleError(f"{path}: {_bad_data_line(path) or exc}") from None
+    try:
+        return HouseholdScheduleYear(data.T, peaks)
+    except ScheduleError as exc:
+        raise ScheduleError(f"{path}: {exc}") from None
 
 
 # -- reference schedules and distribution bundles ---------------------------

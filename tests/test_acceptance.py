@@ -51,6 +51,8 @@ from occsim.synth import (
 from occsim.validate import compare_behavior
 from tests.helpers import point_mass
 
+ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
+
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -64,7 +66,7 @@ def test_criterion_01_tpm_identity():
     marg_err = 0.0
     for day_type in ("WD", "WE"):
         seqs = corpus[corpus["day_type"] == day_type]
-        tpms = estimate_tpm(seqs)
+        tpms = estimate_tpm(seqs, **ABSORBING)
         row_err = max(row_err, float(np.abs(tpms.matrices.sum(axis=2) - 1.0).max()))
         X, w = seqs["states"], seqs["weight"]
         empirical = np.stack(
@@ -91,7 +93,7 @@ def test_criterion_02_model_recovery():
     truth = TPMSet(0, "WD", alphabet, np.full(S, 1 / S), m)
     n_days = 50_000
     days = walk_days(truth, np.random.default_rng(7).random((n_days, N_STEPS)))
-    refit = estimate_tpm(days_to_sequences(days), alphabet)
+    refit = estimate_tpm(days_to_sequences(days), alphabet, **ABSORBING)
     visits = n_days * forward_marginals(truth)[:-1]
     mask = visits >= 500
     worst = float(np.abs(refit.matrices - truth.matrices)[mask].max())
@@ -110,7 +112,7 @@ def test_criterion_03_approach3_fidelity():
     truth = build_truth_model(0, "WD")
     u = streams.generator(streams.root(501), 1).random((20_000, 2 * N_STEPS))
     corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), prefix="t")
-    model = train_cluster_day_model(corpus, 0, "WD")
+    model = train_cluster_day_model(corpus, 0, "WD", **ABSORBING)
     u = streams.generator(streams.root(501), 2).random((10_000, 2 * N_STEPS))
     sim = days_to_sequences(walk_days(model.tpms, u, model.stats), prefix="s")
     report = compare_behavior(sim, estimate_all_statistics(corpus))
@@ -238,8 +240,8 @@ def test_criterion_07_modulation_identities():
     ref = rng.uniform(0.05, 1.0, n_days * N_STEPS)
     ones = np.ones(n_days * N_STEPS)
     zeros = np.zeros(n_days * N_STEPS)
-    full = modulate_schedule(ref, OccupancyTrace(ones, ones > 0, ones))
-    empty = modulate_schedule(ref, OccupancyTrace(zeros, zeros > 0, zeros))
+    full = modulate_schedule(ref, OccupancyTrace(ones, ones > 0, ones), mode="present")
+    empty = modulate_schedule(ref, OccupancyTrace(zeros, zeros > 0, zeros), mode="present")
     dmin = np.repeat(ref.reshape(n_days, N_STEPS).min(axis=1), N_STEPS)
     full_exact = bool(np.array_equal(full, ref))
     empty_exact = bool(np.array_equal(empty, dmin))
@@ -357,10 +359,10 @@ def test_criterion_10_heterogeneity_control():
     bundle = default_bundle()
     counts = EmpiricalDistribution(np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.45, 0.25]), "count")
     config = HouseholdConfig(counts, PLANTED_SHARES, PLANTED_SHARES)
-    cal = SimCalendar(0, 28)
+    cal = SimCalendar(start_weekday=0, n_days=28)
     series = []
     for h in range(100):
-        res = build_household(h, models, bundle, config, cal, base_seed=424)
+        res = build_household(h, models, bundle, config, cal, base_seed=424, approach=3)
         no_water = np.zeros(0, dtype=EVENT)
         raw = rasterize_events(res.appliance_events, no_water, cal.n_days)
         series.append(raw[EVENT_COLUMNS.index("cooking_range")])

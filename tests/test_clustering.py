@@ -265,7 +265,7 @@ def _three_cluster_data(per=8):
 
 def test_select_k_finds_planted_k():
     X, _ = _three_cluster_data()
-    result = select_k(X, k_range=range(2, 6), repeats=3, base_seed=0)
+    result = select_k(X, k_range=range(2, 6), repeats=3, base_seed=0, epsilon=0.01, silhouette_sample=None)
     assert result.k_star == 3
     assert [row.k for row in result.table] == [2, 3, 4, 5]
     assert result.model.k == 3
@@ -274,14 +274,14 @@ def test_select_k_finds_planted_k():
 def test_select_k_epsilon_rule_prefers_largest_within_band():
     X, _ = _three_cluster_data()
     # an epsilon wider than any mean gap must choose the top of the range
-    result = select_k(X, k_range=range(2, 5), repeats=2, base_seed=0, epsilon=1.0)
+    result = select_k(X, k_range=range(2, 5), repeats=2, base_seed=0, epsilon=1.0, silhouette_sample=None)
     assert result.k_star == 4
 
 
 def test_select_k_deterministic():
     X, _ = _three_cluster_data()
-    r1 = select_k(X, k_range=range(2, 5), repeats=2, base_seed=7)
-    r2 = select_k(X, k_range=range(2, 5), repeats=2, base_seed=7)
+    r1 = select_k(X, k_range=range(2, 5), repeats=2, base_seed=7, epsilon=0.01, silhouette_sample=None)
+    r2 = select_k(X, k_range=range(2, 5), repeats=2, base_seed=7, epsilon=0.01, silhouette_sample=None)
     assert r1.k_star == r2.k_star
     assert np.array_equal(r1.model.modes, r2.model.modes)
     assert [s.scores for s in r1.table] == [s.scores for s in r2.table]
@@ -289,8 +289,8 @@ def test_select_k_deterministic():
 
 def test_select_k_silhouette_subsample_deterministic():
     X, _ = _three_cluster_data(per=40)
-    r1 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, silhouette_sample=30)
-    r2 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, silhouette_sample=30)
+    r1 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, epsilon=0.01, silhouette_sample=30)
+    r2 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, epsilon=0.01, silhouette_sample=30)
     assert r1.k_star == r2.k_star == 3
     assert [s.scores for s in r1.table] == [s.scores for s in r2.table]
 
@@ -311,7 +311,8 @@ def test_select_k_silhouette_subsample_deterministic():
 def test_select_k_rejects_out_of_range_parameters(kwargs, message):
     X, _ = _three_cluster_data(per=40)
     with pytest.raises(ClusterError, match=message):
-        select_k(X, **{"k_range": range(2, 4), "repeats": 1, **kwargs})
+        params = {"k_range": range(2, 4), "repeats": 1, "base_seed": 0, "epsilon": 0.01}
+        select_k(X, **{**params, "silhouette_sample": None, **kwargs})
 
 
 def test_cluster_model_round_trip(tmp_path):
@@ -486,7 +487,7 @@ def test_select_k_subsample_with_one_present_cluster_scores_zero():
     # the small cluster, and such runs score 0 as in the per-run reference
     X = np.zeros((32, N_STEPS), dtype=np.int8)
     X[30:] = 2
-    result = select_k(X, k_range=range(2, 3), repeats=4, base_seed=3, silhouette_sample=3)
+    result = select_k(X, k_range=range(2, 3), repeats=4, base_seed=3, epsilon=0.01, silhouette_sample=3)
     pick = np.sort(streams.generator(3, streams.CLUSTERING, 0).choice(32, size=3, replace=False))
     assert np.all(pick < 30)
     assert result.table[0].scores == [0.0] * 4

@@ -240,20 +240,20 @@ def _const_trace(values):
 def test_modulate_full_occupancy_is_reference_bitwise():
     rng = np.random.default_rng(3)
     ref = rng.uniform(0.1, 2.0, N_STEPS)
-    out = modulate_schedule(ref, _const_trace(np.ones(N_STEPS)))
+    out = modulate_schedule(ref, _const_trace(np.ones(N_STEPS)), mode="present")
     assert np.array_equal(out, ref)
 
 
 def test_modulate_zero_occupancy_is_daily_min_bitwise():
     rng = np.random.default_rng(4)
     ref = rng.uniform(0.1, 2.0, N_STEPS)
-    out = modulate_schedule(ref, _const_trace(np.zeros(N_STEPS)))
+    out = modulate_schedule(ref, _const_trace(np.zeros(N_STEPS)), mode="present")
     assert np.all(out == ref.min())
 
 
 def test_modulate_midpoint_formula():
     ref = np.linspace(1.0, 3.0, N_STEPS)
-    out = modulate_schedule(ref, _const_trace(np.full(N_STEPS, 0.5)))
+    out = modulate_schedule(ref, _const_trace(np.full(N_STEPS, 0.5)), mode="present")
     assert np.allclose(out, 1.0 + (ref - 1.0) * 0.5)
 
 
@@ -262,20 +262,20 @@ def test_modulate_scales_every_row_by_one_trace():
     ref = rng.uniform(0.1, 2.0, (3, 2 * N_STEPS))
     frac = np.concatenate([np.ones(N_STEPS // 2), rng.uniform(0, 1, N_STEPS), np.zeros(N_STEPS // 2)])
     trace = _const_trace(frac)
-    out = modulate_schedule(ref, trace)
+    out = modulate_schedule(ref, trace, mode="present")
     assert out.shape == ref.shape
     for row, ref_row in zip(out, ref):
-        assert row.tobytes() == modulate_schedule(ref_row, trace).tobytes()
+        assert row.tobytes() == modulate_schedule(ref_row, trace, mode="present").tobytes()
     # a one-day reference is not tiled across a longer trace
     with pytest.raises(HouseholdError, match="does not match"):
-        modulate_schedule(ref[0, :N_STEPS], trace)
+        modulate_schedule(ref[0, :N_STEPS], trace, mode="present")
 
 
 def test_modulate_daily_minimum_is_per_day():
     ref = np.concatenate([np.full(N_STEPS, 2.0), np.full(N_STEPS, 5.0)])
     ref[3] = 1.0
     ref[N_STEPS + 7] = 4.0
-    out = modulate_schedule(ref, _const_trace(np.zeros(2 * N_STEPS)))
+    out = modulate_schedule(ref, _const_trace(np.zeros(2 * N_STEPS)), mode="present")
     assert np.all(out[:N_STEPS] == 1.0)
     assert np.all(out[N_STEPS:] == 4.0)
 
@@ -286,12 +286,12 @@ def test_modulate_active_mode_and_errors():
     present = np.ones(N_STEPS)
     active = np.zeros(N_STEPS)
     trace = OccupancyTrace(present, active > 0, active)
-    assert np.array_equal(modulate_schedule(ref, trace, "present"), ref)
-    assert np.all(modulate_schedule(ref, trace, "active") == 1.0)
+    assert np.array_equal(modulate_schedule(ref, trace, mode="present"), ref)
+    assert np.all(modulate_schedule(ref, trace, mode="active") == 1.0)
     with pytest.raises(HouseholdError, match="mode"):
-        modulate_schedule(ref, trace, "sometimes")
+        modulate_schedule(ref, trace, mode="sometimes")
     with pytest.raises(HouseholdError, match="does not match"):
-        modulate_schedule(np.ones(50), trace)
+        modulate_schedule(np.ones(50), trace, mode="present")
 
 
 def test_apply_vacation_window():
@@ -426,16 +426,16 @@ def test_build_household_smoke_and_determinism():
     models = _single_cluster_models()
     bundle = default_bundle()
     config = one_count_config(n=2)
-    cal = SimCalendar(0, 4)
-    res = build_household(3, models, bundle, config, cal, base_seed=11)
+    cal = SimCalendar(start_weekday=0, n_days=4)
+    res = build_household(3, models, bundle, config, cal, base_seed=11, approach=3)
     assert res.index == 3 and res.n_occupants == 2
     assert res.states.shape == (2, 4 * N_STEPS)
     assert res.trace.present_fraction.shape == (4 * N_STEPS,)
-    again = build_household(3, models, bundle, config, cal, base_seed=11)
+    again = build_household(3, models, bundle, config, cal, base_seed=11, approach=3)
     assert np.array_equal(res.states, again.states)
     assert res.appliance_events.tobytes() == again.appliance_events.tobytes()
     assert res.water_events.tobytes() == again.water_events.tobytes()
-    other = build_household(3, models, bundle, config, cal, base_seed=12)
+    other = build_household(3, models, bundle, config, cal, base_seed=12, approach=3)
     assert not np.array_equal(res.states, other.states)
 
 
@@ -443,7 +443,8 @@ def test_build_household_applies_vacation():
     models = _single_cluster_models()
     bundle = default_bundle()
     config = HouseholdConfig(point_mass(1.0, "count"), (1.0,), (1.0,), vacation=(1, 2))
-    res = build_household(0, models, bundle, config, SimCalendar(0, 3), base_seed=5)
+    cal = SimCalendar(start_weekday=0, n_days=3)
+    res = build_household(0, models, bundle, config, cal, base_seed=5, approach=3)
     day1 = res.states[:, N_STEPS : 2 * N_STEPS]
     assert np.all(day1 == AW)
     assert np.all(res.trace.present_fraction[N_STEPS : 2 * N_STEPS] == 0.0)

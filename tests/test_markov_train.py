@@ -28,6 +28,7 @@ from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year
 from tests.conftest import make_seq
 
 S = len(FULL_ALPHABET)
+ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
 
 
 def random_corpus(rng, n=12, day_type="WD"):
@@ -48,7 +49,7 @@ def empirical_marginals(seqs):
 def test_estimate_tpm_weighted_frozen():
     a = make_seq([0, 1], weight=2.0, rid="a")
     b = make_seq([0, 2], weight=1.0, rid="b")
-    tpms = estimate_tpm(np.concatenate([a, b]))
+    tpms = estimate_tpm(np.concatenate([a, b]), **ABSORBING)
     assert np.allclose(tpms.initial, np.eye(S)[0])
     row = np.zeros(S)
     row[1] = 2 / 3
@@ -63,7 +64,7 @@ def test_estimate_tpm_weighted_frozen():
 
 def test_estimate_tpm_uniform_fallback():
     a = make_seq([0], rid="a")
-    tpms = estimate_tpm(a, fallback="uniform")
+    tpms = estimate_tpm(a, fallback="uniform", alpha=0.0)
     assert np.allclose(tpms.matrices[0, 1], np.full(S, 1 / S))
     # visited rows are untouched by the fallback
     assert np.allclose(tpms.matrices[0, 0], np.eye(S)[2])
@@ -93,22 +94,24 @@ def test_estimate_tpm_laplace_zero_alpha_is_absorbing():
 
 def test_estimate_tpm_input_validation():
     with pytest.raises(TrainError, match="no sequences"):
-        estimate_tpm(np.empty(0, dtype=SEQUENCE))
+        estimate_tpm(np.empty(0, dtype=SEQUENCE), **ABSORBING)
     with pytest.raises(TrainError, match="day types"):
-        estimate_tpm(np.concatenate([make_seq([0], rid="a"), make_seq([0], day_type="WE", rid="b")]))
+        mixed = np.concatenate([make_seq([0], rid="a"), make_seq([0], day_type="WE", rid="b")])
+        estimate_tpm(mixed, **ABSORBING)
     with pytest.raises(TrainError, match="total weight must be positive"):
-        estimate_tpm(np.concatenate([make_seq([0], weight=0.0, rid="a"), make_seq([0], weight=0.0, rid="b")]))
+        zero = np.concatenate([make_seq([0], weight=0.0, rid="a"), make_seq([0], weight=0.0, rid="b")])
+        estimate_tpm(zero, **ABSORBING)
     with pytest.raises(TrainError, match="fallback"):
-        estimate_tpm(make_seq([0]), fallback="magic")
+        estimate_tpm(make_seq([0]), fallback="magic", alpha=0.0)
     cooking = make_seq([int(ActivityState.COOKING)])
     with pytest.raises(TrainError, match="not in alphabet"):
-        estimate_tpm(cooking, alphabet=PRESENCE_ALPHABET)
+        estimate_tpm(cooking, alphabet=PRESENCE_ALPHABET, **ABSORBING)
 
 
 def test_forward_marginals_reproduce_frequencies():
     rng = np.random.default_rng(13)
     seqs = random_corpus(rng, n=20)
-    tpms = estimate_tpm(seqs)
+    tpms = estimate_tpm(seqs, **ABSORBING)
     assert np.abs(forward_marginals(tpms) - empirical_marginals(seqs)).max() <= 1e-9
 
 
@@ -116,7 +119,7 @@ def test_forward_marginals_reproduce_frequencies():
 def test_forward_marginal_identity_property(seed):
     rng = np.random.default_rng(seed)
     seqs = random_corpus(rng, n=4)
-    tpms = estimate_tpm(seqs)
+    tpms = estimate_tpm(seqs, **ABSORBING)
     marg = forward_marginals(tpms)
     assert np.abs(marg - empirical_marginals(seqs)).max() <= 1e-9
     assert np.allclose(tpms.matrices.sum(axis=2), 1.0, atol=1e-12)
@@ -175,7 +178,7 @@ def test_estimate_statistics_no_events():
 
 def test_tpmset_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    tpms = estimate_tpm(random_corpus(rng), cluster_id=3)
+    tpms = estimate_tpm(random_corpus(rng), cluster_id=3, **ABSORBING)
     path = tmp_path / "c3.wd.tpm"
     tpms.write(path)
     back = TPMSet.read(path)
@@ -239,7 +242,7 @@ def _with_cell(lines, row, value):
     ],
 )
 def test_tpmset_read_errors_name_the_file(tmp_path, corrupt, pattern):
-    tpms = estimate_tpm(random_corpus(np.random.default_rng(5)))
+    tpms = estimate_tpm(random_corpus(np.random.default_rng(5)), **ABSORBING)
     path = tmp_path / "c0.wd.tpm"
     tpms.write(path)
     path.write_text("".join(ln + "\n" for ln in corrupt(path.read_text().splitlines())))
@@ -257,7 +260,7 @@ def test_tpmset_reduced_horizon_allowed():
 
 def test_train_cluster_day_model_folds_presence():
     rng = np.random.default_rng(4)
-    model = train_cluster_day_model(random_corpus(rng), cluster_id=1, day_type="WD")
+    model = train_cluster_day_model(random_corpus(rng), cluster_id=1, day_type="WD", **ABSORBING)
     assert model.tpms.n_states == S
     assert model.presence_tpms.alphabet == PRESENCE_ALPHABET
     assert model.presence_tpms.matrices.shape == (95, 3, 3)
@@ -273,8 +276,8 @@ EVENT_FILES = ("cooking", "dishwashing", "laundry", "personalhygiene")
 
 def test_save_load_model_dir(tmp_path):
     rng = np.random.default_rng(6)
-    wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), 0, "WD")
-    we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), 0, "WE")
+    wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), 0, "WD", **ABSORBING)
+    we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), 0, "WE", **ABSORBING)
     save_model_dir(tmp_path, [wd, we])
     expected = set()
     for stem in ("c0.wd", "c0.we"):
@@ -299,7 +302,7 @@ def test_save_load_model_dir(tmp_path):
 
 def test_save_model_dir_skips_onset_and_duration_without_events(tmp_path):
     seqs = np.concatenate([make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)])
-    save_model_dir(tmp_path, [train_cluster_day_model(seqs, 0, "WD")])
+    save_model_dir(tmp_path, [train_cluster_day_model(seqs, 0, "WD", **ABSORBING)])
     names = {p.name for p in tmp_path.iterdir()}
     assert "c0.wd.laundry.count.dist" in names and "c0.wd.laundry.onset.dist" not in names
     back = load_model_dir(tmp_path)["WD"][0].stats[ActivityState.LAUNDRY]
@@ -322,18 +325,18 @@ def _write_old_extras(directory, model, sequences):
 def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
     rng = np.random.default_rng(11)
     corpora = {dt: random_corpus(rng, n=10, day_type=dt) for dt in ("WD", "WE")}
-    models = [train_cluster_day_model(seqs, 0, dt) for dt, seqs in corpora.items()]
+    models = [train_cluster_day_model(seqs, 0, dt, **ABSORBING) for dt, seqs in corpora.items()]
     new, old = tmp_path / "new", tmp_path / "old"
     save_model_dir(new, models)
     save_model_dir(old, models)
     for m in models:
         _write_old_extras(old, m, corpora[m.day_type])
     assert len(list(old.iterdir())) == len(list(new.iterdir())) + 2 * (7 + 3 * 3)
-    profile, calendar = OccupantProfile("o", 0, 0), SimCalendar(0, 9)
+    profile, calendar = OccupantProfile("o", 0, 0), SimCalendar(start_weekday=0, n_days=9)
     root = streams.root(5)
     for approach in (1, 2, 3):
-        want, want_fail = simulate_year(profile, load_model_dir(new), calendar, root, approach)
-        got, got_fail = simulate_year(profile, load_model_dir(old), calendar, root, approach)
+        want, want_fail = simulate_year(profile, load_model_dir(new), calendar, root, approach=approach)
+        got, got_fail = simulate_year(profile, load_model_dir(old), calendar, root, approach=approach)
         assert np.array_equal(got, want) and got_fail == want_fail
 
 
@@ -342,7 +345,7 @@ def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
 )
 def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD")])
+    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)])
     (tmp_path / name).unlink()
     with pytest.raises(TrainError, match=f"missing expected file: .*{name}"):
         load_model_dir(tmp_path)
@@ -350,7 +353,7 @@ def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
 
 def test_load_model_dir_names_a_bad_dist_file(tmp_path):
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD")])
+    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)])
     path = tmp_path / "c0.wd.cooking.onset.dist"
     path.write_text("unit,steps\n3,abc\n")
     with pytest.raises(TrainError, match="line 2: expected value,probability") as exc:
@@ -360,7 +363,7 @@ def test_load_model_dir_names_a_bad_dist_file(tmp_path):
 
 def test_save_model_dir_accepts_nested_dict(tmp_path):
     rng = np.random.default_rng(8)
-    wd = train_cluster_day_model(random_corpus(rng, n=6), 0, "WD")
+    wd = train_cluster_day_model(random_corpus(rng, n=6), 0, "WD", **ABSORBING)
     save_model_dir(tmp_path, {"WD": {0: wd}})
     loaded = load_model_dir(tmp_path)
     assert np.abs(loaded["WD"][0].tpms.matrices - wd.tpms.matrices).max() <= 1e-9

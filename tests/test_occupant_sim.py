@@ -427,16 +427,16 @@ def test_approach1_requires_home_window():
 
 
 def test_calendar_day_types():
-    cal = SimCalendar(0, 14)
+    cal = SimCalendar(start_weekday=0, n_days=14)
     assert cal.day_types == (["WD"] * 5 + ["WE"] * 2) * 2
     assert SimCalendar.from_name("Saturday", 3).day_types == ["WE", "WE", "WD"]
     assert SimCalendar.from_name("friday", 3).start_weekday == 4
     with pytest.raises(SimulationError, match="unknown weekday"):
         SimCalendar.from_name("someday", 3)
     with pytest.raises(SimulationError, match="0..6"):
-        SimCalendar(7, 3)
+        SimCalendar(start_weekday=7, n_days=3)
     with pytest.raises(SimulationError, match="n_days must be positive"):
-        SimCalendar(0, 0)
+        SimCalendar(start_weekday=0, n_days=0)
     with pytest.raises(SimulationError, match="n_days must be positive"):
         SimCalendar.from_name("monday", 0)
 
@@ -455,12 +455,12 @@ def test_simulate_year_day_streams_are_stable():
     models = _tiny_models()
     profile = OccupantProfile("o1", 0, 0)
     root = streams.child(streams.root(99), streams.OCCUPANT, 0)
-    cal5 = SimCalendar(4, 5)  # friday start: WD WE WE WD WD
-    days5, _ = simulate_year(profile, models, cal5, root)
-    days3, _ = simulate_year(profile, models, SimCalendar(4, 3), root)
+    cal5 = SimCalendar(start_weekday=4, n_days=5)  # friday start: WD WE WE WD WD
+    days5, _ = simulate_year(profile, models, cal5, root, approach=3)
+    days3, _ = simulate_year(profile, models, SimCalendar(start_weekday=4, n_days=3), root, approach=3)
     assert np.array_equal(days3, days5[:3])
     assert cal5.day_types == ["WD", "WE", "WE", "WD", "WD"]
-    repeat, _ = simulate_year(profile, models, cal5, root)
+    repeat, _ = simulate_year(profile, models, cal5, root, approach=3)
     assert np.array_equal(days5, repeat)
 
 
@@ -469,8 +469,8 @@ def test_simulate_year_day_is_a_one_row_call(approach):
     models = truth_models()
     profile = OccupantProfile("o1", 1, 2)
     root = streams.child(streams.root(7), streams.OCCUPANT, 0)
-    calendar = SimCalendar(3, 10)
-    days, failures = simulate_year(profile, models, calendar, root, approach)
+    calendar = SimCalendar(start_weekday=3, n_days=10)
+    days, failures = simulate_year(profile, models, calendar, root, approach=approach)
     total = 0
     for d, day in enumerate(days):
         day_type = calendar.day_types[d]
@@ -490,14 +490,13 @@ def test_simulate_year_missing_cluster():
     profile = OccupantProfile("o1", 0, 3)
     root = streams.root(1)
     with pytest.raises(SimulationError, match="day_type=WE cluster=3"):
-        simulate_year(profile, models, SimCalendar(5, 2), root)
+        simulate_year(profile, models, SimCalendar(start_weekday=5, n_days=2), root, approach=3)
 
 
 def test_simulate_year_rejects_bad_approach():
     with pytest.raises(SimulationError, match="approach"):
-        simulate_year(
-            OccupantProfile("o", 0, 0), _tiny_models(), SimCalendar(0, 1), streams.root(0), 4
-        )
+        cal = SimCalendar(start_weekday=0, n_days=1)
+        simulate_year(OccupantProfile("o", 0, 0), _tiny_models(), cal, streams.root(0), approach=4)
 
 
 def test_simulate_year_approaches_run():
@@ -505,7 +504,7 @@ def test_simulate_year_approaches_run():
     profile = OccupantProfile("o1", 0, 0)
     for approach in (1, 2, 3):
         days, failures = simulate_year(
-            profile, models, SimCalendar(0, 4), streams.root(3), approach
+            profile, models, SimCalendar(start_weekday=0, n_days=4), streams.root(3), approach=approach
         )
         assert days.shape == (4, N_STEPS) and days.dtype == np.int8
         if approach != 1:

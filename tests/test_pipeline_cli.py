@@ -1,13 +1,29 @@
 import contextlib
+import inspect
 import io
+import re
 import shutil
+from dataclasses import fields
 
 import pytest
 
-from occsim.cli import main
+from occsim.cli import FLAGS, _build_parser, _settings, main
+from occsim.clustering import select_k
 from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences, write_sequences
-from occsim.pipeline import ProjectConfig, StageError, run_pipeline
-from occsim.schedule_io import read_schedule_file
+from occsim.household import build_household, modulate_schedule
+from occsim.markov_train import estimate_tpm, train_cluster_day_model
+from occsim.occupant_sim import SimCalendar, simulate_year
+from occsim.pipeline import (
+    ProjectConfig,
+    Settings,
+    StageError,
+    cluster_stage,
+    load_simulation_inputs,
+    run_pipeline,
+    simulate_stage,
+    train_stage,
+)
+from occsim.schedule_io import assemble_schedule, read_schedule_file
 from occsim.synth import write_input_tree
 
 
@@ -221,92 +237,82 @@ def test_cli_exit_codes(tmp_path):
     ) == 7
 
 
+def _run_stagewise(synth_tree, out, household, seed, flags):
+    """Run ingest, cluster, train, simulate and validate as subcommands into
+    `out` with the synth project's settings; `flags` holds each stage's extra
+    flags."""
+
+    def stage(command, *argv):
+        assert main([command, *argv, *flags.get(command, [])]) == 0, command
+
+    diaries, code_map = str(synth_tree / "diaries.csv"), str(synth_tree / "code_map.csv")
+    sequences = str(out / "sequences.csv")
+    stage("ingest", "--diaries", diaries, "--code-map", code_map, "--out", sequences)
+    stage("cluster", "--input", sequences, "--out", str(out), "--day-type", "both", "--k-range", "4:4",
+          "--repeats", "3", "--seed", seed, "--silhouette-sample", "768")
+    clusters = [str(out / "model.wd.clusters"), str(out / "model.we.clusters")]
+    stage("train", "--diaries", sequences, "--clusters", *clusters, "--out", str(out / "tpms"))
+    stage("simulate", "--tpms", str(out / "tpms"), "--bundle", str(synth_tree / "bundle"),
+          "--reference", str(synth_tree / "reference"), "--household-config", str(household),
+          "--out", str(out), "--households", "2", "--days", "6", "--seed", seed)
+    # The composed run validates against its sequences.csv; stage-wise
+    # validation of the raw diaries must give the same reports.
+    stage("validate", "--sim", str(out), "--reference", diaries, "--code-map", code_map)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_cli_stagewise_matches_run(synth_tree, pipeline_run, tmp_path):
     """Individual subcommands compose to the same artifacts as `run`."""
     out = tmp_path / "stagewise"
     seed = str(ProjectConfig.read(synth_tree / "project.conf").base_seed)
-    assert main(
-        [
-            "ingest",
-            "--diaries",
-            str(synth_tree / "diaries.csv"),
-            "--code-map",
-            str(synth_tree / "code_map.csv"),
-            "--out",
-            str(out / "sequences.csv"),
-        ]
-    ) == 0
-    assert main(
-        [
-            "cluster",
-            "--input",
-            str(out / "sequences.csv"),
-            "--out",
-            str(out),
-            "--day-type",
-            "both",
-            "--k-range",
-            "4:4",
-            "--repeats",
-            "3",
-            "--seed",
-            seed,
-            "--silhouette-sample",
-            "768",
-        ]
-    ) == 0
-    assert main(
-        [
-            "train",
-            "--diaries",
-            str(out / "sequences.csv"),
-            "--clusters",
-            str(out / "model.wd.clusters"),
-            str(out / "model.we.clusters"),
-            "--out",
-            str(out / "tpms"),
-        ]
-    ) == 0
-    assert main(
-        [
-            "simulate",
-            "--tpms",
-            str(out / "tpms"),
-            "--bundle",
-            str(synth_tree / "bundle"),
-            "--reference",
-            str(synth_tree / "reference"),
-            "--household-config",
-            str(synth_tree / "household.conf"),
-            "--out",
-            str(out),
-            "--households",
-            "2",
-            "--days",
-            "6",
-            "--seed",
-            seed,
-        ]
-    ) == 0
-    # The composed run validates against its sequences.csv; stage-wise
-    # validation of the raw diaries must give the same reports.
-    assert main(
-        [
-            "validate",
-            "--sim",
-            str(out),
-            "--reference",
-            str(synth_tree / "diaries.csv"),
-            "--code-map",
-            str(synth_tree / "code_map.csv"),
-        ]
-    ) == 0
-    for name in ["sequences.csv", "model.wd.clusters", "model.we.clusters", "household_0.csv",
-                 "household_1.csv", "occupant_days.csv", "validation_report.wd.csv",
-                 "validation_report.we.csv"]:
-        assert (out / name).read_bytes() == (pipeline_run / name).read_bytes(), name
-    for tpm in (pipeline_run / "tpms").iterdir():
-        assert (out / "tpms" / tpm.name).read_bytes() == tpm.read_bytes(), tpm.name
+    _run_stagewise(synth_tree, out, synth_tree / "household.conf", seed, {})
+    assert _tree_bytes(out) == _tree_bytes(pipeline_run)
+
+
+# Per case: the project.conf keys, each stage's flags for the same settings,
+# and whether household.conf gains a vacation window.
+STAGEWISE_CASES = {
+    "approach_1": ({"approach": "1"}, {"simulate": ["--approach", "1"]}, False),
+    "approach_2": ({"approach": "2"}, {"simulate": ["--approach", "2"]}, False),
+    "modulation_active": ({"modulation": "active"}, {"simulate": ["--modulation", "active"]}, False),
+    "unweighted": ({"unweighted_clustering": "true"}, {"cluster": ["--unweighted"]}, False),
+    "vacation": ({}, {}, True),
+    "laplace": (
+        {"tpm_fallback": "laplace", "tpm_alpha": "0.5"},
+        {"train": ["--fallback", "laplace", "--alpha", "0.5"]},
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STAGEWISE_CASES)
+def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp_path, case):
+    """Each project.conf key and its stage flag give the same artifacts, and
+    they differ from the default run's."""
+    keys, flags, vacation = STAGEWISE_CASES[case]
+    household = tmp_path / "household.conf"
+    household.write_text((synth_tree / "household.conf").read_text() + ("vacation = 2,4\n" if vacation else ""))
+    settings = {
+        "diaries": synth_tree / "diaries.csv",
+        "code_map": synth_tree / "code_map.csv",
+        "bundle": synth_tree / "bundle",
+        "reference": synth_tree / "reference",
+        "household": household,
+        "base_seed": 101,
+        "n_households": 2,
+        "n_days": 6,
+        "k_range": "4:4",
+        "repeats": 3,
+        "silhouette_sample": 768,
+    }
+    assert main(["run", "--config", str(_write_conf(tmp_path, **settings, **keys))]) == 0
+    _run_stagewise(synth_tree, tmp_path / "stagewise", household, "101", flags)
+    run = _tree_bytes(tmp_path / "out")
+    assert _tree_bytes(tmp_path / "stagewise") == run
+    assert run != _tree_bytes(pipeline_run)
 
 
 def test_simulate_rejects_non_finite_reference(synth_tree, pipeline_run, tmp_path):
@@ -694,3 +700,119 @@ def test_synth_leaves_unset_options_to_write_input_tree(tmp_path, monkeypatch):
     argv = ["synth", "--out", str(tmp_path / "b"), "--diaries-per-day-type", "7", "--seed", "8"]
     assert main(argv + ["--households", "2", "--days", "3"]) == 0
     assert calls == [{}, {"n_per_day_type": 7, "base_seed": 8, "n_households": 2, "n_days": 3}]
+
+
+@pytest.mark.parametrize(
+    "command, options, outputs",
+    [
+        ("cluster", ["--k-range", "4:4", "--repeats", "2"], ["model.wd.clusters", "model.we.clusters"]),
+        ("simulate-occupant", ["--wd-cluster", "0", "--we-cluster", "1", "--days", "3"], ["occ.csv"]),
+    ],
+)
+def test_seed_drawn_from_entropy_is_logged_and_reproduces(
+    pipeline_run, tmp_path, capsys, command, options, outputs
+):
+    if command == "cluster":
+        argv = [command, "--input", str(pipeline_run / "sequences.csv"), *options]
+        drawn, given = tmp_path / "drawn", tmp_path / "given"
+    else:
+        argv = [command, "--tpms", str(pipeline_run / "tpms"), *options]
+        drawn, given = tmp_path / "drawn" / "occ.csv", tmp_path / "given" / "occ.csv"
+    assert main([*argv, "--out", str(drawn)]) == 0
+    logged = re.search(rf"^{command}: base_seed = (\d+) \(drawn from entropy\)$", capsys.readouterr().err, re.M)
+    assert logged
+    assert main([*argv, "--out", str(given), "--seed", logged[1]]) == 0
+    for name in outputs:
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "drawn" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", ["3", "a:b", "3:4:5", ""])
+def test_malformed_k_range_is_a_usage_error(pipeline_run, synth_tree, tmp_path, capsys, value):
+    argv = ["cluster", "--input", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
+    argv.append(f"--k-range={value}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--k-range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.clusters"))
+    assert main(["run", "--config", str(_write_conf(tmp_path, k_range=value))]) == 2
+
+
+# The required flags of each subcommand that takes settings.
+REQUIRED_FLAGS = {
+    "cluster": ["--input", "s.csv", "--out", "o"],
+    "train": ["--diaries", "s.csv", "--clusters", "m.clusters", "--out", "o"],
+    "simulate": ["--tpms", "t", "--bundle", "b", "--reference", "r", "--household-config", "h", "--out", "o"],
+    "simulate-occupant": ["--tpms", "t", "--wd-cluster", "0", "--we-cluster", "0", "--out", "o.csv"],
+}
+SETTING_NAMES = {f.name for f in fields(Settings)}
+STAGE_SETTINGS = {
+    "cluster": ["k_range", "repeats", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering"],
+    "train": ["tpm_fallback", "tpm_alpha"],
+    "simulate": ["n_households", "n_days", "start_weekday", "base_seed", "approach", "modulation"],
+    "simulate-occupant": ["n_days", "start_weekday", "base_seed", "approach"],
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_FLAGS)
+def test_stage_flags_restate_no_setting_default(command):
+    args = _build_parser().parse_args([command, *REQUIRED_FLAGS[command]])
+    assert not SETTING_NAMES & set(vars(args))
+    assert _settings(args) == Settings()
+
+
+def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
+    values = {
+        "base_seed": "7",
+        "n_households": "2",
+        "n_days": "9",
+        "start_weekday": "friday",
+        "approach": "1",
+        "k_range": "2:5",
+        "repeats": "4",
+        "epsilon": "0.5",
+        "silhouette_sample": "40",
+        "tpm_fallback": "laplace",
+        "tpm_alpha": "0.5",
+        "modulation": "active",
+        "unweighted_clustering": "true",
+    }
+    assert set(values) == SETTING_NAMES == set(FLAGS)
+    cfg = ProjectConfig.read(_write_conf(tmp_path, **values))
+    for f in fields(Settings):
+        assert getattr(cfg, f.name) != f.default, f.name
+    # each stage flag parses to the value of its project.conf key
+    assert set().union(*STAGE_SETTINGS.values()) == SETTING_NAMES
+    for command, names in STAGE_SETTINGS.items():
+        argv = [command, *REQUIRED_FLAGS[command]]
+        for name in names:
+            argv += [FLAGS[name]] if name == "unweighted_clustering" else [FLAGS[name], values[name]]
+        settings = _settings(_build_parser().parse_args(argv))
+        assert {name: getattr(settings, name) for name in names} == {name: getattr(cfg, name) for name in names}
+
+
+@pytest.mark.parametrize(
+    "kernel, names",
+    [
+        (select_k, ["k_range", "repeats", "base_seed", "epsilon", "silhouette_sample"]),
+        (estimate_tpm, ["fallback", "alpha"]),
+        (train_cluster_day_model, ["fallback", "alpha"]),
+        (assemble_schedule, ["modulation"]),
+        (modulate_schedule, ["mode"]),
+        (build_household, ["approach"]),
+        (simulate_year, ["approach"]),
+        (SimCalendar, ["start_weekday", "n_days"]),
+    ],
+)
+def test_kernels_take_settings_without_defaults(kernel, names):
+    parameters = inspect.signature(kernel).parameters
+    for name in names:
+        assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+        assert parameters[name].default is inspect.Parameter.empty, name
+
+
+@pytest.mark.parametrize("stage", [cluster_stage, train_stage, simulate_stage, load_simulation_inputs])
+def test_stages_take_one_settings_object(stage):
+    parameters = inspect.signature(stage).parameters
+    assert not SETTING_NAMES & set(parameters)
+    assert parameters["cfg"].annotation == "Settings"

@@ -169,7 +169,8 @@ def _day_result(present, appliance_events=NO_EVENTS, water_events=NO_EVENTS):
 def test_assemble_schedule_normalizes_rows():
     ref = np.broadcast_to(np.linspace(1, 2, N_STEPS), (len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS))
     cooking = _events((C("cooking_range"), 45.0, 15.0, 0.8), (C("cooking_range"), 150.0, 15.0, 0.4))
-    sched = assemble_schedule(_day_result(np.full(N_STEPS, 0.5), cooking), ref, SimCalendar(0, 1))
+    cal = SimCalendar(start_weekday=0, n_days=1)
+    sched = assemble_schedule(_day_result(np.full(N_STEPS, 0.5), cooking), ref, cal, modulation="present")
     assert sched.values.shape == (len(SCHEDULE_COLUMNS), N_STEPS)
     assert sched.n_days == 1
     assert sched.peaks["cooking_range"] == 12.0
@@ -326,6 +327,23 @@ def test_read_schedule_rejects_bad_file_naming_it(tmp_path, case):
         read_schedule_file(path)
 
 
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_read_schedule_error_names_the_file_line(tmp_path, blank_lines):
+    """File lines count from 1 over peaks, header and blank lines alike."""
+    path = _written_schedule(tmp_path)  # one day: data rows on lines 14..109
+    lines = path.read_text().splitlines()
+    lines[HEAD:HEAD] = [""] * blank_lines
+    for index, make, message in [
+        (20, lambda line: "abc" + line[8:], "could not convert string 'abc' to float"),
+        (25, lambda line: line.rsplit(",", 1)[0], f"number of columns is 12, expected {len(SCHEDULE_COLUMNS)}"),
+    ]:
+        index += blank_lines
+        path.write_text(_replace_line("\n".join(lines), index, make))
+        with pytest.raises(ScheduleError) as exc:
+            read_schedule_file(path)
+        assert str(exc.value) == f"{path}: line {index + 1}: {message}"
+
+
 def _reference_dir(directory):
     for use in MODULATED_END_USES:
         for dt in ("wd", "we"):
@@ -408,8 +426,8 @@ def test_assemble_schedule_takes_reference_by_day_type():
     ref = np.ones((len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS))
     ref *= np.arange(1, len(MODULATED_END_USES) + 1)[:, None, None]
     ref[:, DAY_TYPES.index("WE")] *= 2
-    cal = SimCalendar(4, 4)  # friday start: WD WE WE WD
-    sched = assemble_schedule(_day_result(np.ones(4 * N_STEPS)), ref, cal)
+    cal = SimCalendar(start_weekday=4, n_days=4)  # friday start: WD WE WE WD
+    sched = assemble_schedule(_day_result(np.ones(4 * N_STEPS)), ref, cal, modulation="present")
     for u, use in enumerate(MODULATED_END_USES):
         assert sched.peaks[use] == 2.0 * (u + 1)
         row = sched.columns[use]
@@ -448,11 +466,11 @@ def _default_reference_array():
 
 
 def test_assemble_schedule_end_to_end():
-    cal = SimCalendar(0, 2)
+    cal = SimCalendar(start_weekday=0, n_days=2)
     result = _two_day_result()
     present = result.trace.present_fraction
     ref = _default_reference_array()
-    sched = assemble_schedule(result, ref, cal)
+    sched = assemble_schedule(result, ref, cal, modulation="present")
     assert np.array_equal(sched.columns["occupants"], present)
     # day 0 lighting follows the weekday reference normalized by its own max
     wd = ref[MODULATED_END_USES.index("lighting"), DAY_TYPES.index("WD")]
@@ -466,6 +484,7 @@ def test_assemble_schedule_end_to_end():
 
 def test_schedule_writer_negative_reference_matches_per_value_format(tmp_path):
     """A negative reference has a peak <= 0, so its column is written unscaled."""
-    sched = assemble_schedule(_two_day_result(), -_default_reference_array(), SimCalendar(0, 2))
+    cal = SimCalendar(start_weekday=0, n_days=2)
+    sched = assemble_schedule(_two_day_result(), -_default_reference_array(), cal, modulation="present")
     assert sched.peaks["lighting"] < 0 and sched.columns["lighting"].max() < 0
     _assert_writes_reference_bytes(tmp_path, sched)
