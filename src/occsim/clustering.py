@@ -17,6 +17,7 @@ from . import streams
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
+    PRESENCE_ALPHABET,
     STATE_BY_TOKEN,
     STATE_TOKENS,
     ActivityState,
@@ -52,6 +53,10 @@ class ClusterModel:
             raise ClusterError(f"shares must be finite and nonnegative, got {self.shares.tolist()}")
         if self.modes.shape != (self.k, N_STEPS):
             raise ClusterError(f"modes must be ({self.k}, {N_STEPS}), got {self.modes.shape}")
+        outside = ~np.isin(self.modes, PRESENCE_ALPHABET)
+        if outside.any():
+            bad = STATE_TOKENS[ActivityState(int(self.modes[outside][0]))]
+            raise ClusterError(f"modes hold {bad}; a mode state is one of Sleep, Away, HomeActive")
         if self.shares.shape != (self.k,):
             raise ClusterError("shares must have one entry per cluster")
         if abs(float(self.shares.sum()) - 1.0) > 1e-9:

@@ -1,11 +1,12 @@
-"""Household assembly: occupants, shared events, water draws, occupancy traces.
+"""Household assembly: occupants, shared events, water draws, modulation.
 
-Occupant-level activity runs become household appliance and water events,
-held as EVENT rows keyed by the schedule column they feed.  Cooking,
-dishwashing, and laundry intervals merge across occupants into single
-shared-appliance events (overlapping or abutting intervals union);
-personal hygiene stays per-occupant and is never merged.  Event times are
-minutes from the start of the simulation year.
+Runs of the household's (n_occupants, n_steps) state matrix become
+appliance and water events, held as EVENT rows keyed by the schedule
+column they feed.  A cooking, dishwashing, or laundry event is a run of
+steps where any occupant is in that activity, so overlapping or abutting
+occupant runs share one appliance; personal hygiene stays per-occupant and
+is never merged.  Intervals are (m, 2) arrays of start and end minutes
+from the start of the simulation year.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .conf import read_key_values
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
 from .distributions import EmpiricalDistribution, draw_index
 from .clustering import DEFAULT_CLUSTER_SHARES
-from .markov_train import ClusterDayModel, _runs
+from .markov_train import ClusterDayModel, runs
 from .occupant_sim import (
     RETRY_BUDGET,
     OccupantProfile,
@@ -160,26 +161,11 @@ class HouseholdConfig:
 
 
 @dataclass
-class OccupancyTrace:
-    """Household occupancy per step.
-
-    present counts states other than Away; active counts states other than
-    Away and Sleep.  `active_fraction` backs the awake-only modulation
-    switch.
-    """
-
-    present_fraction: np.ndarray
-    active_any: np.ndarray
-    active_fraction: np.ndarray
-
-
-@dataclass
 class HouseholdResult:
     index: int
     n_occupants: int
     profiles: list[OccupantProfile]
     states: np.ndarray  # (n_occupants, 96 * n_days) int8
-    trace: OccupancyTrace
     appliance_events: np.ndarray  # EVENT rows
     water_events: np.ndarray  # EVENT rows
     placement_failures: int = 0
@@ -206,33 +192,30 @@ def sample_household(
     return n, profiles
 
 
-def activity_intervals(states: np.ndarray, activity: ActivityState) -> list[tuple[float, float]]:
-    """Maximal runs of `activity` as (start, end) minutes from year start."""
-    _, starts, lengths, _ = _runs(np.asarray(states)[None, :] == int(activity))
-    return [(float(s * STEP_MINUTES), float((s + n) * STEP_MINUTES)) for s, n in zip(starts, lengths)]
+def _run_minutes(mask: np.ndarray) -> np.ndarray:
+    """(m, 2) start and end minutes of the True runs of a (rows, n_steps)
+    mask, row by row."""
+    _, starts, lengths, _ = runs(mask)
+    return np.stack([starts, starts + lengths], axis=1) * float(STEP_MINUTES)
 
 
-def merge_shared_events(
-    per_occupant: list[list[tuple[float, float]]], activity: ActivityState
-) -> list[tuple[float, float]]:
-    """Union of intervals across occupants; overlapping or abutting merge.
+def merge_shared_events(states: np.ndarray, activity: ActivityState) -> np.ndarray:
+    """(m, 2) start and end minutes of the runs of steps where any occupant
+    is in `activity`, so overlapping or abutting occupant runs are one event.
 
-    Only cooking, dishwashing, and laundry intervals may merge; hygiene is
+    Only cooking, dishwashing, and laundry runs may merge; hygiene is
     per-person and refusing it here keeps showers unmergeable by
     construction.
     """
     if activity not in MERGEABLE_ACTIVITIES:
         raise HouseholdError(f"{ActivityState(activity).name} events are never merged")
-    flat = sorted(iv for ivs in per_occupant for iv in ivs)
-    merged: list[tuple[float, float]] = []
-    for start, end in flat:
-        if end < start:
-            raise HouseholdError(f"inverted interval ({start}, {end})")
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+    return _run_minutes((np.asarray(states) == int(activity)).any(axis=0)[None])
+
+
+def hygiene_intervals(states: np.ndarray) -> np.ndarray:
+    """(m, 2) start and end minutes of every occupant's personal-hygiene runs,
+    occupant by occupant."""
+    return _run_minutes(np.asarray(states) == int(ActivityState.PERSONAL_HYGIENE))
 
 
 def _dist(bundle: dict[str, EmpiricalDistribution], name: str) -> EmpiricalDistribution:
@@ -243,12 +226,14 @@ def _dist(bundle: dict[str, EmpiricalDistribution], name: str) -> EmpiricalDistr
 
 
 def attach_appliance_events(
-    intervals_by_activity: dict[ActivityState, list[tuple[float, float]]],
+    intervals_by_activity: dict[ActivityState, np.ndarray],
     bundle: dict[str, EmpiricalDistribution],
     rng: np.random.Generator,
-    year_minutes: float | None = None,
+    *,
+    year_minutes: float,
 ) -> np.ndarray:
-    """EVENT rows sampling power (and water) for merged activity intervals.
+    """EVENT rows sampling power (and water) for each merged activity
+    interval, in the order `merge_shared_events` gives them.
 
     Each operation adds a power row and, for the dishwasher and washer, a
     water row.  Laundry intervals also produce a dryer row starting when
@@ -259,8 +244,8 @@ def attach_appliance_events(
     dryer = _column("clothes_dryer_power")
     rows: list[tuple[int, float, float, float]] = []
     for activity, (key, power, water) in ACTIVITY_APPLIANCE.items():
-        intervals = intervals_by_activity.get(activity)
-        if not intervals:
+        intervals = intervals_by_activity.get(activity, ())
+        if not len(intervals):
             continue
         p_dur = _dist(bundle, f"{key}.power.duration")
         p_lvl = _dist(bundle, f"{key}.power.level")
@@ -271,25 +256,25 @@ def attach_appliance_events(
         if chained:
             d_dur = _dist(bundle, "clothes_dryer.power.duration")
             d_lvl = _dist(bundle, "clothes_dryer.power.level")
-        for start, _end in sorted(intervals):
+        for start, _end in intervals.tolist():
             duration = p_dur.sample(rng)
             rows.append((power, start, duration, p_lvl.sample(rng)))
             if water is not None:
                 rows.append((water, start, w_dur.sample(rng), w_flow.sample(rng)))
             if chained:
                 dryer_start = start + duration
-                if year_minutes is None or dryer_start < year_minutes:
+                if dryer_start < year_minutes:
                     rows.append((dryer, dryer_start, d_dur.sample(rng), d_lvl.sample(rng)))
     return np.array(rows, dtype=EVENT)
 
 
 def attach_hygiene_water(
-    per_occupant: list[list[tuple[float, float]]],
+    intervals: np.ndarray,
     bundle: dict[str, EmpiricalDistribution],
     config: HouseholdConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """EVENT rows: one shower-or-bath draw per hygiene interval, per occupant.
+    """EVENT rows: one shower-or-bath draw per `hygiene_intervals` row, in order.
 
     The fixture is a shower with probability `shower_fraction`, else a
     bath.  The draw starts uniformly (1-minute resolution) within the part
@@ -298,39 +283,38 @@ def attach_hygiene_water(
     """
     showers, baths = _column("showers"), _column("baths")
     rows: list[tuple[int, float, float, float]] = []
-    for intervals in per_occupant:
-        for start, end in sorted(intervals):
-            is_shower = rng.random() < config.shower_fraction
-            key = "shower" if is_shower else "bath"
-            duration = _dist(bundle, f"{key}.duration").sample(rng)
-            flow = _dist(bundle, f"{key}.flow").sample(rng)
-            window = end - start
-            if duration >= window:
-                duration = window
-                offset = 0
-            else:
-                offset = int(rng.integers(0, int(window - duration) + 1))
-            rows.append((showers if is_shower else baths, start + offset, duration, flow))
+    for start, end in intervals.tolist():
+        is_shower = rng.random() < config.shower_fraction
+        key = "shower" if is_shower else "bath"
+        duration = _dist(bundle, f"{key}.duration").sample(rng)
+        flow = _dist(bundle, f"{key}.flow").sample(rng)
+        window = end - start
+        if duration >= window:
+            duration = window
+            offset = 0
+        else:
+            offset = int(rng.integers(0, int(window - duration) + 1))
+        rows.append((showers if is_shower else baths, start + offset, duration, flow))
     return np.array(rows, dtype=EVENT)
 
 
 def generate_sink_events(
-    trace: OccupancyTrace,
+    active: np.ndarray,
     bundle: dict[str, EmpiricalDistribution],
     rng: np.random.Generator,
 ) -> np.ndarray:
     """EVENT rows of household-level sink draws across the year.
 
     Per day, a sampled number of events each draws an onset step; onsets
-    landing where no occupant is active are resampled within the retry
-    budget and otherwise dropped.
+    landing on a step that `active` (one bool per step, any occupant
+    active) marks False are resampled within the retry budget and
+    otherwise dropped.
     """
     count_dist = _dist(bundle, "sink.count")
     onset_dist = _dist(bundle, "sink.onset")
     dur_dist = _dist(bundle, "sink.duration")
     flow_dist = _dist(bundle, "sink.flow")
     sinks = _column("sinks")
-    active = trace.active_any
     n_days = active.shape[0] // N_STEPS
     rows: list[tuple[int, float, float, float]] = []
     for day in range(n_days):
@@ -345,40 +329,19 @@ def generate_sink_events(
     return np.array(rows, dtype=EVENT)
 
 
-def occupancy_fraction(states: np.ndarray) -> OccupancyTrace:
-    """Reduce per-occupant states to household presence and activity."""
-    states = np.atleast_2d(np.asarray(states))
-    n = states.shape[0]
-    present = (states != int(ActivityState.AWAY)).sum(axis=0) / n
-    active = states >= int(ActivityState.HOME_ACTIVE)
-    return OccupancyTrace(
-        present_fraction=present.astype(np.float64),
-        active_any=active.any(axis=0),
-        active_fraction=active.sum(axis=0) / n,
-    )
+def modulate_schedule(reference: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Scale reference schedules by an occupancy fraction, pinned to each
+    day's minimum.
 
-
-def modulate_schedule(
-    reference: np.ndarray, trace: OccupancyTrace, *, mode: str
-) -> np.ndarray:
-    """Scale reference schedules by occupancy, pinned to each day's minimum.
-
-    out = daily_min + (reference - daily_min) * fraction.  Full occupancy
+    out = daily_min + (reference - daily_min) * frac.  Full occupancy
     returns the reference exactly and zero occupancy returns the day's
     minimum exactly (bit-for-bit).  `reference` is (..., n_steps), one
-    schedule per row, every row scaled by the same trace. `mode` picks the
-    occupancy signal: "present" or "active".
+    schedule per row, every row scaled by the same (n_steps,) `frac`.
     """
-    if mode == "present":
-        frac = trace.present_fraction
-    elif mode == "active":
-        frac = trace.active_fraction
-    else:
-        raise HouseholdError(f"unknown modulation mode {mode!r}")
     n_steps = frac.shape[0]
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[-1:] != (n_steps,):
-        raise HouseholdError(f"reference length {reference.shape} does not match trace {n_steps}")
+        raise HouseholdError(f"reference length {reference.shape} does not match occupancy {n_steps}")
     ref = reference.reshape(*reference.shape[:-1], n_steps // N_STEPS, N_STEPS)
     f = frac.reshape(n_steps // N_STEPS, N_STEPS)
     dmin = ref.min(axis=-1, keepdims=True)
@@ -442,28 +405,19 @@ def build_household(
         states[o] = year.ravel()
         failures += n_fail
 
+    merged = {activity: merge_shared_events(states, activity) for activity in MERGEABLE_ACTIVITIES}
     year_minutes = calendar.n_days * MINUTES_PER_DAY
-    merged = {
-        activity: merge_shared_events(
-            [activity_intervals(states[o], activity) for o in range(n)], activity
-        )
-        for activity in MERGEABLE_ACTIVITIES
-    }
     appliance_events = attach_appliance_events(
-        merged, bundle, streams.generator(h_seq, streams.APPLIANCES), year_minutes
+        merged, bundle, streams.generator(h_seq, streams.APPLIANCES), year_minutes=year_minutes
     )
-    hygiene = [activity_intervals(states[o], ActivityState.PERSONAL_HYGIENE) for o in range(n)]
     water_events = attach_hygiene_water(
-        hygiene, bundle, config, streams.generator(h_seq, streams.HYGIENE)
+        hygiene_intervals(states), bundle, config, streams.generator(h_seq, streams.HYGIENE)
     )
-    trace = occupancy_fraction(states)
-    sinks = generate_sink_events(trace, bundle, streams.generator(h_seq, streams.SINKS))
+    active = (states >= int(ActivityState.HOME_ACTIVE)).any(axis=0)
+    sinks = generate_sink_events(active, bundle, streams.generator(h_seq, streams.SINKS))
     water_events = np.concatenate([water_events, sinks])
 
     states, appliance_events, water_events = apply_vacation(
         states, appliance_events, water_events, config.vacation, calendar.n_days
     )
-    trace = occupancy_fraction(states)
-    return HouseholdResult(
-        index, n, profiles, states, trace, appliance_events, water_events, failures
-    )
+    return HouseholdResult(index, n, profiles, states, appliance_events, water_events, failures)

@@ -18,6 +18,7 @@ import numpy as np
 from .diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
+    N_STEPS,
     PRESENCE_ALPHABET,
     STATE_BY_TOKEN,
     STATE_TOKENS,
@@ -237,8 +238,8 @@ def forward_marginals(tpms: TPMSet) -> np.ndarray:
     return out
 
 
-def _runs(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal True runs per row of a boolean matrix.
+def runs(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal True runs per row of a boolean matrix, in row-major order.
 
     Returns (row index, start column, length) per run plus runs-per-row.
     """
@@ -256,7 +257,7 @@ def estimate_statistics(table: np.ndarray, activity: ActivityState) -> ActivityS
     """Reduce a SEQUENCE table to duration/onset/occurrence distributions and a daily profile."""
     X, w, _ = _columns(table)
     B = X == int(activity)
-    rows, onsets, lengths, per_row = _runs(B)
+    rows, onsets, lengths, per_row = runs(B)
     total_w = w.sum()
     profile = (w[:, None] * B).sum(axis=0) / total_w
     occurrences = EmpiricalDistribution.from_weights(per_row.astype(float), w, unit="count")
@@ -339,6 +340,17 @@ def _read_model_file(path: Path, required: bool = True):
         raise TrainError(message if message.startswith(str(path)) else f"{path}: {message}") from None
 
 
+def _read_day_tpm(path: Path, alphabet: tuple[ActivityState, ...]) -> TPMSet:
+    """A model tree's `.tpm` file, which must hold a whole day over `alphabet` in order."""
+    tpms = _read_model_file(path)
+    if tpms.alphabet != alphabet:
+        got, want = (",".join(STATE_TOKENS[a] for a in states) for states in (tpms.alphabet, alphabet))
+        raise TrainError(f"{path}: states {got}, expected {want}")
+    if tpms.n_steps != N_STEPS:
+        raise TrainError(f"{path}: {tpms.n_steps - 1} matrices, expected {N_STEPS - 1}")
+    return tpms
+
+
 def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel]]:
     """Load the trained model tree keyed by day type then cluster id."""
     directory = Path(directory)
@@ -354,8 +366,8 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
             raise TrainError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
         stem = tpm_path.name[: -len(".tpm")]
         cluster_id, day_type = int(match[1]), match[2].upper()
-        tpms = _read_model_file(tpm_path)
-        presence_tpms = _read_model_file(directory / f"{stem}.presence.tpm")
+        tpms = _read_day_tpm(tpm_path, FULL_ALPHABET)
+        presence_tpms = _read_day_tpm(directory / f"{stem}.presence.tpm", PRESENCE_ALPHABET)
         stats: dict[ActivityState, ActivityStats] = {}
         for activity, act in _ACT_FILE.items():
             count = _read_model_file(directory / f"{stem}.{act}.count.dist")

@@ -21,7 +21,6 @@ from .conf import read_key_values
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
-    DiaryFormatError,
     ActivityCodeMap,
     load_sequences_any,
     project_to_presence,
@@ -148,9 +147,13 @@ def resolve_seed(cfg: Settings, log, command: str) -> Settings:
 def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.ndarray, int]:
     """Diaries or a sequence file as a SEQUENCE table, plus the unmapped-code
     tally; bad or empty input is a StageError of `stage`."""
+    source = code_map
     try:
         cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
+        source = path
         sequences, unknown = load_sequences_any(path, cmap)
+    except UnicodeDecodeError as exc:  # its message names no file
+        raise StageError(stage, f"{source}: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise StageError(stage, str(exc)) from exc
     if not len(sequences):
@@ -307,13 +310,8 @@ def validate_stage(
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus."""
     log = sys.stderr if log is None else log
-    sim_path = sim / "occupant_days.csv" if sim.is_dir() else sim
-    try:
-        cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
-        sim_days, _ = load_sequences_any(sim_path, cmap)
-        ref_days, _ = load_sequences_any(reference_diaries, cmap)
-    except (OSError, DiaryFormatError) as exc:
-        raise StageError("validate", str(exc)) from exc
+    sim_days, _ = load_sequences(sim / "occupant_days.csv" if sim.is_dir() else sim, code_map, "validate")
+    ref_days, _ = load_sequences(reference_diaries, code_map, "validate")
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:

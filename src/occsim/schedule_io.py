@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .conf import read_step_values
-from .diary_ingest import DAY_TYPES, N_STEPS
+from .diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from .distributions import EmpiricalDistribution
 from .household import EVENT_COLUMNS, HouseholdResult, modulate_schedule
 from .occupant_sim import SimCalendar
@@ -112,20 +112,28 @@ def assemble_schedule(
     *,
     modulation: str,
 ) -> HouseholdScheduleYear:
-    """The occupancy trace, the modulated end uses and the rasterized events
-    as one schedule, every row but occupants divided by its annual maximum
-    when that is positive.
+    """The occupancy fraction, the modulated end uses and the rasterized
+    events as one schedule, every row but occupants divided by its annual
+    maximum when that is positive.
 
-    `reference` is the `load_reference_dir` array; each day takes its day
-    type's reference day.
+    The occupants row is the fraction of occupants not Away at each step.
+    The end uses are modulated by that fraction, or under `modulation`
+    "active" by the fraction neither Away nor asleep.  `reference` is the
+    `load_reference_dir` array; each day takes its day type's reference day.
     """
+    if modulation not in ("present", "active"):
+        raise ScheduleError(f"unknown modulation {modulation!r}")
+    states = result.states
+    present = (states != int(ActivityState.AWAY)).sum(axis=0) / len(states)
+    if modulation == "active":
+        frac = (states >= int(ActivityState.HOME_ACTIVE)).sum(axis=0) / len(states)
+    else:
+        frac = present
     n_uses, n_steps = len(MODULATED_END_USES), calendar.n_days * N_STEPS
     days = [DAY_TYPES.index(day_type) for day_type in calendar.day_types]
     values = np.empty((len(SCHEDULE_COLUMNS), n_steps))
-    values[0] = result.trace.present_fraction
-    values[1 : 1 + n_uses] = modulate_schedule(
-        reference[:, days].reshape(n_uses, n_steps), result.trace, mode=modulation
-    )
+    values[0] = present
+    values[1 : 1 + n_uses] = modulate_schedule(reference[:, days].reshape(n_uses, n_steps), frac)
     values[1 + n_uses :] = rasterize_events(result.appliance_events, result.water_events, calendar.n_days)
     rows = values[1:]
     peaks = rows.max(axis=1)

@@ -23,9 +23,9 @@ from occsim.household import (
     EVENT_COLUMNS,
     HouseholdConfig,
     HouseholdError,
-    OccupancyTrace,
     attach_hygiene_water,
     build_household,
+    hygiene_intervals,
     merge_shared_events,
     modulate_schedule,
     sample_household,
@@ -137,7 +137,7 @@ def test_criterion_04_shower_bath_split():
     bundle = default_bundle()
     config = HouseholdConfig(point_mass(1.0, "count"))
     n = 100_000
-    intervals = [[(0.0, 30.0)] * n]
+    intervals = np.tile([0.0, 30.0], (n, 1))
     rng = streams.generator(streams.root(88), streams.HYGIENE)
     events = attach_hygiene_water(intervals, bundle, config, rng)
     share = float(np.mean(events["column"] == EVENT_COLUMNS.index("showers")))
@@ -240,8 +240,8 @@ def test_criterion_07_modulation_identities():
     ref = rng.uniform(0.05, 1.0, n_days * N_STEPS)
     ones = np.ones(n_days * N_STEPS)
     zeros = np.zeros(n_days * N_STEPS)
-    full = modulate_schedule(ref, OccupancyTrace(ones, ones > 0, ones), mode="present")
-    empty = modulate_schedule(ref, OccupancyTrace(zeros, zeros > 0, zeros), mode="present")
+    full = modulate_schedule(ref, ones)
+    empty = modulate_schedule(ref, zeros)
     dmin = np.repeat(ref.reshape(n_days, N_STEPS).min(axis=1), N_STEPS)
     full_exact = bool(np.array_equal(full, ref))
     empty_exact = bool(np.array_equal(empty, dmin))
@@ -263,15 +263,20 @@ def test_criterion_08_merge_invariant():
     for _ in range(1000):
         n_occ = int(rng.integers(2, 6))
         for activity in mergeable:
+            # random other states, then `activity` over each occupant's random
+            # step-aligned (start, end) minute intervals
+            others = [int(s) for s in FULL_ALPHABET if s != activity]
+            states = rng.choice(others, size=(n_occ, horizon_steps)).astype(np.int8)
             per_occ = []
-            for _o in range(n_occ):
+            for o in range(n_occ):
                 ivs = []
                 for _i in range(rng.integers(0, 4)):
                     s = int(rng.integers(0, horizon_steps - 8)) * 15
                     e = s + int(rng.integers(1, 8)) * 15
                     ivs.append((float(s), float(e)))
+                    states[o, s // 15 : e // 15] = int(activity)
                 per_occ.append(ivs)
-            merged = merge_shared_events(per_occ, activity)
+            merged = [tuple(iv) for iv in merge_shared_events(states, activity).tolist()]
             mask = np.zeros(horizon_steps * 15, dtype=bool)
             for ivs in per_occ:
                 for s, e in ivs:
@@ -287,16 +292,18 @@ def test_criterion_08_merge_invariant():
                 failures += 1
             if any(b[0] <= a[1] for a, b in zip(merged, merged[1:])):
                 failures += 1
+    hygiene = ActivityState.PERSONAL_HYGIENE
     try:
-        merge_shared_events([[(0.0, 15.0)]], ActivityState.PERSONAL_HYGIENE)
+        merge_shared_events(np.full((1, N_STEPS), int(hygiene)), hygiene)
         hygiene_rejected = False
     except HouseholdError:
         pass
-    # identical overlapping hygiene intervals stay one event per occupant
+    # identical overlapping hygiene runs stay one event per occupant
     bundle = default_bundle()
     config = HouseholdConfig(point_mass(1.0, "count"))
-    per_occ = [[(600.0, 630.0)], [(600.0, 630.0)], [(600.0, 630.0)]]
-    events = attach_hygiene_water(per_occ, bundle, config, np.random.default_rng(0))
+    states = np.full((3, N_STEPS), int(ActivityState.HOME_ACTIVE), dtype=np.int8)
+    states[:, 40:42] = int(hygiene)  # minutes 600 to 630
+    events = attach_hygiene_water(hygiene_intervals(states), bundle, config, np.random.default_rng(0))
     ok = failures == 0 and hygiene_rejected and len(events) == 3
     check(
         8,

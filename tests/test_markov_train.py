@@ -25,7 +25,7 @@ from occsim.markov_train import (
     train_cluster_day_model,
 )
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year
-from tests.conftest import make_seq
+from tests.helpers import make_seq
 
 S = len(FULL_ALPHABET)
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}

@@ -12,7 +12,7 @@ from occsim.diary_ingest import (
     ActivityState,
 )
 from occsim.distributions import EmpiricalDistribution, draw_index
-from occsim.markov_train import ActivityStats, ClusterDayModel, TPMSet, _runs
+from occsim.markov_train import ActivityStats, ClusterDayModel, TPMSet, runs
 from occsim.occupant_sim import (
     OccupantProfile,
     SimCalendar,
@@ -178,7 +178,7 @@ def test_resume_exclusion_caps_event_runs():
     )
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 30.0)}
     days = walk_days(tpms, np.random.default_rng(42).random((200, 2 * N_STEPS)), stats)
-    rows, starts, lengths, _ = _runs(days == CO)
+    rows, starts, lengths, _ = runs(days == CO)
     interior = starts + lengths <= N_STEPS - 1
     assert lengths[interior].size > 100
     assert np.all(lengths[interior] == 2)

@@ -10,7 +10,7 @@ import pytest
 from occsim.cli import FLAGS, _build_parser, _settings, main
 from occsim.clustering import select_k
 from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences, write_sequences
-from occsim.household import build_household, modulate_schedule
+from occsim.household import attach_appliance_events, build_household
 from occsim.markov_train import estimate_tpm, train_cluster_day_model
 from occsim.occupant_sim import SimCalendar, simulate_year
 from occsim.pipeline import (
@@ -486,6 +486,51 @@ def test_simulate_rejects_half_deleted_model(synth_tree, pipeline_run, tmp_path,
     assert f"missing expected file: {tpms / name}" in capsys.readouterr().err
 
 
+FULL_TOKENS = ",".join(STATE_TOKENS.values())
+
+
+def _swap_first_two_states(path):
+    lines = path.read_text().splitlines()
+    head = lines[0].split(",")
+    head[2], head[3] = head[3], head[2]
+    path.write_text("\n".join([",".join(head)] + lines[1:]) + "\n")
+
+
+def _keep_50_matrices(path):
+    lines = path.read_text().splitlines()
+    n_states = len(lines[0].split(",")) - 2
+    path.write_text("\n".join(lines[: 2 + 50 * n_states]) + "\n")
+
+
+# (file to break, how, message after the file name)
+BAD_MODELS = {
+    "permuted": ("c0.wd.tpm", _swap_first_two_states, "states Away,Sleep," + FULL_TOKENS[len("Sleep,Away,") :]),
+    "presence_as_full": (
+        "c0.wd.tpm",
+        lambda path: shutil.copy(path.parent / "c0.wd.presence.tpm", path),
+        f"states Sleep,Away,HomeActive, expected {FULL_TOKENS}",
+    ),
+    "full_as_presence": (
+        "c1.we.presence.tpm",
+        lambda path: shutil.copy(path.parent / "c1.we.tpm", path),
+        f"states {FULL_TOKENS}, expected Sleep,Away,HomeActive",
+    ),
+    "short": ("c0.wd.tpm", _keep_50_matrices, "50 matrices, expected 95"),
+    "short_presence": ("c1.wd.presence.tpm", _keep_50_matrices, "50 matrices, expected 95"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODELS))
+def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline_run, tmp_path, capsys, case):
+    tpms = tmp_path / "tpms"
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    name, corrupt, message = BAD_MODELS[case]
+    corrupt(tpms / name)
+    assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
+    assert f"{tpms / name}: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("household_*.csv"))
+
+
 @pytest.mark.parametrize(
     "option, message",
     [
@@ -628,6 +673,41 @@ def test_validate_rejects_bad_weight(pipeline_run, tmp_path, capsys, weight):
     argv = ["validate", "--sim", str(sim), "--reference", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
     assert main(argv) == 7
     assert f"{sim}: row 1: bad weight '{weight}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["--sim", "--reference"])
+def test_validate_rejects_non_utf8_input(pipeline_run, tmp_path, capsys, side):
+    files = {"--sim": pipeline_run / "occupant_days.csv", "--reference": pipeline_run / "sequences.csv"}
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(files[side].read_bytes().replace(b"WD", b"W\xc9", 1))
+    files[side] = bad
+    argv = ["validate", "--sim", str(files["--sim"]), "--reference", str(files["--reference"])]
+    assert main(argv + ["--out", str(tmp_path / "v")]) == 7
+    err = capsys.readouterr().err
+    assert str(bad) in err and "utf-8" in err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("name", ["diaries.csv", "code_map.csv"])
+def test_ingest_names_non_utf8_file(synth_tree, tmp_path, capsys, name):
+    files = {name: synth_tree / name for name in ("diaries.csv", "code_map.csv")}
+    files[name] = tmp_path / name
+    files[name].write_bytes((synth_tree / name).read_bytes() + b"\xc9\n")
+    argv = ["ingest", "--diaries", str(files["diaries.csv"]), "--code-map", str(files["code_map.csv"])]
+    assert main(argv + ["--out", str(tmp_path / "seqs.csv")]) == 3
+    assert f"ingest: {files[name]}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_train_rejects_cluster_mode_outside_presence_states(pipeline_run, tmp_path, capsys):
+    clusters = tmp_path / "model.wd.clusters"
+    lines = (pipeline_run / "model.wd.clusters").read_text().splitlines()
+    mode = next(i for i, line in enumerate(lines) if line.startswith("mode,"))
+    lines[mode] = lines[mode].replace(",HomeActive", ",Cooking", 1)
+    clusters.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--diaries", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path / "tpms")]
+    assert main(argv + ["--clusters", str(clusters), str(pipeline_run / "model.we.clusters")]) == 5
+    assert f"{clusters}: modes hold Cooking; a mode state is one of Sleep, Away, HomeActive" in capsys.readouterr().err
+    assert not (tmp_path / "tpms").exists()
 
 
 @pytest.mark.parametrize("field, value, message", [(2, "-5", "bad weight '-5'"), (1, "XX", "bad day_type 'XX'")])
@@ -798,7 +878,7 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
         (estimate_tpm, ["fallback", "alpha"]),
         (train_cluster_day_model, ["fallback", "alpha"]),
         (assemble_schedule, ["modulation"]),
-        (modulate_schedule, ["mode"]),
+        (attach_appliance_events, ["year_minutes"]),
         (build_household, ["approach"]),
         (simulate_year, ["approach"]),
         (SimCalendar, ["start_weekday", "n_days"]),

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from occsim.conf import read_step_values, write_step_values
-from occsim.diary_ingest import DAY_TYPES, N_STEPS
-from occsim.household import EVENT, EVENT_COLUMNS, OccupancyTrace, HouseholdResult
+from occsim.diary_ingest import DAY_TYPES, N_STEPS, ActivityState
+from occsim.household import EVENT, EVENT_COLUMNS, HouseholdResult
 from occsim.occupant_sim import SimCalendar
 from occsim.schedule_io import (
     MODULATED_END_USES,
@@ -159,11 +159,12 @@ def test_rasterize_matches_reference_loop_property(appliance, water, n_days):
 
 
 def _day_result(present, appliance_events=NO_EVENTS, water_events=NO_EVENTS):
-    """A one-occupant HouseholdResult over `present`, whole days of steps."""
+    """A two-occupant HouseholdResult whose present fraction is `present`
+    (each step 0, 0.5 or 1), whole days of steps."""
     present = np.asarray(present, dtype=np.float64)
-    trace = OccupancyTrace(present, present > 0, present.copy())
-    states = np.zeros((1, present.size), dtype=np.int8)
-    return HouseholdResult(0, 1, [], states, trace, appliance_events, water_events)
+    home = np.stack([present > 0, present >= 1])
+    states = np.where(home, int(ActivityState.HOME_ACTIVE), int(ActivityState.AWAY)).astype(np.int8)
+    return HouseholdResult(0, 2, [], states, appliance_events, water_events)
 
 
 def test_assemble_schedule_normalizes_rows():
@@ -468,7 +469,7 @@ def _default_reference_array():
 def test_assemble_schedule_end_to_end():
     cal = SimCalendar(start_weekday=0, n_days=2)
     result = _two_day_result()
-    present = result.trace.present_fraction
+    present = np.repeat([1.0, 0.0], N_STEPS)
     ref = _default_reference_array()
     sched = assemble_schedule(result, ref, cal, modulation="present")
     assert np.array_equal(sched.columns["occupants"], present)
