@@ -68,12 +68,16 @@ class EmpiricalDistribution:
             raise ValueError("total weight must be positive")
         return cls(support, mass / total, unit)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Inverse-CDF draw."""
-        return float(self.support[draw_index(self._cum, rng.random())])
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """Inverse-CDF draw by the `draw_index` rule: one float, or an array of `size`."""
+        if size is None:
+            return float(self.support[draw_index(self._cum, rng.random())])
+        idx = np.searchsorted(self._cum, rng.random(size), side="right")
+        return self.support[np.minimum(idx, self.support.size - 1)]
 
-    def sample_int(self, rng: np.random.Generator) -> int:
-        return int(round(self.sample(rng)))
+    def sample_int(self, rng: np.random.Generator, size: int | None = None):
+        value = self.sample(rng, size)
+        return int(round(value)) if size is None else np.rint(value).astype(np.int64)
 
     def cdf_at(self, points: np.ndarray) -> np.ndarray:
         """Right-continuous CDF evaluated at `points`."""

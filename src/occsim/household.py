@@ -225,6 +225,13 @@ def _dist(bundle: dict[str, EmpiricalDistribution], name: str) -> EmpiricalDistr
         raise BundleError(f"missing distribution '{name}'")
 
 
+def _events(column, start: np.ndarray, duration: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """EVENT rows from a column index (one, or one per row) and three aligned arrays."""
+    rows = np.empty(len(start), dtype=EVENT)
+    rows["column"], rows["start"], rows["duration"], rows["magnitude"] = column, start, duration, magnitude
+    return rows
+
+
 def attach_appliance_events(
     intervals_by_activity: dict[ActivityState, np.ndarray],
     bundle: dict[str, EmpiricalDistribution],
@@ -232,40 +239,32 @@ def attach_appliance_events(
     *,
     year_minutes: float,
 ) -> np.ndarray:
-    """EVENT rows sampling power (and water) for each merged activity
-    interval, in the order `merge_shared_events` gives them.
+    """EVENT rows sampling power (and water) for each merged activity interval.
 
-    Each operation adds a power row and, for the dishwasher and washer, a
-    water row.  Laundry intervals also produce a dryer row starting when
-    the washer's power cycle ends; a dryer whose start would fall past the
-    end of the year is dropped.  Power cycles may outlast the activity
-    interval; they are never clipped to it.
+    Per activity, in `ACTIVITY_APPLIANCE` order, each distribution draws
+    one array over the intervals: power rows, then the dishwasher's or
+    washer's water rows, then for laundry dryer rows starting when the
+    washer's power cycle ends, dropped if that is past the year end.
+    Power cycles may outlast the activity interval; they are never clipped.
     """
     dryer = _column("clothes_dryer_power")
-    rows: list[tuple[int, float, float, float]] = []
+    parts = [np.zeros(0, dtype=EVENT)]
     for activity, (key, power, water) in ACTIVITY_APPLIANCE.items():
         intervals = intervals_by_activity.get(activity, ())
         if not len(intervals):
             continue
-        p_dur = _dist(bundle, f"{key}.power.duration")
-        p_lvl = _dist(bundle, f"{key}.power.level")
+        start, m = intervals[:, 0], len(intervals)
+        duration = _dist(bundle, f"{key}.power.duration").sample(rng, m)
+        parts.append(_events(power, start, duration, _dist(bundle, f"{key}.power.level").sample(rng, m)))
         if water is not None:
-            w_dur = _dist(bundle, f"{key}.water.duration")
-            w_flow = _dist(bundle, f"{key}.water.flow")
-        chained = activity is ActivityState.LAUNDRY
-        if chained:
-            d_dur = _dist(bundle, "clothes_dryer.power.duration")
-            d_lvl = _dist(bundle, "clothes_dryer.power.level")
-        for start, _end in intervals.tolist():
-            duration = p_dur.sample(rng)
-            rows.append((power, start, duration, p_lvl.sample(rng)))
-            if water is not None:
-                rows.append((water, start, w_dur.sample(rng), w_flow.sample(rng)))
-            if chained:
-                dryer_start = start + duration
-                if dryer_start < year_minutes:
-                    rows.append((dryer, dryer_start, d_dur.sample(rng), d_lvl.sample(rng)))
-    return np.array(rows, dtype=EVENT)
+            w_dur = _dist(bundle, f"{key}.water.duration").sample(rng, m)
+            parts.append(_events(water, start, w_dur, _dist(bundle, f"{key}.water.flow").sample(rng, m)))
+        if activity is ActivityState.LAUNDRY:
+            d_dur = _dist(bundle, "clothes_dryer.power.duration").sample(rng, m)
+            d_lvl = _dist(bundle, "clothes_dryer.power.level").sample(rng, m)
+            keep = start + duration < year_minutes
+            parts.append(_events(dryer, (start + duration)[keep], d_dur[keep], d_lvl[keep]))
+    return np.concatenate(parts)
 
 
 def attach_hygiene_water(
@@ -279,23 +278,18 @@ def attach_hygiene_water(
     The fixture is a shower with probability `shower_fraction`, else a
     bath.  The draw starts uniformly (1-minute resolution) within the part
     of the interval that fits its duration; a duration longer than the
-    interval is clipped to it.
+    interval is clipped to it.  `rng` draws the fixtures, shower durations
+    and flows, bath durations and flows, then offsets, as arrays.
     """
-    showers, baths = _column("showers"), _column("baths")
-    rows: list[tuple[int, float, float, float]] = []
-    for start, end in intervals.tolist():
-        is_shower = rng.random() < config.shower_fraction
-        key = "shower" if is_shower else "bath"
-        duration = _dist(bundle, f"{key}.duration").sample(rng)
-        flow = _dist(bundle, f"{key}.flow").sample(rng)
-        window = end - start
-        if duration >= window:
-            duration = window
-            offset = 0
-        else:
-            offset = int(rng.integers(0, int(window - duration) + 1))
-        rows.append((showers if is_shower else baths, start + offset, duration, flow))
-    return np.array(rows, dtype=EVENT)
+    start, end = intervals.T
+    is_shower = rng.random(len(start)) < config.shower_fraction
+    duration, flow = np.empty((2, len(start)))
+    for key, rows in (("shower", is_shower), ("bath", ~is_shower)):
+        duration[rows] = _dist(bundle, f"{key}.duration").sample(rng, rows.sum())
+        flow[rows] = _dist(bundle, f"{key}.flow").sample(rng, rows.sum())
+    duration = np.minimum(duration, end - start)
+    offset = rng.integers(0, (end - start - duration).astype(np.int64) + 1)
+    return _events(np.where(is_shower, _column("showers"), _column("baths")), start + offset, duration, flow)
 
 
 def generate_sink_events(
@@ -305,28 +299,26 @@ def generate_sink_events(
 ) -> np.ndarray:
     """EVENT rows of household-level sink draws across the year.
 
-    Per day, a sampled number of events each draws an onset step; onsets
-    landing on a step that `active` (one bool per step, any occupant
-    active) marks False are resampled within the retry budget and
-    otherwise dropped.
+    Per day, a sampled number of events each tries up to RETRY_BUDGET
+    `sink.onset` draws for a step that `active` (one bool per step, any
+    occupant active) marks True, in closed form: with q the day's onset
+    mass on active steps, an event is dropped with probability
+    (1 - q) ** RETRY_BUDGET, else its onset follows `sink.onset` restricted
+    to those steps.  `rng` draws the daily counts, drop uniforms, onset
+    uniforms, durations and flows, each as one array over the year.
     """
-    count_dist = _dist(bundle, "sink.count")
-    onset_dist = _dist(bundle, "sink.onset")
-    dur_dist = _dist(bundle, "sink.duration")
-    flow_dist = _dist(bundle, "sink.flow")
-    sinks = _column("sinks")
-    n_days = active.shape[0] // N_STEPS
-    rows: list[tuple[int, float, float, float]] = []
-    for day in range(n_days):
-        base = day * N_STEPS
-        for _ in range(count_dist.sample_int(rng)):
-            for _ in range(RETRY_BUDGET):
-                step = onset_dist.sample_int(rng)
-                if 0 <= step < N_STEPS and active[base + step]:
-                    start = float((base + step) * STEP_MINUTES)
-                    rows.append((sinks, start, dur_dist.sample(rng), flow_dist.sample(rng)))
-                    break
-    return np.array(rows, dtype=EVENT)
+    count_dist, onset_dist, dur_dist, flow_dist = (
+        _dist(bundle, f"sink.{name}") for name in ("count", "onset", "duration", "flow")
+    )
+    days = active.reshape(-1, N_STEPS)
+    step = np.rint(onset_dist.support).astype(np.int64)
+    fits = (0 <= step) & (step < N_STEPS)
+    cum = np.cumsum(np.where(days[:, np.where(fits, step, 0)] & fits, onset_dist.probs, 0.0), axis=1)
+    day = np.repeat(np.arange(len(days)), count_dist.sample_int(rng, len(days)))
+    day = day[rng.random(day.size) >= (1.0 - cum[day, -1]) ** RETRY_BUDGET]
+    idx = (cum[day] <= (rng.random(day.size) * cum[day, -1])[:, None]).sum(axis=1)
+    start = (day * N_STEPS + step[idx]) * float(STEP_MINUTES)
+    return _events(_column("sinks"), start, dur_dist.sample(rng, day.size), flow_dist.sample(rng, day.size))
 
 
 def modulate_schedule(reference: np.ndarray, frac: np.ndarray) -> np.ndarray:

@@ -340,9 +340,11 @@ def _read_model_file(path: Path, required: bool = True):
         raise TrainError(message if message.startswith(str(path)) else f"{path}: {message}") from None
 
 
-def _read_day_tpm(path: Path, alphabet: tuple[ActivityState, ...]) -> TPMSet:
-    """A model tree's `.tpm` file, which must hold a whole day over `alphabet` in order."""
+def _read_day_tpm(path: Path, alphabet: tuple[ActivityState, ...], header: tuple[int, str]) -> TPMSet:
+    """A model tree's `.tpm` file: a whole day over `alphabet` in order, under its file name's `header`."""
     tpms = _read_model_file(path)
+    if (tpms.cluster_id, tpms.day_type) != header:
+        raise TrainError(f"{path}: header {tpms.cluster_id},{tpms.day_type} does not match the file name")
     if tpms.alphabet != alphabet:
         got, want = (",".join(STATE_TOKENS[a] for a in states) for states in (tpms.alphabet, alphabet))
         raise TrainError(f"{path}: states {got}, expected {want}")
@@ -365,9 +367,9 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
         if match is None:
             raise TrainError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
         stem = tpm_path.name[: -len(".tpm")]
-        cluster_id, day_type = int(match[1]), match[2].upper()
-        tpms = _read_day_tpm(tpm_path, FULL_ALPHABET)
-        presence_tpms = _read_day_tpm(directory / f"{stem}.presence.tpm", PRESENCE_ALPHABET)
+        cluster_id, day_type = header = int(match[1]), match[2].upper()
+        tpms = _read_day_tpm(tpm_path, FULL_ALPHABET, header)
+        presence_tpms = _read_day_tpm(directory / f"{stem}.presence.tpm", PRESENCE_ALPHABET, header)
         stats: dict[ActivityState, ActivityStats] = {}
         for activity, act in _ACT_FILE.items():
             count = _read_model_file(directory / f"{stem}.{act}.count.dist")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .diary_ingest import EVENT_ACTIVITIES, N_STEPS, ActivityState, sequence_table
+from .diary_ingest import DAY_TYPES, EVENT_ACTIVITIES, N_STEPS, ActivityState, sequence_table
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 
 RETRY_BUDGET = 20
@@ -223,10 +223,11 @@ def simulate_year(
     states plus the total approach-1 placement failures (zero for the other
     approaches).
 
-    Day d draws its `day_uniforms` block, and under approach 1 its event
-    placements, from its own stream `streams.child(rng_root, d)`, so days do
-    not depend on each other or on evaluation order.  The days of each day
-    type are walked in one call.
+    Day type `DAY_TYPES[j]` draws its days' `day_uniforms` blocks from one
+    stream, `streams.child(rng_root, j)`, in calendar order, and walks them
+    in one call; approach 1 then places each day's events from a second
+    stream, `streams.child(rng_root, j, 1)`, in calendar order.  So a
+    shorter calendar's days are a prefix of a longer one's.
     """
     if approach not in (1, 2, 3):
         raise SimulationError(f"approach must be 1, 2, or 3, got {approach}")
@@ -240,13 +241,15 @@ def simulate_year(
         except KeyError:
             raise SimulationError(f"no trained model for day_type={day_type} cluster={cluster}")
         days = [d for d, dt in enumerate(day_types) if dt == day_type]
-        rngs = [streams.generator(streams.child(rng_root, d)) for d in days]
+        j = DAY_TYPES.index(day_type)
         tpms = model.presence_tpms if approach == 1 else model.tpms
         holds = model.stats if approach == 3 else None
-        block = walk_days(tpms, np.stack([day_uniforms(tpms, rng, holds) for rng in rngs]), holds)
+        need = tpms.n_steps if holds is None else 2 * tpms.n_steps
+        block = walk_days(tpms, streams.generator(rng_root, j).random((len(days), need)), holds)
         if approach == 1:
-            for i, rng in enumerate(rngs):
-                block[i], n_fail = place_events(block[i], model.stats, rng)
+            place = streams.generator(rng_root, j, 1)
+            for i in range(len(days)):
+                block[i], n_fail = place_events(block[i], model.stats, place)
                 failures += n_fail
         states[days] = block
     return states, failures

@@ -48,6 +48,14 @@ REQUIRED_BUNDLE = (
     "clothes_dryer.power.duration",
     "clothes_dryer.power.level",
 )
+# Domain of a bundle channel's support, by the last part of its name.
+_CHANNEL_DOMAIN = {
+    "duration": (lambda v: v > 0, "durations must be > 0"),
+    "level": (lambda v: v >= 0, "levels must be >= 0"),
+    "flow": (lambda v: v >= 0, "flows must be >= 0"),
+    "count": (lambda v: (v >= 0) & (v == np.round(v)), "counts must be whole and >= 0"),
+    "onset": (lambda v: np.rint(v).clip(0, N_STEPS - 1) == np.rint(v), "onsets must round into steps 0..95"),
+}
 
 
 class ScheduleError(ValueError):
@@ -257,7 +265,8 @@ def load_reference_dir(directory: str | Path) -> np.ndarray:
 
 
 def load_bundle(directory: str | Path) -> dict[str, EmpiricalDistribution]:
-    """Load the event sampling bundle; every reserved name must be present."""
+    """Load the event sampling bundle; every reserved name must be present,
+    with its support inside the channel's `_CHANNEL_DOMAIN`."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ScheduleError(f"bundle directory not found: {directory}")
@@ -266,7 +275,11 @@ def load_bundle(directory: str | Path) -> dict[str, EmpiricalDistribution]:
         path = directory / name
         if not path.exists():
             raise ScheduleError(f"bundle is missing channel '{name}' ({path})")
-        bundle[name] = EmpiricalDistribution.read(path)
+        bundle[name] = dist = EmpiricalDistribution.read(path)
+        in_domain, rule = _CHANNEL_DOMAIN[name.rsplit(".", 1)[1]]
+        bad = dist.support[~in_domain(dist.support)]
+        if bad.size:
+            raise ScheduleError(f"{path}: {rule}, got {bad[0]:g}")
     return bundle
 
 

@@ -2,9 +2,10 @@
 
 Every stochastic component draws from a generator derived from the base seed
 plus a structured integer path (stage tag, household index, occupant index,
-day index, ...).  Derivation is stateless, so results never depend on
+day-type index, ...).  Derivation is stateless, so results never depend on
 execution order, and adding a household or occupant never perturbs the
-streams of existing ones.
+streams of existing ones.  A stream is derived per component, never per
+day: a component takes its draws from its stream in calendar order.
 """
 
 from __future__ import annotations

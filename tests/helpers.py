@@ -3,8 +3,10 @@
 import numpy as np
 
 from occsim.clustering import ClusterError
-from occsim.diary_ingest import N_STEPS, ActivityState, sequence_table
+from occsim.diary_ingest import N_STEPS, STEP_MINUTES, ActivityState, sequence_table
 from occsim.distributions import EmpiricalDistribution
+from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS
+from occsim.occupant_sim import RETRY_BUDGET
 
 
 def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:
@@ -25,3 +27,64 @@ def sequence_distance(a, b) -> int:
     if a.shape != b.shape:
         raise ClusterError(f"length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
+
+
+# -- scalar reference samplers ------------------------------------------------
+# The household draws before they took whole arrays: one `sample` call per
+# value, a per-interval loop, and a per-event onset retry loop.  Kept as the
+# oracle that the vectorized draws are tested against in distribution.
+
+
+def scalar_appliance_events(intervals_by_activity, bundle, rng, *, year_minutes):
+    """`attach_appliance_events` drawn row by row: per interval, power
+    duration and level, water duration and flow, then dryer duration and
+    level for a dryer that starts before `year_minutes`."""
+    dryer = EVENT_COLUMNS.index("clothes_dryer_power")
+    rows = []
+    for activity, (key, power, water) in ACTIVITY_APPLIANCE.items():
+        for start, _end in np.asarray(intervals_by_activity.get(activity, np.zeros((0, 2)))).tolist():
+            duration = bundle[f"{key}.power.duration"].sample(rng)
+            rows.append((power, start, duration, bundle[f"{key}.power.level"].sample(rng)))
+            if water is not None:
+                w_dur = bundle[f"{key}.water.duration"].sample(rng)
+                rows.append((water, start, w_dur, bundle[f"{key}.water.flow"].sample(rng)))
+            if activity is ActivityState.LAUNDRY and start + duration < year_minutes:
+                d_dur = bundle["clothes_dryer.power.duration"].sample(rng)
+                rows.append((dryer, start + duration, d_dur, bundle["clothes_dryer.power.level"].sample(rng)))
+    return np.array(rows, dtype=EVENT)
+
+
+def scalar_hygiene_water(intervals, bundle, shower_fraction, rng):
+    """`attach_hygiene_water` drawn interval by interval."""
+    showers, baths = EVENT_COLUMNS.index("showers"), EVENT_COLUMNS.index("baths")
+    rows = []
+    for start, end in np.asarray(intervals).tolist():
+        is_shower = rng.random() < shower_fraction
+        key = "shower" if is_shower else "bath"
+        duration = bundle[f"{key}.duration"].sample(rng)
+        flow = bundle[f"{key}.flow"].sample(rng)
+        window = end - start
+        if duration >= window:
+            duration, offset = window, 0
+        else:
+            offset = int(rng.integers(0, int(window - duration) + 1))
+        rows.append((showers if is_shower else baths, start + offset, duration, flow))
+    return np.array(rows, dtype=EVENT)
+
+
+def scalar_sink_events(active, bundle, rng):
+    """`generate_sink_events` by rejection: each event retries its onset up
+    to RETRY_BUDGET times until it lands on an active step, else is dropped."""
+    sinks = EVENT_COLUMNS.index("sinks")
+    rows = []
+    for day in range(active.shape[0] // N_STEPS):
+        base = day * N_STEPS
+        for _ in range(bundle["sink.count"].sample_int(rng)):
+            for _ in range(RETRY_BUDGET):
+                step = bundle["sink.onset"].sample_int(rng)
+                if 0 <= step < N_STEPS and active[base + step]:
+                    start = float((base + step) * STEP_MINUTES)
+                    duration = bundle["sink.duration"].sample(rng)
+                    rows.append((sinks, start, duration, bundle["sink.flow"].sample(rng)))
+                    break
+    return np.array(rows, dtype=EVENT)

@@ -13,8 +13,11 @@ class FixedRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
 
 
 def test_from_weights_aggregates_duplicates():
@@ -44,6 +47,22 @@ def test_draw_index_edges_and_clamp():
     # rounding can leave the last cumulative value below the draw
     assert draw_index([0.2, 0.7, 0.9999999], 0.99999995) == 2
     assert draw_index(np.array(cum), 1.0) == 2
+
+
+@pytest.mark.parametrize(
+    "support, probs",
+    [([10.0, 20.0, 30.0], [0.2, 0.5, 0.3]), ([1.0, 2.0, 3.0, 4.0], [0.1, 0.0, 0.6, 0.3]), ([5.0], [1.0])],
+)
+def test_array_sample_follows_draw_index(support, probs):
+    d = EmpiricalDistribution(np.array(support), np.array(probs))
+    cum = np.cumsum(d.probs).tolist()
+    # zero, every cumulative edge and the float just below it, and just below 1
+    r = [0.0, *cum, *np.nextafter(cum, 0.0).tolist(), np.nextafter(1.0, 0.0)]
+    want = [float(d.support[draw_index(cum, x)]) for x in r]
+    got = d.sample(FixedRng(r), len(r))
+    assert isinstance(got, np.ndarray) and got.tolist() == want
+    assert got.tolist() == [d.sample(FixedRng([x])) for x in r]
+    assert d.sample_int(FixedRng(r), len(r)).tolist() == [d.sample_int(FixedRng([x])) for x in r]
 
 
 def test_cdf_at_right_continuous():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from occsim import streams
 from occsim.diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import (
@@ -469,6 +470,22 @@ def test_build_household_smoke_and_determinism():
     assert not np.array_equal(res.states, other.states)
 
 
+def test_build_household_stream_count_does_not_grow_with_days(monkeypatch):
+    """Streams are derived per household, occupant and day type, never per day."""
+    calls = []
+    child = streams.child
+    monkeypatch.setattr(streams, "child", lambda *a: calls.append(a) or child(*a))
+    models, bundle, config = _single_cluster_models(), default_bundle(), one_count_config(n=2)
+    for approach in (1, 3):
+        counts = []
+        for n_days in (14, 365):
+            calls.clear()
+            cal = SimCalendar(start_weekday=0, n_days=n_days)
+            build_household(0, models, bundle, config, cal, base_seed=3, approach=approach)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (approach, counts)
+
+
 def test_build_household_applies_vacation():
     models = _single_cluster_models()
     bundle = default_bundle()
@@ -488,20 +505,20 @@ def test_build_household_applies_vacation():
 # these digests.
 PINNED_HOUSEHOLDS = {
     (1, None, "present"): (
-        "d7c88eaed27d0be0b1a50703b8d3d6537b72676e1328739742fb8c29829d1408",
-        "25cdeef9dc2c087fd5bc5726aedd5b1e660ccee29a5e4e76f3437a4a151598dc",
+        "3ef96837b068a199ec87836df98c34a99399222543068b6fe43dba14cf2a5149",
+        "114ea0cc75a6c0f0d0ffd1b3230b67a2d18ae002124509f8b4b957bac185cb5f",
     ),
     (3, None, "active"): (
-        "cef8f14b22b43f7853d269828aa196fb61bcb4a5b2fd260f550a2aa4b0db21f8",
-        "bd29b6434fb374c5a0a6893838752deeac955e465f8e7cb67a479fae7245c192",
+        "aa6a8e074838304f56fcb451a265d997fcc26a2f5053b153e3d1e9637a656e7c",
+        "63dddcd1560823a8c936596350af56216aee24d6e22b3a3d7cd4c25a115c870e",
     ),
     (3, (3, 6), "present"): (
-        "1794718c91e579b675b5875c58f42eab11cd3c2d19cc4d19f0421d04b0fc393e",
-        "57c4dcf917ca50791675ddffe105f7c4dc731be87c13f7043772ae80348cb7f4",
+        "4a59abb1d8c14c2ef340dd58e65647f9fb86e282daef67b4137361012575f121",
+        "7e4631b1abd19dcf61977ac84d6fb3930ad4d2790f4a59c656bac1f2a9848dcf",
     ),
     (1, (3, 6), "active"): (
-        "8a6573f708e44eff272923e4744ec69dbea69274c542b4bc46dcdde5e3e88dd0",
-        "5089ea1ff37be85ed2ccb7a2a76d957440f35516074c0e0b3e3a085eb219c179",
+        "22465b4e6eb0a319a869ec7a377f91e4ada63538f60886519cb44c6bcb0b7675",
+        "66c3177bae7d2bfdcaff78d892a8f5350632576acda45c18fb64addef7b07aa9",
     ),
 }
 

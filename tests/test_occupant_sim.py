@@ -5,6 +5,7 @@ import pytest
 
 from occsim import streams
 from occsim.diary_ingest import (
+    DAY_TYPES,
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
     N_STEPS,
@@ -131,8 +132,7 @@ def _approach3_states(tpms, stats, rng):
 
 
 def walk_one(tpms, rng, holds=None):
-    """One day drawn from `rng` as `simulate_year` draws it: the day's
-    uniform block, then the walk."""
+    """One day drawn from `rng`: a `day_uniforms` block, then the walk."""
     return walk_days(tpms, day_uniforms(tpms, rng, holds)[None], holds)[0]
 
 
@@ -452,37 +452,49 @@ def _tiny_models():
 
 
 def test_simulate_year_day_streams_are_stable():
-    models = _tiny_models()
-    profile = OccupantProfile("o1", 0, 0)
+    """A shorter calendar's days are a prefix of a longer one's, under every approach."""
+    models = truth_models()
+    profile = OccupantProfile("o1", 0, 2)
     root = streams.child(streams.root(99), streams.OCCUPANT, 0)
-    cal5 = SimCalendar(start_weekday=4, n_days=5)  # friday start: WD WE WE WD WD
-    days5, _ = simulate_year(profile, models, cal5, root, approach=3)
-    days3, _ = simulate_year(profile, models, SimCalendar(start_weekday=4, n_days=3), root, approach=3)
-    assert np.array_equal(days3, days5[:3])
-    assert cal5.day_types == ["WD", "WE", "WE", "WD", "WD"]
-    repeat, _ = simulate_year(profile, models, cal5, root, approach=3)
-    assert np.array_equal(days5, repeat)
+    cal = SimCalendar(start_weekday=4, n_days=12)  # friday start: WD WE WE WD WD ...
+    assert cal.day_types[:5] == ["WD", "WE", "WE", "WD", "WD"]
+    for approach in (1, 2, 3):
+        days, failures = simulate_year(profile, models, cal, root, approach=approach)
+        for n in (1, 3, 5):
+            short = SimCalendar(start_weekday=4, n_days=n)
+            prefix, _ = simulate_year(profile, models, short, root, approach=approach)
+            assert np.array_equal(prefix, days[:n]), (approach, n)
+        repeat, again = simulate_year(profile, models, cal, root, approach=approach)
+        assert np.array_equal(days, repeat) and failures == again
+        assert approach != 1 or failures > 0  # cluster-0 weekdays drop some placements
 
 
 @pytest.mark.parametrize("approach", [1, 2, 3])
-def test_simulate_year_day_is_a_one_row_call(approach):
+def test_simulate_year_walks_each_day_type_from_its_stream(approach):
+    """The days of `DAY_TYPES[j]` are `walk_days` over the (occupant, j)
+    stream's `day_uniforms` blocks in calendar order, and approach 1 then
+    runs `place_events` on them from the (occupant, j, 1) stream."""
     models = truth_models()
     profile = OccupantProfile("o1", 1, 2)
     root = streams.child(streams.root(7), streams.OCCUPANT, 0)
     calendar = SimCalendar(start_weekday=3, n_days=10)
     days, failures = simulate_year(profile, models, calendar, root, approach=approach)
     total = 0
-    for d, day in enumerate(days):
-        day_type = calendar.day_types[d]
+    for j, day_type in enumerate(DAY_TYPES):
         model = models[day_type][1 if day_type == "WD" else 2]
-        rng = streams.generator(streams.child(root, d))
+        tpms = model.presence_tpms if approach == 1 else model.tpms
+        holds = model.stats if approach == 3 else None
+        rows = [d for d, dt in enumerate(calendar.day_types) if dt == day_type]
+        walk = streams.generator(streams.child(root, j))
+        want = walk_days(tpms, np.stack([day_uniforms(tpms, walk, holds) for _ in rows]), holds)
         if approach == 1:
-            one, n_fail = approach1_day(model.presence_tpms, model.stats, rng)
-            total += n_fail
-        else:
-            one = walk_one(model.tpms, rng, model.stats if approach == 3 else None)
-        assert np.array_equal(day, one)
+            place = streams.generator(streams.child(root, j, 1))
+            for i in range(len(rows)):
+                want[i], n_fail = place_events(want[i], model.stats, place)
+                total += n_fail
+        assert np.array_equal(days[rows], want)
     assert failures == total
+    assert approach != 1 or np.isin(days, list(EVENT_ACTIVITIES)).any()  # events were placed
 
 
 def test_simulate_year_missing_cluster():

@@ -383,14 +383,14 @@ def test_simulate_rejects_bad_model_file(synth_tree, pipeline_run, tmp_path, cap
     assert not list((tmp_path / "out").glob("household_*.csv"))
 
 
-def _simulate(synth_tree, tpms, reference, out, *options):
+def _simulate(synth_tree, tpms, reference, out, *options, bundle=None):
     return main(
         [
             "simulate",
             "--tpms",
             str(tpms),
             "--bundle",
-            str(synth_tree / "bundle"),
+            str(bundle or synth_tree / "bundle"),
             "--reference",
             str(reference),
             "--household-config",
@@ -470,6 +470,49 @@ def test_simulate_rejects_bad_model_file_name(synth_tree, pipeline_run, tmp_path
     shutil.copy(tpms / "c0.wd.presence.tpm", tpms / name.replace(".tpm", ".presence.tpm"))
     assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
     assert f"{name}: model file name does not match c<int>.<wd|we>.tpm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, header", [("c0.wd.tpm", "1,WD"), ("c1.we.tpm", "1,WD"), ("c0.wd.presence.tpm", "0,WE")]
+)
+def test_simulate_rejects_tpm_header_that_disagrees_with_file_name(
+    synth_tree, pipeline_run, tmp_path, capsys, name, header
+):
+    tpms = tmp_path / "tpms"
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    lines = (tpms / name).read_text().splitlines()
+    lines[0] = header + "," + lines[0].split(",", 2)[2]
+    (tpms / name).write_text("\n".join(lines) + "\n")
+    assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
+    assert f"{name}: header {header} does not match the file name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A bundle channel's support outside its domain: (channel, support line, message).
+BAD_CHANNELS = [
+    ("sink.flow", "-1.0,1", "flows must be >= 0, got -1"),
+    ("sink.count", "-2,1", "counts must be whole and >= 0, got -2"),
+    ("sink.count", "2.5,1", "counts must be whole and >= 0, got 2.5"),
+    ("sink.onset", "200,1", "onsets must round into steps 0..95, got 200"),
+    ("sink.onset", "95.5,1", "onsets must round into steps 0..95, got 95.5"),
+    ("shower.duration", "-5,1", "durations must be > 0, got -5"),
+    ("bath.duration", "0,1", "durations must be > 0, got 0"),
+    ("cooking_range.power.duration", "-5,1", "durations must be > 0, got -5"),
+    ("clothes_washer.power.level", "-0.5,1", "levels must be >= 0, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("channel, line, message", BAD_CHANNELS)
+def test_simulate_rejects_bundle_channel_outside_its_domain(
+    synth_tree, pipeline_run, tmp_path, capsys, channel, line, message
+):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(synth_tree / "bundle", bundle)
+    (bundle / channel).write_text(f"unit,x\n{line}\n")
+    out = tmp_path / "out"
+    assert _simulate(synth_tree, pipeline_run / "tpms", synth_tree / "reference", out, bundle=bundle) == 6
+    assert f"{channel}: {message}" in capsys.readouterr().err
+    assert not list(out.glob("household_*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -585,6 +628,8 @@ def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, co
         ("vacation = 30,40", "ends after day 28"),
         ("vacation = 5,2", "0 <= start < end"),
         ("no sink.count", "sink.count"),
+        ("sink.flow -1.0,1", "sink.flow: flows must be >= 0"),
+        ("sink.onset 200,1", "sink.onset: onsets must round into steps 0..95"),
     ],
 )
 def test_run_rejects_bad_simulate_input_before_ingest(synth_tree, tmp_path, capsys, fault, message):
@@ -592,8 +637,11 @@ def test_run_rejects_bad_simulate_input_before_ingest(synth_tree, tmp_path, caps
     household = (synth_tree / "household.conf").read_text()
     if fault.startswith("vacation"):
         household += fault + "\n"
-    else:
+    elif fault.startswith("no "):
         (tmp_path / "bundle" / "sink.count").unlink()
+    else:
+        channel, line = fault.split()
+        (tmp_path / "bundle" / channel).write_text(f"unit,x\n{line}\n")
     (tmp_path / "household.conf").write_text(household)
     settings = {
         "diaries": synth_tree / "diaries.csv",
