@@ -33,6 +33,7 @@ from .pipeline import (
     simulate_stage,
     train_stage,
     validate_stage,
+    whole_number,
 )
 
 # The stage flag of each Settings field: `--` and its name with dashes, or
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", dest="out_dir", type=Path, required=True)
     p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=int)
-    p.add_argument("--seed", dest="base_seed", type=int)
+    p.add_argument("--seed", dest="base_seed", type=whole_number)
     p.add_argument("--households", dest="n_households", type=int)
     p.add_argument("--days", dest="n_days", type=int)
 

@@ -36,8 +36,8 @@ def read_key_values(path: str | Path, parsers: dict[str, Callable[[str], object]
 def read_step_values(path: str | Path) -> np.ndarray:
     """Values of a `step,value` file: one line per step 0..95 in any order,
     blank lines skipped.  A wrong field count, a non-number, a step out of
-    range, repeated or left out, or a non-finite value raises ValueError
-    naming the file and line."""
+    range, repeated or left out, or a non-finite or negative value raises
+    ValueError naming the file and line; -0 reads as 0."""
     values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -53,9 +53,11 @@ def read_step_values(path: str | Path) -> np.ndarray:
                 raise ValueError(f"duplicate step {step}")
             if not math.isfinite(value):
                 raise ValueError(f"step {step} has non-finite value {value}")
+            if value < 0:
+                raise ValueError(f"step {step} has negative value {value}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
-        values[step] = value
+        values[step] = abs(value)
     if np.isnan(values).any():
         raise ValueError(f"{path}: expected {N_STEPS} rows, got {int(np.sum(~np.isnan(values)))}")
     return values

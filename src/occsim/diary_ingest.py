@@ -44,9 +44,7 @@ STATE_TOKENS = {
     ActivityState.PERSONAL_HYGIENE: "PersonalHygiene",
 }
 STATE_BY_TOKEN = {tok: st for st, tok in STATE_TOKENS.items()}
-# Plain-int views of the same table for the per-cell sequence file loops; a
-# dict, not a list, so that an out-of-range state fails instead of wrapping.
-_TOKEN_BY_INDEX = {int(st): tok for st, tok in STATE_TOKENS.items()}
+# Plain-int view of the same table for the per-cell sequence file reader.
 _INDEX_BY_TOKEN = {tok: int(st) for st, tok in STATE_TOKENS.items()}
 
 FULL_ALPHABET = tuple(ActivityState)
@@ -269,15 +267,28 @@ def ingest(path: str | Path, code_map: ActivityCodeMap) -> tuple[np.ndarray, int
 # -- resampled-sequence artifact -------------------------------------------
 
 _SEQ_HEADER = "respondent_id,day_type,weight," + ",".join(f"s{i:02d}" for i in range(N_STEPS))
+_BLOCK_ROWS = 1024
+_PAIR_TOKENS = [f"{a},{b}" for a in STATE_TOKENS.values() for b in STATE_TOKENS.values()]
+# The tokens of four consecutive states, at the index that reads them as a base-7 number.
+_RUN_TOKENS = np.array([f"{a},{b}" for a in _PAIR_TOKENS for b in _PAIR_TOKENS], dtype=object)
+_RUN_PLACES = _N_STATES ** np.arange(3, -1, -1)
 
 
 def write_sequences(path: str | Path, table: np.ndarray) -> None:
-    lines = [_SEQ_HEADER]
-    for rid, day_type, weight, states in sequence_rows(table):
-        tokens = ",".join([_TOKEN_BY_INDEX[s] for s in states])
-        # repr round-trips the float exactly
-        lines.append(f"{rid},{day_type},{weight!r},{tokens}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a SEQUENCE table `_BLOCK_ROWS` rows at a time, a row's states as
+    24 `_RUN_TOKENS` entries; a state outside the alphabet raises."""
+    states = table["states"]
+    if states.size and not 0 <= states.min() <= states.max() < _N_STATES:
+        raise DiaryFormatError(f"{path}: state outside 0..{_N_STATES - 1}")
+    with open(path, "w") as fh:
+        fh.write(_SEQ_HEADER + "\n")
+        for lo in range(0, len(table), _BLOCK_ROWS):
+            block = table[lo : lo + _BLOCK_ROWS]
+            tokens = _RUN_TOKENS[block["states"].reshape(len(block), -1, 4) @ _RUN_PLACES].tolist()
+            rows = zip(block["id"].tolist(), block["day_type"].tolist(), block["weight"].tolist(), tokens)
+            # repr round-trips the float exactly
+            lines = [f"{rid},{day_type},{weight!r},{','.join(runs)}\n" for rid, day_type, weight, runs in rows]
+            fh.write("".join(lines))
 
 
 def read_sequences(path: str | Path) -> np.ndarray:

@@ -59,12 +59,23 @@ def parse_k_range(value: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+Seed = int  # a base seed, which numpy's SeedSequence takes only when >= 0
+
+
+def whole_number(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise ValueError(f"expected a whole number >= 0, got {number}")
+    return number
+
+
 # ProjectConfig field annotation -> parser of its project.conf value (and of
 # its stage flag's argument).  Path fields join the config file's directory,
 # which an absolute value replaces.
 PARSERS = {
     "int": int,
     "int | None": int,
+    "Seed | None": whole_number,
     "float": float,
     "str": str,
     "bool": lambda value: value.lower() in ("1", "true", "yes"),
@@ -81,7 +92,7 @@ class Settings:
     `project.conf` key of the same name and one stage flag (`cli.FLAGS`);
     `base_seed` None means draw one from entropy (`resolve_seed`)."""
 
-    base_seed: int | None = None
+    base_seed: Seed | None = None
     n_households: int = 1
     n_days: int = 365
     start_weekday: str = "monday"

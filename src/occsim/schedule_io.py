@@ -150,46 +150,51 @@ def assemble_schedule(
 
 
 _ROW_TEMPLATE = ",".join(["%.6f"] * len(SCHEDULE_COLUMNS))
+# Each block temporary is 1024 x 13 x 8 bytes, under the 128 KiB above which
+# glibc malloc maps fresh pages per array; 4096-step blocks wrote at half speed.
+_BLOCK_STEPS = 1024
+# A `d.dddddd` cell and its separator: `text` holds the 8 characters read as one
+# little-endian word, `_HEAD[q // 1000] | _TAIL[q % 1000]` for q = value * 1e6.
+_CELL = np.dtype([("text", "<u8"), ("sep", "u1")])
+_HEAD = np.frombuffer(b"".join([b"%d.%03d\0\0\0" % divmod(h, 1000) for h in range(1001)]), "<u8")
+_TAIL = np.frombuffer(b"".join([b"\0\0\0\0\0%03d" % t for t in range(1000)]), "<u8")
 
 
-def _format_unit_rows(data: np.ndarray) -> bytes:
-    """The `%.6f` rows of an all-[0, 1] matrix, formatted as whole arrays.
+def _unit_cells(block: np.ndarray) -> np.ndarray:
+    """The `%.6f` cells of an all-[0, 1] (steps, columns) block, one row per step.
 
-    Each value prints as `d.dddddd`, so every row has the same width.
     `rint(v * 1e6)` is off by at most ~1e-10 before rounding, which only
     matters within that distance of a rounding tie; values within 1e-6 of
     one take their digits from `%.6f` itself.
     """
-    scaled = data * 1e6
-    q = np.rint(scaled).astype(np.int32)
+    scaled = block * 1e6
+    q = np.rint(scaled).astype(np.intp)  # table lookups take intp indices unconverted
     near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6
     if near_tie.any():
-        q[near_tie] = [int(("%.6f" % v).replace(".", "")) for v in data[near_tie].tolist()]
-    n_rows, n_cols = data.shape
-    cells = np.empty((n_rows, n_cols, 9), dtype=np.uint8)
-    cells[:, :, 0] = q // 1_000_000 + ord("0")
-    cells[:, :, 1] = ord(".")
-    fraction = q % 1_000_000
-    for i, place in enumerate((100_000, 10_000, 1_000, 100, 10, 1)):
-        cells[:, :, 2 + i] = fraction // place % 10 + ord("0")
-    cells[:, :, 8] = ord(",")
-    cells[:, -1, 8] = ord("\n")
-    return cells.tobytes()
+        q[near_tie] = [int(("%.6f" % v).replace(".", "")) for v in block[near_tie].tolist()]
+    head = q // 1000
+    cells = np.empty(q.shape, _CELL)
+    cells["text"] = _HEAD[head] | _TAIL[q - 1000 * head]
+    cells["sep"] = ord(",")
+    cells["sep"][:, -1] = ord("\n")
+    return cells
 
 
 def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> None:
     """Comment lines recording per-channel peaks, a header row, then
-    one row of 6-decimal values per step."""
+    one row of 6-decimal values per step, written `_BLOCK_STEPS` rows at a
+    time."""
     lines = [f"# peak,{name},{schedule.peaks[name]:.9g}" for name in SCHEDULE_COLUMNS if name != "occupants"]
     lines.append(",".join(SCHEDULE_COLUMNS))
-    head = ("\n".join(lines) + "\n").encode()
-    data = np.ascontiguousarray(schedule.values.T)
-    # Negative, >1, -0.0 and non-finite values change the printed width.
-    if np.all((data >= 0.0) & (data <= 1.0) & ~np.signbit(data)):
-        body = _format_unit_rows(data)
-    else:
-        body = "".join([_ROW_TEMPLATE % tuple(row) + "\n" for row in data.tolist()]).encode()
-    Path(path).write_bytes(head + body)
+    values = schedule.values
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        # Negative, >1, -0.0 and non-finite values change the printed width.
+        if np.all((values >= 0.0) & (values <= 1.0) & ~np.signbit(values)):
+            for lo in range(0, values.shape[1], _BLOCK_STEPS):
+                fh.write(_unit_cells(values[:, lo : lo + _BLOCK_STEPS].T))
+        else:
+            fh.write("".join([_ROW_TEMPLATE % tuple(row) + "\n" for row in values.T.tolist()]).encode())
 
 
 def _bad_data_line(path: Path) -> str | None:

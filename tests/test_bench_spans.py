@@ -1,0 +1,35 @@
+"""A traced benchmark run still patches every function and records every span.
+
+The benchmark reports a run that leaves a span unrecorded as `correct: false`;
+this test catches a change that stops calling a traced function, or moves
+one away from where the tracer looks it up, in the tier-1 suite instead.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from occsim.synth import write_input_tree
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _span_names() -> tuple[str, ...]:
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.SPAN_NAMES
+
+
+def test_traced_worker_records_every_span(tmp_path):
+    layout = write_input_tree(tmp_path / "tree", n_per_day_type=150, base_seed=101, n_households=2, n_days=6)
+    result = tmp_path / "result.json"
+    argv = [str(time.monotonic_ns()), str(result), str(layout.project), str(tmp_path / "out"), "1"]
+    subprocess.run([sys.executable, str(BENCH / "worker.py"), *argv], check=True, timeout=300)
+    run = json.loads(result.read_text())
+    assert (run["rc"], run["error"]) == (0, None)
+    assert run["missing_patches"] == []
+    assert {span[0] for span in run["spans"]} == set(_span_names())

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from occsim.diary_ingest import (
+    _BLOCK_ROWS,
     FULL_ALPHABET,
     N_MINUTES,
     N_STEPS,
@@ -239,6 +242,54 @@ def test_sequences_round_trip(tmp_path):
     assert back["day_type"].tolist() == seqs["day_type"].tolist()
     assert back["weight"].tolist() == weights.tolist()  # repr round-trips exactly
     assert np.array_equal(back["states"], seqs["states"])
+
+
+def _reference_sequence_text(table):
+    """The per-token formatter that `write_sequences` must match byte for byte."""
+    lines = ["respondent_id,day_type,weight," + ",".join(f"s{i:02d}" for i in range(N_STEPS))]
+    for rid, day_type, weight, states in sequence_rows(table):
+        lines.append(f"{rid},{day_type},{weight!r}," + ",".join(STATE_TOKENS[s] for s in states))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_sequences_matches_per_token_format_across_blocks(tmp_path):
+    n = 2 * _BLOCK_ROWS + 7
+    rng = np.random.default_rng(4)
+    states = rng.integers(0, len(FULL_ALPHABET), (n, N_STEPS))
+    # every four-state run, then every state at every step
+    runs = np.array(list(itertools.product(range(len(FULL_ALPHABET)), repeat=4))).ravel()
+    states.ravel()[: len(runs)] = runs
+    states[-7:] = (np.arange(7)[:, None] + np.arange(N_STEPS)) % len(FULL_ALPHABET)
+    weights = np.resize([1.0, 0.1, 1 / 3, 1e-300, 5e300, 123456789.123, 0.0, 2.5], n) * rng.uniform(1, 2, n)
+    table = sequence_table([f"h{i}o{i % 3}" for i in range(n)], ["WD", "WE", "WE"] * (n // 3), weights, states)
+    path = tmp_path / "seqs.csv"
+    write_sequences(path, table)
+    assert path.read_bytes() == _reference_sequence_text(table).encode()
+
+
+@pytest.mark.parametrize("state", [-1, len(FULL_ALPHABET)])
+def test_write_sequences_rejects_state_outside_alphabet(tmp_path, state):
+    states = np.zeros((3, N_STEPS), dtype=np.int8)
+    states[2, 95] = state
+    with pytest.raises(DiaryFormatError, match="state outside 0..6"):
+        write_sequences(tmp_path / "seqs.csv", sequence_table(["a", "b", "c"], "WD", 1.0, states))
+    assert not (tmp_path / "seqs.csv").exists()
+
+
+def test_write_sequences_holds_less_than_the_file(tmp_path):
+    n = 7300
+    rng = np.random.default_rng(2)
+    table = sequence_table(
+        [f"h{i // 20}o{i % 20}" for i in range(n)], "WD", rng.uniform(0.1, 3, n), rng.integers(0, 7, (n, N_STEPS))
+    )
+    path = tmp_path / "seqs.csv"
+    tracemalloc.start()
+    try:
+        write_sequences(path, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_read_sequences_empty_file_is_an_empty_table(tmp_path):

@@ -406,6 +406,32 @@ def _simulate(synth_tree, tpms, reference, out, *options, bundle=None):
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "run"])
+def test_negative_reference_value_stops_simulate(synth_tree, pipeline_run, tmp_path, capsys, command):
+    reference = tmp_path / "reference"
+    shutil.copytree(synth_tree / "reference", reference)
+    path = reference / "lighting.wd.ref"
+    lines = path.read_text().splitlines()
+    lines[1] = "1,-5"
+    path.write_text("\n".join(lines) + "\n")
+    if command == "simulate":
+        code = _simulate(synth_tree, pipeline_run / "tpms", reference, tmp_path / "out")
+    else:
+        settings = {
+            "diaries": synth_tree / "diaries.csv",
+            "code_map": synth_tree / "code_map.csv",
+            "bundle": synth_tree / "bundle",
+            "reference": reference,
+            "household": synth_tree / "household.conf",
+            "base_seed": 1,
+            "n_days": 2,
+        }
+        code = main(["run", "--config", str(_write_conf(tmp_path, **settings))])
+    assert code == 6
+    assert f"{path}: line 2: step 1 has negative value -5.0" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("household_*.csv"))
+
+
 @pytest.mark.parametrize(
     "option, message", [("--days", "n_days must be positive"), ("--households", "n_households must be positive")]
 )
@@ -852,6 +878,29 @@ def test_seed_drawn_from_entropy_is_logged_and_reproduces(
     assert main([*argv, "--out", str(given), "--seed", logged[1]]) == 0
     for name in outputs:
         assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "drawn" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["cluster", "simulate", "simulate-occupant", "synth"])
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    required = REQUIRED_FLAGS.get(command, ["--out", str(tmp_path / "tree")])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--seed", "-5"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid whole_number value: '-5'" in capsys.readouterr().err
+    assert not (tmp_path / "tree").exists()
+
+
+def test_run_rejects_negative_base_seed_before_ingest(synth_tree, tmp_path, capsys):
+    settings = {
+        "diaries": synth_tree / "diaries.csv",
+        "bundle": synth_tree / "bundle",
+        "reference": synth_tree / "reference",
+        "household": synth_tree / "household.conf",
+        "base_seed": -5,
+    }
+    assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == 2
+    assert "base_seed: expected a whole number >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["3", "a:b", "3:4:5", ""])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from occsim.diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from occsim.household import EVENT, EVENT_COLUMNS, HouseholdResult
 from occsim.occupant_sim import SimCalendar
 from occsim.schedule_io import (
+    _BLOCK_STEPS,
     MODULATED_END_USES,
     SCHEDULE_COLUMNS,
     HouseholdScheduleYear,
@@ -267,6 +269,34 @@ def test_schedule_writer_matches_per_value_format_property(tmp_path_factory, uni
     _assert_writes_reference_bytes(tmp_path_factory.mktemp("w"), _schedule_cycling(unit + anywhere))
 
 
+# 6-decimal rounding ties and their neighbours, and the values at the ends of the fast path.
+_EDGE_VALUES = [0.0, 1.0, 5e-7, 0.1234565, 0.9999995, float(np.nextafter(0.0000025, 1.0)), 0.5000005]
+
+
+_BLOCK_DAYS = _BLOCK_STEPS // N_STEPS
+
+
+@pytest.mark.parametrize("n_days", [1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 3 * _BLOCK_STEPS // N_STEPS, 42, 43, 45])
+def test_schedule_writer_matches_per_value_format_across_blocks(tmp_path, n_days):
+    values = np.random.default_rng(n_days).uniform(0, 1, (len(SCHEDULE_COLUMNS), n_days * N_STEPS))
+    for lo in range(0, values.shape[1], _BLOCK_STEPS):
+        for step in (lo, min(lo + _BLOCK_STEPS, values.shape[1]) - 1):
+            values[:, step] = np.resize(np.roll(_EDGE_VALUES, step), len(SCHEDULE_COLUMNS))
+    _assert_writes_reference_bytes(tmp_path, HouseholdScheduleYear(values, {n: 0.5 for n in SCHEDULE_COLUMNS[1:]}))
+
+
+def test_schedule_writer_holds_less_than_the_matrix(tmp_path):
+    values = np.random.default_rng(1).uniform(0, 1, (len(SCHEDULE_COLUMNS), 365 * N_STEPS))
+    schedule = HouseholdScheduleYear(values, {n: 0.5 for n in SCHEDULE_COLUMNS[1:]})
+    tracemalloc.start()
+    try:
+        write_schedule_file(tmp_path / "h.csv", schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes
+
+
 def _written_schedule(directory, values=(0.25, 0.5, 1.0, 0.0, 0.1234565)):
     path = directory / "h.csv"
     write_schedule_file(path, _schedule_cycling(values))
@@ -392,6 +422,7 @@ def test_reference_file_rejects_short(tmp_path):
         ("40", "expected step,value, got 1 fields"),
         ("4x,0.5", "invalid literal for int"),
         ("40,abc", "could not convert string to float"),
+        ("40,-0.5", "step 40 has negative value -0.5"),
     ],
 )
 def test_step_values_reject_bad_line_naming_file_and_line(tmp_path, line, message):
@@ -409,6 +440,13 @@ def test_step_values_skip_blank_lines_and_take_any_order(tmp_path):
     path = tmp_path / "r.ref"
     path.write_text("\n".join(f"{i},{float(values[i])!r}\n" for i in reversed(range(N_STEPS))))
     assert np.array_equal(read_step_values(path), values)
+
+
+def test_step_values_read_minus_zero_as_zero(tmp_path):
+    path = tmp_path / "r.ref"
+    path.write_text("".join(f"{i},-0\n" for i in range(N_STEPS)))
+    values = read_step_values(path)
+    assert np.array_equal(values, np.zeros(N_STEPS)) and not np.signbit(values).any()
 
 
 def test_load_reference_dir_names_missing_file(tmp_path):
