@@ -21,7 +21,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from occsim.distributions import EmpiricalDistribution
-from occsim.household import EVENT_COLUMNS, HouseholdConfig, build_household
+from occsim.household import EVENT_COLUMNS, HouseholdConfig, build_household, draw_households
 from occsim.occupant_sim import SimCalendar
 from occsim.pipeline import Settings
 from occsim.schedule_io import rasterize_events
@@ -58,8 +58,8 @@ def main(argv=None):
     approach = Settings().approach
     t0 = time.perf_counter()
     series = []
-    for h in range(args.households):
-        res = build_household(h, models, bundle, config, cal, base_seed=args.seed, approach=approach)
+    for draw in draw_households(range(args.households), models, config, cal, args.seed, approach=approach):
+        res = build_household(draw, models, bundle, config, cal, approach=approach)
         raster = rasterize_events(res.appliance_events, res.water_events, cal.n_days)
         series.append(raster[EVENT_COLUMNS.index(args.channel)])
     series = np.stack(series)

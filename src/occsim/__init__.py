@@ -26,11 +26,18 @@ from .markov_train import (
     estimate_all_statistics,
     estimate_statistics,
     estimate_tpm,
-    forward_marginals,
     train_cluster_day_model,
 )
-from .occupant_sim import OccupantProfile, SimCalendar, simulate_year
-from .household import HouseholdConfig, HouseholdResult, build_household, merge_shared_events, modulate_schedule
+from .occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
+from .household import (
+    HouseholdConfig,
+    HouseholdDraw,
+    HouseholdResult,
+    build_household,
+    draw_households,
+    merge_shared_events,
+    modulate_schedule,
+)
 from .schedule_io import (
     HouseholdScheduleYear,
     assemble_schedule,
@@ -50,6 +57,7 @@ __all__ = [
     "ClusterModel",
     "EmpiricalDistribution",
     "HouseholdConfig",
+    "HouseholdDraw",
     "HouseholdResult",
     "HouseholdScheduleYear",
     "OccupantProfile",
@@ -63,10 +71,10 @@ __all__ = [
     "assign_cluster",
     "build_household",
     "compare_behavior",
+    "draw_households",
     "estimate_all_statistics",
     "estimate_statistics",
     "estimate_tpm",
-    "forward_marginals",
     "ingest",
     "kmodes",
     "ks_statistic",
@@ -83,5 +91,6 @@ __all__ = [
     "silhouette",
     "simulate_year",
     "train_cluster_day_model",
+    "walk_occupants",
     "write_schedule_file",
 ]

@@ -17,7 +17,14 @@ from . import streams
 from .clustering import ClusterModel
 from .diary_ingest import DAY_TYPES, write_sequences
 from .markov_train import TrainError, load_model_dir
-from .occupant_sim import OccupantProfile, SimCalendar, SimulationError, days_to_sequences, simulate_year
+from .occupant_sim import (
+    OccupantProfile,
+    SimCalendar,
+    SimulationError,
+    days_to_sequences,
+    simulate_year,
+    walk_occupants,
+)
 from .pipeline import (
     CHOICES,
     PARSERS,
@@ -64,6 +71,13 @@ def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
             p.add_argument(FLAGS[name], action="store_true", **kwargs)
         else:
             p.add_argument(FLAGS[name], type=PARSERS[types[name]], choices=CHOICES.get(name), **kwargs)
+
+
+def positive_number(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"expected a whole number >= 1, got {number}")
+    return number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,10 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth", help="generate a synthetic demonstration input tree", argument_default=argparse.SUPPRESS
     )
     p.add_argument("--out", dest="out_dir", type=Path, required=True)
-    p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=int)
+    p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=positive_number)
     p.add_argument("--seed", dest="base_seed", type=whole_number)
-    p.add_argument("--households", dest="n_households", type=int)
-    p.add_argument("--days", dest="n_days", type=int)
+    p.add_argument("--households", dest="n_households", type=positive_number)
+    p.add_argument("--days", dest="n_days", type=positive_number)
 
     p = sub.add_parser("run", help="run the full pipeline from a project config")
     p.add_argument("--config", type=Path, required=True)
@@ -176,7 +190,8 @@ def _cmd_simulate_occupant(args, log) -> int:
         calendar = SimCalendar.from_name(cfg.start_weekday, cfg.n_days)
         profile = OccupantProfile("o0", args.wd_cluster, args.we_cluster)
         rng_root = streams.child(streams.root(cfg.base_seed), streams.OCCUPANT, 0)
-        states, failures = simulate_year(profile, models, calendar, rng_root, approach=cfg.approach)
+        days = walk_occupants([(profile, rng_root)], models, calendar, approach=cfg.approach)[0]
+        states, failures = simulate_year(profile, days, models, calendar, rng_root, approach=cfg.approach)
     except (TrainError, SimulationError, OSError) as exc:
         raise StageError("simulate", str(exc)) from exc
     args.out.parent.mkdir(parents=True, exist_ok=True)

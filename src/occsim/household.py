@@ -11,6 +11,7 @@ from the start of the simulation year.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .occupant_sim import (
     OccupantProfile,
     SimCalendar,
     simulate_year,
+    walk_occupants,
 )
 
 MINUTES_PER_DAY = 1440
@@ -169,6 +171,16 @@ class HouseholdResult:
     appliance_events: np.ndarray  # EVENT rows
     water_events: np.ndarray  # EVENT rows
     placement_failures: int = 0
+
+
+@dataclass
+class HouseholdDraw:
+    """One household's occupants and their walked days (`draw_households`)."""
+
+    index: int
+    seq: np.random.SeedSequence  # streams.child(root(base_seed), HOUSEHOLD, index)
+    occupants: list[tuple[OccupantProfile, np.random.SeedSequence]]  # profile, occupant stream root
+    days: np.ndarray  # (n_occupants, n_days, 96) int8, from walk_occupants
 
 
 def _draw_index(shares, rng: np.random.Generator) -> int:
@@ -370,30 +382,52 @@ def apply_vacation(
     return states, keep_a, keep_w
 
 
-def build_household(
-    index: int,
+def draw_households(
+    indices: Sequence[int],
     models: dict[str, dict[int, ClusterDayModel]],
-    bundle: dict[str, EmpiricalDistribution],
     config: HouseholdConfig,
     calendar: SimCalendar,
     base_seed: int,
     *,
     approach: int,
-) -> HouseholdResult:
-    """Simulate one household for the whole calendar.
+) -> list[HouseholdDraw]:
+    """Sample the occupants of each household in `indices` and walk them all.
 
-    Derives all streams from (base_seed, household index), so households
-    are independent and adding one never changes another.
+    Household h's stream is `streams.child(root(base_seed), HOUSEHOLD, h)`:
+    its child 0 draws the occupants (`sample_household`), and occupant o
+    walks from its child (OCCUPANT, o).  The occupants of every household
+    are walked in one `walk_occupants` call, so households stay
+    independent and adding one never changes another.
     """
-    h_seq = streams.child(streams.root(base_seed), streams.HOUSEHOLD, index)
-    n, profiles = sample_household(config, streams.generator(h_seq, 0), index)
-    n_steps = calendar.n_days * N_STEPS
-    states = np.empty((n, n_steps), dtype=np.int8)
+    root = streams.root(base_seed)
+    seqs = [streams.child(root, streams.HOUSEHOLD, h) for h in indices]
+    occupants = []
+    for h, seq in zip(indices, seqs):
+        _, profiles = sample_household(config, streams.generator(seq, 0), h)
+        occupants.append([(p, streams.child(seq, streams.OCCUPANT, o)) for o, p in enumerate(profiles)])
+    days = walk_occupants([occ for occs in occupants for occ in occs], models, calendar, approach=approach)
+    split = np.split(days, np.cumsum([len(occs) for occs in occupants])[:-1])
+    return [HouseholdDraw(*fields) for fields in zip(indices, seqs, occupants, split)]
+
+
+def build_household(
+    draw: HouseholdDraw,
+    models: dict[str, dict[int, ClusterDayModel]],
+    bundle: dict[str, EmpiricalDistribution],
+    config: HouseholdConfig,
+    calendar: SimCalendar,
+    *,
+    approach: int,
+) -> HouseholdResult:
+    """Simulate one drawn household for the whole calendar: each occupant's
+    year (`simulate_year`), then events, sinks and the vacation, each from
+    a child of the household's stream."""
+    h_seq = draw.seq
+    n = len(draw.occupants)
+    states = np.empty((n, calendar.n_days * N_STEPS), dtype=np.int8)
     failures = 0
-    for o, profile in enumerate(profiles):
-        year, n_fail = simulate_year(
-            profile, models, calendar, streams.child(h_seq, streams.OCCUPANT, o), approach=approach
-        )
+    for o, (profile, root) in enumerate(draw.occupants):
+        year, n_fail = simulate_year(profile, draw.days[o], models, calendar, root, approach=approach)
         states[o] = year.ravel()
         failures += n_fail
 
@@ -412,4 +446,5 @@ def build_household(
     states, appliance_events, water_events = apply_vacation(
         states, appliance_events, water_events, config.vacation, calendar.n_days
     )
-    return HouseholdResult(index, n, profiles, states, appliance_events, water_events, failures)
+    profiles = [profile for profile, _ in draw.occupants]
+    return HouseholdResult(draw.index, n, profiles, states, appliance_events, water_events, failures)

@@ -229,15 +229,6 @@ def estimate_tpm(
     return TPMSet(cluster_id, day_type, tuple(alphabet), initial, matrices)
 
 
-def forward_marginals(tpms: TPMSet) -> np.ndarray:
-    """Per-step state distribution obtained by propagating the chain."""
-    out = np.empty((tpms.n_steps, tpms.n_states))
-    out[0] = tpms.initial
-    for t in range(tpms.matrices.shape[0]):
-        out[t + 1] = out[t] @ tpms.matrices[t]
-    return out
-
-
 def runs(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Maximal True runs per row of a boolean matrix, in row-major order.
 

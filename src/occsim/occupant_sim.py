@@ -14,7 +14,9 @@ Three interchangeable approaches produce a day of 96 states:
   compound holds and inflate durations past the sampled distribution.
 
 All three walk through one batched kernel, `walk_days`, which steps every
-day that shares a model at once, each from its own block of uniforms.
+day that shares a model at once, each from its own block of uniforms;
+`walk_occupants` stacks the days of many occupants that share a model into
+one such call.
 """
 
 from __future__ import annotations
@@ -211,45 +213,91 @@ def days_to_sequences(days: np.ndarray, day_type: str | list[str] = "WD", prefix
     return sequence_table([f"{prefix}{i}" for i in range(len(days))], day_type, 1.0, days)
 
 
+def _check_approach(approach: int) -> None:
+    if approach not in (1, 2, 3):
+        raise SimulationError(f"approach must be 1, 2, or 3, got {approach}")
+
+
+def _cluster(profile: OccupantProfile, day_type: str) -> int:
+    return profile.weekday_cluster if day_type == "WD" else profile.weekend_cluster
+
+
+def _model(models: dict[str, dict[int, ClusterDayModel]], day_type: str, cluster: int) -> ClusterDayModel:
+    try:
+        return models[day_type][cluster]
+    except KeyError:
+        raise SimulationError(f"no trained model for day_type={day_type} cluster={cluster}") from None
+
+
+def walk_occupants(
+    occupants: list[tuple[OccupantProfile, np.random.SeedSequence]],
+    models: dict[str, dict[int, ClusterDayModel]],
+    calendar: SimCalendar,
+    *,
+    approach: int,
+) -> np.ndarray:
+    """Walk every calendar day of each (profile, stream root) occupant:
+    (n_occupants, n_days, 96) int8; approach 1 walks the presence chain.
+
+    Occupant i draws the `day_uniforms` blocks of its days of type
+    `DAY_TYPES[j]` from one stream, `streams.child(root_i, j)`, as one
+    `(n_days_of_type, need)` matrix in calendar order.  The blocks of all
+    occupants whose day type j has the same (day type, cluster) model are
+    stacked and walked in one `walk_days` call.  Its rows are independent,
+    so each occupant's days are those its own blocks walk to alone, and a
+    shorter calendar's days are a prefix of a longer one's.
+    """
+    _check_approach(approach)
+    day_types = calendar.day_types
+    out = np.empty((len(occupants), calendar.n_days, N_STEPS), dtype=np.int8)
+    for day_type in dict.fromkeys(day_types):
+        j = DAY_TYPES.index(day_type)
+        days = [d for d, dt in enumerate(day_types) if dt == day_type]
+        groups: dict[int, list[int]] = {}
+        for i, (profile, _) in enumerate(occupants):
+            groups.setdefault(_cluster(profile, day_type), []).append(i)
+        for cluster, members in groups.items():
+            model = _model(models, day_type, cluster)
+            tpms = model.presence_tpms if approach == 1 else model.tpms
+            holds = model.stats if approach == 3 else None
+            need = tpms.n_steps if holds is None else 2 * tpms.n_steps
+            u = np.empty((len(members), len(days), need))
+            for block, i in zip(u, members):
+                streams.generator(occupants[i][1], j).random(out=block)
+            walked = walk_days(tpms, u.reshape(-1, need), holds)
+            out[np.ix_(members, days)] = walked.reshape(len(members), len(days), -1)
+    return out
+
+
 def simulate_year(
     profile: OccupantProfile,
+    days: np.ndarray,
     models: dict[str, dict[int, ClusterDayModel]],
     calendar: SimCalendar,
     rng_root: np.random.SeedSequence,
     *,
     approach: int,
 ) -> tuple[np.ndarray, int]:
-    """Simulate every calendar day for one occupant: the (n_days, 96) int8
-    states plus the total approach-1 placement failures (zero for the other
-    approaches).
+    """One occupant's year from its `walk_occupants` days: the (n_days, 96)
+    int8 states plus the total approach-1 placement failures.
 
-    Day type `DAY_TYPES[j]` draws its days' `day_uniforms` blocks from one
-    stream, `streams.child(rng_root, j)`, in calendar order, and walks them
-    in one call; approach 1 then places each day's events from a second
-    stream, `streams.child(rng_root, j, 1)`, in calendar order.  So a
-    shorter calendar's days are a prefix of a longer one's.
+    Approach 1 places each presence day's events (`place_events`) from one
+    stream per day type, `streams.child(rng_root, j, 1)` for
+    `DAY_TYPES[j]`, in calendar order.  Approaches 2 and 3 return `days`
+    and 0.
     """
-    if approach not in (1, 2, 3):
-        raise SimulationError(f"approach must be 1, 2, or 3, got {approach}")
+    _check_approach(approach)
+    if days.shape != (calendar.n_days, N_STEPS):
+        raise SimulationError(f"expected ({calendar.n_days}, {N_STEPS}) walked days, got shape {days.shape}")
+    if approach != 1:
+        return days, 0
     day_types = calendar.day_types
-    states = np.empty((calendar.n_days, N_STEPS), dtype=np.int8)
+    states = np.empty_like(days)
     failures = 0
     for day_type in dict.fromkeys(day_types):
-        cluster = profile.weekday_cluster if day_type == "WD" else profile.weekend_cluster
-        try:
-            model = models[day_type][cluster]
-        except KeyError:
-            raise SimulationError(f"no trained model for day_type={day_type} cluster={cluster}")
-        days = [d for d, dt in enumerate(day_types) if dt == day_type]
-        j = DAY_TYPES.index(day_type)
-        tpms = model.presence_tpms if approach == 1 else model.tpms
-        holds = model.stats if approach == 3 else None
-        need = tpms.n_steps if holds is None else 2 * tpms.n_steps
-        block = walk_days(tpms, streams.generator(rng_root, j).random((len(days), need)), holds)
-        if approach == 1:
-            place = streams.generator(rng_root, j, 1)
-            for i in range(len(days)):
-                block[i], n_fail = place_events(block[i], model.stats, place)
-                failures += n_fail
-        states[days] = block
+        stats = _model(models, day_type, _cluster(profile, day_type)).stats
+        place = streams.generator(rng_root, DAY_TYPES.index(day_type), 1)
+        for d in (d for d, dt in enumerate(day_types) if dt == day_type):
+            states[d], n_fail = place_events(days[d], stats, place)
+            failures += n_fail
     return states, failures

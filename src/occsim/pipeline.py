@@ -27,7 +27,7 @@ from .diary_ingest import (
     sequence_table,
     write_sequences,
 )
-from .household import HouseholdConfig, HouseholdError, build_household
+from .household import HouseholdConfig, HouseholdError, build_household, draw_households
 from .markov_train import (
     FALLBACKS,
     ClusterDayModel,
@@ -40,6 +40,11 @@ from .markov_train import (
 from .occupant_sim import SimCalendar, SimulationError
 from .schedule_io import ScheduleError, assemble_schedule, load_bundle, load_reference_dir, write_schedule_file
 from .validate import ComparisonReport, compare_behavior
+
+# Household-days whose occupants simulate walks together: each (day type,
+# cluster) model is walked once per chunk of max(1, this // n_days)
+# households, and the chunk bounds the block of uniforms that walk holds.
+CHUNK_HOUSEHOLD_DAYS = 32 * 365
 
 # process exit code of each stage's StageError
 _STAGE_CODES = {"config": 2, "ingest": 3, "cluster": 4, "train": 5, "simulate": 6, "validate": 7}
@@ -300,18 +305,26 @@ def simulate_stage(tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for h in range(cfg.n_households):
+    size = max(1, CHUNK_HOUSEHOLD_DAYS // calendar.n_days)
+    for lo in range(0, cfg.n_households, size):
+        chunk = range(lo, min(lo + size, cfg.n_households))
         try:
-            result = build_household(h, models, bundle, config, calendar, cfg.base_seed, approach=cfg.approach)
-            schedule = assemble_schedule(result, reference, calendar, modulation=cfg.modulation)
-        except (SimulationError, HouseholdError, ScheduleError, KeyError) as exc:
-            raise StageError("simulate", f"household {h}: {exc}") from exc
-        path = out_dir / f"household_{h}.csv"
-        write_schedule_file(path, schedule)
-        if result.placement_failures:
-            print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
-        print(f"simulate: household {h} ({result.n_occupants} occupants) -> {path}", file=log)
-        results.append(result)
+            draws = draw_households(chunk, models, config, calendar, cfg.base_seed, approach=cfg.approach)
+        except SimulationError as exc:
+            raise StageError("simulate", f"households {chunk[0]}..{chunk[-1]}: {exc}") from exc
+        for draw in draws:
+            h = draw.index
+            try:
+                result = build_household(draw, models, bundle, config, calendar, approach=cfg.approach)
+                schedule = assemble_schedule(result, reference, calendar, modulation=cfg.modulation)
+            except (SimulationError, HouseholdError, ScheduleError, KeyError) as exc:
+                raise StageError("simulate", f"household {h}: {exc}") from exc
+            path = out_dir / f"household_{h}.csv"
+            write_schedule_file(path, schedule)
+            if result.placement_failures:
+                print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
+            print(f"simulate: household {h} ({result.n_occupants} occupants) -> {path}", file=log)
+            results.append(result)
     write_sequences(out_dir / "occupant_days.csv", _occupant_day_rows(results, calendar))
     print(f"simulate: occupant-day table -> {out_dir / 'occupant_days.csv'}", file=log)
 

@@ -311,6 +311,10 @@ def write_input_tree(
     """Generate the full demonstration input tree under `out_dir`."""
     from .schedule_io import write_bundle
 
+    sizes = {"n_per_day_type": n_per_day_type, "n_households": n_households, "n_days": n_days}
+    for name, size in sizes.items():
+        if not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValueError(f"{name} must be a positive whole number, got {size!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = generate_corpus(n_per_day_type, base_seed)

@@ -3,8 +3,7 @@
 Durations and onsets are compared with a two-sample Kolmogorov-Smirnov
 statistic over weighted empirical distributions, daily occurrence counts
 with a chi-square test (bins pooled until every expected count is at least
-five), and daily activity profiles with mean absolute deviation.  Profile
-uncertainty bands are mean +/- 1.96 standard errors across homes.  The
+five), and daily activity profiles with mean absolute deviation.  The
 chi-square p-value is the exact closed-form upper tail for integer degrees
 of freedom (`chi2_sf`).
 """
@@ -21,7 +20,6 @@ from .diary_ingest import STATE_TOKENS, ActivityState
 from .distributions import EmpiricalDistribution
 from .markov_train import ActivityStats, estimate_statistics
 
-Z_95 = 1.96
 MIN_EXPECTED = 5.0
 
 
@@ -118,9 +116,6 @@ class ActivityComparison:
 class ComparisonReport:
     rows: list[ActivityComparison]
 
-    def by_activity(self) -> dict[ActivityState, ActivityComparison]:
-        return {r.activity: r for r in self.rows}
-
     def to_records(self) -> list[tuple[str, str, str]]:
         records = []
         for r in self.rows:
@@ -185,29 +180,3 @@ def compare_behavior(
         )
     return ComparisonReport(rows)
 
-
-@dataclass
-class ProfileBand:
-    """Pointwise mean +/- 1.96 SE band across homes."""
-
-    mean: np.ndarray
-    se: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-def band(profiles: np.ndarray) -> ProfileBand:
-    """Uncertainty band over per-home profiles (rows are homes)."""
-    profiles = np.asarray(profiles, dtype=np.float64)
-    if profiles.ndim != 2 or profiles.shape[0] < 2:
-        raise ValidationError("band needs at least two home profiles")
-    mean = profiles.mean(axis=0)
-    se = profiles.std(axis=0, ddof=1) / np.sqrt(profiles.shape[0])
-    return ProfileBand(mean, se, mean - Z_95 * se, mean + Z_95 * se)
-
-
-def coverage(profile: np.ndarray, b: ProfileBand) -> float:
-    """Fraction of steps where `profile` lies inside the band."""
-    profile = np.asarray(profile, dtype=np.float64)
-    inside = (profile >= b.lower) & (profile <= b.upper)
-    return float(inside.mean())

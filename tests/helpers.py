@@ -5,8 +5,23 @@ import numpy as np
 from occsim.clustering import ClusterError
 from occsim.diary_ingest import N_STEPS, STEP_MINUTES, ActivityState, sequence_table
 from occsim.distributions import EmpiricalDistribution
-from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS
+from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS, build_household, draw_households
 from occsim.occupant_sim import RETRY_BUDGET
+
+
+def forward_marginals(tpms) -> np.ndarray:
+    """Per-step state distribution obtained by propagating the chain."""
+    out = np.empty((tpms.n_steps, tpms.n_states))
+    out[0] = tpms.initial
+    for t in range(tpms.matrices.shape[0]):
+        out[t + 1] = out[t] @ tpms.matrices[t]
+    return out
+
+
+def one_household(index, models, bundle, config, calendar, base_seed, *, approach):
+    """`build_household` of household `index`, drawn on its own."""
+    (draw,) = draw_households([index], models, config, calendar, base_seed, approach=approach)
+    return build_household(draw, models, bundle, config, calendar, approach=approach)
 
 
 def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:

@@ -25,6 +25,7 @@ from occsim.household import (
     HouseholdError,
     attach_hygiene_water,
     build_household,
+    draw_households,
     hygiene_intervals,
     merge_shared_events,
     modulate_schedule,
@@ -34,7 +35,6 @@ from occsim.markov_train import (
     TPMSet,
     estimate_all_statistics,
     estimate_tpm,
-    forward_marginals,
     train_cluster_day_model,
 )
 from occsim.occupant_sim import SimCalendar, days_to_sequences, walk_days
@@ -49,7 +49,7 @@ from occsim.synth import (
     write_input_tree,
 )
 from occsim.validate import compare_behavior
-from tests.helpers import point_mass
+from tests.helpers import forward_marginals, point_mass
 
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
 
@@ -368,8 +368,8 @@ def test_criterion_10_heterogeneity_control():
     config = HouseholdConfig(counts, PLANTED_SHARES, PLANTED_SHARES)
     cal = SimCalendar(start_weekday=0, n_days=28)
     series = []
-    for h in range(100):
-        res = build_household(h, models, bundle, config, cal, base_seed=424, approach=3)
+    for draw in draw_households(range(100), models, config, cal, 424, approach=3):
+        res = build_household(draw, models, bundle, config, cal, approach=3)
         no_water = np.zeros(0, dtype=EVENT)
         raw = rasterize_events(res.appliance_events, no_water, cal.n_days)
         series.append(raw[EVENT_COLUMNS.index("cooking_range")])

@@ -16,7 +16,6 @@ from occsim.household import (
     apply_vacation,
     attach_appliance_events,
     attach_hygiene_water,
-    build_household,
     generate_sink_events,
     hygiene_intervals,
     merge_shared_events,
@@ -27,7 +26,7 @@ from occsim.markov_train import ClusterDayModel, TPMSet
 from occsim.occupant_sim import SimCalendar
 from occsim.schedule_io import MODULATED_END_USES, ScheduleError, assemble_schedule
 from occsim.synth import PLANTED_SHARES, default_bundle, default_reference, truth_models
-from tests.helpers import point_mass
+from tests.helpers import one_household, point_mass
 
 SL = int(ActivityState.SLEEP)
 AW = int(ActivityState.AWAY)
@@ -459,14 +458,14 @@ def test_build_household_smoke_and_determinism():
     bundle = default_bundle()
     config = one_count_config(n=2)
     cal = SimCalendar(start_weekday=0, n_days=4)
-    res = build_household(3, models, bundle, config, cal, base_seed=11, approach=3)
+    res = one_household(3, models, bundle, config, cal, base_seed=11, approach=3)
     assert res.index == 3 and res.n_occupants == 2
     assert res.states.shape == (2, 4 * N_STEPS)
-    again = build_household(3, models, bundle, config, cal, base_seed=11, approach=3)
+    again = one_household(3, models, bundle, config, cal, base_seed=11, approach=3)
     assert np.array_equal(res.states, again.states)
     assert res.appliance_events.tobytes() == again.appliance_events.tobytes()
     assert res.water_events.tobytes() == again.water_events.tobytes()
-    other = build_household(3, models, bundle, config, cal, base_seed=12, approach=3)
+    other = one_household(3, models, bundle, config, cal, base_seed=12, approach=3)
     assert not np.array_equal(res.states, other.states)
 
 
@@ -481,7 +480,7 @@ def test_build_household_stream_count_does_not_grow_with_days(monkeypatch):
         for n_days in (14, 365):
             calls.clear()
             cal = SimCalendar(start_weekday=0, n_days=n_days)
-            build_household(0, models, bundle, config, cal, base_seed=3, approach=approach)
+            one_household(0, models, bundle, config, cal, base_seed=3, approach=approach)
             counts.append(len(calls))
         assert counts[0] == counts[1], (approach, counts)
 
@@ -491,7 +490,7 @@ def test_build_household_applies_vacation():
     bundle = default_bundle()
     config = HouseholdConfig(point_mass(1.0, "count"), (1.0,), (1.0,), vacation=(1, 2))
     cal = SimCalendar(start_weekday=0, n_days=3)
-    res = build_household(0, models, bundle, config, cal, base_seed=5, approach=3)
+    res = one_household(0, models, bundle, config, cal, base_seed=5, approach=3)
     day1 = res.states[:, N_STEPS : 2 * N_STEPS]
     assert np.all(day1 == AW)
     lo, hi = 1440.0, 2880.0
@@ -532,7 +531,7 @@ def test_build_household_output_is_pinned(approach, vacation, modulation):
         vacation=vacation,
     )
     cal = SimCalendar(start_weekday=2, n_days=10)
-    res = build_household(4, truth_models(4), default_bundle(), config, cal, base_seed=77, approach=approach)
+    res = one_household(4, truth_models(4), default_bundle(), config, cal, base_seed=77, approach=approach)
     reference = np.array([[default_reference(use, dt) for dt in DAY_TYPES] for use in MODULATED_END_USES])
     values = assemble_schedule(res, reference, cal, modulation=modulation).values
     events = hashlib.sha256(res.appliance_events.tobytes() + res.water_events.tobytes()).hexdigest()

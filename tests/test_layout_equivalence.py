@@ -28,6 +28,7 @@ from occsim.occupant_sim import (
     place_events,
     simulate_year,
     walk_days,
+    walk_occupants,
 )
 from occsim.synth import default_bundle, truth_models
 from tests.helpers import point_mass, scalar_appliance_events, scalar_hygiene_water, scalar_sink_events
@@ -160,7 +161,11 @@ def test_approach1_failures_per_day_match_per_day_streams(seed, monkeypatch):
         return states, n_fail
 
     monkeypatch.setattr(occupant_sim, "place_events", recording)
-    roots = [streams.child(streams.root(seed + 100), streams.OCCUPANT, o) for o in range(6)]
-    total = sum(simulate_year(profile, models, calendar, root, approach=1)[1] for root in roots)
+    occupants = [(profile, streams.child(streams.root(seed + 100), streams.OCCUPANT, o)) for o in range(6)]
+    walked = walk_occupants(occupants, models, calendar, approach=1)
+    total = sum(
+        simulate_year(profile, days, models, calendar, root, approach=1)[1]
+        for (profile, root), days in zip(occupants, walked)
+    )
     assert len(new) == len(old) and sum(new) == total > 0
     same_law(np.minimum(old, 3), np.minimum(new, 3))

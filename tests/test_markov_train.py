@@ -19,13 +19,12 @@ from occsim.markov_train import (
     estimate_all_statistics,
     estimate_statistics,
     estimate_tpm,
-    forward_marginals,
     load_model_dir,
     save_model_dir,
     train_cluster_day_model,
 )
-from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year
-from tests.helpers import make_seq
+from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
+from tests.helpers import forward_marginals, make_seq
 
 S = len(FULL_ALPHABET)
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
@@ -335,8 +334,11 @@ def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
     profile, calendar = OccupantProfile("o", 0, 0), SimCalendar(start_weekday=0, n_days=9)
     root = streams.root(5)
     for approach in (1, 2, 3):
-        want, want_fail = simulate_year(profile, load_model_dir(new), calendar, root, approach=approach)
-        got, got_fail = simulate_year(profile, load_model_dir(old), calendar, root, approach=approach)
+        years = []
+        for models in (load_model_dir(new), load_model_dir(old)):
+            days = walk_occupants([(profile, root)], models, calendar, approach=approach)[0]
+            years.append(simulate_year(profile, days, models, calendar, root, approach=approach))
+        (want, want_fail), (got, got_fail) = years
         assert np.array_equal(got, want) and got_fail == want_fail
 
 

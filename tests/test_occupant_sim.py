@@ -23,6 +23,7 @@ from occsim.occupant_sim import (
     place_events,
     simulate_year,
     walk_days,
+    walk_occupants,
 )
 from occsim.synth import truth_models
 from tests.helpers import point_mass
@@ -451,6 +452,12 @@ def _tiny_models():
     }
 
 
+def _year(profile, models, calendar, root, *, approach):
+    """`simulate_year` of one occupant walked on its own."""
+    days = walk_occupants([(profile, root)], models, calendar, approach=approach)[0]
+    return simulate_year(profile, days, models, calendar, root, approach=approach)
+
+
 def test_simulate_year_day_streams_are_stable():
     """A shorter calendar's days are a prefix of a longer one's, under every approach."""
     models = truth_models()
@@ -459,12 +466,12 @@ def test_simulate_year_day_streams_are_stable():
     cal = SimCalendar(start_weekday=4, n_days=12)  # friday start: WD WE WE WD WD ...
     assert cal.day_types[:5] == ["WD", "WE", "WE", "WD", "WD"]
     for approach in (1, 2, 3):
-        days, failures = simulate_year(profile, models, cal, root, approach=approach)
+        days, failures = _year(profile, models, cal, root, approach=approach)
         for n in (1, 3, 5):
             short = SimCalendar(start_weekday=4, n_days=n)
-            prefix, _ = simulate_year(profile, models, short, root, approach=approach)
+            prefix, _ = _year(profile, models, short, root, approach=approach)
             assert np.array_equal(prefix, days[:n]), (approach, n)
-        repeat, again = simulate_year(profile, models, cal, root, approach=approach)
+        repeat, again = _year(profile, models, cal, root, approach=approach)
         assert np.array_equal(days, repeat) and failures == again
         assert approach != 1 or failures > 0  # cluster-0 weekdays drop some placements
 
@@ -478,7 +485,7 @@ def test_simulate_year_walks_each_day_type_from_its_stream(approach):
     profile = OccupantProfile("o1", 1, 2)
     root = streams.child(streams.root(7), streams.OCCUPANT, 0)
     calendar = SimCalendar(start_weekday=3, n_days=10)
-    days, failures = simulate_year(profile, models, calendar, root, approach=approach)
+    days, failures = _year(profile, models, calendar, root, approach=approach)
     total = 0
     for j, day_type in enumerate(DAY_TYPES):
         model = models[day_type][1 if day_type == "WD" else 2]
@@ -502,20 +509,53 @@ def test_simulate_year_missing_cluster():
     profile = OccupantProfile("o1", 0, 3)
     root = streams.root(1)
     with pytest.raises(SimulationError, match="day_type=WE cluster=3"):
-        simulate_year(profile, models, SimCalendar(start_weekday=5, n_days=2), root, approach=3)
+        _year(profile, models, SimCalendar(start_weekday=5, n_days=2), root, approach=3)
 
 
 def test_simulate_year_rejects_bad_approach():
     with pytest.raises(SimulationError, match="approach"):
         cal = SimCalendar(start_weekday=0, n_days=1)
-        simulate_year(OccupantProfile("o", 0, 0), _tiny_models(), cal, streams.root(0), approach=4)
+        _year(OccupantProfile("o", 0, 0), _tiny_models(), cal, streams.root(0), approach=4)
+    days = np.zeros((1, N_STEPS), dtype=np.int8)
+    with pytest.raises(SimulationError, match="approach"):
+        simulate_year(OccupantProfile("o", 0, 0), days, _tiny_models(), cal, streams.root(0), approach=4)
+
+
+def test_simulate_year_rejects_days_of_another_calendar():
+    cal = SimCalendar(start_weekday=0, n_days=3)
+    days = np.zeros((2, N_STEPS), dtype=np.int8)
+    with pytest.raises(SimulationError, match=r"expected \(3, 96\) walked days"):
+        simulate_year(OccupantProfile("o", 0, 0), days, _tiny_models(), cal, streams.root(0), approach=3)
+
+
+@pytest.mark.parametrize("approach", [1, 2, 3])
+def test_walk_occupants_equals_walking_each_occupant_alone(approach):
+    """Occupants that share a (day type, cluster) model are walked together,
+    row for row as each occupant's own blocks walk alone."""
+    models = truth_models()
+    clusters = [(0, 2), (1, 2), (0, 3), (3, 0), (0, 2), (2, 1)]
+    occupants = [
+        (OccupantProfile(f"o{i}", wd, we), streams.child(streams.root(13), streams.OCCUPANT, i))
+        for i, (wd, we) in enumerate(clusters)
+    ]
+    calendar = SimCalendar(start_weekday=4, n_days=11)
+    together = walk_occupants(occupants, models, calendar, approach=approach)
+    assert together.shape == (len(occupants), 11, N_STEPS) and together.dtype == np.int8
+    for (profile, root), days in zip(occupants, together):
+        for j, day_type in enumerate(DAY_TYPES):
+            model = models[day_type][profile.weekday_cluster if day_type == "WD" else profile.weekend_cluster]
+            tpms = model.presence_tpms if approach == 1 else model.tpms
+            holds = model.stats if approach == 3 else None
+            rows = [d for d, dt in enumerate(calendar.day_types) if dt == day_type]
+            u = streams.generator(root, j).random((len(rows), N_STEPS if holds is None else 2 * N_STEPS))
+            assert np.array_equal(days[rows], walk_days(tpms, u, holds)), (profile, day_type)
 
 
 def test_simulate_year_approaches_run():
     models = _tiny_models()
     profile = OccupantProfile("o1", 0, 0)
     for approach in (1, 2, 3):
-        days, failures = simulate_year(
+        days, failures = _year(
             profile, models, SimCalendar(start_weekday=0, n_days=4), streams.root(3), approach=approach
         )
         assert days.shape == (4, N_STEPS) and days.dtype == np.int8

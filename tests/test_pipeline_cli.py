@@ -1,18 +1,22 @@
 import contextlib
+import hashlib
 import inspect
 import io
+import json
 import re
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from occsim import occupant_sim, pipeline
 from occsim.cli import FLAGS, _build_parser, _settings, main
 from occsim.clustering import select_k
 from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences, write_sequences
-from occsim.household import attach_appliance_events, build_household
+from occsim.household import attach_appliance_events, build_household, draw_households
 from occsim.markov_train import estimate_tpm, train_cluster_day_model
-from occsim.occupant_sim import SimCalendar, simulate_year
+from occsim.occupant_sim import SimCalendar, simulate_year, walk_occupants
 from occsim.pipeline import (
     ProjectConfig,
     Settings,
@@ -264,12 +268,39 @@ def _tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# SHA-256 of each file of the `occsim run` tree of the default run and of each
+# STAGEWISE_CASES case, with `tpms/` as one digest over its files' names and
+# digests.  The table is re-recorded only together with an announced
+# RNG-layout or artifact-format change, which names the files that moved; a
+# digest that moves for any other reason is a defect.
+RUN_DIGESTS = json.loads(Path(__file__).with_name("run_digests.json").read_text())
+
+
+def _digests(root):
+    digests, tpms = {}, hashlib.sha256()
+    for name, data in _tree_bytes(root).items():
+        if name.startswith("tpms/"):
+            tpms.update(f"{name} {hashlib.sha256(data).hexdigest()}\n".encode())
+        else:
+            digests[name] = hashlib.sha256(data).hexdigest()
+    digests["tpms/"] = tpms.hexdigest()
+    return digests
+
+
+def _assert_pinned(root, case):
+    got, want = _digests(root), RUN_DIGESTS[case]
+    moved = {name: got.get(name) for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)}
+    assert not moved, f"{case}: run digests moved: {json.dumps(moved, indent=1)}"
+
+
 def test_cli_stagewise_matches_run(synth_tree, pipeline_run, tmp_path):
-    """Individual subcommands compose to the same artifacts as `run`."""
+    """Individual subcommands compose to the same artifacts as `run`, whose
+    files match the recorded digests."""
     out = tmp_path / "stagewise"
     seed = str(ProjectConfig.read(synth_tree / "project.conf").base_seed)
     _run_stagewise(synth_tree, out, synth_tree / "household.conf", seed, {})
     assert _tree_bytes(out) == _tree_bytes(pipeline_run)
+    _assert_pinned(pipeline_run, "default")
 
 
 # Per case: the project.conf keys, each stage's flags for the same settings,
@@ -291,7 +322,7 @@ STAGEWISE_CASES = {
 @pytest.mark.parametrize("case", STAGEWISE_CASES)
 def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp_path, case):
     """Each project.conf key and its stage flag give the same artifacts, and
-    they differ from the default run's."""
+    they differ from the default run's and match the recorded digests."""
     keys, flags, vacation = STAGEWISE_CASES[case]
     household = tmp_path / "household.conf"
     household.write_text((synth_tree / "household.conf").read_text() + ("vacation = 2,4\n" if vacation else ""))
@@ -313,6 +344,28 @@ def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp
     run = _tree_bytes(tmp_path / "out")
     assert _tree_bytes(tmp_path / "stagewise") == run
     assert run != _tree_bytes(pipeline_run)
+    _assert_pinned(tmp_path / "out", case)
+
+
+@pytest.mark.parametrize("approach", ["1", "3"])
+def test_simulate_walks_each_model_once_per_chunk(synth_tree, pipeline_run, tmp_path, monkeypatch, approach):
+    """A chunk of households calls `walk_days` at most once per (day type,
+    cluster) model, and the household files do not depend on the chunk size."""
+    calls = []
+    walk_days = occupant_sim.walk_days
+    monkeypatch.setattr(occupant_sim, "walk_days", lambda *a, **kw: calls.append(a) or walk_days(*a, **kw))
+    flags = ["--tpms", str(pipeline_run / "tpms"), "--bundle", str(synth_tree / "bundle"),
+             "--reference", str(synth_tree / "reference"), "--household-config", str(synth_tree / "household.conf"),
+             "--households", "7", "--days", "9", "--seed", "5", "--approach", approach]
+    trees = {}
+    for chunk in (1, 7):
+        monkeypatch.setattr(pipeline, "CHUNK_HOUSEHOLD_DAYS", chunk * 9)
+        calls.clear()
+        assert main(["simulate", *flags, "--out", str(tmp_path / str(chunk))]) == 0
+        trees[chunk] = _tree_bytes(tmp_path / str(chunk))
+    k = 4  # the synth project's k_range is 4:4
+    assert 0 < len(calls) <= 2 * k  # calls of the one-chunk run
+    assert trees[1] == trees[7]
 
 
 def test_simulate_rejects_non_finite_reference(synth_tree, pipeline_run, tmp_path):
@@ -890,6 +943,15 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "tree").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--diaries-per-day-type", "-3"), ("--households", "-1"), ("--days", "0")])
+def test_synth_size_below_one_is_a_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "tree"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid positive_number value: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "tree").exists()
+
+
 def test_run_rejects_negative_base_seed_before_ingest(synth_tree, tmp_path, capsys):
     settings = {
         "diaries": synth_tree / "diaries.csv",
@@ -979,6 +1041,8 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
         (build_household, ["approach"]),
         (simulate_year, ["approach"]),
         (SimCalendar, ["start_weekday", "n_days"]),
+        (draw_households, ["approach"]),
+        (walk_occupants, ["approach"]),
     ],
 )
 def test_kernels_take_settings_without_defaults(kernel, names):

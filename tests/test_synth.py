@@ -11,7 +11,6 @@ from occsim.diary_ingest import (
     project_to_presence,
     resample_to_sequence,
 )
-from occsim.markov_train import forward_marginals
 from occsim.occupant_sim import day_uniforms, walk_days
 from occsim.schedule_io import MODULATED_END_USES, REQUIRED_BUNDLE
 from occsim.synth import (
@@ -23,7 +22,9 @@ from occsim.synth import (
     planted_duration_dist,
     truth_models,
     write_diaries,
+    write_input_tree,
 )
+from tests.helpers import forward_marginals
 
 
 def test_truth_model_is_valid_chain():
@@ -145,3 +146,11 @@ def test_presence_projection_of_generated_days():
     # event steps fold into HomeActive, presence steps pass through
     assert np.all(proj[day >= 3] == 2)
     assert np.array_equal(proj[day < 3], day[day < 3])
+
+
+@pytest.mark.parametrize("size", ["n_per_day_type", "n_households", "n_days"])
+@pytest.mark.parametrize("value", [0, -1, 2.0])
+def test_write_input_tree_rejects_sizes_that_are_not_positive_whole_numbers(tmp_path, size, value):
+    with pytest.raises(ValueError, match=f"{size} must be a positive whole number"):
+        write_input_tree(tmp_path / "tree", **{size: value})
+    assert not (tmp_path / "tree").exists()

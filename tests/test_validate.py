@@ -20,12 +20,9 @@ from occsim.markov_train import estimate_all_statistics
 from occsim.validate import (
     ActivityComparison,
     ComparisonReport,
-    ProfileBand,
     ValidationError,
-    band,
     chi2_sf,
     compare_behavior,
-    coverage,
     ks_statistic,
     occurrence_chi2_p,
 )
@@ -149,32 +146,6 @@ def test_compare_behavior_selected_activities():
         compare_behavior(corpus[:0], ref)
 
 
-def test_band_frozen():
-    b = band(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.allclose(b.mean, [2.0, 3.0])
-    assert np.allclose(b.se, [1.0, 1.0])  # std ddof=1 over sqrt(n)
-    assert np.allclose(b.lower, [2 - 1.96, 3 - 1.96])
-    assert np.allclose(b.upper, [2 + 1.96, 3 + 1.96])
-
-
-def test_band_needs_two_homes():
-    with pytest.raises(ValidationError, match="two home"):
-        band(np.ones((1, 4)))
-    with pytest.raises(ValidationError, match="two home"):
-        band(np.ones(4))
-
-
-def test_coverage_frozen_and_inclusive():
-    b = ProfileBand(
-        mean=np.zeros(4),
-        se=np.zeros(4),
-        lower=np.zeros(4),
-        upper=np.ones(4),
-    )
-    assert coverage(np.array([0.5, 2.0, -1.0, 1.0]), b) == 0.5
-    assert coverage(np.array([0.0, 1.0, 0.3, 0.7]), b) == 1.0
-
-
 def test_report_records_and_file(tmp_path):
     row = ActivityComparison(
         ActivityState.LAUNDRY,
@@ -200,4 +171,3 @@ def test_report_records_and_file(tmp_path):
     assert f"ks_duration,{token},na" in lines
     table = report.format_table()
     assert token in table and "na" in table
-    assert report.by_activity()[ActivityState.LAUNDRY] is row
