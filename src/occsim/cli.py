@@ -35,6 +35,7 @@ from .pipeline import (
     ingest_stage,
     load_sequences,
     load_simulation_inputs,
+    positive_number,
     resolve_seed,
     run_pipeline,
     simulate_stage,
@@ -71,13 +72,6 @@ def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
             p.add_argument(FLAGS[name], action="store_true", **kwargs)
         else:
             p.add_argument(FLAGS[name], type=PARSERS[types[name]], choices=CHOICES.get(name), **kwargs)
-
-
-def positive_number(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"expected a whole number >= 1, got {number}")
-    return number
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -222,11 +222,17 @@ def _cluster(profile: OccupantProfile, day_type: str) -> int:
     return profile.weekday_cluster if day_type == "WD" else profile.weekend_cluster
 
 
-def _model(models: dict[str, dict[int, ClusterDayModel]], day_type: str, cluster: int) -> ClusterDayModel:
+def _model(
+    models: dict[str, dict[int, ClusterDayModel]], profile: OccupantProfile, day_type: str
+) -> ClusterDayModel:
+    """The profile's model for `day_type`; a missing one names the occupant."""
+    cluster = _cluster(profile, day_type)
     try:
         return models[day_type][cluster]
     except KeyError:
-        raise SimulationError(f"no trained model for day_type={day_type} cluster={cluster}") from None
+        raise SimulationError(
+            f"occupant {profile.occupant_id}: no trained model for day_type={day_type} cluster={cluster}"
+        ) from None
 
 
 def walk_occupants(
@@ -257,7 +263,7 @@ def walk_occupants(
         for i, (profile, _) in enumerate(occupants):
             groups.setdefault(_cluster(profile, day_type), []).append(i)
         for cluster, members in groups.items():
-            model = _model(models, day_type, cluster)
+            model = _model(models, occupants[members[0]][0], day_type)
             tpms = model.presence_tpms if approach == 1 else model.tpms
             holds = model.stats if approach == 3 else None
             need = tpms.n_steps if holds is None else 2 * tpms.n_steps
@@ -295,7 +301,7 @@ def simulate_year(
     states = np.empty_like(days)
     failures = 0
     for day_type in dict.fromkeys(day_types):
-        stats = _model(models, day_type, _cluster(profile, day_type)).stats
+        stats = _model(models, profile, day_type).stats
         place = streams.generator(rng_root, DAY_TYPES.index(day_type), 1)
         for d in (d for d, dt in enumerate(day_types) if dt == day_type):
             states[d], n_fail = place_events(days[d], stats, place)

@@ -43,8 +43,10 @@ from .validate import ComparisonReport, compare_behavior
 
 # Household-days whose occupants simulate walks together: each (day type,
 # cluster) model is walked once per chunk of max(1, this // n_days)
-# households, and the chunk bounds the block of uniforms that walk holds.
-CHUNK_HOUSEHOLD_DAYS = 32 * 365
+# households.  The walk's block of uniforms grows with the chunk, about
+# 0.5 MiB per household-year under approach 3; 12 household-years is the
+# largest chunk measured in a whole run (ROADMAP item 4).
+CHUNK_HOUSEHOLD_DAYS = 12 * 365
 
 # process exit code of each stage's StageError
 _STAGE_CODES = {"config": 2, "ingest": 3, "cluster": 4, "train": 5, "simulate": 6, "validate": 7}
@@ -67,11 +69,15 @@ def parse_k_range(value: str) -> tuple[int, int]:
 Seed = int  # a base seed, which numpy's SeedSequence takes only when >= 0
 
 
-def whole_number(value: str) -> int:
+def whole_number(value: str, least: int = 0) -> int:
     number = int(value)
-    if number < 0:
-        raise ValueError(f"expected a whole number >= 0, got {number}")
+    if number < least:
+        raise ValueError(f"expected a whole number >= {least}, got {number}")
     return number
+
+
+def positive_number(value: str) -> int:
+    return whole_number(value, 1)
 
 
 # ProjectConfig field annotation -> parser of its project.conf value (and of
@@ -310,8 +316,8 @@ def simulate_stage(tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg:
         chunk = range(lo, min(lo + size, cfg.n_households))
         try:
             draws = draw_households(chunk, models, config, calendar, cfg.base_seed, approach=cfg.approach)
-        except SimulationError as exc:
-            raise StageError("simulate", f"households {chunk[0]}..{chunk[-1]}: {exc}") from exc
+        except SimulationError as exc:  # a missing model names its occupant, h<index>o<o>
+            raise StageError("simulate", str(exc)) from exc
         for draw in draws:
             h = draw.index
             try:

@@ -16,6 +16,7 @@ from occsim.household import (
     apply_vacation,
     attach_appliance_events,
     attach_hygiene_water,
+    draw_households,
     generate_sink_events,
     hygiene_intervals,
     merge_shared_events,
@@ -23,7 +24,7 @@ from occsim.household import (
     sample_household,
 )
 from occsim.markov_train import ClusterDayModel, TPMSet
-from occsim.occupant_sim import SimCalendar
+from occsim.occupant_sim import SimCalendar, SimulationError
 from occsim.schedule_io import MODULATED_END_USES, ScheduleError, assemble_schedule
 from occsim.synth import PLANTED_SHARES, default_bundle, default_reference, truth_models
 from tests.helpers import one_household, point_mass
@@ -483,6 +484,23 @@ def test_build_household_stream_count_does_not_grow_with_days(monkeypatch):
             one_household(0, models, bundle, config, cal, base_seed=3, approach=approach)
             counts.append(len(calls))
         assert counts[0] == counts[1], (approach, counts)
+
+
+def test_draw_households_names_the_household_without_a_model():
+    """A weekday cluster with no trained model fails the chunk naming the
+    first occupant, by household index, that drew it."""
+    models = truth_models()
+    del models["WD"][1]
+    config = HouseholdConfig(point_mass(2.0, "count"), (0.9, 0.1, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+    indices = range(3, 40)
+    drawn = []
+    for h in indices:
+        rng = streams.generator(streams.child(streams.root(5), streams.HOUSEHOLD, h), 0)
+        drawn += [p.occupant_id for p in sample_household(config, rng, h)[1] if p.weekday_cluster == 1]
+    assert len(drawn) > 1 and not drawn[0].startswith("h3o")
+    cal = SimCalendar(start_weekday=0, n_days=7)
+    with pytest.raises(SimulationError, match=rf"^occupant {drawn[0]}: no trained model for day_type=WD cluster=1$"):
+        draw_households(indices, models, config, cal, 5, approach=3)
 
 
 def test_build_household_applies_vacation():

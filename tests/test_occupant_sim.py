@@ -551,6 +551,18 @@ def test_walk_occupants_equals_walking_each_occupant_alone(approach):
             assert np.array_equal(days[rows], walk_days(tpms, u, holds)), (profile, day_type)
 
 
+def test_walk_occupants_names_the_occupant_without_a_model():
+    models = truth_models()
+    del models["WE"][3]
+    occupants = [
+        (OccupantProfile(f"h{h}o0", 0, we), streams.child(streams.root(13), streams.OCCUPANT, h))
+        for h, we in enumerate([1, 3, 2, 3])
+    ]
+    calendar = SimCalendar(start_weekday=0, n_days=7)
+    with pytest.raises(SimulationError, match=r"^occupant h1o0: no trained model for day_type=WE cluster=3$"):
+        walk_occupants(occupants, models, calendar, approach=3)
+
+
 def test_simulate_year_approaches_run():
     models = _tiny_models()
     profile = OccupantProfile("o1", 0, 0)

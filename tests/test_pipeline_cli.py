@@ -743,7 +743,7 @@ def _simulate_occupant(pipeline_run, out, days):
     return main(argv + ["--out", str(out), "--days", str(days), "--seed", "9"])
 
 
-def test_simulate_occupant_output(pipeline_run, tmp_path):
+def test_simulate_occupant_output(pipeline_run, tmp_path, capsys):
     out = tmp_path / "occ.csv"
     assert _simulate_occupant(pipeline_run, out, 3) == 0
     lines = out.read_text().splitlines()
@@ -775,6 +775,7 @@ def test_simulate_occupant_output(pipeline_run, tmp_path):
             "9",
         ]
     ) == 6
+    assert "simulate: occupant o0: no trained model for day_type=WD cluster=9" in capsys.readouterr().err
 
 
 def test_validate_accepts_simulate_occupant_output(pipeline_run, tmp_path, capsys):
