@@ -33,10 +33,9 @@ def simulate_set(approach, model, n, rng):
     all n days in one call."""
     failures = 0
     if approach == 1:
-        days = walk_days(model.presence_tpms, rng.random((n, N_STEPS)))
-        for i, day in enumerate(days):
-            days[i], f = place_events(day, model.stats, rng)
-            failures += f
+        presence = walk_days(model.presence_tpms, rng.random((n, N_STEPS)))
+        days, fails = place_events(presence, model.stats, rng.random)
+        failures = sum(fails)
     elif approach == 2:
         days = walk_days(model.tpms, rng.random((n, N_STEPS)))
     else:

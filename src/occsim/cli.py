@@ -197,8 +197,9 @@ def _cmd_simulate_occupant(args, log) -> int:
 
 
 def _cmd_validate(args, log) -> int:
-    out_dir = args.out or (args.sim if args.sim.is_dir() else args.sim.parent)
-    validate_stage(args.sim, args.reference, out_dir, code_map=args.code_map, log=log)
+    sim = args.sim / "occupant_days.csv" if args.sim.is_dir() else args.sim
+    sim_days, ref_days = (load_sequences(path, args.code_map, "validate")[0] for path in (sim, args.reference))
+    validate_stage(sim_days, ref_days, args.out or sim.parent, log=log)
     return 0
 
 

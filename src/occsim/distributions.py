@@ -30,6 +30,7 @@ class EmpiricalDistribution:
     probs: np.ndarray
     unit: str = ""
     _cum: list[float] = field(default_factory=list, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.support = np.asarray(self.support, dtype=np.float64)
@@ -74,6 +75,15 @@ class EmpiricalDistribution:
             return float(self.support[draw_index(self._cum, rng.random())])
         idx = np.searchsorted(self._cum, rng.random(size), side="right")
         return self.support[np.minimum(idx, self.support.size - 1)]
+
+    def table(self, fn) -> tuple[list[float], list]:
+        """`(cum, values)` for draws without numpy, built once per `fn`:
+        `values[bisect_right(cum, r)]` is `fn` of the `draw_index` draw for
+        `r`, as `values` repeats its last entry as the clamp."""
+        if fn not in self._tables:
+            values = [fn(v) for v in self.support.tolist()]
+            self._tables[fn] = (self._cum, values + values[-1:])
+        return self._tables[fn]
 
     def sample_int(self, rng: np.random.Generator, size: int | None = None):
         value = self.sample(rng, size)

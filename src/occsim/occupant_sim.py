@@ -22,7 +22,9 @@ one such call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -174,37 +176,45 @@ def walk_days(
 
 
 def place_events(
-    presence: np.ndarray, stats: dict[ActivityState, ActivityStats], rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Sampled event placement inside the HomeActive windows of a presence day.
+    presence: np.ndarray, stats: dict[ActivityState, ActivityStats], draw: Callable[[], float]
+) -> tuple[np.ndarray, list[int]]:
+    """Place sampled events in the HomeActive steps of each row of an
+    (n, n_steps) block of presence days: the states and each row's failures.
 
-    Each sampled occurrence draws a duration once and retries its onset up
-    to RETRY_BUDGET times; occurrences that never fit are dropped and
-    counted as placement failures.
+    Per row and event activity with stats, a count; per occurrence a
+    duration, then up to RETRY_BUDGET onsets until its block fits in the
+    free steps (the bits of one int), else one failure.  Each draw is one
+    `draw()` by the `draw_index` rule, so `rng.random` takes one per draw.
     """
     states = presence.copy()
-    free = presence == int(ActivityState.HOME_ACTIVE)
-    failures = 0
-    for activity in EVENT_ACTIVITIES:
-        st = stats.get(activity)
-        if st is None:
-            continue
-        count = st.occurrences_dist.sample_int(rng)
-        if count <= 0:
-            continue
-        if st.onset_dist is None or st.duration_dist is None:
-            failures += count
-            continue
-        for _ in range(count):
-            h = _hold_steps(st.duration_dist.sample(rng))
-            for _ in range(RETRY_BUDGET):
-                onset = int(round(st.onset_dist.sample(rng)))
-                if 0 <= onset and onset + h <= len(free) and free[onset : onset + h].all():
-                    states[onset : onset + h] = int(activity)
-                    free[onset : onset + h] = False
-                    break
-            else:
-                failures += 1
+    n_steps = states.shape[1]
+    plan = []
+    for activity, st in ((a, stats[a]) for a in EVENT_ACTIVITIES if stats.get(a) is not None):
+        placeable = st.onset_dist is not None and st.duration_dist is not None
+        tables = (st.onset_dist.table(round), st.duration_dist.table(_hold_steps)) if placeable else None
+        plan.append((int(activity), st.occurrences_dist.table(round), tables))
+    failures = [0] * len(states)
+    for i, row in enumerate(np.packbits(states == int(ActivityState.HOME_ACTIVE), axis=1, bitorder="little")):
+        free = int.from_bytes(row.tobytes(), "little")
+        for activity, (count_cum, counts), tables in plan:
+            count = counts[bisect_right(count_cum, draw())]
+            if count <= 0:
+                continue
+            if tables is None:
+                failures[i] += count
+                continue
+            (onset_cum, onsets), (hold_cum, holds) = tables
+            for _ in range(count):
+                h = holds[bisect_right(hold_cum, draw())]
+                mask, last = (1 << min(h, n_steps)) - 1, n_steps - h
+                for _ in range(RETRY_BUDGET):
+                    onset = onsets[bisect_right(onset_cum, draw())]
+                    if 0 <= onset <= last and (free >> onset) & mask == mask:
+                        free ^= mask << onset
+                        states[i, onset : onset + h] = activity
+                        break
+                else:
+                    failures[i] += 1
     return states, failures
 
 
@@ -287,10 +297,9 @@ def simulate_year(
     """One occupant's year from its `walk_occupants` days: the (n_days, 96)
     int8 states plus the total approach-1 placement failures.
 
-    Approach 1 places each presence day's events (`place_events`) from one
-    stream per day type, `streams.child(rng_root, j, 1)` for
-    `DAY_TYPES[j]`, in calendar order.  Approaches 2 and 3 return `days`
-    and 0.
+    Approach 1 places the events of all days of type `DAY_TYPES[j]` in one
+    `place_events` call, in calendar order, from the uniforms of stream
+    `streams.child(rng_root, j, 1)`.  Approaches 2 and 3 return `days` and 0.
     """
     _check_approach(approach)
     if days.shape != (calendar.n_days, N_STEPS):
@@ -301,9 +310,8 @@ def simulate_year(
     states = np.empty_like(days)
     failures = 0
     for day_type in dict.fromkeys(day_types):
-        stats = _model(models, profile, day_type).stats
-        place = streams.generator(rng_root, DAY_TYPES.index(day_type), 1)
-        for d in (d for d, dt in enumerate(day_types) if dt == day_type):
-            states[d], n_fail = place_events(days[d], stats, place)
-            failures += n_fail
+        rows = [d for d, dt in enumerate(day_types) if dt == day_type]
+        draw = streams.uniforms(streams.generator(rng_root, DAY_TYPES.index(day_type), 1))
+        states[rows], fails = place_events(days[rows], _model(models, profile, day_type).stats, draw)
+        failures += sum(fails)
     return states, failures

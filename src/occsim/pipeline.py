@@ -67,6 +67,7 @@ def parse_k_range(value: str) -> tuple[int, int]:
 
 
 Seed = int  # a base seed, which numpy's SeedSequence takes only when >= 0
+Size = int  # a day or household count, which must be >= 1
 
 
 def whole_number(value: str, least: int = 0) -> int:
@@ -87,6 +88,7 @@ PARSERS = {
     "int": int,
     "int | None": int,
     "Seed | None": whole_number,
+    "Size": positive_number,
     "float": float,
     "str": str,
     "bool": lambda value: value.lower() in ("1", "true", "yes"),
@@ -104,8 +106,8 @@ class Settings:
     `base_seed` None means draw one from entropy (`resolve_seed`)."""
 
     base_seed: Seed | None = None
-    n_households: int = 1
-    n_days: int = 365
+    n_households: Size = 1
+    n_days: Size = 365
     start_weekday: str = "monday"
     approach: int = 3
     k_range: tuple[int, int] = (3, 10)
@@ -151,8 +153,6 @@ class ProjectConfig(Settings):
                 raise StageError("config", f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
         if cfg.k_range[0] < 2 or cfg.k_range[1] < cfg.k_range[0]:
             raise StageError("config", f"bad k_range {cfg.k_range}")
-        if cfg.n_days < 1 or cfg.n_households < 1:
-            raise StageError("config", "n_days and n_households must be positive")
         return cfg
 
 
@@ -285,9 +285,11 @@ def load_simulation_inputs(
     return bundle, reference, config, calendar
 
 
-def simulate_stage(tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg: Settings, log=None) -> None:
+def simulate_stage(
+    tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg: Settings, log=None
+) -> np.ndarray:
     """Generate household schedules and the occupant-day table from the
-    `load_simulation_inputs` tuple."""
+    `load_simulation_inputs` tuple; returns the table written."""
     log = sys.stderr if log is None else log
     if cfg.n_households < 1:
         raise StageError("simulate", f"n_households must be positive, got {cfg.n_households}")
@@ -331,17 +333,17 @@ def simulate_stage(tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg:
                 print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
             print(f"simulate: household {h} ({result.n_occupants} occupants) -> {path}", file=log)
             results.append(result)
-    write_sequences(out_dir / "occupant_days.csv", _occupant_day_rows(results, calendar))
+    occupant_days = _occupant_day_rows(results, calendar)
+    write_sequences(out_dir / "occupant_days.csv", occupant_days)
     print(f"simulate: occupant-day table -> {out_dir / 'occupant_days.csv'}", file=log)
+    return occupant_days
 
 
 def validate_stage(
-    sim: Path, reference_diaries: Path, out_dir: Path, code_map: Path | None = None, log=None
+    sim_days: np.ndarray, ref_days: np.ndarray, out_dir: Path, log=None
 ) -> dict[str, ComparisonReport]:
-    """Compare simulated occupant days against the reference corpus."""
+    """Compare simulated occupant days against the reference corpus (SEQUENCE tables)."""
     log = sys.stderr if log is None else log
-    sim_days, _ = load_sequences(sim / "occupant_days.csv" if sim.is_dir() else sim, code_map, "validate")
-    ref_days, _ = load_sequences(reference_diaries, code_map, "validate")
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:
@@ -374,9 +376,9 @@ def run_pipeline(cfg: ProjectConfig, log=None) -> int:
         for dt in DAY_TYPES
     }
     train_stage(sequences, cluster_models, cfg.out / "tpms", cfg, log=log)
-    simulate_stage(cfg.out / "tpms", inputs, cfg.out, cfg, log=log)
+    sim_days = simulate_stage(cfg.out / "tpms", inputs, cfg.out, cfg, log=log)
     # sequences.csv holds the ingested diaries, so they are not parsed twice.
-    validate_stage(cfg.out, cfg.out / "sequences.csv", cfg.out, log=log)
+    validate_stage(sim_days, load_sequences(cfg.out / "sequences.csv", None, "validate")[0], cfg.out, log=log)
     marker.unlink()
     print("run: done", file=log)
     return 0

@@ -10,6 +10,8 @@ day: a component takes its draws from its stream in calendar order.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Stage tags keep independent subsystems off each other's streams.
@@ -46,3 +48,8 @@ def generator(seq: np.random.SeedSequence | int, *path: int) -> np.random.Genera
     if path:
         seq = child(seq, *path)
     return np.random.default_rng(seq)
+
+
+def uniforms(rng: np.random.Generator, block: int = 512):
+    """`rng.random()` as a `draw()`, drawn `block` at a time (the rest of the last block is lost)."""
+    return itertools.chain.from_iterable(iter(lambda: rng.random(block).tolist(), None)).__next__

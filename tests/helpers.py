@@ -3,10 +3,10 @@
 import numpy as np
 
 from occsim.clustering import ClusterError
-from occsim.diary_ingest import N_STEPS, STEP_MINUTES, ActivityState, sequence_table
+from occsim.diary_ingest import EVENT_ACTIVITIES, N_STEPS, STEP_MINUTES, ActivityState, sequence_table
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS, build_household, draw_households
-from occsim.occupant_sim import RETRY_BUDGET
+from occsim.occupant_sim import RETRY_BUDGET, _hold_steps
 
 
 def forward_marginals(tpms) -> np.ndarray:
@@ -48,6 +48,37 @@ def sequence_distance(a, b) -> int:
 # The household draws before they took whole arrays: one `sample` call per
 # value, a per-interval loop, and a per-event onset retry loop.  Kept as the
 # oracle that the vectorized draws are tested against in distribution.
+# `scalar_place_events` is approach-1 placement one day at a time, with a
+# numpy draw per sample; `place_events` must match it byte for byte.
+
+
+def scalar_place_events(presence, stats, rng):
+    """One presence day's placed states and placement failures, each sample
+    one `rng.random()` through `EmpiricalDistribution.sample`."""
+    states = presence.copy()
+    free = presence == int(ActivityState.HOME_ACTIVE)
+    failures = 0
+    for activity in EVENT_ACTIVITIES:
+        st = stats.get(activity)
+        if st is None:
+            continue
+        count = st.occurrences_dist.sample_int(rng)
+        if count <= 0:
+            continue
+        if st.onset_dist is None or st.duration_dist is None:
+            failures += count
+            continue
+        for _ in range(count):
+            h = _hold_steps(st.duration_dist.sample(rng))
+            for _ in range(RETRY_BUDGET):
+                onset = int(round(st.onset_dist.sample(rng)))
+                if 0 <= onset and onset + h <= len(free) and free[onset : onset + h].all():
+                    states[onset : onset + h] = int(activity)
+                    free[onset : onset + h] = False
+                    break
+            else:
+                failures += 1
+    return states, failures
 
 
 def scalar_appliance_events(intervals_by_activity, bundle, rng, *, year_minutes):

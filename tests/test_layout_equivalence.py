@@ -151,14 +151,14 @@ def test_approach1_failures_per_day_match_per_day_streams(seed, monkeypatch):
         for d, day_type in enumerate(calendar.day_types):
             model = models[day_type][0 if day_type == "WD" else 2]
             rng = streams.generator(streams.child(root, d))
-            presence = walk_days(model.presence_tpms, day_uniforms(model.presence_tpms, rng)[None])[0]
-            old.append(place_events(presence, model.stats, rng)[1])
+            presence = walk_days(model.presence_tpms, day_uniforms(model.presence_tpms, rng)[None])
+            old.extend(place_events(presence, model.stats, rng.random)[1])
     new = []
 
     def recording(*args):
-        states, n_fail = place_events(*args)
-        new.append(n_fail)
-        return states, n_fail
+        states, fails = place_events(*args)
+        new.extend(fails)
+        return states, fails
 
     monkeypatch.setattr(occupant_sim, "place_events", recording)
     occupants = [(profile, streams.child(streams.root(seed + 100), streams.OCCUPANT, o)) for o in range(6)]

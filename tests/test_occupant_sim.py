@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from occsim import streams
 from occsim.diary_ingest import (
@@ -26,7 +28,7 @@ from occsim.occupant_sim import (
     walk_occupants,
 )
 from occsim.synth import truth_models
-from tests.helpers import point_mass
+from tests.helpers import point_mass, scalar_place_events
 
 SL = int(ActivityState.SLEEP)
 AW = int(ActivityState.AWAY)
@@ -139,7 +141,8 @@ def walk_one(tpms, rng, holds=None):
 
 def approach1_day(presence_tpms, stats, rng):
     """One approach-1 day: the presence walk, then event placement on the same rng."""
-    return place_events(walk_one(presence_tpms, rng), stats, rng)
+    states, failures = place_events(walk_one(presence_tpms, rng)[None], stats, rng.random)
+    return states[0], failures[0]
 
 
 def assert_matches_scalar(tpms, holds, seeds):
@@ -427,6 +430,100 @@ def test_approach1_requires_home_window():
     assert np.all(states == AW)
 
 
+# -- approach-1 placement against the scalar oracle ---------------------------
+
+TOP = 1.0 - 2.0**-53  # the largest double below 1: at or above a cum[-1] that rounds below 1
+
+
+class _Draws:
+    """`rng.random()`, except that the draws numbered in `tops` read TOP."""
+
+    def __init__(self, rng, tops):
+        self.rng, self.tops, self.n = rng, tops, 0
+
+    def random(self):
+        r, self.n = self.rng.random(), self.n + 1
+        return TOP if self.n - 1 in self.tops else r
+
+
+def _dist(values, weights, unit):
+    return EmpiricalDistribution.from_weights(np.array(values, float), np.array(weights, float), unit)
+
+
+@st.composite
+def _dists(draw, values, unit):
+    support = draw(st.lists(values, min_size=1, max_size=6, unique=True))
+    return _dist(support, draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support))), unit)
+
+
+@st.composite
+def placement_stats(draw):
+    """Stats for a random subset of the event activities: counts from -1 to
+    4, onsets in half steps from -6 to 102, holds of 1 to 100 steps, and a
+    missing onset or duration distribution now and then."""
+    stats = {}
+    for activity in EVENT_ACTIVITIES:
+        if draw(st.booleans()):
+            durations = _dists(st.integers(1, 48) | st.integers(1, 200), "minutes").map(
+                lambda d: EmpiricalDistribution(d.support * 7.5, d.probs, "minutes")
+            )
+            onsets = _dists(st.integers(-12, 204), "steps").map(
+                lambda d: EmpiricalDistribution(d.support / 2, d.probs, "steps")
+            )
+            counts = _dists(st.integers(-1, 4), "count")
+            stats[activity] = ActivityStats(
+                activity, draw(st.none() | durations), draw(st.none() | onsets), draw(counts)
+            )
+    return stats
+
+
+def _day(runs):
+    """A presence day of (state, length) runs, repeated or cut to 96 steps."""
+    return np.resize(np.repeat([s for s, _ in runs], [n for _, n in runs]), N_STEPS).astype(np.int8)
+
+
+presence_days = st.lists(
+    st.lists(st.tuples(st.sampled_from([SL, AW, HA]), st.integers(1, 48)), min_size=1, max_size=12),
+    min_size=1,
+    max_size=4,
+).map(lambda days: np.stack([_day(runs) for runs in days]))
+
+# Every edge at once: counts of 0 and below, a missing onset and a missing
+# duration distribution, onsets that round outside 0..95 (and 50.5 to 50),
+# a hold that ends on the last step, holds longer than any free window, and
+# counts whose cum[-1] is TOP, so a TOP draw takes the clamp.
+EDGE_STATS = {
+    ActivityState.COOKING: ActivityStats(
+        ActivityState.COOKING, point_mass(30.0), point_mass(10.0), _dist([-1, 0, 1], [1, 2, 1], "count")
+    ),
+    ActivityState.DISHWASHING: ActivityStats(ActivityState.DISHWASHING, point_mass(30.0), None, point_mass(2.0)),
+    ActivityState.LAUNDRY: ActivityStats(ActivityState.LAUNDRY, None, point_mass(40.0), point_mass(1.0)),
+    ActivityState.PERSONAL_HYGIENE: ActivityStats(
+        ActivityState.PERSONAL_HYGIENE,
+        _dist([30.0, 600.0, 2000.0], [2, 1, 1], "minutes"),
+        _dist([-3.0, 50.5, 94.0, 97.0], [1, 1, 1, 1], "steps"),
+        _dist(np.arange(10), np.ones(10), "count"),
+    ),
+}
+
+
+@given(presence_days, placement_stats(), st.integers(0, 2**32 - 1), st.frozensets(st.integers(0, 80), max_size=8))
+@example(_day([(SL, 20), (HA, 40), (AW, 10), (HA, 26)])[None].repeat(3, 0), EDGE_STATS, 5, frozenset())
+@example(_day([(HA, 30), (AW, 6)])[None].repeat(2, 0), EDGE_STATS, 6, frozenset(range(0, 80, 2)))
+@example(_day([(HA, 30), (AW, 6)])[None].repeat(2, 0), EDGE_STATS, 7, frozenset(range(80)))
+def test_place_events_matches_scalar_oracle(days, stats, seed, tops):
+    """Byte for byte the states and per-day failures of placing day by day
+    with a numpy draw per sample, leaving the generator in the same state;
+    with `tops`, the numbered draws read TOP on both sides."""
+    old, new = _Draws(np.random.default_rng(seed), tops), _Draws(np.random.default_rng(seed), tops)
+    want = [scalar_place_events(day, stats, old) for day in days]
+    states, failures = place_events(days, stats, new.random if tops else new.rng.random)
+    assert states.dtype == np.int8
+    assert np.array_equal(states, np.stack([s for s, _ in want]))
+    assert failures == [f for _, f in want]
+    assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+
 def test_calendar_day_types():
     cal = SimCalendar(start_weekday=0, n_days=14)
     assert cal.day_types == (["WD"] * 5 + ["WE"] * 2) * 2
@@ -496,9 +593,8 @@ def test_simulate_year_walks_each_day_type_from_its_stream(approach):
         want = walk_days(tpms, np.stack([day_uniforms(tpms, walk, holds) for _ in rows]), holds)
         if approach == 1:
             place = streams.generator(streams.child(root, j, 1))
-            for i in range(len(rows)):
-                want[i], n_fail = place_events(want[i], model.stats, place)
-                total += n_fail
+            want, fails = place_events(want, model.stats, place.random)
+            total += sum(fails)
         assert np.array_equal(days[rows], want)
     assert failures == total
     assert approach != 1 or np.isin(days, list(EVENT_ACTIVITIES)).any()  # events were placed

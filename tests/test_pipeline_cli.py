@@ -127,7 +127,8 @@ def test_config_read_errors(tmp_path):
         ("k_range", "7:3", "k_range"),
         ("k_range", "0:3", "k_range"),
         ("k_range", "1:3", "k_range"),
-        ("n_days", "0", "positive"),
+        ("n_days", "0", "n_days: expected a whole number >= 1, got 0"),
+        ("n_households", "-2", "n_households: expected a whole number >= 1, got -2"),
         ("tpm_fallback", "magic", "tpm_fallback"),
         ("repeats", "many", "invalid literal"),
     ]:
@@ -488,11 +489,29 @@ def test_negative_reference_value_stops_simulate(synth_tree, pipeline_run, tmp_p
 @pytest.mark.parametrize(
     "option, message", [("--days", "n_days must be positive"), ("--households", "n_households must be positive")]
 )
-def test_simulate_rejects_zero_days_or_households(synth_tree, pipeline_run, tmp_path, capsys, option, message):
+def test_simulate_rejects_zero_days_or_households(synth_tree, pipeline_run, tmp_path, option, message):
+    """Settings built in code, which no flag parser checked, still fail
+    simulate (exit 6) before it writes anything."""
+    cfg = Settings(base_seed=1, **{name: 0 for name, flag in FLAGS.items() if flag == option})
     out = tmp_path / "out"
-    assert _simulate(synth_tree, pipeline_run / "tpms", synth_tree / "reference", out, option, "0") == 6
-    assert message in capsys.readouterr().err
+    bundle, reference, household = (synth_tree / name for name in ("bundle", "reference", "household.conf"))
+    with pytest.raises(StageError, match=message) as exc:
+        simulate_stage(pipeline_run / "tpms", load_simulation_inputs(bundle, reference, household, cfg), out, cfg)
+    assert exc.value.exit_code == 6
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("simulate", "--days", "-3"), ("simulate", "--households", "0"), ("simulate-occupant", "--days", "0")],
+)
+def test_simulate_size_below_one_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED_FLAGS[command], flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid positive_number value: '{value}'" in err
+    assert "drawn from entropy" not in err
 
 
 # Per kind: the corrupted file, the 0-based index of the line replaced and

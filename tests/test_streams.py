@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from occsim import streams
 
@@ -39,3 +40,12 @@ def test_generator_accepts_seedsequence():
     a = streams.generator(seq)
     b = streams.generator(streams.child(streams.root(3), 1))
     assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+def test_uniforms_are_repeated_random_calls_across_blocks(block):
+    draw = streams.uniforms(streams.generator(5, streams.OCCUPANT), block)
+    rng = streams.generator(5, streams.OCCUPANT)
+    got = [draw() for _ in range(2 * block + 5)]
+    assert got == [rng.random() for _ in range(2 * block + 5)]
+    assert all(type(r) is float for r in got)
