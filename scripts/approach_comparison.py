@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from occsim import streams
 from occsim.diary_ingest import N_STEPS, STATE_TOKENS
-from occsim.markov_train import estimate_all_statistics, train_cluster_day_model
+from occsim.markov_train import estimate_statistics, train_cluster_day_model
 from occsim.occupant_sim import days_to_sequences, place_events, walk_days
 from occsim.pipeline import Settings
 from occsim.synth import build_truth_model
@@ -62,7 +62,7 @@ def main(argv=None):
     model = train_cluster_day_model(
         corpus, args.cluster, args.day_type, fallback=defaults.tpm_fallback, alpha=defaults.tpm_alpha
     )
-    reference = estimate_all_statistics(corpus)
+    reference = estimate_statistics(corpus)
 
     rows = []
     for approach in (1, 2, 3):

@@ -10,7 +10,6 @@ from .diary_ingest import (
     ActivityCodeMap,
     ActivityState,
     SEQUENCE,
-    RawDiary,
     ingest,
     parse_diaries,
     project_to_presence,
@@ -23,7 +22,6 @@ from .markov_train import (
     ActivityStats,
     ClusterDayModel,
     TPMSet,
-    estimate_all_statistics,
     estimate_statistics,
     estimate_tpm,
     train_cluster_day_model,
@@ -62,7 +60,6 @@ __all__ = [
     "HouseholdScheduleYear",
     "OccupantProfile",
     "ProjectConfig",
-    "RawDiary",
     "SEQUENCE",
     "Settings",
     "SimCalendar",
@@ -72,7 +69,6 @@ __all__ = [
     "build_household",
     "compare_behavior",
     "draw_households",
-    "estimate_all_statistics",
     "estimate_statistics",
     "estimate_tpm",
     "ingest",

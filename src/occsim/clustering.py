@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
+from .conf import read_lines
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
@@ -75,14 +76,13 @@ class ClusterModel:
 
     @classmethod
     def read(cls, path: str | Path) -> "ClusterModel":
-        path = Path(path)
         k = None
         day_type = None
         shares = None
         modes = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in read_lines(path):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
                 continue
             key, _, rest = line.partition(",")
             try:

@@ -1,4 +1,5 @@
-"""Readers for `key = value` configs and `step,value` reference files."""
+"""Readers for text files: numbered lines, `key = value` configs and
+`step,value` reference files."""
 
 from __future__ import annotations
 
@@ -8,7 +9,15 @@ from typing import Callable
 
 import numpy as np
 
-from .diary_ingest import N_STEPS
+
+def read_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number from 1, line) of each line of a text file that is not
+    blank; bytes that are not UTF-8 raise ValueError naming the file."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
 def read_key_values(path: str | Path, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
@@ -17,9 +26,9 @@ def read_key_values(path: str | Path, parsers: dict[str, Callable[[str], object]
     key and '=', a key not in `parsers` or a value its parser rejects raises
     ValueError naming the file and line."""
     values: dict[str, object] = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in read_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
@@ -38,10 +47,10 @@ def read_step_values(path: str | Path) -> np.ndarray:
     blank lines skipped.  A wrong field count, a non-number, a step out of
     range, repeated or left out, or a non-finite or negative value raises
     ValueError naming the file and line; -0 reads as 0."""
+    from .diary_ingest import N_STEPS  # diary_ingest imports this module
+
     values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for n, line in read_lines(path):
         try:
             fields = line.split(",")
             if len(fields) != 2:

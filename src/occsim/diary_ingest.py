@@ -11,10 +11,13 @@ is one `SEQUENCE` table from ingest to validation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .conf import read_lines
 
 N_MINUTES = 1440
 N_STEPS = 96
@@ -44,7 +47,8 @@ STATE_TOKENS = {
     ActivityState.PERSONAL_HYGIENE: "PersonalHygiene",
 }
 STATE_BY_TOKEN = {tok: st for st, tok in STATE_TOKENS.items()}
-# Plain-int view of the same table for the per-cell sequence file reader.
+# Plain-int view of the same table for the sequence file reader, where a
+# token it lacks is an error.
 _INDEX_BY_TOKEN = {tok: int(st) for st, tok in STATE_TOKENS.items()}
 
 FULL_ALPHABET = tuple(ActivityState)
@@ -62,20 +66,9 @@ class DiaryFormatError(ValueError):
     """Malformed diary, code map, or sequence file."""
 
 
-class _CodeLookup(dict):
-    """Raw code or state token -> state index; an unmapped one reads as
-    `UNMAPPED`, which like every state index fits in one byte."""
-
-    UNMAPPED = 255
-
-    def __missing__(self, code: str) -> int:
-        return self.UNMAPPED
-
-
-def _check_day_type(day_type: str) -> str:
-    if day_type not in DAY_TYPES:
-        raise DiaryFormatError(f"day_type must be one of {DAY_TYPES}, got {day_type!r}")
-    return day_type
+# What the diary reader maps a code without a state to; like every state
+# index it fits in one byte.
+_UNMAPPED = 255
 
 
 @dataclass(frozen=True)
@@ -90,24 +83,19 @@ class ActivityCodeMap:
     default_state: ActivityState = ActivityState.HOME_ACTIVE
 
     @classmethod
-    def identity(cls) -> "ActivityCodeMap":
-        """Map canonical tokens onto themselves."""
-        return cls(dict(STATE_BY_TOKEN), ActivityState.HOME_ACTIVE)
-
-    @classmethod
     def read(cls, path: str | Path) -> "ActivityCodeMap":
         mapping: dict[str, ActivityState] = {}
         default = None
-        for i, line in enumerate(Path(path).read_text().splitlines()):
+        for n, line in read_lines(path):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
                 continue
             try:
                 code, token = line.split(",")
             except ValueError:
-                raise DiaryFormatError(f"{path}: line {i + 1}: expected raw_code,canonical_state")
+                raise DiaryFormatError(f"{path}: line {n}: expected raw_code,canonical_state")
             if token not in STATE_BY_TOKEN:
-                raise DiaryFormatError(f"{path}: line {i + 1}: unknown state token {token!r}")
+                raise DiaryFormatError(f"{path}: line {n}: unknown state token {token!r}")
             if code == "DEFAULT":
                 default = STATE_BY_TOKEN[token]
             else:
@@ -122,42 +110,17 @@ class ActivityCodeMap:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass
-class RawDiary:
-    """One respondent-day at minute resolution.
-
-    `minutes` holds canonical states (mapped at parse time so downstream
-    stages never see raw codes).
-    """
-
-    respondent_id: str
-    day_type: str
-    weight: float
-    minutes: np.ndarray  # (1440,) int8 canonical states
-
-    def __post_init__(self) -> None:
-        _check_day_type(self.day_type)
-        self.minutes = np.asarray(self.minutes, dtype=np.int8)
-        if self.minutes.shape != (N_MINUTES,):
-            raise DiaryFormatError(
-                f"diary {self.respondent_id}: expected {N_MINUTES} minutes, got {self.minutes.shape}"
-            )
-        # resampling counts states in flat (step, state) cells, where a state
-        # out of range would count toward a neighbouring step
-        if self.minutes.view(np.uint8).max() >= len(FULL_ALPHABET):
-            raise DiaryFormatError(f"diary {self.respondent_id}: state outside 0..{len(FULL_ALPHABET) - 1}")
-        if self.weight < 0 or not np.isfinite(self.weight):
-            raise DiaryFormatError(f"diary {self.respondent_id}: bad weight {self.weight}")
-
-
 # One row per respondent-day resampled to 96 fifteen-minute steps.
 SEQUENCE = np.dtype([("id", object), ("day_type", "U2"), ("weight", "f8"), ("states", "i1", (N_STEPS,))])
+# One row per respondent-day of a diary file, at minute resolution.
+DIARY = np.dtype([("id", object), ("day_type", "U2"), ("weight", "f8"), ("minutes", "i1", (N_MINUTES,))])
 
 
 def sequence_table(ids, day_types, weights, states) -> np.ndarray:
     """A SEQUENCE table from its columns; `day_types` and `weights` may be one value for all rows."""
     for day_type in dict.fromkeys([day_types] if isinstance(day_types, str) else day_types):
-        _check_day_type(day_type)  # before U2 could truncate it
+        if day_type not in DAY_TYPES:  # checked before U2 could truncate it
+            raise DiaryFormatError(f"day_type must be one of {DAY_TYPES}, got {day_type!r}")
     states = np.asarray(states)
     if states.shape != (len(ids), N_STEPS):
         raise DiaryFormatError(f"states must be ({len(ids)}, {N_STEPS}), got {states.shape}")
@@ -174,11 +137,11 @@ def sequence_rows(table: np.ndarray):
 
 @dataclass
 class ParseResult:
-    diaries: list[RawDiary] = field(default_factory=list)
+    diaries: np.ndarray  # DIARY rows
     unknown_codes: int = 0
 
 
-def _row_head(path: Path, row: int, fields: list[str], width: int) -> tuple[str, str, float]:
+def _row_head(path: str | Path, row: int, fields: list[str], width: int) -> tuple[str, str, float]:
     """Respondent id, day type and weight of a data row that must be `width`
     fields wide, with a finite weight >= 0."""
     if len(fields) != width:
@@ -195,6 +158,36 @@ def _row_head(path: Path, row: int, fields: list[str], width: int) -> tuple[str,
     return rid, day_type, weight
 
 
+def _read_rows(path: str | Path, lookup: dict[str, int], width: int, dtype: np.dtype) -> np.ndarray:
+    """The `dtype` table of a file with a header line, then rows of
+    respondent_id,day_type,weight and `width` codes, each code mapped
+    through `lookup`.  Blank lines are skipped but counted in the row
+    numbers that errors name; a code `lookup` does not hold is a
+    DiaryFormatError naming its row, as are bytes that are not UTF-8."""
+    get = lookup.__getitem__
+    heads, codes = [], bytearray()
+    try:
+        with open(path) as fh:
+            if not fh.readline():
+                raise DiaryFormatError(f"{path}: empty file")
+            for row, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                heads.append(_row_head(path, row, fields, 3 + width))
+                try:
+                    codes += bytes(map(get, fields[3:]))
+                except KeyError as exc:
+                    raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+    except UnicodeDecodeError as exc:
+        raise DiaryFormatError(f"{path}: {exc}") from None
+    table = np.empty(len(heads), dtype=dtype)
+    table["id"], table["day_type"], table["weight"] = zip(*heads) if heads else ((), (), ())
+    table[dtype.names[3]] = np.frombuffer(codes, np.int8).reshape(-1, width)
+    return table
+
+
 def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
     """Parse a diary CSV: header, then respondent_id,day_type,weight,<1440 codes>.
 
@@ -202,28 +195,12 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
     records; unknown codes map to the code map's default state and are
     tallied in the result.
     """
-    path = Path(path)
-    lookup = _CodeLookup((code, int(state)) for code, state in code_map.mapping.items()).__getitem__
-    default = int(code_map.default_state)
-    result = ParseResult()
-    with path.open() as fh:
-        header = fh.readline()
-        if not header:
-            raise DiaryFormatError(f"{path}: empty file")
-        for row, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            rid, day_type, weight = _row_head(path, row, fields, 3 + N_MINUTES)
-            states = np.frombuffer(bytearray(map(lookup, fields[3:])), dtype=np.uint8)
-            unmapped = states == _CodeLookup.UNMAPPED
-            unknown = int(np.count_nonzero(unmapped))
-            if unknown:
-                states[unmapped] = default
-            result.unknown_codes += unknown
-            result.diaries.append(RawDiary(rid, day_type, weight, states.view(np.int8)))
-    return result
+    lookup = defaultdict(lambda: _UNMAPPED, ((code, int(state)) for code, state in code_map.mapping.items()))
+    diaries = _read_rows(path, lookup, N_MINUTES, DIARY)
+    minutes = diaries["minutes"]
+    unmapped = minutes.view(np.uint8) == _UNMAPPED
+    minutes[unmapped] = int(code_map.default_state)
+    return ParseResult(diaries, int(np.count_nonzero(unmapped)))
 
 
 _N_STATES = len(FULL_ALPHABET)
@@ -231,12 +208,17 @@ _N_STATES = len(FULL_ALPHABET)
 _WINDOW_CELLS = np.arange(N_STEPS)[:, None] * _N_STATES
 
 
-def resample_to_sequence(diary: RawDiary) -> np.ndarray:
-    """Collapse 1440 minutes to 96 int8 steps by per-window majority vote.
+def resample_to_sequence(minutes: np.ndarray) -> np.ndarray:
+    """Collapse 1440 minute states to 96 int8 steps by per-window majority vote.
 
     Ties go to the state that occurs earliest within the window.
     """
-    cells = _WINDOW_CELLS + diary.minutes.reshape(N_STEPS, STEP_MINUTES)
+    minutes = np.asarray(minutes, dtype=np.int8)
+    # votes count in flat (step, state) cells, where a state out of range
+    # would count toward a neighbouring step
+    if minutes.view(np.uint8).max() >= _N_STATES:
+        raise DiaryFormatError(f"state outside 0..{_N_STATES - 1}")
+    cells = _WINDOW_CELLS + minutes.reshape(N_STEPS, STEP_MINUTES)
     counts = np.bincount(cells.ravel(), minlength=N_STEPS * _N_STATES)
     firsts = np.full(N_STEPS * _N_STATES, STEP_MINUTES, dtype=np.int16)
     # latest offset first, so each cell keeps the earliest offset it occurs at
@@ -256,12 +238,9 @@ def project_to_presence(states: np.ndarray) -> np.ndarray:
 def ingest(path: str | Path, code_map: ActivityCodeMap) -> tuple[np.ndarray, int]:
     """Parse and resample a diary file into a SEQUENCE table in one pass."""
     parsed = parse_diaries(path, code_map)
-    rows = parsed.diaries
-    states = np.array([resample_to_sequence(r) for r in rows], dtype=np.int8).reshape(-1, N_STEPS)
-    table = sequence_table(
-        [r.respondent_id for r in rows], [r.day_type for r in rows], [r.weight for r in rows], states
-    )
-    return table, parsed.unknown_codes
+    diaries = parsed.diaries
+    states = np.array([resample_to_sequence(m) for m in diaries["minutes"]], dtype=np.int8).reshape(-1, N_STEPS)
+    return sequence_table(diaries["id"], diaries["day_type"], diaries["weight"], states), parsed.unknown_codes
 
 
 # -- resampled-sequence artifact -------------------------------------------
@@ -292,26 +271,9 @@ def write_sequences(path: str | Path, table: np.ndarray) -> None:
 
 
 def read_sequences(path: str | Path) -> np.ndarray:
-    """Read a sequence file into a SEQUENCE table; a malformed row is a
-    DiaryFormatError naming the file and row."""
-    path = Path(path)
-    lookup = _CodeLookup(_INDEX_BY_TOKEN).__getitem__
-    heads, states = [], bytearray()
-    with path.open() as fh:
-        fh.readline()
-        for row, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            heads.append(_row_head(path, row, fields, 3 + N_STEPS))
-            codes = bytes(map(lookup, fields[3:]))
-            if _CodeLookup.UNMAPPED in codes:
-                token = fields[3 + codes.index(_CodeLookup.UNMAPPED)]
-                raise DiaryFormatError(f"{path}: row {row}: unknown state token {token!r}")
-            states += codes
-    ids, day_types, weights = zip(*heads) if heads else ((), (), ())
-    return sequence_table(ids, day_types, weights, np.frombuffer(states, np.int8).reshape(-1, N_STEPS))
+    """Read a sequence file into a SEQUENCE table; a malformed row or an
+    unknown state token is a DiaryFormatError naming the file and row."""
+    return _read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE)
 
 
 def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None) -> tuple[np.ndarray, int]:
@@ -323,14 +285,14 @@ def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None
     already-resampled input.
     """
     path = Path(path)
-    with path.open() as fh:
+    with path.open(errors="replace") as fh:  # the reader names a bad byte's file
         fh.readline()
         first = fh.readline()
     n_fields = len(first.rstrip("\n").split(",")) if first.strip() else 0
     if n_fields == 3 + N_STEPS:
         return read_sequences(path), 0
     if n_fields == 3 + N_MINUTES:
-        return ingest(path, code_map or ActivityCodeMap.identity())
+        return ingest(path, code_map or ActivityCodeMap(dict(STATE_BY_TOKEN)))
     raise DiaryFormatError(
         f"{path}: unrecognized record width {n_fields}; expected "
         f"{3 + N_STEPS} (sequences) or {3 + N_MINUTES} (raw diaries)"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .conf import read_lines
+
 PROB_TOL = 1e-9
 
 
@@ -96,9 +98,6 @@ class EmpiricalDistribution:
         cum = np.concatenate([[0.0], np.cumsum(self.probs)])
         return cum[idx]
 
-    def mean(self) -> float:
-        return float(self.support @ self.probs)
-
     def write(self, path: str | Path) -> None:
         lines = [f"unit,{self.unit}"]
         lines += [f"{v:.12g},{p:.12g}" for v, p in zip(self.support, self.probs)]
@@ -106,8 +105,7 @@ class EmpiricalDistribution:
 
     @classmethod
     def read(cls, path: str | Path) -> "EmpiricalDistribution":
-        path = Path(path)
-        lines = [(n, ln) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+        lines = read_lines(path)
         if not lines or not lines[0][1].startswith("unit,"):
             raise ValueError(f"{path}: missing unit header")
         unit = lines[0][1].split(",", 1)[1]

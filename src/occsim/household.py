@@ -165,8 +165,6 @@ class HouseholdConfig:
 @dataclass
 class HouseholdResult:
     index: int
-    n_occupants: int
-    profiles: list[OccupantProfile]
     states: np.ndarray  # (n_occupants, 96 * n_days) int8
     appliance_events: np.ndarray  # EVENT rows
     water_events: np.ndarray  # EVENT rows
@@ -190,24 +188,23 @@ def _draw_index(shares, rng: np.random.Generator) -> int:
 
 def sample_household(
     config: HouseholdConfig, rng: np.random.Generator, index: int = 0
-) -> tuple[int, list[OccupantProfile]]:
+) -> list[OccupantProfile]:
     """Draw occupant count, then weekday and weekend clusters per occupant."""
-    n = config.occupant_count_dist.sample_int(rng)
-    profiles = [
+    return [
         OccupantProfile(
             f"h{index}o{o}",
             _draw_index(config.cluster_shares_wd, rng),
             _draw_index(config.cluster_shares_we, rng),
         )
-        for o in range(n)
+        for o in range(config.occupant_count_dist.sample_int(rng))
     ]
-    return n, profiles
 
 
 def _run_minutes(mask: np.ndarray) -> np.ndarray:
     """(m, 2) start and end minutes of the True runs of a (rows, n_steps)
     mask, row by row."""
-    _, starts, lengths, _ = runs(mask)
+    _, starts, lengths, values = runs(mask)
+    starts, lengths = starts[values], lengths[values]
     return np.stack([starts, starts + lengths], axis=1) * float(STEP_MINUTES)
 
 
@@ -403,7 +400,7 @@ def draw_households(
     seqs = [streams.child(root, streams.HOUSEHOLD, h) for h in indices]
     occupants = []
     for h, seq in zip(indices, seqs):
-        _, profiles = sample_household(config, streams.generator(seq, 0), h)
+        profiles = sample_household(config, streams.generator(seq, 0), h)
         occupants.append([(p, streams.child(seq, streams.OCCUPANT, o)) for o, p in enumerate(profiles)])
     days = walk_occupants([occ for occs in occupants for occ in occs], models, calendar, approach=approach)
     split = np.split(days, np.cumsum([len(occs) for occs in occupants])[:-1])
@@ -446,5 +443,4 @@ def build_household(
     states, appliance_events, water_events = apply_vacation(
         states, appliance_events, water_events, config.vacation, calendar.n_days
     )
-    profiles = [profile for profile, _ in draw.occupants]
-    return HouseholdResult(draw.index, n, profiles, states, appliance_events, water_events, failures)
+    return HouseholdResult(draw.index, states, appliance_events, water_events, failures)

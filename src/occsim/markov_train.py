@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .conf import read_lines
 from .diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -97,8 +98,7 @@ class TPMSet:
 
     @classmethod
     def read(cls, path: str | Path) -> "TPMSet":
-        path = Path(path)
-        rows = [(n, ln.split(",")) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+        rows = [(n, ln.split(",")) for n, ln in read_lines(path)]
         if not rows:
             raise TrainError(f"{path}: empty model file")
         n, head = rows[0]
@@ -229,44 +229,46 @@ def estimate_tpm(
     return TPMSet(cluster_id, day_type, tuple(alphabet), initial, matrices)
 
 
-def runs(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal True runs per row of a boolean matrix, in row-major order.
+def runs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of equal values per row of a 2-d array, in row-major order.
 
-    Returns (row index, start column, length) per run plus runs-per-row.
+    Returns the row index, start column, length and value of each run.
     """
-    n = B.shape[0]
-    pad = np.zeros((n, 1), dtype=bool)
-    edges = np.diff(np.hstack([pad, B, pad]).astype(np.int8), axis=1)
-    rows_s, cols_s = np.nonzero(edges == 1)
-    rows_e, cols_e = np.nonzero(edges == -1)
-    lengths = cols_e - cols_s  # starts and ends pair up in row-major order
-    per_row = np.bincount(rows_s, minlength=n)
-    return rows_s, cols_s, lengths, per_row
+    n, m = X.shape
+    starts = np.ones((n, m), dtype=bool)
+    starts[:, 1:] = X[:, 1:] != X[:, :-1]
+    flat = np.flatnonzero(starts)
+    rows, cols = np.divmod(flat, m)
+    # every row's first column starts a run, so a row's last run ends where the next row begins
+    return rows, cols, np.diff(flat, append=n * m), X[rows, cols]
 
 
-def estimate_statistics(table: np.ndarray, activity: ActivityState) -> ActivityStats:
-    """Reduce a SEQUENCE table to duration/onset/occurrence distributions and a daily profile."""
-    X, w, _ = _columns(table)
-    B = X == int(activity)
-    rows, onsets, lengths, per_row = runs(B)
-    total_w = w.sum()
-    profile = (w[:, None] * B).sum(axis=0) / total_w
-    occurrences = EmpiricalDistribution.from_weights(per_row.astype(float), w, unit="count")
-    if rows.size:
-        duration = EmpiricalDistribution.from_weights(lengths * 15.0, w[rows], unit="minutes")
-        onset = EmpiricalDistribution.from_weights(onsets.astype(float), w[rows], unit="steps")
-    else:
-        duration = None
-        onset = None
-    return ActivityStats(
-        activity, duration, onset, occurrences, profile, n_days=X.shape[0], n_events=int(rows.size)
-    )
-
-
-def estimate_all_statistics(
+def estimate_statistics(
     table: np.ndarray, activities: tuple[ActivityState, ...] = FULL_ALPHABET
 ) -> dict[ActivityState, ActivityStats]:
-    return {a: estimate_statistics(table, a) for a in activities}
+    """Reduce a SEQUENCE table to each activity's duration/onset/occurrence
+    distributions and daily profile, from one `runs` scan of its states."""
+    X, w, _ = _columns(table)
+    all_rows, all_onsets, all_lengths, values = runs(X)
+    total_w = w.sum()
+    stats = {}
+    for activity in activities:
+        mine = values == int(activity)
+        rows, onsets, lengths = all_rows[mine], all_onsets[mine], all_lengths[mine]
+        B = X == int(activity)
+        profile = (w[:, None] * B).sum(axis=0) / total_w
+        per_row = np.bincount(rows, minlength=X.shape[0])
+        occurrences = EmpiricalDistribution.from_weights(per_row.astype(float), w, unit="count")
+        if w[rows].sum() > 0:  # else no weighted event to draw a duration or onset from
+            duration = EmpiricalDistribution.from_weights(lengths * 15.0, w[rows], unit="minutes")
+            onset = EmpiricalDistribution.from_weights(onsets.astype(float), w[rows], unit="steps")
+        else:
+            duration = None
+            onset = None
+        stats[activity] = ActivityStats(
+            activity, duration, onset, occurrences, profile, n_days=X.shape[0], n_events=int(rows.size)
+        )
+    return stats
 
 
 def train_cluster_day_model(
@@ -283,7 +285,7 @@ def train_cluster_day_model(
     presence = table.copy()
     presence["states"] = project_to_presence(table["states"])
     presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback=fallback, alpha=alpha)
-    stats = estimate_all_statistics(table, EVENT_ACTIVITIES)
+    stats = estimate_statistics(table, EVENT_ACTIVITIES)
     if day_type != tpms.day_type:
         raise TrainError(f"sequences are {tpms.day_type}, expected {day_type}")
     return ClusterDayModel(cluster_id, day_type, tpms, presence_tpms, stats)

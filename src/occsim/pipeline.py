@@ -32,7 +32,7 @@ from .markov_train import (
     FALLBACKS,
     ClusterDayModel,
     TrainError,
-    estimate_all_statistics,
+    estimate_statistics,
     load_model_dir,
     save_model_dir,
     train_cluster_day_model,
@@ -63,7 +63,10 @@ class StageError(Exception):
 
 def parse_k_range(value: str) -> tuple[int, int]:
     lo, _, hi = value.partition(":")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo < 2 or hi < lo:
+        raise ValueError(f"expected lo:hi with 2 <= lo <= hi, got {value}")
+    return lo, hi
 
 
 Seed = int  # a base seed, which numpy's SeedSequence takes only when >= 0
@@ -151,8 +154,6 @@ class ProjectConfig(Settings):
         for key, allowed in CHOICES.items():
             if getattr(cfg, key) not in allowed:
                 raise StageError("config", f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
-        if cfg.k_range[0] < 2 or cfg.k_range[1] < cfg.k_range[0]:
-            raise StageError("config", f"bad k_range {cfg.k_range}")
         return cfg
 
 
@@ -169,13 +170,9 @@ def resolve_seed(cfg: Settings, log, command: str) -> Settings:
 def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.ndarray, int]:
     """Diaries or a sequence file as a SEQUENCE table, plus the unmapped-code
     tally; bad or empty input is a StageError of `stage`."""
-    source = code_map
     try:
         cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
-        source = path
         sequences, unknown = load_sequences_any(path, cmap)
-    except UnicodeDecodeError as exc:  # its message names no file
-        raise StageError(stage, f"{source}: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise StageError(stage, str(exc)) from exc
     if not len(sequences):
@@ -257,7 +254,7 @@ def train_stage(
 def _occupant_day_rows(results, calendar: SimCalendar) -> np.ndarray:
     """One SEQUENCE row per occupant-day, by household, occupant, then day."""
     day_types = calendar.day_types
-    ids = [f"h{res.index}o{o}" for res in results for o in range(res.n_occupants) for _ in day_types]
+    ids = [f"h{res.index}o{o}" for res in results for o in range(len(res.states)) for _ in day_types]
     states = [np.empty((0, N_STEPS), np.int8)] + [res.states.reshape(-1, N_STEPS) for res in results]
     return sequence_table(ids, day_types * (len(ids) // calendar.n_days), 1.0, np.concatenate(states))
 
@@ -331,7 +328,7 @@ def simulate_stage(
             write_schedule_file(path, schedule)
             if result.placement_failures:
                 print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
-            print(f"simulate: household {h} ({result.n_occupants} occupants) -> {path}", file=log)
+            print(f"simulate: household {h} ({len(result.states)} occupants) -> {path}", file=log)
             results.append(result)
     occupant_days = _occupant_day_rows(results, calendar)
     write_sequences(out_dir / "occupant_days.csv", occupant_days)
@@ -352,7 +349,7 @@ def validate_stage(
         if not len(sim_dt) or not len(ref_dt):
             print(f"validate: skipping {day_type} (no data on one side)", file=log)
             continue
-        ref_stats = estimate_all_statistics(ref_dt)
+        ref_stats = estimate_statistics(ref_dt)
         report = compare_behavior(sim_dt, ref_stats)
         path = out_dir / f"validation_report.{day_type.lower()}.csv"
         report.write(path)

@@ -162,9 +162,9 @@ def compare_behavior(
     if not len(sim_days):
         raise ValidationError("no simulated days")
     rows = []
-    for activity in activities or tuple(ref_stats):
+    sim_stats = estimate_statistics(sim_days, activities or tuple(ref_stats))
+    for activity, sim in sim_stats.items():
         ref = ref_stats[activity]
-        sim = estimate_statistics(sim_days, activity)
         rows.append(
             ActivityComparison(
                 activity,

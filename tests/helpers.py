@@ -6,6 +6,7 @@ from occsim.clustering import ClusterError
 from occsim.diary_ingest import EVENT_ACTIVITIES, N_STEPS, STEP_MINUTES, ActivityState, sequence_table
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS, build_household, draw_households
+from occsim.markov_train import ActivityStats
 from occsim.occupant_sim import RETRY_BUDGET, _hold_steps
 
 
@@ -50,6 +51,7 @@ def sequence_distance(a, b) -> int:
 # oracle that the vectorized draws are tested against in distribution.
 # `scalar_place_events` is approach-1 placement one day at a time, with a
 # numpy draw per sample; `place_events` must match it byte for byte.
+# `activity_statistics` is the per-activity statistics oracle.
 
 
 def scalar_place_events(presence, stats, rng):
@@ -79,6 +81,28 @@ def scalar_place_events(presence, stats, rng):
             else:
                 failures += 1
     return states, failures
+
+
+def activity_statistics(table, activity):
+    """`estimate_statistics` of one activity as it was before every activity
+    came from one run scan: the True runs of `states == activity`, found
+    from the edges of the padded boolean matrix, with the later rule that
+    events only on zero-weight days give no duration or onset.  The
+    one-pass statistics must match it bit for bit."""
+    w = table["weight"]
+    B = table["states"] == int(activity)
+    pad = np.zeros((len(B), 1), dtype=bool)
+    edges = np.diff(np.hstack([pad, B, pad]).astype(np.int8), axis=1)
+    rows, onsets = np.nonzero(edges == 1)
+    lengths = np.nonzero(edges == -1)[1] - onsets  # starts and ends pair up in row-major order
+    per_row = np.bincount(rows, minlength=len(B))
+    profile = (w[:, None] * B).sum(axis=0) / w.sum()
+    occurrences = EmpiricalDistribution.from_weights(per_row.astype(float), w, unit="count")
+    duration = onset = None
+    if w[rows].sum() > 0:
+        duration = EmpiricalDistribution.from_weights(lengths * 15.0, w[rows], unit="minutes")
+        onset = EmpiricalDistribution.from_weights(onsets.astype(float), w[rows], unit="steps")
+    return ActivityStats(activity, duration, onset, occurrences, profile, n_days=len(B), n_events=int(rows.size))
 
 
 def scalar_appliance_events(intervals_by_activity, bundle, rng, *, year_minutes):

@@ -33,7 +33,7 @@ from occsim.household import (
 )
 from occsim.markov_train import (
     TPMSet,
-    estimate_all_statistics,
+    estimate_statistics,
     estimate_tpm,
     train_cluster_day_model,
 )
@@ -115,7 +115,7 @@ def test_criterion_03_approach3_fidelity():
     model = train_cluster_day_model(corpus, 0, "WD", **ABSORBING)
     u = streams.generator(streams.root(501), 2).random((10_000, 2 * N_STEPS))
     sim = days_to_sequences(walk_days(model.tpms, u, model.stats), prefix="s")
-    report = compare_behavior(sim, estimate_all_statistics(corpus))
+    report = compare_behavior(sim, estimate_statistics(corpus))
     ks_vals = [
         v for r in report.rows for v in (r.ks_duration, r.ks_onset) if v is not None
     ]
@@ -152,7 +152,7 @@ def test_criterion_05_cluster_shares():
     wd = np.zeros(4)
     we = np.zeros(4)
     for _ in range(n):
-        _, (profile,) = sample_household(config, rng)
+        (profile,) = sample_household(config, rng)
         wd[profile.weekday_cluster] += 1
         we[profile.weekend_cluster] += 1
     target = np.array(PLANTED_SHARES)

@@ -17,8 +17,8 @@ from occsim.diary_ingest import (
     ActivityCodeMap,
     ActivityState,
     DiaryFormatError,
+    DIARY,
     SEQUENCE,
-    RawDiary,
     ingest,
     load_sequences_any,
     parse_diaries,
@@ -50,10 +50,10 @@ def _diary_file(tmp_path, rows, header="respondent_id,day_type,weight,codes"):
 def test_parse_single_all_sleep(tmp_path):
     path = _diary_file(tmp_path, ["r1,WD,1.5," + ",".join(["s"] * N_MINUTES)])
     result = parse_diaries(path, CMAP)
-    assert len(result.diaries) == 1
-    d = result.diaries[0]
-    assert d.respondent_id == "r1" and d.day_type == "WD" and d.weight == 1.5
-    assert np.all(d.minutes == int(ActivityState.SLEEP))
+    assert result.diaries.dtype == DIARY and len(result.diaries) == 1
+    rid, day_type, weight, minutes = result.diaries[0]
+    assert rid == "r1" and day_type == "WD" and weight == 1.5
+    assert np.all(minutes == int(ActivityState.SLEEP))
     assert result.unknown_codes == 0
 
 
@@ -71,7 +71,7 @@ def test_parse_unknown_code_tallied(tmp_path):
     path = _diary_file(tmp_path, ["r1,WD,1," + ",".join(codes)])
     result = parse_diaries(path, CMAP)
     # unmapped code falls back to the map default (Away here)
-    assert result.diaries[0].minutes[100] == int(ActivityState.AWAY)
+    assert result.diaries["minutes"][0, 100] == int(ActivityState.AWAY)
     assert result.unknown_codes == 1
 
 
@@ -85,10 +85,6 @@ def test_parse_bad_day_type_rejected(tmp_path):
     path = _diary_file(tmp_path, ["r1,XX,1," + ",".join(["s"] * N_MINUTES)])
     with pytest.raises(DiaryFormatError, match="day_type"):
         parse_diaries(path, CMAP)
-
-
-def _diary_from_minutes(minutes, weight=1.0):
-    return RawDiary("r", "WD", weight, np.asarray(minutes, dtype=np.int8))
 
 
 def _resample_reference(minutes):
@@ -125,7 +121,7 @@ def tied_windows(draw):
 
 @given(tied_windows())
 def test_resample_matches_reference_on_tied_windows(minutes):
-    got = resample_to_sequence(_diary_from_minutes(minutes))
+    got = resample_to_sequence(minutes)
     assert np.array_equal(got, _resample_reference(minutes))
 
 
@@ -134,14 +130,14 @@ def test_raw_diary_rejects_state_out_of_range(state):
     minutes = np.zeros(N_MINUTES, dtype=np.int8)
     minutes[700] = state
     with pytest.raises(DiaryFormatError, match="state outside 0..6"):
-        _diary_from_minutes(minutes)
+        resample_to_sequence(minutes)
 
 
 def test_resample_majority():
     minutes = np.full(N_MINUTES, int(ActivityState.SLEEP), dtype=np.int8)
     # window 0: 8 minutes Cooking vs 7 Sleep -> Cooking
     minutes[:8] = int(ActivityState.COOKING)
-    states = resample_to_sequence(_diary_from_minutes(minutes))
+    states = resample_to_sequence(minutes)
     assert states.dtype == np.int8 and states.shape == (N_STEPS,)
     assert states[0] == int(ActivityState.COOKING)
     assert np.all(states[1:] == int(ActivityState.SLEEP))
@@ -152,12 +148,12 @@ def test_resample_tie_earliest_occurrence():
     # 7 Cooking (minutes 0-6), 7 Laundry (7-13), 1 HomeActive: tie goes to Cooking
     minutes[0:7] = int(ActivityState.COOKING)
     minutes[7:14] = int(ActivityState.LAUNDRY)
-    assert resample_to_sequence(_diary_from_minutes(minutes))[0] == int(ActivityState.COOKING)
+    assert resample_to_sequence(minutes)[0] == int(ActivityState.COOKING)
 
     # same counts, Laundry first -> Laundry
     minutes[0:7] = int(ActivityState.LAUNDRY)
     minutes[7:14] = int(ActivityState.COOKING)
-    assert resample_to_sequence(_diary_from_minutes(minutes))[0] == int(ActivityState.LAUNDRY)
+    assert resample_to_sequence(minutes)[0] == int(ActivityState.LAUNDRY)
 
 
 def test_resample_preserves_weight_and_day_type(tmp_path):
@@ -171,7 +167,7 @@ def test_resample_preserves_weight_and_day_type(tmp_path):
 @example([0] * N_MINUTES)
 @example([6] * N_MINUTES)
 def test_resample_matches_counting_oracle(minutes):
-    states = resample_to_sequence(_diary_from_minutes(minutes))
+    states = resample_to_sequence(minutes)
     assert np.array_equal(states, _resample_reference(minutes))
     for step in range(0, N_STEPS, 17):  # spot-check a spread of windows
         window = minutes[step * 15 : (step + 1) * 15]
@@ -299,6 +295,14 @@ def test_read_sequences_empty_file_is_an_empty_table(tmp_path):
     assert back.dtype == SEQUENCE and back.shape == (0,)
 
 
+@pytest.mark.parametrize("read", [lambda p: parse_diaries(p, CMAP), read_sequences])
+def test_zero_byte_file_is_an_error(tmp_path, read):
+    path = _diary_file(tmp_path, [])
+    path.write_bytes(b"")
+    with pytest.raises(DiaryFormatError, match=r"d\.csv: empty file"):
+        read(path)
+
+
 def _zero_sequences(path, n=2):
     write_sequences(path, sequence_table([f"r{i}" for i in range(n)], "WD", 1.0, np.zeros((n, N_STEPS))))
 
@@ -332,6 +336,25 @@ def test_parse_checks_weight_like_read_sequences(tmp_path, weight):
     path = _diary_file(tmp_path, [f"r1,WD,{weight}," + ",".join(["s"] * N_MINUTES)])
     with pytest.raises(DiaryFormatError, match=f"d\\.csv: row 1: bad weight '{weight}'"):
         parse_diaries(path, CMAP)
+
+
+@pytest.mark.parametrize(
+    "read, width, code",
+    [(lambda p: parse_diaries(p, CMAP).diaries, N_MINUTES, "s"), (read_sequences, N_STEPS, "Sleep")],
+)
+def test_row_numbers_count_blank_lines(tmp_path, read, width, code):
+    rows = [f"r{i},WD,1," + ",".join([code] * width) for i in range(2)]
+    path = _diary_file(tmp_path, [rows[0], "", rows[1], ""])
+    assert len(read(path)) == 2
+    path = _diary_file(tmp_path, [rows[0], "", "", "r2,WD,-1," + ",".join([code] * width)])
+    with pytest.raises(DiaryFormatError, match=r"d\.csv: row 4: bad weight '-1'"):
+        read(path)
+
+
+def test_read_sequences_names_row_after_blank_lines_and_unknown_token(tmp_path):
+    path = _diary_file(tmp_path, ["", "r1,WD,1," + ",".join(["Sleep"] * (N_STEPS - 1) + ["Napping"])])
+    with pytest.raises(DiaryFormatError, match=r"d\.csv: row 2: unknown state token 'Napping'"):
+        read_sequences(path)
 
 
 def test_read_sequences_names_row_and_unknown_token(tmp_path):
@@ -379,8 +402,8 @@ def test_parse_maps_every_code_and_counts_unmapped(tmp_path):
         expected.append(picks)
     result = parse_diaries(_diary_file(tmp_path, rows), CMAP)
     lut = [int(CMAP.mapping[c]) if c in CMAP.mapping else int(CMAP.default_state) for c in codes]
-    for diary, picks in zip(result.diaries, expected):
-        assert np.array_equal(diary.minutes, np.array(lut)[picks])
+    for minutes, picks in zip(result.diaries["minutes"], expected):
+        assert np.array_equal(minutes, np.array(lut)[picks])
     assert result.unknown_codes == sum(int(np.count_nonzero(p >= 4)) for p in expected)
 
 

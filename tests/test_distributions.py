@@ -71,16 +71,10 @@ def test_cdf_at_right_continuous():
     assert np.allclose(d.cdf_at(pts), [0.0, 0.4, 0.4, 1.0, 1.0])
 
 
-def test_mean():
-    d = EmpiricalDistribution(np.array([0.0, 10.0]), np.array([0.25, 0.75]))
-    assert d.mean() == pytest.approx(7.5)
-
-
 def test_point_mass_degenerate():
     d = point_mass(9.0, unit="minutes")
     rng = np.random.default_rng(0)
     assert all(d.sample(rng) == 9.0 for _ in range(5))
-    assert d.mean() == 9.0
 
 
 def test_validation_errors():

@@ -248,7 +248,7 @@ def test_sink_events_dropped_when_never_active():
 def _one_day_schedule(states, ref, modulation):
     """assemble_schedule of an event-free one-day household whose every end
     use has the (96,) reference `ref` on both day types."""
-    result = HouseholdResult(0, len(states), [], np.asarray(states, dtype=np.int8), NO_EVENTS, NO_EVENTS)
+    result = HouseholdResult(0, np.asarray(states, dtype=np.int8), NO_EVENTS, NO_EVENTS)
     reference = np.broadcast_to(ref, (len(MODULATED_END_USES), len(DAY_TYPES), N_STEPS))
     return assemble_schedule(result, reference, SimCalendar(start_weekday=0, n_days=1), modulation=modulation)
 
@@ -422,8 +422,7 @@ def test_shares_for():
 
 def test_sample_household():
     config = one_count_config(n=2)
-    n, profiles = sample_household(config, np.random.default_rng(0), index=5)
-    assert n == 2
+    profiles = sample_household(config, np.random.default_rng(0), index=5)
     assert [p.occupant_id for p in profiles] == ["h5o0", "h5o1"]
     assert all(p.weekday_cluster == 0 and p.weekend_cluster == 0 for p in profiles)
     # a count that could sample as zero is rejected when the config is built
@@ -460,7 +459,7 @@ def test_build_household_smoke_and_determinism():
     config = one_count_config(n=2)
     cal = SimCalendar(start_weekday=0, n_days=4)
     res = one_household(3, models, bundle, config, cal, base_seed=11, approach=3)
-    assert res.index == 3 and res.n_occupants == 2
+    assert res.index == 3
     assert res.states.shape == (2, 4 * N_STEPS)
     again = one_household(3, models, bundle, config, cal, base_seed=11, approach=3)
     assert np.array_equal(res.states, again.states)
@@ -496,7 +495,7 @@ def test_draw_households_names_the_household_without_a_model():
     drawn = []
     for h in indices:
         rng = streams.generator(streams.child(streams.root(5), streams.HOUSEHOLD, h), 0)
-        drawn += [p.occupant_id for p in sample_household(config, rng, h)[1] if p.weekday_cluster == 1]
+        drawn += [p.occupant_id for p in sample_household(config, rng, h) if p.weekday_cluster == 1]
     assert len(drawn) > 1 and not drawn[0].startswith("h3o")
     cal = SimCalendar(start_weekday=0, n_days=7)
     with pytest.raises(SimulationError, match=rf"^occupant {drawn[0]}: no trained model for day_type=WD cluster=1$"):

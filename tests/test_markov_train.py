@@ -12,19 +12,20 @@ from occsim.diary_ingest import (
     STATE_TOKENS,
     SEQUENCE,
     ActivityState,
+    sequence_table,
 )
 from occsim.markov_train import (
     TPMSet,
     TrainError,
-    estimate_all_statistics,
     estimate_statistics,
     estimate_tpm,
     load_model_dir,
+    runs,
     save_model_dir,
     train_cluster_day_model,
 )
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
-from tests.helpers import forward_marginals, make_seq
+from tests.helpers import activity_statistics, forward_marginals, make_seq
 
 S = len(FULL_ALPHABET)
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
@@ -124,15 +125,18 @@ def test_forward_marginal_identity_property(seed):
     assert np.allclose(tpms.matrices.sum(axis=2), 1.0, atol=1e-12)
 
 
+def cooking_statistics(table):
+    (stats,) = estimate_statistics(table, (ActivityState.COOKING,)).values()
+    return stats
+
+
 def test_estimate_statistics_frozen():
     c = int(ActivityState.COOKING)
     day1 = [2] * N_STEPS
     day1[3] = day1[4] = c
     day1[10] = c
     day2 = [2] * N_STEPS
-    stats = estimate_statistics(
-        np.concatenate([make_seq(day1, rid="a"), make_seq(day2, rid="b")]), ActivityState.COOKING
-    )
+    stats = cooking_statistics(np.concatenate([make_seq(day1, rid="a"), make_seq(day2, rid="b")]))
     assert stats.duration_dist.support.tolist() == [15.0, 30.0]
     assert np.allclose(stats.duration_dist.probs, [0.5, 0.5])
     assert stats.onset_dist.support.tolist() == [3.0, 10.0]
@@ -148,9 +152,8 @@ def test_estimate_statistics_weighted_profile():
     c = int(ActivityState.COOKING)
     on = [c] * N_STEPS
     off = [2] * N_STEPS
-    stats = estimate_statistics(
-        np.concatenate([make_seq(on, weight=3.0, rid="a"), make_seq(off, weight=1.0, rid="b")]),
-        ActivityState.COOKING,
+    stats = cooking_statistics(
+        np.concatenate([make_seq(on, weight=3.0, rid="a"), make_seq(off, weight=1.0, rid="b")])
     )
     assert np.allclose(stats.daily_profile, 0.75)
     # single 96-step run on the weighted day
@@ -162,17 +165,81 @@ def test_estimate_statistics_truncated_run_counted():
     c = int(ActivityState.COOKING)
     day = [2] * N_STEPS
     day[94] = day[95] = c
-    stats = estimate_statistics(make_seq(day), ActivityState.COOKING)
+    stats = cooking_statistics(make_seq(day))
     assert stats.duration_dist.support.tolist() == [30.0]
     assert stats.onset_dist.support.tolist() == [94.0]
 
 
 def test_estimate_statistics_no_events():
-    stats = estimate_statistics(make_seq([2] * N_STEPS), ActivityState.LAUNDRY)
+    (stats,) = estimate_statistics(make_seq([2] * N_STEPS), (ActivityState.LAUNDRY,)).values()
     assert stats.duration_dist is None
     assert stats.onset_dist is None
     assert stats.occurrences_dist.support.tolist() == [0.0]
     assert stats.n_events == 0
+
+
+def _day_from_runs(pairs):
+    """96 states from (state, length) runs, cut at the day's end or padded with the last state."""
+    day = [s for s, length in pairs for _ in range(length)][:N_STEPS]
+    return day + day[-1:] * (N_STEPS - len(day))
+
+
+_days = st.one_of(
+    st.lists(st.integers(0, S - 1), min_size=N_STEPS, max_size=N_STEPS),
+    st.integers(0, S - 1).map(lambda s: [s] * N_STEPS),
+    st.lists(st.tuples(st.integers(0, S - 1), st.integers(1, 40)), min_size=1, max_size=12).map(_day_from_runs),
+)
+_weights = st.one_of(st.just(0.0), st.floats(0.01, 100.0))
+_weighted_tables = st.lists(st.tuples(_days, _weights), min_size=1, max_size=12).filter(
+    lambda rows: sum(w for _, w in rows) > 0
+)
+
+
+def _table(rows):
+    days, weights = zip(*rows)
+    return sequence_table([f"r{i}" for i in range(len(rows))], "WD", weights, np.array(days))
+
+
+def _same_dist(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.support.tobytes(), a.probs.tobytes(), a.unit) == (b.support.tobytes(), b.probs.tobytes(), b.unit)
+
+
+@given(_weighted_tables)
+def test_one_pass_statistics_match_per_activity_oracle(rows):
+    table = _table(rows)
+    stats = estimate_statistics(table)
+    assert tuple(stats) == FULL_ALPHABET
+    for activity, got in stats.items():
+        want = activity_statistics(table, activity)
+        assert got.activity == activity
+        assert _same_dist(got.duration_dist, want.duration_dist)
+        assert _same_dist(got.onset_dist, want.onset_dist)
+        assert _same_dist(got.occurrences_dist, want.occurrences_dist)
+        assert got.daily_profile.tobytes() == want.daily_profile.tobytes()
+        assert (got.n_days, got.n_events) == (want.n_days, want.n_events)
+
+
+@given(_weighted_tables)
+def test_runs_are_maximal_and_rebuild_the_rows(rows):
+    X = _table(rows)["states"]
+    row, start, length, value = runs(X)
+    assert np.array_equal(np.repeat(value, length), X.ravel())
+    assert np.array_equal(np.repeat(row, length), np.repeat(np.arange(len(X)), N_STEPS))
+    assert np.array_equal(start, np.cumsum(length) - length - row * N_STEPS)
+    same_row = row[1:] == row[:-1]
+    assert np.all(value[1:][same_row] != value[:-1][same_row])
+
+
+def test_estimate_statistics_events_only_on_zero_weight_days():
+    c = int(ActivityState.COOKING)
+    table = np.concatenate([make_seq([c, c], weight=0.0, rid="a"), make_seq([2] * N_STEPS, rid="b")])
+    stats = cooking_statistics(table)
+    assert stats.duration_dist is None and stats.onset_dist is None
+    assert stats.occurrences_dist.support.tolist() == [0.0, 1.0]
+    assert stats.occurrences_dist.probs.tolist() == [1.0, 0.0]
+    assert stats.n_events == 1
 
 
 def test_tpmset_round_trip(tmp_path):
@@ -312,7 +379,7 @@ def _write_old_extras(directory, model, sequences):
     """The files older model directories also held: a `.profile` per activity
     and the `.dist` files of the non-event activities."""
     stem = f"c{model.cluster_id}.{model.day_type.lower()}"
-    for activity, st in estimate_all_statistics(sequences).items():
+    for activity, st in estimate_statistics(sequences).items():
         act = STATE_TOKENS[activity].lower()
         write_step_values(directory / f"{stem}.{act}.profile", st.daily_profile)
         if activity not in EVENT_ACTIVITIES:

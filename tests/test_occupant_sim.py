@@ -182,7 +182,8 @@ def test_resume_exclusion_caps_event_runs():
     )
     stats = {ActivityState.COOKING: stats_for(ActivityState.COOKING, 30.0)}
     days = walk_days(tpms, np.random.default_rng(42).random((200, 2 * N_STEPS)), stats)
-    rows, starts, lengths, _ = runs(days == CO)
+    _, starts, lengths, values = runs(days)
+    starts, lengths = starts[values == CO], lengths[values == CO]
     interior = starts + lengths <= N_STEPS - 1
     assert lengths[interior].size > 100
     assert np.all(lengths[interior] == 2)

@@ -679,7 +679,6 @@ def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline
         ("--epsilon=nan", "epsilon must be finite and nonnegative, got nan"),
         ("--epsilon=-0.1", "epsilon must be finite and nonnegative, got -0.1"),
         ("--silhouette-sample=1", "silhouette_sample must be at least 2, got 1"),
-        ("--k-range=1:3", "k range must be nonempty with every k >= 2"),
     ],
 )
 def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, option, message):
@@ -845,6 +844,32 @@ def test_ingest_names_non_utf8_file(synth_tree, tmp_path, capsys, name):
     assert f"ingest: {files[name]}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("bundle/bath.duration", 6),
+        ("reference/lighting.wd.ref", 6),
+        ("household.conf", 6),
+        ("project.conf", 2),
+        ("model.wd.clusters", 5),
+    ],
+)
+def test_line_read_input_names_non_utf8_file(synth_tree, pipeline_run, tmp_path, capsys, name, code):
+    tree = tmp_path / "tree"
+    shutil.copytree(synth_tree, tree, ignore=shutil.ignore_patterns("out"))
+    shutil.copy(pipeline_run / "model.wd.clusters", tree)
+    bad = tree / name
+    bad.write_bytes(bad.read_bytes() + b"\xc9\n")
+    if name.endswith(".clusters"):
+        clusters = [str(bad), str(pipeline_run / "model.we.clusters")]
+        argv = ["train", "--diaries", str(pipeline_run / "sequences.csv"), "--clusters", *clusters]
+        argv += ["--out", str(tmp_path / "tpms")]
+    else:
+        argv = ["run", "--config", str(tree / "project.conf")]
+    assert main(argv) == code
+    assert f"{bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 def test_train_rejects_cluster_mode_outside_presence_states(pipeline_run, tmp_path, capsys):
     clusters = tmp_path / "model.wd.clusters"
     lines = (pipeline_run / "model.wd.clusters").read_text().splitlines()
@@ -985,7 +1010,7 @@ def test_run_rejects_negative_base_seed_before_ingest(synth_tree, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["3", "a:b", "3:4:5", ""])
+@pytest.mark.parametrize("value", ["3", "a:b", "3:4:5", "", "1:3", "5:3"])
 def test_malformed_k_range_is_a_usage_error(pipeline_run, synth_tree, tmp_path, capsys, value):
     argv = ["cluster", "--input", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
     argv.append(f"--k-range={value}")

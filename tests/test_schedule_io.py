@@ -166,7 +166,7 @@ def _day_result(present, appliance_events=NO_EVENTS, water_events=NO_EVENTS):
     present = np.asarray(present, dtype=np.float64)
     home = np.stack([present > 0, present >= 1])
     states = np.where(home, int(ActivityState.HOME_ACTIVE), int(ActivityState.AWAY)).astype(np.int8)
-    return HouseholdResult(0, 2, [], states, appliance_events, water_events)
+    return HouseholdResult(0, states, appliance_events, water_events)
 
 
 def test_assemble_schedule_normalizes_rows():

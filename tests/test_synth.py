@@ -109,11 +109,11 @@ def test_write_diaries_round_trip(tmp_path):
     assert result.unknown_codes == 0
     assert len(result.diaries) == len(corpus)
     for diary, (rid, day_type, weight, states) in zip(result.diaries, corpus.tolist()):
-        assert diary.respondent_id == rid
-        assert diary.day_type == day_type
-        assert diary.weight == pytest.approx(weight)
+        assert diary["id"] == rid
+        assert diary["day_type"] == day_type
+        assert diary["weight"] == pytest.approx(weight)
         # 15x minute expansion resamples back to the exact states
-        assert np.array_equal(resample_to_sequence(diary), states)
+        assert np.array_equal(resample_to_sequence(diary["minutes"]), states)
 
 
 def test_default_bundle_complete():

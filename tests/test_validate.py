@@ -16,7 +16,7 @@ from occsim.diary_ingest import (
     sequence_table,
 )
 from occsim.distributions import EmpiricalDistribution
-from occsim.markov_train import estimate_all_statistics
+from occsim.markov_train import estimate_statistics
 from occsim.validate import (
     ActivityComparison,
     ComparisonReport,
@@ -124,7 +124,7 @@ def _random_corpus(rng, n=30):
 def test_compare_behavior_self_comparison_is_exact():
     rng = np.random.default_rng(31)
     corpus = _random_corpus(rng)
-    ref = estimate_all_statistics(corpus)
+    ref = estimate_statistics(corpus)
     report = compare_behavior(corpus, ref)
     assert len(report.rows) == len(FULL_ALPHABET)
     for row in report.rows:
@@ -139,7 +139,7 @@ def test_compare_behavior_self_comparison_is_exact():
 def test_compare_behavior_selected_activities():
     rng = np.random.default_rng(32)
     corpus = _random_corpus(rng, n=10)
-    ref = estimate_all_statistics(corpus)
+    ref = estimate_statistics(corpus)
     report = compare_behavior(corpus, ref, (ActivityState.COOKING,))
     assert [r.activity for r in report.rows] == [ActivityState.COOKING]
     with pytest.raises(ValidationError, match="no simulated days"):
