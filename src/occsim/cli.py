@@ -61,6 +61,19 @@ def _add_code_map(p: argparse.ArgumentParser) -> None:
     p.add_argument("--code-map", type=Path, default=None, help="activity code map file")
 
 
+def _flag_type(parse):
+    """`parse` as an argparse type: its ValueError message becomes the flag's
+    error, which argparse would replace with the parser's name."""
+
+    def parse_flag(value: str):
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
+
+
 def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
     """The flags of these Settings fields, parsed as their project.conf keys.
     A flag left out stays out of the namespace, so its field keeps the
@@ -71,7 +84,9 @@ def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
         if types[name] == "bool":
             p.add_argument(FLAGS[name], action="store_true", **kwargs)
         else:
-            p.add_argument(FLAGS[name], type=PARSERS[types[name]], choices=CHOICES.get(name), **kwargs)
+            choices = CHOICES.get(name)
+            metavar = None if choices is None else "{" + ",".join(map(str, choices)) + "}"
+            p.add_argument(FLAGS[name], type=_flag_type(PARSERS[name]), metavar=metavar, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,10 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth", help="generate a synthetic demonstration input tree", argument_default=argparse.SUPPRESS
     )
     p.add_argument("--out", dest="out_dir", type=Path, required=True)
-    p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=positive_number)
-    p.add_argument("--seed", dest="base_seed", type=whole_number)
-    p.add_argument("--households", dest="n_households", type=positive_number)
-    p.add_argument("--days", dest="n_days", type=positive_number)
+    p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=_flag_type(positive_number))
+    p.add_argument("--seed", dest="base_seed", type=_flag_type(whole_number))
+    p.add_argument("--households", dest="n_households", type=_flag_type(positive_number))
+    p.add_argument("--days", dest="n_days", type=_flag_type(positive_number))
 
     p = sub.add_parser("run", help="run the full pipeline from a project config")
     p.add_argument("--config", type=Path, required=True)

@@ -84,10 +84,20 @@ def positive_number(value: str) -> int:
     return whole_number(value, 1)
 
 
-# ProjectConfig field annotation -> parser of its project.conf value (and of
-# its stage flag's argument).  Path fields join the config file's directory,
-# which an absolute value replaces.
-PARSERS = {
+def _one_of(parse, allowed: tuple):
+    """`parse`, then a check that the value is one of `allowed`."""
+
+    def parse_choice(value: str):
+        choice = parse(value)
+        if choice not in allowed:
+            raise ValueError(f"expected one of {allowed}, got {choice!r}")
+        return choice
+
+    return parse_choice
+
+
+# Settings field annotation -> parser of its value.
+_TYPE_PARSERS = {
     "int": int,
     "int | None": int,
     "Seed | None": whole_number,
@@ -98,7 +108,7 @@ PARSERS = {
     "tuple[int, int]": parse_k_range,
 }
 
-
+# The Settings fields whose value is one of a few.
 CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS}
 
 
@@ -123,10 +133,19 @@ class Settings:
     unweighted_clustering: bool = False
 
 
+# Settings field -> parser of its project.conf value and of its stage flag's
+# argument.
+PARSERS = {
+    f.name: _one_of(_TYPE_PARSERS[f.type], CHOICES[f.name]) if f.name in CHOICES else _TYPE_PARSERS[f.type]
+    for f in fields(Settings)
+}
+
+
 @dataclass(kw_only=True)
 class ProjectConfig(Settings):
     """A `project.conf`: the run settings plus the paths, each the key of the
-    same name; the fields without a default are required."""
+    same name; the fields without a default are required.  A path joins the
+    config file's directory, which an absolute value replaces."""
 
     diaries: Path
     bundle: Path
@@ -140,9 +159,7 @@ class ProjectConfig(Settings):
         path = Path(path)
         if not path.exists():
             raise StageError("config", f"config file not found: {path}")
-        parsers = {
-            f.name: path.parent.joinpath if f.type.startswith("Path") else PARSERS[f.type] for f in fields(cls)
-        }
+        parsers = {f.name: PARSERS.get(f.name, path.parent.joinpath) for f in fields(cls)}
         try:
             values = read_key_values(path, parsers)
         except ValueError as exc:
@@ -150,11 +167,7 @@ class ProjectConfig(Settings):
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
         if missing:
             raise StageError("config", f"{path}: missing keys: {', '.join(missing)}")
-        cfg = cls(**values)
-        for key, allowed in CHOICES.items():
-            if getattr(cfg, key) not in allowed:
-                raise StageError("config", f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
-        return cfg
+        return cls(**values)
 
 
 def resolve_seed(cfg: Settings, log, command: str) -> Settings:

@@ -45,6 +45,56 @@ def sequence_distance(a, b) -> int:
     return int(np.count_nonzero(a != b))
 
 
+# -- whole-matrix clustering oracles ------------------------------------------
+# `pairwise_distances` and `silhouette` before the distance matrix was filled
+# and summed in row blocks: one GEMM over the whole one-hot matrix cast to
+# int32, and one float64 copy of the matrix times the cluster one-hot.  The
+# blocked kernels must match them bit for bit.
+
+
+def whole_pairwise_distances(X) -> np.ndarray:
+    """Matching-dissimilarity matrix as one float32 GEMM, cast to int32."""
+    X = np.asarray(X)
+    n, steps = X.shape
+    lo = int(X.min())
+    n_states = int(X.max()) - lo + 1
+    onehot = np.zeros((n, steps * n_states), dtype=np.float32)
+    cells = np.arange(steps) * n_states + (X.astype(np.intp) - lo)
+    onehot[np.arange(n)[:, None], cells] = 1.0
+    agree = onehot @ onehot.T
+    return np.subtract(steps, agree, out=agree).astype(np.int32)
+
+
+def whole_silhouette(distances, labels) -> float:
+    """Mean silhouette over one float64 copy of the whole matrix."""
+    D = np.asarray(distances, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    if D.shape != (n, n):
+        raise ClusterError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
+    k = int(labels.max()) + 1
+    counts = np.bincount(labels, minlength=k)
+    if np.any(counts == 0):
+        raise ClusterError("every cluster must be non-empty")
+    if k < 2:
+        raise ClusterError("silhouette needs at least two clusters")
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    sums = D @ onehot
+    own = counts[labels]
+    scores = np.zeros(n)
+    valid = own > 1
+    a = np.zeros(n)
+    a[valid] = sums[np.arange(n), labels][valid] / (own[valid] - 1)
+    other = sums / counts[None, :]
+    other[np.arange(n), labels] = np.inf
+    b = other.min(axis=1)
+    denom = np.maximum(a, b)
+    ok = valid & (denom > 0)
+    scores[ok] = (b[ok] - a[ok]) / denom[ok]
+    return float(scores.mean())
+
+
 # -- scalar reference samplers ------------------------------------------------
 # The household draws before they took whole arrays: one `sample` call per
 # value, a per-interval loop, and a per-event onset retry loop.  Kept as the

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occsim import clustering, streams
@@ -20,7 +22,7 @@ from occsim.clustering import (
 )
 from occsim.diary_ingest import N_STEPS, project_to_presence
 from occsim.synth import generate_corpus, write_diaries
-from tests.helpers import sequence_distance
+from tests.helpers import sequence_distance, whole_pairwise_distances, whole_silhouette
 
 
 def _pairwise_reference(X, chunk=256):
@@ -407,8 +409,21 @@ def test_cli_train_rejects_bad_cluster_file(tmp_path, capsys, index, line, messa
 @example(np.tile(np.arange(N_STEPS, dtype=np.int8) % 3, (5, 1)))
 def test_pairwise_distances_match_reference(X):
     D = pairwise_distances(X)
-    assert D.dtype == np.int32
+    assert D.dtype == np.uint8
     assert np.array_equal(D, _pairwise_reference(X))
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 12))
+def test_distinct_rows_match_unique_rows(data, steps, n):
+    """One byte sort gives `np.unique(X, axis=0)`: the same rows in the same
+    order, negative states included, so kmodes draws the same modes."""
+    row = st.lists(st.integers(-128, 127), min_size=steps, max_size=steps)
+    base = data.draw(st.lists(row, min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    X = np.array([base[i] for i in picks], dtype=np.int8)
+    got = clustering._distinct_rows(X)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.unique(X, axis=0))
 
 
 def test_pairwise_distances_match_reference_on_a_corpus():
@@ -480,6 +495,56 @@ def test_select_k_matches_per_run_reference(monkeypatch, sample):
     assert np.array_equal(got.model.modes, model.modes)
     assert np.array_equal(got.model.shares, model.shares)
     assert np.array_equal(got.labels, labels)
+
+
+# n = times * block + plus: one row short of a block, one block, one row
+# over, and one row over two blocks
+BLOCK_EDGES = {"block - 1": (1, -1), "block": (1, 0), "block + 1": (1, 1), "2 block + 1": (2, 1)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(5, 12), st.sampled_from(sorted(BLOCK_EDGES)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_blocked_distances_and_scores_equal_whole_matrix_oracles(block, edge, sampled, seed):
+    """With the n scored rows at a block edge, the blocked uint8 matrix and
+    every silhouette score equal the whole-matrix oracles bit for bit, with
+    `silhouette_sample` scoring n of more rows or without it."""
+    times, plus = BLOCK_EDGES[edge]
+    n = times * block + plus
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n + 5 * sampled, N_STEPS)).astype(np.int8)
+    labels = np.arange(n) % 3
+    rng.shuffle(labels)
+    sample = n if sampled else None
+    kwargs = dict(k_range=range(2, 4), repeats=2, base_seed=seed, epsilon=0.01, silhouette_sample=sample)
+    with mock.patch.object(clustering, "_BLOCK_BYTES", 8 * n * block):
+        assert clustering._block_rows(n) == block
+        D = pairwise_distances(X[:n])
+        assert D.dtype == np.uint8
+        assert np.array_equal(D, whole_pairwise_distances(X[:n]))
+        assert silhouette(D, labels) == whole_silhouette(whole_pairwise_distances(X[:n]), labels)
+        got = select_k(X, **kwargs)
+    with mock.patch.multiple(clustering, pairwise_distances=whole_pairwise_distances, silhouette=whole_silhouette):
+        expected = select_k(X, **kwargs)
+    assert [(row.k, row.scores, row.mean) for row in got.table] == [
+        (row.k, row.scores, row.mean) for row in expected.table
+    ]
+    assert got.k_star == expected.k_star
+    assert np.array_equal(got.labels, expected.labels)
+
+
+def test_select_k_peak_memory_stays_below_three_bytes_per_cell():
+    """The stage holds one uint8 n x n matrix plus row-block temporaries; the
+    int32 and float64 copies it once held peaked near 12 bytes a cell."""
+    n = 3000
+    corpus = generate_corpus(n, base_seed=31, day_types=("WD",))
+    X, w = project_to_presence(corpus["states"]), corpus["weight"]
+    tracemalloc.start()
+    try:
+        select_k(X, w, k_range=range(3, 5), repeats=2, base_seed=31, epsilon=0.01, silhouette_sample=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n
 
 
 def test_select_k_subsample_with_one_present_cluster_scores_zero():

@@ -3,8 +3,11 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -122,14 +125,14 @@ def test_config_read_errors(tmp_path):
         ProjectConfig.read(conf)
 
     for key, value, pattern in [
-        ("approach", "5", "approach"),
-        ("modulation", "sometimes", "modulation"),
+        ("approach", "5", r"p\.conf: line 6: approach: expected one of \(1, 2, 3\), got 5"),
+        ("modulation", "sometimes", r"line 6: modulation: expected one of \('present', 'active'\), got 'sometimes'"),
         ("k_range", "7:3", "k_range"),
         ("k_range", "0:3", "k_range"),
         ("k_range", "1:3", "k_range"),
         ("n_days", "0", "n_days: expected a whole number >= 1, got 0"),
         ("n_households", "-2", "n_households: expected a whole number >= 1, got -2"),
-        ("tpm_fallback", "magic", "tpm_fallback"),
+        ("tpm_fallback", "magic", r"line 6: tpm_fallback: expected one of \('absorbing', 'uniform', 'laplace'\)"),
         ("repeats", "many", "invalid literal"),
     ]:
         with pytest.raises(StageError, match=pattern) as exc:
@@ -510,7 +513,7 @@ def test_simulate_size_below_one_is_a_usage_error(capsys, command, flag, value):
         main([command, *REQUIRED_FLAGS[command], flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: invalid positive_number value: '{value}'" in err
+    assert f"argument {flag}: expected a whole number >= 1, got {value}" in err
     assert "drawn from entropy" not in err
 
 
@@ -984,7 +987,7 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, *required, "--seed", "-5"])
     assert exc.value.code == 2
-    assert "argument --seed: invalid whole_number value: '-5'" in capsys.readouterr().err
+    assert "argument --seed: expected a whole number >= 0, got -5" in capsys.readouterr().err
     assert not (tmp_path / "tree").exists()
 
 
@@ -993,7 +996,7 @@ def test_synth_size_below_one_is_a_usage_error(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--out", str(tmp_path / "tree"), flag, value])
     assert exc.value.code == 2
-    assert f"argument {flag}: invalid positive_number value: '{value}'" in capsys.readouterr().err
+    assert f"argument {flag}: expected a whole number >= 1, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "tree").exists()
 
 
@@ -1017,9 +1020,12 @@ def test_malformed_k_range_is_a_usage_error(pipeline_run, synth_tree, tmp_path, 
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--k-range" in capsys.readouterr().err
+    flag_error = capsys.readouterr().err
     assert not list(tmp_path.glob("*.clusters"))
     assert main(["run", "--config", str(_write_conf(tmp_path, k_range=value))]) == 2
+    # the flag gives the reason the project.conf key gives
+    reason = capsys.readouterr().err.strip().rpartition("k_range: ")[2]
+    assert f"argument --k-range: {reason}\n" in flag_error
 
 
 # The required flags of each subcommand that takes settings.
@@ -1102,3 +1108,17 @@ def test_stages_take_one_settings_object(stage):
     parameters = inspect.signature(stage).parameters
     assert not SETTING_NAMES & set(parameters)
     assert parameters["cfg"].annotation == "Settings"
+
+
+def test_python_m_occsim_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "occsim", "--help"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: occsim")
