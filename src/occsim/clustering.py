@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .conf import read_lines
+from .conf import reading
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
@@ -87,12 +87,9 @@ class ClusterModel:
         day_type = None
         shares = None
         modes = []
-        for lineno, line in read_lines(path):
-            line = line.strip()
-            if line.startswith("#"):
-                continue
-            key, _, rest = line.partition(",")
-            try:
+        with reading(path, ClusterError) as lines:
+            for line in lines:
+                key, _, rest = line.partition(",")
                 if key == "k":
                     k = _read_k(rest)
                 elif key == "day_type":
@@ -105,14 +102,9 @@ class ClusterModel:
                     modes.append(_read_mode(rest))
                 else:
                     raise ValueError(f"unknown line key {key!r}")
-            except ValueError as exc:
-                raise ClusterError(f"{path}: line {lineno}: {exc}") from None
-        if k is None or day_type is None or shares is None or len(modes) != k:
-            raise ClusterError(f"{path}: incomplete cluster model")
-        try:
+            if k is None or day_type is None or shares is None or len(modes) != k:
+                raise ValueError("incomplete cluster model")
             return cls(k, np.array(modes, dtype=np.int8), shares, day_type)
-        except ClusterError as exc:
-            raise ClusterError(f"{path}: {exc}") from None
 
 
 def _read_k(text: str) -> int:

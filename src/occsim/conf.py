@@ -1,57 +1,74 @@
-"""Readers for text files: numbered lines, `key = value` configs and
-`step,value` reference files."""
+"""Readers for text files: `reading` (the one place that names a bad file
+and line), `key = value` configs and `step,value` reference files."""
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 
-def read_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(line number from 1, line) of each line of a text file that is not
-    blank; bytes that are not UTF-8 raise ValueError naming the file."""
+class Lines:
+    """The stripped lines of a text file that are neither blank nor '#'
+    comments; `first` is the first ("" for none).  Iterating marks each
+    line's number as `at` until the lines run out."""
+
+    def __init__(self, path: str | Path):
+        lines = map(str.strip, Path(path).read_text().splitlines())
+        self.numbered = [(n, line) for n, line in enumerate(lines, start=1) if line and not line.startswith("#")]
+        self.first = self.numbered[0][1] if self.numbered else ""
+        self.at: int | None = None
+
+    def __iter__(self):
+        for self.at, line in self.numbered:
+            yield line
+        self.at = None
+
+
+@contextmanager
+def reading(path: str | Path, error: Callable[[str], Exception] = ValueError):
+    """The `Lines` of a text file, for a block that parses them: a
+    ValueError raised in the block (bytes that are not UTF-8 included)
+    leaves it as `error("<path>: line N: <reason>")` while a line is being
+    parsed, else as `error("<path>: <reason>")`."""
+    lines = None
     try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        lines = Lines(path)
+        yield lines
+    except ValueError as exc:
+        where = "" if lines is None or lines.at is None else f"line {lines.at}: "
+        raise error(f"{path}: {where}{exc}") from None
 
 
-def read_key_values(path: str | Path, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
-    """Parse each `key = value` line with its key's parser; blank and '#' lines
-    are skipped and a repeated key keeps its last value.  A line without a
-    key and '=', a key not in `parsers` or a value its parser rejects raises
-    ValueError naming the file and line."""
+def key_values(lines: Lines, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
+    """Each `key = value` line parsed by its key's parser, a repeated key
+    keeping its last value; a bad line, key or value raises ValueError."""
     values: dict[str, object] = {}
-    for n, line in read_lines(path):
-        line = line.strip()
-        if line.startswith("#"):
-            continue
+    for line in lines:
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
-            raise ValueError(f"{path}: line {n}: expected key = value")
+            raise ValueError("expected key = value")
         if key not in parsers:
-            raise ValueError(f"{path}: line {n}: unknown key {key!r}")
+            raise ValueError(f"unknown key {key!r}")
         try:
             values[key] = parsers[key](value)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {n}: {key}: {exc}") from None
+            raise ValueError(f"{key}: {exc}") from None
     return values
 
 
-def read_step_values(path: str | Path) -> np.ndarray:
-    """Values of a `step,value` file: one line per step 0..95 in any order,
-    blank lines skipped.  A wrong field count, a non-number, a step out of
-    range, repeated or left out, or a non-finite or negative value raises
-    ValueError naming the file and line; -0 reads as 0."""
+def read_step_values(path: str | Path, error: Callable[[str], Exception] = ValueError) -> np.ndarray:
+    """Values of a `step,value` file, one line per step 0..95 in any order;
+    -0 reads as 0.  A wrong field count, a non-number, a step out of range,
+    repeated or left out, or a non-finite or negative value raises `error`."""
     from .diary_ingest import N_STEPS  # diary_ingest imports this module
 
     values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
-    for n, line in read_lines(path):
-        try:
+    with reading(path, error) as lines:
+        for line in lines:
             fields = line.split(",")
             if len(fields) != 2:
                 raise ValueError(f"expected step,value, got {len(fields)} fields")
@@ -64,11 +81,9 @@ def read_step_values(path: str | Path) -> np.ndarray:
                 raise ValueError(f"step {step} has non-finite value {value}")
             if value < 0:
                 raise ValueError(f"step {step} has negative value {value}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {n}: {exc}") from None
-        values[step] = abs(value)
-    if np.isnan(values).any():
-        raise ValueError(f"{path}: expected {N_STEPS} rows, got {int(np.sum(~np.isnan(values)))}")
+            values[step] = abs(value)
+        if np.isnan(values).any():
+            raise ValueError(f"expected {N_STEPS} rows, got {int(np.sum(~np.isnan(values)))}")
     return values
 
 

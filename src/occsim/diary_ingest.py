@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import read_lines
+from .conf import reading
 
 N_MINUTES = 1440
 N_STEPS = 96
@@ -85,23 +85,18 @@ class ActivityCodeMap:
     @classmethod
     def read(cls, path: str | Path) -> "ActivityCodeMap":
         mapping: dict[str, ActivityState] = {}
-        default = None
-        for n, line in read_lines(path):
-            line = line.strip()
-            if line.startswith("#"):
-                continue
-            try:
-                code, token = line.split(",")
-            except ValueError:
-                raise DiaryFormatError(f"{path}: line {n}: expected raw_code,canonical_state")
-            if token not in STATE_BY_TOKEN:
-                raise DiaryFormatError(f"{path}: line {n}: unknown state token {token!r}")
-            if code == "DEFAULT":
-                default = STATE_BY_TOKEN[token]
-            else:
+        with reading(path, DiaryFormatError) as lines:
+            for line in lines:
+                try:
+                    code, token = line.split(",")
+                except ValueError:
+                    raise ValueError("expected raw_code,canonical_state") from None
+                if token not in STATE_BY_TOKEN:
+                    raise ValueError(f"unknown state token {token!r}")
                 mapping[code] = STATE_BY_TOKEN[token]
-        if default is None:
-            raise DiaryFormatError(f"{path}: missing DEFAULT,<state> line")
+            if "DEFAULT" not in mapping:
+                raise ValueError("missing DEFAULT,<state> line")
+        default = mapping.pop("DEFAULT")
         return cls(mapping, default)
 
     def write(self, path: str | Path) -> None:

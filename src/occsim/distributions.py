@@ -3,14 +3,28 @@
 from __future__ import annotations
 
 import bisect
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .conf import read_lines
+from .conf import reading
+from .diary_ingest import N_STEPS
 
 PROB_TOL = 1e-9
+
+# Domain of a distribution's support by the kind its file name ends in, the
+# last part before any `.dist` (`sink.flow`, `c0.wd.cooking.count.dist`).
+SUPPORT_DOMAIN = {
+    "duration": (lambda v: v > 0, "durations must be > 0"),
+    "level": (lambda v: v >= 0, "levels must be >= 0"),
+    "flow": (lambda v: v >= 0, "flows must be >= 0"),
+    "count": (lambda v: v >= 0 and v.is_integer(), "counts must be whole and >= 0"),
+    "onset": (lambda v: 0 <= round(v) < N_STEPS, "onsets must round into steps 0..95"),
+}
 
 
 def draw_index(cum, r: float) -> int:
@@ -43,7 +57,7 @@ class EmpiricalDistribution:
             raise ValueError("support and probs must align")
         if not (np.isfinite(self.support).all() and np.isfinite(self.probs).all()):
             raise ValueError("support and probabilities must be finite")
-        if np.any(np.diff(self.support) <= 0):
+        if np.any(self.support[1:] <= self.support[:-1]):
             raise ValueError("support must be strictly increasing with no duplicates")
         if np.any(self.probs < 0):
             raise ValueError("probabilities must be nonnegative")
@@ -104,24 +118,31 @@ class EmpiricalDistribution:
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
-    def read(cls, path: str | Path) -> "EmpiricalDistribution":
-        lines = read_lines(path)
-        if not lines or not lines[0][1].startswith("unit,"):
-            raise ValueError(f"{path}: missing unit header")
-        unit = lines[0][1].split(",", 1)[1]
-        values, probs = [], []
-        for n, ln in lines[1:]:
-            try:
-                v, p = (float(x) for x in ln.split(","))
-            except ValueError:
-                raise ValueError(f"{path}: line {n}: expected value,probability, got {ln!r}") from None
-            if not 0 <= p <= 1:
-                raise ValueError(f"{path}: line {n}: probability {p} outside 0..1")
-            if not np.isfinite(v) or (values and v <= values[-1]):
-                raise ValueError(f"{path}: line {n}: values must be finite and increasing, got {v}")
-            values.append(v)
-            probs.append(p)
-        try:
-            return cls(np.array(values), np.array(probs), unit)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    def read(cls, path: str | Path, error: Callable[[str], Exception] = ValueError) -> "EmpiricalDistribution":
+        """A `write` file, its support inside the `SUPPORT_DOMAIN` of the kind
+        its name ends in; bad input raises `error` naming the file."""
+        with reading(path, error) as lines:
+            if not lines.first.startswith("unit,"):
+                raise ValueError("missing unit header")
+            rows = iter(lines)
+            unit = next(rows).split(",", 1)[1]
+            values, probs = [], []
+            for line in rows:
+                try:
+                    v, p = map(float, line.split(","))
+                except ValueError:
+                    raise ValueError(f"expected value,probability, got {line!r}") from None
+                if not 0 <= p <= 1:
+                    raise ValueError(f"probability {p} outside 0..1")
+                if not math.isfinite(v) or (values and v <= values[-1]):
+                    raise ValueError(f"values must be finite and increasing, got {v}")
+                values.append(v)
+                probs.append(p)
+            dist = cls(np.array(values), np.array(probs), unit)
+            kind = os.path.basename(path).removesuffix(".dist").rsplit(".", 1)[-1]
+            if kind in SUPPORT_DOMAIN:
+                in_domain, rule = SUPPORT_DOMAIN[kind]
+                bad = [v for v in values if not in_domain(v)]
+                if bad:
+                    raise ValueError(f"{rule}, got {bad[0]:g}")
+        return dist

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .conf import read_key_values
+from .conf import key_values, reading
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
 from .distributions import EmpiricalDistribution, draw_index
 from .clustering import DEFAULT_CLUSTER_SHARES
@@ -69,7 +69,7 @@ class HouseholdError(ValueError):
     """Invalid household configuration or event input."""
 
 
-class BundleError(KeyError):
+class BundleError(HouseholdError):
     """A required sampling distribution is missing from the bundle."""
 
 
@@ -134,17 +134,12 @@ class HouseholdConfig:
 
     @classmethod
     def read(cls, path: str | Path) -> "HouseholdConfig":
-        try:
-            values = read_key_values(path, _HOUSEHOLD_KEYS)
-        except ValueError as exc:
-            raise HouseholdError(str(exc)) from None
-        if "occupant_count" not in values:
-            raise HouseholdError(f"{path}: missing occupant_count")
-        values["occupant_count_dist"] = values.pop("occupant_count")
-        try:
+        with reading(path, HouseholdError) as lines:
+            values = key_values(lines, _HOUSEHOLD_KEYS)
+            if "occupant_count" not in values:
+                raise ValueError("missing occupant_count")
+            values["occupant_count_dist"] = values.pop("occupant_count")
             return cls(**values)
-        except HouseholdError as exc:
-            raise HouseholdError(f"{path}: {exc}") from None
 
     def write(self, path: str | Path) -> None:
         dist = ",".join(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import read_lines
+from .conf import reading
 from .diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -98,34 +98,30 @@ class TPMSet:
 
     @classmethod
     def read(cls, path: str | Path) -> "TPMSet":
-        rows = [(n, ln.split(",")) for n, ln in read_lines(path)]
-        if not rows:
-            raise TrainError(f"{path}: empty model file")
-        n, head = rows[0]
-        try:
-            cluster_id, day_type = int(head[0]), head[1]
-            alphabet = tuple(STATE_BY_TOKEN[t] for t in head[2:])
-        except (ValueError, IndexError):
-            raise TrainError(f"{path}: line {n}: expected cluster_id,day_type,state tokens") from None
-        except KeyError as exc:
-            raise TrainError(f"{path}: line {n}: unknown state token {exc.args[0]!r}") from None
-        if len(rows) < 2:
-            raise TrainError(f"{path}: missing initial distribution row")
-        S = len(alphabet)
-        values = np.empty((len(rows) - 1, S))
-        for r, (n, fields) in enumerate(rows[1:]):
-            if len(fields) != S:
-                raise TrainError(f"{path}: line {n}: expected {S} values, got {len(fields)}")
+        with reading(path, TrainError) as lines:
+            if not lines.first:
+                raise ValueError("empty model file")
+            rows = iter(lines)
             try:
-                values[r] = [float(x) for x in fields]
-            except ValueError as exc:
-                raise TrainError(f"{path}: line {n}: {exc}") from None
-        if (len(values) - 1) % S != 0:
-            raise TrainError(f"{path}: matrix block size not a multiple of {S}")
-        try:
+                cluster_id, day_type, *tokens = next(rows).split(",")
+                cluster_id, alphabet = int(cluster_id), tuple(STATE_BY_TOKEN[t] for t in tokens)
+            except ValueError:
+                raise ValueError("expected cluster_id,day_type,state tokens") from None
+            except KeyError as exc:
+                raise ValueError(f"unknown state token {exc.args[0]!r}") from None
+            S = len(alphabet)
+            values = []
+            for line in rows:
+                fields = line.split(",")
+                if len(fields) != S:
+                    raise ValueError(f"expected {S} values, got {len(fields)}")
+                values.append(list(map(float, fields)))
+            if not values:
+                raise ValueError("missing initial distribution row")
+            if (len(values) - 1) % S != 0:
+                raise ValueError(f"matrix block size not a multiple of {S}")
+            values = np.array(values)
             return cls(cluster_id, day_type, alphabet, values[0], values[1:].reshape(-1, S, S))
-        except TrainError as exc:
-            raise TrainError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -326,11 +322,7 @@ def _read_model_file(path: Path, required: bool = True):
         if required:
             raise TrainError(f"missing expected file: {path}")
         return None
-    try:
-        return (TPMSet.read if path.suffix == ".tpm" else EmpiricalDistribution.read)(path)
-    except ValueError as exc:
-        message = str(exc)
-        raise TrainError(message if message.startswith(str(path)) else f"{path}: {message}") from None
+    return TPMSet.read(path) if path.suffix == ".tpm" else EmpiricalDistribution.read(path, TrainError)
 
 
 def _read_day_tpm(path: Path, alphabet: tuple[ActivityState, ...], header: tuple[int, str]) -> TPMSet:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterModel, SelectKResult, assign_cluster, select_k
-from .conf import read_key_values
+from .conf import key_values, reading
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
@@ -96,6 +96,12 @@ def _one_of(parse, allowed: tuple):
     return parse_choice
 
 
+def boolean(value: str) -> bool:
+    """1, true or yes is True; 0, false or no is False; in any case."""
+    word = _one_of(str.lower, ("1", "true", "yes", "0", "false", "no"))(value)
+    return word in ("1", "true", "yes")
+
+
 # Settings field annotation -> parser of its value.
 _TYPE_PARSERS = {
     "int": int,
@@ -104,7 +110,7 @@ _TYPE_PARSERS = {
     "Size": positive_number,
     "float": float,
     "str": str,
-    "bool": lambda value: value.lower() in ("1", "true", "yes"),
+    "bool": boolean,
     "tuple[int, int]": parse_k_range,
 }
 
@@ -157,16 +163,14 @@ class ProjectConfig(Settings):
     @classmethod
     def read(cls, path: str | Path) -> "ProjectConfig":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise StageError("config", f"config file not found: {path}")
         parsers = {f.name: PARSERS.get(f.name, path.parent.joinpath) for f in fields(cls)}
-        try:
-            values = read_key_values(path, parsers)
-        except ValueError as exc:
-            raise StageError("config", str(exc)) from None
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
-        if missing:
-            raise StageError("config", f"{path}: missing keys: {', '.join(missing)}")
+        with reading(path, lambda message: StageError("config", message)) as lines:
+            values = key_values(lines, parsers)
+            missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
+            if missing:
+                raise ValueError(f"missing keys: {', '.join(missing)}")
         return cls(**values)
 
 
@@ -286,7 +290,7 @@ def load_simulation_inputs(
         reference = load_reference_dir(reference_dir)
         config = HouseholdConfig.read(household_conf)
         calendar = SimCalendar.from_name(cfg.start_weekday, cfg.n_days)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise StageError("simulate", str(exc)) from exc
     if config.vacation is not None and config.vacation[1] > cfg.n_days:
         raise StageError(
@@ -335,7 +339,7 @@ def simulate_stage(
             try:
                 result = build_household(draw, models, bundle, config, calendar, approach=cfg.approach)
                 schedule = assemble_schedule(result, reference, calendar, modulation=cfg.modulation)
-            except (SimulationError, HouseholdError, ScheduleError, KeyError) as exc:
+            except (SimulationError, HouseholdError, ScheduleError) as exc:
                 raise StageError("simulate", f"household {h}: {exc}") from exc
             path = out_dir / f"household_{h}.csv"
             write_schedule_file(path, schedule)
@@ -368,7 +372,7 @@ def validate_stage(
         report.write(path)
         reports[day_type] = report
         print(f"validate[{day_type}]:", file=log)
-        print(report.format_table(), file=sys.stdout)
+        print(report.format_table(), file=log)
     return reports
 
 

@@ -48,14 +48,6 @@ REQUIRED_BUNDLE = (
     "clothes_dryer.power.duration",
     "clothes_dryer.power.level",
 )
-# Domain of a bundle channel's support, by the last part of its name.
-_CHANNEL_DOMAIN = {
-    "duration": (lambda v: v > 0, "durations must be > 0"),
-    "level": (lambda v: v >= 0, "levels must be >= 0"),
-    "flow": (lambda v: v >= 0, "flows must be >= 0"),
-    "count": (lambda v: (v >= 0) & (v == np.round(v)), "counts must be whole and >= 0"),
-    "onset": (lambda v: np.rint(v).clip(0, N_STEPS - 1) == np.rint(v), "onsets must round into steps 0..95"),
-}
 
 
 class ScheduleError(ValueError):
@@ -259,10 +251,7 @@ def load_reference_dir(directory: str | Path) -> np.ndarray:
             path = directory / f"{use}.{day_type.lower()}.ref"
             if not path.exists():
                 raise ScheduleError(f"missing reference schedule: {path}")
-            try:
-                values = read_step_values(path)
-            except ValueError as exc:
-                raise ScheduleError(str(exc)) from None
+            values = read_step_values(path, ScheduleError)
             if not np.any(values != 0):
                 raise ScheduleError(f"{path}: reference schedule is all zero")
             out[u, d] = values
@@ -271,7 +260,7 @@ def load_reference_dir(directory: str | Path) -> np.ndarray:
 
 def load_bundle(directory: str | Path) -> dict[str, EmpiricalDistribution]:
     """Load the event sampling bundle; every reserved name must be present,
-    with its support inside the channel's `_CHANNEL_DOMAIN`."""
+    with its support inside its kind's `distributions.SUPPORT_DOMAIN`."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ScheduleError(f"bundle directory not found: {directory}")
@@ -280,11 +269,7 @@ def load_bundle(directory: str | Path) -> dict[str, EmpiricalDistribution]:
         path = directory / name
         if not path.exists():
             raise ScheduleError(f"bundle is missing channel '{name}' ({path})")
-        bundle[name] = dist = EmpiricalDistribution.read(path)
-        in_domain, rule = _CHANNEL_DOMAIN[name.rsplit(".", 1)[1]]
-        bad = dist.support[~in_domain(dist.support)]
-        if bad.size:
-            raise ScheduleError(f"{path}: {rule}, got {bad[0]:g}")
+        bundle[name] = EmpiricalDistribution.read(path, ScheduleError)
     return bundle
 
 

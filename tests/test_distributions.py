@@ -130,6 +130,7 @@ def test_read_missing_unit_header(tmp_path):
         ("1.0,0.5\n2.0;0.5\n", r"bad\.dist: line 3: expected value,probability"),
         ("1.0,0.5\n2.0,half\n", r"bad\.dist: line 3"),
         ("1.0,0.5,9\n", r"bad\.dist: line 2"),
+        ("# comment\n\n1.0,0.5;9\n", r"bad\.dist: line 4: expected value,probability, got '1\.0,0\.5;9'"),
         ("1.0,0.5\ninf,0.5\n", r"bad\.dist: .*finite"),
         ("", r"bad\.dist: support must be a nonempty"),
     ],
@@ -139,6 +140,13 @@ def test_read_names_file_and_line(tmp_path, body, pattern):
     path.write_text("unit,minutes\n" + body)
     with pytest.raises(ValueError, match=pattern):
         EmpiricalDistribution.read(path)
+
+
+def test_read_skips_comments_blank_lines_and_spaces(tmp_path):
+    path = tmp_path / "d.dist"
+    path.write_text("# survey 2019\nunit,minutes\n  15,0.25\n\n# tail\n30,0.75  \n")
+    dist = EmpiricalDistribution.read(path)
+    assert dist.unit == "minutes" and dist.support.tolist() == [15.0, 30.0]
 
 
 @given(

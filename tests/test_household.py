@@ -179,10 +179,13 @@ def test_dryer_dropped_past_year_end():
 def test_attach_appliance_events_missing_bundle_entry():
     bundle = _pm_bundle()
     del bundle["dishwasher.water.flow"]
-    with pytest.raises(BundleError, match="dishwasher.water.flow"):
+    with pytest.raises(BundleError, match="dishwasher.water.flow") as exc:
         attach_appliance_events(
             {ActivityState.DISHWASHING: np.array([[0.0, 15.0]])}, bundle, np.random.default_rng(0), year_minutes=1440.0
         )
+    # a HouseholdError, so simulate catches it, and printed without KeyError's quotes
+    assert isinstance(exc.value, HouseholdError)
+    assert str(exc.value) == "missing distribution 'dishwasher.water.flow'"
 
 
 def test_hygiene_water_within_interval():

@@ -32,6 +32,7 @@ from occsim.pipeline import (
 )
 from occsim.schedule_io import assemble_schedule, read_schedule_file
 from occsim.synth import write_input_tree
+from occsim.validate import ComparisonReport
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +112,10 @@ def _write_conf(tmp_path, **overrides):
 
 
 def test_config_read_errors(tmp_path):
-    with pytest.raises(StageError, match="not found") as exc:
-        ProjectConfig.read(tmp_path / "missing.conf")
-    assert exc.value.exit_code == 2
+    for missing in (tmp_path / "missing.conf", tmp_path):  # a directory is no config file either
+        with pytest.raises(StageError, match="not found") as exc:
+            ProjectConfig.read(missing)
+        assert exc.value.exit_code == 2
 
     conf = tmp_path / "p.conf"
     conf.write_text("diaries = d.csv\n")
@@ -134,6 +136,7 @@ def test_config_read_errors(tmp_path):
         ("n_households", "-2", "n_households: expected a whole number >= 1, got -2"),
         ("tpm_fallback", "magic", r"line 6: tpm_fallback: expected one of \('absorbing', 'uniform', 'laplace'\)"),
         ("repeats", "many", "invalid literal"),
+        ("unweighted_clustering", "ture", r"line 6: unweighted_clustering: expected one of \('1', 'true', 'yes', "),
     ]:
         with pytest.raises(StageError, match=pattern) as exc:
             ProjectConfig.read(_write_conf(tmp_path, **{key: value}))
@@ -206,6 +209,17 @@ def test_run_pipeline_logs_to_redirected_stderr(synth_tree, pipeline_run, tmp_pa
     for stage in ("cluster[WD]: ", "cluster[WE]: ", "train: ", "simulate: ", "validate[WD]:"):
         assert any(line.startswith(stage) for line in lines), stage
     assert (cfg.out / "sequences.csv").read_bytes() == (pipeline_run / "sequences.csv").read_bytes()
+
+
+def test_run_pipeline_writes_validate_tables_to_its_log(synth_tree, tmp_path, capsys):
+    cfg = ProjectConfig.read(synth_tree / "project.conf")
+    cfg.out = tmp_path / "out"
+    log = io.StringIO()
+    assert run_pipeline(cfg, log=log) == 0
+    assert capsys.readouterr().out == ""
+    header = ComparisonReport([]).format_table()
+    for day_type in ("WD", "WE"):
+        assert f"validate[{day_type}]:\n{header}\n" in log.getvalue()
 
 
 def test_partial_marker_left_on_failure(synth_tree, tmp_path):
@@ -517,50 +531,139 @@ def test_simulate_size_below_one_is_a_usage_error(capsys, command, flag, value):
     assert "drawn from entropy" not in err
 
 
-# Per kind: the corrupted file, the 0-based index of the line replaced and
-# (bad line, message) in the order of the ids below; "{prev}" repeats the
-# line before.
+# Per kind of text input: the corrupted file, under a copy of the synth tree
+# that also holds the run's models, cluster files and sequence table; the
+# 0-based index of the line replaced; the command that reads the file and
+# its exit code; and (id, bad line, message) cases, where "{prev}" repeats
+# the line before.
 BAD_LINES = {
     "dist": (
         "tpms/c0.wd.cooking.onset.dist",
         2,
+        "simulate",
+        6,
         [
-            ("0,1.5", "line 3: probability 1.5 outside 0..1"),
-            ("0,-0.5", "line 3: probability -0.5 outside 0..1"),
-            ("{prev}", "line 3: values must be finite and increasing"),
-            ("0,0.5,1", "line 3: expected value,probability, got '0,0.5,1'"),
-            ("0,abc", "line 3: expected value,probability, got '0,abc'"),
+            ("past_end", "0,1.5", "line 3: probability 1.5 outside 0..1"),
+            ("negative", "0,-0.5", "line 3: probability -0.5 outside 0..1"),
+            ("duplicate", "{prev}", "line 3: values must be finite and increasing"),
+            ("fields", "0,0.5,1", "line 3: expected value,probability, got '0,0.5,1'"),
+            ("nan_text", "0,abc", "line 3: expected value,probability, got '0,abc'"),
         ],
     ),
     "ref": (
         "reference/lighting.wd.ref",
         40,
+        "simulate",
+        6,
         [
-            ("96,0.5", "line 41: step 96 outside 0..95"),
-            ("-1,0.9", "line 41: step -1 outside 0..95"),
-            ("3,0.5", "line 41: duplicate step 3"),
-            ("40,0.5,1", "line 41: expected step,value, got 3 fields"),
-            ("40,abc", "line 41: could not convert string to float"),
+            ("past_end", "96,0.5", "line 41: step 96 outside 0..95"),
+            ("negative", "-1,0.9", "line 41: step -1 outside 0..95"),
+            ("duplicate", "3,0.5", "line 41: duplicate step 3"),
+            ("fields", "40,0.5,1", "line 41: expected step,value, got 3 fields"),
+            ("nan_text", "40,abc", "line 41: could not convert string to float"),
+        ],
+    ),
+    "tpm": (
+        "tpms/c0.wd.tpm",
+        9,
+        "simulate",
+        6,
+        [
+            ("fields", "{prev},0", "line 10: expected 7 values, got 8"),
+            ("nan_text", "abc,0,0,0,0,0,1", "line 10: could not convert string to float: 'abc'"),
+        ],
+    ),
+    "household": (
+        "household.conf",
+        3,
+        "simulate",
+        6,
+        [
+            ("fields", "shower_fraction 0.5", "line 4: expected key = value"),
+            ("nan_text", "shower_fraction = abc", "line 4: shower_fraction: could not convert string to float: 'abc'"),
+            ("unknown_key", "shower_fration = 0.5", "line 4: unknown key 'shower_fration'"),
+        ],
+    ),
+    "code_map": (
+        "code_map.csv",
+        2,
+        "ingest",
+        3,
+        [
+            ("fields", "h", "line 3: expected raw_code,canonical_state"),
+            ("unknown_token", "h,Napping", "line 3: unknown state token 'Napping'"),
+        ],
+    ),
+    "clusters": (
+        "model.wd.clusters",
+        2,
+        "train",
+        5,
+        [
+            ("negative", "shares,-1,1,0,1", "line 3: shares must be finite and nonnegative, got '-1,1,0,1'"),
+            ("nan_text", "shares,0.5,x", "line 3: shares must be numbers, got '0.5,x'"),
+            ("unknown_key", "names,a|b", "line 3: unknown line key 'names'"),
+        ],
+    ),
+    "project": (
+        "project.conf",
+        14,
+        "run",
+        2,
+        [
+            (
+                "bool_typo",
+                "unweighted_clustering = ture",
+                "line 15: unweighted_clustering: expected one of "
+                "('1', 'true', 'yes', '0', 'false', 'no'), got 'ture'",
+            ),
+            ("nan_text", "epsilon = abc", "line 15: epsilon: could not convert string to float: 'abc'"),
         ],
     ),
 }
 
 
-@pytest.mark.parametrize("kind", ["dist", "ref"])
-@pytest.mark.parametrize("case", range(5), ids=["past_end", "negative", "duplicate", "fields", "nan_text"])
+def _read_by(command, tree, out):
+    """Run the stage `command` on the inputs of `tree`; its exit code."""
+    if command == "simulate":
+        return _simulate(tree, tree / "tpms", tree / "reference", out)
+    if command == "ingest":
+        argv = ["--diaries", tree / "diaries.csv", "--code-map", tree / "code_map.csv", "--out", out / "seqs.csv"]
+    elif command == "train":
+        clusters = [tree / "model.wd.clusters", tree / "model.we.clusters"]
+        argv = ["--diaries", tree / "sequences.csv", "--clusters", *clusters, "--out", out / "tpms"]
+    else:
+        argv = ["--config", tree / "project.conf"]
+    return main([command, *map(str, argv)])
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [
+        pytest.param(kind, case, id=f"{cases[case][0]}-{kind}")
+        for kind, (_, _, _, _, cases) in BAD_LINES.items()
+        for case in range(len(cases))
+    ],
+)
 def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path, capsys, kind, case):
-    tpms, reference = tmp_path / "tpms", tmp_path / "reference"
-    shutil.copytree(pipeline_run / "tpms", tpms)
-    shutil.copytree(synth_tree / "reference", reference)
-    name, index, cases = BAD_LINES[kind]
-    line, message = cases[case]
+    """One corrupted line of each text input kind stops the stage that reads
+    it with that stage's exit code, naming the file and line, before it
+    writes anything."""
+    shutil.copytree(synth_tree, tmp_path, ignore=shutil.ignore_patterns("out"), dirs_exist_ok=True)
+    shutil.copytree(pipeline_run / "tpms", tmp_path / "tpms")
+    for name in ("model.wd.clusters", "model.we.clusters", "sequences.csv"):
+        shutil.copy(pipeline_run / name, tmp_path)
+    name, index, command, code, cases = BAD_LINES[kind]
+    _, line, message = cases[case]
     path = tmp_path / name
     lines = path.read_text().splitlines()
     lines[index] = line.format(prev=lines[index - 1])
     path.write_text("\n".join(lines) + "\n")
-    assert _simulate(synth_tree, tpms, reference, tmp_path / "out") == 6
-    assert f"{path.name}: {message}" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("household_*.csv"))
+    assert _read_by(command, tmp_path, tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["cx.wd.tpm", "c0.wd.x.tpm", "c0.xx.tpm"])
@@ -589,7 +692,8 @@ def test_simulate_rejects_tpm_header_that_disagrees_with_file_name(
     assert not (tmp_path / "out").exists()
 
 
-# A bundle channel's support outside its domain: (channel, support line, message).
+# A bundle channel's or model file's support outside its domain: (channel or
+# model file, support line, message).
 BAD_CHANNELS = [
     ("sink.flow", "-1.0,1", "flows must be >= 0, got -1"),
     ("sink.count", "-2,1", "counts must be whole and >= 0, got -2"),
@@ -600,6 +704,11 @@ BAD_CHANNELS = [
     ("bath.duration", "0,1", "durations must be > 0, got 0"),
     ("cooking_range.power.duration", "-5,1", "durations must be > 0, got -5"),
     ("clothes_washer.power.level", "-0.5,1", "levels must be >= 0, got -0.5"),
+    ("c0.wd.cooking.count.dist", "-1,1", "counts must be whole and >= 0, got -1"),
+    ("c0.wd.cooking.count.dist", "2.5,1", "counts must be whole and >= 0, got 2.5"),
+    ("c0.wd.cooking.onset.dist", "500,1", "onsets must round into steps 0..95, got 500"),
+    ("c0.wd.cooking.duration.dist", "0,1", "durations must be > 0, got 0"),
+    ("c0.wd.cooking.duration.dist", "-15,1", "durations must be > 0, got -15"),
 ]
 
 
@@ -607,11 +716,12 @@ BAD_CHANNELS = [
 def test_simulate_rejects_bundle_channel_outside_its_domain(
     synth_tree, pipeline_run, tmp_path, capsys, channel, line, message
 ):
-    bundle = tmp_path / "bundle"
+    bundle, tpms = tmp_path / "bundle", tmp_path / "tpms"
     shutil.copytree(synth_tree / "bundle", bundle)
-    (bundle / channel).write_text(f"unit,x\n{line}\n")
+    shutil.copytree(pipeline_run / "tpms", tpms)
+    (tpms if channel.endswith(".dist") else bundle).joinpath(channel).write_text(f"unit,x\n{line}\n")
     out = tmp_path / "out"
-    assert _simulate(synth_tree, pipeline_run / "tpms", synth_tree / "reference", out, bundle=bundle) == 6
+    assert _simulate(synth_tree, tpms, synth_tree / "reference", out, bundle=bundle) == 6
     assert f"{channel}: {message}" in capsys.readouterr().err
     assert not list(out.glob("household_*.csv"))
 
