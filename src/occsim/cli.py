@@ -103,9 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--day-type", choices=["wd", "we", "both"], default="both")
-    _add_settings(
-        p, "k_range", "repeats", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering"
-    )
+    _add_settings(p, "k_range", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering")
 
     p = sub.add_parser("train", help="fit per-cluster day-type models")
     p.add_argument("--diaries", type=Path, required=True, help="diaries or sequences file")

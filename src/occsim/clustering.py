@@ -1,9 +1,10 @@
 """k-modes clustering of presence sequences.
 
 Diaries are clustered on their 3-state presence projection with the
-matching dissimilarity (count of differing steps).  Model selection runs
-k-modes repeatedly across a k range and picks the largest k whose mean
-silhouette is within epsilon of the best mean.
+matching dissimilarity (count of differing steps).  k-modes starts from
+density-based modes, so a fit is deterministic; model selection fits each
+k of a range once and picks the largest k whose silhouette is within
+epsilon of the best.
 """
 
 from __future__ import annotations
@@ -184,55 +185,73 @@ def pairwise_distances(X: np.ndarray) -> np.ndarray:
     return D
 
 
+def _state_counts(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
+    """(k, steps, n_states) weighted count of each state at each step within
+    each cluster.  One bincount over the (cluster, step, state) cell of every
+    entry adds the weights of each cell in row order, as a per-cell running
+    sum would."""
+    steps = X.shape[1]
+    cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
+    counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
+    return counts.reshape(k, steps, n_states)
+
+
 def _weighted_modes(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
     """Per-dimension weighted most-frequent state for each cluster.
 
     Ties break toward the smallest state value so refits are deterministic.
-    One bincount over the (cluster, step, state) cell of every entry adds the
-    weights of each cell in row order, as a per-cell running sum would.
     """
-    steps = X.shape[1]
-    cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
-    counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
-    return counts.reshape(k, steps, n_states).argmax(axis=2).astype(np.int8)  # first maximum
+    return _state_counts(X, w, labels, k, n_states).argmax(axis=2).astype(np.int8)  # first maximum
+
+
+def _initial_modes(X: np.ndarray, w: np.ndarray, distinct: np.ndarray, k: int, n_states: int) -> np.ndarray:
+    """k of the distinct rows as starting modes, by the density-based
+    initialization of Cao, Liang & Bai (2009).
+
+    A row's density is the mean, over steps, of the weighted count of its
+    own state at that step.  The first mode is the densest row; each next
+    one is the row not chosen yet with the largest density times distance
+    to its nearest chosen mode.  Ties go to the first row.
+    """
+    counts = _state_counts(X, w, np.zeros(X.shape[0], dtype=np.intp), 1, n_states)[0]
+    density = counts[np.arange(X.shape[1]), distinct].mean(axis=1)
+    chosen = [int(density.argmax())]  # first maximum
+    while len(chosen) < k:
+        score = density * _distances_to_modes(distinct, distinct[chosen]).min(axis=1)
+        score[chosen] = -1.0  # rows of zero density score 0 too, but are never chosen twice
+        chosen.append(int(score.argmax()))
+    return distinct[chosen]
 
 
 def kmodes(
     X: np.ndarray,
     weights: np.ndarray | None = None,
     k: int = 4,
-    seed: int | np.random.SeedSequence | np.random.Generator = 0,
     max_iter: int = 50,
     day_type: str = "WD",
-    distinct: np.ndarray | None = None,
 ) -> tuple[ClusterModel, np.ndarray]:
     """Weighted k-modes under matching dissimilarity.
 
-    1. initialize modes as k distinct sequences drawn at random,
+    1. initialize modes as k distinct sequences by density (`_initial_modes`),
     2. assign each sequence to its nearest mode (ties to the lowest index),
     3. recompute each mode per dimension as the weighted most-frequent state,
        reseeding any emptied cluster from the point farthest from its own
        mode,
     4. repeat until assignments stop changing or `max_iter`.
 
-    Returns the fitted model plus per-sequence labels.  The weighted
-    within-cluster distance never increases from one iteration to the next.
-    `distinct` is `_distinct_rows(X)` for a caller that fits the same data
-    many times.
+    Returns the fitted model plus per-sequence labels; the same data give
+    the same fit.  The weighted within-cluster distance never increases
+    from one iteration to the next.
     """
     X, w = _coerce_data(X, weights)
-    n = X.shape[0]
     if k < 1:
         raise ClusterError("k must be >= 1")
-    if distinct is None:
-        distinct = _distinct_rows(X)
+    distinct = _distinct_rows(X)
     if k > distinct.shape[0]:
         raise ClusterError(f"k={k} exceeds the {distinct.shape[0]} distinct sequences")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_states = int(X.max()) + 1
 
-    modes = distinct[rng.choice(distinct.shape[0], size=k, replace=False)].copy()
-    labels = np.zeros(n, dtype=np.int64)
+    modes = _initial_modes(X, w, distinct, k, n_states)
     prev_obj = np.inf
     for _ in range(max_iter):
         labels = _assign_with_repair(X, modes)
@@ -324,16 +343,9 @@ def silhouette(distances: np.ndarray, labels: np.ndarray) -> float:
 
 
 @dataclass
-class KScore:
-    k: int
-    scores: list[float]
-    mean: float
-
-
-@dataclass
 class SelectKResult:
     k_star: int
-    table: list[KScore]
+    table: dict[int, float]  # k -> silhouette
     model: ClusterModel
     labels: np.ndarray = field(repr=False)
 
@@ -343,26 +355,22 @@ def select_k(
     weights: np.ndarray | None = None,
     *,
     k_range: range,
-    repeats: int,
     base_seed: int,
     epsilon: float,
     silhouette_sample: int | None,
     day_type: str = "WD",
 ) -> SelectKResult:
-    """Run repeated k-modes across a k range (every k >= 2) and pick k by mean silhouette.
+    """Fit k-modes once for each k of a k range (every k >= 2) and pick k by silhouette.
 
-    Each run's seed derives deterministically from (base_seed, k, repeat).
-    The chosen k is the largest whose mean silhouette is within `epsilon`
-    of the best mean; the returned model is that k's best-scoring run.
-    For large corpora `silhouette_sample` scores a fixed random subsample,
-    on which clusters absent from it are left out and fewer than two
-    present clusters score 0.  The distance matrix of the scored rows is
-    built once and shared by every run.
+    The chosen k is the largest whose silhouette is within `epsilon` of the
+    best; the returned model is that k's fit.  For large corpora
+    `silhouette_sample` scores a fixed random subsample, drawn from the
+    base_seed's clustering stream, on which clusters absent from it are
+    left out and fewer than two present clusters score 0.  The distance
+    matrix of the scored rows is built once and shared by every k.
     """
     if not k_range or min(k_range) < 2:
         raise ClusterError(f"k range must be nonempty with every k >= 2, got {k_range}")
-    if repeats < 1:
-        raise ClusterError(f"repeats must be at least 1, got {repeats}")
     if not 0 <= epsilon < np.inf:
         raise ClusterError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if silhouette_sample is not None and silhouette_sample < 2:
@@ -374,34 +382,19 @@ def select_k(
         pick_rng = streams.generator(int(base_seed), streams.CLUSTERING, 0)
         sil_idx = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
     D = pairwise_distances(X if sil_idx is None else X[sil_idx])
-    distinct = _distinct_rows(X)
-    table: list[KScore] = []
-    best_by_k: dict[int, tuple[float, ClusterModel, np.ndarray]] = {}
+    table: dict[int, float] = {}
+    fits: dict[int, tuple[ClusterModel, np.ndarray]] = {}
     for k in k_range:
-        scores = []
-        for r in range(repeats):
-            seq = streams.child(streams.root(int(base_seed)), streams.CLUSTERING, k, r)
-            model, labels = kmodes(
-                X,
-                w,
-                k=k,
-                seed=np.random.default_rng(seq),
-                day_type=day_type,
-                distinct=distinct,
-            )
-            if sil_idx is None:
-                score = silhouette(D, labels)
-            else:
-                present, sub_labels = np.unique(labels[sil_idx], return_inverse=True)
-                score = silhouette(D, sub_labels) if present.size > 1 else 0.0
-            scores.append(score)
-            if k not in best_by_k or score > best_by_k[k][0] + 0.0:
-                best_by_k[k] = (score, model, labels)
-        table.append(KScore(k, scores, float(np.mean(scores))))
-    best_mean = max(row.mean for row in table)
-    k_star = max(row.k for row in table if row.mean >= best_mean - epsilon)
-    _, model, labels = best_by_k[k_star]
-    return SelectKResult(k_star, table, model, labels)
+        model, labels = kmodes(X, w, k=k, day_type=day_type)
+        fits[k] = model, labels
+        if sil_idx is None:
+            table[k] = silhouette(D, labels)
+        else:
+            present, sub_labels = np.unique(labels[sil_idx], return_inverse=True)
+            table[k] = silhouette(D, sub_labels) if present.size > 1 else 0.0
+    best = max(table.values())
+    k_star = max(k for k, score in table.items() if score >= best - epsilon)
+    return SelectKResult(k_star, table, *fits[k_star])
 
 
 def assign_cluster(states: np.ndarray, model: ClusterModel) -> np.ndarray:

@@ -93,6 +93,8 @@ class ActivityCodeMap:
                     raise ValueError("expected raw_code,canonical_state") from None
                 if token not in STATE_BY_TOKEN:
                     raise ValueError(f"unknown state token {token!r}")
+                if code in mapping:
+                    raise ValueError(f"duplicate code {code!r}")
                 mapping[code] = STATE_BY_TOKEN[token]
             if "DEFAULT" not in mapping:
                 raise ValueError("missing DEFAULT,<state> line")

@@ -37,7 +37,7 @@ from .markov_train import (
     save_model_dir,
     train_cluster_day_model,
 )
-from .occupant_sim import SimCalendar, SimulationError
+from .occupant_sim import WEEKDAY_NAMES, SimCalendar, SimulationError
 from .schedule_io import ScheduleError, assemble_schedule, load_bundle, load_reference_dir, write_schedule_file
 from .validate import ComparisonReport, compare_behavior
 
@@ -71,6 +71,7 @@ def parse_k_range(value: str) -> tuple[int, int]:
 
 Seed = int  # a base seed, which numpy's SeedSequence takes only when >= 0
 Size = int  # a day or household count, which must be >= 1
+Weekday = str  # a weekday name, in any case
 
 
 def whole_number(value: str, least: int = 0) -> int:
@@ -110,12 +111,18 @@ _TYPE_PARSERS = {
     "Size": positive_number,
     "float": float,
     "str": str,
+    "Weekday": str.lower,
     "bool": boolean,
     "tuple[int, int]": parse_k_range,
 }
 
 # The Settings fields whose value is one of a few.
-CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS}
+CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS,
+           "start_weekday": WEEKDAY_NAMES}
+
+# Keys of settings that are gone: a project.conf may still hold them, and
+# ProjectConfig.read accepts and ignores them.
+RETIRED_KEYS = ("repeats",)
 
 
 @dataclass
@@ -127,10 +134,9 @@ class Settings:
     base_seed: Seed | None = None
     n_households: Size = 1
     n_days: Size = 365
-    start_weekday: str = "monday"
+    start_weekday: Weekday = "monday"
     approach: int = 3
     k_range: tuple[int, int] = (3, 10)
-    repeats: int = 10
     epsilon: float = 0.01
     silhouette_sample: int | None = None
     tpm_fallback: str = "absorbing"
@@ -167,11 +173,11 @@ class ProjectConfig(Settings):
             raise StageError("config", f"config file not found: {path}")
         parsers = {f.name: PARSERS.get(f.name, path.parent.joinpath) for f in fields(cls)}
         with reading(path, lambda message: StageError("config", message)) as lines:
-            values = key_values(lines, parsers)
+            values = key_values(lines, parsers | dict.fromkeys(RETIRED_KEYS, str))
             missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
             if missing:
                 raise ValueError(f"missing keys: {', '.join(missing)}")
-        return cls(**values)
+        return cls(**{key: value for key, value in values.items() if key not in RETIRED_KEYS})
 
 
 def resolve_seed(cfg: Settings, log, command: str) -> Settings:
@@ -223,7 +229,6 @@ def cluster_stage(
             project_to_presence(subset["states"]),
             None if cfg.unweighted_clustering else subset["weight"],
             k_range=range(cfg.k_range[0], cfg.k_range[1] + 1),
-            repeats=cfg.repeats,
             base_seed=cfg.base_seed,
             epsilon=cfg.epsilon,
             day_type=day_type,
@@ -233,9 +238,9 @@ def cluster_stage(
         raise StageError("cluster", f"{day_type}: {exc}") from exc
     out_file.parent.mkdir(parents=True, exist_ok=True)
     result.model.write(out_file)
-    for row in result.table:
-        marker = " *" if row.k == result.k_star else ""
-        print(f"cluster[{day_type}]: k={row.k} mean silhouette {row.mean:.4f}{marker}", file=log)
+    for k, score in result.table.items():
+        marker = " *" if k == result.k_star else ""
+        print(f"cluster[{day_type}]: k={k} silhouette {score:.4f}{marker}", file=log)
     print(f"cluster[{day_type}]: chose k={result.k_star} -> {out_file}", file=log)
     return result
 

@@ -356,7 +356,6 @@ def write_input_tree(
                 # the corpus plants four clusters; pin k so household cluster
                 # shares always line up with the trained model
                 "k_range = 4:4",
-                "repeats = 3",
                 "epsilon = 0.01",
                 "silhouette_sample = 768",
             ]

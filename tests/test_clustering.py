@@ -141,7 +141,7 @@ def test_kmodes_recovers_planted_partition():
     m1 = np.full(N_STEPS, 2, dtype=np.int8)
     m1[:20] = 1
     X, truth = planted_matrix(rng, [m0, m1], per_cluster=5, flips=3)
-    model, labels = kmodes(X, k=2, seed=0)
+    model, labels = kmodes(X, k=2)
     # same partition up to cluster relabeling
     maps = {}
     for t, l in zip(truth, labels):
@@ -170,13 +170,13 @@ def test_kmodes_k_exceeds_distinct():
     X = np.zeros((5, N_STEPS), dtype=np.int8)
     X[2:] = 1  # two distinct rows
     with pytest.raises(ClusterError, match="exceeds"):
-        kmodes(X, k=3, seed=0)
+        kmodes(X, k=3)
 
 
 def test_kmodes_weighted_shares():
     X = np.zeros((4, N_STEPS), dtype=np.int8)
     X[2:] = 2
-    model, labels = kmodes(X, weights=np.array([3.0, 1.0, 1.0, 1.0]), k=2, seed=1)
+    model, labels = kmodes(X, weights=np.array([3.0, 1.0, 1.0, 1.0]), k=2)
     shares = sorted(model.shares)
     assert shares == pytest.approx([2 / 6, 4 / 6])
 
@@ -186,13 +186,78 @@ def test_kmodes_matches_brute_force():
     m0 = np.zeros(N_STEPS, dtype=np.int8)
     m1 = np.full(N_STEPS, 2, dtype=np.int8)
     X, _ = planted_matrix(rng, [m0, m1], per_cluster=4, flips=30)
-    target = brute_force_cost(X, 2)
-    hits = 0
-    for seed in range(10):
-        model, labels = kmodes(X, k=2, seed=seed)
-        if model_cost(X, labels, model.modes) == target:
-            hits += 1
-    assert hits >= 9
+    model, labels = kmodes(X, k=2)
+    assert model_cost(X, labels, model.modes) == brute_force_cost(X, 2)
+
+
+def test_kmodes_draws_no_random_numbers():
+    X, _ = _three_cluster_data()
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("kmodes drew a generator")):
+        first, labels = kmodes(X, k=3)
+    again, labels_again = kmodes(X, k=3)
+    assert np.array_equal(first.modes, again.modes) and np.array_equal(labels, labels_again)
+
+
+def _initial_modes_reference(X, w, k):
+    """Cao, Liang & Bai's initialization written out row by row and step by step."""
+    distinct = np.unique(X, axis=0)
+    density = [np.mean([w[X[:, j] == row[j]].sum() for j in range(X.shape[1])]) for row in distinct]
+    chosen = [int(np.argmax(density))]
+    while len(chosen) < k:
+        best, pick = -1.0, None
+        for i, row in enumerate(distinct):
+            score = density[i] * min(np.count_nonzero(row != distinct[c]) for c in chosen)
+            if i not in chosen and score > best:
+                best, pick = score, i
+        chosen.append(pick)
+    return distinct[chosen]
+
+
+@given(state_matrices(), st.data())
+def test_initial_modes_match_reference(X, data):
+    # whole-number weights sum exactly in any order, so density ties are exact
+    n = X.shape[0]
+    w = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.float64)
+    distinct = clustering._distinct_rows(X)
+    k = data.draw(st.integers(1, distinct.shape[0]))
+    got = clustering._initial_modes(X, w, distinct, k, int(X.max()) + 1)
+    assert np.array_equal(got, _initial_modes_reference(X, w, k))
+
+
+def test_initial_modes_break_density_ties_to_the_first_distinct_row():
+    # a Latin square: every row has the same density and the same distance
+    # to every other, so each pick is a tie that the distinct-row order breaks
+    X = np.array([[2, 0, 1], [0, 1, 2], [1, 2, 0]], dtype=np.int8)
+    distinct = clustering._distinct_rows(X)
+    assert distinct.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for k in (1, 2, 3):
+        modes = clustering._initial_modes(X, np.ones(3), distinct, k, 3)
+        assert modes.tolist() == distinct[:k].tolist()
+
+
+def test_initial_modes_never_repeat_a_row_of_zero_density():
+    # the two zero-weight rows share no state with the weighted ones, so
+    # they score 0 like the chosen row does; each is still picked only once
+    X = np.zeros((4, N_STEPS), dtype=np.int8)
+    X[2], X[3] = 1, 2
+    w = np.array([1.0, 1.0, 0.0, 0.0])
+    distinct = clustering._distinct_rows(X)
+    for k in (2, 3):
+        modes = clustering._initial_modes(X, w, distinct, k, 3)
+        assert len({tuple(mode) for mode in modes}) == k
+    model, labels = kmodes(X, w, k=3)
+    assert sorted(model.modes[:, 0]) == [0, 1, 2]
+    assert sorted(model.shares) == [0.0, 0.0, 1.0]
+
+
+def test_kmodes_with_k_equal_to_the_distinct_rows():
+    X = np.zeros((7, N_STEPS), dtype=np.int8)
+    X[2:5] = 1
+    X[5:] = 2
+    w = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 3.0, 1.0])
+    model, labels = kmodes(X, w, k=3)
+    assert model_cost(X, labels, model.modes, w) == 0.0
+    assert sorted(model.shares) == pytest.approx([3 / 10, 3 / 10, 4 / 10])
 
 
 def test_assign_with_repair_fills_empty_cluster():
@@ -267,34 +332,34 @@ def _three_cluster_data(per=8):
 
 def test_select_k_finds_planted_k():
     X, _ = _three_cluster_data()
-    result = select_k(X, k_range=range(2, 6), repeats=3, base_seed=0, epsilon=0.01, silhouette_sample=None)
+    result = select_k(X, k_range=range(2, 6), base_seed=0, epsilon=0.01, silhouette_sample=None)
     assert result.k_star == 3
-    assert [row.k for row in result.table] == [2, 3, 4, 5]
+    assert list(result.table) == [2, 3, 4, 5]
     assert result.model.k == 3
 
 
 def test_select_k_epsilon_rule_prefers_largest_within_band():
     X, _ = _three_cluster_data()
-    # an epsilon wider than any mean gap must choose the top of the range
-    result = select_k(X, k_range=range(2, 5), repeats=2, base_seed=0, epsilon=1.0, silhouette_sample=None)
+    # an epsilon wider than any score gap must choose the top of the range
+    result = select_k(X, k_range=range(2, 5), base_seed=0, epsilon=1.0, silhouette_sample=None)
     assert result.k_star == 4
 
 
 def test_select_k_deterministic():
     X, _ = _three_cluster_data()
-    r1 = select_k(X, k_range=range(2, 5), repeats=2, base_seed=7, epsilon=0.01, silhouette_sample=None)
-    r2 = select_k(X, k_range=range(2, 5), repeats=2, base_seed=7, epsilon=0.01, silhouette_sample=None)
+    r1 = select_k(X, k_range=range(2, 5), base_seed=7, epsilon=0.01, silhouette_sample=None)
+    r2 = select_k(X, k_range=range(2, 5), base_seed=7, epsilon=0.01, silhouette_sample=None)
     assert r1.k_star == r2.k_star
     assert np.array_equal(r1.model.modes, r2.model.modes)
-    assert [s.scores for s in r1.table] == [s.scores for s in r2.table]
+    assert r1.table == r2.table
 
 
 def test_select_k_silhouette_subsample_deterministic():
     X, _ = _three_cluster_data(per=40)
-    r1 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, epsilon=0.01, silhouette_sample=30)
-    r2 = select_k(X, k_range=range(2, 4), repeats=2, base_seed=1, epsilon=0.01, silhouette_sample=30)
+    r1 = select_k(X, k_range=range(2, 4), base_seed=1, epsilon=0.01, silhouette_sample=30)
+    r2 = select_k(X, k_range=range(2, 4), base_seed=1, epsilon=0.01, silhouette_sample=30)
     assert r1.k_star == r2.k_star == 3
-    assert [s.scores for s in r1.table] == [s.scores for s in r2.table]
+    assert r1.table == r2.table
 
 
 @pytest.mark.parametrize(
@@ -303,7 +368,7 @@ def test_select_k_silhouette_subsample_deterministic():
         ({"k_range": range(1, 4)}, "every k >= 2"),
         ({"k_range": range(1, 4), "silhouette_sample": 30}, "every k >= 2"),
         ({"k_range": range(4, 3)}, "nonempty"),
-        ({"repeats": 0}, "repeats must be at least 1"),
+        ({"k_range": range(200, 201)}, "k=200 exceeds the 120 distinct sequences"),
         ({"epsilon": float("nan")}, "epsilon must be finite"),
         ({"epsilon": float("inf")}, "epsilon must be finite"),
         ({"epsilon": -0.01}, "epsilon must be finite"),
@@ -313,7 +378,7 @@ def test_select_k_silhouette_subsample_deterministic():
 def test_select_k_rejects_out_of_range_parameters(kwargs, message):
     X, _ = _three_cluster_data(per=40)
     with pytest.raises(ClusterError, match=message):
-        params = {"k_range": range(2, 4), "repeats": 1, "base_seed": 0, "epsilon": 0.01}
+        params = {"k_range": range(2, 4), "base_seed": 0, "epsilon": 0.01}
         select_k(X, **{**params, "silhouette_sample": None, **kwargs})
 
 
@@ -416,7 +481,7 @@ def test_pairwise_distances_match_reference(X):
 @given(st.data(), st.integers(1, 6), st.integers(1, 12))
 def test_distinct_rows_match_unique_rows(data, steps, n):
     """One byte sort gives `np.unique(X, axis=0)`: the same rows in the same
-    order, negative states included, so kmodes draws the same modes."""
+    order, negative states included."""
     row = st.lists(st.integers(-128, 127), min_size=steps, max_size=steps)
     base = data.draw(st.lists(row, min_size=1, max_size=4))
     picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
@@ -457,40 +522,33 @@ def test_weighted_modes_sum_order_matches_reference():
     assert np.array_equal(_weighted_modes(X, w, labels, 1, 2), expected)
 
 
-def _select_k_reference(X, w, k_range, repeats, base_seed, epsilon, silhouette_sample, monkeypatch):
-    """select_k as a per-run recompute: every run rebuilds its own matrix and
-    distinct rows and refits modes with the `np.add.at` kernel."""
+def _select_k_reference(X, w, k_range, base_seed, epsilon, silhouette_sample, monkeypatch):
+    """select_k as a per-k recompute: every k rebuilds its own matrix and
+    refits modes with the `np.add.at` kernel."""
     n = X.shape[0]
     rows = np.arange(n)
     if silhouette_sample is not None and n > silhouette_sample:
         pick_rng = streams.generator(base_seed, streams.CLUSTERING, 0)
         rows = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
-    table, best = [], {}
+    table, fits = {}, {}
     with monkeypatch.context() as m:
         m.setattr(clustering, "_weighted_modes", _weighted_modes_reference)
         for k in k_range:
-            scores = []
-            for r in range(repeats):
-                seq = streams.child(streams.root(base_seed), streams.CLUSTERING, k, r)
-                model, labels = kmodes(X, w, k=k, seed=np.random.default_rng(seq))
-                score = _silhouette_reference(X[rows], labels[rows])
-                scores.append(score)
-                if k not in best or score > best[k][0]:
-                    best[k] = (score, model, labels)
-            table.append((k, scores, float(np.mean(scores))))
-    best_mean = max(mean for _, _, mean in table)
-    k_star = max(k for k, _, mean in table if mean >= best_mean - epsilon)
-    return k_star, table, best[k_star][1], best[k_star][2]
+            fits[k] = kmodes(X, w, k=k)
+            table[k] = _silhouette_reference(X[rows], fits[k][1][rows])
+    best = max(table.values())
+    k_star = max(k for k, score in table.items() if score >= best - epsilon)
+    return k_star, table, *fits[k_star]
 
 
 @pytest.mark.parametrize("sample", [None, 500, 150])
 def test_select_k_matches_per_run_reference(monkeypatch, sample):
     corpus = generate_corpus(240, base_seed=17, day_types=("WD",))
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
-    kwargs = dict(k_range=range(2, 6), repeats=3, base_seed=17, epsilon=0.01, silhouette_sample=sample)
+    kwargs = dict(k_range=range(2, 6), base_seed=17, epsilon=0.01, silhouette_sample=sample)
     got = select_k(X, w, **kwargs)
     k_star, table, model, labels = _select_k_reference(X, w, **kwargs, monkeypatch=monkeypatch)
-    assert [(row.k, row.scores, row.mean) for row in got.table] == table
+    assert got.table == table
     assert got.k_star == k_star
     assert np.array_equal(got.model.modes, model.modes)
     assert np.array_equal(got.model.shares, model.shares)
@@ -515,7 +573,7 @@ def test_blocked_distances_and_scores_equal_whole_matrix_oracles(block, edge, sa
     labels = np.arange(n) % 3
     rng.shuffle(labels)
     sample = n if sampled else None
-    kwargs = dict(k_range=range(2, 4), repeats=2, base_seed=seed, epsilon=0.01, silhouette_sample=sample)
+    kwargs = dict(k_range=range(2, 4), base_seed=seed, epsilon=0.01, silhouette_sample=sample)
     with mock.patch.object(clustering, "_BLOCK_BYTES", 8 * n * block):
         assert clustering._block_rows(n) == block
         D = pairwise_distances(X[:n])
@@ -525,9 +583,7 @@ def test_blocked_distances_and_scores_equal_whole_matrix_oracles(block, edge, sa
         got = select_k(X, **kwargs)
     with mock.patch.multiple(clustering, pairwise_distances=whole_pairwise_distances, silhouette=whole_silhouette):
         expected = select_k(X, **kwargs)
-    assert [(row.k, row.scores, row.mean) for row in got.table] == [
-        (row.k, row.scores, row.mean) for row in expected.table
-    ]
+    assert got.table == expected.table
     assert got.k_star == expected.k_star
     assert np.array_equal(got.labels, expected.labels)
 
@@ -540,7 +596,7 @@ def test_select_k_peak_memory_stays_below_three_bytes_per_cell():
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
     tracemalloc.start()
     try:
-        select_k(X, w, k_range=range(3, 5), repeats=2, base_seed=31, epsilon=0.01, silhouette_sample=None)
+        select_k(X, w, k_range=range(3, 5), base_seed=31, epsilon=0.01, silhouette_sample=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -549,10 +605,10 @@ def test_select_k_peak_memory_stays_below_three_bytes_per_cell():
 
 def test_select_k_subsample_with_one_present_cluster_scores_zero():
     # 30 rows of one pattern and 2 of another: a 3-row subsample can miss
-    # the small cluster, and such runs score 0 as in the per-run reference
+    # the small cluster, and such a fit scores 0 as in the per-k reference
     X = np.zeros((32, N_STEPS), dtype=np.int8)
     X[30:] = 2
-    result = select_k(X, k_range=range(2, 3), repeats=4, base_seed=3, epsilon=0.01, silhouette_sample=3)
+    result = select_k(X, k_range=range(2, 3), base_seed=3, epsilon=0.01, silhouette_sample=3)
     pick = np.sort(streams.generator(3, streams.CLUSTERING, 0).choice(32, size=3, replace=False))
     assert np.all(pick < 30)
-    assert result.table[0].scores == [0.0] * 4
+    assert result.table == {2: 0.0}

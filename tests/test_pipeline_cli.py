@@ -88,7 +88,7 @@ def test_config_read_resolves_relative_paths(tmp_path):
     assert cfg.out == tmp_path / "out"
     assert cfg.base_seed == 7
     assert cfg.k_range == (2, 5)
-    assert cfg.repeats == 4
+    assert not hasattr(cfg, "repeats")  # a retired key: read and ignored
     assert cfg.approach == 2
     assert cfg.unweighted_clustering is True
     # untouched defaults
@@ -135,7 +135,7 @@ def test_config_read_errors(tmp_path):
         ("n_days", "0", "n_days: expected a whole number >= 1, got 0"),
         ("n_households", "-2", "n_households: expected a whole number >= 1, got -2"),
         ("tpm_fallback", "magic", r"line 6: tpm_fallback: expected one of \('absorbing', 'uniform', 'laplace'\)"),
-        ("repeats", "many", "invalid literal"),
+        ("start_weekday", "funday", r"line 6: start_weekday: expected one of \('monday', .*, got 'funday'"),
         ("unweighted_clustering", "ture", r"line 6: unweighted_clustering: expected one of \('1', 'true', 'yes', "),
     ]:
         with pytest.raises(StageError, match=pattern) as exc:
@@ -271,7 +271,7 @@ def _run_stagewise(synth_tree, out, household, seed, flags):
     sequences = str(out / "sequences.csv")
     stage("ingest", "--diaries", diaries, "--code-map", code_map, "--out", sequences)
     stage("cluster", "--input", sequences, "--out", str(out), "--day-type", "both", "--k-range", "4:4",
-          "--repeats", "3", "--seed", seed, "--silhouette-sample", "768")
+          "--seed", seed, "--silhouette-sample", "768")
     clusters = [str(out / "model.wd.clusters"), str(out / "model.we.clusters")]
     stage("train", "--diaries", sequences, "--clusters", *clusters, "--out", str(out / "tpms"))
     stage("simulate", "--tpms", str(out / "tpms"), "--bundle", str(synth_tree / "bundle"),
@@ -354,7 +354,6 @@ def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp
         "n_households": 2,
         "n_days": 6,
         "k_range": "4:4",
-        "repeats": 3,
         "silhouette_sample": 768,
     }
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings, **keys))]) == 0
@@ -531,6 +530,16 @@ def test_simulate_size_below_one_is_a_usage_error(capsys, command, flag, value):
     assert "drawn from entropy" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "simulate-occupant"])
+def test_unknown_start_weekday_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED_FLAGS[command], "--start-weekday", "funday"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --start-weekday: expected one of ('monday', " in err and "got 'funday'" in err
+    assert "drawn from entropy" not in err
+
+
 # Per kind of text input: the corrupted file, under a copy of the synth tree
 # that also holds the run's models, cluster files and sequence table; the
 # 0-based index of the line replaced; the command that reads the file and
@@ -592,6 +601,7 @@ BAD_LINES = {
         [
             ("fields", "h", "line 3: expected raw_code,canonical_state"),
             ("unknown_token", "h,Napping", "line 3: unknown state token 'Napping'"),
+            ("duplicate", "{prev}", "line 3: duplicate code 'a'"),
         ],
     ),
     "clusters": (
@@ -607,17 +617,17 @@ BAD_LINES = {
     ),
     "project": (
         "project.conf",
-        14,
+        13,
         "run",
         2,
         [
             (
                 "bool_typo",
                 "unweighted_clustering = ture",
-                "line 15: unweighted_clustering: expected one of "
+                "line 14: unweighted_clustering: expected one of "
                 "('1', 'true', 'yes', '0', 'false', 'no'), got 'ture'",
             ),
-            ("nan_text", "epsilon = abc", "line 15: epsilon: could not convert string to float: 'abc'"),
+            ("nan_text", "epsilon = abc", "line 14: epsilon: could not convert string to float: 'abc'"),
         ],
     ),
 }
@@ -788,7 +798,6 @@ def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline
 @pytest.mark.parametrize(
     "option, message",
     [
-        ("--repeats=0", "repeats must be at least 1, got 0"),
         ("--epsilon=nan", "epsilon must be finite and nonnegative, got nan"),
         ("--epsilon=-0.1", "epsilon must be finite and nonnegative, got -0.1"),
         ("--silhouette-sample=1", "silhouette_sample must be at least 2, got 1"),
@@ -796,7 +805,7 @@ def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline
 )
 def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, option, message):
     args = ["cluster", "--input", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
-    assert main(args + ["--k-range", "2:3", "--repeats", "1", option]) == 4
+    assert main(args + ["--k-range", "2:3", option]) == 4
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.clusters"))
 
@@ -812,8 +821,7 @@ def test_train_rejects_out_of_range_alpha(pipeline_run, tmp_path, capsys, alpha)
 
 @pytest.mark.parametrize(
     "key, value, code",
-    [("k_range", "1:4", 2), ("repeats", "0", 4), ("epsilon", "nan", 4), ("silhouette_sample", "1", 4),
-     ("tpm_alpha", "nan", 5)],
+    [("k_range", "1:4", 2), ("epsilon", "nan", 4), ("silhouette_sample", "1", 4), ("tpm_alpha", "nan", 5)],
 )
 def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, code):
     settings = {
@@ -825,7 +833,6 @@ def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, co
         "base_seed": 1,
         "n_days": 2,
         "k_range": "4:4",
-        "repeats": 1,
         "tpm_fallback": "laplace",
     }
     settings[key] = value
@@ -862,7 +869,6 @@ def test_run_rejects_bad_simulate_input_before_ingest(synth_tree, tmp_path, caps
         "base_seed": 1,
         "n_days": 28,
         "k_range": "4:4",
-        "repeats": 1,
     }
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == 6
     assert message in capsys.readouterr().err
@@ -1018,7 +1024,6 @@ def test_run_rejects_zero_occupant_count_before_ingest(synth_tree, tmp_path, cap
         "base_seed": 1,
         "n_days": 2,
         "k_range": "4:4",
-        "repeats": 1,
     }
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == 6
     assert "occupant_count support must be whole numbers >= 1" in capsys.readouterr().err
@@ -1039,7 +1044,7 @@ def test_cluster_unweighted_clusters_unit_weights(pipeline_run, tmp_path):
     unit = read_sequences(pipeline_run / "sequences.csv")
     unit["weight"] = 1.0
     write_sequences(tmp_path / "unit.csv", unit)
-    options = ["--k-range", "4:4", "--repeats", "2", "--seed", "5"]
+    options = ["--k-range", "4:4", "--seed", "5"]
     for name, source, extra in [
         ("weighted", pipeline_run / "sequences.csv", []),
         ("unweighted", pipeline_run / "sequences.csv", ["--unweighted"]),
@@ -1070,7 +1075,7 @@ def test_synth_leaves_unset_options_to_write_input_tree(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command, options, outputs",
     [
-        ("cluster", ["--k-range", "4:4", "--repeats", "2"], ["model.wd.clusters", "model.we.clusters"]),
+        ("cluster", ["--k-range", "4:4"], ["model.wd.clusters", "model.we.clusters"]),
         ("simulate-occupant", ["--wd-cluster", "0", "--we-cluster", "1", "--days", "3"], ["occ.csv"]),
     ],
 )
@@ -1147,7 +1152,7 @@ REQUIRED_FLAGS = {
 }
 SETTING_NAMES = {f.name for f in fields(Settings)}
 STAGE_SETTINGS = {
-    "cluster": ["k_range", "repeats", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering"],
+    "cluster": ["k_range", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering"],
     "train": ["tpm_fallback", "tpm_alpha"],
     "simulate": ["n_households", "n_days", "start_weekday", "base_seed", "approach", "modulation"],
     "simulate-occupant": ["n_days", "start_weekday", "base_seed", "approach"],
@@ -1169,7 +1174,6 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
         "start_weekday": "friday",
         "approach": "1",
         "k_range": "2:5",
-        "repeats": "4",
         "epsilon": "0.5",
         "silhouette_sample": "40",
         "tpm_fallback": "laplace",
@@ -1194,7 +1198,7 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
 @pytest.mark.parametrize(
     "kernel, names",
     [
-        (select_k, ["k_range", "repeats", "base_seed", "epsilon", "silhouette_sample"]),
+        (select_k, ["k_range", "base_seed", "epsilon", "silhouette_sample"]),
         (estimate_tpm, ["fallback", "alpha"]),
         (train_cluster_day_model, ["fallback", "alpha"]),
         (assemble_schedule, ["modulation"]),
