@@ -42,6 +42,7 @@ from .pipeline import (
     train_stage,
     validate_stage,
     whole_number,
+    writing,
 )
 
 # The stage flag of each Settings field: `--` and its name with dashes, or
@@ -162,7 +163,8 @@ def _cmd_ingest(args, log) -> int:
 def _cmd_cluster(args, log) -> int:
     cfg = resolve_seed(_settings(args), log, "cluster")
     sequences, _ = load_sequences(args.input, args.code_map, "cluster")
-    args.out.mkdir(parents=True, exist_ok=True)
+    with writing("cluster"):
+        args.out.mkdir(parents=True, exist_ok=True)
     for day_type in DAY_TYPES if args.day_type == "both" else [args.day_type.upper()]:
         cluster_stage(sequences, day_type, args.out / f"model.{day_type.lower()}.clusters", cfg, log=log)
     return 0
@@ -201,8 +203,9 @@ def _cmd_simulate_occupant(args, log) -> int:
         states, failures = simulate_year(profile, days, models, calendar, rng_root, approach=cfg.approach)
     except (TrainError, SimulationError, OSError) as exc:
         raise StageError("simulate", str(exc)) from exc
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_sequences(args.out, days_to_sequences(states, calendar.day_types, "d"))
+    with writing("simulate"):
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        write_sequences(args.out, days_to_sequences(states, calendar.day_types, "d"))
     if failures:
         print(f"simulate-occupant: {failures} placement failures", file=log)
     print(f"simulate-occupant: {len(states)} days -> {args.out}", file=log)
@@ -219,7 +222,8 @@ def _cmd_validate(args, log) -> int:
 def _cmd_synth(args, log) -> int:
     from .synth import write_input_tree
 
-    layout = write_input_tree(**{key: value for key, value in vars(args).items() if key != "command"})
+    with writing("synth"):
+        layout = write_input_tree(**{key: value for key, value in vars(args).items() if key != "command"})
     print(f"synth: input tree -> {layout.root}", file=log)
     print(f"synth: project config -> {layout.project}", file=log)
     return 0

@@ -155,30 +155,106 @@ def _row_head(path: str | Path, row: int, fields: list[str], width: int) -> tupl
     return rid, day_type, weight
 
 
-def _read_rows(path: str | Path, lookup: dict[str, int], width: int, dtype: np.dtype) -> np.ndarray:
+# Rows read and mapped at once, and rows resampled at once.  Small, since a
+# block's codes take up to 8 bytes each while they are mapped.
+_ROW_BLOCK = 64
+_COMMA = ord(",")
+
+
+def _cell_integers(cells: np.ndarray) -> np.ndarray:
+    """Each row of w <= 8 bytes, zero-padded to 1, 2, 4 or 8 bytes, as one unsigned integer."""
+    w = cells.shape[1]
+    padded = np.zeros((len(cells), 1 << (w - 1).bit_length()), np.uint8)
+    padded[:, :w] = cells
+    return padded.view(f"u{padded.shape[1]}").ravel()
+
+
+def _fixed_width_keys(lookup: dict[str, int]) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """For a lookup whose keys all take the same w <= 8 bytes in UTF-8: w,
+    the keys as sorted `_cell_integers` and their values in that order.
+    None for any other lookup."""
+    encoded = [key.encode(errors="surrogatepass") for key in lookup]
+    widths = set(map(len, encoded))
+    if len(widths) != 1 or not 1 <= (w := widths.pop()) <= 8:
+        return None
+    keys = _cell_integers(np.frombuffer(b"".join(encoded), np.uint8).reshape(-1, w))
+    order = np.argsort(keys)
+    return w, keys[order], np.fromiter(lookup.values(), np.uint8, len(lookup))[order]
+
+
+def _map_block(
+    bodies: list[str], width: int, fixed_keys: tuple[int, np.ndarray, np.ndarray], default: int | None
+) -> np.ndarray | None:
+    """The codes of row bodies mapped through `_fixed_width_keys` output,
+    a miss to `default`; None unless every body is `width` codes of w
+    bytes joined by commas and every miss has a default."""
+    w, keys, values = fixed_keys
+    encoded = [body.encode() for body in bodies]
+    if any(len(body) != width * (w + 1) - 1 for body in encoded):
+        return None
+    cells = np.frombuffer(b",".join(encoded) + b",", np.uint8).reshape(-1, w + 1)
+    if not (cells[:, w] == _COMMA).all() or (cells[:, :w] == _COMMA).any():  # a comma ends each code
+        return None
+    codes = _cell_integers(cells[:, :w])
+    index = np.searchsorted(keys, codes)
+    np.minimum(index, len(keys) - 1, out=index)
+    found = keys[index] == codes
+    mapped = values[index]
+    if not found.all():
+        if default is None:
+            return None
+        mapped[~found] = default
+    return mapped
+
+
+def _read_rows(
+    path: str | Path, lookup: dict[str, int], width: int, dtype: np.dtype, default: int | None = None
+) -> np.ndarray:
     """The `dtype` table of a file with a header line, then rows of
     respondent_id,day_type,weight and `width` codes, each code mapped
-    through `lookup`.  Blank lines are skipped but counted in the row
-    numbers that errors name; a code `lookup` does not hold is a
-    DiaryFormatError naming its row, as are bytes that are not UTF-8."""
-    get = lookup.__getitem__
-    heads, codes = [], bytearray()
+    through `lookup`, or to `default` when it has one and `lookup` lacks
+    the code.  Blank lines are skipped but counted in the row numbers that
+    errors name; a code without a value is a DiaryFormatError naming its
+    row, as are bytes that are not UTF-8.
+
+    Rows go `_ROW_BLOCK` at a time through `_map_block`; a block it does
+    not map goes through the row loop, which builds every error message."""
+    fixed_keys = _fixed_width_keys(lookup)
+    get = (lookup if default is None else defaultdict(lambda: default, lookup)).__getitem__
+    heads, codes, block = [], bytearray(), []
+
+    def take_block():
+        parts = [line.split(",", 3) for _, line in block] if fixed_keys else []
+        mapped = None
+        if parts and all(len(head_body) == 4 for head_body in parts):
+            mapped = _map_block([head_body[3] for head_body in parts], width, fixed_keys, default)
+        if mapped is None:
+            for row, line in block:
+                fields = line.split(",")
+                heads.append(_row_head(path, row, fields, 3 + width))
+                try:
+                    codes.extend(bytes(map(get, fields[3:])))
+                except KeyError as exc:
+                    raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+        else:  # each row is its three head fields and a body of `width` codes
+            heads.extend(_row_head(path, row, head_body, 4) for (row, _), head_body in zip(block, parts))
+            codes.extend(mapped)
+        block.clear()
+
     try:
         with open(path) as fh:
             if not fh.readline():
                 raise DiaryFormatError(f"{path}: empty file")
             for row, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split(",")
-                heads.append(_row_head(path, row, fields, 3 + width))
-                try:
-                    codes += bytes(map(get, fields[3:]))
-                except KeyError as exc:
-                    raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+                if line:
+                    block.append((row, line))
+                    if len(block) == _ROW_BLOCK:
+                        take_block()
     except UnicodeDecodeError as exc:
+        take_block()  # the rows read before the bad byte are checked first
         raise DiaryFormatError(f"{path}: {exc}") from None
+    take_block()
     table = np.empty(len(heads), dtype=dtype)
     table["id"], table["day_type"], table["weight"] = zip(*heads) if heads else ((), (), ())
     table[dtype.names[3]] = np.frombuffer(codes, np.int8).reshape(-1, width)
@@ -192,8 +268,8 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
     records; unknown codes map to the code map's default state and are
     tallied in the result.
     """
-    lookup = defaultdict(lambda: _UNMAPPED, ((code, int(state)) for code, state in code_map.mapping.items()))
-    diaries = _read_rows(path, lookup, N_MINUTES, DIARY)
+    lookup = {code: int(state) for code, state in code_map.mapping.items()}
+    diaries = _read_rows(path, lookup, N_MINUTES, DIARY, default=_UNMAPPED)
     minutes = diaries["minutes"]
     unmapped = minutes.view(np.uint8) == _UNMAPPED
     minutes[unmapped] = int(code_map.default_state)
@@ -201,30 +277,38 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
 
 
 _N_STATES = len(FULL_ALPHABET)
-# flat (step, state) cell index of state 0 in each window
-_WINDOW_CELLS = np.arange(N_STEPS)[:, None] * _N_STATES
+# flat (row, step, state) cell index of state 0 in each window of a block
+_WINDOW_CELLS = np.arange(_ROW_BLOCK * N_STEPS).reshape(_ROW_BLOCK, N_STEPS, 1) * _N_STATES
 
 
 def resample_to_sequence(minutes: np.ndarray) -> np.ndarray:
-    """Collapse 1440 minute states to 96 int8 steps by per-window majority vote.
+    """Collapse (n, 1440) minute states to (n, 96) int8 steps by per-window
+    majority vote, `_ROW_BLOCK` rows at a time.
 
     Ties go to the state that occurs earliest within the window.
     """
     minutes = np.asarray(minutes, dtype=np.int8)
-    # votes count in flat (step, state) cells, where a state out of range
-    # would count toward a neighbouring step
-    if minutes.view(np.uint8).max() >= _N_STATES:
+    if minutes.ndim != 2 or minutes.shape[1] != N_MINUTES:
+        raise DiaryFormatError(f"minutes must be (n, {N_MINUTES}), got {minutes.shape}")
+    # votes count in flat (row, step, state) cells, where a state out of
+    # range would count toward a neighbouring step
+    if minutes.size and minutes.view(np.uint8).max() >= _N_STATES:
         raise DiaryFormatError(f"state outside 0..{_N_STATES - 1}")
-    cells = _WINDOW_CELLS + minutes.reshape(N_STEPS, STEP_MINUTES)
-    counts = np.bincount(cells.ravel(), minlength=N_STEPS * _N_STATES)
-    firsts = np.full(N_STEPS * _N_STATES, STEP_MINUTES, dtype=np.int16)
-    # latest offset first, so each cell keeps the earliest offset it occurs at
-    for offset in range(STEP_MINUTES - 1, -1, -1):
-        firsts[cells[:, offset]] = offset
-    # Highest count wins; among tied states, the earliest first occurrence.
-    # States that occur have distinct first offsets, so the key has one maximum.
-    key = counts * (STEP_MINUTES + 1) - firsts
-    return key.reshape(N_STEPS, _N_STATES).argmax(axis=1).astype(np.int8)
+    states = np.empty((len(minutes), N_STEPS), dtype=np.int8)
+    for lo in range(0, len(minutes), _ROW_BLOCK):
+        block = minutes[lo : lo + _ROW_BLOCK]
+        n = len(block)
+        cells = _WINDOW_CELLS[:n] + block.reshape(n, N_STEPS, STEP_MINUTES)
+        counts = np.bincount(cells.ravel(), minlength=n * N_STEPS * _N_STATES)
+        firsts = np.full(n * N_STEPS * _N_STATES, STEP_MINUTES, dtype=np.int16)
+        # latest offset first, so each cell keeps the earliest offset it occurs at
+        for offset in range(STEP_MINUTES - 1, -1, -1):
+            firsts[cells[..., offset]] = offset
+        # Highest count wins; among tied states, the earliest first occurrence.
+        # States that occur have distinct first offsets, so the key has one maximum.
+        key = counts * (STEP_MINUTES + 1) - firsts
+        states[lo : lo + n] = key.reshape(n, N_STEPS, _N_STATES).argmax(axis=2)
+    return states
 
 
 def project_to_presence(states: np.ndarray) -> np.ndarray:
@@ -236,7 +320,7 @@ def ingest(path: str | Path, code_map: ActivityCodeMap) -> tuple[np.ndarray, int
     """Parse and resample a diary file into a SEQUENCE table in one pass."""
     parsed = parse_diaries(path, code_map)
     diaries = parsed.diaries
-    states = np.array([resample_to_sequence(m) for m in diaries["minutes"]], dtype=np.int8).reshape(-1, N_STEPS)
+    states = resample_to_sequence(diaries["minutes"])
     return sequence_table(diaries["id"], diaries["day_type"], diaries["weight"], states), parsed.unknown_codes
 
 
@@ -284,8 +368,8 @@ def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None
     path = Path(path)
     with path.open(errors="replace") as fh:  # the reader names a bad byte's file
         fh.readline()
-        first = fh.readline()
-    n_fields = len(first.rstrip("\n").split(",")) if first.strip() else 0
+        first = next((line for line in fh if line.strip()), "")  # the first data row
+    n_fields = len(first.rstrip("\n").split(",")) if first else 0
     if n_fields == 3 + N_STEPS:
         return read_sequences(path), 0
     if n_fields == 3 + N_MINUTES:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import secrets
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from .validate import ComparisonReport, compare_behavior
 CHUNK_HOUSEHOLD_DAYS = 12 * 365
 
 # process exit code of each stage's StageError
-_STAGE_CODES = {"config": 2, "ingest": 3, "cluster": 4, "train": 5, "simulate": 6, "validate": 7}
+_STAGE_CODES = {"config": 2, "synth": 2, "ingest": 3, "cluster": 4, "train": 5, "simulate": 6, "validate": 7}
 
 
 class StageError(Exception):
@@ -59,6 +60,17 @@ class StageError(Exception):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
         self.exit_code = _STAGE_CODES[stage]
+
+
+@contextmanager
+def writing(stage: str):
+    """A block that creates output directories and files: an OSError in it,
+    such as an output path that is a file where a directory must be, is a
+    StageError of `stage`."""
+    try:
+        yield
+    except OSError as exc:
+        raise StageError(stage, str(exc)) from exc
 
 
 def parse_k_range(value: str) -> tuple[int, int]:
@@ -207,8 +219,9 @@ def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log=None)
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
     log = sys.stderr if log is None else log
     sequences, unknown = load_sequences(diaries, code_map, "ingest")
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_sequences(out_file, sequences)
+    with writing("ingest"):
+        out_file.parent.mkdir(parents=True, exist_ok=True)
+        write_sequences(out_file, sequences)
     if unknown:
         print(f"ingest: {unknown} minutes with unmapped codes sent to the default state", file=log)
     print(f"ingest: {len(sequences)} sequences -> {out_file}", file=log)
@@ -236,8 +249,9 @@ def cluster_stage(
         )
     except ValueError as exc:  # ClusterError included
         raise StageError("cluster", f"{day_type}: {exc}") from exc
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    result.model.write(out_file)
+    with writing("cluster"):
+        out_file.parent.mkdir(parents=True, exist_ok=True)
+        result.model.write(out_file)
     for k, score in result.table.items():
         marker = " *" if k == result.k_star else ""
         print(f"cluster[{day_type}]: k={k} silhouette {score:.4f}{marker}", file=log)
@@ -268,7 +282,8 @@ def train_stage(
             except TrainError as exc:
                 raise StageError("train", f"cluster {c} {day_type}: {exc}") from exc
             print(f"train: cluster {c} {day_type}: {len(members)} sequences", file=log)
-    save_model_dir(out_dir, models)
+    with writing("train"):
+        save_model_dir(out_dir, models)
     print(f"train: model files -> {out_dir}", file=log)
     return models
 
@@ -329,7 +344,8 @@ def simulate_stage(
             )
         if sorted(models[day_type]) != list(range(k)):
             raise StageError("simulate", f"{day_type} cluster ids are not 0..{k - 1}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing("simulate"):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     size = max(1, CHUNK_HOUSEHOLD_DAYS // calendar.n_days)
@@ -347,13 +363,15 @@ def simulate_stage(
             except (SimulationError, HouseholdError, ScheduleError) as exc:
                 raise StageError("simulate", f"household {h}: {exc}") from exc
             path = out_dir / f"household_{h}.csv"
-            write_schedule_file(path, schedule)
+            with writing("simulate"):
+                write_schedule_file(path, schedule)
             if result.placement_failures:
                 print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
             print(f"simulate: household {h} ({len(result.states)} occupants) -> {path}", file=log)
             results.append(result)
     occupant_days = _occupant_day_rows(results, calendar)
-    write_sequences(out_dir / "occupant_days.csv", occupant_days)
+    with writing("simulate"):
+        write_sequences(out_dir / "occupant_days.csv", occupant_days)
     print(f"simulate: occupant-day table -> {out_dir / 'occupant_days.csv'}", file=log)
     return occupant_days
 
@@ -363,7 +381,8 @@ def validate_stage(
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus (SEQUENCE tables)."""
     log = sys.stderr if log is None else log
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing("validate"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:
         sim_dt = sim_days[sim_days["day_type"] == day_type]
@@ -374,7 +393,8 @@ def validate_stage(
         ref_stats = estimate_statistics(ref_dt)
         report = compare_behavior(sim_dt, ref_stats)
         path = out_dir / f"validation_report.{day_type.lower()}.csv"
-        report.write(path)
+        with writing("validate"):
+            report.write(path)
         reports[day_type] = report
         print(f"validate[{day_type}]:", file=log)
         print(report.format_table(), file=log)
@@ -385,9 +405,10 @@ def run_pipeline(cfg: ProjectConfig, log=None) -> int:
     """Run ingest, cluster, train, simulate, and validate end to end."""
     log = sys.stderr if log is None else log
     cfg = resolve_seed(cfg, log, "run")
-    cfg.out.mkdir(parents=True, exist_ok=True)
     marker = cfg.out / ".partial"
-    marker.touch()
+    with writing("config"):  # `out` is a project.conf key
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        marker.touch()
     inputs = load_simulation_inputs(cfg.bundle, cfg.reference, cfg.household, cfg)
     sequences = ingest_stage(cfg.diaries, cfg.code_map, cfg.out / "sequences.csv", log=log)
     cluster_models = {

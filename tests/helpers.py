@@ -1,9 +1,24 @@
 """Small constructors and reference measures shared by the tests."""
 
+from collections import defaultdict
+
 import numpy as np
 
 from occsim.clustering import ClusterError
-from occsim.diary_ingest import EVENT_ACTIVITIES, N_STEPS, STEP_MINUTES, ActivityState, sequence_table
+from occsim.diary_ingest import (
+    _INDEX_BY_TOKEN,
+    _UNMAPPED,
+    DIARY,
+    EVENT_ACTIVITIES,
+    N_MINUTES,
+    N_STEPS,
+    SEQUENCE,
+    STEP_MINUTES,
+    ActivityState,
+    DiaryFormatError,
+    _row_head,
+    sequence_table,
+)
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS, build_household, draw_households
 from occsim.markov_train import ActivityStats
@@ -43,6 +58,55 @@ def sequence_distance(a, b) -> int:
     if a.shape != b.shape:
         raise ClusterError(f"length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
+
+
+# -- row-loop reader -----------------------------------------------------------
+# The diary and sequence-file reader before it mapped blocks of rows in
+# numpy: every row split into fields and every code looked up in a dict,
+# a diary code the code map lacks through a `defaultdict`.  The blocked
+# reader must give the same tables, unknown counts and error messages.
+
+
+def row_loop_read_rows(path, lookup, width, dtype) -> np.ndarray:
+    """The `dtype` table of a header line and rows of three head fields and
+    `width` codes, each looked up in `lookup` one at a time."""
+    get = lookup.__getitem__
+    heads, codes = [], bytearray()
+    try:
+        with open(path) as fh:
+            if not fh.readline():
+                raise DiaryFormatError(f"{path}: empty file")
+            for row, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                heads.append(_row_head(path, row, fields, 3 + width))
+                try:
+                    codes += bytes(map(get, fields[3:]))
+                except KeyError as exc:
+                    raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+    except UnicodeDecodeError as exc:
+        raise DiaryFormatError(f"{path}: {exc}") from None
+    table = np.empty(len(heads), dtype=dtype)
+    table["id"], table["day_type"], table["weight"] = zip(*heads) if heads else ((), (), ())
+    table[dtype.names[3]] = np.frombuffer(codes, np.int8).reshape(-1, width)
+    return table
+
+
+def row_loop_parse_diaries(path, code_map) -> tuple[np.ndarray, int]:
+    """The DIARY table and unknown-code count of `parse_diaries`, row by row."""
+    lookup = defaultdict(lambda: _UNMAPPED, ((code, int(state)) for code, state in code_map.mapping.items()))
+    diaries = row_loop_read_rows(path, lookup, N_MINUTES, DIARY)
+    minutes = diaries["minutes"]
+    unmapped = minutes.view(np.uint8) == _UNMAPPED
+    minutes[unmapped] = int(code_map.default_state)
+    return diaries, int(np.count_nonzero(unmapped))
+
+
+def row_loop_read_sequences(path) -> np.ndarray:
+    """The SEQUENCE table of `read_sequences`, row by row."""
+    return row_loop_read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE)
 
 
 # -- whole-matrix clustering oracles ------------------------------------------

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from occsim.diary_ingest import (
     _BLOCK_ROWS,
+    _ROW_BLOCK,
+    _read_rows,
+    DAY_TYPES,
     FULL_ALPHABET,
     N_MINUTES,
     N_STEPS,
@@ -29,6 +32,7 @@ from occsim.diary_ingest import (
     sequence_table,
     write_sequences,
 )
+from tests.helpers import row_loop_parse_diaries, row_loop_read_rows, row_loop_read_sequences
 
 CMAP = ActivityCodeMap(
     {
@@ -121,39 +125,48 @@ def tied_windows(draw):
 
 @given(tied_windows())
 def test_resample_matches_reference_on_tied_windows(minutes):
-    got = resample_to_sequence(minutes)
+    got = resample_to_sequence([minutes])[0]
     assert np.array_equal(got, _resample_reference(minutes))
 
 
 @pytest.mark.parametrize("state", [-1, 7, 100])
 def test_raw_diary_rejects_state_out_of_range(state):
-    minutes = np.zeros(N_MINUTES, dtype=np.int8)
-    minutes[700] = state
+    minutes = np.zeros((_ROW_BLOCK + 2, N_MINUTES), dtype=np.int8)
+    minutes[_ROW_BLOCK + 1, 700] = state  # in the second block of rows
     with pytest.raises(DiaryFormatError, match="state outside 0..6"):
         resample_to_sequence(minutes)
 
 
+@pytest.mark.parametrize("shape", [(N_MINUTES,), (2, N_MINUTES - 1), (1, 2, N_MINUTES)])
+def test_resample_rejects_a_matrix_not_n_by_1440(shape):
+    with pytest.raises(DiaryFormatError, match=r"minutes must be \(n, 1440\), got"):
+        resample_to_sequence(np.zeros(shape, dtype=np.int8))
+
+
+def test_resample_of_no_rows_is_no_rows():
+    states = resample_to_sequence(np.zeros((0, N_MINUTES), dtype=np.int8))
+    assert states.dtype == np.int8 and states.shape == (0, N_STEPS)
+
+
 def test_resample_majority():
-    minutes = np.full(N_MINUTES, int(ActivityState.SLEEP), dtype=np.int8)
+    minutes = np.full((1, N_MINUTES), int(ActivityState.SLEEP), dtype=np.int8)
     # window 0: 8 minutes Cooking vs 7 Sleep -> Cooking
-    minutes[:8] = int(ActivityState.COOKING)
+    minutes[0, :8] = int(ActivityState.COOKING)
     states = resample_to_sequence(minutes)
-    assert states.dtype == np.int8 and states.shape == (N_STEPS,)
-    assert states[0] == int(ActivityState.COOKING)
-    assert np.all(states[1:] == int(ActivityState.SLEEP))
+    assert states.dtype == np.int8 and states.shape == (1, N_STEPS)
+    assert states[0, 0] == int(ActivityState.COOKING)
+    assert np.all(states[0, 1:] == int(ActivityState.SLEEP))
 
 
 def test_resample_tie_earliest_occurrence():
-    minutes = np.full(N_MINUTES, int(ActivityState.HOME_ACTIVE), dtype=np.int8)
+    minutes = np.full((2, N_MINUTES), int(ActivityState.HOME_ACTIVE), dtype=np.int8)
     # 7 Cooking (minutes 0-6), 7 Laundry (7-13), 1 HomeActive: tie goes to Cooking
-    minutes[0:7] = int(ActivityState.COOKING)
-    minutes[7:14] = int(ActivityState.LAUNDRY)
-    assert resample_to_sequence(minutes)[0] == int(ActivityState.COOKING)
-
+    minutes[0, 0:7] = int(ActivityState.COOKING)
+    minutes[0, 7:14] = int(ActivityState.LAUNDRY)
     # same counts, Laundry first -> Laundry
-    minutes[0:7] = int(ActivityState.LAUNDRY)
-    minutes[7:14] = int(ActivityState.COOKING)
-    assert resample_to_sequence(minutes)[0] == int(ActivityState.LAUNDRY)
+    minutes[1, 0:7] = int(ActivityState.LAUNDRY)
+    minutes[1, 7:14] = int(ActivityState.COOKING)
+    assert resample_to_sequence(minutes)[:, 0].tolist() == [int(ActivityState.COOKING), int(ActivityState.LAUNDRY)]
 
 
 def test_resample_preserves_weight_and_day_type(tmp_path):
@@ -163,19 +176,28 @@ def test_resample_preserves_weight_and_day_type(tmp_path):
     assert (table["id"][0], table["day_type"][0], table["weight"][0]) == ("x", "WE", 3.25)
 
 
-@given(st.lists(st.integers(0, 6), min_size=N_MINUTES, max_size=N_MINUTES))
-@example([0] * N_MINUTES)
-@example([6] * N_MINUTES)
-def test_resample_matches_counting_oracle(minutes):
+@given(
+    st.lists(st.lists(st.integers(0, 6), min_size=N_MINUTES, max_size=N_MINUTES), min_size=1, max_size=3),
+    st.integers(1, 2 * _ROW_BLOCK + 1),
+)
+@example([[0] * N_MINUTES], 1)
+@example([[6] * N_MINUTES, [0] * N_MINUTES], _ROW_BLOCK + 1)
+def test_resample_matches_counting_oracle(rows, n):
+    """`n` rows that repeat the drawn ones, across blocks of rows."""
+    minutes = [rows[i % len(rows)] for i in range(n)]
     states = resample_to_sequence(minutes)
-    assert np.array_equal(states, _resample_reference(minutes))
-    for step in range(0, N_STEPS, 17):  # spot-check a spread of windows
-        window = minutes[step * 15 : (step + 1) * 15]
-        counts = Counter(window)
-        best = max(counts.values())
-        tied = {s for s, c in counts.items() if c == best}
-        winner = next(s for s in window if s in tied)
-        assert states[step] == winner
+    assert states.shape == (n, N_STEPS)
+    expected = [_resample_reference(row) for row in rows]
+    for i in range(n):
+        assert np.array_equal(states[i], expected[i % len(rows)])
+    for row, row_states in zip(rows, states):
+        for step in range(0, N_STEPS, 17):  # spot-check a spread of windows
+            window = row[step * 15 : (step + 1) * 15]
+            counts = Counter(window)
+            best = max(counts.values())
+            tied = {s for s, c in counts.items() if c == best}
+            winner = next(s for s in window if s in tied)
+            assert row_states[step] == winner
 
 
 @given(st.lists(st.integers(0, 6), min_size=N_STEPS, max_size=N_STEPS))
@@ -382,6 +404,27 @@ def test_load_sequences_any_detects_both(tmp_path):
     assert np.array_equal(seqs2, seqs)
 
 
+@pytest.mark.parametrize("blank", ["\n", "\n\n", "\r\n\r\n"])
+def test_load_sequences_any_sniffs_the_first_row_after_blank_lines(tmp_path, blank):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("respondent_id,day_type,weight,codes\n" + blank + "r1,WE,1," + ",".join(["c"] * N_MINUTES) + "\n")
+    seqs, unknown = load_sequences_any(raw, CMAP)
+    assert unknown == 0 and np.all(seqs["states"] == int(ActivityState.COOKING))
+    resampled = tmp_path / "seqs.csv"
+    write_sequences(resampled, seqs)
+    lines = resampled.read_text().splitlines(keepends=True)
+    resampled.write_text(lines[0] + blank + lines[1])
+    assert np.array_equal(load_sequences_any(resampled)[0], seqs)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n \n\n"])
+def test_load_sequences_any_without_rows_names_width_0(tmp_path, body):
+    path = _diary_file(tmp_path, [])
+    path.write_text("respondent_id,day_type,weight\n" + body)
+    with pytest.raises(DiaryFormatError, match=r"d\.csv: unrecognized record width 0; expected 99 \(sequences\)"):
+        load_sequences_any(path)
+
+
 def test_load_sequences_any_identity_map_default(tmp_path):
     tokens = [STATE_TOKENS[s] for s in FULL_ALPHABET]
     row = "r1,WE,2," + ",".join(tokens[i % 7] for i in range(N_MINUTES))
@@ -415,3 +458,180 @@ def test_ingest_counts_unknown(tmp_path):
     seqs, unknown = ingest(path, CMAP)
     assert unknown == 2
     assert len(seqs) == 1
+
+
+# -- the blocked reader against the row loop ---------------------------------
+
+_CODE_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+# What a case may do to a row: its field count, head, a separator, a code or a byte.
+_FAULTS = (
+    *("short", "long", "day_type", "nan_weight", "negative_weight"),
+    *("separator", "empty_code", "comma_in_code", "bad_byte"),
+)
+
+
+def _distinct_codes(rand, widths, taken=()):
+    """One ASCII code of each width, none of them in `taken` or repeated."""
+    codes = []
+    for w in widths:
+        while (code := "".join(rand.choices(_CODE_CHARS, k=w))) in codes or code in taken:
+            pass
+        codes.append(code)
+    return codes
+
+
+def _file_bytes(rand, rows, *, blank_lines, crlf, faults) -> bytes:
+    """A header, then one respondent_id,day_type,weight,<codes> line per row
+    of codes, with blank lines at random places and each fault in a random row."""
+    weights = ["1", "0.5", "2.25", "0"]
+    lines = [[f"r{i}", rand.choice(DAY_TYPES), rand.choice(weights), *row] for i, row in enumerate(rows)]
+    for fault in faults:
+        _break_row(rand, rand.choice(lines), fault)
+    text = [",".join(f) for f in lines]
+    for _ in range(blank_lines):
+        text.insert(rand.randrange(len(text) + 1), "")
+    eol = "\r\n" if crlf else "\n"
+    return (eol.join(["respondent_id,day_type,weight,codes", *text]) + eol).encode().replace(b"BAD", b"r\xff")
+
+
+def _break_row(rand, fields, fault):
+    if fault == "short":
+        del fields[-1]
+    elif fault == "long":
+        fields.append(fields[-1])
+    elif fault == "day_type":
+        fields[1] = "XX"
+    elif fault == "nan_weight":
+        fields[2] = "nan"
+    elif fault == "negative_weight":
+        fields[2] = "-1"
+    elif fault == "separator":  # same field count, the comma between two codes moved
+        c = rand.randrange(3, len(fields) - 1)
+        joined = fields[c] + fields[c + 1]
+        k = rand.choice([k for k in range(len(joined) + 1) if k != len(fields[c])])
+        fields[c], fields[c + 1] = joined[:k], joined[k:]
+    elif fault == "empty_code":
+        fields[rand.randrange(3, len(fields))] = ""
+    elif fault == "comma_in_code":  # same line length, one more field
+        c = rand.randrange(3, len(fields))
+        j = rand.randrange(max(len(fields[c]), 1))
+        fields[c] = fields[c][:j] + "," + fields[c][j + 1 :]
+    elif fault == "bad_byte":
+        fields[0] = "BAD"
+
+
+def _random_rows(rand, pool, n, width):
+    picks = np.random.default_rng(rand.getrandbits(32)).integers(0, len(pool), (n, width))
+    return np.array(pool, dtype=object)[picks].tolist()
+
+
+_FILE_SHAPES = {
+    "n": st.integers(1, _ROW_BLOCK + 8),
+    "blank_lines": st.integers(0, 3),
+    "crlf": st.booleans(),
+    "faults": st.lists(st.sampled_from(_FAULTS), max_size=2),
+}
+
+
+@st.composite
+def diary_files(draw):
+    """The bytes of a diary file and its code map: codes of one width 1..6
+    or of mixed widths, some unmapped, some not ASCII, one of another
+    width, with blank lines, CRLF line ends and malformed rows, over up to
+    more rows than one block."""
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    w = draw(st.sampled_from([1, 2, 3, 4, 5, 6, None]))  # None: mixed widths
+    mapped = _distinct_codes(rand, [w or rand.randint(1, 6) for _ in range(rand.randint(1, 7))])
+    unmapped = _distinct_codes(rand, [w or rand.randint(1, 6) for _ in range(2)], mapped)
+    if draw(st.booleans()):  # not ASCII, and of UTF-8 width w (when w > 1)
+        (mapped if draw(st.booleans()) else unmapped).append("é" + "x" * max((w or 2) - 2, 0))
+    shape = draw(st.fixed_dictionaries(_FILE_SHAPES))
+    rows = _random_rows(rand, mapped + unmapped * draw(st.integers(0, 1)), shape.pop("n"), N_MINUTES)
+    if draw(st.booleans()):  # one code of another width
+        rand.choice(rows)[rand.randrange(N_MINUTES)] = _distinct_codes(rand, [(w or 1) + 1], mapped)[0]
+    code_map = ActivityCodeMap({code: rand.choice(FULL_ALPHABET) for code in mapped}, rand.choice(FULL_ALPHABET))
+    return _file_bytes(rand, rows, **shape), code_map
+
+
+@st.composite
+def sequence_files(draw):
+    """The bytes of a sequence file, some of whose tokens may be unknown,
+    with blank lines, CRLF line ends and malformed rows."""
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.fixed_dictionaries(_FILE_SHAPES))
+    pool = list(STATE_TOKENS.values()) + ["Napping"] * draw(st.integers(0, 1))
+    return _file_bytes(rand, _random_rows(rand, pool, shape.pop("n"), N_STEPS), **shape)
+
+
+def _outcome(read, path):
+    """What `read` gives for `path` as lists (its DIARY or SEQUENCE table
+    first), or the message of its DiaryFormatError."""
+    try:
+        result = read(path)
+    except DiaryFormatError as exc:
+        return str(exc)
+    table, *count = result if isinstance(result, tuple) else (result,)
+    return [table.dtype, *(table[name].tolist() for name in table.dtype.names), *count]
+
+
+def _parsed(code_map):
+    def parse(path):
+        result = parse_diaries(path, code_map)
+        return result.diaries, result.unknown_codes
+
+    return parse
+
+
+@given(diary_files())
+@example((b"h\n" + b"r0,WD,1," + b",".join([b"s"] * N_MINUTES) + b"\n", CMAP))
+def test_parse_diaries_matches_the_row_loop(tmp_path_factory, case):
+    data, code_map = case
+    path = tmp_path_factory.mktemp("diaries") / "d.csv"
+    path.write_bytes(data)
+    assert _outcome(_parsed(code_map), path) == _outcome(lambda p: row_loop_parse_diaries(p, code_map), path)
+
+
+@given(sequence_files())
+def test_read_sequences_matches_the_row_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("sequences") / "s.csv"
+    path.write_bytes(data)
+    assert _outcome(read_sequences, path) == _outcome(row_loop_read_sequences, path)
+
+
+_TWO_CODES = {"a": 0, "b": 1}  # one width, and no default
+
+
+def _two_code_rows(tmp_path, bad):
+    """A file of `_ROW_BLOCK` + 2 rows of `N_STEPS` codes a and b; `bad`
+    maps a row to "c", a code missing from `_TWO_CODES`, or to "-1", a bad weight."""
+    rows = []
+    for row in range(1, _ROW_BLOCK + 3):
+        codes = ["ab"[(row + i) % 2] for i in range(N_STEPS)]
+        if bad.get(row) == "c":
+            codes[7] = "c"
+        rows.append(f"r{row},WE,{'-1' if bad.get(row) == '-1' else row}," + ",".join(codes))
+    return _diary_file(tmp_path, rows)
+
+
+def test_fixed_width_lookup_without_default_maps_like_the_row_loop(tmp_path):
+    path = _two_code_rows(tmp_path, {})
+    expected = _outcome(lambda p: row_loop_read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path)
+    assert _outcome(lambda p: _read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path) == expected
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({3: "c", 5: "-1"}, "row 3: unknown state token 'c'"),
+        ({3: "-1", 5: "c"}, "row 3: bad weight '-1'"),
+        ({_ROW_BLOCK + 2: "c"}, f"row {_ROW_BLOCK + 2}: unknown state token 'c'"),
+    ],
+)
+def test_fixed_width_lookup_without_default_names_the_first_bad_row(tmp_path, bad, message):
+    """A code that a lookup without a default lacks sends its block to the
+    row loop, so the block's first bad row is the one named."""
+    path = _two_code_rows(tmp_path, bad)
+    with pytest.raises(DiaryFormatError) as exc:
+        _read_rows(path, _TWO_CODES, N_STEPS, SEQUENCE)
+    assert str(exc.value) == f"{path}: {message}"
+    assert _outcome(lambda p: row_loop_read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path) == str(exc.value)

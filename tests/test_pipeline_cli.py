@@ -52,6 +52,7 @@ def pipeline_run(synth_tree):
 def test_stage_error_exit_codes():
     for stage, expected in [
         ("config", 2),
+        ("synth", 2),
         ("ingest", 3),
         ("cluster", 4),
         ("train", 5),
@@ -257,6 +258,72 @@ def test_cli_exit_codes(tmp_path):
             str(tmp_path),
         ]
     ) == 7
+
+
+# An output path that cannot be made, in a directory that holds the file
+# `afile` and the directory `adir`, which holds a directory named as each
+# file that cluster, train, simulate and validate write first: (command,
+# --out, exit code).
+BAD_OUTPUTS = [
+    ("ingest", "afile/x.csv", 3),
+    ("ingest", "adir", 3),
+    ("synth", "afile", 2),
+    ("cluster", "afile", 4),
+    ("cluster", "adir", 4),
+    ("train", "afile", 5),
+    ("train", "adir", 5),
+    ("simulate", "afile", 6),
+    ("simulate", "adir", 6),
+    ("simulate-occupant", "afile/x.csv", 6),
+    ("simulate-occupant", "adir", 6),
+    ("validate", "afile", 7),
+    ("validate", "adir", 7),
+]
+
+
+def _inputs(command, synth_tree, pipeline_run) -> list:
+    """The flags but --out of `command`, reading the synth tree and the run's outputs."""
+    clusters = [pipeline_run / "model.wd.clusters", pipeline_run / "model.we.clusters"]
+    return {
+        "ingest": ["--diaries", synth_tree / "diaries.csv", "--code-map", synth_tree / "code_map.csv"],
+        "synth": ["--diaries-per-day-type", "2", "--households", "1", "--days", "1"],
+        "cluster": ["--input", pipeline_run / "sequences.csv", "--k-range", "3:3", "--seed", "1"],
+        "train": ["--diaries", pipeline_run / "sequences.csv", "--clusters", *clusters],
+        "simulate": [
+            *["--tpms", pipeline_run / "tpms", "--bundle", synth_tree / "bundle"],
+            *["--reference", synth_tree / "reference", "--household-config", synth_tree / "household.conf"],
+            *["--days", "2", "--seed", "1"],
+        ],
+        "simulate-occupant": ["--tpms", pipeline_run / "tpms", "--wd-cluster", "0", "--we-cluster", "0"],
+        "validate": ["--sim", pipeline_run, "--reference", pipeline_run / "sequences.csv"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, out, code", BAD_OUTPUTS)
+def test_output_path_that_cannot_be_made_is_a_stage_error(
+    synth_tree, pipeline_run, tmp_path, capsys, command, out, code
+):
+    (tmp_path / "afile").write_text("kept\n")
+    for name in ("model.wd.clusters", "c0.wd.tpm", "household_0.csv", "validation_report.wd.csv"):
+        (tmp_path / "adir" / name).mkdir(parents=True)
+    argv = [*_inputs(command, synth_tree, pipeline_run), "--out", tmp_path / out]
+    assert main([command, *map(str, argv)]) == code
+    err = capsys.readouterr().err
+    assert re.search(r"^occsim: \w+: \[Errno \d+\] (File exists|Is a directory): ", err, re.M)
+    assert "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_run_out_that_is_a_file_is_a_config_error(synth_tree, tmp_path, capsys):
+    shutil.copytree(synth_tree, tmp_path, ignore=shutil.ignore_patterns("out"), dirs_exist_ok=True)
+    conf = tmp_path / "project.conf"
+    conf.write_text(conf.read_text().replace("out = out\n", "out = diaries.csv\n"))
+    diaries = (tmp_path / "diaries.csv").read_bytes()
+    assert main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert f"occsim: config: [Errno 17] File exists: '{tmp_path / 'diaries.csv'}'" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "diaries.csv").read_bytes() == diaries
 
 
 def _run_stagewise(synth_tree, out, household, seed, flags):
@@ -544,7 +611,8 @@ def test_unknown_start_weekday_is_a_usage_error(capsys, command):
 # that also holds the run's models, cluster files and sequence table; the
 # 0-based index of the line replaced; the command that reads the file and
 # its exit code; and (id, bad line, message) cases, where "{prev}" repeats
-# the line before.
+# the line before, "{codes}" its fields after the third and "{rest}" its
+# fields after the fourth.
 BAD_LINES = {
     "dist": (
         "tpms/c0.wd.cooking.onset.dist",
@@ -602,6 +670,27 @@ BAD_LINES = {
             ("fields", "h", "line 3: expected raw_code,canonical_state"),
             ("unknown_token", "h,Napping", "line 3: unknown state token 'Napping'"),
             ("duplicate", "{prev}", "line 3: duplicate code 'a'"),
+        ],
+    ),
+    "diaries": (
+        "diaries.csv",
+        2,
+        "ingest",
+        3,
+        [
+            ("fields", "r9,WD,1,{codes},h", "row 2: expected 1443 fields, got 1444"),
+            ("day_type", "r9,XX,1,{codes}", "row 2: bad day_type 'XX'"),
+            ("nan", "r9,WD,nan,{codes}", "row 2: bad weight 'nan'"),
+            ("negative", "r9,WD,-1,{codes}", "row 2: bad weight '-1'"),
+        ],
+    ),
+    "sequences": (
+        "sequences.csv",
+        2,
+        "train",
+        5,
+        [
+            ("unknown_token", "r9,WD,1,Napping,{rest}", "row 2: unknown state token 'Napping'"),
         ],
     ),
     "clusters": (
@@ -667,7 +756,8 @@ def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path
     _, line, message = cases[case]
     path = tmp_path / name
     lines = path.read_text().splitlines()
-    lines[index] = line.format(prev=lines[index - 1])
+    prev = lines[index - 1].split(",")
+    lines[index] = line.format(prev=",".join(prev), codes=",".join(prev[3:]), rest=",".join(prev[4:]))
     path.write_text("\n".join(lines) + "\n")
     assert _read_by(command, tmp_path, tmp_path / "out") == code
     err = capsys.readouterr().err

@@ -108,12 +108,12 @@ def test_write_diaries_round_trip(tmp_path):
     result = parse_diaries(path, default_code_map())
     assert result.unknown_codes == 0
     assert len(result.diaries) == len(corpus)
-    for diary, (rid, day_type, weight, states) in zip(result.diaries, corpus.tolist()):
+    for diary, (rid, day_type, weight, _) in zip(result.diaries, corpus.tolist()):
         assert diary["id"] == rid
         assert diary["day_type"] == day_type
         assert diary["weight"] == pytest.approx(weight)
-        # 15x minute expansion resamples back to the exact states
-        assert np.array_equal(resample_to_sequence(diary["minutes"]), states)
+    # 15x minute expansion resamples back to the exact states
+    assert np.array_equal(resample_to_sequence(result.diaries["minutes"]), corpus["states"])
 
 
 def test_default_bundle_complete():
