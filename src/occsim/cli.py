@@ -31,6 +31,7 @@ from .pipeline import (
     ProjectConfig,
     Settings,
     StageError,
+    boolean,
     cluster_stage,
     ingest_stage,
     load_sequences,
@@ -41,7 +42,6 @@ from .pipeline import (
     simulate_stage,
     train_stage,
     validate_stage,
-    whole_number,
     writing,
 )
 
@@ -79,10 +79,9 @@ def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
     """The flags of these Settings fields, parsed as their project.conf keys.
     A flag left out stays out of the namespace, so its field keeps the
     Settings default."""
-    types = {f.name: f.type for f in fields(Settings)}
     for name in names:
         kwargs = {"dest": name, "default": argparse.SUPPRESS, "help": f"project.conf key {name}"}
-        if types[name] == "bool":
+        if PARSERS[name] is boolean:
             p.add_argument(FLAGS[name], action="store_true", **kwargs)
         else:
             choices = CHOICES.get(name)
@@ -140,9 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", dest="out_dir", type=Path, required=True)
     p.add_argument("--diaries-per-day-type", dest="n_per_day_type", type=_flag_type(positive_number))
-    p.add_argument("--seed", dest="base_seed", type=_flag_type(whole_number))
-    p.add_argument("--households", dest="n_households", type=_flag_type(positive_number))
-    p.add_argument("--days", dest="n_days", type=_flag_type(positive_number))
+    for name in ("base_seed", "n_households", "n_days"):
+        p.add_argument(FLAGS[name], dest=name, type=_flag_type(PARSERS[name]))
 
     p = sub.add_parser("run", help="run the full pipeline from a project config")
     p.add_argument("--config", type=Path, required=True)

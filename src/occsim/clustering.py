@@ -365,9 +365,9 @@ def select_k(
     The chosen k is the largest whose silhouette is within `epsilon` of the
     best; the returned model is that k's fit.  For large corpora
     `silhouette_sample` scores a fixed random subsample, drawn from the
-    base_seed's clustering stream, on which clusters absent from it are
-    left out and fewer than two present clusters score 0.  The distance
-    matrix of the scored rows is built once and shared by every k.
+    base_seed's clustering stream, plus, with a distance matrix of its own,
+    the first member of each cluster it misses; else every k shares the
+    distance matrix of the scored rows.
     """
     if not k_range or min(k_range) < 2:
         raise ClusterError(f"k range must be nonempty with every k >= 2, got {k_range}")
@@ -377,21 +377,22 @@ def select_k(
         raise ClusterError(f"silhouette_sample must be at least 2, got {silhouette_sample}")
     X, w = _coerce_data(X, weights)
     n = X.shape[0]
-    sil_idx = None
+    scored = np.arange(n)
     if silhouette_sample is not None and n > silhouette_sample:
         pick_rng = streams.generator(int(base_seed), streams.CLUSTERING, 0)
-        sil_idx = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
-    D = pairwise_distances(X if sil_idx is None else X[sil_idx])
+        scored = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
+    D = pairwise_distances(X[scored])
     table: dict[int, float] = {}
     fits: dict[int, tuple[ClusterModel, np.ndarray]] = {}
     for k in k_range:
         model, labels = kmodes(X, w, k=k, day_type=day_type)
         fits[k] = model, labels
-        if sil_idx is None:
-            table[k] = silhouette(D, labels)
+        missed = np.flatnonzero(np.bincount(labels[scored], minlength=k) == 0)
+        if missed.size:  # every cluster has a member: kmodes repairs empty ones
+            rows = np.sort(np.concatenate([scored, np.unique(labels, return_index=True)[1][missed]]))
+            table[k] = silhouette(pairwise_distances(X[rows]), labels[rows])
         else:
-            present, sub_labels = np.unique(labels[sil_idx], return_inverse=True)
-            table[k] = silhouette(D, sub_labels) if present.size > 1 else 0.0
+            table[k] = silhouette(D, labels[scored])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)
     return SelectKResult(k_star, table, *fits[k_star])

@@ -27,25 +27,21 @@ SUPPORT_DOMAIN = {
 }
 
 
-def draw_index(cum, r: float) -> int:
-    """Inverse-CDF index: the first i with cum[i] > r, clamped to the last index."""
-    idx = bisect.bisect_right(cum, r)
-    return idx if idx < len(cum) else len(cum) - 1
-
-
 @dataclass
 class EmpiricalDistribution:
     """Discrete distribution over a strictly increasing support.
 
     Probabilities must sum to one within 1e-9 at construction; the stored
     vector is renormalized exactly so serialization round trips stay
-    consistent.
+    consistent.  `thresholds` are the cumulative probabilities without the
+    last: a draw of r is the support value at the count of thresholds <= r.
     """
 
     support: np.ndarray
     probs: np.ndarray
     unit: str = ""
-    _cum: list[float] = field(default_factory=list, repr=False, compare=False)
+    thresholds: list[float] = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -65,7 +61,8 @@ class EmpiricalDistribution:
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.probs = self.probs / total
-        self._cum = np.cumsum(self.probs).tolist()
+        self._cum = np.cumsum(self.probs)
+        self.thresholds = self._cum[:-1].tolist()
 
     @classmethod
     def from_weights(
@@ -86,19 +83,16 @@ class EmpiricalDistribution:
         return cls(support, mass / total, unit)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Inverse-CDF draw by the `draw_index` rule: one float, or an array of `size`."""
+        """Inverse-CDF draw: one float, or an array of `size`."""
         if size is None:
-            return float(self.support[draw_index(self._cum, rng.random())])
-        idx = np.searchsorted(self._cum, rng.random(size), side="right")
-        return self.support[np.minimum(idx, self.support.size - 1)]
+            return float(self.support[bisect.bisect_right(self.thresholds, rng.random())])
+        return self.support[np.searchsorted(self.thresholds, rng.random(size), side="right")]
 
     def table(self, fn) -> tuple[list[float], list]:
-        """`(cum, values)` for draws without numpy, built once per `fn`:
-        `values[bisect_right(cum, r)]` is `fn` of the `draw_index` draw for
-        `r`, as `values` repeats its last entry as the clamp."""
+        """`(thresholds, values)` for draws without numpy, built once per
+        `fn`: `values[bisect_right(thresholds, r)]` is `fn` of the draw for `r`."""
         if fn not in self._tables:
-            values = [fn(v) for v in self.support.tolist()]
-            self._tables[fn] = (self._cum, values + values[-1:])
+            self._tables[fn] = (self.thresholds, [fn(v) for v in self.support.tolist()])
         return self._tables[fn]
 
     def sample_int(self, rng: np.random.Generator, size: int | None = None):
@@ -109,8 +103,7 @@ class EmpiricalDistribution:
         """Right-continuous CDF evaluated at `points`."""
         points = np.asarray(points, dtype=np.float64)
         idx = np.searchsorted(self.support, points, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.probs)])
-        return cum[idx]
+        return np.concatenate([[0.0], self._cum])[idx]
 
     def write(self, path: str | Path) -> None:
         lines = [f"unit,{self.unit}"]

@@ -20,7 +20,7 @@ import numpy as np
 from . import streams
 from .conf import key_values, reading
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
-from .distributions import EmpiricalDistribution, draw_index
+from .distributions import EmpiricalDistribution
 from .clustering import DEFAULT_CLUSTER_SHARES
 from .markov_train import ClusterDayModel, runs
 from .occupant_sim import (
@@ -178,7 +178,7 @@ class HouseholdDraw:
 
 def _draw_index(shares, rng: np.random.Generator) -> int:
     cum = np.cumsum(np.asarray(shares, dtype=np.float64))
-    return draw_index(cum, rng.random() * cum[-1])
+    return int(np.searchsorted(cum[:-1], rng.random() * cum[-1], side="right"))
 
 
 def sample_household(

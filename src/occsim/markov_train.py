@@ -49,8 +49,7 @@ class TPMSet:
     alphabet: tuple[ActivityState, ...]
     initial: np.ndarray  # (S,)
     matrices: np.ndarray  # (T, S, S)
-    _cum_init: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _cum_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _thresholds: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.alphabet = tuple(ActivityState(a) for a in self.alphabet)
@@ -80,12 +79,12 @@ class TPMSet:
     def n_states(self) -> int:
         return len(self.alphabet)
 
-    def cumulative(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached per-row cumulative sums for inverse-CDF draws."""
-        if self._cum_init is None:
-            self._cum_init = np.cumsum(self.initial)
-            self._cum_rows = np.cumsum(self.matrices, axis=2)
-        return self._cum_init, self._cum_rows
+    def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached cumulative sums without their last entry, of the initial
+        distribution and every matrix row: a draw of r counts those <= r."""
+        if self._thresholds is None:
+            self._thresholds = np.cumsum(self.initial)[:-1], np.cumsum(self.matrices, axis=2)[:, :, :-1]
+        return self._thresholds
 
     def write(self, path: str | Path) -> None:
         tokens = ",".join(STATE_TOKENS[a] for a in self.alphabet)

@@ -78,26 +78,24 @@ def _hold_steps(duration_minutes: float) -> int:
     return max(1, math.ceil(duration_minutes / 15.0))
 
 
-def day_uniforms(tpms: TPMSet, rng: np.random.Generator, holds: dict | None = None) -> np.ndarray:
-    """One day's block of uniforms for `walk_days`: n_steps of them, or
+def uniforms_per_day(tpms: TPMSet, holds: dict | None = None) -> int:
+    """The width of one day's block of uniforms for `walk_days`: n_steps, or
     2 * n_steps when the walk holds events."""
-    return rng.random(tpms.n_steps if holds is None else 2 * tpms.n_steps)
+    return tpms.n_steps if holds is None else 2 * tpms.n_steps
 
 
 def _hold_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats]) -> tuple[np.ndarray, ...]:
     """Tables for a walk with holds.  Leaving event state s after step t
     draws from `matrices[t, s]` with column s zeroed and the uniform scaled
     by `1 - p[s]` (no draw if that is <= 1e-12), falling back to the last
-    nonzero column; other states draw from the plain row.  Cumulative rows
+    nonzero column; other states draw from the plain row.  Threshold rows
     read inf from the fallback column on, so counting entries `<= r` gives
     the drawn column.  Event states with a duration distribution get its
-    cumulative table the same way, and the hold steps of each support value.
+    `table(_hold_steps)` the same way, its hold steps capped at n_steps.
     """
-    _, cum_rows = tpms.cumulative()
     S, n_steps = tpms.n_states, tpms.n_steps
-    trans = cum_rows.copy()
-    trans[:, :, -1] = np.inf
-    scale = np.ones(cum_rows.shape[:2])
+    trans = tpms.thresholds()[1].copy()
+    scale = np.ones(tpms.matrices.shape[:2])
     dists = {}
     for e, activity in enumerate(tpms.alphabet):
         if activity not in EVENT_ACTIVITIES:
@@ -106,19 +104,19 @@ def _hold_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats]) -> tup
         p[:, e] = 0.0
         nonzero = p != 0.0
         last = np.where(nonzero.any(axis=1), S - 1 - np.argmax(nonzero[:, ::-1], axis=1), e)
-        trans[:, e] = np.where(np.arange(S) >= last[:, None], np.inf, np.cumsum(p, axis=1))
+        trans[:, e] = np.where(np.arange(S - 1) >= last[:, None], np.inf, np.cumsum(p[:, :-1], axis=1))
         scale[:, e] = 1.0 - tpms.matrices[:, e, e]
         st = holds.get(activity)
         if st is not None and st.duration_dist is not None:
-            dists[e] = st.duration_dist
-    width = max((d.support.size for d in dists.values()), default=1)
-    dur_cum = np.full((S, width), np.inf)
+            dists[e] = st.duration_dist.table(_hold_steps)
+    width = max((len(steps) for _, steps in dists.values()), default=1)
+    dur_thresholds = np.full((S, width - 1), np.inf)
     dur_steps = np.ones((S, width), dtype=np.intp)
-    for e, d in dists.items():
-        dur_cum[e, : d.support.size - 1] = np.cumsum(d.probs)[:-1]
-        dur_steps[e, : d.support.size] = [min(_hold_steps(v), n_steps) for v in d.support.tolist()]
+    for e, (thresholds, steps) in dists.items():
+        dur_thresholds[e, : len(thresholds)] = thresholds
+        dur_steps[e, : len(steps)] = np.minimum(steps, n_steps)
     has_dist = np.isin(np.arange(S), list(dists))
-    return trans, scale, has_dist, dur_cum, dur_steps
+    return trans, scale, has_dist, dur_thresholds, dur_steps
 
 
 def walk_days(
@@ -132,25 +130,24 @@ def walk_days(
     `max(1, ceil(d / 15))` steps up to the last step (an event state without
     one holds one step and draws nothing); and, when a hold ends before the
     last step, the transition.  With `holds` None (approach 2 and the
-    presence chain) every step is one plain transition.  Each draw takes the
-    first index whose cumulative sum exceeds r, as `draw_index` does.
+    presence chain) every step is one plain transition.  Each draw of r
+    counts the thresholds <= r of its distribution or chain row.
     """
     u = np.asarray(u, dtype=np.float64)
-    need = tpms.n_steps if holds is None else 2 * tpms.n_steps
+    need = uniforms_per_day(tpms, holds)
     if u.ndim != 2 or u.shape[1] < need:
         raise SimulationError(f"expected (n, >= {need}) uniforms, got shape {u.shape}")
     n, n_steps = u.shape[0], tpms.n_steps
-    cum_init, cum_rows = tpms.cumulative()
+    init, rows = tpms.thresholds()
     out = np.empty((n_steps, n), dtype=np.int8)
-    s = (cum_init[:-1] <= u[:, :1]).sum(axis=1)
+    s = (init <= u[:, :1]).sum(axis=1)
     if holds is None:
-        plain = cum_rows[:, :, :-1]
         out[0] = s
         for t in range(n_steps - 1):
-            s = (plain[t, s] <= u[:, t + 1, None]).sum(axis=1)
+            s = (rows[t, s] <= u[:, t + 1, None]).sum(axis=1)
             out[t + 1] = s
         return out.T.copy()
-    trans, scale, has_dist, dur_cum, dur_steps = _hold_tables(tpms, holds)
+    trans, scale, has_dist, dur_thresholds, dur_steps = _hold_tables(tpms, holds)
     flat = u.ravel()
     pos = np.arange(n) * u.shape[1] + 1  # flat index of each row's next uniform
     end = np.zeros(n, dtype=np.intp)  # last step of each row's current hold, unclipped
@@ -161,7 +158,7 @@ def walk_days(
             sh = s[held]
             r = flat[pos[held]]
             pos[held] += 1
-            j = (dur_cum[sh] <= r[:, None]).sum(axis=1)
+            j = (dur_thresholds[sh] <= r[:, None]).sum(axis=1)
             end[held] = t - 1 + dur_steps[sh, j]
         out[t] = s
         if t == n_steps - 1:
@@ -184,7 +181,7 @@ def place_events(
     Per row and event activity with stats, a count; per occurrence a
     duration, then up to RETRY_BUDGET onsets until its block fits in the
     free steps (the bits of one int), else one failure.  Each draw is one
-    `draw()` by the `draw_index` rule, so `rng.random` takes one per draw.
+    `draw()` through a distribution's `table`, so `rng.random` takes one per draw.
     """
     states = presence.copy()
     n_steps = states.shape[1]
@@ -196,19 +193,19 @@ def place_events(
     failures = [0] * len(states)
     for i, row in enumerate(np.packbits(states == int(ActivityState.HOME_ACTIVE), axis=1, bitorder="little")):
         free = int.from_bytes(row.tobytes(), "little")
-        for activity, (count_cum, counts), tables in plan:
-            count = counts[bisect_right(count_cum, draw())]
+        for activity, (count_thresholds, counts), tables in plan:
+            count = counts[bisect_right(count_thresholds, draw())]
             if count <= 0:
                 continue
             if tables is None:
                 failures[i] += count
                 continue
-            (onset_cum, onsets), (hold_cum, holds) = tables
+            (onset_thresholds, onsets), (hold_thresholds, holds) = tables
             for _ in range(count):
-                h = holds[bisect_right(hold_cum, draw())]
+                h = holds[bisect_right(hold_thresholds, draw())]
                 mask, last = (1 << min(h, n_steps)) - 1, n_steps - h
                 for _ in range(RETRY_BUDGET):
-                    onset = onsets[bisect_right(onset_cum, draw())]
+                    onset = onsets[bisect_right(onset_thresholds, draw())]
                     if 0 <= onset <= last and (free >> onset) & mask == mask:
                         free ^= mask << onset
                         states[i, onset : onset + h] = activity
@@ -255,7 +252,7 @@ def walk_occupants(
     """Walk every calendar day of each (profile, stream root) occupant:
     (n_occupants, n_days, 96) int8; approach 1 walks the presence chain.
 
-    Occupant i draws the `day_uniforms` blocks of its days of type
+    Occupant i draws the `uniforms_per_day` blocks of its days of type
     `DAY_TYPES[j]` from one stream, `streams.child(root_i, j)`, as one
     `(n_days_of_type, need)` matrix in calendar order.  The blocks of all
     occupants whose day type j has the same (day type, cluster) model are
@@ -276,7 +273,7 @@ def walk_occupants(
             model = _model(models, occupants[members[0]][0], day_type)
             tpms = model.presence_tpms if approach == 1 else model.tpms
             holds = model.stats if approach == 3 else None
-            need = tpms.n_steps if holds is None else 2 * tpms.n_steps
+            need = uniforms_per_day(tpms, holds)
             u = np.empty((len(members), len(days), need))
             for block, i in zip(u, members):
                 streams.generator(occupants[i][1], j).random(out=block)

@@ -9,10 +9,12 @@ or after a failure, removed on success.
 
 from __future__ import annotations
 
+import math
 import secrets
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,12 @@ def writing(stage: str):
         raise StageError(stage, str(exc)) from exc
 
 
+# The longest calendar, a century: a chunk holds at least one household, and a
+# household-day of three occupants peaks at about 20 KiB under approach 3 (114
+# MiB at 2920 days, 285 MiB at 11680), so one household stays under 1 GiB.
+MAX_DAYS = 100 * 365
+
+
 def parse_k_range(value: str) -> tuple[int, int]:
     lo, _, hi = value.partition(":")
     lo, hi = int(lo), int(hi)
@@ -81,20 +89,24 @@ def parse_k_range(value: str) -> tuple[int, int]:
     return lo, hi
 
 
-Seed = int  # a base seed, which numpy's SeedSequence takes only when >= 0
-Size = int  # a day or household count, which must be >= 1
-Weekday = str  # a weekday name, in any case
-
-
-def whole_number(value: str, least: int = 0) -> int:
+def whole_number(value: str, least: int = 0, most: float = math.inf) -> int:
     number = int(value)
     if number < least:
         raise ValueError(f"expected a whole number >= {least}, got {number}")
+    if number > most:
+        raise ValueError(f"expected a whole number <= {most}, got {number}")
     return number
 
 
 def positive_number(value: str) -> int:
     return whole_number(value, 1)
+
+
+def finite_nonnegative(value: str) -> float:
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {number}")
+    return number
 
 
 def _one_of(parse, allowed: tuple):
@@ -115,19 +127,6 @@ def boolean(value: str) -> bool:
     return word in ("1", "true", "yes")
 
 
-# Settings field annotation -> parser of its value.
-_TYPE_PARSERS = {
-    "int": int,
-    "int | None": int,
-    "Seed | None": whole_number,
-    "Size": positive_number,
-    "float": float,
-    "str": str,
-    "Weekday": str.lower,
-    "bool": boolean,
-    "tuple[int, int]": parse_k_range,
-}
-
 # The Settings fields whose value is one of a few.
 CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS,
            "start_weekday": WEEKDAY_NAMES}
@@ -143,10 +142,10 @@ class Settings:
     `project.conf` key of the same name and one stage flag (`cli.FLAGS`);
     `base_seed` None means draw one from entropy (`resolve_seed`)."""
 
-    base_seed: Seed | None = None
-    n_households: Size = 1
-    n_days: Size = 365
-    start_weekday: Weekday = "monday"
+    base_seed: int | None = None
+    n_households: int = 1
+    n_days: int = 365
+    start_weekday: str = "monday"
     approach: int = 3
     k_range: tuple[int, int] = (3, 10)
     epsilon: float = 0.01
@@ -158,10 +157,21 @@ class Settings:
 
 
 # Settings field -> parser of its project.conf value and of its stage flag's
-# argument.
+# argument, which checks the value's range: numpy's SeedSequence takes only
+# a seed >= 0, and silhouette needs two rows.
 PARSERS = {
-    f.name: _one_of(_TYPE_PARSERS[f.type], CHOICES[f.name]) if f.name in CHOICES else _TYPE_PARSERS[f.type]
-    for f in fields(Settings)
+    "base_seed": whole_number,
+    "n_households": positive_number,
+    "n_days": partial(whole_number, least=1, most=MAX_DAYS),
+    "start_weekday": _one_of(str.lower, CHOICES["start_weekday"]),
+    "approach": _one_of(int, CHOICES["approach"]),
+    "k_range": parse_k_range,
+    "epsilon": finite_nonnegative,
+    "silhouette_sample": partial(whole_number, least=2),
+    "tpm_fallback": _one_of(str, CHOICES["tpm_fallback"]),
+    "tpm_alpha": finite_nonnegative,
+    "modulation": _one_of(str, CHOICES["modulation"]),
+    "unweighted_clustering": boolean,
 }
 
 

@@ -30,7 +30,7 @@ from .conf import write_step_values
 from .distributions import EmpiricalDistribution
 from .household import HouseholdConfig, _draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
-from .occupant_sim import day_uniforms, walk_days
+from .occupant_sim import uniforms_per_day, walk_days
 
 SHORT_CODES = {
     ActivityState.SLEEP: "s",
@@ -204,7 +204,7 @@ def generate_corpus(
             rows = np.flatnonzero(clusters == cluster)
             if rows.size:
                 rngs = [streams.generator(root, streams.SYNTH, di, i, 1) for i in rows]
-                u = np.stack([day_uniforms(model.tpms, rng, model.stats) for rng in rngs])
+                u = np.stack([rng.random(uniforms_per_day(model.tpms, model.stats)) for rng in rngs])
                 states[rows] = walk_days(model.tpms, u, model.stats)
         blocks.append(states)
         for i in range(n_per_day_type):

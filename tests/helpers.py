@@ -1,5 +1,6 @@
 """Small constructors and reference measures shared by the tests."""
 
+import bisect
 from collections import defaultdict
 
 import numpy as np
@@ -22,7 +23,7 @@ from occsim.diary_ingest import (
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import ACTIVITY_APPLIANCE, EVENT, EVENT_COLUMNS, build_household, draw_households
 from occsim.markov_train import ActivityStats
-from occsim.occupant_sim import RETRY_BUDGET, _hold_steps
+from occsim.occupant_sim import RETRY_BUDGET, _hold_steps, uniforms_per_day
 
 
 def forward_marginals(tpms) -> np.ndarray:
@@ -38,6 +39,18 @@ def one_household(index, models, bundle, config, calendar, base_seed, *, approac
     """`build_household` of household `index`, drawn on its own."""
     (draw,) = draw_households([index], models, config, calendar, base_seed, approach=approach)
     return build_household(draw, models, bundle, config, calendar, approach=approach)
+
+
+def draw_index(cum, r: float) -> int:
+    """Inverse-CDF index in clamp form, the scalar oracle of every draw:
+    the first i with cum[i] > r, clamped to the last index."""
+    idx = bisect.bisect_right(cum, r)
+    return idx if idx < len(cum) else len(cum) - 1
+
+
+def day_uniforms(tpms, rng, holds=None) -> np.ndarray:
+    """One day's block of uniforms for `walk_days`, drawn from `rng`."""
+    return rng.random(uniforms_per_day(tpms, holds))
 
 
 def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:

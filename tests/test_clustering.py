@@ -535,7 +535,11 @@ def _select_k_reference(X, w, k_range, base_seed, epsilon, silhouette_sample, mo
         m.setattr(clustering, "_weighted_modes", _weighted_modes_reference)
         for k in k_range:
             fits[k] = kmodes(X, w, k=k)
-            table[k] = _silhouette_reference(X[rows], fits[k][1][rows])
+            labels = fits[k][1]
+            # the first member of each cluster the sample misses is scored too
+            firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(k) if c not in set(labels[rows])]
+            scored = np.union1d(rows, firsts).astype(np.intp)
+            table[k] = _silhouette_reference(X[scored], labels[scored])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)
     return k_star, table, *fits[k_star]
@@ -603,12 +607,27 @@ def test_select_k_peak_memory_stays_below_three_bytes_per_cell():
     assert peak < 3 * n * n
 
 
-def test_select_k_subsample_with_one_present_cluster_scores_zero():
-    # 30 rows of one pattern and 2 of another: a 3-row subsample can miss
-    # the small cluster, and such a fit scores 0 as in the per-k reference
+def test_select_k_subsample_scores_a_missed_cluster_through_its_first_member():
+    # 30 rows of one pattern and 2 of another: a 3-row subsample misses the
+    # small cluster, so its first member, row 30, is scored with the sample:
+    # three rows at silhouette 1 and a singleton at 0
     X = np.zeros((32, N_STEPS), dtype=np.int8)
     X[30:] = 2
     result = select_k(X, k_range=range(2, 3), base_seed=3, epsilon=0.01, silhouette_sample=3)
     pick = np.sort(streams.generator(3, streams.CLUSTERING, 0).choice(32, size=3, replace=False))
     assert np.all(pick < 30)
-    assert result.table == {2: 0.0}
+    assert result.table == {2: 0.75}
+
+
+@pytest.mark.parametrize("seed, day_type", [(9, "WE"), (101, "WD"), (20006, "WE")])
+def test_sampled_silhouette_picks_the_planted_k(seed, day_type):
+    """On these 1500-diary corpora the k = 5 fit splits one diary off the
+    planted k = 4 fit, and the 768-row sample misses it; scored through
+    that diary, k = 5 falls below k = 4 (it tied k = 4 when the cluster was
+    left out), so the sampled score picks k = 4 as the full one does."""
+    corpus = generate_corpus(1500, seed)
+    corpus = corpus[corpus["day_type"] == day_type]
+    X, w = project_to_presence(corpus["states"]), corpus["weight"]
+    result = select_k(X, w, k_range=range(3, 11), base_seed=seed, epsilon=0.01, silhouette_sample=768)
+    assert result.k_star == 4
+    assert result.table[5] < result.table[4] - 0.01  # outside epsilon

@@ -1,10 +1,16 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from occsim.distributions import EmpiricalDistribution, draw_index
-from tests.helpers import point_mass
+from occsim.diary_ingest import FULL_ALPHABET
+from occsim.distributions import EmpiricalDistribution
+from occsim.household import _draw_index
+from occsim.markov_train import TPMSet
+from occsim.occupant_sim import walk_days
+from tests.helpers import draw_index, point_mass
 
 
 class FixedRng:
@@ -39,30 +45,77 @@ def test_inverse_cdf_boundaries():
     assert d.sample(FixedRng([0.999999])) == 30.0
 
 
-def test_draw_index_edges_and_clamp():
-    cum = [0.2, 0.7, 1.0]
-    assert draw_index(cum, 0.0) == 0
-    assert draw_index(cum, 0.2) == 1
-    assert draw_index(cum, 0.99) == 2
-    # rounding can leave the last cumulative value below the draw
-    assert draw_index([0.2, 0.7, 0.9999999], 0.99999995) == 2
-    assert draw_index(np.array(cum), 1.0) == 2
+def _weights(size):
+    """Probabilities of `size` outcomes from small whole weights, zeros included."""
+    return st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any).map(lambda w: np.array(w) / sum(w))
 
 
-@pytest.mark.parametrize(
-    "support, probs",
-    [([10.0, 20.0, 30.0], [0.2, 0.5, 0.3]), ([1.0, 2.0, 3.0, 4.0], [0.1, 0.0, 0.6, 0.3]), ([5.0], [1.0])],
+@st.composite
+def _distributions(draw):
+    size = draw(st.integers(1, 6))
+    support = draw(st.lists(st.integers(-40, 400), min_size=size, max_size=size, unique=True))
+    return EmpiricalDistribution(np.sort(support) / 4, draw(_weights(size)))
+
+
+@st.composite
+def _chains(draw):
+    """A TPMSet of 1..4 states and 1..3 steps whose rows may sum to 1 - 9e-10,
+    inside the row tolerance, so their last cumulative sum ends below 1."""
+    S, T = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    short = draw(st.sampled_from([0.0, 1e-10, 9e-10]))
+    initial = draw(_weights(S)) * (1 - short)
+    matrices = np.array([[draw(_weights(S)) for _ in range(S)] for _ in range(T)]) * (1 - short)
+    return TPMSet(0, "WD", FULL_ALPHABET[:S], initial, matrices)
+
+
+def _edges(*cums) -> list[float]:
+    """0, each cumulative sum and the float just below it, and values at or
+    above the last sum: every r at which a count of thresholds could part
+    from the clamped first index above r."""
+    cum = np.concatenate([np.ravel(c) for c in cums])
+    return np.unique(np.concatenate([[0.0, 1.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])).tolist()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    _distributions(),
+    st.lists(st.floats(0, 10), min_size=1, max_size=6).filter(lambda w: sum(w) > 0),
+    _chains(),
+    st.integers(0, 2**32 - 1),
 )
-def test_array_sample_follows_draw_index(support, probs):
-    d = EmpiricalDistribution(np.array(support), np.array(probs))
-    cum = np.cumsum(d.probs).tolist()
-    # zero, every cumulative edge and the float just below it, and just below 1
-    r = [0.0, *cum, *np.nextafter(cum, 0.0).tolist(), np.nextafter(1.0, 0.0)]
-    want = [float(d.support[draw_index(cum, x)]) for x in r]
-    got = d.sample(FixedRng(r), len(r))
-    assert isinstance(got, np.ndarray) and got.tolist() == want
-    assert got.tolist() == [d.sample(FixedRng([x])) for x in r]
-    assert d.sample_int(FixedRng(r), len(r)).tolist() == [d.sample_int(FixedRng([x])) for x in r]
+@example(
+    EmpiricalDistribution(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.1, 0.0, 0.6, 0.3])),
+    [0.2, 0.5, 0.2999999],  # cumulative sums 0.2, 0.7, 0.9999999
+    TPMSet(0, "WD", FULL_ALPHABET[:3], np.array([0.2, 0.5, 0.3 - 9e-10]), np.array([np.eye(3)[[1, 2, 0]]])),
+    0,
+)
+def test_every_draw_is_the_clamped_first_index_above_r(dist, shares, chain, seed):
+    """Each sampler counts the thresholds <= r of a distribution or chain row;
+    that count equals the `draw_index` oracle, the first cumulative sum above
+    r clamped to the last index, at every edge r: `sample` (scalar and
+    array), `sample_int`, `table(fn)`, `walk_days` and `household._draw_index`."""
+    cum = np.cumsum(dist.probs).tolist()
+    r = _edges(cum)
+    want = [float(dist.support[draw_index(cum, x)]) for x in r]
+    assert [dist.sample(FixedRng([x])) for x in r] == want
+    drawn = dist.sample(FixedRng(r), len(r))
+    assert isinstance(drawn, np.ndarray) and drawn.tolist() == want
+    assert [dist.sample_int(FixedRng([x])) for x in r] == [round(v) for v in want]
+    assert dist.sample_int(FixedRng(r), len(r)).tolist() == [round(v) for v in want]
+    thresholds, values = dist.table(round)
+    assert [values[bisect_right(thresholds, x)] for x in r] == [round(v) for v in want]
+
+    cum = np.cumsum(shares)
+    r = _edges(cum / cum[-1])
+    assert [_draw_index(shares, FixedRng([x])) for x in r] == [draw_index(cum, x * cum[-1]) for x in r]
+
+    cum_init, cum_rows = np.cumsum(chain.initial), np.cumsum(chain.matrices, axis=2)
+    u = np.random.default_rng(seed).choice(_edges(cum_init, cum_rows), size=(64, chain.n_steps))
+    for days, row in zip(walk_days(chain, u), u):
+        s = [draw_index(cum_init, row[0])]
+        for t in range(chain.n_steps - 1):
+            s.append(draw_index(cum_rows[t, s[-1]], row[t + 1]))
+        assert days.tolist() == s
 
 
 def test_cdf_at_right_continuous():

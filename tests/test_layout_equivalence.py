@@ -24,14 +24,13 @@ from occsim.household import (
 from occsim.occupant_sim import (
     OccupantProfile,
     SimCalendar,
-    day_uniforms,
     place_events,
     simulate_year,
     walk_days,
     walk_occupants,
 )
 from occsim.synth import default_bundle, truth_models
-from tests.helpers import point_mass, scalar_appliance_events, scalar_hygiene_water, scalar_sink_events
+from tests.helpers import day_uniforms, point_mass, scalar_appliance_events, scalar_hygiene_water, scalar_sink_events
 
 stats = pytest.importorskip("scipy.stats")
 

@@ -14,21 +14,20 @@ from occsim.diary_ingest import (
     PRESENCE_ALPHABET,
     ActivityState,
 )
-from occsim.distributions import EmpiricalDistribution, draw_index
+from occsim.distributions import EmpiricalDistribution
 from occsim.markov_train import ActivityStats, ClusterDayModel, TPMSet, runs
 from occsim.occupant_sim import (
     OccupantProfile,
     SimCalendar,
     SimulationError,
     _hold_steps,
-    day_uniforms,
     place_events,
     simulate_year,
     walk_days,
     walk_occupants,
 )
 from occsim.synth import truth_models
-from tests.helpers import point_mass, scalar_place_events
+from tests.helpers import day_uniforms, draw_index, point_mass, scalar_place_events
 
 SL = int(ActivityState.SLEEP)
 AW = int(ActivityState.AWAY)
@@ -96,7 +95,7 @@ def _resume_draw(probs, exclude, rng):
 
 def _chain_states(tpms, rng):
     """Plain chain walk (approach 2 core)."""
-    cum_init, cum_rows = tpms.cumulative()
+    cum_init, cum_rows = np.cumsum(tpms.initial), np.cumsum(tpms.matrices, axis=2)
     n = tpms.n_steps
     states = np.empty(n, dtype=np.int8)
     s = draw_index(cum_init.tolist(), rng.random())
@@ -109,7 +108,7 @@ def _chain_states(tpms, rng):
 
 def _approach3_states(tpms, stats, rng):
     """Chain walk with sampled-duration holds on event activities."""
-    cum_init, cum_rows = tpms.cumulative()
+    cum_init, cum_rows = np.cumsum(tpms.initial), np.cumsum(tpms.matrices, axis=2)
     alphabet = tpms.alphabet
     event_idx = {i for i, a in enumerate(alphabet) if int(a) in _EVENT_SET}
     n = tpms.n_steps

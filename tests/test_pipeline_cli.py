@@ -15,7 +15,7 @@ import pytest
 
 from occsim import occupant_sim, pipeline
 from occsim.cli import FLAGS, _build_parser, _settings, main
-from occsim.clustering import select_k
+from occsim.clustering import ClusterModel, select_k
 from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences, write_sequences
 from occsim.household import attach_appliance_events, build_household, draw_households
 from occsim.markov_train import estimate_tpm, train_cluster_day_model
@@ -134,6 +134,7 @@ def test_config_read_errors(tmp_path):
         ("k_range", "0:3", "k_range"),
         ("k_range", "1:3", "k_range"),
         ("n_days", "0", "n_days: expected a whole number >= 1, got 0"),
+        ("n_days", "36501", "n_days: expected a whole number <= 36500, got 36501"),
         ("n_households", "-2", "n_households: expected a whole number >= 1, got -2"),
         ("tpm_fallback", "magic", r"line 6: tpm_fallback: expected one of \('absorbing', 'uniform', 'laplace'\)"),
         ("start_weekday", "funday", r"line 6: start_weekday: expected one of \('monday', .*, got 'funday'"),
@@ -597,6 +598,20 @@ def test_simulate_size_below_one_is_a_usage_error(capsys, command, flag, value):
     assert "drawn from entropy" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "simulate-occupant", "synth"])
+def test_calendar_past_max_days_is_a_usage_error(tmp_path, capsys, command):
+    """Checked by parsing alone: a calendar of MAX_DAYS is accepted, one day
+    more is a usage error before anything is allocated or written."""
+    assert pipeline.PARSERS["n_days"](str(pipeline.MAX_DAYS)) == pipeline.MAX_DAYS == 36500
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED_FLAGS.get(command, ["--out", str(tmp_path / "tree")]), "--days", "36501"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --days: expected a whole number <= 36500, got 36501" in err
+    assert "drawn from entropy" not in err
+    assert not (tmp_path / "tree").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate-occupant"])
 def test_unknown_start_weekday_is_a_usage_error(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -717,6 +732,16 @@ BAD_LINES = {
                 "('1', 'true', 'yes', '0', 'false', 'no'), got 'ture'",
             ),
             ("nan_text", "epsilon = abc", "line 14: epsilon: could not convert string to float: 'abc'"),
+            ("negative", "epsilon = -1", "line 14: epsilon: expected a finite number >= 0, got -1.0"),
+            ("nan", "epsilon = nan", "line 14: epsilon: expected a finite number >= 0, got nan"),
+            ("one_row", "silhouette_sample = 1", "line 14: silhouette_sample: expected a whole number >= 2, got 1"),
+            ("negative_alpha", "tpm_alpha = -1", "line 14: tpm_alpha: expected a finite number >= 0, got -1.0"),
+            ("infinite_alpha", "tpm_alpha = inf", "line 14: tpm_alpha: expected a finite number >= 0, got inf"),
+            (
+                "past_max_days",
+                "n_days = 100000000000",
+                "line 14: n_days: expected a whole number <= 36500, got 100000000000",
+            ),
         ],
     ),
 }
@@ -894,24 +919,46 @@ def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline
     ],
 )
 def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, option, message):
+    """The flag is a usage error; the same value in Settings built in code,
+    which no flag parser checked, still fails cluster (exit 4) through
+    select_k's own check, before a cluster file is written."""
     args = ["cluster", "--input", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
-    assert main(args + ["--k-range", "2:3", option]) == 4
-    assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--k-range", "2:3", option])
+    assert exc.value.code == 2
+    flag, value = option.split("=")
+    assert f"argument {flag}: expected a " in capsys.readouterr().err
+    name = flag[2:].replace("-", "_")
+    cfg = Settings(base_seed=1, k_range=(2, 3), **{name: float(value) if name == "epsilon" else int(value)})
+    sequences = read_sequences(pipeline_run / "sequences.csv")
+    with pytest.raises(StageError, match=re.escape(message)) as exc:
+        cluster_stage(sequences, "WD", tmp_path / "model.wd.clusters", cfg, log=io.StringIO())
+    assert exc.value.exit_code == 4
     assert not list(tmp_path.glob("*.clusters"))
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
 def test_train_rejects_out_of_range_alpha(pipeline_run, tmp_path, capsys, alpha):
-    clusters = [str(pipeline_run / f"model.{dt}.clusters") for dt in ("wd", "we")]
-    args = ["train", "--diaries", str(pipeline_run / "sequences.csv"), "--clusters", *clusters]
-    assert main(args + ["--out", str(tmp_path / "tpms"), "--fallback", "laplace", f"--alpha={alpha}"]) == 5
-    assert "alpha must be finite and nonnegative" in capsys.readouterr().err
+    """As for cluster: a usage error from the flag, exit 5 from estimate_tpm's
+    own check for Settings built in code, and no model directory either way."""
+    clusters = [pipeline_run / f"model.{dt}.clusters" for dt in ("wd", "we")]
+    args = ["train", "--diaries", str(pipeline_run / "sequences.csv"), "--clusters", *map(str, clusters)]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path / "tpms"), "--fallback", "laplace", f"--alpha={alpha}"])
+    assert exc.value.code == 2
+    assert f"argument --alpha: expected a finite number >= 0, got {float(alpha)}" in capsys.readouterr().err
+    cluster_models = {m.day_type: m for m in map(ClusterModel.read, clusters)}
+    cfg = Settings(tpm_fallback="laplace", tpm_alpha=float(alpha))
+    sequences = read_sequences(pipeline_run / "sequences.csv")
+    with pytest.raises(StageError, match="alpha must be finite and nonnegative") as exc:
+        train_stage(sequences, cluster_models, tmp_path / "tpms", cfg, log=io.StringIO())
+    assert exc.value.exit_code == 5
     assert not (tmp_path / "tpms").exists()
 
 
 @pytest.mark.parametrize(
     "key, value, code",
-    [("k_range", "1:4", 2), ("epsilon", "nan", 4), ("silhouette_sample", "1", 4), ("tpm_alpha", "nan", 5)],
+    [("k_range", "1:4", 2), ("epsilon", "nan", 2), ("silhouette_sample", "1", 2), ("tpm_alpha", "nan", 2)],
 )
 def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, code):
     settings = {
@@ -927,6 +974,7 @@ def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, co
     }
     settings[key] = value
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == code
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from occsim.diary_ingest import (
     project_to_presence,
     resample_to_sequence,
 )
-from occsim.occupant_sim import day_uniforms, walk_days
+from occsim.occupant_sim import walk_days
 from occsim.schedule_io import MODULATED_END_USES, REQUIRED_BUNDLE
 from occsim.synth import (
     build_truth_model,
@@ -24,7 +24,7 @@ from occsim.synth import (
     write_diaries,
     write_input_tree,
 )
-from tests.helpers import forward_marginals
+from tests.helpers import day_uniforms, forward_marginals
 
 
 def test_truth_model_is_valid_chain():
