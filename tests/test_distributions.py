@@ -45,6 +45,32 @@ def test_inverse_cdf_boundaries():
     assert d.sample(FixedRng([0.999999])) == 30.0
 
 
+def test_draw_index_edges_and_clamp():
+    cum = [0.2, 0.7, 1.0]
+    assert draw_index(cum, 0.0) == 0
+    assert draw_index(cum, 0.2) == 1
+    assert draw_index(cum, 0.99) == 2
+    # rounding can leave the last cumulative value below the draw
+    assert draw_index([0.2, 0.7, 0.9999999], 0.99999995) == 2
+    assert draw_index(np.array(cum), 1.0) == 2
+
+
+@pytest.mark.parametrize(
+    "support, probs",
+    [([10.0, 20.0, 30.0], [0.2, 0.5, 0.3]), ([1.0, 2.0, 3.0, 4.0], [0.1, 0.0, 0.6, 0.3]), ([5.0], [1.0])],
+)
+def test_array_sample_follows_draw_index(support, probs):
+    d = EmpiricalDistribution(np.array(support), np.array(probs))
+    cum = np.cumsum(d.probs).tolist()
+    # zero, every cumulative edge and the float just below it, and just below 1
+    r = [0.0, *cum, *np.nextafter(cum, 0.0).tolist(), np.nextafter(1.0, 0.0)]
+    want = [float(d.support[draw_index(cum, x)]) for x in r]
+    got = d.sample(FixedRng(r), len(r))
+    assert isinstance(got, np.ndarray) and got.tolist() == want
+    assert got.tolist() == [d.sample(FixedRng([x])) for x in r]
+    assert d.sample_int(FixedRng(r), len(r)).tolist() == [d.sample_int(FixedRng([x])) for x in r]
+
+
 def _weights(size):
     """Probabilities of `size` outcomes from small whole weights, zeros included."""
     return st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any).map(lambda w: np.array(w) / sum(w))
