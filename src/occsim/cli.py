@@ -16,11 +16,10 @@ from pathlib import Path
 from . import streams
 from .clustering import ClusterModel
 from .diary_ingest import DAY_TYPES, write_sequences
-from .markov_train import TrainError, load_model_dir
+from .markov_train import load_model_dir
 from .occupant_sim import (
     OccupantProfile,
     SimCalendar,
-    SimulationError,
     days_to_sequences,
     simulate_year,
     walk_occupants,
@@ -33,6 +32,7 @@ from .pipeline import (
     StageError,
     boolean,
     cluster_stage,
+    failing,
     ingest_stage,
     load_sequences,
     load_simulation_inputs,
@@ -42,7 +42,6 @@ from .pipeline import (
     simulate_stage,
     train_stage,
     validate_stage,
-    writing,
 )
 
 # The stage flag of each Settings field: `--` and its name with dashes, or
@@ -161,7 +160,7 @@ def _cmd_ingest(args, log) -> int:
 def _cmd_cluster(args, log) -> int:
     cfg = resolve_seed(_settings(args), log, "cluster")
     sequences, _ = load_sequences(args.input, args.code_map, "cluster")
-    with writing("cluster"):
+    with failing("cluster"):
         args.out.mkdir(parents=True, exist_ok=True)
     for day_type in DAY_TYPES if args.day_type == "both" else [args.day_type.upper()]:
         cluster_stage(sequences, day_type, args.out / f"model.{day_type.lower()}.clusters", cfg, log=log)
@@ -172,10 +171,8 @@ def _cmd_train(args, log) -> int:
     sequences, _ = load_sequences(args.diaries, args.code_map, "train")
     cluster_models = {}
     for path in args.clusters:
-        try:
+        with failing("train"):
             model = ClusterModel.read(path)
-        except (OSError, ValueError) as exc:
-            raise StageError("train", str(exc)) from exc
         if model.day_type in cluster_models:
             raise StageError("train", f"duplicate cluster model for day type {model.day_type}")
         cluster_models[model.day_type] = model
@@ -192,16 +189,13 @@ def _cmd_simulate(args, log) -> int:
 
 def _cmd_simulate_occupant(args, log) -> int:
     cfg = resolve_seed(_settings(args), log, "simulate-occupant")
-    try:
+    with failing("simulate"):
         models = load_model_dir(args.tpms)
         calendar = SimCalendar.from_name(cfg.start_weekday, cfg.n_days)
         profile = OccupantProfile("o0", args.wd_cluster, args.we_cluster)
         rng_root = streams.child(streams.root(cfg.base_seed), streams.OCCUPANT, 0)
         days = walk_occupants([(profile, rng_root)], models, calendar, approach=cfg.approach)[0]
         states, failures = simulate_year(profile, days, models, calendar, rng_root, approach=cfg.approach)
-    except (TrainError, SimulationError, OSError) as exc:
-        raise StageError("simulate", str(exc)) from exc
-    with writing("simulate"):
         args.out.parent.mkdir(parents=True, exist_ok=True)
         write_sequences(args.out, days_to_sequences(states, calendar.day_types, "d"))
     if failures:
@@ -220,7 +214,7 @@ def _cmd_validate(args, log) -> int:
 def _cmd_synth(args, log) -> int:
     from .synth import write_input_tree
 
-    with writing("synth"):
+    with failing("synth"):
         layout = write_input_tree(**{key: value for key, value in vars(args).items() if key != "command"})
     print(f"synth: input tree -> {layout.root}", file=log)
     print(f"synth: project config -> {layout.project}", file=log)

@@ -62,7 +62,7 @@ class TPMSet:
             raise TrainError(f"matrices must be (T, {S}, {S})")
         if not (np.isfinite(self.initial).all() and np.isfinite(self.matrices).all()):
             raise TrainError("non-finite probabilities")
-        if np.any(self.initial < -ROW_TOL) or np.any(self.matrices < -ROW_TOL):
+        if np.any(self.initial < 0) or np.any(self.matrices < 0):
             raise TrainError("negative probabilities")
         if abs(self.initial.sum() - 1.0) > ROW_TOL:
             raise TrainError("initial distribution does not sum to 1")

@@ -30,18 +30,17 @@ from .diary_ingest import (
     sequence_table,
     write_sequences,
 )
-from .household import HouseholdConfig, HouseholdError, build_household, draw_households
+from .household import HouseholdConfig, build_household, draw_households
 from .markov_train import (
     FALLBACKS,
     ClusterDayModel,
-    TrainError,
     estimate_statistics,
     load_model_dir,
     save_model_dir,
     train_cluster_day_model,
 )
-from .occupant_sim import WEEKDAY_NAMES, SimCalendar, SimulationError
-from .schedule_io import ScheduleError, assemble_schedule, load_bundle, load_reference_dir, write_schedule_file
+from .occupant_sim import WEEKDAY_NAMES, SimCalendar
+from .schedule_io import assemble_schedule, load_bundle, load_reference_dir, write_schedule_file
 from .validate import ComparisonReport, compare_behavior
 
 # Household-days whose occupants simulate walks together: each (day type,
@@ -65,14 +64,15 @@ class StageError(Exception):
 
 
 @contextmanager
-def writing(stage: str):
-    """A block that creates output directories and files: an OSError in it,
-    such as an output path that is a file where a directory must be, is a
-    StageError of `stage`."""
+def failing(stage: str, where: str = ""):
+    """The one boundary of a stage: an OSError or ValueError in the block,
+    such as a bad input file, an output path that cannot be made or a model
+    check on user data, is a StageError of `stage`, its message after `where`.
+    Every module's error class is a ValueError."""
     try:
         yield
-    except OSError as exc:
-        raise StageError(stage, str(exc)) from exc
+    except (OSError, ValueError) as exc:
+        raise StageError(stage, where + str(exc)) from exc
 
 
 # The longest calendar, a century: a chunk holds at least one household, and a
@@ -215,11 +215,9 @@ def resolve_seed(cfg: Settings, log, command: str) -> Settings:
 def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.ndarray, int]:
     """Diaries or a sequence file as a SEQUENCE table, plus the unmapped-code
     tally; bad or empty input is a StageError of `stage`."""
-    try:
+    with failing(stage):
         cmap = ActivityCodeMap.read(code_map) if code_map is not None else None
         sequences, unknown = load_sequences_any(path, cmap)
-    except (OSError, ValueError) as exc:
-        raise StageError(stage, str(exc)) from exc
     if not len(sequences):
         raise StageError(stage, f"{path}: no diary records")
     return sequences, unknown
@@ -229,7 +227,7 @@ def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log=None)
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
     log = sys.stderr if log is None else log
     sequences, unknown = load_sequences(diaries, code_map, "ingest")
-    with writing("ingest"):
+    with failing("ingest"):
         out_file.parent.mkdir(parents=True, exist_ok=True)
         write_sequences(out_file, sequences)
     if unknown:
@@ -247,7 +245,7 @@ def cluster_stage(
     subset = sequences[sequences["day_type"] == day_type]
     if not len(subset):
         raise StageError("cluster", f"no {day_type} sequences")
-    try:
+    with failing("cluster", f"{day_type}: "):
         result = select_k(
             project_to_presence(subset["states"]),
             None if cfg.unweighted_clustering else subset["weight"],
@@ -257,9 +255,7 @@ def cluster_stage(
             day_type=day_type,
             silhouette_sample=cfg.silhouette_sample,
         )
-    except ValueError as exc:  # ClusterError included
-        raise StageError("cluster", f"{day_type}: {exc}") from exc
-    with writing("cluster"):
+    with failing("cluster"):
         out_file.parent.mkdir(parents=True, exist_ok=True)
         result.model.write(out_file)
     for k, score in result.table.items():
@@ -285,14 +281,12 @@ def train_stage(
             members = subset[labels == c]
             if not len(members):
                 raise StageError("train", f"cluster {c} has no {day_type} sequences")
-            try:
+            with failing("train", f"cluster {c} {day_type}: "):
                 models[day_type][c] = train_cluster_day_model(
                     members, cluster_id=c, day_type=day_type, fallback=cfg.tpm_fallback, alpha=cfg.tpm_alpha
                 )
-            except TrainError as exc:
-                raise StageError("train", f"cluster {c} {day_type}: {exc}") from exc
             print(f"train: cluster {c} {day_type}: {len(members)} sequences", file=log)
-    with writing("train"):
+    with failing("train"):
         save_model_dir(out_dir, models)
     print(f"train: model files -> {out_dir}", file=log)
     return models
@@ -315,13 +309,11 @@ def load_simulation_inputs(
     """The bundle, reference schedules, household config and calendar that
     simulate reads; bad input, a vacation past the calendar included, is a
     StageError of simulate."""
-    try:
+    with failing("simulate"):
         bundle = load_bundle(bundle_dir)
         reference = load_reference_dir(reference_dir)
         config = HouseholdConfig.read(household_conf)
         calendar = SimCalendar.from_name(cfg.start_weekday, cfg.n_days)
-    except (OSError, ValueError) as exc:
-        raise StageError("simulate", str(exc)) from exc
     if config.vacation is not None and config.vacation[1] > cfg.n_days:
         raise StageError(
             "simulate", f"{household_conf}: vacation window {config.vacation} ends after day {cfg.n_days}"
@@ -337,10 +329,8 @@ def simulate_stage(
     log = sys.stderr if log is None else log
     if cfg.n_households < 1:
         raise StageError("simulate", f"n_households must be positive, got {cfg.n_households}")
-    try:
+    with failing("simulate"):
         models = load_model_dir(tpms_dir)
-    except (OSError, ValueError) as exc:
-        raise StageError("simulate", str(exc)) from exc
     bundle, reference, config, calendar = inputs
     for day_type in DAY_TYPES:
         if day_type not in models or not models[day_type]:
@@ -354,33 +344,29 @@ def simulate_stage(
             )
         if sorted(models[day_type]) != list(range(k)):
             raise StageError("simulate", f"{day_type} cluster ids are not 0..{k - 1}")
-    with writing("simulate"):
+    with failing("simulate"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     size = max(1, CHUNK_HOUSEHOLD_DAYS // calendar.n_days)
     for lo in range(0, cfg.n_households, size):
         chunk = range(lo, min(lo + size, cfg.n_households))
-        try:
+        with failing("simulate"):  # a missing model names its occupant, h<index>o<o>
             draws = draw_households(chunk, models, config, calendar, cfg.base_seed, approach=cfg.approach)
-        except SimulationError as exc:  # a missing model names its occupant, h<index>o<o>
-            raise StageError("simulate", str(exc)) from exc
         for draw in draws:
             h = draw.index
-            try:
+            with failing("simulate", f"household {h}: "):
                 result = build_household(draw, models, bundle, config, calendar, approach=cfg.approach)
                 schedule = assemble_schedule(result, reference, calendar, modulation=cfg.modulation)
-            except (SimulationError, HouseholdError, ScheduleError) as exc:
-                raise StageError("simulate", f"household {h}: {exc}") from exc
             path = out_dir / f"household_{h}.csv"
-            with writing("simulate"):
+            with failing("simulate"):
                 write_schedule_file(path, schedule)
             if result.placement_failures:
                 print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
             print(f"simulate: household {h} ({len(result.states)} occupants) -> {path}", file=log)
             results.append(result)
     occupant_days = _occupant_day_rows(results, calendar)
-    with writing("simulate"):
+    with failing("simulate"):
         write_sequences(out_dir / "occupant_days.csv", occupant_days)
     print(f"simulate: occupant-day table -> {out_dir / 'occupant_days.csv'}", file=log)
     return occupant_days
@@ -391,7 +377,7 @@ def validate_stage(
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus (SEQUENCE tables)."""
     log = sys.stderr if log is None else log
-    with writing("validate"):
+    with failing("validate"):
         out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:
@@ -400,10 +386,10 @@ def validate_stage(
         if not len(sim_dt) or not len(ref_dt):
             print(f"validate: skipping {day_type} (no data on one side)", file=log)
             continue
-        ref_stats = estimate_statistics(ref_dt)
-        report = compare_behavior(sim_dt, ref_stats)
+        with failing("validate", f"{day_type}: "):
+            report = compare_behavior(sim_dt, estimate_statistics(ref_dt))
         path = out_dir / f"validation_report.{day_type.lower()}.csv"
-        with writing("validate"):
+        with failing("validate"):
             report.write(path)
         reports[day_type] = report
         print(f"validate[{day_type}]:", file=log)
@@ -416,7 +402,7 @@ def run_pipeline(cfg: ProjectConfig, log=None) -> int:
     log = sys.stderr if log is None else log
     cfg = resolve_seed(cfg, log, "run")
     marker = cfg.out / ".partial"
-    with writing("config"):  # `out` is a project.conf key
+    with failing("config"):  # `out` is a project.conf key
         cfg.out.mkdir(parents=True, exist_ok=True)
         marker.touch()
     inputs = load_simulation_inputs(cfg.bundle, cfg.reference, cfg.household, cfg)

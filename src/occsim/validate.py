@@ -27,6 +27,13 @@ class ValidationError(ValueError):
     """Invalid validation input."""
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of two nonempty supports.  np.union1d and
+    np.unique would import numpy.ma on first use."""
+    points = np.sort(np.concatenate([a, b]))
+    return points[np.r_[True, points[1:] != points[:-1]]]
+
+
 def ks_statistic(a: EmpiricalDistribution | None, b: EmpiricalDistribution | None) -> float | None:
     """Two-sample KS over weighted empirical distributions.
 
@@ -37,7 +44,7 @@ def ks_statistic(a: EmpiricalDistribution | None, b: EmpiricalDistribution | Non
         return None
     if a is None or b is None:
         return 1.0
-    points = np.union1d(a.support, b.support)
+    points = _union(a.support, b.support)
     return float(np.max(np.abs(a.cdf_at(points) - b.cdf_at(points))))
 
 
@@ -66,7 +73,7 @@ def occurrence_chi2_p(
     simulated day total; consecutive bins pool until each expected count
     reaches five, with any remainder folded into the last bin.
     """
-    support = np.union1d(sim.support, ref.support)
+    support = _union(sim.support, ref.support)
     obs = sim.cdf_at(support) - sim.cdf_at(support - 0.5)
     exp = ref.cdf_at(support) - ref.cdf_at(support - 0.5)
     obs = obs * n_sim_days

@@ -266,6 +266,13 @@ def test_tpmset_validation():
     neg[0, 0, 1] = 1.1
     with pytest.raises(TrainError, match="negative"):
         TPMSet(0, "WD", FULL_ALPHABET, init, neg)
+    # sums to 1 within ROW_TOL, but its cumulative sum decreases, so
+    # r = 0.4999999997 would draw the state of negative probability
+    tiny = np.array([0.5, -5e-10, 0.5 + 5e-10])
+    with pytest.raises(TrainError, match="negative probabilities"):
+        TPMSet(0, "WD", PRESENCE_ALPHABET, np.eye(3)[0], np.tile(tiny, (4, 3, 1)))
+    with pytest.raises(TrainError, match="negative probabilities"):
+        TPMSet(0, "WD", PRESENCE_ALPHABET, tiny, np.tile(np.eye(3), (4, 1, 1)))
     with pytest.raises(TrainError, match="initial"):
         TPMSet(0, "WD", FULL_ALPHABET, init * 0.5, m)
 

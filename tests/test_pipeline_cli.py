@@ -12,6 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from occsim import occupant_sim, pipeline
 from occsim.cli import FLAGS, _build_parser, _settings, main
@@ -21,9 +22,12 @@ from occsim.household import attach_appliance_events, build_household, draw_hous
 from occsim.markov_train import estimate_tpm, train_cluster_day_model
 from occsim.occupant_sim import SimCalendar, simulate_year, walk_occupants
 from occsim.pipeline import (
+    CHOICES,
+    PARSERS,
     ProjectConfig,
     Settings,
     StageError,
+    boolean,
     cluster_stage,
     load_simulation_inputs,
     run_pipeline,
@@ -327,10 +331,9 @@ def test_run_out_that_is_a_file_is_a_config_error(synth_tree, tmp_path, capsys):
     assert (tmp_path / "diaries.csv").read_bytes() == diaries
 
 
-def _run_stagewise(synth_tree, out, household, seed, flags):
+def _run_stages(synth_tree, out, household, flags):
     """Run ingest, cluster, train, simulate and validate as subcommands into
-    `out` with the synth project's settings; `flags` holds each stage's extra
-    flags."""
+    `out`; `flags` holds each stage's setting flags."""
 
     def stage(command, *argv):
         assert main([command, *argv, *flags.get(command, [])]) == 0, command
@@ -338,16 +341,24 @@ def _run_stagewise(synth_tree, out, household, seed, flags):
     diaries, code_map = str(synth_tree / "diaries.csv"), str(synth_tree / "code_map.csv")
     sequences = str(out / "sequences.csv")
     stage("ingest", "--diaries", diaries, "--code-map", code_map, "--out", sequences)
-    stage("cluster", "--input", sequences, "--out", str(out), "--day-type", "both", "--k-range", "4:4",
-          "--seed", seed, "--silhouette-sample", "768")
+    stage("cluster", "--input", sequences, "--out", str(out), "--day-type", "both")
     clusters = [str(out / "model.wd.clusters"), str(out / "model.we.clusters")]
     stage("train", "--diaries", sequences, "--clusters", *clusters, "--out", str(out / "tpms"))
     stage("simulate", "--tpms", str(out / "tpms"), "--bundle", str(synth_tree / "bundle"),
-          "--reference", str(synth_tree / "reference"), "--household-config", str(household),
-          "--out", str(out), "--households", "2", "--days", "6", "--seed", seed)
+          "--reference", str(synth_tree / "reference"), "--household-config", str(household), "--out", str(out))
     # The composed run validates against its sequences.csv; stage-wise
     # validation of the raw diaries must give the same reports.
     stage("validate", "--sim", str(out), "--reference", diaries, "--code-map", code_map)
+
+
+def _run_stagewise(synth_tree, out, household, seed, flags):
+    """`_run_stages` with the synth project's settings; `flags` holds each
+    stage's extra flags."""
+    base = {
+        "cluster": ["--k-range", "4:4", "--seed", seed, "--silhouette-sample", "768"],
+        "simulate": ["--households", "2", "--days", "6", "--seed", seed],
+    }
+    _run_stages(synth_tree, out, household, {c: base.get(c, []) + flags.get(c, []) for c in base | flags})
 
 
 def _tree_bytes(root):
@@ -430,6 +441,67 @@ def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp
     assert _tree_bytes(tmp_path / "stagewise") == run
     assert run != _tree_bytes(pipeline_run)
     _assert_pinned(tmp_path / "out", case)
+
+
+@st.composite
+def run_settings(draw):
+    """One valid combination of run settings, as project.conf values, plus a
+    vacation window or None.  k_range stays 4:4, the synth household
+    config's four cluster shares."""
+    keys = {
+        "base_seed": draw(st.integers(0, 2**32 - 1)),
+        "n_households": draw(st.integers(1, 3)),
+        "n_days": draw(st.integers(1, 9)),
+        "k_range": "4:4",
+        "silhouette_sample": draw(st.none() | st.integers(2, 400)),
+        "unweighted_clustering": draw(st.booleans()),
+        "tpm_alpha": draw(st.sampled_from([0.0, 0.5, 3.0])),
+    }
+    keys |= {name: draw(st.sampled_from(CHOICES[name])) for name in sorted(CHOICES)}
+    start = draw(st.none() | st.integers(0, keys["n_days"] - 1))
+    vacation = None if start is None else (start, draw(st.integers(start + 1, keys["n_days"])))
+    return {name: str(value).lower() for name, value in keys.items() if value is not None}, vacation
+
+
+def _flag(name, value):
+    """The stage flag that restates the project.conf key `name = value`."""
+    if PARSERS[name] is boolean:
+        return [FLAGS[name]] if boolean(value) else []
+    return [FLAGS[name], value]
+
+
+@settings(max_examples=6, derandomize=True, database=None)
+@given(case=run_settings())
+@example(case=(  # approach 1 with a vacation and every other setting off its default
+    {"base_seed": "9", "n_households": "2", "n_days": "9", "start_weekday": "thursday", "approach": "1",
+     "k_range": "4:4", "silhouette_sample": "40", "tpm_fallback": "laplace", "tpm_alpha": "0.5",
+     "modulation": "active", "unweighted_clustering": "true"},
+    (2, 5),
+))
+def test_run_matches_stages_over_combined_settings(synth_tree, tmp_path_factory, case):
+    """Any valid combination of settings: `occsim run` gives the bytes of the
+    stage-wise CLI, and of a run in a process with one BLAS thread."""
+    keys, vacation = case
+    tmp = tmp_path_factory.mktemp("combined")
+    household = tmp / "household.conf"
+    window = "" if vacation is None else f"vacation = {vacation[0]},{vacation[1]}\n"
+    household.write_text((synth_tree / "household.conf").read_text() + window)
+    paths = {"diaries": synth_tree / "diaries.csv", "code_map": synth_tree / "code_map.csv",
+             "bundle": synth_tree / "bundle", "reference": synth_tree / "reference", "household": household}
+    assert main(["run", "--config", str(_write_conf(tmp, **paths, **keys))]) == 0
+    run = _tree_bytes(tmp / "out")
+    flags = {
+        command: [arg for name in STAGE_SETTINGS[command] if name in keys for arg in _flag(name, keys[name])]
+        for command in ("cluster", "train", "simulate")
+    }
+    _run_stages(synth_tree, tmp / "stagewise", household, flags)
+    assert _tree_bytes(tmp / "stagewise") == run
+    conf = _write_conf(tmp, **paths, **keys, out="one_thread")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "occsim", "run", "--config", str(conf)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _tree_bytes(tmp / "one_thread") == run
 
 
 @pytest.mark.parametrize("approach", ["1", "3"])
@@ -881,6 +953,13 @@ def _keep_50_matrices(path):
     path.write_text("\n".join(lines[: 2 + 50 * n_states]) + "\n")
 
 
+def _tiny_negative_first_row(path):
+    # -5e-10 keeps the row's sum within ROW_TOL of 1, but could be drawn
+    lines = path.read_text().splitlines()
+    lines[2] = "0.5,-5e-10,0.5000000005"
+    path.write_text("\n".join(lines) + "\n")
+
+
 # (file to break, how, message after the file name)
 BAD_MODELS = {
     "permuted": ("c0.wd.tpm", _swap_first_two_states, "states Away,Sleep," + FULL_TOKENS[len("Sleep,Away,") :]),
@@ -896,6 +975,7 @@ BAD_MODELS = {
     ),
     "short": ("c0.wd.tpm", _keep_50_matrices, "50 matrices, expected 95"),
     "short_presence": ("c1.wd.presence.tpm", _keep_50_matrices, "50 matrices, expected 95"),
+    "tiny_negative": ("c0.wd.presence.tpm", _tiny_negative_first_row, "negative probabilities"),
 }
 
 
@@ -1076,6 +1156,28 @@ def test_validate_rejects_bad_weight(pipeline_run, tmp_path, capsys, weight):
     argv = ["validate", "--sim", str(sim), "--reference", str(pipeline_run / "sequences.csv"), "--out", str(tmp_path)]
     assert main(argv) == 7
     assert f"{sim}: row 1: bad weight '{weight}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["--sim", "--reference"])
+def test_validate_zero_weight_day_type_is_a_stage_error(pipeline_run, tmp_path, side):
+    # Every WD row weighs 0: the reader accepts each weight, and the
+    # statistics of that side then fail as a stage error, not a traceback.
+    files = {"--sim": pipeline_run / "occupant_days.csv", "--reference": pipeline_run / "sequences.csv"}
+    lines = files[side].read_text().splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        if cells[1] == "WD":
+            lines[i] = ",".join(cells[:2] + ["0"] + cells[3:])
+    files[side] = tmp_path / "zero.csv"
+    files[side].write_text("\n".join(lines) + "\n")
+    argv = ["validate", "--sim", str(files["--sim"]), "--reference", str(files["--reference"])]
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "occsim", *argv, "--out", str(tmp_path / "v")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 7, proc.stderr
+    assert "occsim: validate: WD: total weight must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "v" / "validation_report.wd.csv").exists()
 
 
 @pytest.mark.parametrize("side", ["--sim", "--reference"])

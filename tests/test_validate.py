@@ -97,6 +97,35 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_compare_behavior_does_not_load_numpy_ma():
+    # np.union1d and np.unique import numpy.ma on first use, a cost every run
+    # would pay in its validate stage
+    env_path = str(Path(occsim.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {env_path!r})\n"
+        "import numpy as np\n"
+        "from occsim.diary_ingest import sequence_table\n"
+        "from occsim.markov_train import estimate_statistics\n"
+        "from occsim.validate import compare_behavior\n"
+        "rng = np.random.default_rng(5)\n"
+        "sim, ref = (sequence_table([f'r{i}' for i in range(20)], 'WD', 1.0, rng.integers(0, 7, (20, 96)))\n"
+        "            for _ in range(2))\n"
+        "report = compare_behavior(sim, estimate_statistics(ref))\n"
+        "assert any(row.ks_duration not in (None, 0.0) for row in report.rows)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("a, b", [([1.0], [1.0]), ([0.0, 2.0], [1.0, 2.0, 3.0]), ([5.0], [-1.0, 0.5])])
+def test_support_union_matches_union1d(a, b):
+    from occsim.validate import _union
+
+    got = _union(np.array(a), np.array(b))
+    assert got.dtype == np.float64 and np.array_equal(got, np.union1d(a, b))
+
+
 def test_chi2_pools_small_expected_bins():
     ref = dist([0, 1, 2], [0.5, 0.48, 0.02], "count")
     sim = dist([0, 1], [0.5, 0.5], "count")
