@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .conf import reading
+from .conf import number_text, reading, write_lines
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
@@ -25,10 +25,6 @@ from .diary_ingest import (
     ActivityState,
     project_to_presence,
 )
-
-# Population shares of the default four-cluster configuration shipped for
-# household sampling.
-DEFAULT_CLUSTER_SHARES = (0.36, 0.21, 0.21, 0.22)
 
 # Bytes of the float64 copy of one block of rows of the (n, n) distance
 # matrix: `pairwise_distances` fills it, and `silhouette` sums it, a block at
@@ -75,12 +71,12 @@ class ClusterModel:
         lines = [
             f"k,{self.k}",
             f"day_type,{self.day_type}",
-            "shares," + ",".join(f"{s:.12g}" for s in self.shares),
+            "shares," + ",".join(number_text(self.shares)),
         ]
         for mode in self.modes:
             tokens = ",".join(STATE_TOKENS[ActivityState(int(s))] for s in mode)
             lines.append(f"mode,{tokens}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
     @classmethod
     def read(cls, path: str | Path) -> "ClusterModel":

@@ -1,12 +1,14 @@
-"""Readers for text files: `reading` (the one place that names a bad file
-and line), `key = value` configs and `step,value` reference files."""
+"""Text files: `reading` (the one place that names a bad file and line),
+`key = value` configs and `step,value` reference files on the read side;
+`number_text` (the one place that prints a model number) and `write_lines`
+on the write side."""
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -87,6 +89,21 @@ def read_step_values(path: str | Path, error: Callable[[str], Exception] = Value
     return values
 
 
+def number_text(values) -> list:
+    """The `.12g` text of every entry of a float array, as nested lists of its
+    shape.  Each distinct value is formatted once; values are told apart by
+    their bits, so -0.0 prints as "-0", not as "0"."""
+    values = np.ascontiguousarray(values, np.float64)
+    # return_inverse: np.unique without a return_* flag imports numpy.ma
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([f"{v:.12g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(values.shape)].tolist()
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines` to a text file, each ending in LF."""
+    Path(path).write_text("".join([f"{line}\n" for line in lines]), newline="\n")
+
+
 def write_step_values(path: str | Path, values: np.ndarray) -> None:
-    lines = [f"{i},{v:.12g}" for i, v in enumerate(np.asarray(values))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, (f"{i},{v}" for i, v in enumerate(number_text(values))))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import reading
+from .conf import reading, write_lines
 
 N_MINUTES = 1440
 N_STEPS = 96
@@ -104,7 +104,7 @@ class ActivityCodeMap:
     def write(self, path: str | Path) -> None:
         lines = [f"{code},{STATE_TOKENS[state]}" for code, state in self.mapping.items()]
         lines.append(f"DEFAULT,{STATE_TOKENS[self.default_state]}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 # One row per respondent-day resampled to 96 fifteen-minute steps.

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conf import reading
+from .conf import number_text, reading, write_lines
 from .diary_ingest import N_STEPS
 
 PROB_TOL = 1e-9
@@ -106,9 +106,8 @@ class EmpiricalDistribution:
         return np.concatenate([[0.0], self._cum])[idx]
 
     def write(self, path: str | Path) -> None:
-        lines = [f"unit,{self.unit}"]
-        lines += [f"{v:.12g},{p:.12g}" for v, p in zip(self.support, self.probs)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        rows = number_text(np.stack([self.support, self.probs], axis=1))
+        write_lines(path, [f"unit,{self.unit}", *map(",".join, rows)])
 
     @classmethod
     def read(cls, path: str | Path, error: Callable[[str], Exception] = ValueError) -> "EmpiricalDistribution":

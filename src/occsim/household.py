@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .conf import key_values, reading
+from .conf import key_values, number_text, reading, write_lines
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
 from .distributions import EmpiricalDistribution
-from .clustering import DEFAULT_CLUSTER_SHARES
 from .markov_train import ClusterDayModel, runs
 from .occupant_sim import (
     RETRY_BUDGET,
@@ -63,6 +62,9 @@ ACTIVITY_APPLIANCE = {
 MERGEABLE_ACTIVITIES = tuple(ACTIVITY_APPLIANCE)
 
 DEFAULT_SHOWER_FRACTION = 0.921
+# Population shares of the default four-cluster configuration, which the
+# synthetic corpus also plants.
+DEFAULT_CLUSTER_SHARES = (0.36, 0.21, 0.21, 0.22)
 
 
 class HouseholdError(ValueError):
@@ -142,19 +144,17 @@ class HouseholdConfig:
             return cls(**values)
 
     def write(self, path: str | Path) -> None:
-        dist = ",".join(
-            f"{int(v) if float(v).is_integer() else v}:{p:.12g}"
-            for v, p in zip(self.occupant_count_dist.support, self.occupant_count_dist.probs)
-        )
+        dist = self.occupant_count_dist
+        counts = number_text(np.stack([dist.support, dist.probs], axis=1))
         lines = [
-            f"occupant_count = {dist}",
-            "cluster_shares_wd = " + ",".join(f"{s:.12g}" for s in self.cluster_shares_wd),
-            "cluster_shares_we = " + ",".join(f"{s:.12g}" for s in self.cluster_shares_we),
-            f"shower_fraction = {self.shower_fraction:.12g}",
+            "occupant_count = " + ",".join(map(":".join, counts)),
+            "cluster_shares_wd = " + ",".join(number_text(self.cluster_shares_wd)),
+            "cluster_shares_we = " + ",".join(number_text(self.cluster_shares_we)),
+            "shower_fraction = " + number_text([self.shower_fraction])[0],
         ]
         if self.vacation is not None:
             lines.append(f"vacation = {self.vacation[0]},{self.vacation[1]}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 @dataclass

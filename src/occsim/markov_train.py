@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import reading
+from .conf import number_text, reading, write_lines
 from .diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -88,12 +88,8 @@ class TPMSet:
 
     def write(self, path: str | Path) -> None:
         tokens = ",".join(STATE_TOKENS[a] for a in self.alphabet)
-        lines = [f"{self.cluster_id},{self.day_type},{tokens}"]
-        lines.append(",".join(f"{p:.12g}" for p in self.initial))
-        for t in range(self.matrices.shape[0]):
-            for i in range(self.n_states):
-                lines.append(",".join(f"{p:.12g}" for p in self.matrices[t, i]))
-        Path(path).write_text("\n".join(lines) + "\n")
+        rows = number_text(np.vstack([self.initial, self.matrices.reshape(-1, self.n_states)]))
+        write_lines(path, [f"{self.cluster_id},{self.day_type},{tokens}", *map(",".join, rows)])
 
     @classmethod
     def read(cls, path: str | Path) -> "TPMSet":
@@ -295,13 +291,11 @@ _ACT_FILE = {a: STATE_TOKENS[a].lower() for a in EVENT_ACTIVITIES}
 _TPM_NAME = re.compile(r"c(\d+)\.(wd|we)\.tpm")
 
 
-def save_model_dir(directory: str | Path, models) -> None:
-    """Write a model tree; accepts a flat iterable or a day-type keyed dict."""
+def save_model_dir(directory: str | Path, models: dict[str, dict[int, ClusterDayModel]]) -> None:
+    """Write a model tree from models keyed by day type, then cluster id."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(models, dict):
-        models = [m for by_cluster in models.values() for m in by_cluster.values()]
-    for m in models:
+    for m in (model for by_cluster in models.values() for model in by_cluster.values()):
         stem = f"c{m.cluster_id}.{m.day_type.lower()}"
         m.tpms.write(directory / f"{stem}.tpm")
         m.presence_tpms.write(directory / f"{stem}.presence.tpm")

@@ -377,23 +377,24 @@ def validate_stage(
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus (SEQUENCE tables)."""
     log = sys.stderr if log is None else log
-    with failing("validate"):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    # Every report is computed before any is written, so a failure leaves no report.
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:
         sim_dt = sim_days[sim_days["day_type"] == day_type]
         ref_dt = ref_days[ref_days["day_type"] == day_type]
-        if not len(sim_dt) or not len(ref_dt):
+        if len(sim_dt) and len(ref_dt):
+            with failing("validate", f"{day_type}: "):
+                reports[day_type] = compare_behavior(sim_dt, estimate_statistics(ref_dt))
+    with failing("validate"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for day_type in DAY_TYPES:
+        if day_type not in reports:
             print(f"validate: skipping {day_type} (no data on one side)", file=log)
             continue
-        with failing("validate", f"{day_type}: "):
-            report = compare_behavior(sim_dt, estimate_statistics(ref_dt))
-        path = out_dir / f"validation_report.{day_type.lower()}.csv"
         with failing("validate"):
-            report.write(path)
-        reports[day_type] = report
+            reports[day_type].write(out_dir / f"validation_report.{day_type.lower()}.csv")
         print(f"validate[{day_type}]:", file=log)
-        print(report.format_table(), file=log)
+        print(reports[day_type].format_table(), file=log)
     return reports
 
 

@@ -26,9 +26,9 @@ from .diary_ingest import (
     sequence_rows,
     sequence_table,
 )
-from .conf import write_step_values
+from .conf import number_text, write_lines, write_step_values
 from .distributions import EmpiricalDistribution
-from .household import HouseholdConfig, _draw_index
+from .household import DEFAULT_CLUSTER_SHARES, HouseholdConfig, _draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 from .occupant_sim import uniforms_per_day, walk_days
 
@@ -42,7 +42,7 @@ SHORT_CODES = {
     ActivityState.PERSONAL_HYGIENE: "p",
 }
 
-PLANTED_SHARES = (0.36, 0.21, 0.21, 0.22)
+PLANTED_SHARES = DEFAULT_CLUSTER_SHARES
 
 # steps count from 4:00 a.m.; wake/sleep mark presence-target switches and
 # away is a half-open step window.
@@ -229,10 +229,10 @@ def write_diaries(path: str | Path, table: np.ndarray) -> None:
         f"m{i:04d}" for i in range(N_STEPS * STEP_MINUTES)
     )
     lines = [header]
-    for rid, day_type, weight, states in sequence_rows(table):
+    for (rid, day_type, _, states), weight in zip(sequence_rows(table), number_text(table["weight"])):
         codes = ",".join([SHORT_CODES[s] for s in states for _ in range(STEP_MINUTES)])
-        lines.append(f"{rid},{day_type},{weight:.12g},{codes}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines.append(f"{rid},{day_type},{weight},{codes}")
+    write_lines(path, lines)
 
 
 def _dist(pairs: tuple[tuple[float, float], ...], unit: str) -> EmpiricalDistribution:
@@ -339,27 +339,25 @@ def write_input_tree(
         cluster_shares_wd=PLANTED_SHARES,
         cluster_shares_we=PLANTED_SHARES,
     ).write(layout.household)
-    layout.project.write_text(
-        "\n".join(
-            [
-                "diaries = diaries.csv",
-                "code_map = code_map.csv",
-                "bundle = bundle",
-                "reference = reference",
-                "household = household.conf",
-                "out = out",
-                f"base_seed = {base_seed}",
-                f"n_households = {n_households}",
-                f"n_days = {n_days}",
-                "start_weekday = monday",
-                "approach = 3",
-                # the corpus plants four clusters; pin k so household cluster
-                # shares always line up with the trained model
-                "k_range = 4:4",
-                "epsilon = 0.01",
-                "silhouette_sample = 768",
-            ]
-        )
-        + "\n"
+    write_lines(
+        layout.project,
+        [
+            "diaries = diaries.csv",
+            "code_map = code_map.csv",
+            "bundle = bundle",
+            "reference = reference",
+            "household = household.conf",
+            "out = out",
+            f"base_seed = {base_seed}",
+            f"n_households = {n_households}",
+            f"n_days = {n_days}",
+            "start_weekday = monday",
+            "approach = 3",
+            # the corpus plants four clusters; pin k so household cluster
+            # shares always line up with the trained model
+            "k_range = 4:4",
+            "epsilon = 0.01",
+            "silhouette_sample = 768",
+        ],
     )
     return layout

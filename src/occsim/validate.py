@@ -11,11 +11,12 @@ of freedom (`chi2_sf`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .conf import write_lines
 from .diary_ingest import STATE_TOKENS, ActivityState
 from .distributions import EmpiricalDistribution
 from .markov_train import ActivityStats, estimate_statistics
@@ -124,27 +125,15 @@ class ComparisonReport:
     rows: list[ActivityComparison]
 
     def to_records(self) -> list[tuple[str, str, str]]:
-        records = []
-        for r in self.rows:
-            name = STATE_TOKENS[r.activity]
-            def fmt(v):
-                return "na" if v is None else f"{v:.9g}"
-            records += [
-                ("ks_duration", name, fmt(r.ks_duration)),
-                ("ks_onset", name, fmt(r.ks_onset)),
-                ("occurrence_chi2_p", name, fmt(r.occurrence_chi2_p)),
-                ("profile_mad", name, fmt(r.profile_mad)),
-                ("n_sim_days", name, str(r.n_sim_days)),
-                ("n_ref_days", name, str(r.n_ref_days)),
-                ("n_sim_events", name, str(r.n_sim_events)),
-                ("n_ref_events", name, str(r.n_ref_events)),
-            ]
-        return records
+        """(metric, activity, value) per metric field of each row, in field
+        order: a count as is, a float to 9 significant digits, None as "na"."""
+        def text(v):
+            return "na" if v is None else str(v) if isinstance(v, int) else f"{v:.9g}"
+        metrics = [f.name for f in fields(ActivityComparison)[1:]]
+        return [(m, STATE_TOKENS[r.activity], text(getattr(r, m))) for r in self.rows for m in metrics]
 
     def write(self, path: str | Path) -> None:
-        lines = ["metric,activity,value"]
-        lines += [",".join(rec) for rec in self.to_records()]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_lines(path, ["metric,activity,value", *map(",".join, self.to_records())])
 
     def format_table(self) -> str:
         head = f"{'activity':<16} {'ks_dur':>8} {'ks_onset':>8} {'chi2_p':>8} {'mad':>8} {'events':>12}"

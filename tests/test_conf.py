@@ -1,0 +1,54 @@
+import math
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import occsim
+from occsim.conf import number_text, write_lines
+
+# Signed zeros, subnormals, the extreme exponents and the non-finite values.
+EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, -1e-300, 1e300, 1.7976931348623157e308,
+         math.inf, -math.inf, math.nan, 0.1, 1.0]
+
+
+@given(
+    pool=st.lists(st.floats() | st.sampled_from(EDGES), min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=12, max_size=12),
+    rows=st.integers(1, 4),
+)
+@example(pool=[0.0, -0.0], picks=[0, 1] * 6, rows=3)
+@example(pool=[-0.0, 0.0, 5e-324, -5e-324], picks=[0, 1, 2, 3] * 3, rows=2)
+def test_number_text_is_12g_of_each_value(pool, picks, rows):
+    # picks index the pool, so values repeat; the transpose is a
+    # non-contiguous view of the same values
+    values = np.array([pool[i % len(pool)] for i in picks[: rows * 3]]).reshape(rows, 3)
+    for view in (values, values.T, values.ravel()):
+        want = np.vectorize(lambda v: f"{v:.12g}", otypes=[object])(view).tolist()
+        assert number_text(view) == want
+
+
+def test_number_text_keeps_shape_of_empty_and_nested_input():
+    assert number_text(np.empty(0)) == []
+    assert number_text([[1, 0.5], [-0.0, 2e-7]]) == [["1", "0.5"], ["-0", "2e-07"]]
+
+
+def test_write_lines_ends_every_line_in_lf(tmp_path):
+    path = tmp_path / "a.txt"
+    write_lines(path, ["a,1", "", "b"])
+    assert path.read_bytes() == b"a,1\n\nb\n"
+
+
+def test_only_conf_prints_model_numbers_and_writes_text():
+    # number_text is the one place that prints a model number, and
+    # write_lines the one that writes a line-based text file
+    src = Path(occsim.__file__).parent
+    found = [
+        f"{path.name}: {needle}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "conf.py"
+        for needle in (".12g", "write_text(")
+        if needle in path.read_text()
+    ]
+    assert found == []

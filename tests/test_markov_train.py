@@ -351,7 +351,7 @@ def test_save_load_model_dir(tmp_path):
     rng = np.random.default_rng(6)
     wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), 0, "WD", **ABSORBING)
     we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), 0, "WE", **ABSORBING)
-    save_model_dir(tmp_path, [wd, we])
+    save_model_dir(tmp_path, {"WD": {0: wd}, "WE": {0: we}})
     expected = set()
     for stem in ("c0.wd", "c0.we"):
         expected |= {f"{stem}.tpm", f"{stem}.presence.tpm"}
@@ -375,7 +375,7 @@ def test_save_load_model_dir(tmp_path):
 
 def test_save_model_dir_skips_onset_and_duration_without_events(tmp_path):
     seqs = np.concatenate([make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)])
-    save_model_dir(tmp_path, [train_cluster_day_model(seqs, 0, "WD", **ABSORBING)])
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(seqs, 0, "WD", **ABSORBING)}})
     names = {p.name for p in tmp_path.iterdir()}
     assert "c0.wd.laundry.count.dist" in names and "c0.wd.laundry.onset.dist" not in names
     back = load_model_dir(tmp_path)["WD"][0].stats[ActivityState.LAUNDRY]
@@ -400,8 +400,8 @@ def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
     corpora = {dt: random_corpus(rng, n=10, day_type=dt) for dt in ("WD", "WE")}
     models = [train_cluster_day_model(seqs, 0, dt, **ABSORBING) for dt, seqs in corpora.items()]
     new, old = tmp_path / "new", tmp_path / "old"
-    save_model_dir(new, models)
-    save_model_dir(old, models)
+    save_model_dir(new, {m.day_type: {0: m} for m in models})
+    save_model_dir(old, {m.day_type: {0: m} for m in models})
     for m in models:
         _write_old_extras(old, m, corpora[m.day_type])
     assert len(list(old.iterdir())) == len(list(new.iterdir())) + 2 * (7 + 3 * 3)
@@ -421,7 +421,7 @@ def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
 )
 def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)])
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
     (tmp_path / name).unlink()
     with pytest.raises(TrainError, match=f"missing expected file: .*{name}"):
         load_model_dir(tmp_path)
@@ -429,7 +429,7 @@ def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
 
 def test_load_model_dir_names_a_bad_dist_file(tmp_path):
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, [train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)])
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
     path = tmp_path / "c0.wd.cooking.onset.dist"
     path.write_text("unit,steps\n3,abc\n")
     with pytest.raises(TrainError, match="line 2: expected value,probability") as exc:

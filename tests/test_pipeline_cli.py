@@ -727,6 +727,17 @@ BAD_LINES = {
             ("nan_text", "40,abc", "line 41: could not convert string to float"),
         ],
     ),
+    "bundle": (
+        "bundle/sink.flow",
+        2,
+        "simulate",
+        6,
+        [
+            ("past_end", "1,1.5", "line 3: probability 1.5 outside 0..1"),
+            ("duplicate", "{prev}", "line 3: values must be finite and increasing"),
+            ("nan_text", "1,abc", "line 3: expected value,probability, got '1,abc'"),
+        ],
+    ),
     "tpm": (
         "tpms/c0.wd.tpm",
         9,
@@ -1160,24 +1171,28 @@ def test_validate_rejects_bad_weight(pipeline_run, tmp_path, capsys, weight):
 
 @pytest.mark.parametrize("side", ["--sim", "--reference"])
 def test_validate_zero_weight_day_type_is_a_stage_error(pipeline_run, tmp_path, side):
-    # Every WD row weighs 0: the reader accepts each weight, and the
-    # statistics of that side then fail as a stage error, not a traceback.
-    files = {"--sim": pipeline_run / "occupant_days.csv", "--reference": pipeline_run / "sequences.csv"}
-    lines = files[side].read_text().splitlines()
-    for i, line in enumerate(lines[1:], 1):
-        cells = line.split(",")
-        if cells[1] == "WD":
-            lines[i] = ",".join(cells[:2] + ["0"] + cells[3:])
-    files[side] = tmp_path / "zero.csv"
-    files[side].write_text("\n".join(lines) + "\n")
-    argv = ["validate", "--sim", str(files["--sim"]), "--reference", str(files["--reference"])]
+    # Every row of one day type weighs 0: the reader accepts each weight, and
+    # the statistics of that side then fail as a stage error, not a traceback,
+    # before any report is written, WD's included when only WE fails.
     env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "occsim", *argv, "--out", str(tmp_path / "v")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 7, proc.stderr
-    assert "occsim: validate: WD: total weight must be positive" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "v" / "validation_report.wd.csv").exists()
+    for day_type in ("WD", "WE"):
+        files = {"--sim": pipeline_run / "occupant_days.csv", "--reference": pipeline_run / "sequences.csv"}
+        lines = files[side].read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            if cells[1] == day_type:
+                lines[i] = ",".join(cells[:2] + ["0"] + cells[3:])
+        files[side] = tmp_path / f"zero.{day_type}.csv"
+        files[side].write_text("\n".join(lines) + "\n")
+        argv = ["validate", "--sim", str(files["--sim"]), "--reference", str(files["--reference"])]
+        out = tmp_path / f"v.{day_type}"
+        proc = subprocess.run([sys.executable, "-m", "occsim", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 7, proc.stderr
+        assert f"occsim: validate: {day_type}: total weight must be positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "validation_report.wd.csv").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("side", ["--sim", "--reference"])

@@ -118,6 +118,22 @@ def test_compare_behavior_does_not_load_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
+def test_save_model_dir_does_not_load_numpy_ma(tmp_path):
+    # conf.number_text finds distinct values with np.unique, which imports
+    # numpy.ma unless a return_* flag is set, a cost every train stage would pay
+    env_path = str(Path(occsim.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {env_path!r})\n"
+        "from occsim.markov_train import save_model_dir\n"
+        "from occsim.synth import truth_models\n"
+        f"save_model_dir({str(tmp_path)!r}, truth_models(1))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    assert (tmp_path / "c0.wd.tpm").is_file()
+
+
 @pytest.mark.parametrize("a, b", [([1.0], [1.0]), ([0.0, 2.0], [1.0, 2.0, 3.0]), ([5.0], [-1.0, 0.5])])
 def test_support_union_matches_union1d(a, b):
     from occsim.validate import _union
