@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .conf import number_text, reading, write_lines
+from .conf import OccsimError, number_text, reading, write_lines
 from .diary_ingest import (
     DAY_TYPES,
     N_STEPS,
@@ -34,10 +34,6 @@ from .diary_ingest import (
 _BLOCK_BYTES = 1 << 20
 
 
-class ClusterError(ValueError):
-    """Invalid clustering input or model file."""
-
-
 @dataclass
 class ClusterModel:
     """Fitted k-modes model over presence sequences."""
@@ -49,23 +45,23 @@ class ClusterModel:
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ClusterError(f"k must be a positive integer, got {self.k!r}")
+            raise OccsimError(f"k must be a positive integer, got {self.k!r}")
         if self.day_type not in DAY_TYPES:
-            raise ClusterError(f"day_type must be one of {DAY_TYPES}, got {self.day_type!r}")
+            raise OccsimError(f"day_type must be one of {DAY_TYPES}, got {self.day_type!r}")
         self.modes = np.asarray(self.modes, dtype=np.int8)
         self.shares = np.asarray(self.shares, dtype=np.float64)
         if not np.all(np.isfinite(self.shares) & (self.shares >= 0)):
-            raise ClusterError(f"shares must be finite and nonnegative, got {self.shares.tolist()}")
+            raise OccsimError(f"shares must be finite and nonnegative, got {self.shares.tolist()}")
         if self.modes.shape != (self.k, N_STEPS):
-            raise ClusterError(f"modes must be ({self.k}, {N_STEPS}), got {self.modes.shape}")
+            raise OccsimError(f"modes must be ({self.k}, {N_STEPS}), got {self.modes.shape}")
         outside = ~np.isin(self.modes, PRESENCE_ALPHABET)
         if outside.any():
             bad = STATE_TOKENS[ActivityState(int(self.modes[outside][0]))]
-            raise ClusterError(f"modes hold {bad}; a mode state is one of Sleep, Away, HomeActive")
+            raise OccsimError(f"modes hold {bad}; a mode state is one of Sleep, Away, HomeActive")
         if self.shares.shape != (self.k,):
-            raise ClusterError("shares must have one entry per cluster")
+            raise OccsimError("shares must have one entry per cluster")
         if abs(float(self.shares.sum()) - 1.0) > 1e-9:
-            raise ClusterError(f"shares sum to {self.shares.sum()}, not 1")
+            raise OccsimError(f"shares sum to {self.shares.sum()}, not 1")
 
     def write(self, path: str | Path) -> None:
         lines = [
@@ -84,7 +80,7 @@ class ClusterModel:
         day_type = None
         shares = None
         modes = []
-        with reading(path, ClusterError) as lines:
+        with reading(path) as lines:
             for line in lines:
                 key, _, rest = line.partition(",")
                 if key == "k":
@@ -241,10 +237,10 @@ def kmodes(
     """
     X, w = _coerce_data(X, weights)
     if k < 1:
-        raise ClusterError("k must be >= 1")
+        raise OccsimError("k must be >= 1")
     distinct = _distinct_rows(X)
     if k > distinct.shape[0]:
-        raise ClusterError(f"k={k} exceeds the {distinct.shape[0]} distinct sequences")
+        raise OccsimError(f"k={k} exceeds the {distinct.shape[0]} distinct sequences")
     n_states = int(X.max()) + 1
 
     modes = _initial_modes(X, w, distinct, k, n_states)
@@ -263,7 +259,7 @@ def kmodes(
     shares = np.bincount(labels, weights=w, minlength=k)
     total = shares.sum()
     if total <= 0:
-        raise ClusterError("total weight must be positive")
+        raise OccsimError("total weight must be positive")
     shares = shares / total
     return ClusterModel(k, modes, shares, day_type), labels
 
@@ -287,12 +283,12 @@ def _assign_with_repair(X: np.ndarray, modes: np.ndarray) -> np.ndarray:
 def _coerce_data(X, weights):
     X = np.asarray(X, dtype=np.int8)
     if X.ndim != 2:
-        raise ClusterError("data must be an (n, steps) matrix")
+        raise OccsimError("data must be an (n, steps) matrix")
     w = np.ones(X.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (X.shape[0],):
-        raise ClusterError("weights must align with data rows")
+        raise OccsimError("weights must align with data rows")
     if np.any(w < 0):
-        raise ClusterError("weights must be nonnegative")
+        raise OccsimError("weights must be nonnegative")
     return X, w
 
 
@@ -309,13 +305,13 @@ def silhouette(distances: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     n = labels.shape[0]
     if D.shape != (n, n):
-        raise ClusterError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
+        raise OccsimError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
     k = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
-        raise ClusterError("every cluster must be non-empty")
+        raise OccsimError("every cluster must be non-empty")
     if k < 2:
-        raise ClusterError("silhouette needs at least two clusters")
+        raise OccsimError("silhouette needs at least two clusters")
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     # (n, k) total distance to each cluster: exact integers, so summing one
@@ -366,11 +362,11 @@ def select_k(
     distance matrix of the scored rows.
     """
     if not k_range or min(k_range) < 2:
-        raise ClusterError(f"k range must be nonempty with every k >= 2, got {k_range}")
+        raise OccsimError(f"k range must be nonempty with every k >= 2, got {k_range}")
     if not 0 <= epsilon < np.inf:
-        raise ClusterError(f"epsilon must be finite and nonnegative, got {epsilon}")
+        raise OccsimError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if silhouette_sample is not None and silhouette_sample < 2:
-        raise ClusterError(f"silhouette_sample must be at least 2, got {silhouette_sample}")
+        raise OccsimError(f"silhouette_sample must be at least 2, got {silhouette_sample}")
     X, w = _coerce_data(X, weights)
     n = X.shape[0]
     scored = np.arange(n)
@@ -399,5 +395,5 @@ def assign_cluster(states: np.ndarray, model: ClusterModel) -> np.ndarray:
     dissimilarity on the presence projection."""
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] != N_STEPS:
-        raise ClusterError(f"states must be (n, {N_STEPS}), got {states.shape}")
+        raise OccsimError(f"states must be (n, {N_STEPS}), got {states.shape}")
     return _distances_to_modes(project_to_presence(states), model.modes).argmin(axis=1)

@@ -1,7 +1,8 @@
 """Text files: `reading` (the one place that names a bad file and line),
 `key = value` configs and `step,value` reference files on the read side;
 `number_text` (the one place that prints a model number) and `write_lines`
-on the write side."""
+on the write side; `OccsimError`, what every check outside the pipeline
+stages raises."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
+
+
+class OccsimError(ValueError):
+    """Bad input or a failed check anywhere in occsim."""
 
 
 class Lines:
@@ -31,18 +36,18 @@ class Lines:
 
 
 @contextmanager
-def reading(path: str | Path, error: Callable[[str], Exception] = ValueError):
+def reading(path: str | Path):
     """The `Lines` of a text file, for a block that parses them: a
     ValueError raised in the block (bytes that are not UTF-8 included)
-    leaves it as `error("<path>: line N: <reason>")` while a line is being
-    parsed, else as `error("<path>: <reason>")`."""
+    leaves it as `OccsimError("<path>: line N: <reason>")` while a line is
+    being parsed, else as `OccsimError("<path>: <reason>")`."""
     lines = None
     try:
         lines = Lines(path)
         yield lines
     except ValueError as exc:
         where = "" if lines is None or lines.at is None else f"line {lines.at}: "
-        raise error(f"{path}: {where}{exc}") from None
+        raise OccsimError(f"{path}: {where}{exc}") from None
 
 
 def key_values(lines: Lines, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
@@ -62,14 +67,14 @@ def key_values(lines: Lines, parsers: dict[str, Callable[[str], object]]) -> dic
     return values
 
 
-def read_step_values(path: str | Path, error: Callable[[str], Exception] = ValueError) -> np.ndarray:
+def read_step_values(path: str | Path) -> np.ndarray:
     """Values of a `step,value` file, one line per step 0..95 in any order;
     -0 reads as 0.  A wrong field count, a non-number, a step out of range,
-    repeated or left out, or a non-finite or negative value raises `error`."""
+    repeated or left out, or a non-finite or negative value raises OccsimError."""
     from .diary_ingest import N_STEPS  # diary_ingest imports this module
 
     values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
-    with reading(path, error) as lines:
+    with reading(path) as lines:
         for line in lines:
             fields = line.split(",")
             if len(fields) != 2:

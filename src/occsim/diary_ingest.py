@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import reading, write_lines
+from .conf import OccsimError, reading, write_lines
 
 N_MINUTES = 1440
 N_STEPS = 96
@@ -62,10 +62,6 @@ EVENT_ACTIVITIES = (
 )
 
 
-class DiaryFormatError(ValueError):
-    """Malformed diary, code map, or sequence file."""
-
-
 # What the diary reader maps a code without a state to; like every state
 # index it fits in one byte.
 _UNMAPPED = 255
@@ -85,7 +81,7 @@ class ActivityCodeMap:
     @classmethod
     def read(cls, path: str | Path) -> "ActivityCodeMap":
         mapping: dict[str, ActivityState] = {}
-        with reading(path, DiaryFormatError) as lines:
+        with reading(path) as lines:
             for line in lines:
                 try:
                     code, token = line.split(",")
@@ -117,10 +113,10 @@ def sequence_table(ids, day_types, weights, states) -> np.ndarray:
     """A SEQUENCE table from its columns; `day_types` and `weights` may be one value for all rows."""
     for day_type in dict.fromkeys([day_types] if isinstance(day_types, str) else day_types):
         if day_type not in DAY_TYPES:  # checked before U2 could truncate it
-            raise DiaryFormatError(f"day_type must be one of {DAY_TYPES}, got {day_type!r}")
+            raise OccsimError(f"day_type must be one of {DAY_TYPES}, got {day_type!r}")
     states = np.asarray(states)
     if states.shape != (len(ids), N_STEPS):
-        raise DiaryFormatError(f"states must be ({len(ids)}, {N_STEPS}), got {states.shape}")
+        raise OccsimError(f"states must be ({len(ids)}, {N_STEPS}), got {states.shape}")
     table = np.empty(len(ids), dtype=SEQUENCE)
     table["id"], table["day_type"], table["weight"], table["states"] = ids, day_types, weights, states
     return table
@@ -142,16 +138,16 @@ def _row_head(path: str | Path, row: int, fields: list[str], width: int) -> tupl
     """Respondent id, day type and weight of a data row that must be `width`
     fields wide, with a finite weight >= 0."""
     if len(fields) != width:
-        raise DiaryFormatError(f"{path}: row {row}: expected {width} fields, got {len(fields)}")
+        raise OccsimError(f"{path}: row {row}: expected {width} fields, got {len(fields)}")
     rid, day_type, weight_s = fields[:3]
     if day_type not in DAY_TYPES:
-        raise DiaryFormatError(f"{path}: row {row}: bad day_type {day_type!r}")
+        raise OccsimError(f"{path}: row {row}: bad day_type {day_type!r}")
     try:
         weight = float(weight_s)
     except ValueError:
         weight = np.nan
     if not 0 <= weight < np.inf:
-        raise DiaryFormatError(f"{path}: row {row}: bad weight {weight_s!r}")
+        raise OccsimError(f"{path}: row {row}: bad weight {weight_s!r}")
     return rid, day_type, weight
 
 
@@ -214,7 +210,7 @@ def _read_rows(
     respondent_id,day_type,weight and `width` codes, each code mapped
     through `lookup`, or to `default` when it has one and `lookup` lacks
     the code.  Blank lines are skipped but counted in the row numbers that
-    errors name; a code without a value is a DiaryFormatError naming its
+    errors name; a code without a value is an OccsimError naming its
     row, as are bytes that are not UTF-8.
 
     Rows go `_ROW_BLOCK` at a time through `_map_block`; a block it does
@@ -235,7 +231,7 @@ def _read_rows(
                 try:
                     codes.extend(bytes(map(get, fields[3:])))
                 except KeyError as exc:
-                    raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+                    raise OccsimError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
         else:  # each row is its three head fields and a body of `width` codes
             heads.extend(_row_head(path, row, head_body, 4) for (row, _), head_body in zip(block, parts))
             codes.extend(mapped)
@@ -244,7 +240,7 @@ def _read_rows(
     try:
         with open(path) as fh:
             if not fh.readline():
-                raise DiaryFormatError(f"{path}: empty file")
+                raise OccsimError(f"{path}: empty file")
             for row, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if line:
@@ -253,7 +249,7 @@ def _read_rows(
                         take_block()
     except UnicodeDecodeError as exc:
         take_block()  # the rows read before the bad byte are checked first
-        raise DiaryFormatError(f"{path}: {exc}") from None
+        raise OccsimError(f"{path}: {exc}") from None
     take_block()
     table = np.empty(len(heads), dtype=dtype)
     table["id"], table["day_type"], table["weight"] = zip(*heads) if heads else ((), (), ())
@@ -264,7 +260,7 @@ def _read_rows(
 def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
     """Parse a diary CSV: header, then respondent_id,day_type,weight,<1440 codes>.
 
-    Raises DiaryFormatError naming the offending data row on malformed
+    Raises OccsimError naming the offending data row on malformed
     records; unknown codes map to the code map's default state and are
     tallied in the result.
     """
@@ -289,11 +285,11 @@ def resample_to_sequence(minutes: np.ndarray) -> np.ndarray:
     """
     minutes = np.asarray(minutes, dtype=np.int8)
     if minutes.ndim != 2 or minutes.shape[1] != N_MINUTES:
-        raise DiaryFormatError(f"minutes must be (n, {N_MINUTES}), got {minutes.shape}")
+        raise OccsimError(f"minutes must be (n, {N_MINUTES}), got {minutes.shape}")
     # votes count in flat (row, step, state) cells, where a state out of
     # range would count toward a neighbouring step
     if minutes.size and minutes.view(np.uint8).max() >= _N_STATES:
-        raise DiaryFormatError(f"state outside 0..{_N_STATES - 1}")
+        raise OccsimError(f"state outside 0..{_N_STATES - 1}")
     states = np.empty((len(minutes), N_STEPS), dtype=np.int8)
     for lo in range(0, len(minutes), _ROW_BLOCK):
         block = minutes[lo : lo + _ROW_BLOCK]
@@ -339,7 +335,7 @@ def write_sequences(path: str | Path, table: np.ndarray) -> None:
     24 `_RUN_TOKENS` entries; a state outside the alphabet raises."""
     states = table["states"]
     if states.size and not 0 <= states.min() <= states.max() < _N_STATES:
-        raise DiaryFormatError(f"{path}: state outside 0..{_N_STATES - 1}")
+        raise OccsimError(f"{path}: state outside 0..{_N_STATES - 1}")
     with open(path, "w") as fh:
         fh.write(_SEQ_HEADER + "\n")
         for lo in range(0, len(table), _BLOCK_ROWS):
@@ -353,7 +349,7 @@ def write_sequences(path: str | Path, table: np.ndarray) -> None:
 
 def read_sequences(path: str | Path) -> np.ndarray:
     """Read a sequence file into a SEQUENCE table; a malformed row or an
-    unknown state token is a DiaryFormatError naming the file and row."""
+    unknown state token is an OccsimError naming the file and row."""
     return _read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE)
 
 
@@ -374,7 +370,7 @@ def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None
         return read_sequences(path), 0
     if n_fields == 3 + N_MINUTES:
         return ingest(path, code_map or ActivityCodeMap(dict(STATE_BY_TOKEN)))
-    raise DiaryFormatError(
+    raise OccsimError(
         f"{path}: unrecognized record width {n_fields}; expected "
         f"{3 + N_STEPS} (sequences) or {3 + N_MINUTES} (raw diaries)"
     )

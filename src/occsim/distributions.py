@@ -7,11 +7,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
-from .conf import number_text, reading, write_lines
+from .conf import OccsimError, number_text, reading, write_lines
 from .diary_ingest import N_STEPS
 
 PROB_TOL = 1e-9
@@ -48,18 +46,18 @@ class EmpiricalDistribution:
         self.support = np.asarray(self.support, dtype=np.float64)
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.support.ndim != 1 or self.support.size == 0:
-            raise ValueError("support must be a nonempty 1-d array")
+            raise OccsimError("support must be a nonempty 1-d array")
         if self.support.shape != self.probs.shape:
-            raise ValueError("support and probs must align")
+            raise OccsimError("support and probs must align")
         if not (np.isfinite(self.support).all() and np.isfinite(self.probs).all()):
-            raise ValueError("support and probabilities must be finite")
+            raise OccsimError("support and probabilities must be finite")
         if np.any(self.support[1:] <= self.support[:-1]):
-            raise ValueError("support must be strictly increasing with no duplicates")
+            raise OccsimError("support must be strictly increasing with no duplicates")
         if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
+            raise OccsimError("probabilities must be nonnegative")
         total = float(self.probs.sum())
         if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            raise OccsimError(f"probabilities sum to {total}, not 1")
         self.probs = self.probs / total
         self._cum = np.cumsum(self.probs)
         self.thresholds = self._cum[:-1].tolist()
@@ -71,7 +69,7 @@ class EmpiricalDistribution:
         """Aggregate (possibly repeated) weighted samples into a distribution."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
-            raise ValueError("no samples")
+            raise OccsimError("no samples")
         if weights is None:
             weights = np.ones_like(values)
         weights = np.asarray(weights, dtype=np.float64)
@@ -79,7 +77,7 @@ class EmpiricalDistribution:
         mass = np.bincount(inverse, weights=weights, minlength=support.size)
         total = mass.sum()
         if total <= 0:
-            raise ValueError("total weight must be positive")
+            raise OccsimError("total weight must be positive")
         return cls(support, mass / total, unit)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -110,10 +108,10 @@ class EmpiricalDistribution:
         write_lines(path, [f"unit,{self.unit}", *map(",".join, rows)])
 
     @classmethod
-    def read(cls, path: str | Path, error: Callable[[str], Exception] = ValueError) -> "EmpiricalDistribution":
+    def read(cls, path: str | Path) -> "EmpiricalDistribution":
         """A `write` file, its support inside the `SUPPORT_DOMAIN` of the kind
-        its name ends in; bad input raises `error` naming the file."""
-        with reading(path, error) as lines:
+        its name ends in; bad input raises OccsimError naming the file."""
+        with reading(path) as lines:
             if not lines.first.startswith("unit,"):
                 raise ValueError("missing unit header")
             rows = iter(lines)

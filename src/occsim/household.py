@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .conf import key_values, number_text, reading, write_lines
+from .conf import OccsimError, key_values, number_text, reading, write_lines
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
 from .distributions import EmpiricalDistribution
 from .markov_train import ClusterDayModel, runs
@@ -67,14 +67,6 @@ DEFAULT_SHOWER_FRACTION = 0.921
 DEFAULT_CLUSTER_SHARES = (0.36, 0.21, 0.21, 0.22)
 
 
-class HouseholdError(ValueError):
-    """Invalid household configuration or event input."""
-
-
-class BundleError(HouseholdError):
-    """A required sampling distribution is missing from the bundle."""
-
-
 def _occupant_counts(value: str) -> EmpiricalDistribution:
     pairs = [item.split(":") for item in value.split(",")]
     return EmpiricalDistribution(
@@ -120,23 +112,23 @@ class HouseholdConfig:
     def __post_init__(self) -> None:
         counts = self.occupant_count_dist.support
         if np.any((counts < 1) | (counts != np.round(counts))):
-            raise HouseholdError(f"occupant_count support must be whole numbers >= 1, got {counts.tolist()}")
+            raise OccsimError(f"occupant_count support must be whole numbers >= 1, got {counts.tolist()}")
         for shares in (self.cluster_shares_wd, self.cluster_shares_we):
             if not abs(sum(shares) - 1.0) <= 1e-9:
-                raise HouseholdError(f"cluster shares sum to {sum(shares)}, not 1")
+                raise OccsimError(f"cluster shares sum to {sum(shares)}, not 1")
             if any(s < 0 for s in shares):
-                raise HouseholdError("cluster shares must be nonnegative")
+                raise OccsimError("cluster shares must be nonnegative")
         if not 0.0 <= self.shower_fraction <= 1.0:
-            raise HouseholdError("shower_fraction must be in [0, 1]")
+            raise OccsimError("shower_fraction must be in [0, 1]")
         if self.vacation is not None and not 0 <= self.vacation[0] < self.vacation[1]:
-            raise HouseholdError(f"vacation window {self.vacation} must have 0 <= start < end")
+            raise OccsimError(f"vacation window {self.vacation} must have 0 <= start < end")
 
     def shares_for(self, day_type: str) -> tuple[float, ...]:
         return self.cluster_shares_wd if day_type == "WD" else self.cluster_shares_we
 
     @classmethod
     def read(cls, path: str | Path) -> "HouseholdConfig":
-        with reading(path, HouseholdError) as lines:
+        with reading(path) as lines:
             values = key_values(lines, _HOUSEHOLD_KEYS)
             if "occupant_count" not in values:
                 raise ValueError("missing occupant_count")
@@ -212,7 +204,7 @@ def merge_shared_events(states: np.ndarray, activity: ActivityState) -> np.ndarr
     construction.
     """
     if activity not in MERGEABLE_ACTIVITIES:
-        raise HouseholdError(f"{ActivityState(activity).name} events are never merged")
+        raise OccsimError(f"{ActivityState(activity).name} events are never merged")
     return _run_minutes((np.asarray(states) == int(activity)).any(axis=0)[None])
 
 
@@ -226,7 +218,7 @@ def _dist(bundle: dict[str, EmpiricalDistribution], name: str) -> EmpiricalDistr
     try:
         return bundle[name]
     except KeyError:
-        raise BundleError(f"missing distribution '{name}'")
+        raise OccsimError(f"missing distribution '{name}'")
 
 
 def _events(column, start: np.ndarray, duration: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -337,7 +329,7 @@ def modulate_schedule(reference: np.ndarray, frac: np.ndarray) -> np.ndarray:
     n_steps = frac.shape[0]
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[-1:] != (n_steps,):
-        raise HouseholdError(f"reference length {reference.shape} does not match occupancy {n_steps}")
+        raise OccsimError(f"reference length {reference.shape} does not match occupancy {n_steps}")
     ref = reference.reshape(*reference.shape[:-1], n_steps // N_STEPS, N_STEPS)
     f = frac.reshape(n_steps // N_STEPS, N_STEPS)
     dmin = ref.min(axis=-1, keepdims=True)
@@ -363,7 +355,7 @@ def apply_vacation(
         return states, appliance_events, water_events
     start_day, end_day = window
     if not (0 <= start_day < end_day <= n_days):
-        raise HouseholdError(f"vacation window {window} is inverted or outside the calendar")
+        raise OccsimError(f"vacation window {window} is inverted or outside the calendar")
     states = np.array(states, copy=True)
     states[..., start_day * N_STEPS : end_day * N_STEPS] = int(ActivityState.AWAY)
     lo = start_day * MINUTES_PER_DAY

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import number_text, reading, write_lines
+from .conf import OccsimError, number_text, reading, write_lines
 from .diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -30,10 +30,6 @@ from .distributions import EmpiricalDistribution
 
 ROW_TOL = 1e-9
 FALLBACKS = ("absorbing", "uniform", "laplace")
-
-
-class TrainError(ValueError):
-    """Invalid training input or model file."""
 
 
 @dataclass
@@ -57,19 +53,19 @@ class TPMSet:
         self.initial = np.asarray(self.initial, dtype=np.float64)
         self.matrices = np.asarray(self.matrices, dtype=np.float64)
         if self.initial.shape != (S,):
-            raise TrainError("initial distribution does not match alphabet")
+            raise OccsimError("initial distribution does not match alphabet")
         if self.matrices.ndim != 3 or self.matrices.shape[1:] != (S, S) or self.matrices.shape[0] < 1:
-            raise TrainError(f"matrices must be (T, {S}, {S})")
+            raise OccsimError(f"matrices must be (T, {S}, {S})")
         if not (np.isfinite(self.initial).all() and np.isfinite(self.matrices).all()):
-            raise TrainError("non-finite probabilities")
+            raise OccsimError("non-finite probabilities")
         if np.any(self.initial < 0) or np.any(self.matrices < 0):
-            raise TrainError("negative probabilities")
+            raise OccsimError("negative probabilities")
         if abs(self.initial.sum() - 1.0) > ROW_TOL:
-            raise TrainError("initial distribution does not sum to 1")
+            raise OccsimError("initial distribution does not sum to 1")
         rows = self.matrices.sum(axis=2)
         if np.max(np.abs(rows - 1.0)) > ROW_TOL:
             t, i = np.unravel_index(np.argmax(np.abs(rows - 1.0)), rows.shape)
-            raise TrainError(f"row (step {t}, state {self.alphabet[i].name}) sums to {rows[t, i]}")
+            raise OccsimError(f"row (step {t}, state {self.alphabet[i].name}) sums to {rows[t, i]}")
 
     @property
     def n_steps(self) -> int:
@@ -93,7 +89,7 @@ class TPMSet:
 
     @classmethod
     def read(cls, path: str | Path) -> "TPMSet":
-        with reading(path, TrainError) as lines:
+        with reading(path) as lines:
             if not lines.first:
                 raise ValueError("empty model file")
             rows = iter(lines)
@@ -160,13 +156,13 @@ def _state_lut(alphabet: tuple[ActivityState, ...]) -> np.ndarray:
 def _columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     """The states and weight columns of a one-day-type SEQUENCE table, and its day type."""
     if not len(table):
-        raise TrainError("no sequences to train on")
+        raise OccsimError("no sequences to train on")
     day_type = str(table["day_type"][0])
     if np.any(table["day_type"] != day_type):
-        raise TrainError("sequences mix day types")
+        raise OccsimError("sequences mix day types")
     w = table["weight"]
     if w.sum() <= 0:
-        raise TrainError("total weight must be positive")
+        raise OccsimError("total weight must be positive")
     return table["states"], w, day_type
 
 
@@ -185,15 +181,15 @@ def estimate_tpm(
     reproduces the weighted empirical per-step state frequencies exactly.
     """
     if fallback not in FALLBACKS:
-        raise TrainError(f"fallback must be one of {FALLBACKS}")
+        raise OccsimError(f"fallback must be one of {FALLBACKS}")
     if not 0 <= alpha < np.inf:
-        raise TrainError(f"alpha must be finite and nonnegative, got {alpha}")
+        raise OccsimError(f"alpha must be finite and nonnegative, got {alpha}")
     X, w, day_type = _columns(table)
     lut = _state_lut(alphabet)
     idx = lut[X]
     if np.any(idx < 0):
         bad = ActivityState(int(X[idx < 0][0]))
-        raise TrainError(f"state {bad.name} not in alphabet")
+        raise OccsimError(f"state {bad.name} not in alphabet")
     S = len(alphabet)
     T = X.shape[1] - 1
     initial = np.bincount(idx[:, 0], weights=w, minlength=S).astype(np.float64)
@@ -278,7 +274,7 @@ def train_cluster_day_model(
     presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback=fallback, alpha=alpha)
     stats = estimate_statistics(table, EVENT_ACTIVITIES)
     if day_type != tpms.day_type:
-        raise TrainError(f"sequences are {tpms.day_type}, expected {day_type}")
+        raise OccsimError(f"sequences are {tpms.day_type}, expected {day_type}")
     return ClusterDayModel(cluster_id, day_type, tpms, presence_tpms, stats)
 
 
@@ -310,24 +306,24 @@ def save_model_dir(directory: str | Path, models: dict[str, dict[int, ClusterDay
 
 def _read_model_file(path: Path, required: bool = True):
     """A `.tpm` or `.dist` model file, or None for an absent file that is not
-    `required`; a missing required file or a bad one is a TrainError naming it."""
+    `required`; a missing required file or a bad one is an OccsimError naming it."""
     if not path.exists():
         if required:
-            raise TrainError(f"missing expected file: {path}")
+            raise OccsimError(f"missing expected file: {path}")
         return None
-    return TPMSet.read(path) if path.suffix == ".tpm" else EmpiricalDistribution.read(path, TrainError)
+    return TPMSet.read(path) if path.suffix == ".tpm" else EmpiricalDistribution.read(path)
 
 
 def _read_day_tpm(path: Path, alphabet: tuple[ActivityState, ...], header: tuple[int, str]) -> TPMSet:
     """A model tree's `.tpm` file: a whole day over `alphabet` in order, under its file name's `header`."""
     tpms = _read_model_file(path)
     if (tpms.cluster_id, tpms.day_type) != header:
-        raise TrainError(f"{path}: header {tpms.cluster_id},{tpms.day_type} does not match the file name")
+        raise OccsimError(f"{path}: header {tpms.cluster_id},{tpms.day_type} does not match the file name")
     if tpms.alphabet != alphabet:
         got, want = (",".join(STATE_TOKENS[a] for a in states) for states in (tpms.alphabet, alphabet))
-        raise TrainError(f"{path}: states {got}, expected {want}")
+        raise OccsimError(f"{path}: states {got}, expected {want}")
     if tpms.n_steps != N_STEPS:
-        raise TrainError(f"{path}: {tpms.n_steps - 1} matrices, expected {N_STEPS - 1}")
+        raise OccsimError(f"{path}: {tpms.n_steps - 1} matrices, expected {N_STEPS - 1}")
     return tpms
 
 
@@ -335,15 +331,15 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
     """Load the trained model tree keyed by day type then cluster id."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise TrainError(f"model directory not found: {directory}")
+        raise OccsimError(f"model directory not found: {directory}")
     models: dict[str, dict[int, ClusterDayModel]] = {}
     tpm_files = sorted(p for p in directory.glob("c*.tpm") if not p.name.endswith(".presence.tpm"))
     if not tpm_files:
-        raise TrainError(f"no TPM files in {directory}")
+        raise OccsimError(f"no TPM files in {directory}")
     for tpm_path in tpm_files:
         match = _TPM_NAME.fullmatch(tpm_path.name)
         if match is None:
-            raise TrainError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
+            raise OccsimError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
         stem = tpm_path.name[: -len(".tpm")]
         cluster_id, day_type = header = int(match[1]), match[2].upper()
         tpms = _read_day_tpm(tpm_path, FULL_ALPHABET, header)

@@ -29,15 +29,13 @@ from typing import Callable
 import numpy as np
 
 from . import streams
+from .conf import OccsimError
 from .diary_ingest import DAY_TYPES, EVENT_ACTIVITIES, N_STEPS, ActivityState, sequence_table
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 
 RETRY_BUDGET = 20
 
 WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
-
-class SimulationError(ValueError):
-    """Invalid simulation configuration."""
 
 
 @dataclass
@@ -56,9 +54,9 @@ class SimCalendar:
 
     def __post_init__(self) -> None:
         if not 0 <= self.start_weekday <= 6:
-            raise SimulationError("start_weekday must be 0..6 (Monday..Sunday)")
+            raise OccsimError("start_weekday must be 0..6 (Monday..Sunday)")
         if self.n_days < 1:
-            raise SimulationError("n_days must be positive")
+            raise OccsimError("n_days must be positive")
 
     @property
     def day_types(self) -> list[str]:
@@ -70,7 +68,7 @@ class SimCalendar:
         try:
             start_weekday = WEEKDAY_NAMES.index(name.lower())
         except ValueError:
-            raise SimulationError(f"unknown weekday name {name!r}") from None
+            raise OccsimError(f"unknown weekday name {name!r}") from None
         return cls(start_weekday=start_weekday, n_days=n_days)
 
 
@@ -136,7 +134,7 @@ def walk_days(
     u = np.asarray(u, dtype=np.float64)
     need = uniforms_per_day(tpms, holds)
     if u.ndim != 2 or u.shape[1] < need:
-        raise SimulationError(f"expected (n, >= {need}) uniforms, got shape {u.shape}")
+        raise OccsimError(f"expected (n, >= {need}) uniforms, got shape {u.shape}")
     n, n_steps = u.shape[0], tpms.n_steps
     init, rows = tpms.thresholds()
     out = np.empty((n_steps, n), dtype=np.int8)
@@ -222,7 +220,7 @@ def days_to_sequences(days: np.ndarray, day_type: str | list[str] = "WD", prefix
 
 def _check_approach(approach: int) -> None:
     if approach not in (1, 2, 3):
-        raise SimulationError(f"approach must be 1, 2, or 3, got {approach}")
+        raise OccsimError(f"approach must be 1, 2, or 3, got {approach}")
 
 
 def _cluster(profile: OccupantProfile, day_type: str) -> int:
@@ -237,7 +235,7 @@ def _model(
     try:
         return models[day_type][cluster]
     except KeyError:
-        raise SimulationError(
+        raise OccsimError(
             f"occupant {profile.occupant_id}: no trained model for day_type={day_type} cluster={cluster}"
         ) from None
 
@@ -300,7 +298,7 @@ def simulate_year(
     """
     _check_approach(approach)
     if days.shape != (calendar.n_days, N_STEPS):
-        raise SimulationError(f"expected ({calendar.n_days}, {N_STEPS}) walked days, got shape {days.shape}")
+        raise OccsimError(f"expected ({calendar.n_days}, {N_STEPS}) walked days, got shape {days.shape}")
     if approach != 1:
         return days, 0
     day_types = calendar.day_types

@@ -68,7 +68,7 @@ def failing(stage: str, where: str = ""):
     """The one boundary of a stage: an OSError or ValueError in the block,
     such as a bad input file, an output path that cannot be made or a model
     check on user data, is a StageError of `stage`, its message after `where`.
-    Every module's error class is a ValueError."""
+    OccsimError, what every check outside the stages raises, is a ValueError."""
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -194,7 +194,7 @@ class ProjectConfig(Settings):
         if not path.is_file():
             raise StageError("config", f"config file not found: {path}")
         parsers = {f.name: PARSERS.get(f.name, path.parent.joinpath) for f in fields(cls)}
-        with reading(path, lambda message: StageError("config", message)) as lines:
+        with failing("config"), reading(path) as lines:
             values = key_values(lines, parsers | dict.fromkeys(RETIRED_KEYS, str))
             missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
             if missing:

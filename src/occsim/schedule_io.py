@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .conf import read_step_values
+from .conf import OccsimError, read_step_values
 from .diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from .distributions import EmpiricalDistribution
 from .household import EVENT_COLUMNS, HouseholdResult, modulate_schedule
@@ -50,10 +50,6 @@ REQUIRED_BUNDLE = (
 )
 
 
-class ScheduleError(ValueError):
-    """Invalid schedule data or file."""
-
-
 @dataclass
 class HouseholdScheduleYear:
     """Normalized year of 15-minute schedule values: `values` has one row per
@@ -67,7 +63,7 @@ class HouseholdScheduleYear:
         self.values = np.asarray(self.values, dtype=np.float64)
         shape = self.values.shape
         if len(shape) != 2 or shape[0] != len(SCHEDULE_COLUMNS) or shape[1] % N_STEPS or not shape[1]:
-            raise ScheduleError(f"schedule needs {len(SCHEDULE_COLUMNS)} columns over whole days, got {shape}")
+            raise OccsimError(f"schedule needs {len(SCHEDULE_COLUMNS)} columns over whole days, got {shape}")
 
     @property
     def n_days(self) -> int:
@@ -122,7 +118,7 @@ def assemble_schedule(
     `load_reference_dir` array; each day takes its day type's reference day.
     """
     if modulation not in ("present", "active"):
-        raise ScheduleError(f"unknown modulation {modulation!r}")
+        raise OccsimError(f"unknown modulation {modulation!r}")
     states = result.states
     present = (states != int(ActivityState.AWAY)).sum(axis=0) / len(states)
     if modulation == "active":
@@ -207,7 +203,7 @@ def _bad_data_line(path: Path) -> str | None:
 
 
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
-    """Read a `write_schedule_file` file; malformed input is a ScheduleError
+    """Read a `write_schedule_file` file; malformed input is an OccsimError
     naming the file, and the line of a malformed row."""
     path = Path(path)
     peaks: dict[str, float] = {}
@@ -219,23 +215,23 @@ def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
                     _, name, value = line[1:].strip().split(",")
                     peaks[name] = float(value)
                 except ValueError:
-                    raise ScheduleError(f"{path}: bad peak line {line.strip()!r}") from None
+                    raise OccsimError(f"{path}: bad peak line {line.strip()!r}") from None
             elif line.strip():
                 header = line.strip().split(",")
                 break
         if header != list(SCHEDULE_COLUMNS):
-            raise ScheduleError(f"{path}: missing or unexpected column header")
+            raise OccsimError(f"{path}: missing or unexpected column header")
         first = next((line for line in fh if line.strip()), None)
         if first is None:
-            raise ScheduleError(f"{path}: no schedule data")
+            raise OccsimError(f"{path}: no schedule data")
         try:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:  # numpy counts rows, not file lines
-            raise ScheduleError(f"{path}: {_bad_data_line(path) or exc}") from None
+            raise OccsimError(f"{path}: {_bad_data_line(path) or exc}") from None
     try:
         return HouseholdScheduleYear(data.T, peaks)
-    except ScheduleError as exc:
-        raise ScheduleError(f"{path}: {exc}") from None
+    except OccsimError as exc:
+        raise OccsimError(f"{path}: {exc}") from None
 
 
 # -- reference schedules and distribution bundles ---------------------------
@@ -250,10 +246,10 @@ def load_reference_dir(directory: str | Path) -> np.ndarray:
         for d, day_type in enumerate(DAY_TYPES):
             path = directory / f"{use}.{day_type.lower()}.ref"
             if not path.exists():
-                raise ScheduleError(f"missing reference schedule: {path}")
-            values = read_step_values(path, ScheduleError)
+                raise OccsimError(f"missing reference schedule: {path}")
+            values = read_step_values(path)
             if not np.any(values != 0):
-                raise ScheduleError(f"{path}: reference schedule is all zero")
+                raise OccsimError(f"{path}: reference schedule is all zero")
             out[u, d] = values
     return out
 
@@ -263,13 +259,13 @@ def load_bundle(directory: str | Path) -> dict[str, EmpiricalDistribution]:
     with its support inside its kind's `distributions.SUPPORT_DOMAIN`."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise ScheduleError(f"bundle directory not found: {directory}")
+        raise OccsimError(f"bundle directory not found: {directory}")
     bundle: dict[str, EmpiricalDistribution] = {}
     for name in REQUIRED_BUNDLE:
         path = directory / name
         if not path.exists():
-            raise ScheduleError(f"bundle is missing channel '{name}' ({path})")
-        bundle[name] = EmpiricalDistribution.read(path, ScheduleError)
+            raise OccsimError(f"bundle is missing channel '{name}' ({path})")
+        bundle[name] = EmpiricalDistribution.read(path)
     return bundle
 
 

@@ -26,7 +26,7 @@ from .diary_ingest import (
     sequence_rows,
     sequence_table,
 )
-from .conf import number_text, write_lines, write_step_values
+from .conf import OccsimError, number_text, write_lines, write_step_values
 from .distributions import EmpiricalDistribution
 from .household import DEFAULT_CLUSTER_SHARES, HouseholdConfig, _draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
@@ -284,7 +284,7 @@ def default_reference(use: str, day_type: str) -> np.ndarray:
     elif use == "ceiling_fan":
         base = 0.1 + 0.6 * np.exp(-0.5 * ((t - 44 + 4 * late) / 12) ** 2)
     else:
-        raise ValueError(f"unknown end use {use!r}")
+        raise OccsimError(f"unknown end use {use!r}")
     return base / base.max()
 
 
@@ -314,7 +314,7 @@ def write_input_tree(
     sizes = {"n_per_day_type": n_per_day_type, "n_households": n_households, "n_days": n_days}
     for name, size in sizes.items():
         if not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValueError(f"{name} must be a positive whole number, got {size!r}")
+            raise OccsimError(f"{name} must be a positive whole number, got {size!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = generate_corpus(n_per_day_type, base_seed)

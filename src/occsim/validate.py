@@ -16,16 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .conf import write_lines
+from .conf import OccsimError, write_lines
 from .diary_ingest import STATE_TOKENS, ActivityState
 from .distributions import EmpiricalDistribution
 from .markov_train import ActivityStats, estimate_statistics
 
 MIN_EXPECTED = 5.0
-
-
-class ValidationError(ValueError):
-    """Invalid validation input."""
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,7 +152,7 @@ def compare_behavior(
 ) -> ComparisonReport:
     """Compare a SEQUENCE table of simulated days per activity against reference statistics."""
     if not len(sim_days):
-        raise ValidationError("no simulated days")
+        raise OccsimError("no simulated days")
     rows = []
     sim_stats = estimate_statistics(sim_days, activities or tuple(ref_stats))
     for activity, sim in sim_stats.items():

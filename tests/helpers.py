@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from occsim.clustering import ClusterError
+from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     _INDEX_BY_TOKEN,
     _UNMAPPED,
@@ -16,7 +16,6 @@ from occsim.diary_ingest import (
     SEQUENCE,
     STEP_MINUTES,
     ActivityState,
-    DiaryFormatError,
     _row_head,
     sequence_table,
 )
@@ -69,7 +68,7 @@ def sequence_distance(a, b) -> int:
     """Matching dissimilarity: number of steps whose states differ."""
     a, b = (np.asarray(x, dtype=np.int8) for x in (a, b))
     if a.shape != b.shape:
-        raise ClusterError(f"length mismatch: {a.shape} vs {b.shape}")
+        raise OccsimError(f"length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
 
 
@@ -88,7 +87,7 @@ def row_loop_read_rows(path, lookup, width, dtype) -> np.ndarray:
     try:
         with open(path) as fh:
             if not fh.readline():
-                raise DiaryFormatError(f"{path}: empty file")
+                raise OccsimError(f"{path}: empty file")
             for row, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -98,9 +97,9 @@ def row_loop_read_rows(path, lookup, width, dtype) -> np.ndarray:
                 try:
                     codes += bytes(map(get, fields[3:]))
                 except KeyError as exc:
-                    raise DiaryFormatError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+                    raise OccsimError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
     except UnicodeDecodeError as exc:
-        raise DiaryFormatError(f"{path}: {exc}") from None
+        raise OccsimError(f"{path}: {exc}") from None
     table = np.empty(len(heads), dtype=dtype)
     table["id"], table["day_type"], table["weight"] = zip(*heads) if heads else ((), (), ())
     table[dtype.names[3]] = np.frombuffer(codes, np.int8).reshape(-1, width)
@@ -148,13 +147,13 @@ def whole_silhouette(distances, labels) -> float:
     labels = np.asarray(labels)
     n = labels.shape[0]
     if D.shape != (n, n):
-        raise ClusterError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
+        raise OccsimError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
     k = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
-        raise ClusterError("every cluster must be non-empty")
+        raise OccsimError("every cluster must be non-empty")
     if k < 2:
-        raise ClusterError("silhouette needs at least two clusters")
+        raise OccsimError("silhouette needs at least two clusters")
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     sums = D @ onehot

@@ -12,6 +12,7 @@ import numpy as np
 
 from occsim import streams
 from occsim.clustering import kmodes, pairwise_distances, select_k, silhouette
+from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     FULL_ALPHABET,
     N_STEPS,
@@ -23,7 +24,6 @@ from occsim.household import (
     EVENT,
     EVENT_COLUMNS,
     HouseholdConfig,
-    HouseholdError,
     _draw_index,
     attach_hygiene_water,
     build_household,
@@ -294,7 +294,7 @@ def test_criterion_08_merge_invariant():
     try:
         merge_shared_events(np.full((1, N_STEPS), int(hygiene)), hygiene)
         hygiene_rejected = False
-    except HouseholdError:
+    except OccsimError:
         pass
     # identical overlapping hygiene runs stay one event per occupant
     bundle = default_bundle()

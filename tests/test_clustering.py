@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from occsim import clustering, streams
 from occsim.cli import main
 from occsim.clustering import (
-    ClusterError,
     ClusterModel,
     _assign_with_repair,
     _weighted_modes,
@@ -20,6 +19,7 @@ from occsim.clustering import (
     select_k,
     silhouette,
 )
+from occsim.conf import OccsimError
 from occsim.diary_ingest import N_STEPS, project_to_presence
 from occsim.synth import generate_corpus, write_diaries
 from tests.helpers import sequence_distance, whole_pairwise_distances, whole_silhouette
@@ -131,7 +131,7 @@ def test_sequence_distance_frozen():
 
 
 def test_sequence_distance_length_mismatch():
-    with pytest.raises(ClusterError, match="length mismatch"):
+    with pytest.raises(OccsimError, match="length mismatch"):
         sequence_distance(np.zeros(5, dtype=np.int8), np.zeros(6, dtype=np.int8))
 
 
@@ -169,7 +169,7 @@ def test_weighted_modes_weight_dominates():
 def test_kmodes_k_exceeds_distinct():
     X = np.zeros((5, N_STEPS), dtype=np.int8)
     X[2:] = 1  # two distinct rows
-    with pytest.raises(ClusterError, match="exceeds"):
+    with pytest.raises(OccsimError, match="exceeds"):
         kmodes(X, k=3)
 
 
@@ -311,11 +311,11 @@ def test_silhouette_zero_denominator():
 
 def test_silhouette_preconditions():
     D = pairwise_distances(np.zeros((4, 8), dtype=np.int8))
-    with pytest.raises(ClusterError, match="non-empty"):
+    with pytest.raises(OccsimError, match="non-empty"):
         silhouette(D, np.array([0, 0, 0, 2]))
-    with pytest.raises(ClusterError, match="two clusters"):
+    with pytest.raises(OccsimError, match="two clusters"):
         silhouette(D, np.zeros(4, dtype=np.int64))
-    with pytest.raises(ClusterError, match="distances must be"):
+    with pytest.raises(OccsimError, match="distances must be"):
         silhouette(np.zeros((4, 8)), np.array([0, 0, 1, 1]))
 
 
@@ -377,7 +377,7 @@ def test_select_k_silhouette_subsample_deterministic():
 )
 def test_select_k_rejects_out_of_range_parameters(kwargs, message):
     X, _ = _three_cluster_data(per=40)
-    with pytest.raises(ClusterError, match=message):
+    with pytest.raises(OccsimError, match=message):
         params = {"k_range": range(2, 4), "base_seed": 0, "epsilon": 0.01}
         select_k(X, **{**params, "silhouette_sample": None, **kwargs})
 
@@ -394,9 +394,9 @@ def test_cluster_model_round_trip(tmp_path):
 
 
 def test_cluster_model_validation():
-    with pytest.raises(ClusterError, match="shares"):
+    with pytest.raises(OccsimError, match="shares"):
         ClusterModel(2, np.zeros((2, N_STEPS), dtype=np.int8), np.array([0.7, 0.7]), "WD")
-    with pytest.raises(ClusterError, match="modes"):
+    with pytest.raises(OccsimError, match="modes"):
         ClusterModel(2, np.zeros((2, 10), dtype=np.int8), np.array([0.5, 0.5]), "WD")
 
 
@@ -411,7 +411,7 @@ def test_assign_cluster_single_and_batch():
     assert batch.tolist() == [0, 1]
     # one form only: a single day is a one-row matrix
     for bad in (near_one, np.zeros((2, N_STEPS - 1), dtype=np.int8)):
-        with pytest.raises(ClusterError, match="states must be"):
+        with pytest.raises(OccsimError, match="states must be"):
             assign_cluster(bad, model)
 
 
@@ -426,13 +426,13 @@ def test_assign_cluster_projects_event_states():
 
 def test_cluster_model_rejects_bad_fields():
     modes = np.zeros((2, N_STEPS), dtype=np.int8)
-    with pytest.raises(ClusterError, match="finite and nonnegative"):
+    with pytest.raises(OccsimError, match="finite and nonnegative"):
         ClusterModel(2, modes, np.array([np.nan, 1.0]), "WD")
-    with pytest.raises(ClusterError, match="finite and nonnegative"):
+    with pytest.raises(OccsimError, match="finite and nonnegative"):
         ClusterModel(2, modes, np.array([-0.5, 1.5]), "WD")
-    with pytest.raises(ClusterError, match="day_type"):
+    with pytest.raises(OccsimError, match="day_type"):
         ClusterModel(2, modes, np.array([0.5, 0.5]), "XX")
-    with pytest.raises(ClusterError, match="positive integer"):
+    with pytest.raises(OccsimError, match="positive integer"):
         ClusterModel(2.0, modes, np.array([0.5, 0.5]), "WD")
 
 

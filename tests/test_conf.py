@@ -1,4 +1,9 @@
+import ast
+import builtins
+import inspect
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import occsim
-from occsim.conf import number_text, write_lines
+from occsim.conf import number_text, read_step_values, reading, write_lines
+from occsim.distributions import EmpiricalDistribution
 
 # Signed zeros, subnormals, the extreme exponents and the non-finite values.
 EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, -1e-300, 1e300, 1.7976931348623157e308,
@@ -52,3 +58,50 @@ def test_only_conf_prints_model_numbers_and_writes_text():
         if needle in path.read_text()
     ]
     assert found == []
+
+
+def _exception_classes(src: Path) -> list[str]:
+    """`module.Class` of every class in `src` that derives, by name, from a
+    built-in exception or from another class found here."""
+    bases = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = [b.id if isinstance(b, ast.Name) else ast.unparse(b) for b in node.bases]
+                bases[node.name] = (path.stem, names)
+    builtin = {name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    found: set[str] = set()
+    while True:
+        more = {c for c, (_, names) in bases.items() if c not in found and set(names) & (builtin | found)}
+        if not more:
+            return sorted(f"{bases[c][0]}.{c}" for c in found)
+        found |= more
+
+
+def test_occsim_and_stage_errors_are_the_only_exception_classes():
+    assert _exception_classes(Path(occsim.__file__).parent) == ["conf.OccsimError", "pipeline.StageError"]
+
+
+def test_readers_take_only_a_path():
+    for reader in (reading, read_step_values, EmpiricalDistribution.read):
+        assert list(inspect.signature(reader).parameters) == ["path"], reader
+
+
+def test_package_root_loads_nothing_and_each_module_imports_alone():
+    # each module is imported with every occsim module unloaded, so an import
+    # cycle, or a module that works only once another has loaded, shows here
+    src = Path(occsim.__file__).parent
+    names = sorted(p.stem for p in src.glob("*.py") if not p.stem.startswith("__"))
+    code = (
+        f"import importlib, sys; sys.path.insert(0, {str(src.parent)!r})\n"
+        "import occsim\n"
+        "print(sorted(m for m in sys.modules if m.startswith('occsim.')))\n"
+        f"for name in {names!r}:\n"
+        "    for m in [m for m in sys.modules if m.startswith('occsim.')]:\n"
+        "        del sys.modules[m]\n"
+        "    importlib.import_module('occsim.' + name)\n"
+        "    print(name)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout.split("\n", 1)[0] == "[]", out.stdout
+    assert out.stdout.split()[1:] == names, out.stderr

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     _BLOCK_ROWS,
     _ROW_BLOCK,
@@ -19,7 +20,6 @@ from occsim.diary_ingest import (
     STATE_TOKENS,
     ActivityCodeMap,
     ActivityState,
-    DiaryFormatError,
     DIARY,
     SEQUENCE,
     ingest,
@@ -65,7 +65,7 @@ def test_parse_short_row_names_row(tmp_path):
     good = "r1,WD,1," + ",".join(["s"] * N_MINUTES)
     bad = "r2,WD,1," + ",".join(["s"] * (N_MINUTES - 1))
     path = _diary_file(tmp_path, [good, bad])
-    with pytest.raises(DiaryFormatError, match="row 2"):
+    with pytest.raises(OccsimError, match="row 2"):
         parse_diaries(path, CMAP)
 
 
@@ -81,13 +81,13 @@ def test_parse_unknown_code_tallied(tmp_path):
 
 def test_parse_negative_weight_rejected(tmp_path):
     path = _diary_file(tmp_path, ["r1,WD,-2," + ",".join(["s"] * N_MINUTES)])
-    with pytest.raises(DiaryFormatError, match="row 1"):
+    with pytest.raises(OccsimError, match="row 1"):
         parse_diaries(path, CMAP)
 
 
 def test_parse_bad_day_type_rejected(tmp_path):
     path = _diary_file(tmp_path, ["r1,XX,1," + ",".join(["s"] * N_MINUTES)])
-    with pytest.raises(DiaryFormatError, match="day_type"):
+    with pytest.raises(OccsimError, match="day_type"):
         parse_diaries(path, CMAP)
 
 
@@ -133,13 +133,13 @@ def test_resample_matches_reference_on_tied_windows(minutes):
 def test_raw_diary_rejects_state_out_of_range(state):
     minutes = np.zeros((_ROW_BLOCK + 2, N_MINUTES), dtype=np.int8)
     minutes[_ROW_BLOCK + 1, 700] = state  # in the second block of rows
-    with pytest.raises(DiaryFormatError, match="state outside 0..6"):
+    with pytest.raises(OccsimError, match="state outside 0..6"):
         resample_to_sequence(minutes)
 
 
 @pytest.mark.parametrize("shape", [(N_MINUTES,), (2, N_MINUTES - 1), (1, 2, N_MINUTES)])
 def test_resample_rejects_a_matrix_not_n_by_1440(shape):
-    with pytest.raises(DiaryFormatError, match=r"minutes must be \(n, 1440\), got"):
+    with pytest.raises(OccsimError, match=r"minutes must be \(n, 1440\), got"):
         resample_to_sequence(np.zeros(shape, dtype=np.int8))
 
 
@@ -219,16 +219,16 @@ def test_projection_examples():
 
 
 def test_sequence_length_enforced():
-    with pytest.raises(DiaryFormatError, match="states must be"):
+    with pytest.raises(OccsimError, match="states must be"):
         sequence_table(["r"], "WD", 1.0, np.zeros((1, 95), dtype=np.int8))
-    with pytest.raises(DiaryFormatError, match="states must be"):
+    with pytest.raises(OccsimError, match="states must be"):
         sequence_table(["r", "q"], "WD", 1.0, np.zeros((1, N_STEPS), dtype=np.int8))
 
 
 @pytest.mark.parametrize("day_types", ["WDX", ["WD", "W"], ["WE", "XX"]])
 def test_sequence_table_rejects_day_type_before_truncating(day_types):
     # "WDX" would be stored as "WD" by the two-character column
-    with pytest.raises(DiaryFormatError, match="day_type must be one of"):
+    with pytest.raises(OccsimError, match="day_type must be one of"):
         sequence_table(["r", "q"], day_types, 1.0, np.zeros((2, N_STEPS), dtype=np.int8))
 
 
@@ -289,7 +289,7 @@ def test_write_sequences_matches_per_token_format_across_blocks(tmp_path):
 def test_write_sequences_rejects_state_outside_alphabet(tmp_path, state):
     states = np.zeros((3, N_STEPS), dtype=np.int8)
     states[2, 95] = state
-    with pytest.raises(DiaryFormatError, match="state outside 0..6"):
+    with pytest.raises(OccsimError, match="state outside 0..6"):
         write_sequences(tmp_path / "seqs.csv", sequence_table(["a", "b", "c"], "WD", 1.0, states))
     assert not (tmp_path / "seqs.csv").exists()
 
@@ -321,7 +321,7 @@ def test_read_sequences_empty_file_is_an_empty_table(tmp_path):
 def test_zero_byte_file_is_an_error(tmp_path, read):
     path = _diary_file(tmp_path, [])
     path.write_bytes(b"")
-    with pytest.raises(DiaryFormatError, match=r"d\.csv: empty file"):
+    with pytest.raises(OccsimError, match=r"d\.csv: empty file"):
         read(path)
 
 
@@ -349,14 +349,14 @@ def test_read_sequences_checks_row_head(tmp_path, field, value, message):
     fields[field] = value
     lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DiaryFormatError, match=rf"seqs\.csv: row 2: {message}"):
+    with pytest.raises(OccsimError, match=rf"seqs\.csv: row 2: {message}"):
         read_sequences(path)
 
 
 @pytest.mark.parametrize("weight", ["abc", "nan", "inf", "-1"])
 def test_parse_checks_weight_like_read_sequences(tmp_path, weight):
     path = _diary_file(tmp_path, [f"r1,WD,{weight}," + ",".join(["s"] * N_MINUTES)])
-    with pytest.raises(DiaryFormatError, match=f"d\\.csv: row 1: bad weight '{weight}'"):
+    with pytest.raises(OccsimError, match=f"d\\.csv: row 1: bad weight '{weight}'"):
         parse_diaries(path, CMAP)
 
 
@@ -369,13 +369,13 @@ def test_row_numbers_count_blank_lines(tmp_path, read, width, code):
     path = _diary_file(tmp_path, [rows[0], "", rows[1], ""])
     assert len(read(path)) == 2
     path = _diary_file(tmp_path, [rows[0], "", "", "r2,WD,-1," + ",".join([code] * width)])
-    with pytest.raises(DiaryFormatError, match=r"d\.csv: row 4: bad weight '-1'"):
+    with pytest.raises(OccsimError, match=r"d\.csv: row 4: bad weight '-1'"):
         read(path)
 
 
 def test_read_sequences_names_row_after_blank_lines_and_unknown_token(tmp_path):
     path = _diary_file(tmp_path, ["", "r1,WD,1," + ",".join(["Sleep"] * (N_STEPS - 1) + ["Napping"])])
-    with pytest.raises(DiaryFormatError, match=r"d\.csv: row 2: unknown state token 'Napping'"):
+    with pytest.raises(OccsimError, match=r"d\.csv: row 2: unknown state token 'Napping'"):
         read_sequences(path)
 
 
@@ -387,7 +387,7 @@ def test_read_sequences_names_row_and_unknown_token(tmp_path):
     fields[3 + 10] = "Napping"
     lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DiaryFormatError, match=r"seqs\.csv: row 2: unknown state token 'Napping'"):
+    with pytest.raises(OccsimError, match=r"seqs\.csv: row 2: unknown state token 'Napping'"):
         read_sequences(path)
 
 
@@ -421,7 +421,7 @@ def test_load_sequences_any_sniffs_the_first_row_after_blank_lines(tmp_path, bla
 def test_load_sequences_any_without_rows_names_width_0(tmp_path, body):
     path = _diary_file(tmp_path, [])
     path.write_text("respondent_id,day_type,weight\n" + body)
-    with pytest.raises(DiaryFormatError, match=r"d\.csv: unrecognized record width 0; expected 99 \(sequences\)"):
+    with pytest.raises(OccsimError, match=r"d\.csv: unrecognized record width 0; expected 99 \(sequences\)"):
         load_sequences_any(path)
 
 
@@ -565,10 +565,10 @@ def sequence_files(draw):
 
 def _outcome(read, path):
     """What `read` gives for `path` as lists (its DIARY or SEQUENCE table
-    first), or the message of its DiaryFormatError."""
+    first), or the message of its OccsimError."""
     try:
         result = read(path)
-    except DiaryFormatError as exc:
+    except OccsimError as exc:
         return str(exc)
     table, *count = result if isinstance(result, tuple) else (result,)
     return [table.dtype, *(table[name].tolist() for name in table.dtype.names), *count]
@@ -631,7 +631,7 @@ def test_fixed_width_lookup_without_default_names_the_first_bad_row(tmp_path, ba
     """A code that a lookup without a default lacks sends its block to the
     row loop, so the block's first bad row is the one named."""
     path = _two_code_rows(tmp_path, bad)
-    with pytest.raises(DiaryFormatError) as exc:
+    with pytest.raises(OccsimError) as exc:
         _read_rows(path, _TWO_CODES, N_STEPS, SEQUENCE)
     assert str(exc.value) == f"{path}: {message}"
     assert _outcome(lambda p: row_loop_read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path) == str(exc.value)

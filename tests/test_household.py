@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from occsim import streams
+from occsim.conf import OccsimError
 from occsim.diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import (
     EVENT,
     EVENT_COLUMNS,
-    BundleError,
     HouseholdConfig,
-    HouseholdError,
     HouseholdResult,
     apply_vacation,
     attach_appliance_events,
@@ -24,8 +23,8 @@ from occsim.household import (
     sample_household,
 )
 from occsim.markov_train import ClusterDayModel, TPMSet
-from occsim.occupant_sim import SimCalendar, SimulationError
-from occsim.schedule_io import MODULATED_END_USES, ScheduleError, assemble_schedule
+from occsim.occupant_sim import SimCalendar
+from occsim.schedule_io import MODULATED_END_USES, assemble_schedule
 from occsim.synth import PLANTED_SHARES, default_bundle, default_reference, truth_models
 from tests.helpers import one_household, point_mass
 
@@ -67,7 +66,7 @@ def test_merge_abutting_intervals():
 
 
 def test_merge_rejects_hygiene():
-    with pytest.raises(HouseholdError, match="never merged"):
+    with pytest.raises(OccsimError, match="never merged"):
         merge_shared_events(paint([[(0.0, 15.0)]], HYGIENE), HYGIENE)
 
 
@@ -179,12 +178,12 @@ def test_dryer_dropped_past_year_end():
 def test_attach_appliance_events_missing_bundle_entry():
     bundle = _pm_bundle()
     del bundle["dishwasher.water.flow"]
-    with pytest.raises(BundleError, match="dishwasher.water.flow") as exc:
+    with pytest.raises(OccsimError, match="dishwasher.water.flow") as exc:
         attach_appliance_events(
             {ActivityState.DISHWASHING: np.array([[0.0, 15.0]])}, bundle, np.random.default_rng(0), year_minutes=1440.0
         )
-    # a HouseholdError, so simulate catches it, and printed without KeyError's quotes
-    assert isinstance(exc.value, HouseholdError)
+    # an OccsimError, so simulate catches it, and printed without KeyError's quotes
+    assert isinstance(exc.value, OccsimError)
     assert str(exc.value) == "missing distribution 'dishwasher.water.flow'"
 
 
@@ -299,7 +298,7 @@ def test_modulate_scales_every_row_by_one_trace():
     for row, ref_row in zip(out, ref):
         assert row.tobytes() == modulate_schedule(ref_row, frac).tobytes()
     # a one-day reference is not tiled across a longer fraction
-    with pytest.raises(HouseholdError, match="does not match"):
+    with pytest.raises(OccsimError, match="does not match"):
         modulate_schedule(ref[0, :N_STEPS], frac)
 
 
@@ -323,9 +322,9 @@ def test_modulate_active_mode_and_errors():
     active = _one_day_schedule(asleep, ref, "active")
     assert present.peaks["lighting"] == 2.0 and np.array_equal(present.columns["lighting"], ref / 2.0)
     assert active.peaks["lighting"] == 1.0 and np.all(active.columns["lighting"] == 1.0)
-    with pytest.raises(ScheduleError, match="modulation"):
+    with pytest.raises(OccsimError, match="modulation"):
         _one_day_schedule(asleep, ref, "sometimes")
-    with pytest.raises(HouseholdError, match="does not match"):
+    with pytest.raises(OccsimError, match="does not match"):
         modulate_schedule(np.ones(50), np.ones(N_STEPS))
 
 
@@ -362,7 +361,7 @@ def test_apply_vacation_none_and_bad_windows():
     same = apply_vacation(states, NO_EVENTS, NO_EVENTS, None, 2)
     assert same[0] is states
     for window in [(1, 1), (-1, 2), (1, 5)]:
-        with pytest.raises(HouseholdError, match="vacation"):
+        with pytest.raises(OccsimError, match="vacation"):
             apply_vacation(states, NO_EVENTS, NO_EVENTS, window, 2)
 
 
@@ -385,16 +384,16 @@ def test_household_config_round_trip(tmp_path):
 
 
 def test_household_config_validation(tmp_path):
-    with pytest.raises(HouseholdError, match="sum"):
+    with pytest.raises(OccsimError, match="sum"):
         HouseholdConfig(point_mass(1.0, "count"), (0.5, 0.2), (1.0,))
-    with pytest.raises(HouseholdError, match="shower_fraction"):
+    with pytest.raises(OccsimError, match="shower_fraction"):
         HouseholdConfig(point_mass(1.0, "count"), (1.0,), (1.0,), shower_fraction=1.5)
     for window in [(-1, 3), (5, 2), (4, 4)]:
-        with pytest.raises(HouseholdError, match="vacation"):
+        with pytest.raises(OccsimError, match="vacation"):
             HouseholdConfig(point_mass(1.0, "count"), (1.0,), (1.0,), vacation=window)
     bad = tmp_path / "bad.conf"
     bad.write_text("# nothing here\n")
-    with pytest.raises(HouseholdError, match="occupant_count"):
+    with pytest.raises(OccsimError, match="occupant_count"):
         HouseholdConfig.read(bad)
 
 
@@ -413,7 +412,7 @@ def test_household_config_validation(tmp_path):
 def test_household_config_read_names_file_and_line(tmp_path, body, pattern):
     bad = tmp_path / "bad.conf"
     bad.write_text(body)
-    with pytest.raises(HouseholdError, match=pattern):
+    with pytest.raises(OccsimError, match=pattern):
         HouseholdConfig.read(bad)
 
 
@@ -431,7 +430,7 @@ def test_sample_household():
     # a count that could sample as zero is rejected when the config is built
     for counts in ([0.0], [0.0, 1.0], [1.0, 1.5], [-2.0]):
         dist = EmpiricalDistribution(np.array(counts), np.full(len(counts), 1 / len(counts)), "count")
-        with pytest.raises(HouseholdError, match="whole numbers >= 1"):
+        with pytest.raises(OccsimError, match="whole numbers >= 1"):
             HouseholdConfig(dist, (1.0,), (1.0,))
 
 
@@ -501,7 +500,7 @@ def test_draw_households_names_the_household_without_a_model():
         drawn += [p.occupant_id for p in sample_household(config, rng, h) if p.weekday_cluster == 1]
     assert len(drawn) > 1 and not drawn[0].startswith("h3o")
     cal = SimCalendar(start_weekday=0, n_days=7)
-    with pytest.raises(SimulationError, match=rf"^occupant {drawn[0]}: no trained model for day_type=WD cluster=1$"):
+    with pytest.raises(OccsimError, match=rf"^occupant {drawn[0]}: no trained model for day_type=WD cluster=1$"):
         draw_households(indices, models, config, cal, 5, approach=3)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from occsim import streams
-from occsim.conf import write_step_values
+from occsim.conf import OccsimError, write_step_values
 from occsim.diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -16,7 +16,6 @@ from occsim.diary_ingest import (
 )
 from occsim.markov_train import (
     TPMSet,
-    TrainError,
     estimate_statistics,
     estimate_tpm,
     load_model_dir,
@@ -82,7 +81,7 @@ def test_estimate_tpm_laplace_smoothing():
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
 def test_estimate_tpm_rejects_bad_alpha(alpha):
-    with pytest.raises(TrainError, match="alpha must be finite and nonnegative"):
+    with pytest.raises(OccsimError, match="alpha must be finite and nonnegative"):
         estimate_tpm(make_seq([0, 1]), fallback="laplace", alpha=alpha)
 
 
@@ -93,18 +92,18 @@ def test_estimate_tpm_laplace_zero_alpha_is_absorbing():
 
 
 def test_estimate_tpm_input_validation():
-    with pytest.raises(TrainError, match="no sequences"):
+    with pytest.raises(OccsimError, match="no sequences"):
         estimate_tpm(np.empty(0, dtype=SEQUENCE), **ABSORBING)
-    with pytest.raises(TrainError, match="day types"):
+    with pytest.raises(OccsimError, match="day types"):
         mixed = np.concatenate([make_seq([0], rid="a"), make_seq([0], day_type="WE", rid="b")])
         estimate_tpm(mixed, **ABSORBING)
-    with pytest.raises(TrainError, match="total weight must be positive"):
+    with pytest.raises(OccsimError, match="total weight must be positive"):
         zero = np.concatenate([make_seq([0], weight=0.0, rid="a"), make_seq([0], weight=0.0, rid="b")])
         estimate_tpm(zero, **ABSORBING)
-    with pytest.raises(TrainError, match="fallback"):
+    with pytest.raises(OccsimError, match="fallback"):
         estimate_tpm(make_seq([0]), fallback="magic", alpha=0.0)
     cooking = make_seq([int(ActivityState.COOKING)])
-    with pytest.raises(TrainError, match="not in alphabet"):
+    with pytest.raises(OccsimError, match="not in alphabet"):
         estimate_tpm(cooking, alphabet=PRESENCE_ALPHABET, **ABSORBING)
 
 
@@ -259,21 +258,21 @@ def test_tpmset_validation():
     init = np.eye(S)[0]
     bad = m.copy()
     bad[4, 2, 2] = 0.5
-    with pytest.raises(TrainError, match=r"step 4"):
+    with pytest.raises(OccsimError, match=r"step 4"):
         TPMSet(0, "WD", FULL_ALPHABET, init, bad)
     neg = m.copy()
     neg[0, 0, 0] = -0.1
     neg[0, 0, 1] = 1.1
-    with pytest.raises(TrainError, match="negative"):
+    with pytest.raises(OccsimError, match="negative"):
         TPMSet(0, "WD", FULL_ALPHABET, init, neg)
     # sums to 1 within ROW_TOL, but its cumulative sum decreases, so
     # r = 0.4999999997 would draw the state of negative probability
     tiny = np.array([0.5, -5e-10, 0.5 + 5e-10])
-    with pytest.raises(TrainError, match="negative probabilities"):
+    with pytest.raises(OccsimError, match="negative probabilities"):
         TPMSet(0, "WD", PRESENCE_ALPHABET, np.eye(3)[0], np.tile(tiny, (4, 3, 1)))
-    with pytest.raises(TrainError, match="negative probabilities"):
+    with pytest.raises(OccsimError, match="negative probabilities"):
         TPMSet(0, "WD", PRESENCE_ALPHABET, tiny, np.tile(np.eye(3), (4, 1, 1)))
-    with pytest.raises(TrainError, match="initial"):
+    with pytest.raises(OccsimError, match="initial"):
         TPMSet(0, "WD", FULL_ALPHABET, init * 0.5, m)
 
 
@@ -282,11 +281,11 @@ def test_tpmset_rejects_non_finite():
     init = np.eye(S)[0]
     nan_init = init.copy()
     nan_init[1] = np.nan
-    with pytest.raises(TrainError, match="non-finite"):
+    with pytest.raises(OccsimError, match="non-finite"):
         TPMSet(0, "WD", FULL_ALPHABET, nan_init, m)
     inf_rows = m.copy()
     inf_rows[3, 2, 4] = np.inf
-    with pytest.raises(TrainError, match="non-finite"):
+    with pytest.raises(OccsimError, match="non-finite"):
         TPMSet(0, "WD", FULL_ALPHABET, init, inf_rows)
 
 
@@ -319,7 +318,7 @@ def test_tpmset_read_errors_name_the_file(tmp_path, corrupt, pattern):
     path = tmp_path / "c0.wd.tpm"
     tpms.write(path)
     path.write_text("".join(ln + "\n" for ln in corrupt(path.read_text().splitlines())))
-    with pytest.raises(TrainError, match=pattern) as exc:
+    with pytest.raises(OccsimError, match=pattern) as exc:
         TPMSet.read(path)
     assert str(path) in str(exc.value)
 
@@ -423,7 +422,7 @@ def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
     rng = np.random.default_rng(6)
     save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
     (tmp_path / name).unlink()
-    with pytest.raises(TrainError, match=f"missing expected file: .*{name}"):
+    with pytest.raises(OccsimError, match=f"missing expected file: .*{name}"):
         load_model_dir(tmp_path)
 
 
@@ -432,7 +431,7 @@ def test_load_model_dir_names_a_bad_dist_file(tmp_path):
     save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
     path = tmp_path / "c0.wd.cooking.onset.dist"
     path.write_text("unit,steps\n3,abc\n")
-    with pytest.raises(TrainError, match="line 2: expected value,probability") as exc:
+    with pytest.raises(OccsimError, match="line 2: expected value,probability") as exc:
         load_model_dir(tmp_path)
     assert str(exc.value).startswith(str(path))
 

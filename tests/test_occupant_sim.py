@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from occsim import streams
+from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     DAY_TYPES,
     EVENT_ACTIVITIES,
@@ -19,7 +20,6 @@ from occsim.markov_train import ActivityStats, ClusterDayModel, TPMSet, runs
 from occsim.occupant_sim import (
     OccupantProfile,
     SimCalendar,
-    SimulationError,
     _hold_steps,
     place_events,
     simulate_year,
@@ -376,10 +376,10 @@ def test_zero_uniform_never_selects_zero_probability_state():
 
 def test_walk_days_rejects_short_uniform_rows():
     tpms = const_tpms()
-    with pytest.raises(SimulationError, match="uniforms"):
+    with pytest.raises(OccsimError, match="uniforms"):
         walk_days(tpms, np.zeros((2, N_STEPS)), {})
     for u in (np.zeros(N_STEPS), np.float64(0.5)):
-        with pytest.raises(SimulationError, match="uniforms"):
+        with pytest.raises(OccsimError, match="uniforms"):
             walk_days(tpms, u)
 
 
@@ -529,13 +529,13 @@ def test_calendar_day_types():
     assert cal.day_types == (["WD"] * 5 + ["WE"] * 2) * 2
     assert SimCalendar.from_name("Saturday", 3).day_types == ["WE", "WE", "WD"]
     assert SimCalendar.from_name("friday", 3).start_weekday == 4
-    with pytest.raises(SimulationError, match="unknown weekday"):
+    with pytest.raises(OccsimError, match="unknown weekday"):
         SimCalendar.from_name("someday", 3)
-    with pytest.raises(SimulationError, match="0..6"):
+    with pytest.raises(OccsimError, match="0..6"):
         SimCalendar(start_weekday=7, n_days=3)
-    with pytest.raises(SimulationError, match="n_days must be positive"):
+    with pytest.raises(OccsimError, match="n_days must be positive"):
         SimCalendar(start_weekday=0, n_days=0)
-    with pytest.raises(SimulationError, match="n_days must be positive"):
+    with pytest.raises(OccsimError, match="n_days must be positive"):
         SimCalendar.from_name("monday", 0)
 
 
@@ -604,23 +604,23 @@ def test_simulate_year_missing_cluster():
     models = _tiny_models()
     profile = OccupantProfile("o1", 0, 3)
     root = streams.root(1)
-    with pytest.raises(SimulationError, match="day_type=WE cluster=3"):
+    with pytest.raises(OccsimError, match="day_type=WE cluster=3"):
         _year(profile, models, SimCalendar(start_weekday=5, n_days=2), root, approach=3)
 
 
 def test_simulate_year_rejects_bad_approach():
-    with pytest.raises(SimulationError, match="approach"):
+    with pytest.raises(OccsimError, match="approach"):
         cal = SimCalendar(start_weekday=0, n_days=1)
         _year(OccupantProfile("o", 0, 0), _tiny_models(), cal, streams.root(0), approach=4)
     days = np.zeros((1, N_STEPS), dtype=np.int8)
-    with pytest.raises(SimulationError, match="approach"):
+    with pytest.raises(OccsimError, match="approach"):
         simulate_year(OccupantProfile("o", 0, 0), days, _tiny_models(), cal, streams.root(0), approach=4)
 
 
 def test_simulate_year_rejects_days_of_another_calendar():
     cal = SimCalendar(start_weekday=0, n_days=3)
     days = np.zeros((2, N_STEPS), dtype=np.int8)
-    with pytest.raises(SimulationError, match=r"expected \(3, 96\) walked days"):
+    with pytest.raises(OccsimError, match=r"expected \(3, 96\) walked days"):
         simulate_year(OccupantProfile("o", 0, 0), days, _tiny_models(), cal, streams.root(0), approach=3)
 
 
@@ -655,7 +655,7 @@ def test_walk_occupants_names_the_occupant_without_a_model():
         for h, we in enumerate([1, 3, 2, 3])
     ]
     calendar = SimCalendar(start_weekday=0, n_days=7)
-    with pytest.raises(SimulationError, match=r"^occupant h1o0: no trained model for day_type=WE cluster=3$"):
+    with pytest.raises(OccsimError, match=r"^occupant h1o0: no trained model for day_type=WE cluster=3$"):
         walk_occupants(occupants, models, calendar, approach=3)
 
 

@@ -17,9 +17,18 @@ from hypothesis import example, given, settings, strategies as st
 from occsim import occupant_sim, pipeline
 from occsim.cli import FLAGS, _build_parser, _settings, main
 from occsim.clustering import ClusterModel, select_k
-from occsim.diary_ingest import SEQUENCE, STATE_TOKENS, load_sequences_any, read_sequences, write_sequences
-from occsim.household import attach_appliance_events, build_household, draw_households
-from occsim.markov_train import estimate_tpm, train_cluster_day_model
+from occsim.conf import OccsimError, read_step_values
+from occsim.diary_ingest import (
+    SEQUENCE,
+    STATE_TOKENS,
+    ActivityCodeMap,
+    load_sequences_any,
+    read_sequences,
+    write_sequences,
+)
+from occsim.distributions import EmpiricalDistribution
+from occsim.household import HouseholdConfig, attach_appliance_events, build_household, draw_households
+from occsim.markov_train import TPMSet, estimate_tpm, train_cluster_day_model
 from occsim.occupant_sim import SimCalendar, simulate_year, walk_occupants
 from occsim.pipeline import (
     CHOICES,
@@ -872,6 +881,77 @@ def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path
     assert f"{path}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# Each line-based kind a library reader parses: (its file in a synth tree
+# after `occsim run`, the reader, the separator of a line's fields).
+READERS = {
+    "project": ("project.conf", ProjectConfig.read, "="),
+    "household": ("household.conf", HouseholdConfig.read, "="),
+    "code_map": ("code_map.csv", ActivityCodeMap.read, ","),
+    "clusters": ("out/model.wd.clusters", ClusterModel.read, ","),
+    "tpm": ("out/tpms/c0.wd.tpm", TPMSet.read, ","),
+    "presence_tpm": ("out/tpms/c1.we.presence.tpm", TPMSet.read, ","),
+    "count_dist": ("out/tpms/c0.wd.cooking.count.dist", EmpiricalDistribution.read, ","),
+    "onset_dist": ("out/tpms/c1.we.laundry.onset.dist", EmpiricalDistribution.read, ","),
+    "bundle": ("bundle/sink.flow", EmpiricalDistribution.read, ","),
+    "ref": ("reference/lighting.wd.ref", read_step_values, ","),
+}
+# What a corrupted field or line holds: empty, signed zero, non-finite and
+# overflowing numbers, separators, a non-ASCII digit, NUL, a state token and
+# key names.
+ATOMS = ["", "0", "-0", "nan", "inf", "1e309", "9" * 30, "abc", ",", "=", ":", "٣", "\x00", "Sleep", "occupant_count",
+         "n_days", "shares"]
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+@settings(derandomize=True, max_examples=800)
+@given(
+    kind=st.sampled_from(sorted(READERS)),
+    edit=st.sampled_from(["field", "line", "delete", "duplicate"]),
+    line=st.integers(0, 3) | st.integers(0, 400),
+    field=st.integers(0, 7),
+    atom=st.sampled_from(ATOMS),
+)
+@example(kind="ref", edit="field", line=0, field=0, atom="٣")  # int("٣") is 3: a repeated step
+@example(kind="tpm", edit="field", line=0, field=0, atom="\x00")
+@example(kind="clusters", edit="field", line=0, field=1, atom="9" * 30)
+@example(kind="household", edit="field", line=0, field=1, atom="٣")
+@example(kind="project", edit="field", line=8, field=1, atom="1e309")
+@example(kind="household", edit="duplicate", line=3, field=0, atom="")  # a repeated key keeps its last value
+def test_reader_names_the_file_of_any_corrupted_line(
+    synth_tree, pipeline_run, corrupt_dir, kind, edit, line, field, atom
+):
+    """One field or line of a valid input replaced by an atom, deleted or
+    repeated: its reader returns, or raises OccsimError (a config StageError
+    for project.conf) whose message starts with the file."""
+    name, read, sep = READERS[kind]
+    lines = (synth_tree / name).read_text().splitlines()
+    line %= len(lines)
+    if edit == "field":
+        fields = lines[line].split(sep)
+        fields[field % len(fields)] = atom
+        lines[line] = sep.join(fields)
+    elif edit == "line":
+        lines[line] = atom
+    elif edit == "delete":
+        del lines[line]
+    else:
+        lines.insert(line, lines[line])
+    path = corrupt_dir / Path(name).name
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read(path)
+    except StageError as exc:
+        assert kind == "project" and exc.stage == "config"
+        assert str(exc).startswith(f"config: {path}: ")
+    except OccsimError as exc:
+        assert kind != "project"
+        assert str(exc).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("name", ["cx.wd.tpm", "c0.wd.x.tpm", "c0.xx.tpm"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from occsim.conf import read_step_values, write_step_values
+from occsim.conf import OccsimError, read_step_values, write_step_values
 from occsim.diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from occsim.household import EVENT, EVENT_COLUMNS, HouseholdResult
 from occsim.occupant_sim import SimCalendar
@@ -15,7 +15,6 @@ from occsim.schedule_io import (
     MODULATED_END_USES,
     SCHEDULE_COLUMNS,
     HouseholdScheduleYear,
-    ScheduleError,
     assemble_schedule,
     load_bundle,
     load_reference_dir,
@@ -196,7 +195,7 @@ def test_assemble_schedule_normalizes_rows():
 def test_schedule_year_validation():
     n = len(SCHEDULE_COLUMNS)
     for shape in [(n - 1, N_STEPS), (n, 10), (n, 0), (N_STEPS,), (n, N_STEPS, 1)]:
-        with pytest.raises(ScheduleError, match="over whole days"):
+        with pytest.raises(OccsimError, match="over whole days"):
             HouseholdScheduleYear(np.zeros(shape), {})
 
 
@@ -316,7 +315,7 @@ def test_read_schedule_cells_equal_float_of_each_token(tmp_path):
 def test_read_schedule_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ScheduleError, match="header"):
+    with pytest.raises(OccsimError, match="header"):
         read_schedule_file(path)
 
 
@@ -324,7 +323,7 @@ def test_read_schedule_rejects_partial_day(tmp_path):
     path = _written_schedule(tmp_path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ScheduleError, match="h.csv: .*over whole days"):
+    with pytest.raises(OccsimError, match="h.csv: .*over whole days"):
         read_schedule_file(path)
 
 
@@ -354,7 +353,7 @@ def test_read_schedule_rejects_bad_file_naming_it(tmp_path, case):
     corrupt, message = BAD_SCHEDULE_FILES[case]
     path = _written_schedule(tmp_path)
     path.write_text(corrupt(path.read_text()))
-    with pytest.raises(ScheduleError, match=f"h.csv: .*{message}"):
+    with pytest.raises(OccsimError, match=f"h.csv: .*{message}"):
         read_schedule_file(path)
 
 
@@ -370,7 +369,7 @@ def test_read_schedule_error_names_the_file_line(tmp_path, blank_lines):
     ]:
         index += blank_lines
         path.write_text(_replace_line("\n".join(lines), index, make))
-        with pytest.raises(ScheduleError) as exc:
+        with pytest.raises(OccsimError) as exc:
             read_schedule_file(path)
         assert str(exc.value) == f"{path}: line {index + 1}: {message}"
 
@@ -392,7 +391,7 @@ def test_reference_file_round_trip(tmp_path):
 
 def test_reference_file_rejects_all_zero(tmp_path):
     write_step_values(_reference_dir(tmp_path) / "lighting.we.ref", np.zeros(N_STEPS))
-    with pytest.raises(ScheduleError, match="lighting.we.ref: reference schedule is all zero"):
+    with pytest.raises(OccsimError, match="lighting.we.ref: reference schedule is all zero"):
         load_reference_dir(tmp_path)
 
 
@@ -402,13 +401,13 @@ def test_reference_file_rejects_non_finite(tmp_path, bad):
     lines = path.read_text().splitlines()
     lines[7] = f"7,{bad}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ScheduleError, match="line 8: step 7 has non-finite value"):
+    with pytest.raises(OccsimError, match="line 8: step 7 has non-finite value"):
         load_reference_dir(tmp_path)
 
 
 def test_reference_file_rejects_short(tmp_path):
     (_reference_dir(tmp_path) / "plug_loads.wd.ref").write_text("0,1.0\n1,2.0\n")
-    with pytest.raises(ScheduleError, match="expected 96"):
+    with pytest.raises(OccsimError, match="expected 96"):
         load_reference_dir(tmp_path)
 
 
@@ -456,7 +455,7 @@ def test_load_reference_dir_names_missing_file(tmp_path):
         for d, dt in enumerate(DAY_TYPES):
             assert np.abs(ref[u, d] - default_reference(use, dt)).max() <= 1e-12
     (tmp_path / "plug_loads.we.ref").unlink()
-    with pytest.raises(ScheduleError, match="plug_loads.we.ref"):
+    with pytest.raises(OccsimError, match="plug_loads.we.ref"):
         load_reference_dir(tmp_path)
 
 
@@ -485,9 +484,9 @@ def test_bundle_round_trip_and_missing(tmp_path):
     assert np.allclose(dist.probs, bundle["shower.duration"].probs)
     assert dist.unit == bundle["shower.duration"].unit
     (tmp_path / "b" / "sink.flow").unlink()
-    with pytest.raises(ScheduleError, match="sink.flow"):
+    with pytest.raises(OccsimError, match="sink.flow"):
         load_bundle(tmp_path / "b")
-    with pytest.raises(ScheduleError, match="not found"):
+    with pytest.raises(OccsimError, match="not found"):
         load_bundle(tmp_path / "nowhere")
 
 

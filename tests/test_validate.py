@@ -8,6 +8,7 @@ import pytest
 
 import occsim
 
+from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     FULL_ALPHABET,
     N_STEPS,
@@ -20,7 +21,6 @@ from occsim.markov_train import estimate_statistics
 from occsim.validate import (
     ActivityComparison,
     ComparisonReport,
-    ValidationError,
     chi2_sf,
     compare_behavior,
     ks_statistic,
@@ -187,7 +187,7 @@ def test_compare_behavior_selected_activities():
     ref = estimate_statistics(corpus)
     report = compare_behavior(corpus, ref, (ActivityState.COOKING,))
     assert [r.activity for r in report.rows] == [ActivityState.COOKING]
-    with pytest.raises(ValidationError, match="no simulated days"):
+    with pytest.raises(OccsimError, match="no simulated days"):
         compare_behavior(corpus[:0], ref)
 
 
