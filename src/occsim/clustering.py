@@ -25,6 +25,7 @@ from .diary_ingest import (
     ActivityState,
     project_to_presence,
 )
+from .markov_train import state_counts
 
 # Bytes of the float64 copy of one block of rows of the (n, n) distance
 # matrix: `pairwise_distances` fills it, and `silhouette` sums it, a block at
@@ -177,23 +178,12 @@ def pairwise_distances(X: np.ndarray) -> np.ndarray:
     return D
 
 
-def _state_counts(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
-    """(k, steps, n_states) weighted count of each state at each step within
-    each cluster.  One bincount over the (cluster, step, state) cell of every
-    entry adds the weights of each cell in row order, as a per-cell running
-    sum would."""
-    steps = X.shape[1]
-    cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
-    counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
-    return counts.reshape(k, steps, n_states)
-
-
 def _weighted_modes(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
     """Per-dimension weighted most-frequent state for each cluster.
 
     Ties break toward the smallest state value so refits are deterministic.
     """
-    return _state_counts(X, w, labels, k, n_states).argmax(axis=2).astype(np.int8)  # first maximum
+    return state_counts(X, w, labels, k, n_states).argmax(axis=2).astype(np.int8)  # first maximum
 
 
 def _initial_modes(X: np.ndarray, w: np.ndarray, distinct: np.ndarray, k: int, n_states: int) -> np.ndarray:
@@ -205,7 +195,7 @@ def _initial_modes(X: np.ndarray, w: np.ndarray, distinct: np.ndarray, k: int, n
     one is the row not chosen yet with the largest density times distance
     to its nearest chosen mode.  Ties go to the first row.
     """
-    counts = _state_counts(X, w, np.zeros(X.shape[0], dtype=np.intp), 1, n_states)[0]
+    counts = state_counts(X, w, np.zeros(X.shape[0], dtype=np.intp), 1, n_states)[0]
     density = counts[np.arange(X.shape[1]), distinct].mean(axis=1)
     chosen = [int(density.argmax())]  # first maximum
     while len(chosen) < k:

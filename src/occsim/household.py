@@ -69,6 +69,8 @@ DEFAULT_CLUSTER_SHARES = (0.36, 0.21, 0.21, 0.22)
 
 def _occupant_counts(value: str) -> EmpiricalDistribution:
     pairs = [item.split(":") for item in value.split(",")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected count:probability,...")
     return EmpiricalDistribution(
         np.array([float(v) for v, _ in pairs]),
         np.array([float(p) for _, p in pairs]),
@@ -83,8 +85,10 @@ def _shares(value: str) -> tuple[float, ...]:
 def _vacation(value: str) -> tuple[int, int] | None:
     if not value:
         return None
-    lo, hi = value.split(",")
-    return int(lo), int(hi)
+    fields = value.split(",")
+    if len(fields) != 2:
+        raise ValueError("expected start,end")
+    return int(fields[0]), int(fields[1])
 
 
 _HOUSEHOLD_KEYS = {

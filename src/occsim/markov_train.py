@@ -160,7 +160,7 @@ def _columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     day_type = str(table["day_type"][0])
     if np.any(table["day_type"] != day_type):
         raise OccsimError("sequences mix day types")
-    w = table["weight"]
+    w = np.ascontiguousarray(table["weight"])  # each per-step bincount would copy a strided column
     if w.sum() <= 0:
         raise OccsimError("total weight must be positive")
     return table["states"], w, day_type
@@ -230,6 +230,17 @@ def runs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rows, cols, np.diff(flat, append=n * m), X[rows, cols]
 
 
+def state_counts(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
+    """(k, steps, n_states) weighted count of each state at each step within
+    each cluster.  One bincount per step adds the weights of each cell in row
+    order from 0.0, as a per-cell running sum would."""
+    cells = labels * n_states
+    counts = np.empty((k, X.shape[1], n_states))
+    for t in range(X.shape[1]):
+        counts[:, t] = np.bincount(cells + X[:, t], w, minlength=k * n_states).reshape(k, n_states)
+    return counts
+
+
 def estimate_statistics(
     table: np.ndarray, activities: tuple[ActivityState, ...] = FULL_ALPHABET
 ) -> dict[ActivityState, ActivityStats]:
@@ -237,13 +248,11 @@ def estimate_statistics(
     distributions and daily profile, from one `runs` scan of its states."""
     X, w, _ = _columns(table)
     all_rows, all_onsets, all_lengths, values = runs(X)
-    total_w = w.sum()
+    profiles = state_counts(X, w, np.zeros(X.shape[0], np.intp), 1, len(FULL_ALPHABET))[0] / w.sum()
     stats = {}
     for activity in activities:
         mine = values == int(activity)
         rows, onsets, lengths = all_rows[mine], all_onsets[mine], all_lengths[mine]
-        B = X == int(activity)
-        profile = (w[:, None] * B).sum(axis=0) / total_w
         per_row = np.bincount(rows, minlength=X.shape[0])
         occurrences = EmpiricalDistribution.from_weights(per_row.astype(float), w, unit="count")
         if w[rows].sum() > 0:  # else no weighted event to draw a duration or onset from
@@ -253,7 +262,7 @@ def estimate_statistics(
             duration = None
             onset = None
         stats[activity] = ActivityStats(
-            activity, duration, onset, occurrences, profile, n_days=X.shape[0], n_events=int(rows.size)
+            activity, duration, onset, occurrences, profiles[:, activity], n_days=X.shape[0], n_events=int(rows.size)
         )
     return stats
 

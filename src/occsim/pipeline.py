@@ -292,14 +292,6 @@ def train_stage(
     return models
 
 
-def _occupant_day_rows(results, calendar: SimCalendar) -> np.ndarray:
-    """One SEQUENCE row per occupant-day, by household, occupant, then day."""
-    day_types = calendar.day_types
-    ids = [f"h{res.index}o{o}" for res in results for o in range(len(res.states)) for _ in day_types]
-    states = [np.empty((0, N_STEPS), np.int8)] + [res.states.reshape(-1, N_STEPS) for res in results]
-    return sequence_table(ids, day_types * (len(ids) // calendar.n_days), 1.0, np.concatenate(states))
-
-
 SimulationInputs = tuple[dict, np.ndarray, HouseholdConfig, SimCalendar]
 
 
@@ -347,12 +339,18 @@ def simulate_stage(
     with failing("simulate"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = []
+    # Only the states outlive a household, one row per occupant in a block per
+    # chunk; one id string serves all of an occupant's days.
+    ids: list[str] = []
+    blocks = []
     size = max(1, CHUNK_HOUSEHOLD_DAYS // calendar.n_days)
     for lo in range(0, cfg.n_households, size):
         chunk = range(lo, min(lo + size, cfg.n_households))
         with failing("simulate"):  # a missing model names its occupant, h<index>o<o>
             draws = draw_households(chunk, models, config, calendar, cfg.base_seed, approach=cfg.approach)
+        block = np.empty((sum(len(d.occupants) for d in draws), calendar.n_days * N_STEPS), np.int8)
+        blocks.append(block)
+        row = 0
         for draw in draws:
             h = draw.index
             with failing("simulate", f"household {h}: "):
@@ -364,8 +362,11 @@ def simulate_stage(
             if result.placement_failures:
                 print(f"simulate: household {h}: {result.placement_failures} placement failures", file=log)
             print(f"simulate: household {h} ({len(result.states)} occupants) -> {path}", file=log)
-            results.append(result)
-    occupant_days = _occupant_day_rows(results, calendar)
+            block[row : row + len(result.states)] = result.states
+            row += len(result.states)
+            ids += [name for o in range(len(result.states)) for name in [f"h{h}o{o}"] * calendar.n_days]
+    states = np.concatenate(blocks).reshape(-1, N_STEPS)
+    occupant_days = sequence_table(ids, calendar.day_types * (len(ids) // calendar.n_days), 1.0, states)
     with failing("simulate"):
         write_sequences(out_dir / "occupant_days.csv", occupant_days)
     print(f"simulate: occupant-day table -> {out_dir / 'occupant_days.csv'}", file=log)

@@ -209,6 +209,16 @@ def scalar_place_events(presence, stats, rng):
     return states, failures
 
 
+def state_counts_reference(X, w, labels, k, n_states):
+    """The one-bincount form `markov_train.state_counts` replaced: the flat
+    (cluster, step, state) cell of every entry, each weighed by its row's
+    weight through `np.repeat`."""
+    steps = X.shape[1]
+    cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
+    counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
+    return counts.reshape(k, steps, n_states)
+
+
 def activity_statistics(table, activity):
     """`estimate_statistics` of one activity as it was before every activity
     came from one run scan: the True runs of `states == activity`, found

@@ -404,6 +404,10 @@ def test_household_config_validation(tmp_path):
         ("occupant_count = 1:1\nshower_fration = 0.5\n", r"bad\.conf: line 2: unknown key 'shower_fration'"),
         ("# people\noccupant_count = 1:0.5,2\n", r"bad\.conf: line 2: occupant_count"),
         ("occupant_count = 1:1\nvacation = 3\n", r"bad\.conf: line 2: vacation"),
+        ("occupant_count = 3\n", r"bad\.conf: line 1: occupant_count: expected count:probability,\.\.\.$"),
+        ("occupant_count = 1:0.5:2\n", r"bad\.conf: line 1: occupant_count: expected count:probability,\.\.\.$"),
+        ("occupant_count = 1:1\nvacation = 3\n", r"bad\.conf: line 2: vacation: expected start,end$"),
+        ("occupant_count = 1:1\nvacation = 1,2,3\n", r"bad\.conf: line 2: vacation: expected start,end$"),
         ("occupant_count = 1:1\ncluster_shares_wd = 0.5,nan\n", r"bad\.conf: cluster shares"),
         ("occupant_count = 1:nan\n", r"bad\.conf: line 1: occupant_count: .*finite"),
         ("occupant_count = 0:0.5,1:0.5\n", r"bad\.conf: occupant_count support must be whole numbers >= 1"),

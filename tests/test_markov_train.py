@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from occsim import streams
 from occsim.conf import OccsimError, write_step_values
@@ -21,10 +21,11 @@ from occsim.markov_train import (
     load_model_dir,
     runs,
     save_model_dir,
+    state_counts,
     train_cluster_day_model,
 )
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
-from tests.helpers import activity_statistics, forward_marginals, make_seq
+from tests.helpers import activity_statistics, forward_marginals, make_seq, state_counts_reference
 
 S = len(FULL_ALPHABET)
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
@@ -218,6 +219,18 @@ def test_one_pass_statistics_match_per_activity_oracle(rows):
         assert _same_dist(got.occurrences_dist, want.occurrences_dist)
         assert got.daily_profile.tobytes() == want.daily_profile.tobytes()
         assert (got.n_days, got.n_events) == (want.n_days, want.n_events)
+
+
+@settings(derandomize=True, database=None)
+@given(_weighted_tables, st.integers(1, 5), st.lists(st.integers(0, 4), min_size=12, max_size=12))
+# 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit, so the cells must add in row order
+@example([([3] * N_STEPS, 0.1), ([2] * N_STEPS, 0.0), ([3] * N_STEPS, 0.2), ([3] * N_STEPS, 0.3)], 2, [0, 1] + [0] * 10)
+def test_state_counts_match_one_bincount_form(rows, k, label_draws):
+    X, w = _table(rows)["states"], np.array([weight for _, weight in rows])
+    labels = np.array(label_draws[: len(w)], dtype=np.intp) % k
+    got = state_counts(X, w, labels, k, S)
+    assert got.shape == (k, N_STEPS, S)
+    assert got.tobytes() == state_counts_reference(X, w, labels, k, S).tobytes()
 
 
 @given(_weighted_tables)
