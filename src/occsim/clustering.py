@@ -27,14 +27,6 @@ from .diary_ingest import (
 )
 from .markov_train import state_counts
 
-# Bytes of the float64 copy of one block of rows of the (n, n) distance
-# matrix: `pairwise_distances` fills it, and `silhouette` sums it, a block at
-# a time, so the cluster stage holds one n x n uint8 matrix and no wider copy.
-# On a 2-CPU Xeon (2 MiB L2 per core), silhouette at n = 1500 took 2.4 ms with
-# 1 MiB blocks against 3.3-4.1 ms with 4 MiB blocks or the whole matrix.
-_BLOCK_BYTES = 1 << 20
-
-
 @dataclass
 class ClusterModel:
     """Fitted k-modes model over presence sequences."""
@@ -138,12 +130,6 @@ def _distances_to_modes(X: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return D
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block of an (n, n) distance matrix, so that a block's float64
-    copy stays within `_BLOCK_BYTES`."""
-    return max(1, _BLOCK_BYTES // (8 * n))
-
-
 def _distinct_rows(X: np.ndarray) -> np.ndarray:
     """`np.unique(X, axis=0)` of an int8 matrix as one sort of its rows' bytes.
     Offset by the int8 minimum, every value is a byte whose unsigned order
@@ -153,29 +139,33 @@ def _distinct_rows(X: np.ndarray) -> np.ndarray:
     return X[first]
 
 
-def pairwise_distances(X: np.ndarray) -> np.ndarray:
-    """Full matching-dissimilarity matrix, in the smallest unsigned dtype that
-    holds the step count (uint8 for 96 steps), filled one block of rows at a
-    time by a GEMM over one-hot rows.
+def pairwise_distances(X: np.ndarray, labels: np.ndarray, k: int | None = None) -> np.ndarray:
+    """(n, k) total matching distance from each row of X to the rows of each
+    of k clusters (by default one more than the largest label), the row
+    itself included.
 
-    With O one-hot encoding each row's (step, state) cells, the agreement
-    count of rows i and j is (O·Oᵀ)[i, j] and their distance is steps minus
-    that.  Every partial sum is an integer no larger than the step count, so
-    float32 holds it exactly whatever order BLAS sums in.
+    With C[c, t, s] the count of cluster c's rows in state s at step t
+    (`state_counts` with unit weights), row i's total distance to cluster c
+    is steps·|c| − Σ_t C[c, t, X[i, t]].  Every term is an integer, so the
+    float64 sums are exact in any order.  They are added one step at a time
+    into one (n, k) array, so no (n, n) or (k, n, steps) temporary is built.
+    Any integer states are accepted, offset by the smallest.
+
+    The name stays while `bench/tracer.py` wraps it (ROADMAP item 1).
     """
     X = np.asarray(X)
-    n, steps = X.shape
+    labels = np.asarray(labels)
+    k = int(labels.max()) + 1 if k is None else k
+    steps = X.shape[1]
     lo = int(X.min())
-    n_states = int(X.max()) - lo + 1
-    onehot = np.zeros((n, steps * n_states), dtype=np.float32)
-    cells = np.arange(steps) * n_states + (X.astype(np.intp) - lo)
-    onehot[np.arange(n)[:, None], cells] = 1.0
-    D = np.empty((n, n), dtype=np.min_scalar_type(steps))
-    block = _block_rows(n)
-    for start in range(0, n, block):
-        agree = onehot[start : start + block] @ onehot.T
-        D[start : start + block] = np.subtract(steps, agree, out=agree)
-    return D
+    states = np.subtract(X, lo, dtype=np.result_type(X.dtype, np.int16))
+    n_states = int(states.max()) + 1
+    counts = state_counts(states, np.ones(X.shape[0]), labels, k, n_states)
+    by_step = np.ascontiguousarray(counts.transpose(1, 2, 0))  # (steps, n_states, k)
+    agree = np.zeros((X.shape[0], k))
+    for t in range(steps):
+        agree += by_step[t][states[:, t]]
+    return np.subtract(steps * np.bincount(labels, minlength=k), agree, out=agree)
 
 
 def _weighted_modes(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
@@ -282,34 +272,26 @@ def _coerce_data(X, weights):
     return X, w
 
 
-def silhouette(distances: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette from a matching-dissimilarity matrix.
+def silhouette(X: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette of the labelled rows of X under matching dissimilarity.
 
-    `distances` is `pairwise_distances` of the labelled rows, or any numeric
-    (n, n) matrix of them.  Per point:
-    a = mean distance to its own cluster's other members, b = smallest mean
-    distance to another cluster, score = (b - a) / max(a, b).  Singleton
-    clusters score zero, as does any point with max(a, b) = 0.
+    Per point: a = mean distance to its own cluster's other members, b =
+    smallest mean distance to another cluster, score = (b - a) / max(a, b).
+    Singleton clusters score zero, as does any point with max(a, b) = 0.
+    The distance sums come from `pairwise_distances`.
     """
-    D = np.asarray(distances)
+    X = np.asarray(X)
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if D.shape != (n, n):
-        raise OccsimError(f"distances must be ({n}, {n}) for {n} labels, got {D.shape}")
+    if X.ndim != 2 or X.shape[0] != n:
+        raise OccsimError(f"states must be one row per label, got {X.shape} for {n} labels")
     k = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise OccsimError("every cluster must be non-empty")
     if k < 2:
         raise OccsimError("silhouette needs at least two clusters")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    # (n, k) total distance to each cluster: exact integers, so summing one
-    # block of rows at a time gives the same bits as one product
-    sums = np.empty((n, k))
-    block = _block_rows(n)
-    for start in range(0, n, block):
-        sums[start : start + block] = D[start : start + block].astype(np.float64) @ onehot
+    sums = pairwise_distances(X, labels, k)
     own = counts[labels]
     scores = np.zeros(n)
     valid = own > 1
@@ -347,9 +329,8 @@ def select_k(
     The chosen k is the largest whose silhouette is within `epsilon` of the
     best; the returned model is that k's fit.  For large corpora
     `silhouette_sample` scores a fixed random subsample, drawn from the
-    base_seed's clustering stream, plus, with a distance matrix of its own,
-    the first member of each cluster it misses; else every k shares the
-    distance matrix of the scored rows.
+    base_seed's clustering stream, plus the first member of each cluster
+    it misses; else every row is scored.
     """
     if not k_range or min(k_range) < 2:
         raise OccsimError(f"k range must be nonempty with every k >= 2, got {k_range}")
@@ -363,18 +344,16 @@ def select_k(
     if silhouette_sample is not None and n > silhouette_sample:
         pick_rng = streams.generator(int(base_seed), streams.CLUSTERING, 0)
         scored = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
-    D = pairwise_distances(X[scored])
     table: dict[int, float] = {}
     fits: dict[int, tuple[ClusterModel, np.ndarray]] = {}
     for k in k_range:
         model, labels = kmodes(X, w, k=k, day_type=day_type)
         fits[k] = model, labels
+        rows = scored
         missed = np.flatnonzero(np.bincount(labels[scored], minlength=k) == 0)
         if missed.size:  # every cluster has a member: kmodes repairs empty ones
             rows = np.sort(np.concatenate([scored, np.unique(labels, return_index=True)[1][missed]]))
-            table[k] = silhouette(pairwise_distances(X[rows]), labels[rows])
-        else:
-            table[k] = silhouette(D, labels[scored])
+        table[k] = silhouette(X[rows], labels[rows])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)
     return SelectKResult(k_star, table, *fits[k_star])

@@ -43,12 +43,12 @@ from .occupant_sim import WEEKDAY_NAMES, SimCalendar
 from .schedule_io import assemble_schedule, load_bundle, load_reference_dir, write_schedule_file
 from .validate import ComparisonReport, compare_behavior
 
-# Household-days whose occupants simulate walks together: each (day type,
-# cluster) model is walked once per chunk of max(1, this // n_days)
-# households.  The walk's block of uniforms grows with the chunk, about
-# 0.5 MiB per household-year under approach 3; 12 household-years is the
-# largest chunk measured in a whole run (ROADMAP item 4).
-CHUNK_HOUSEHOLD_DAYS = 12 * 365
+# Occupant-days that simulate walks together: each (day type, cluster) model
+# is walked once per chunk of max(1, this // (n_days * m)) households, with m
+# the largest occupant count drawable.  The walk's block of uniforms grows
+# with the chunk; 12 household-years of the synth's at most 3 occupants is
+# the largest chunk measured in a whole run (ROADMAP item 8).
+CHUNK_OCCUPANT_DAYS = 3 * 12 * 365
 
 # process exit code of each stage's StageError
 _STAGE_CODES = {"config": 2, "synth": 2, "ingest": 3, "cluster": 4, "train": 5, "simulate": 6, "validate": 7}
@@ -343,7 +343,8 @@ def simulate_stage(
     # chunk; one id string serves all of an occupant's days.
     ids: list[str] = []
     blocks = []
-    size = max(1, CHUNK_HOUSEHOLD_DAYS // calendar.n_days)
+    counts = config.occupant_count_dist
+    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * int(counts.support[counts.probs > 0].max())))
     for lo in range(0, cfg.n_households, size):
         chunk = range(lo, min(lo + size, cfg.n_households))
         with failing("simulate"):  # a missing model names its occupant, h<index>o<o>

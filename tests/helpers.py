@@ -122,10 +122,10 @@ def row_loop_read_sequences(path) -> np.ndarray:
 
 
 # -- whole-matrix clustering oracles ------------------------------------------
-# `pairwise_distances` and `silhouette` before the distance matrix was filled
-# and summed in row blocks: one GEMM over the whole one-hot matrix cast to
-# int32, and one float64 copy of the matrix times the cluster one-hot.  The
-# blocked kernels must match them bit for bit.
+# Silhouette from a whole n x n distance matrix, as occsim scored it before
+# the per-cluster state counts: one GEMM over the whole one-hot matrix cast
+# to int32, and one float64 copy of the matrix times the cluster one-hot.
+# The count form must match them bit for bit.
 
 
 def whole_pairwise_distances(X) -> np.ndarray:

@@ -294,29 +294,29 @@ def test_silhouette_matches_direct_evaluation():
         labels = rng.integers(0, 3, size=12)
         labels[:3] = [0, 1, 2]  # keep all clusters populated
         expected = naive_silhouette(X, labels)
-        assert silhouette(pairwise_distances(X), labels) == pytest.approx(expected, abs=1e-12)
+        assert silhouette(X, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_silhouette_singleton_scores_zero():
     X = np.array([[0, 0], [0, 0], [2, 2]], dtype=np.int8)
     labels = np.array([0, 0, 1])
-    assert silhouette(pairwise_distances(X), labels) == pytest.approx(2 / 3)
+    assert silhouette(X, labels) == pytest.approx(2 / 3)
 
 
 def test_silhouette_zero_denominator():
     X = np.zeros((4, 8), dtype=np.int8)
     labels = np.array([0, 0, 1, 1])
-    assert silhouette(pairwise_distances(X), labels) == 0.0
+    assert silhouette(X, labels) == 0.0
 
 
 def test_silhouette_preconditions():
-    D = pairwise_distances(np.zeros((4, 8), dtype=np.int8))
+    X = np.zeros((4, 8), dtype=np.int8)
     with pytest.raises(OccsimError, match="non-empty"):
-        silhouette(D, np.array([0, 0, 0, 2]))
+        silhouette(X, np.array([0, 0, 0, 2]))
     with pytest.raises(OccsimError, match="two clusters"):
-        silhouette(D, np.zeros(4, dtype=np.int64))
-    with pytest.raises(OccsimError, match="distances must be"):
-        silhouette(np.zeros((4, 8)), np.array([0, 0, 1, 1]))
+        silhouette(X, np.zeros(4, dtype=np.int64))
+    with pytest.raises(OccsimError, match="one row per label"):
+        silhouette(X[:3], np.array([0, 0, 1, 1]))
 
 
 def _three_cluster_data(per=8):
@@ -469,13 +469,24 @@ def test_cli_train_rejects_bad_cluster_file(tmp_path, capsys, index, line, messa
     assert f"{path}: line {index + 1}: " in err and message in err
 
 
-@given(state_matrices())
-@example(np.zeros((1, N_STEPS), dtype=np.int8))
-@example(np.tile(np.arange(N_STEPS, dtype=np.int8) % 3, (5, 1)))
-def test_pairwise_distances_match_reference(X):
-    D = pairwise_distances(X)
-    assert D.dtype == np.uint8
-    assert np.array_equal(D, _pairwise_reference(X))
+def _cluster_sums_reference(X, labels, k):
+    """Each row's summed distance to each cluster, from the broadcast matrix."""
+    D = _pairwise_reference(X)
+    return np.stack([D[:, labels == c].sum(axis=1) for c in range(k)], axis=1)
+
+
+@given(state_matrices(), st.data())
+@example(np.zeros((1, N_STEPS), dtype=np.int8), None)
+@example(np.tile(np.arange(N_STEPS, dtype=np.int8) % 3, (5, 1)), None)
+def test_pairwise_distances_match_reference(X, data):
+    n = X.shape[0]
+    labels = np.zeros(n, dtype=np.intp)
+    if data is not None:
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.intp)
+    k = int(labels.max()) + 1
+    D = pairwise_distances(X, labels)
+    assert D.shape == (n, k) and D.dtype == np.float64
+    assert np.array_equal(D, _cluster_sums_reference(X, labels, k))
 
 
 @given(st.data(), st.integers(1, 6), st.integers(1, 12))
@@ -493,7 +504,8 @@ def test_distinct_rows_match_unique_rows(data, steps, n):
 
 def test_pairwise_distances_match_reference_on_a_corpus():
     X = project_to_presence(generate_corpus(300, base_seed=5, day_types=("WD",))["states"])
-    assert np.array_equal(pairwise_distances(X), _pairwise_reference(X))
+    labels = kmodes(X, k=4)[1]
+    assert np.array_equal(pairwise_distances(X, labels), _cluster_sums_reference(X, labels, 4))
 
 
 @given(
@@ -559,42 +571,56 @@ def test_select_k_matches_per_run_reference(monkeypatch, sample):
     assert np.array_equal(got.labels, labels)
 
 
-# n = times * block + plus: one row short of a block, one block, one row
-# over, and one row over two blocks
-BLOCK_EDGES = {"block - 1": (1, -1), "block": (1, 0), "block + 1": (1, 1), "2 block + 1": (2, 1)}
+def _oracle_silhouette(X, labels):
+    return whole_silhouette(whole_pairwise_distances(X), labels)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(5, 12), st.sampled_from(sorted(BLOCK_EDGES)), st.booleans(), st.integers(0, 2**32 - 1))
-def test_blocked_distances_and_scores_equal_whole_matrix_oracles(block, edge, sampled, seed):
-    """With the n scored rows at a block edge, the blocked uint8 matrix and
-    every silhouette score equal the whole-matrix oracles bit for bit, with
-    `silhouette_sample` scoring n of more rows or without it."""
-    times, plus = BLOCK_EDGES[edge]
-    n = times * block + plus
-    rng = np.random.default_rng(seed)
-    X = rng.integers(0, 3, size=(n + 5 * sampled, N_STEPS)).astype(np.int8)
-    labels = np.arange(n) % 3
-    rng.shuffle(labels)
-    sample = n if sampled else None
-    kwargs = dict(k_range=range(2, 4), base_seed=seed, epsilon=0.01, silhouette_sample=sample)
-    with mock.patch.object(clustering, "_BLOCK_BYTES", 8 * n * block):
-        assert clustering._block_rows(n) == block
-        D = pairwise_distances(X[:n])
-        assert D.dtype == np.uint8
-        assert np.array_equal(D, whole_pairwise_distances(X[:n]))
-        assert silhouette(D, labels) == whole_silhouette(whole_pairwise_distances(X[:n]), labels)
-        got = select_k(X, **kwargs)
-    with mock.patch.multiple(clustering, pairwise_distances=whole_pairwise_distances, silhouette=whole_silhouette):
-        expected = select_k(X, **kwargs)
+@st.composite
+def labelled_states(draw):
+    """int8 states 0..6 of width 1..96 and labels leaving no cluster empty;
+    rows repeat, so some points have max(a, b) = 0, and clusters may be
+    singletons."""
+    n = draw(st.integers(2, 40))
+    steps = draw(st.integers(1, N_STEPS))
+    row = st.lists(st.integers(0, 6), min_size=steps, max_size=steps)
+    base = draw(st.lists(row, min_size=1, max_size=5))
+    X = np.array([base[i] for i in draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))],
+                 dtype=np.int8)
+    k = draw(st.integers(2, min(n, 6)))
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(draw(st.permutations(list(range(k)) + rest)), dtype=np.intp)
+    return X, labels
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(labelled_states(), st.integers(0, 2**32 - 1), st.data())
+@example((np.zeros((3, N_STEPS), dtype=np.int8), np.array([0, 0, 1])), 0, None)
+@example((np.array([[0, 0], [0, 0], [2, 2]], dtype=np.int8), np.array([0, 0, 1])), 3, None)
+def test_silhouette_and_select_k_equal_whole_matrix_oracles(case, seed, data):
+    """The count-form silhouette equals the whole-matrix oracles bit for bit,
+    singletons and zero denominators included; so does `select_k`'s table,
+    choice and labels, with `silhouette_sample` or without it."""
+    X, labels = case
+    assert silhouette(X, labels) == _oracle_silhouette(X, labels)
+    # select_k fits presence rows of the day's width: the same rows tiled
+    presence = np.tile(X % 3, (1, -(-N_STEPS // X.shape[1])))[:, :N_STEPS]
+    distinct = clustering._distinct_rows(presence).shape[0]
+    if distinct < 2:
+        return
+    n = presence.shape[0]
+    sample = None if data is None else data.draw(st.none() | st.integers(2, n))
+    kwargs = dict(k_range=range(2, min(distinct, 4) + 1), base_seed=seed, epsilon=0.01, silhouette_sample=sample)
+    got = select_k(presence, **kwargs)
+    with mock.patch.object(clustering, "silhouette", _oracle_silhouette):
+        expected = select_k(presence, **kwargs)
     assert got.table == expected.table
     assert got.k_star == expected.k_star
     assert np.array_equal(got.labels, expected.labels)
 
 
-def test_select_k_peak_memory_stays_below_three_bytes_per_cell():
-    """The stage holds one uint8 n x n matrix plus row-block temporaries; the
-    int32 and float64 copies it once held peaked near 12 bytes a cell."""
+def test_select_k_peak_memory_stays_below_2_kib_per_row():
+    """The stage holds (n, k) sums and per-row temporaries, no n x n array:
+    the uint8 matrix it once held alone took n bytes a row."""
     n = 3000
     corpus = generate_corpus(n, base_seed=31, day_types=("WD",))
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
@@ -604,7 +630,7 @@ def test_select_k_peak_memory_stays_below_three_bytes_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * n
+    assert peak < 2048 * n
 
 
 def test_select_k_subsample_scores_a_missed_cluster_through_its_first_member():

@@ -82,6 +82,32 @@ def test_occsim_and_stage_errors_are_the_only_exception_classes():
     assert _exception_classes(Path(occsim.__file__).parent) == ["conf.OccsimError", "pipeline.StageError"]
 
 
+def _matrix_products(src: Path) -> list[str]:
+    """`module.function: expression` of every `@`, `dot` and `matmul` in src."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                product |= isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dot", "matmul")
+                if product:
+                    found.append(f"{path.stem}.{func.name}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_matrix_product_reaches_an_artifact():
+    """BLAS sums in an order of its own choosing, and its first calls in a
+    process can be slow (ROADMAP item 7).  The two products left are exact
+    or unwritten: k-modes' objective feeds only an assertion, and the
+    sequence writer's token index is an integer product."""
+    assert _matrix_products(Path(occsim.__file__).parent) == [
+        "clustering.kmodes: w @ np.count_nonzero(X != modes[labels], axis=1)",
+        "diary_ingest.write_sequences: block['states'].reshape(len(block), -1, 4) @ _RUN_PLACES",
+    ]
+
+
 def test_readers_take_only_a_path():
     for reader in (reading, read_step_values, EmpiricalDistribution.read):
         assert list(inspect.signature(reader).parameters) == ["path"], reader

@@ -525,13 +525,39 @@ def test_simulate_walks_each_model_once_per_chunk(synth_tree, pipeline_run, tmp_
              "--households", "7", "--days", "9", "--seed", "5", "--approach", approach]
     trees = {}
     for chunk in (1, 7):
-        monkeypatch.setattr(pipeline, "CHUNK_HOUSEHOLD_DAYS", chunk * 9)
+        monkeypatch.setattr(pipeline, "CHUNK_OCCUPANT_DAYS", chunk * 9 * 3)  # the synth draws at most 3 occupants
         calls.clear()
         assert main(["simulate", *flags, "--out", str(tmp_path / str(chunk))]) == 0
         trees[chunk] = _tree_bytes(tmp_path / str(chunk))
     k = 4  # the synth project's k_range is 4:4
     assert 0 < len(calls) <= 2 * k  # calls of the one-chunk run
     assert trees[1] == trees[7]
+
+
+def test_simulate_chunks_stay_within_the_occupant_day_bound(synth_tree, pipeline_run, tmp_path, monkeypatch):
+    """Chunks are sized by the largest occupant count drawable, so a large
+    household count cannot put more than `CHUNK_OCCUPANT_DAYS` occupant-days
+    into one walk; a count of probability 0 is never drawn and does not
+    shrink the chunks."""
+    chunks = []
+    draw = pipeline.draw_households
+
+    def recording(*args, **kwargs):
+        draws = draw(*args, **kwargs)
+        chunks.append((len(draws), sum(len(d.occupants) for d in draws)))
+        return draws
+
+    monkeypatch.setattr(pipeline, "draw_households", recording)
+    household = tmp_path / "household.conf"
+    lines = (synth_tree / "household.conf").read_text().splitlines()
+    household.write_text("\n".join(["occupant_count = 150:1,5000:0", *lines[1:]]) + "\n")
+    n_days = 7
+    assert main(["simulate", "--tpms", str(pipeline_run / "tpms"), "--bundle", str(synth_tree / "bundle"),
+                 "--reference", str(synth_tree / "reference"), "--household-config", str(household),
+                 "--households", "14", "--days", str(n_days), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+    assert [n for n, _ in chunks] == [pipeline.CHUNK_OCCUPANT_DAYS // (n_days * 150), 2]
+    for n_households, occupants in chunks:
+        assert n_households == 1 or occupants * n_days <= pipeline.CHUNK_OCCUPANT_DAYS
 
 
 def test_simulate_rejects_non_finite_reference(synth_tree, pipeline_run, tmp_path):
