@@ -139,33 +139,32 @@ def _distinct_rows(X: np.ndarray) -> np.ndarray:
     return X[first]
 
 
-def pairwise_distances(X: np.ndarray, labels: np.ndarray, k: int | None = None) -> np.ndarray:
+def pairwise_distances(X: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(n, k) total matching distance from each row of X to the rows of each
-    of k clusters (by default one more than the largest label), the row
-    itself included.
+    cluster, the row itself included; k is one more than the largest label.
 
     With C[c, t, s] the count of cluster c's rows in state s at step t
-    (`state_counts` with unit weights), row i's total distance to cluster c
-    is steps·|c| − Σ_t C[c, t, X[i, t]].  Every term is an integer, so the
-    float64 sums are exact in any order.  They are added one step at a time
-    into one (n, k) array, so no (n, n) or (k, n, steps) temporary is built.
-    Any integer states are accepted, offset by the smallest.
+    (`state_counts` with unit weights), row i's distance to cluster c at step
+    t is the count of c's rows not in state X[i, t], Σ_s C[c, t, s] −
+    C[c, t, X[i, t]].  Every term is an integer, so the float64 sums are
+    exact in any order.  They are added one step at a time into one (n, k)
+    array, so no (n, n) or (k, n, steps) temporary is built.  Any integer
+    states are accepted, offset by the smallest.
 
     The name stays while `bench/tracer.py` wraps it (ROADMAP item 1).
     """
     X = np.asarray(X)
     labels = np.asarray(labels)
-    k = int(labels.max()) + 1 if k is None else k
-    steps = X.shape[1]
+    k = int(labels.max()) + 1
     lo = int(X.min())
     states = np.subtract(X, lo, dtype=np.result_type(X.dtype, np.int16))
-    n_states = int(states.max()) + 1
-    counts = state_counts(states, np.ones(X.shape[0]), labels, k, n_states)
-    by_step = np.ascontiguousarray(counts.transpose(1, 2, 0))  # (steps, n_states, k)
-    agree = np.zeros((X.shape[0], k))
-    for t in range(steps):
-        agree += by_step[t][states[:, t]]
-    return np.subtract(steps * np.bincount(labels, minlength=k), agree, out=agree)
+    counts = state_counts(states, np.ones(X.shape[0]), labels, k, int(states.max()) + 1)
+    others = counts.sum(axis=2, keepdims=True) - counts
+    by_step = np.ascontiguousarray(others.transpose(1, 2, 0))  # (steps, n_states, k)
+    sums = np.zeros((X.shape[0], k))
+    for t in range(X.shape[1]):
+        sums += by_step[t][states[:, t]]
+    return sums
 
 
 def _weighted_modes(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
@@ -291,7 +290,7 @@ def silhouette(X: np.ndarray, labels: np.ndarray) -> float:
         raise OccsimError("every cluster must be non-empty")
     if k < 2:
         raise OccsimError("silhouette needs at least two clusters")
-    sums = pairwise_distances(X, labels, k)
+    sums = pairwise_distances(X, labels)
     own = counts[labels]
     scores = np.zeros(n)
     valid = own > 1

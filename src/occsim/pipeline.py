@@ -45,9 +45,9 @@ from .validate import ComparisonReport, compare_behavior
 
 # Occupant-days that simulate walks together: each (day type, cluster) model
 # is walked once per chunk of max(1, this // (n_days * m)) households, with m
-# the largest occupant count drawable.  The walk's block of uniforms grows
-# with the chunk; 12 household-years of the synth's at most 3 occupants is
-# the largest chunk measured in a whole run (ROADMAP item 8).
+# the largest occupant count in the support.  The walk's block of uniforms
+# grows with the chunk; 12 household-years of the synth's at most 3 occupants
+# is the largest chunk measured in a whole run (ROADMAP item 8).
 CHUNK_OCCUPANT_DAYS = 3 * 12 * 365
 
 # process exit code of each stage's StageError
@@ -343,8 +343,7 @@ def simulate_stage(
     # chunk; one id string serves all of an occupant's days.
     ids: list[str] = []
     blocks = []
-    counts = config.occupant_count_dist
-    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * int(counts.support[counts.probs > 0].max())))
+    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * int(config.occupant_count_dist.support.max())))
     for lo in range(0, cfg.n_households, size):
         chunk = range(lo, min(lo + size, cfg.n_households))
         with failing("simulate"):  # a missing model names its occupant, h<index>o<o>

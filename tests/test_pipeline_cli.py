@@ -535,10 +535,9 @@ def test_simulate_walks_each_model_once_per_chunk(synth_tree, pipeline_run, tmp_
 
 
 def test_simulate_chunks_stay_within_the_occupant_day_bound(synth_tree, pipeline_run, tmp_path, monkeypatch):
-    """Chunks are sized by the largest occupant count drawable, so a large
-    household count cannot put more than `CHUNK_OCCUPANT_DAYS` occupant-days
-    into one walk; a count of probability 0 is never drawn and does not
-    shrink the chunks."""
+    """Chunks are sized by the largest occupant count in the support, so a
+    large household count cannot put more than `CHUNK_OCCUPANT_DAYS`
+    occupant-days into one walk."""
     chunks = []
     draw = pipeline.draw_households
 
@@ -550,7 +549,7 @@ def test_simulate_chunks_stay_within_the_occupant_day_bound(synth_tree, pipeline
     monkeypatch.setattr(pipeline, "draw_households", recording)
     household = tmp_path / "household.conf"
     lines = (synth_tree / "household.conf").read_text().splitlines()
-    household.write_text("\n".join(["occupant_count = 150:1,5000:0", *lines[1:]]) + "\n")
+    household.write_text("\n".join(["occupant_count = 150:1", *lines[1:]]) + "\n")
     n_days = 7
     assert main(["simulate", "--tpms", str(pipeline_run / "tpms"), "--bundle", str(synth_tree / "bundle"),
                  "--reference", str(synth_tree / "reference"), "--household-config", str(household),
