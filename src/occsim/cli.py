@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--day-type", choices=["wd", "we", "both"], default="both")
-    _add_settings(p, "k_range", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering")
+    _add_settings(p, "k_range", "epsilon", "unweighted_clustering")
 
     p = sub.add_parser("train", help="fit per-cluster day-type models")
     p.add_argument("--diaries", type=Path, required=True, help="diaries or sequences file")
@@ -158,7 +158,7 @@ def _cmd_ingest(args, log) -> int:
 
 
 def _cmd_cluster(args, log) -> int:
-    cfg = resolve_seed(_settings(args), log, "cluster")
+    cfg = _settings(args)
     sequences, _ = load_sequences(args.input, args.code_map, "cluster")
     with failing("cluster"):
         args.out.mkdir(parents=True, exist_ok=True)

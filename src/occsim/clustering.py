@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import streams
 from .conf import OccsimError, number_text, reading, write_lines
 from .diary_ingest import (
     DAY_TYPES,
@@ -318,41 +317,25 @@ def select_k(
     weights: np.ndarray | None = None,
     *,
     k_range: range,
-    base_seed: int,
     epsilon: float,
-    silhouette_sample: int | None,
     day_type: str = "WD",
 ) -> SelectKResult:
-    """Fit k-modes once for each k of a k range (every k >= 2) and pick k by silhouette.
+    """Fit k-modes once for each k of a k range (every k >= 2) and pick k by
+    the silhouette over every row.
 
     The chosen k is the largest whose silhouette is within `epsilon` of the
-    best; the returned model is that k's fit.  For large corpora
-    `silhouette_sample` scores a fixed random subsample, drawn from the
-    base_seed's clustering stream, plus the first member of each cluster
-    it misses; else every row is scored.
+    best; the returned model is that k's fit.
     """
     if not k_range or min(k_range) < 2:
         raise OccsimError(f"k range must be nonempty with every k >= 2, got {k_range}")
     if not 0 <= epsilon < np.inf:
         raise OccsimError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    if silhouette_sample is not None and silhouette_sample < 2:
-        raise OccsimError(f"silhouette_sample must be at least 2, got {silhouette_sample}")
     X, w = _coerce_data(X, weights)
-    n = X.shape[0]
-    scored = np.arange(n)
-    if silhouette_sample is not None and n > silhouette_sample:
-        pick_rng = streams.generator(int(base_seed), streams.CLUSTERING, 0)
-        scored = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
     table: dict[int, float] = {}
     fits: dict[int, tuple[ClusterModel, np.ndarray]] = {}
     for k in k_range:
-        model, labels = kmodes(X, w, k=k, day_type=day_type)
-        fits[k] = model, labels
-        rows = scored
-        missed = np.flatnonzero(np.bincount(labels[scored], minlength=k) == 0)
-        if missed.size:  # every cluster has a member: kmodes repairs empty ones
-            rows = np.sort(np.concatenate([scored, np.unique(labels, return_index=True)[1][missed]]))
-        table[k] = silhouette(X[rows], labels[rows])
+        fits[k] = kmodes(X, w, k=k, day_type=day_type)
+        table[k] = silhouette(X, fits[k][1])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)
     return SelectKResult(k_star, table, *fits[k_star])

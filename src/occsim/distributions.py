@@ -25,14 +25,26 @@ SUPPORT_DOMAIN = {
 }
 
 
+def draw_thresholds(probs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF thresholds of the distributions along the last axis of
+    `probs`: the cumulative sums without the last, each inf from the last
+    positive probability on.  A draw of r takes the index that counts the
+    thresholds <= r, so a value of probability 0 is never drawn, even where
+    the running sum rounds below 1."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n = probs.shape[-1]
+    last = n - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    return np.where(np.arange(n - 1) >= last[..., None], np.inf, np.cumsum(probs, axis=-1)[..., :-1])
+
+
 @dataclass
 class EmpiricalDistribution:
     """Discrete distribution over a strictly increasing support.
 
     Probabilities must sum to one within 1e-9 at construction; the stored
     vector is renormalized exactly so serialization round trips stay
-    consistent.  `thresholds` are the cumulative probabilities without the
-    last: a draw of r is the support value at the count of thresholds <= r.
+    consistent.  `thresholds` are its `draw_thresholds`: a draw of r is the
+    support value at the count of thresholds <= r.
     """
 
     support: np.ndarray
@@ -60,7 +72,7 @@ class EmpiricalDistribution:
             raise OccsimError(f"probabilities sum to {total}, not 1")
         self.probs = self.probs / total
         self._cum = np.cumsum(self.probs)
-        self.thresholds = self._cum[:-1].tolist()
+        self.thresholds = draw_thresholds(self.probs).tolist()
 
     @classmethod
     def from_weights(

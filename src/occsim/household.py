@@ -11,8 +11,10 @@ from the start of the simulation year.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from . import streams
 from .conf import OccsimError, key_values, number_text, reading, write_lines
 from .diary_ingest import N_STEPS, STEP_MINUTES, ActivityState
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, draw_thresholds
 from .markov_train import ClusterDayModel, runs
 from .occupant_sim import (
     RETRY_BUDGET,
@@ -172,9 +174,16 @@ class HouseholdDraw:
     days: np.ndarray  # (n_occupants, n_days, 96) int8, from walk_occupants
 
 
+@cache
+def _share_table(shares: tuple[float, ...]) -> tuple[list[float], float]:
+    """The `draw_thresholds` of a share vector and its total, built once."""
+    return draw_thresholds(shares).tolist(), float(np.cumsum(shares)[-1])
+
+
 def _draw_index(shares, rng: np.random.Generator) -> int:
-    cum = np.cumsum(np.asarray(shares, dtype=np.float64))
-    return int(np.searchsorted(cum[:-1], rng.random() * cum[-1], side="right"))
+    """Index of a share drawn by one uniform scaled by the shares' total."""
+    thresholds, total = _share_table(tuple(shares))
+    return bisect_right(thresholds, rng.random() * total)
 
 
 def sample_household(

@@ -26,7 +26,7 @@ from .diary_ingest import (
     ActivityState,
     project_to_presence,
 )
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, draw_thresholds
 
 ROW_TOL = 1e-9
 FALLBACKS = ("absorbing", "uniform", "laplace")
@@ -76,10 +76,10 @@ class TPMSet:
         return len(self.alphabet)
 
     def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached cumulative sums without their last entry, of the initial
-        distribution and every matrix row: a draw of r counts those <= r."""
+        """Cached `draw_thresholds` of the initial distribution and of every
+        matrix row: a draw of r counts those <= r."""
         if self._thresholds is None:
-            self._thresholds = np.cumsum(self.initial)[:-1], np.cumsum(self.matrices, axis=2)[:, :, :-1]
+            self._thresholds = draw_thresholds(self.initial), draw_thresholds(self.matrices)
         return self._thresholds
 
     def write(self, path: str | Path) -> None:

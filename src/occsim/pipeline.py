@@ -45,7 +45,7 @@ from .validate import ComparisonReport, compare_behavior
 
 # Occupant-days that simulate walks together: each (day type, cluster) model
 # is walked once per chunk of max(1, this // (n_days * m)) households, with m
-# the largest occupant count in the support.  The walk's block of uniforms
+# the largest occupant count that can be drawn.  The walk's block of uniforms
 # grows with the chunk; 12 household-years of the synth's at most 3 occupants
 # is the largest chunk measured in a whole run (ROADMAP item 8).
 CHUNK_OCCUPANT_DAYS = 3 * 12 * 365
@@ -133,7 +133,7 @@ CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fall
 
 # Keys of settings that are gone: a project.conf may still hold them, and
 # ProjectConfig.read accepts and ignores them.
-RETIRED_KEYS = ("repeats",)
+RETIRED_KEYS = ("repeats", "silhouette_sample")
 
 
 @dataclass
@@ -149,7 +149,6 @@ class Settings:
     approach: int = 3
     k_range: tuple[int, int] = (3, 10)
     epsilon: float = 0.01
-    silhouette_sample: int | None = None
     tpm_fallback: str = "absorbing"
     tpm_alpha: float = 0.0
     modulation: str = "present"
@@ -158,7 +157,7 @@ class Settings:
 
 # Settings field -> parser of its project.conf value and of its stage flag's
 # argument, which checks the value's range: numpy's SeedSequence takes only
-# a seed >= 0, and silhouette needs two rows.
+# a seed >= 0.
 PARSERS = {
     "base_seed": whole_number,
     "n_households": positive_number,
@@ -167,7 +166,6 @@ PARSERS = {
     "approach": _one_of(int, CHOICES["approach"]),
     "k_range": parse_k_range,
     "epsilon": finite_nonnegative,
-    "silhouette_sample": partial(whole_number, least=2),
     "tpm_fallback": _one_of(str, CHOICES["tpm_fallback"]),
     "tpm_alpha": finite_nonnegative,
     "modulation": _one_of(str, CHOICES["modulation"]),
@@ -250,10 +248,8 @@ def cluster_stage(
             project_to_presence(subset["states"]),
             None if cfg.unweighted_clustering else subset["weight"],
             k_range=range(cfg.k_range[0], cfg.k_range[1] + 1),
-            base_seed=cfg.base_seed,
             epsilon=cfg.epsilon,
             day_type=day_type,
-            silhouette_sample=cfg.silhouette_sample,
         )
     with failing("cluster"):
         out_file.parent.mkdir(parents=True, exist_ok=True)
@@ -343,7 +339,8 @@ def simulate_stage(
     # chunk; one id string serves all of an occupant's days.
     ids: list[str] = []
     blocks = []
-    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * int(config.occupant_count_dist.support.max())))
+    counts = config.occupant_count_dist
+    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * int(counts.support[counts.probs > 0].max())))
     for lo in range(0, cfg.n_households, size):
         chunk = range(lo, min(lo + size, cfg.n_households))
         with failing("simulate"):  # a missing model names its occupant, h<index>o<o>

@@ -15,7 +15,6 @@ import itertools
 import numpy as np
 
 # Stage tags keep independent subsystems off each other's streams.
-CLUSTERING = 1
 HOUSEHOLD = 2
 OCCUPANT = 3
 APPLIANCES = 4

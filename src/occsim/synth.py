@@ -357,7 +357,6 @@ def write_input_tree(
             # shares always line up with the trained model
             "k_range = 4:4",
             "epsilon = 0.01",
-            "silhouette_sample = 768",
         ],
     )
     return layout

@@ -40,11 +40,12 @@ def one_household(index, models, bundle, config, calendar, base_seed, *, approac
     return build_household(draw, models, bundle, config, calendar, approach=approach)
 
 
-def draw_index(cum, r: float) -> int:
-    """Inverse-CDF index in clamp form, the scalar oracle of every draw:
-    the first i with cum[i] > r, clamped to the last index."""
-    idx = bisect.bisect_right(cum, r)
-    return idx if idx < len(cum) else len(cum) - 1
+def draw_index(probs, r: float) -> int:
+    """Inverse-CDF index in clamp form, the scalar oracle of every draw: the
+    first i whose cumulative probability exceeds r, clamped to the last i of
+    positive probability."""
+    last = max(i for i, p in enumerate(probs) if p > 0)
+    return min(bisect.bisect_right(np.cumsum(probs).tolist(), r), last)
 
 
 def day_uniforms(tpms, rng, holds=None) -> np.ndarray:

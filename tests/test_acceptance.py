@@ -433,9 +433,7 @@ def test_criterion_12_planted_structure_recovery():
                 project_to_presence(rows["states"]),
                 w,
                 k_range=range(2, 8),
-                base_seed=seed,
                 epsilon=0.01,
-                silhouette_sample=None,
             )
             agreement = 0.0
             if result.k_star == len(PLANTED_SHARES):

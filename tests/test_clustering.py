@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from occsim import clustering, streams
+from occsim import clustering
 from occsim.cli import main
 from occsim.clustering import (
     ClusterModel,
@@ -48,15 +48,12 @@ def _weighted_modes_reference(X, w, labels, k, n_states):
 
 
 def _silhouette_reference(X, labels):
-    """Silhouette of X's rows with the matrix rebuilt per call; clusters absent
-    from `labels` are skipped and fewer than two present ones score 0."""
+    """Silhouette of X's rows, every cluster non-empty, with the matrix
+    rebuilt per call."""
     n = X.shape[0]
-    k = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=k)
-    if np.count_nonzero(counts) < 2:
-        return 0.0
+    counts = np.bincount(labels)
     D = _pairwise_reference(X).astype(np.float64)
-    onehot = np.zeros((n, k))
+    onehot = np.zeros((n, counts.size))
     onehot[np.arange(n), labels] = 1.0
     sums = D @ onehot
     own = counts[labels]
@@ -64,12 +61,11 @@ def _silhouette_reference(X, labels):
     valid = own > 1
     a = np.zeros(n)
     a[valid] = sums[np.arange(n), labels][valid] / (own[valid] - 1)
-    other = sums / np.maximum(counts, 1)[None, :]
+    other = sums / counts[None, :]
     other[np.arange(n), labels] = np.inf
-    other[:, counts == 0] = np.inf
     b = other.min(axis=1)
     denom = np.maximum(a, b)
-    ok = valid & (denom > 0) & np.isfinite(b)
+    ok = valid & (denom > 0)
     scores[ok] = (b[ok] - a[ok]) / denom[ok]
     return float(scores.mean())
 
@@ -332,7 +328,7 @@ def _three_cluster_data(per=8):
 
 def test_select_k_finds_planted_k():
     X, _ = _three_cluster_data()
-    result = select_k(X, k_range=range(2, 6), base_seed=0, epsilon=0.01, silhouette_sample=None)
+    result = select_k(X, k_range=range(2, 6), epsilon=0.01)
     assert result.k_star == 3
     assert list(result.table) == [2, 3, 4, 5]
     assert result.model.k == 3
@@ -341,24 +337,16 @@ def test_select_k_finds_planted_k():
 def test_select_k_epsilon_rule_prefers_largest_within_band():
     X, _ = _three_cluster_data()
     # an epsilon wider than any score gap must choose the top of the range
-    result = select_k(X, k_range=range(2, 5), base_seed=0, epsilon=1.0, silhouette_sample=None)
+    result = select_k(X, k_range=range(2, 5), epsilon=1.0)
     assert result.k_star == 4
 
 
 def test_select_k_deterministic():
     X, _ = _three_cluster_data()
-    r1 = select_k(X, k_range=range(2, 5), base_seed=7, epsilon=0.01, silhouette_sample=None)
-    r2 = select_k(X, k_range=range(2, 5), base_seed=7, epsilon=0.01, silhouette_sample=None)
+    r1 = select_k(X, k_range=range(2, 5), epsilon=0.01)
+    r2 = select_k(X, k_range=range(2, 5), epsilon=0.01)
     assert r1.k_star == r2.k_star
     assert np.array_equal(r1.model.modes, r2.model.modes)
-    assert r1.table == r2.table
-
-
-def test_select_k_silhouette_subsample_deterministic():
-    X, _ = _three_cluster_data(per=40)
-    r1 = select_k(X, k_range=range(2, 4), base_seed=1, epsilon=0.01, silhouette_sample=30)
-    r2 = select_k(X, k_range=range(2, 4), base_seed=1, epsilon=0.01, silhouette_sample=30)
-    assert r1.k_star == r2.k_star == 3
     assert r1.table == r2.table
 
 
@@ -366,20 +354,18 @@ def test_select_k_silhouette_subsample_deterministic():
     "kwargs, message",
     [
         ({"k_range": range(1, 4)}, "every k >= 2"),
-        ({"k_range": range(1, 4), "silhouette_sample": 30}, "every k >= 2"),
+        ({"k_range": range(1, 4), "epsilon": float("nan")}, "every k >= 2"),
         ({"k_range": range(4, 3)}, "nonempty"),
         ({"k_range": range(200, 201)}, "k=200 exceeds the 120 distinct sequences"),
         ({"epsilon": float("nan")}, "epsilon must be finite"),
         ({"epsilon": float("inf")}, "epsilon must be finite"),
         ({"epsilon": -0.01}, "epsilon must be finite"),
-        ({"silhouette_sample": 1}, "silhouette_sample must be at least 2"),
     ],
 )
 def test_select_k_rejects_out_of_range_parameters(kwargs, message):
     X, _ = _three_cluster_data(per=40)
     with pytest.raises(OccsimError, match=message):
-        params = {"k_range": range(2, 4), "base_seed": 0, "epsilon": 0.01}
-        select_k(X, **{**params, "silhouette_sample": None, **kwargs})
+        select_k(X, **{"k_range": range(2, 4), "epsilon": 0.01, **kwargs})
 
 
 def test_cluster_model_round_trip(tmp_path):
@@ -534,34 +520,25 @@ def test_weighted_modes_sum_order_matches_reference():
     assert np.array_equal(_weighted_modes(X, w, labels, 1, 2), expected)
 
 
-def _select_k_reference(X, w, k_range, base_seed, epsilon, silhouette_sample, monkeypatch):
-    """select_k as a per-k recompute: every k rebuilds its own matrix and
-    refits modes with the `np.add.at` kernel."""
-    n = X.shape[0]
-    rows = np.arange(n)
-    if silhouette_sample is not None and n > silhouette_sample:
-        pick_rng = streams.generator(base_seed, streams.CLUSTERING, 0)
-        rows = np.sort(pick_rng.choice(n, size=silhouette_sample, replace=False))
+def _select_k_reference(X, w, k_range, epsilon, monkeypatch):
+    """select_k as a per-k recompute: every k refits modes with the
+    `np.add.at` kernel and scores every row with the reference silhouette."""
     table, fits = {}, {}
     with monkeypatch.context() as m:
         m.setattr(clustering, "_weighted_modes", _weighted_modes_reference)
         for k in k_range:
             fits[k] = kmodes(X, w, k=k)
-            labels = fits[k][1]
-            # the first member of each cluster the sample misses is scored too
-            firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(k) if c not in set(labels[rows])]
-            scored = np.union1d(rows, firsts).astype(np.intp)
-            table[k] = _silhouette_reference(X[scored], labels[scored])
+            table[k] = _silhouette_reference(X, fits[k][1])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)
     return k_star, table, *fits[k_star]
 
 
-@pytest.mark.parametrize("sample", [None, 500, 150])
-def test_select_k_matches_per_run_reference(monkeypatch, sample):
+@pytest.mark.parametrize("weights", [None, "weight"])
+def test_select_k_matches_per_run_reference(monkeypatch, weights):
     corpus = generate_corpus(240, base_seed=17, day_types=("WD",))
-    X, w = project_to_presence(corpus["states"]), corpus["weight"]
-    kwargs = dict(k_range=range(2, 6), base_seed=17, epsilon=0.01, silhouette_sample=sample)
+    X, w = project_to_presence(corpus["states"]), None if weights is None else corpus[weights]
+    kwargs = dict(k_range=range(2, 6), epsilon=0.01)
     got = select_k(X, w, **kwargs)
     k_star, table, model, labels = _select_k_reference(X, w, **kwargs, monkeypatch=monkeypatch)
     assert got.table == table
@@ -593,13 +570,13 @@ def labelled_states(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(labelled_states(), st.integers(0, 2**32 - 1), st.data())
-@example((np.zeros((3, N_STEPS), dtype=np.int8), np.array([0, 0, 1])), 0, None)
-@example((np.array([[0, 0], [0, 0], [2, 2]], dtype=np.int8), np.array([0, 0, 1])), 3, None)
-def test_silhouette_and_select_k_equal_whole_matrix_oracles(case, seed, data):
+@given(labelled_states())
+@example((np.zeros((3, N_STEPS), dtype=np.int8), np.array([0, 0, 1])))
+@example((np.array([[0, 0], [0, 0], [2, 2]], dtype=np.int8), np.array([0, 0, 1])))
+def test_silhouette_and_select_k_equal_whole_matrix_oracles(case):
     """The count-form silhouette equals the whole-matrix oracles bit for bit,
-    singletons and zero denominators included; so does `select_k`'s table,
-    choice and labels, with `silhouette_sample` or without it."""
+    singletons and zero denominators included; so do `select_k`'s table,
+    choice and labels."""
     X, labels = case
     assert silhouette(X, labels) == _oracle_silhouette(X, labels)
     # select_k fits presence rows of the day's width: the same rows tiled
@@ -607,9 +584,7 @@ def test_silhouette_and_select_k_equal_whole_matrix_oracles(case, seed, data):
     distinct = clustering._distinct_rows(presence).shape[0]
     if distinct < 2:
         return
-    n = presence.shape[0]
-    sample = None if data is None else data.draw(st.none() | st.integers(2, n))
-    kwargs = dict(k_range=range(2, min(distinct, 4) + 1), base_seed=seed, epsilon=0.01, silhouette_sample=sample)
+    kwargs = dict(k_range=range(2, min(distinct, 4) + 1), epsilon=0.01)
     got = select_k(presence, **kwargs)
     with mock.patch.object(clustering, "silhouette", _oracle_silhouette):
         expected = select_k(presence, **kwargs)
@@ -626,34 +601,22 @@ def test_select_k_peak_memory_stays_below_2_kib_per_row():
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
     tracemalloc.start()
     try:
-        select_k(X, w, k_range=range(3, 5), base_seed=31, epsilon=0.01, silhouette_sample=None)
+        select_k(X, w, k_range=range(3, 5), epsilon=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2048 * n
 
 
-def test_select_k_subsample_scores_a_missed_cluster_through_its_first_member():
-    # 30 rows of one pattern and 2 of another: a 3-row subsample misses the
-    # small cluster, so its first member, row 30, is scored with the sample:
-    # three rows at silhouette 1 and a singleton at 0
-    X = np.zeros((32, N_STEPS), dtype=np.int8)
-    X[30:] = 2
-    result = select_k(X, k_range=range(2, 3), base_seed=3, epsilon=0.01, silhouette_sample=3)
-    pick = np.sort(streams.generator(3, streams.CLUSTERING, 0).choice(32, size=3, replace=False))
-    assert np.all(pick < 30)
-    assert result.table == {2: 0.75}
-
-
 @pytest.mark.parametrize("seed, day_type", [(9, "WE"), (101, "WD"), (20006, "WE")])
 def test_sampled_silhouette_picks_the_planted_k(seed, day_type):
     """On these 1500-diary corpora the k = 5 fit splits one diary off the
-    planted k = 4 fit, and the 768-row sample misses it; scored through
-    that diary, k = 5 falls below k = 4 (it tied k = 4 when the cluster was
-    left out), so the sampled score picks k = 4 as the full one does."""
+    planted k = 4 fit.  Scored over every row, k = 5 falls more than epsilon
+    below k = 4, and the search over k = 3..10 picks k = 4: the best score,
+    or at seed 101 the larger of k = 3 and 4, which tie within epsilon."""
     corpus = generate_corpus(1500, seed)
     corpus = corpus[corpus["day_type"] == day_type]
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
-    result = select_k(X, w, k_range=range(3, 11), base_seed=seed, epsilon=0.01, silhouette_sample=768)
+    result = select_k(X, w, k_range=range(3, 11), epsilon=0.01)
     assert result.k_star == 4
     assert result.table[5] < result.table[4] - 0.01  # outside epsilon

@@ -108,6 +108,22 @@ def test_no_matrix_product_reaches_an_artifact():
     ]
 
 
+def test_clustering_draws_no_random_number():
+    """k-modes starts from density-based modes and silhouette scores every
+    row, so the cluster stage needs no seed: clustering imports neither
+    `streams` nor `numpy.random`, nor reaches `np.random`."""
+    names = set()
+    for node in ast.walk(ast.parse((Path(occsim.__file__).parent / "clustering.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or "", *(".".join(filter(None, [node.module, a.name])) for a in node.names)}
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            names.add(ast.unparse(node))
+    assert names, "no import found"
+    assert not names & {"streams", "numpy.random", "np.random"}, names
+
+
 def test_readers_take_only_a_path():
     for reader in (reading, read_step_values, EmpiricalDistribution.read):
         assert list(inspect.signature(reader).parameters) == ["path"], reader

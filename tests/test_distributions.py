@@ -46,13 +46,33 @@ def test_inverse_cdf_boundaries():
 
 
 def test_draw_index_edges_and_clamp():
-    cum = [0.2, 0.7, 1.0]
-    assert draw_index(cum, 0.0) == 0
-    assert draw_index(cum, 0.2) == 1
-    assert draw_index(cum, 0.99) == 2
+    probs = [0.2, 0.5, 0.3]  # cumulative 0.2, 0.7, 1.0
+    assert draw_index(probs, 0.0) == 0
+    assert draw_index(probs, 0.2) == 1
+    assert draw_index(probs, 0.99) == 2
     # rounding can leave the last cumulative value below the draw
-    assert draw_index([0.2, 0.7, 0.9999999], 0.99999995) == 2
-    assert draw_index(np.array(cum), 1.0) == 2
+    assert draw_index([0.2, 0.5, 0.2999999], 0.99999995) == 2
+    assert draw_index(np.array(probs), 1.0) == 2
+    # ... and never past the last value of positive probability
+    assert draw_index([0.2, 0.7999999, 0.0], 0.99999995) == 1
+
+
+def test_a_value_of_probability_zero_is_never_drawn():
+    """Where the running sum of the probabilities rounds below 1, the draw
+    just below 1 takes the last value of positive probability, not the
+    trailing zero-probability value: the thresholds from the last positive
+    probability on are inf."""
+    r = np.nextafter(1.0, 0.0)
+    dist = EmpiricalDistribution(np.arange(8.0), [1 / 7] * 7 + [0.0])
+    assert np.cumsum(dist.probs)[-2] == 0.9999999999999998
+    assert dist.sample(FixedRng([r])) == 6.0
+    assert dist.sample(FixedRng([r] * 3), 3).tolist() == [6.0] * 3
+    thresholds, values = dist.table(round)
+    assert values[bisect_right(thresholds, r)] == 6
+    assert thresholds[-1] == np.inf
+    row = [1 / 6] * 6 + [0.0]
+    chain = TPMSet(0, "WD", FULL_ALPHABET, row, np.array([[row] * len(FULL_ALPHABET)]))
+    assert walk_days(chain, np.full((1, 2), r)).tolist() == [[5, 5]]
 
 
 @pytest.mark.parametrize(
@@ -64,7 +84,7 @@ def test_array_sample_follows_draw_index(support, probs):
     cum = np.cumsum(d.probs).tolist()
     # zero, every cumulative edge and the float just below it, and just below 1
     r = [0.0, *cum, *np.nextafter(cum, 0.0).tolist(), np.nextafter(1.0, 0.0)]
-    want = [float(d.support[draw_index(cum, x)]) for x in r]
+    want = [float(d.support[draw_index(d.probs, x)]) for x in r]
     got = d.sample(FixedRng(r), len(r))
     assert isinstance(got, np.ndarray) and got.tolist() == want
     assert got.tolist() == [d.sample(FixedRng([x])) for x in r]
@@ -118,11 +138,12 @@ def _edges(*cums) -> list[float]:
 def test_every_draw_is_the_clamped_first_index_above_r(dist, shares, chain, seed):
     """Each sampler counts the thresholds <= r of a distribution or chain row;
     that count equals the `draw_index` oracle, the first cumulative sum above
-    r clamped to the last index, at every edge r: `sample` (scalar and
-    array), `sample_int`, `table(fn)`, `walk_days` and `household._draw_index`."""
+    r clamped to the last index of positive probability, at every edge r:
+    `sample` (scalar and array), `sample_int`, `table(fn)`, `walk_days` and
+    `household._draw_index`."""
     cum = np.cumsum(dist.probs).tolist()
     r = _edges(cum)
-    want = [float(dist.support[draw_index(cum, x)]) for x in r]
+    want = [float(dist.support[draw_index(dist.probs, x)]) for x in r]
     assert [dist.sample(FixedRng([x])) for x in r] == want
     drawn = dist.sample(FixedRng(r), len(r))
     assert isinstance(drawn, np.ndarray) and drawn.tolist() == want
@@ -133,14 +154,14 @@ def test_every_draw_is_the_clamped_first_index_above_r(dist, shares, chain, seed
 
     cum = np.cumsum(shares)
     r = _edges(cum / cum[-1])
-    assert [_draw_index(shares, FixedRng([x])) for x in r] == [draw_index(cum, x * cum[-1]) for x in r]
+    assert [_draw_index(shares, FixedRng([x])) for x in r] == [draw_index(shares, x * cum[-1]) for x in r]
 
     cum_init, cum_rows = np.cumsum(chain.initial), np.cumsum(chain.matrices, axis=2)
     u = np.random.default_rng(seed).choice(_edges(cum_init, cum_rows), size=(64, chain.n_steps))
     for days, row in zip(walk_days(chain, u), u):
-        s = [draw_index(cum_init, row[0])]
+        s = [draw_index(chain.initial, row[0])]
         for t in range(chain.n_steps - 1):
-            s.append(draw_index(cum_rows[t, s[-1]], row[t + 1]))
+            s.append(draw_index(chain.matrices[t, s[-1]], row[t + 1]))
         assert days.tolist() == s
 
 

@@ -95,25 +95,23 @@ def _resume_draw(probs, exclude, rng):
 
 def _chain_states(tpms, rng):
     """Plain chain walk (approach 2 core)."""
-    cum_init, cum_rows = np.cumsum(tpms.initial), np.cumsum(tpms.matrices, axis=2)
     n = tpms.n_steps
     states = np.empty(n, dtype=np.int8)
-    s = draw_index(cum_init.tolist(), rng.random())
+    s = draw_index(tpms.initial, rng.random())
     states[0] = s
     for t in range(n - 1):
-        s = draw_index(cum_rows[t][s].tolist(), rng.random())
+        s = draw_index(tpms.matrices[t, s], rng.random())
         states[t + 1] = s
     return states
 
 
 def _approach3_states(tpms, stats, rng):
     """Chain walk with sampled-duration holds on event activities."""
-    cum_init, cum_rows = np.cumsum(tpms.initial), np.cumsum(tpms.matrices, axis=2)
     alphabet = tpms.alphabet
     event_idx = {i for i, a in enumerate(alphabet) if int(a) in _EVENT_SET}
     n = tpms.n_steps
     states = np.empty(n, dtype=np.int8)
-    s = draw_index(cum_init.tolist(), rng.random())
+    s = draw_index(tpms.initial, rng.random())
     t = 0
     while True:
         if s in event_idx:
@@ -129,7 +127,7 @@ def _approach3_states(tpms, stats, rng):
         if s in event_idx:
             s = _resume_draw(tpms.matrices[t, s], s, rng)
         else:
-            s = draw_index(cum_rows[t][s].tolist(), rng.random())
+            s = draw_index(tpms.matrices[t, s], rng.random())
         t += 1
 
 
@@ -342,8 +340,8 @@ class _Uniforms:
 
 def test_walk_days_matches_scalar_past_the_row_mass():
     # rows short of 1 by less than the tolerance: a uniform above a row's
-    # mass clamps to the last state, or, out of a hold, takes the last
-    # nonzero column of the row with the held column excluded
+    # mass takes the row's last state of positive probability, or, out of a
+    # hold, the last nonzero column of the row with the held column excluded
     m = np.tile(row(SLEEP=0.5, HOME_ACTIVE=0.5 - 4e-10), (95, 1, 1)).repeat(S_FULL, axis=1)
     m[:, CO] = row(COOKING=0.5, SLEEP=0.2, HOME_ACTIVE=0.3 - 4e-10)
     tpms = TPMSet(0, "WD", FULL_ALPHABET, row(COOKING=1.0), m)
@@ -354,7 +352,7 @@ def test_walk_days_matches_scalar_past_the_row_mass():
         rng = _Uniforms(u)
         want = _approach3_states(tpms, holds, rng) if walk_holds else _chain_states(tpms, rng)
         assert np.array_equal(got, want)
-    assert got[1] == S_FULL - 1  # plain draw clamped to the last state
+    assert got[1] == CO  # plain draw: the row's last state of positive probability
     assert walk_days(tpms, u[None], holds)[0][1] == HA  # last nonzero column
 
 

@@ -91,6 +91,7 @@ def test_config_read_resolves_relative_paths(tmp_path):
                 "base_seed = 7",
                 "k_range = 2:5",
                 "repeats = 4",
+                "silhouette_sample = 1",
                 "approach = 2",
                 "unweighted_clustering = true",
             ]
@@ -102,7 +103,8 @@ def test_config_read_resolves_relative_paths(tmp_path):
     assert cfg.out == tmp_path / "out"
     assert cfg.base_seed == 7
     assert cfg.k_range == (2, 5)
-    assert not hasattr(cfg, "repeats")  # a retired key: read and ignored
+    assert not hasattr(cfg, "repeats")  # retired keys: read and ignored,
+    assert not hasattr(cfg, "silhouette_sample")  # whatever their value
     assert cfg.approach == 2
     assert cfg.unweighted_clustering is True
     # untouched defaults
@@ -301,7 +303,7 @@ def _inputs(command, synth_tree, pipeline_run) -> list:
     return {
         "ingest": ["--diaries", synth_tree / "diaries.csv", "--code-map", synth_tree / "code_map.csv"],
         "synth": ["--diaries-per-day-type", "2", "--households", "1", "--days", "1"],
-        "cluster": ["--input", pipeline_run / "sequences.csv", "--k-range", "3:3", "--seed", "1"],
+        "cluster": ["--input", pipeline_run / "sequences.csv", "--k-range", "3:3"],
         "train": ["--diaries", pipeline_run / "sequences.csv", "--clusters", *clusters],
         "simulate": [
             *["--tpms", pipeline_run / "tpms", "--bundle", synth_tree / "bundle"],
@@ -364,7 +366,7 @@ def _run_stagewise(synth_tree, out, household, seed, flags):
     """`_run_stages` with the synth project's settings; `flags` holds each
     stage's extra flags."""
     base = {
-        "cluster": ["--k-range", "4:4", "--seed", seed, "--silhouette-sample", "768"],
+        "cluster": ["--k-range", "4:4"],
         "simulate": ["--households", "2", "--days", "6", "--seed", seed],
     }
     _run_stages(synth_tree, out, household, {c: base.get(c, []) + flags.get(c, []) for c in base | flags})
@@ -442,7 +444,6 @@ def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp
         "n_households": 2,
         "n_days": 6,
         "k_range": "4:4",
-        "silhouette_sample": 768,
     }
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings, **keys))]) == 0
     _run_stagewise(synth_tree, tmp_path / "stagewise", household, "101", flags)
@@ -462,7 +463,6 @@ def run_settings(draw):
         "n_households": draw(st.integers(1, 3)),
         "n_days": draw(st.integers(1, 9)),
         "k_range": "4:4",
-        "silhouette_sample": draw(st.none() | st.integers(2, 400)),
         "unweighted_clustering": draw(st.booleans()),
         "tpm_alpha": draw(st.sampled_from([0.0, 0.5, 3.0])),
     }
@@ -483,7 +483,7 @@ def _flag(name, value):
 @given(case=run_settings())
 @example(case=(  # approach 1 with a vacation and every other setting off its default
     {"base_seed": "9", "n_households": "2", "n_days": "9", "start_weekday": "thursday", "approach": "1",
-     "k_range": "4:4", "silhouette_sample": "40", "tpm_fallback": "laplace", "tpm_alpha": "0.5",
+     "k_range": "4:4", "tpm_fallback": "laplace", "tpm_alpha": "0.5",
      "modulation": "active", "unweighted_clustering": "true"},
     (2, 5),
 ))
@@ -535,9 +535,10 @@ def test_simulate_walks_each_model_once_per_chunk(synth_tree, pipeline_run, tmp_
 
 
 def test_simulate_chunks_stay_within_the_occupant_day_bound(synth_tree, pipeline_run, tmp_path, monkeypatch):
-    """Chunks are sized by the largest occupant count in the support, so a
-    large household count cannot put more than `CHUNK_OCCUPANT_DAYS`
-    occupant-days into one walk."""
+    """Chunks are sized by the largest occupant count that can be drawn, so
+    a large household count cannot put more than `CHUNK_OCCUPANT_DAYS`
+    occupant-days into one walk, and a count of probability 0 does not
+    shrink the chunks."""
     chunks = []
     draw = pipeline.draw_households
 
@@ -549,7 +550,7 @@ def test_simulate_chunks_stay_within_the_occupant_day_bound(synth_tree, pipeline
     monkeypatch.setattr(pipeline, "draw_households", recording)
     household = tmp_path / "household.conf"
     lines = (synth_tree / "household.conf").read_text().splitlines()
-    household.write_text("\n".join(["occupant_count = 150:1", *lines[1:]]) + "\n")
+    household.write_text("\n".join(["occupant_count = 150:1,5000:0", *lines[1:]]) + "\n")
     n_days = 7
     assert main(["simulate", "--tpms", str(pipeline_run / "tpms"), "--bundle", str(synth_tree / "bundle"),
                  "--reference", str(synth_tree / "reference"), "--household-config", str(household),
@@ -838,26 +839,25 @@ BAD_LINES = {
     ),
     "project": (
         "project.conf",
-        13,
+        12,
         "run",
         2,
         [
             (
                 "bool_typo",
                 "unweighted_clustering = ture",
-                "line 14: unweighted_clustering: expected one of "
+                "line 13: unweighted_clustering: expected one of "
                 "('1', 'true', 'yes', '0', 'false', 'no'), got 'ture'",
             ),
-            ("nan_text", "epsilon = abc", "line 14: epsilon: could not convert string to float: 'abc'"),
-            ("negative", "epsilon = -1", "line 14: epsilon: expected a finite number >= 0, got -1.0"),
-            ("nan", "epsilon = nan", "line 14: epsilon: expected a finite number >= 0, got nan"),
-            ("one_row", "silhouette_sample = 1", "line 14: silhouette_sample: expected a whole number >= 2, got 1"),
-            ("negative_alpha", "tpm_alpha = -1", "line 14: tpm_alpha: expected a finite number >= 0, got -1.0"),
-            ("infinite_alpha", "tpm_alpha = inf", "line 14: tpm_alpha: expected a finite number >= 0, got inf"),
+            ("nan_text", "epsilon = abc", "line 13: epsilon: could not convert string to float: 'abc'"),
+            ("negative", "epsilon = -1", "line 13: epsilon: expected a finite number >= 0, got -1.0"),
+            ("nan", "epsilon = nan", "line 13: epsilon: expected a finite number >= 0, got nan"),
+            ("negative_alpha", "tpm_alpha = -1", "line 13: tpm_alpha: expected a finite number >= 0, got -1.0"),
+            ("infinite_alpha", "tpm_alpha = inf", "line 13: tpm_alpha: expected a finite number >= 0, got inf"),
             (
                 "past_max_days",
                 "n_days = 100000000000",
-                "line 14: n_days: expected a whole number <= 36500, got 100000000000",
+                "line 13: n_days: expected a whole number <= 36500, got 100000000000",
             ),
         ],
     ),
@@ -1111,7 +1111,6 @@ def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline
     [
         ("--epsilon=nan", "epsilon must be finite and nonnegative, got nan"),
         ("--epsilon=-0.1", "epsilon must be finite and nonnegative, got -0.1"),
-        ("--silhouette-sample=1", "silhouette_sample must be at least 2, got 1"),
     ],
 )
 def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, option, message):
@@ -1124,8 +1123,7 @@ def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, 
     assert exc.value.code == 2
     flag, value = option.split("=")
     assert f"argument {flag}: expected a " in capsys.readouterr().err
-    name = flag[2:].replace("-", "_")
-    cfg = Settings(base_seed=1, k_range=(2, 3), **{name: float(value) if name == "epsilon" else int(value)})
+    cfg = Settings(k_range=(2, 3), epsilon=float(value))
     sequences = read_sequences(pipeline_run / "sequences.csv")
     with pytest.raises(StageError, match=re.escape(message)) as exc:
         cluster_stage(sequences, "WD", tmp_path / "model.wd.clusters", cfg, log=io.StringIO())
@@ -1154,7 +1152,7 @@ def test_train_rejects_out_of_range_alpha(pipeline_run, tmp_path, capsys, alpha)
 
 @pytest.mark.parametrize(
     "key, value, code",
-    [("k_range", "1:4", 2), ("epsilon", "nan", 2), ("silhouette_sample", "1", 2), ("tpm_alpha", "nan", 2)],
+    [("k_range", "1:4", 2), ("epsilon", "nan", 2), ("tpm_alpha", "nan", 2)],
 )
 def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, code):
     settings = {
@@ -1404,7 +1402,7 @@ def test_cluster_unweighted_clusters_unit_weights(pipeline_run, tmp_path):
     unit = read_sequences(pipeline_run / "sequences.csv")
     unit["weight"] = 1.0
     write_sequences(tmp_path / "unit.csv", unit)
-    options = ["--k-range", "4:4", "--seed", "5"]
+    options = ["--k-range", "4:4"]
     for name, source, extra in [
         ("weighted", pipeline_run / "sequences.csv", []),
         ("unweighted", pipeline_run / "sequences.csv", ["--unweighted"]),
@@ -1435,18 +1433,19 @@ def test_synth_leaves_unset_options_to_write_input_tree(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command, options, outputs",
     [
-        ("cluster", ["--k-range", "4:4"], ["model.wd.clusters", "model.we.clusters"]),
+        ("simulate", ["--households", "2", "--days", "2"], ["household_0.csv", "household_1.csv", "occupant_days.csv"]),
         ("simulate-occupant", ["--wd-cluster", "0", "--we-cluster", "1", "--days", "3"], ["occ.csv"]),
     ],
 )
 def test_seed_drawn_from_entropy_is_logged_and_reproduces(
-    pipeline_run, tmp_path, capsys, command, options, outputs
+    synth_tree, pipeline_run, tmp_path, capsys, command, options, outputs
 ):
-    if command == "cluster":
-        argv = [command, "--input", str(pipeline_run / "sequences.csv"), *options]
+    argv = [command, "--tpms", str(pipeline_run / "tpms"), *options]
+    if command == "simulate":
+        argv += ["--bundle", str(synth_tree / "bundle"), "--reference", str(synth_tree / "reference"),
+                 "--household-config", str(synth_tree / "household.conf")]
         drawn, given = tmp_path / "drawn", tmp_path / "given"
     else:
-        argv = [command, "--tpms", str(pipeline_run / "tpms"), *options]
         drawn, given = tmp_path / "drawn" / "occ.csv", tmp_path / "given" / "occ.csv"
     assert main([*argv, "--out", str(drawn)]) == 0
     logged = re.search(rf"^{command}: base_seed = (\d+) \(drawn from entropy\)$", capsys.readouterr().err, re.M)
@@ -1456,7 +1455,25 @@ def test_seed_drawn_from_entropy_is_logged_and_reproduces(
         assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "drawn" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command", ["cluster", "simulate", "simulate-occupant", "synth"])
+def test_cluster_takes_no_seed(pipeline_run, tmp_path, capsys):
+    """Clustering draws no random number: two runs without a seed write the
+    same cluster files and log no seed."""
+    argv = ["cluster", "--input", str(pipeline_run / "sequences.csv"), "--k-range", "3:4"]
+    for out in ("a", "b"):
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+    assert "base_seed" not in capsys.readouterr().err
+    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
+
+@pytest.mark.parametrize("flag, value", [("--silhouette-sample", "768"), ("--seed", "5")])
+def test_cluster_removed_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", *REQUIRED_FLAGS["cluster"], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-occupant", "synth"])
 def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     required = REQUIRED_FLAGS.get(command, ["--out", str(tmp_path / "tree")])
     with pytest.raises(SystemExit) as exc:
@@ -1512,7 +1529,7 @@ REQUIRED_FLAGS = {
 }
 SETTING_NAMES = {f.name for f in fields(Settings)}
 STAGE_SETTINGS = {
-    "cluster": ["k_range", "base_seed", "epsilon", "silhouette_sample", "unweighted_clustering"],
+    "cluster": ["k_range", "epsilon", "unweighted_clustering"],
     "train": ["tpm_fallback", "tpm_alpha"],
     "simulate": ["n_households", "n_days", "start_weekday", "base_seed", "approach", "modulation"],
     "simulate-occupant": ["n_days", "start_weekday", "base_seed", "approach"],
@@ -1535,7 +1552,6 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
         "approach": "1",
         "k_range": "2:5",
         "epsilon": "0.5",
-        "silhouette_sample": "40",
         "tpm_fallback": "laplace",
         "tpm_alpha": "0.5",
         "modulation": "active",
@@ -1558,7 +1574,7 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
 @pytest.mark.parametrize(
     "kernel, names",
     [
-        (select_k, ["k_range", "base_seed", "epsilon", "silhouette_sample"]),
+        (select_k, ["k_range", "epsilon"]),
         (estimate_tpm, ["fallback", "alpha"]),
         (train_cluster_day_model, ["fallback", "alpha"]),
         (assemble_schedule, ["modulation"]),
