@@ -216,18 +216,29 @@ def estimate_tpm(
     return TPMSet(cluster_id, day_type, tuple(alphabet), initial, matrices)
 
 
+# Cells `runs` scans at a time, so its temporaries are a few MiB whatever the table.
+RUN_BLOCK_CELLS = 1 << 20
+
+
 def runs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Maximal runs of equal values per row of a 2-d array, in row-major order.
 
-    Returns the row index, start column, length and value of each run.
+    Returns the row index, start column and length (int32) and the value of
+    each run.  Rows are scanned in blocks of at most RUN_BLOCK_CELLS cells,
+    at least one row.
     """
     n, m = X.shape
-    starts = np.ones((n, m), dtype=bool)
-    starts[:, 1:] = X[:, 1:] != X[:, :-1]
-    flat = np.flatnonzero(starts)
-    rows, cols = np.divmod(flat, m)
-    # every row's first column starts a run, so a row's last run ends where the next row begins
-    return rows, cols, np.diff(flat, append=n * m), X[rows, cols]
+    step = max(1, RUN_BLOCK_CELLS // max(m, 1))
+    parts = []
+    for lo in range(0, max(n, 1), step):  # an empty table is one empty block
+        block = X[lo : lo + step]
+        starts = np.ones(block.shape, dtype=bool)
+        starts[:, 1:] = block[:, 1:] != block[:, :-1]
+        flat = np.flatnonzero(starts).astype(np.int32)
+        rows, cols = np.divmod(flat, np.int32(m))
+        # every row's first column starts a run, so a row's last run ends where the next row begins
+        parts.append((rows + np.int32(lo), cols, np.diff(flat, append=np.int32(block.size)), block[rows, cols]))
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
 def state_counts(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:

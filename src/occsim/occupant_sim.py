@@ -13,10 +13,10 @@ Three interchangeable approaches produce a day of 96 states:
   Without the exclusion, self-transition mass learned from held runs would
   compound holds and inflate durations past the sampled distribution.
 
-All three walk through one batched kernel, `walk_days`, which steps every
-day that shares a model at once, each from its own block of uniforms;
-`walk_occupants` stacks the days of many occupants that share a model into
-one such call.
+All three walk through one batched kernel, `walk_days`, whose one step loop
+moves every day that shares a model at once, each from its own block of
+uniforms; approaches 1 and 2 take it as the walk in which nothing holds.
+`walk_occupants` stacks the days of the occupants that share a model.
 """
 
 from __future__ import annotations
@@ -82,21 +82,23 @@ def uniforms_per_day(tpms: TPMSet, holds: dict | None = None) -> int:
     return tpms.n_steps if holds is None else 2 * tpms.n_steps
 
 
-def _hold_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats]) -> tuple[np.ndarray, ...]:
-    """Tables for a walk with holds.  Leaving event state s after step t
-    draws from `matrices[t, s]` with column s zeroed and the uniform scaled
-    by `1 - p[s]` (no draw if that is <= 1e-12), falling back to the last
-    nonzero column; other states draw from the plain row.  Threshold rows
-    read inf from the fallback column on, so counting entries `<= r` gives
-    the drawn column.  Event states with a duration distribution get its
-    `table(_hold_steps)` the same way, its hold steps capped at n_steps.
+def _walk_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats] | None) -> tuple[np.ndarray, ...]:
+    """Tables for `walk_days`.  Without holds, those of a walk in which
+    nothing holds: every state draws from its plain row, unscaled.  With
+    holds, leaving event state s after step t draws from `matrices[t, s]`
+    with column s zeroed and the uniform scaled by `1 - p[s]` (no draw if
+    that is <= 1e-12), falling back to the last nonzero column.  Threshold
+    rows read inf from the fallback column on, so counting entries `<= r`
+    gives the drawn column; they come as contiguous (T, S - 1, S) columns.
+    Event states with a duration distribution get its `table(_hold_steps)`
+    the same way, its hold steps capped at n_steps.
     """
     S, n_steps = tpms.n_states, tpms.n_steps
     trans = tpms.thresholds()[1].copy()
     scale = np.ones(tpms.matrices.shape[:2])
     dists = {}
     for e, activity in enumerate(tpms.alphabet):
-        if activity not in EVENT_ACTIVITIES:
+        if holds is None or activity not in EVENT_ACTIVITIES:
             continue
         p = tpms.matrices[:, e].copy()
         p[:, e] = 0.0
@@ -114,7 +116,7 @@ def _hold_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats]) -> tup
         dur_thresholds[e, : len(thresholds)] = thresholds
         dur_steps[e, : len(steps)] = np.minimum(steps, n_steps)
     has_dist = np.isin(np.arange(S), list(dists))
-    return trans, scale, has_dist, dur_thresholds, dur_steps
+    return np.ascontiguousarray(trans.transpose(0, 2, 1)), scale, has_dist, dur_thresholds, dur_steps
 
 
 def walk_days(
@@ -128,31 +130,25 @@ def walk_days(
     `max(1, ceil(d / 15))` steps up to the last step (an event state without
     one holds one step and draws nothing); and, when a hold ends before the
     last step, the transition.  With `holds` None (approach 2 and the
-    presence chain) every step is one plain transition.  Each draw of r
-    counts the thresholds <= r of its distribution or chain row.
+    presence chain) nothing holds: every step is one plain transition.  A
+    draw of r counts the thresholds <= r of its distribution or chain row,
+    a transition's one threshold column at a time.
     """
     u = np.asarray(u, dtype=np.float64)
     need = uniforms_per_day(tpms, holds)
     if u.ndim != 2 or u.shape[1] < need:
         raise OccsimError(f"expected (n, >= {need}) uniforms, got shape {u.shape}")
     n, n_steps = u.shape[0], tpms.n_steps
-    init, rows = tpms.thresholds()
+    columns, scale, has_dist, dur_thresholds, dur_steps = _walk_tables(tpms, holds)
     out = np.empty((n_steps, n), dtype=np.int8)
-    s = (init <= u[:, :1]).sum(axis=1)
-    if holds is None:
-        out[0] = s
-        for t in range(n_steps - 1):
-            s = (rows[t, s] <= u[:, t + 1, None]).sum(axis=1)
-            out[t + 1] = s
-        return out.T.copy()
-    trans, scale, has_dist, dur_thresholds, dur_steps = _hold_tables(tpms, holds)
+    s = (tpms.thresholds()[0] <= u[:, :1]).sum(axis=1)
     flat = u.ravel()
     pos = np.arange(n) * u.shape[1] + 1  # flat index of each row's next uniform
     end = np.zeros(n, dtype=np.intp)  # last step of each row's current hold, unclipped
     entered = np.arange(n)  # rows whose state was drawn for step t
+    holding, skipping = has_dist.any(), (scale <= 1e-12).any()  # else every row enters, or draws, each step
     for t in range(n_steps):
-        held = entered[has_dist[s[entered]]]
-        if held.size:
+        if holding and (held := entered[has_dist[s[entered]]]).size:
             sh = s[held]
             r = flat[pos[held]]
             pos[held] += 1
@@ -161,12 +157,13 @@ def walk_days(
         out[t] = s
         if t == n_steps - 1:
             break
-        entered = np.flatnonzero(end <= t)
-        drawn = entered[scale[t, s[entered]] > 1e-12]
+        if holding:
+            entered = np.flatnonzero(end <= t)
+        drawn = entered[scale[t, s[entered]] > 1e-12] if skipping else entered
         sd = s[drawn]
         r = flat[pos[drawn]] * scale[t, sd]
         pos[drawn] += 1
-        s[drawn] = (trans[t, sd] <= r[:, None]).sum(axis=1)
+        s[drawn] = sum(column[sd] <= r for column in columns[t])
     return out.T.copy()
 
 

@@ -75,10 +75,14 @@ def failing(stage: str, where: str = ""):
         raise StageError(stage, where + str(exc)) from exc
 
 
-# The longest calendar, a century: a chunk holds at least one household, and a
-# household-day of three occupants peaks at about 20 KiB under approach 3 (114
-# MiB at 2920 days, 285 MiB at 11680), so one household stays under 1 GiB.
+# The longest calendar, a century.
 MAX_DAYS = 100 * 365
+
+# The most occupant-days of one household, a century of three occupants: a
+# chunk holds at least one household, and a household-day of three occupants
+# peaks at about 20 KiB under approach 3 (114 MiB at 2920 days, 285 MiB at
+# 11680), so one household stays under 1 GiB.
+MAX_HOUSEHOLD_OCCUPANT_DAYS = 3 * MAX_DAYS
 
 
 def parse_k_range(value: str) -> tuple[int, int]:
@@ -291,12 +295,20 @@ def train_stage(
 SimulationInputs = tuple[dict, np.ndarray, HouseholdConfig, SimCalendar]
 
 
+def _most_occupants(config: HouseholdConfig) -> int:
+    """The largest occupant count of positive probability: the most a drawn
+    household can hold."""
+    counts = config.occupant_count_dist
+    return int(counts.support[counts.probs > 0].max())
+
+
 def load_simulation_inputs(
     bundle_dir: Path, reference_dir: Path, household_conf: Path, cfg: Settings
 ) -> SimulationInputs:
     """The bundle, reference schedules, household config and calendar that
-    simulate reads; bad input, a vacation past the calendar included, is a
-    StageError of simulate."""
+    simulate reads; bad input, a vacation past the calendar or a household
+    of more than MAX_HOUSEHOLD_OCCUPANT_DAYS included, is a StageError of
+    simulate."""
     with failing("simulate"):
         bundle = load_bundle(bundle_dir)
         reference = load_reference_dir(reference_dir)
@@ -305,6 +317,13 @@ def load_simulation_inputs(
     if config.vacation is not None and config.vacation[1] > cfg.n_days:
         raise StageError(
             "simulate", f"{household_conf}: vacation window {config.vacation} ends after day {cfg.n_days}"
+        )
+    m = _most_occupants(config)
+    if m * cfg.n_days > MAX_HOUSEHOLD_OCCUPANT_DAYS:
+        raise StageError(
+            "simulate",
+            f"{household_conf}: a household of {m} occupants over n_days = {cfg.n_days} is more than"
+            f" {MAX_HOUSEHOLD_OCCUPANT_DAYS} occupant-days",
         )
     return bundle, reference, config, calendar
 
@@ -339,8 +358,7 @@ def simulate_stage(
     # chunk; one id string serves all of an occupant's days.
     ids: list[str] = []
     blocks = []
-    counts = config.occupant_count_dist
-    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * int(counts.support[counts.probs > 0].max())))
+    size = max(1, CHUNK_OCCUPANT_DAYS // (calendar.n_days * _most_occupants(config)))
     for lo in range(0, cfg.n_households, size):
         chunk = range(lo, min(lo + size, cfg.n_households))
         with failing("simulate"):  # a missing model names its occupant, h<index>o<o>

@@ -204,23 +204,31 @@ def _bad_data_line(path: Path) -> str | None:
 
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
     """Read a `write_schedule_file` file; malformed input is an OccsimError
-    naming the file, and the line of a malformed row."""
+    naming the file, and the line of a malformed row or peak line.  Every
+    column but occupants needs exactly one peak line."""
     path = Path(path)
     peaks: dict[str, float] = {}
     with path.open() as fh:
         header = None
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 try:
-                    _, name, value = line[1:].strip().split(",")
-                    peaks[name] = float(value)
+                    _, name, text = line[1:].strip().split(",")
+                    value = float(text)
                 except ValueError:
-                    raise OccsimError(f"{path}: bad peak line {line.strip()!r}") from None
+                    raise OccsimError(f"{path}: line {n}: bad peak line {line.strip()!r}") from None
+                if name in peaks or name not in SCHEDULE_COLUMNS[1:]:
+                    problem = "repeated" if name in peaks else "unknown"
+                    raise OccsimError(f"{path}: line {n}: {problem} peak {name!r}")
+                peaks[name] = value
             elif line.strip():
                 header = line.strip().split(",")
                 break
         if header != list(SCHEDULE_COLUMNS):
             raise OccsimError(f"{path}: missing or unexpected column header")
+        missing = [name for name in SCHEDULE_COLUMNS[1:] if name not in peaks]
+        if missing:
+            raise OccsimError(f"{path}: no peak line for {', '.join(missing)}")
         first = next((line for line in fh if line.strip()), None)
         if first is None:
             raise OccsimError(f"{path}: no schedule data")

@@ -220,6 +220,17 @@ def state_counts_reference(X, w, labels, k, n_states):
     return counts.reshape(k, steps, n_states)
 
 
+def whole_table_runs(X):
+    """`markov_train.runs` before it scanned in row blocks: one pass over the
+    whole table with int64 indices."""
+    n, m = X.shape
+    starts = np.ones((n, m), dtype=bool)
+    starts[:, 1:] = X[:, 1:] != X[:, :-1]
+    flat = np.flatnonzero(starts)
+    rows, cols = np.divmod(flat, m)
+    return rows, cols, np.diff(flat, append=n * m), X[rows, cols]
+
+
 def activity_statistics(table, activity):
     """`estimate_statistics` of one activity as it was before every activity
     came from one run scan: the True runs of `states == activity`, found

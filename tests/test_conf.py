@@ -124,6 +124,15 @@ def test_clustering_draws_no_random_number():
     assert not names & {"streams", "numpy.random", "np.random"}, names
 
 
+def test_walk_days_has_one_step_loop():
+    """One chain walker: approaches 1, 2 and 3 step through the same loop, a
+    walk without holds being the hold walk in which nothing holds."""
+    module = ast.parse((Path(occsim.__file__).parent / "occupant_sim.py").read_text())
+    walk = next(n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "walk_days")
+    loops = [n for n in ast.walk(walk) if isinstance(n, (ast.For, ast.While))]
+    assert [f"{ast.unparse(n.target)} in {ast.unparse(n.iter)}" for n in loops] == ["t in range(n_steps)"]
+
+
 def test_readers_take_only_a_path():
     for reader in (reading, read_step_values, EmpiricalDistribution.read):
         assert list(inspect.signature(reader).parameters) == ["path"], reader

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from occsim import streams
+from occsim import markov_train, streams
 from occsim.conf import OccsimError, write_step_values
 from occsim.diary_ingest import (
     EVENT_ACTIVITIES,
@@ -25,7 +27,7 @@ from occsim.markov_train import (
     train_cluster_day_model,
 )
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
-from tests.helpers import activity_statistics, forward_marginals, make_seq, state_counts_reference
+from tests.helpers import activity_statistics, forward_marginals, make_seq, state_counts_reference, whole_table_runs
 
 S = len(FULL_ALPHABET)
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
@@ -242,6 +244,42 @@ def test_runs_are_maximal_and_rebuild_the_rows(rows):
     assert np.array_equal(start, np.cumsum(length) - length - row * N_STEPS)
     same_row = row[1:] == row[:-1]
     assert np.all(value[1:][same_row] != value[:-1][same_row])
+
+
+def _run_table(seed, n, m, runs_per_row=16.3):
+    """An (n, m) int8 table whose rows change state about `runs_per_row` times."""
+    rng = np.random.default_rng(seed)
+    return (np.cumsum(rng.random((n, m)) < runs_per_row / max(m, 1), axis=1) % S).astype(np.int8)
+
+
+@pytest.mark.parametrize("block_cells", [markov_train.RUN_BLOCK_CELLS, 500, 96, 40, 1])
+@pytest.mark.parametrize("n, m", [(0, 96), (1, 96), (37, 96), (300, 96), (5, 0), (9, 1), (4, 200)])
+def test_runs_in_blocks_equal_the_whole_table_scan(monkeypatch, block_cells, n, m):
+    """Blocks of any size, rows wider than a block included, give the values
+    of the whole-table scan, in its order."""
+    monkeypatch.setattr(markov_train, "RUN_BLOCK_CELLS", block_cells)
+    for seed in range(3):
+        X = _run_table(seed, n, m, runs_per_row=m / 6)
+        got, want = runs(X), whole_table_runs(X)
+        assert [a.dtype for a in got] == [np.int32, np.int32, np.int32, X.dtype]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    mask = _run_table(7, 3, 500) == 2  # a bool table, as `household._run_minutes` scans
+    assert all(np.array_equal(a, b) for a, b in zip(runs(mask), whole_table_runs(mask)))
+
+
+def test_runs_traced_peak_stays_below_the_whole_table_scan():
+    """A 21,900 x 96 occupant-day table at about 16.3 runs a row: the
+    whole-table scan's traced peak is about 780 B a row (its int64 indices
+    and a bool table as large as the input), the block scan's about 450."""
+    X = _run_table(31, 21_900, N_STEPS)
+    tracemalloc.start()
+    try:
+        runs(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * len(X)
 
 
 def test_estimate_statistics_events_only_on_zero_weight_days():

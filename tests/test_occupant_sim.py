@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occsim import streams
@@ -23,6 +23,7 @@ from occsim.occupant_sim import (
     _hold_steps,
     place_events,
     simulate_year,
+    uniforms_per_day,
     walk_days,
     walk_occupants,
 )
@@ -354,6 +355,51 @@ def test_walk_days_matches_scalar_past_the_row_mass():
         assert np.array_equal(got, want)
     assert got[1] == CO  # plain draw: the row's last state of positive probability
     assert walk_days(tpms, u[None], holds)[0][1] == HA  # last nonzero column
+
+
+@st.composite
+def random_walks(draw):
+    """(tpms, holds, u): a chain of S = 3 or 7 states over T = 1..8
+    transitions from integer weights, each row with up to S - 1 trailing
+    zeros; at S = 7 one event row at one step puts all its mass on itself,
+    so leaving it draws nothing.  `holds` is None or durations on a subset of
+    the event states; `u` is one to four rows of uniforms."""
+    alphabet = draw(st.sampled_from([PRESENCE_ALPHABET, FULL_ALPHABET]))
+    S, T = len(alphabet), draw(st.integers(1, 8))
+    cells = (T * S + 1) * S  # the initial row, then T * S chain rows
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)), float).reshape(-1, S)
+    zeros = draw(st.lists(st.integers(0, S - 1), min_size=len(weights), max_size=len(weights)))
+    for w, z in zip(weights, zeros):
+        w[S - z :] = 0.0
+        w[0] += w.sum() == 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    m = weights[1:].reshape(T, S, S)
+    if S == len(FULL_ALPHABET):
+        e = int(draw(st.sampled_from(EVENT_ACTIVITIES)))
+        m[draw(st.integers(0, T - 1)), e] = np.eye(S)[e]
+    tpms = TPMSet(0, "WD", alphabet, weights[0], m)
+    minutes = st.lists(st.integers(1, 200), min_size=1, max_size=4, unique=True).map(sorted)
+    holds = draw(st.none() | st.dictionaries(st.sampled_from(EVENT_ACTIVITIES), minutes, max_size=3))
+    if holds is not None:
+        ranks = {a: np.arange(1.0, len(d) + 1) for a, d in holds.items()}
+        holds = {a: _multi_duration(a, d, ranks[a] / ranks[a].sum())[a] for a, d in holds.items()}
+    width = uniforms_per_day(tpms, holds)
+    unit = st.floats(0.0, 1.0, exclude_max=True) | st.just(np.nextafter(1.0, 0.0))
+    rows = draw(st.lists(st.lists(unit, min_size=width, max_size=width), min_size=1, max_size=4))
+    return tpms, holds, np.array(rows)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(random_walks())
+def test_walk_days_matches_scalar_on_random_chains(walk):
+    """The one step loop, with holds or without, walks each row as the
+    scalar walkers do on the same uniforms."""
+    tpms, holds, u = walk
+    got = walk_days(tpms, u, holds)
+    for row, uniforms in zip(got, u):
+        rng = _Uniforms(uniforms)
+        want = _chain_states(tpms, rng) if holds is None else _approach3_states(tpms, holds, rng)
+        assert np.array_equal(row, want)
 
 
 def test_zero_uniform_never_selects_zero_probability_state():

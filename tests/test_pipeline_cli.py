@@ -560,6 +560,23 @@ def test_simulate_chunks_stay_within_the_occupant_day_bound(synth_tree, pipeline
         assert n_households == 1 or occupants * n_days <= pipeline.CHUNK_OCCUPANT_DAYS
 
 
+def test_simulate_bounds_one_household_by_occupant_days(synth_tree, tmp_path, monkeypatch):
+    """One household is never split across chunks, so its largest occupant
+    count of positive probability times n_days may not pass
+    MAX_HOUSEHOLD_OCCUPANT_DAYS; a count of probability 0 does not count."""
+    monkeypatch.setattr(pipeline, "MAX_HOUSEHOLD_OCCUPANT_DAYS", 3 * 4)
+    bundle, reference = synth_tree / "bundle", synth_tree / "reference"
+    household = tmp_path / "household.conf"
+    lines = (synth_tree / "household.conf").read_text().splitlines()
+    household.write_text("\n".join(["occupant_count = 1:0.5,3:0.5,5000:0", *lines[1:]]) + "\n")
+    load_simulation_inputs(bundle, reference, household, Settings(base_seed=1, n_days=4))
+    with pytest.raises(StageError) as exc:
+        load_simulation_inputs(bundle, reference, household, Settings(base_seed=1, n_days=5))
+    assert exc.value.exit_code == 6
+    message = "a household of 3 occupants over n_days = 5 is more than 12 occupant-days"
+    assert str(exc.value) == f"simulate: {household}: {message}"
+
+
 def test_simulate_rejects_non_finite_reference(synth_tree, pipeline_run, tmp_path):
     reference = tmp_path / "reference"
     shutil.copytree(synth_tree / "reference", reference)
@@ -921,6 +938,7 @@ READERS = {
     "onset_dist": ("out/tpms/c1.we.laundry.onset.dist", EmpiricalDistribution.read, ","),
     "bundle": ("bundle/sink.flow", EmpiricalDistribution.read, ","),
     "ref": ("reference/lighting.wd.ref", read_step_values, ","),
+    "schedule": ("out/household_0.csv", read_schedule_file, ","),
 }
 # What a corrupted field or line holds: empty, signed zero, non-finite and
 # overflowing numbers, separators, a non-ASCII digit, NUL, a state token and
@@ -948,6 +966,7 @@ def corrupt_dir(tmp_path_factory):
 @example(kind="household", edit="field", line=0, field=1, atom="٣")
 @example(kind="project", edit="field", line=8, field=1, atom="1e309")
 @example(kind="household", edit="duplicate", line=3, field=0, atom="")  # a repeated key keeps its last value
+@example(kind="schedule", edit="duplicate", line=0, field=0, atom="")  # a repeated peak line names its line
 def test_reader_names_the_file_of_any_corrupted_line(
     synth_tree, pipeline_run, corrupt_dir, kind, edit, line, field, atom
 ):
@@ -1176,6 +1195,7 @@ def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, co
     [
         ("vacation = 30,40", "ends after day 28"),
         ("vacation = 5,2", "0 <= start < end"),
+        ("occupant_count = 5000:1", "a household of 5000 occupants over n_days = 28 is more than 109500 occupant-days"),
         ("no sink.count", "sink.count"),
         ("sink.flow -1.0,1", "sink.flow: flows must be >= 0"),
         ("sink.onset 200,1", "sink.onset: onsets must round into steps 0..95"),
@@ -1186,6 +1206,8 @@ def test_run_rejects_bad_simulate_input_before_ingest(synth_tree, tmp_path, caps
     household = (synth_tree / "household.conf").read_text()
     if fault.startswith("vacation"):
         household += fault + "\n"
+    elif fault.startswith("occupant_count"):
+        household = "\n".join([fault, *household.splitlines()[1:]]) + "\n"
     elif fault.startswith("no "):
         (tmp_path / "bundle" / "sink.count").unlink()
     else:

@@ -337,8 +337,12 @@ HEAD = len(SCHEDULE_COLUMNS)  # peak comments plus the header
 BAD_SCHEDULE_FILES = {
     "ragged_row": (lambda t: _replace_line(t, HEAD + 5, lambda l: l.rsplit(",", 1)[0]), "number of columns"),
     "non_number": (lambda t: _replace_line(t, HEAD + 7, lambda l: "abc" + l[8:]), "string 'abc'"),
-    "peak_two_fields": (lambda t: _replace_line(t, 2, lambda l: l.rsplit(",", 1)[0]), "bad peak line"),
-    "peak_non_number": (lambda t: _replace_line(t, 0, lambda l: l + "x"), "bad peak line"),
+    "peak_two_fields": (lambda t: _replace_line(t, 2, lambda l: l.rsplit(",", 1)[0]), "line 3: bad peak line"),
+    "peak_non_number": (lambda t: _replace_line(t, 0, lambda l: l + "x"), "line 1: bad peak line"),
+    "peak_missing": (lambda t: t.split("\n", 1)[1], f"no peak line for {SCHEDULE_COLUMNS[1]}$"),
+    "peak_repeated": (lambda t: t.split("\n", 1)[0] + "\n" + t, f"line 2: repeated peak '{SCHEDULE_COLUMNS[1]}'"),
+    "peak_unknown": (lambda t: "# peak,bogus,1\n" + t, "line 1: unknown peak 'bogus'"),
+    "peak_of_occupants": (lambda t: _replace_line(t, 3, lambda l: "# peak,occupants,1"), "line 4: unknown peak"),
     "twelve_columns": (
         lambda t: "\n".join(l.rsplit(",", 1)[0] if i >= HEAD else l for i, l in enumerate(t.splitlines())),
         f"needs {len(SCHEDULE_COLUMNS)} columns",
