@@ -72,9 +72,13 @@ class ClusterModel:
         day_type = None
         shares = None
         modes = []
+        keys = set()
         with reading(path) as lines:
             for line in lines:
                 key, _, rest = line.partition(",")
+                if key in keys and key != "mode":
+                    raise ValueError(f"repeated {key} line")
+                keys.add(key)
                 if key == "k":
                     k = _read_k(rest)
                 elif key == "day_type":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +204,67 @@ def _map_block(
     return mapped
 
 
+def _byte_table(lookup: dict[str, int], default: int | None) -> tuple[np.ndarray, int]:
+    """For a lookup whose keys are one ASCII character each: a table indexed
+    by two bytes read as one little-endian `uint16` word, and the byte `bad`
+    that no code maps to.  The word of an ASCII character other than a
+    comma, then a comma, gives the character's value, or `default` when it
+    has one; every other word gives `bad`.  So one gather over a body's
+    two-byte cells maps each code and checks the comma after it."""
+    bad = min(set(range(256)) - {*lookup.values(), default})  # at most 129 values are taken
+    table = np.full(1 << 16, bad, np.uint8)
+    if default is not None:
+        table[(_COMMA << 8) + np.delete(np.arange(128), _COMMA)] = default
+    for code, value in lookup.items():
+        if code != ",":  # a field is never a comma
+            table[(_COMMA << 8) + ord(code)] = value
+    return table, bad
+
+
+def _map_byte_block(bodies: list[str], width: int, table: np.ndarray, bad: int) -> np.ndarray | None:
+    """The codes of row bodies mapped through `_byte_table` output; None
+    unless every body is `width` one-byte codes joined by commas and every
+    code has a value."""
+    if any(len(body) != 2 * width - 1 for body in bodies):
+        return None
+    data = (",".join(bodies) + ",").encode()
+    if len(data) != 2 * width * len(bodies):  # a character outside ASCII
+        return None
+    mapped = table.take(np.frombuffer(data, "<u2"))
+    return None if (mapped == bad).any() else mapped
+
+
+def _block_mapper(lookup: dict[str, int], default: int | None):
+    """How `_read_rows` maps a block's row bodies through `lookup`, as a
+    function of (bodies, width) that gives the codes or None: one table
+    gather when every key is one ASCII character, a sorted search when
+    every key takes the same w <= 8 bytes.  None for any other lookup."""
+    if all(len(code) == 1 and code.isascii() for code in lookup):
+        table, bad = _byte_table(lookup, default)
+        return partial(_map_byte_block, table=table, bad=bad)
+    fixed_keys = _fixed_width_keys(lookup)
+    return fixed_keys and partial(_map_block, fixed_keys=fixed_keys, default=default)
+
+
+def _row_loop(path: str | Path, block: list[tuple[int, str]], width: int, get, heads: list, codes: bytearray):
+    """Append each row's head and codes, `get` mapping one code at a time;
+    the first bad row of the block raises its OccsimError."""
+    for row, line in block:
+        fields = line.split(",")
+        heads.append(_row_head(path, row, fields, 3 + width))
+        try:
+            codes.extend(bytes(map(get, fields[3:])))
+        except KeyError as exc:
+            raise OccsimError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+
+
 def _read_rows(
-    path: str | Path, lookup: dict[str, int], width: int, dtype: np.dtype, default: int | None = None
+    path: str | Path,
+    lookup: dict[str, int],
+    width: int,
+    dtype: np.dtype,
+    default: int | None = None,
+    map_block=None,
 ) -> np.ndarray:
     """The `dtype` table of a file with a header line, then rows of
     respondent_id,day_type,weight and `width` codes, each code mapped
@@ -213,25 +273,21 @@ def _read_rows(
     errors name; a code without a value is an OccsimError naming its
     row, as are bytes that are not UTF-8.
 
-    Rows go `_ROW_BLOCK` at a time through `_map_block`; a block it does
-    not map goes through the row loop, which builds every error message."""
-    fixed_keys = _fixed_width_keys(lookup)
+    Rows go `_ROW_BLOCK` at a time through `map_block(bodies, width)`,
+    `_block_mapper`'s when not given, which returns their codes or None; a
+    block it does not map goes through `_row_loop`, which builds every
+    error message."""
+    map_block = map_block or _block_mapper(lookup, default)
     get = (lookup if default is None else defaultdict(lambda: default, lookup)).__getitem__
     heads, codes, block = [], bytearray(), []
 
     def take_block():
-        parts = [line.split(",", 3) for _, line in block] if fixed_keys else []
+        parts = [line.split(",", 3) for _, line in block] if map_block else []
         mapped = None
         if parts and all(len(head_body) == 4 for head_body in parts):
-            mapped = _map_block([head_body[3] for head_body in parts], width, fixed_keys, default)
+            mapped = map_block([head_body[3] for head_body in parts], width)
         if mapped is None:
-            for row, line in block:
-                fields = line.split(",")
-                heads.append(_row_head(path, row, fields, 3 + width))
-                try:
-                    codes.extend(bytes(map(get, fields[3:])))
-                except KeyError as exc:
-                    raise OccsimError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
+            _row_loop(path, block, width, get, heads, codes)
         else:  # each row is its three head fields and a body of `width` codes
             heads.extend(_row_head(path, row, head_body, 4) for (row, _), head_body in zip(block, parts))
             codes.extend(mapped)
@@ -273,37 +329,58 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
 
 
 _N_STATES = len(FULL_ALPHABET)
-# flat (row, step, state) cell index of state 0 in each window of a block
-_WINDOW_CELLS = np.arange(_ROW_BLOCK * N_STEPS).reshape(_ROW_BLOCK, N_STEPS, 1) * _N_STATES
+# 1 << 4·s: summed over a window, state s's count takes nibble s, and a
+# count of 15 still fits
+_NIBBLES = np.array([1 << 4 * s for s in range(_N_STATES)], np.uint32)
+# the top bit of each nibble, in state order: set where a state has 8 or
+# more of a window's 15 minutes, which makes it the window's strict majority
+_MAJORITY_BITS = _NIBBLES << 3
+
+
+def _vote(windows: np.ndarray) -> np.ndarray:
+    """The majority state of each row of (m, 15) minute states by counting;
+    ties go to the state that occurs earliest within the window."""
+    m = len(windows)
+    # flat (window, state) cells
+    cells = np.arange(m).reshape(m, 1) * _N_STATES + windows
+    counts = np.bincount(cells.ravel(), minlength=m * _N_STATES)
+    firsts = np.full(m * _N_STATES, STEP_MINUTES, dtype=np.int16)
+    # latest offset first, so each cell keeps the earliest offset it occurs at
+    for offset in range(STEP_MINUTES - 1, -1, -1):
+        firsts[cells[:, offset]] = offset
+    # Highest count wins; among tied states, the earliest first occurrence.
+    # States that occur have distinct first offsets, so the key has one maximum.
+    key = counts * (STEP_MINUTES + 1) - firsts
+    return key.reshape(m, _N_STATES).argmax(axis=1)
 
 
 def resample_to_sequence(minutes: np.ndarray) -> np.ndarray:
     """Collapse (n, 1440) minute states to (n, 96) int8 steps by per-window
     majority vote, `_ROW_BLOCK` rows at a time.
 
-    Ties go to the state that occurs earliest within the window.
+    Ties go to the state that occurs earliest within the window.  A window
+    whose top state has 8 or more of its minutes is decided by its nibble
+    counts alone; only the others go through `_vote`.
     """
     minutes = np.asarray(minutes, dtype=np.int8)
     if minutes.ndim != 2 or minutes.shape[1] != N_MINUTES:
         raise OccsimError(f"minutes must be (n, {N_MINUTES}), got {minutes.shape}")
-    # votes count in flat (row, step, state) cells, where a state out of
-    # range would count toward a neighbouring step
+    # the nibble table has a row for each state only
     if minutes.size and minutes.view(np.uint8).max() >= _N_STATES:
         raise OccsimError(f"state outside 0..{_N_STATES - 1}")
     states = np.empty((len(minutes), N_STEPS), dtype=np.int8)
     for lo in range(0, len(minutes), _ROW_BLOCK):
-        block = minutes[lo : lo + _ROW_BLOCK]
-        n = len(block)
-        cells = _WINDOW_CELLS[:n] + block.reshape(n, N_STEPS, STEP_MINUTES)
-        counts = np.bincount(cells.ravel(), minlength=n * N_STEPS * _N_STATES)
-        firsts = np.full(n * N_STEPS * _N_STATES, STEP_MINUTES, dtype=np.int16)
-        # latest offset first, so each cell keeps the earliest offset it occurs at
-        for offset in range(STEP_MINUTES - 1, -1, -1):
-            firsts[cells[..., offset]] = offset
-        # Highest count wins; among tied states, the earliest first occurrence.
-        # States that occur have distinct first offsets, so the key has one maximum.
-        key = counts * (STEP_MINUTES + 1) - firsts
-        states[lo : lo + n] = key.reshape(n, N_STEPS, _N_STATES).argmax(axis=2)
+        windows = minutes[lo : lo + _ROW_BLOCK].reshape(-1, STEP_MINUTES)
+        counts = _NIBBLES.take(windows.view(np.uint8)).sum(axis=1, dtype=np.uint32)
+        # the bit of the one state with 8 or more minutes, or 0
+        majority = counts & np.bitwise_or.reduce(_MAJORITY_BITS)
+        steps = np.zeros(len(windows), np.int8)
+        for bit in _MAJORITY_BITS[:-1]:  # state s's bit is above s of them
+            steps += majority > bit
+        undecided = np.flatnonzero(majority == 0)
+        if undecided.size:
+            steps[undecided] = _vote(windows[undecided])
+        states[lo : lo + _ROW_BLOCK] = steps.reshape(-1, N_STEPS)
     return states
 
 
@@ -328,11 +405,21 @@ _PAIR_TOKENS = [f"{a},{b}" for a in STATE_TOKENS.values() for b in STATE_TOKENS.
 # The tokens of four consecutive states, at the index that reads them as a base-7 number.
 _RUN_TOKENS = np.array([f"{a},{b}" for a in _PAIR_TOKENS for b in _PAIR_TOKENS], dtype=object)
 _RUN_PLACES = _N_STATES ** np.arange(3, -1, -1)
+# The state of a token by its first byte, the seven first letters being
+# distinct; `_UNMAPPED` for any other byte.
+_STATE_BY_FIRST_BYTE = np.full(256, _UNMAPPED, np.uint8)
+_STATE_BY_FIRST_BYTE[[ord(token[0]) for token in _INDEX_BY_TOKEN]] = list(_INDEX_BY_TOKEN.values())
+
+
+def _sequence_bodies(states: np.ndarray) -> list[str]:
+    """Each row of (n, 96) states in 0..6 as its tokens joined by commas,
+    four states at a time."""
+    return [",".join(runs) for runs in _RUN_TOKENS[states.reshape(len(states), -1, 4) @ _RUN_PLACES].tolist()]
 
 
 def write_sequences(path: str | Path, table: np.ndarray) -> None:
-    """Write a SEQUENCE table `_BLOCK_ROWS` rows at a time, a row's states as
-    24 `_RUN_TOKENS` entries; a state outside the alphabet raises."""
+    """Write a SEQUENCE table `_BLOCK_ROWS` rows at a time, each row's
+    states through `_sequence_bodies`; a state outside the alphabet raises."""
     states = table["states"]
     if states.size and not 0 <= states.min() <= states.max() < _N_STATES:
         raise OccsimError(f"{path}: state outside 0..{_N_STATES - 1}")
@@ -340,17 +427,32 @@ def write_sequences(path: str | Path, table: np.ndarray) -> None:
         fh.write(_SEQ_HEADER + "\n")
         for lo in range(0, len(table), _BLOCK_ROWS):
             block = table[lo : lo + _BLOCK_ROWS]
-            tokens = _RUN_TOKENS[block["states"].reshape(len(block), -1, 4) @ _RUN_PLACES].tolist()
-            rows = zip(block["id"].tolist(), block["day_type"].tolist(), block["weight"].tolist(), tokens)
+            bodies = _sequence_bodies(block["states"])
+            rows = zip(block["id"].tolist(), block["day_type"].tolist(), block["weight"].tolist(), bodies)
             # repr round-trips the float exactly
-            lines = [f"{rid},{day_type},{weight!r},{','.join(runs)}\n" for rid, day_type, weight, runs in rows]
-            fh.write("".join(lines))
+            fh.write("".join([f"{rid},{day_type},{weight!r},{body}\n" for rid, day_type, weight, body in rows]))
+
+
+def _decode_sequence_block(bodies: list[str], width: int) -> np.ndarray | None:
+    """The states of sequence row bodies, each token read by its first byte;
+    None unless `_sequence_bodies` of those states gives the bodies back,
+    which it does exactly when every body is `width` state tokens joined
+    by commas."""
+    data = np.frombuffer(("," + ",".join(bodies)).encode(), np.uint8)
+    starts = np.flatnonzero(data[:-1] == _COMMA) + 1  # a token starts after each comma
+    if len(starts) != width * len(bodies):
+        return None
+    states = _STATE_BY_FIRST_BYTE[data[starts]]
+    if (states == _UNMAPPED).any():
+        return None
+    states = states.reshape(-1, width)
+    return states.ravel() if _sequence_bodies(states) == bodies else None
 
 
 def read_sequences(path: str | Path) -> np.ndarray:
     """Read a sequence file into a SEQUENCE table; a malformed row or an
     unknown state token is an OccsimError naming the file and row."""
-    return _read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE)
+    return _read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE, map_block=_decode_sequence_block)
 
 
 def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None) -> tuple[np.ndarray, int]:

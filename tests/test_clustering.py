@@ -438,6 +438,9 @@ BAD_CLUSTER_LINES = [
     (0, "k,0", "k must be positive"),
     (0, "kk,2", "unknown line key"),
     (2, "names,a|b", "unknown line key 'names'"),
+    (3, "k,2", "repeated k line"),
+    (4, "day_type,WD", "repeated day_type line"),
+    (3, "shares,0.5,0.5", "repeated shares line"),
 ]
 
 

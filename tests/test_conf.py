@@ -100,11 +100,12 @@ def _matrix_products(src: Path) -> list[str]:
 def test_no_matrix_product_reaches_an_artifact():
     """BLAS sums in an order of its own choosing, and its first calls in a
     process can be slow (ROADMAP item 7).  The two products left are exact
-    or unwritten: k-modes' objective feeds only an assertion, and the
-    sequence writer's token index is an integer product."""
+    or unwritten: k-modes' objective feeds only an assertion, and the token
+    index of the one sequence encoder, which the writer and the reader's
+    check share, is an integer product."""
     assert _matrix_products(Path(occsim.__file__).parent) == [
         "clustering.kmodes: w @ np.count_nonzero(X != modes[labels], axis=1)",
-        "diary_ingest.write_sequences: block['states'].reshape(len(block), -1, 4) @ _RUN_PLACES",
+        "diary_ingest._sequence_bodies: states.reshape(len(states), -1, 4) @ _RUN_PLACES",
     ]
 
 

@@ -2,12 +2,14 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from occsim import diary_ingest
 from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     _BLOCK_ROWS,
@@ -32,6 +34,7 @@ from occsim.diary_ingest import (
     sequence_table,
     write_sequences,
 )
+from occsim.synth import default_code_map, write_diaries, write_input_tree
 from tests.helpers import row_loop_parse_diaries, row_loop_read_rows, row_loop_read_sequences
 
 CMAP = ActivityCodeMap(
@@ -107,15 +110,20 @@ def _resample_reference(minutes):
 
 # count patterns of a 15-minute window whose top counts tie
 _TIED_PATTERNS = [(7, 7, 1), (5, 5, 5), (6, 6, 3), (4, 4, 4, 3), (3,) * 5, (2, 2, 2, 2, 2, 2, 3), (15,)]
+# count patterns whose top count is a strict majority by the least margin, the
+# last with all seven states
+_MAJORITY_PATTERNS = [(8, 7), (8, 4, 3), (8, 2, 1, 1, 1, 1, 1)]
+# tied patterns without a strict majority, which only the bincount vote decides
+_NO_MAJORITY_PATTERNS = [pattern for pattern in _TIED_PATTERNS if max(pattern) < 8]
 
 
 @st.composite
-def tied_windows(draw):
-    """Minutes whose every window is a shuffled multiset with tied top counts."""
+def pattern_windows(draw, patterns=tuple(_TIED_PATTERNS)):
+    """Minutes whose every window is a shuffled multiset of one of the count `patterns`."""
     rand = random.Random(draw(st.integers(0, 2**32 - 1)))
     minutes = []
     for _ in range(N_STEPS):
-        pattern = rand.choice(_TIED_PATTERNS)
+        pattern = rand.choice(patterns)
         states = rand.sample(range(7), len(pattern))
         window = [s for s, c in zip(states, pattern) for _ in range(c)]
         rand.shuffle(window)
@@ -123,9 +131,27 @@ def tied_windows(draw):
     return minutes
 
 
-@given(tied_windows())
+@given(pattern_windows())
 def test_resample_matches_reference_on_tied_windows(minutes):
     got = resample_to_sequence([minutes])[0]
+    assert np.array_equal(got, _resample_reference(minutes))
+
+
+@given(pattern_windows(_NO_MAJORITY_PATTERNS))
+def test_resample_matches_reference_where_no_window_has_a_strict_majority(minutes):
+    """Every window of the row goes through the bincount vote."""
+    with mock.patch.object(diary_ingest, "_vote", wraps=diary_ingest._vote) as vote:
+        got = resample_to_sequence([minutes])[0]
+    assert sum(len(call.args[0]) for call in vote.call_args_list) == N_STEPS
+    assert np.array_equal(got, _resample_reference(minutes))
+
+
+@given(pattern_windows(_MAJORITY_PATTERNS + [(15,)]))
+def test_strict_majority_windows_are_decided_by_counts_alone(minutes):
+    """At the least margin too; the tied patterns above mix such windows
+    with voted ones in one row."""
+    with mock.patch.object(diary_ingest, "_vote", side_effect=AssertionError("a window went to the vote")):
+        got = resample_to_sequence([minutes])[0]
     assert np.array_equal(got, _resample_reference(minutes))
 
 
@@ -534,23 +560,28 @@ _FILE_SHAPES = {
 
 
 @st.composite
-def diary_files(draw):
-    """The bytes of a diary file and its code map: codes of one width 1..6
-    or of mixed widths, some unmapped, some not ASCII, one of another
-    width, with blank lines, CRLF line ends and malformed rows, over up to
-    more rows than one block."""
+def diary_files(draw, widths=(1, 2, 3, 4, 5, 6, None), faults=_FILE_SHAPES["faults"]):
+    """The bytes of a diary file and its code map: codes of one of `widths`
+    1..6 or of mixed widths (None), some unmapped, some not ASCII, one of
+    another width, with blank lines, CRLF line ends and rows malformed by
+    `faults`, over up to more rows than one block."""
     rand = random.Random(draw(st.integers(0, 2**32 - 1)))
-    w = draw(st.sampled_from([1, 2, 3, 4, 5, 6, None]))  # None: mixed widths
+    w = draw(st.sampled_from(widths))
     mapped = _distinct_codes(rand, [w or rand.randint(1, 6) for _ in range(rand.randint(1, 7))])
     unmapped = _distinct_codes(rand, [w or rand.randint(1, 6) for _ in range(2)], mapped)
     if draw(st.booleans()):  # not ASCII, and of UTF-8 width w (when w > 1)
         (mapped if draw(st.booleans()) else unmapped).append("é" + "x" * max((w or 2) - 2, 0))
-    shape = draw(st.fixed_dictionaries(_FILE_SHAPES))
+    shape = draw(st.fixed_dictionaries({**_FILE_SHAPES, "faults": faults}))
     rows = _random_rows(rand, mapped + unmapped * draw(st.integers(0, 1)), shape.pop("n"), N_MINUTES)
     if draw(st.booleans()):  # one code of another width
         rand.choice(rows)[rand.randrange(N_MINUTES)] = _distinct_codes(rand, [(w or 1) + 1], mapped)[0]
     code_map = ActivityCodeMap({code: rand.choice(FULL_ALPHABET) for code in mapped}, rand.choice(FULL_ALPHABET))
     return _file_bytes(rand, rows, **shape), code_map
+
+
+# Unknown tokens: one without a state's first letter, and ones that share a
+# state's first letter and differ later, in a byte, in length or in case.
+_NEAR_TOKENS = ["Napping", "Sleeq", "Awa", "HomeActive2", "Cookinǵ", "PersonalHygienE"]
 
 
 @st.composite
@@ -559,8 +590,12 @@ def sequence_files(draw):
     with blank lines, CRLF line ends and malformed rows."""
     rand = random.Random(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.fixed_dictionaries(_FILE_SHAPES))
-    pool = list(STATE_TOKENS.values()) + ["Napping"] * draw(st.integers(0, 1))
+    pool = list(STATE_TOKENS.values()) + draw(st.lists(st.sampled_from(_NEAR_TOKENS), max_size=1))
     return _file_bytes(rand, _random_rows(rand, pool, shape.pop("n"), N_STEPS), **shape)
+
+
+def _columns(table):
+    return [table.dtype, *(table[name].tolist() for name in table.dtype.names)]
 
 
 def _outcome(read, path):
@@ -571,7 +606,7 @@ def _outcome(read, path):
     except OccsimError as exc:
         return str(exc)
     table, *count = result if isinstance(result, tuple) else (result,)
-    return [table.dtype, *(table[name].tolist() for name in table.dtype.names), *count]
+    return [*_columns(table), *count]
 
 
 def _parsed(code_map):
@@ -585,10 +620,24 @@ def _parsed(code_map):
 @given(diary_files())
 @example((b"h\n" + b"r0,WD,1," + b",".join([b"s"] * N_MINUTES) + b"\n", CMAP))
 def test_parse_diaries_matches_the_row_loop(tmp_path_factory, case):
+    _assert_parse_matches_the_row_loop(tmp_path_factory, case)
+
+
+def _assert_parse_matches_the_row_loop(tmp_path_factory, case):
     data, code_map = case
     path = tmp_path_factory.mktemp("diaries") / "d.csv"
     path.write_bytes(data)
     assert _outcome(_parsed(code_map), path) == _outcome(lambda p: row_loop_parse_diaries(p, code_map), path)
+
+
+# The faults that keep a one-byte row's length, which only the 16-bit word
+# table's comma check finds: a comma moved between two codes, or a comma for a code.
+_SAME_LENGTH_FAULTS = st.lists(st.sampled_from(["separator", "comma_in_code"]), min_size=1, max_size=2)
+
+
+@given(diary_files(widths=(1,), faults=_SAME_LENGTH_FAULTS))
+def test_parse_diaries_of_one_byte_codes_matches_the_row_loop(tmp_path_factory, case):
+    _assert_parse_matches_the_row_loop(tmp_path_factory, case)
 
 
 @given(sequence_files())
@@ -635,3 +684,62 @@ def test_fixed_width_lookup_without_default_names_the_first_bad_row(tmp_path, ba
         _read_rows(path, _TWO_CODES, N_STEPS, SEQUENCE)
     assert str(exc.value) == f"{path}: {message}"
     assert _outcome(lambda p: row_loop_read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path) == str(exc.value)
+
+
+def test_a_synth_tree_takes_only_the_fast_paths(tmp_path, monkeypatch):
+    """Synth's one-byte codes and one-state windows, and the sequence file
+    written from them, are read without the row loop or the bincount vote;
+    the differential tests above compare results only, and would pass on a
+    reader that always fell back."""
+    layout = write_input_tree(tmp_path / "tree", n_per_day_type=2 * _ROW_BLOCK + 3, n_households=1, n_days=1)
+    code_map = ActivityCodeMap.read(layout.code_map)
+    diaries, unknown = row_loop_parse_diaries(layout.diaries, code_map)
+    expected = sequence_table(
+        diaries["id"], diaries["day_type"], diaries["weight"], [_resample_reference(row) for row in diaries["minutes"]]
+    )
+    sequences = tmp_path / "seqs.csv"
+    write_sequences(sequences, expected)
+
+    def slow_path(*args):
+        raise AssertionError("a slow path ran")
+
+    monkeypatch.setattr(diary_ingest, "_row_loop", slow_path)
+    monkeypatch.setattr(diary_ingest, "_vote", slow_path)
+    table, got_unknown = ingest(layout.diaries, code_map)
+    assert got_unknown == unknown == 0
+    assert _columns(table) == _columns(expected)
+    assert _columns(read_sequences(sequences)) == _columns(expected)
+
+
+def _traced_peak(read, path) -> int:
+    tracemalloc.start()
+    try:
+        read(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _random_table(n, seed):
+    rng = np.random.default_rng(seed)
+    return sequence_table(
+        [f"h{i // 20}o{i % 20}" for i in range(n)], "WD", rng.uniform(0.1, 3, n), rng.integers(0, 7, (n, N_STEPS))
+    )
+
+
+def test_read_sequences_traced_peak_stays_below_600_bytes_a_row(tmp_path):
+    """The table itself takes about 500 B a row, and a block of rows is
+    read and checked at a time: 512 B a row here."""
+    n = 7300
+    path = tmp_path / "seqs.csv"
+    write_sequences(path, _random_table(n, 2))
+    assert _traced_peak(read_sequences, path) < 600 * n
+
+
+def test_parse_diaries_traced_peak_stays_below_4000_bytes_a_row(tmp_path):
+    """The 1440 minutes of a row are held twice while the table is built,
+    and a block of rows is mapped at a time: 3.3 KB a row here."""
+    n = 2000
+    path = tmp_path / "diaries.csv"
+    write_diaries(path, _random_table(n, 3))
+    assert _traced_peak(lambda p: parse_diaries(p, default_code_map()), path) < 4000 * n

@@ -940,6 +940,16 @@ READERS = {
     "ref": ("reference/lighting.wd.ref", read_step_values, ","),
     "schedule": ("out/household_0.csv", read_schedule_file, ","),
 }
+# The lines of a valid input that the reader cannot do without, and the
+# lines it may not read twice; for a kind not named, every line.  A
+# `key = value` config needs only its keys without a default, and a repeated
+# key keeps its last value; a code map needs only its DEFAULT line.
+REQUIRED_LINES = {
+    "project": lambda line: line.partition("=")[0].strip() in {"diaries", "bundle", "reference", "household", "out"},
+    "household": lambda line: line.partition("=")[0].strip() == "occupant_count",
+    "code_map": lambda line: line.startswith("DEFAULT,"),
+}
+UNIQUE_LINES = {"project": lambda line: False, "household": lambda line: False}
 # What a corrupted field or line holds: empty, signed zero, non-finite and
 # overflowing numbers, separators, a non-ASCII digit, NUL, a state token and
 # key names.
@@ -967,15 +977,23 @@ def corrupt_dir(tmp_path_factory):
 @example(kind="project", edit="field", line=8, field=1, atom="1e309")
 @example(kind="household", edit="duplicate", line=3, field=0, atom="")  # a repeated key keeps its last value
 @example(kind="schedule", edit="duplicate", line=0, field=0, atom="")  # a repeated peak line names its line
+@example(kind="schedule", edit="delete", line=0, field=0, atom="")  # so does a missing peak line
+@example(kind="clusters", edit="duplicate", line=0, field=0, atom="")  # a model header line is read once
+@example(kind="tpm", edit="delete", line=0, field=0, atom="")
 def test_reader_names_the_file_of_any_corrupted_line(
     synth_tree, pipeline_run, corrupt_dir, kind, edit, line, field, atom
 ):
     """One field or line of a valid input replaced by an atom, deleted or
     repeated: its reader returns, or raises OccsimError (a config StageError
-    for project.conf) whose message starts with the file."""
+    for project.conf) whose message starts with the file.  It must raise
+    for a deleted line that `REQUIRED_LINES` names and a repeated line that
+    `UNIQUE_LINES` names, so a reader that drops or repeats such a line
+    without a word fails here."""
     name, read, sep = READERS[kind]
     lines = (synth_tree / name).read_text().splitlines()
     line %= len(lines)
+    table = {"delete": REQUIRED_LINES, "duplicate": UNIQUE_LINES}.get(edit)
+    must_raise = table is not None and table.get(kind, lambda _: True)(lines[line])
     if edit == "field":
         fields = lines[line].split(sep)
         fields[field % len(fields)] = atom
@@ -996,6 +1014,8 @@ def test_reader_names_the_file_of_any_corrupted_line(
     except OccsimError as exc:
         assert kind != "project"
         assert str(exc).startswith(f"{path}: ")
+    else:
+        assert not must_raise, f"{name}: {edit} of line {line + 1} read without an error"
 
 
 @pytest.mark.parametrize("name", ["cx.wd.tpm", "c0.wd.x.tpm", "c0.xx.tpm"])
