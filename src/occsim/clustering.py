@@ -228,8 +228,8 @@ def kmodes(
     modes = _initial_modes(X, w, distinct, k, n_states)
     prev_obj = np.inf
     for _ in range(max_iter):
-        labels = _assign_with_repair(X, modes)
-        obj = float(w @ np.count_nonzero(X != modes[labels], axis=1))
+        labels, own = _assign_with_repair(X, modes)
+        obj = float((w * own).sum())
         if obj > prev_obj + 1e-9:
             raise AssertionError("within-cluster distance increased")
         prev_obj = obj
@@ -237,7 +237,7 @@ def kmodes(
         if np.array_equal(new_modes, modes):
             break
         modes = new_modes
-    labels = _assign_with_repair(X, modes)
+    labels, _ = _assign_with_repair(X, modes)
     shares = np.bincount(labels, weights=w, minlength=k)
     total = shares.sum()
     if total <= 0:
@@ -246,20 +246,20 @@ def kmodes(
     return ClusterModel(k, modes, shares, day_type), labels
 
 
-def _assign_with_repair(X: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Nearest-mode assignment; empty clusters are reseeded in place from the
-    point farthest from its currently assigned mode."""
-    n = X.shape[0]
+def _assign_with_repair(X: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-mode labels and each row's distance to its labelled mode;
+    empty clusters are reseeded in place from the point farthest from its
+    currently assigned mode."""
+    rows = np.arange(X.shape[0])
     D = _distances_to_modes(X, modes)
     labels = D.argmin(axis=1)
     for c in range(modes.shape[0]):
         if not np.any(labels == c):
-            own = D[np.arange(n), labels]
-            far = int(own.argmax())
+            far = int(D[rows, labels].argmax())
             modes[c] = X[far]
             labels[far] = c
             D[:, c] = np.count_nonzero(X != modes[c], axis=1)
-    return labels
+    return labels, D[rows, labels]
 
 
 def _coerce_data(X, weights):

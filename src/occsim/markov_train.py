@@ -147,9 +147,8 @@ class ClusterDayModel:
 
 
 def _state_lut(alphabet: tuple[ActivityState, ...]) -> np.ndarray:
-    lut = np.full(len(FULL_ALPHABET), -1, dtype=np.int64)
-    for idx, a in enumerate(alphabet):
-        lut[int(a)] = idx
+    lut = np.full(len(FULL_ALPHABET), -1, dtype=np.int8)
+    lut[list(map(int, alphabet))] = np.arange(len(alphabet))
     return lut
 
 
@@ -185,19 +184,17 @@ def estimate_tpm(
     if not 0 <= alpha < np.inf:
         raise OccsimError(f"alpha must be finite and nonnegative, got {alpha}")
     X, w, day_type = _columns(table)
-    lut = _state_lut(alphabet)
-    idx = lut[X]
+    idx = _state_lut(alphabet)[X]
     if np.any(idx < 0):
         bad = ActivityState(int(X[idx < 0][0]))
         raise OccsimError(f"state {bad.name} not in alphabet")
     S = len(alphabet)
-    T = X.shape[1] - 1
-    initial = np.bincount(idx[:, 0], weights=w, minlength=S).astype(np.float64)
+    labels = np.zeros(X.shape[0], dtype=np.intp)  # one cluster
+    initial = state_counts(idx[:, :1], w, labels, 1, S)[0, 0]
     initial /= initial.sum()
-    counts = np.empty((T, S, S))
-    for t in range(T):
-        flat = idx[:, t] * S + idx[:, t + 1]
-        counts[t] = np.bincount(flat, weights=w, minlength=S * S).reshape(S, S)
+    pairs = idx[:, :-1] * np.int16(S)  # (state at t, state at t+1) as one code below S * S
+    pairs += idx[:, 1:]
+    counts = state_counts(pairs, w, labels, 1, S * S)[0].reshape(-1, S, S)
     if fallback == "laplace":
         counts = counts + alpha
     totals = counts.sum(axis=2)
@@ -242,9 +239,10 @@ def runs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def state_counts(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
-    """(k, steps, n_states) weighted count of each state at each step within
-    each cluster.  One bincount per step adds the weights of each cell in row
-    order from 0.0, as a per-cell running sum would."""
+    """(k, steps, n_states) weighted count of each state (or, for
+    `estimate_tpm`, each transition code) at each step within each cluster.
+    One bincount per step adds the weights of each cell in row order from
+    0.0, as a per-cell running sum would."""
     cells = labels * n_states
     counts = np.empty((k, X.shape[1], n_states))
     for t in range(X.shape[1]):

@@ -10,7 +10,7 @@ or after a failure, removed on success.
 from __future__ import annotations
 
 import math
-import secrets
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
@@ -209,7 +209,7 @@ def resolve_seed(cfg: Settings, log, command: str) -> Settings:
     and logged, so the run can be repeated with it."""
     if cfg.base_seed is not None:
         return cfg
-    seed = secrets.randbits(32)
+    seed = int.from_bytes(os.urandom(4), "little")
     print(f"{command}: base_seed = {seed} (drawn from entropy)", file=log)
     return replace(cfg, base_seed=seed)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import streams
 from .diary_ingest import (
+    DAY_TYPES,
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
     N_STEPS,
@@ -178,16 +179,14 @@ def build_truth_model(cluster_id: int, day_type: str) -> ClusterDayModel:
 
 
 def truth_models(k: int = 4) -> dict[str, dict[int, ClusterDayModel]]:
-    return {
-        dt: {c: build_truth_model(c, dt) for c in range(k)} for dt in ("WD", "WE")
-    }
+    return {dt: {c: build_truth_model(c, dt) for c in range(k)} for dt in DAY_TYPES}
 
 
 def generate_corpus(
     n_per_day_type: int,
     base_seed: int,
     shares: tuple[float, ...] = PLANTED_SHARES,
-    day_types: tuple[str, ...] = ("WD", "WE"),
+    day_types: tuple[str, ...] = DAY_TYPES,
     vary_weights: bool = True,
 ) -> np.ndarray:
     """Draw a mixed-cluster SEQUENCE table with planted shares.  Each diary
@@ -309,7 +308,7 @@ def write_input_tree(
     n_days: int = 28,
 ) -> SynthLayout:
     """Generate the full demonstration input tree under `out_dir`."""
-    from .schedule_io import write_bundle
+    from .schedule_io import MODULATED_END_USES, write_bundle
 
     sizes = {"n_per_day_type": n_per_day_type, "n_households": n_households, "n_days": n_days}
     for name, size in sizes.items():
@@ -331,8 +330,8 @@ def write_input_tree(
     default_code_map().write(layout.code_map)
     write_bundle(layout.bundle, default_bundle())
     layout.reference.mkdir(parents=True, exist_ok=True)
-    for use in ("lighting", "plug_loads", "ceiling_fan"):
-        for dt in ("WD", "WE"):
+    for use in MODULATED_END_USES:
+        for dt in DAY_TYPES:
             write_step_values(layout.reference / f"{use}.{dt.lower()}.ref", default_reference(use, dt))
     HouseholdConfig(
         occupant_count_dist=_dist(((1, 0.30), (2, 0.45), (3, 0.25)), "count"),

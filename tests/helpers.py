@@ -11,6 +11,7 @@ from occsim.diary_ingest import (
     _UNMAPPED,
     DIARY,
     EVENT_ACTIVITIES,
+    FULL_ALPHABET,
     N_MINUTES,
     N_STEPS,
     SEQUENCE,
@@ -218,6 +219,40 @@ def state_counts_reference(X, w, labels, k, n_states):
     cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
     counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
     return counts.reshape(k, steps, n_states)
+
+
+def estimate_tpm_reference(table, alphabet, *, fallback, alpha):
+    """The initial distribution and matrices of `markov_train.estimate_tpm`
+    as it was before it counted through `state_counts`: int64 state indices
+    and a loop that bincounts each step's transitions on its own."""
+    X, w = table["states"], np.ascontiguousarray(table["weight"])
+    lut = np.full(len(FULL_ALPHABET), -1, dtype=np.int64)
+    for i, a in enumerate(alphabet):
+        lut[int(a)] = i
+    idx = lut[X]
+    S = len(alphabet)
+    T = X.shape[1] - 1
+    initial = np.bincount(idx[:, 0], weights=w, minlength=S).astype(np.float64)
+    initial /= initial.sum()
+    counts = np.empty((T, S, S))
+    for t in range(T):
+        flat = idx[:, t] * S + idx[:, t + 1]
+        counts[t] = np.bincount(flat, weights=w, minlength=S * S).reshape(S, S)
+    if fallback == "laplace":
+        counts = counts + alpha
+    totals = counts.sum(axis=2)
+    matrices = np.zeros_like(counts)
+    visited = totals > 0
+    matrices[visited] = counts[visited] / totals[visited][:, None]
+    if np.any(~visited):
+        if fallback == "uniform":
+            matrices[~visited] = 1.0 / S
+        else:
+            eye = np.eye(S)
+            t_i, s_i = np.nonzero(~visited)
+            matrices[t_i, s_i] = eye[s_i]
+    matrices /= matrices.sum(axis=2, keepdims=True)
+    return initial, matrices
 
 
 def whole_table_runs(X):

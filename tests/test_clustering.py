@@ -259,9 +259,10 @@ def test_kmodes_with_k_equal_to_the_distinct_rows():
 def test_assign_with_repair_fills_empty_cluster():
     X = np.zeros((4, 6), dtype=np.int8)
     modes = np.array([[0] * 6, [2] * 6], dtype=np.int8)
-    labels = _assign_with_repair(X, modes)
+    labels, own = _assign_with_repair(X, modes)
     assert np.bincount(labels, minlength=2).min() >= 1
     assert np.array_equal(modes[1], X[0])  # reseeded in place
+    assert np.array_equal(own, np.count_nonzero(X != modes[labels], axis=1))  # measured after the repair
 
 
 def naive_silhouette(X, labels):

@@ -99,12 +99,11 @@ def _matrix_products(src: Path) -> list[str]:
 
 def test_no_matrix_product_reaches_an_artifact():
     """BLAS sums in an order of its own choosing, and its first calls in a
-    process can be slow (ROADMAP item 7).  The two products left are exact
-    or unwritten: k-modes' objective feeds only an assertion, and the token
-    index of the one sequence encoder, which the writer and the reader's
-    check share, is an integer product."""
+    process can be slow (ROADMAP item 7).  The one product left is exact:
+    the token index of the one sequence encoder, which the writer and the
+    reader's check share, is an integer product.  k-modes scores its
+    objective from the distances its assignment already measured."""
     assert _matrix_products(Path(occsim.__file__).parent) == [
-        "clustering.kmodes: w @ np.count_nonzero(X != modes[labels], axis=1)",
         "diary_ingest._sequence_bodies: states.reshape(len(states), -1, 4) @ _RUN_PLACES",
     ]
 
@@ -132,6 +131,29 @@ def test_walk_days_has_one_step_loop():
     walk = next(n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "walk_days")
     loops = [n for n in ast.walk(walk) if isinstance(n, (ast.For, ast.While))]
     assert [f"{ast.unparse(n.target)} in {ast.unparse(n.iter)}" for n in loops] == ["t in range(n_steps)"]
+
+
+def test_estimate_tpm_counts_through_state_counts():
+    """One weighted step counter: `estimate_tpm` has no step loop of its own
+    and takes its initial and transition counts from `state_counts`."""
+    module = ast.parse((Path(occsim.__file__).parent / "markov_train.py").read_text())
+    estimate = next(n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "estimate_tpm")
+    nodes = list(ast.walk(estimate))
+    assert not [ast.unparse(n) for n in nodes if isinstance(n, (ast.For, ast.While))]
+    assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "state_counts" for n in nodes)
+
+
+def test_cli_import_loads_no_hash_module():
+    """The entropy seed comes from `os.urandom`, so no occsim command loads
+    `secrets`, nor the `hashlib` and OpenSSL modules that it imports."""
+    src = Path(occsim.__file__).parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import occsim.cli\n"
+        "print(sorted({'secrets', 'hashlib'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 def test_readers_take_only_a_path():

@@ -14,6 +14,7 @@ from occsim.diary_ingest import (
     STATE_TOKENS,
     SEQUENCE,
     ActivityState,
+    project_to_presence,
     sequence_table,
 )
 from occsim.markov_train import (
@@ -27,7 +28,14 @@ from occsim.markov_train import (
     train_cluster_day_model,
 )
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
-from tests.helpers import activity_statistics, forward_marginals, make_seq, state_counts_reference, whole_table_runs
+from tests.helpers import (
+    activity_statistics,
+    estimate_tpm_reference,
+    forward_marginals,
+    make_seq,
+    state_counts_reference,
+    whole_table_runs,
+)
 
 S = len(FULL_ALPHABET)
 ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
@@ -233,6 +241,53 @@ def test_state_counts_match_one_bincount_form(rows, k, label_draws):
     got = state_counts(X, w, labels, k, S)
     assert got.shape == (k, N_STEPS, S)
     assert got.tobytes() == state_counts_reference(X, w, labels, k, S).tobytes()
+
+
+_seven_decimals = st.one_of(st.just(0.0), st.integers(1, 10**9).map(lambda i: i / 10**7))
+_fallbacks = st.one_of(
+    st.sampled_from([("absorbing", 0.0), ("uniform", 0.0), ("laplace", 0.0)]),
+    st.tuples(st.just("laplace"), st.floats(1e-7, 3.0)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(
+    st.lists(st.tuples(_days, _seven_decimals), min_size=1, max_size=30).filter(lambda rows: sum(w for _, w in rows) > 0),
+    st.booleans(),
+    _fallbacks,
+)
+@example([([3] * N_STEPS, 0.1234567)], False, ("laplace", 0.25))  # one row: every other (step, state) row unvisited
+@example([([3] * N_STEPS, 0.1), ([2] * N_STEPS, 0.0), ([3] * N_STEPS, 0.2), ([3] * N_STEPS, 0.3)], True, ("uniform", 0.0))
+@example([([0] * 40 + [1] * 56, 1.0000001), ([1] * N_STEPS, 2.5)], False, ("absorbing", 0.0))
+def test_estimate_tpm_counts_match_the_step_loop(rows, presence, fallback):
+    """`estimate_tpm` counts through `state_counts` with the bits of the
+    per-step loop it replaced, on either alphabet and under every fallback."""
+    table = _table(rows)
+    alphabet = FULL_ALPHABET
+    if presence:
+        table["states"] = project_to_presence(table["states"])
+        alphabet = PRESENCE_ALPHABET
+    kind, alpha = fallback
+    got = estimate_tpm(table, alphabet, fallback=kind, alpha=alpha)
+    initial, matrices = estimate_tpm_reference(table, alphabet, fallback=kind, alpha=alpha)
+    assert np.array_equal(got.initial.view(np.uint64), initial.view(np.uint64))
+    assert np.array_equal(got.matrices.view(np.uint64), matrices.view(np.uint64))
+
+
+def test_estimate_tpm_traced_peak_per_row():
+    """20,000 weighted rows: the int64 state indices of the step loop took
+    about 870 B a row at peak, the int8 indices and int16 pair codes about
+    320."""
+    X = _run_table(31, 20_000, N_STEPS)
+    weights = np.random.default_rng(31).uniform(0.5, 2.0, len(X))
+    table = sequence_table([f"r{i}" for i in range(len(X))], "WD", weights, X)
+    tracemalloc.start()
+    try:
+        estimate_tpm(table, **ABSORBING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * len(X)
 
 
 @given(_weighted_tables)
