@@ -1,8 +1,8 @@
 """Text files: `reading` (the one place that names a bad file and line),
-`key = value` configs and `step,value` reference files on the read side;
-`number_text` (the one place that prints a model number) and `write_lines`
-on the write side; `OccsimError`, what every check outside the pipeline
-stages raises."""
+`number_rows`, `key = value` configs and `step,value` reference files on
+the read side; `number_text` (the one place that prints a model number)
+and `write_lines` on the write side; `OccsimError`, what every check
+outside the pipeline stages raises."""
 
 from __future__ import annotations
 
@@ -20,13 +20,12 @@ class OccsimError(ValueError):
 
 class Lines:
     """The stripped lines of a text file that are neither blank nor '#'
-    comments; `first` is the first ("" for none).  Iterating marks each
-    line's number as `at` until the lines run out."""
+    comments, `numbered` from 1.  Iterating marks each line's number as
+    `at` until the lines run out."""
 
     def __init__(self, path: str | Path):
         lines = map(str.strip, Path(path).read_text().splitlines())
-        self.numbered = [(n, line) for n, line in enumerate(lines, start=1) if line and not line.startswith("#")]
-        self.first = self.numbered[0][1] if self.numbered else ""
+        self.numbered = [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
         self.at: int | None = None
 
     def __iter__(self):
@@ -94,6 +93,18 @@ def read_step_values(path: str | Path) -> np.ndarray:
     return values
 
 
+def number_rows(rows: list[str], width: int) -> np.ndarray | None:
+    """The (len(rows), width) floats of nonblank stripped lines of `width`
+    comma-separated numbers, parsed and counted in one pass; None when a line
+    is not, for a row loop to name.  A number it reads, Python's float reads
+    alike."""
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
+    except ValueError:
+        return None
+    return values if values is not None and values.shape == (len(rows), width) else None
+
+
 def number_text(values) -> list:
     """The `.12g` text of every entry of a float array, as nested lists of its
     shape.  Each distinct value is formatted once; values are told apart by
@@ -107,7 +118,7 @@ def number_text(values) -> list:
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write `lines` to a text file, each ending in LF."""
-    Path(path).write_text("".join([f"{line}\n" for line in lines]), newline="\n")
+    Path(path).write_text("\n".join([*lines, ""]), newline="\n")
 
 
 def write_step_values(path: str | Path, values: np.ndarray) -> None:

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .conf import OccsimError, number_text, reading, write_lines
+from .conf import Lines, OccsimError, number_rows, number_text, reading, write_lines
 from .diary_ingest import N_STEPS
 
 PROB_TOL = 1e-9
 
-# Domain of a distribution's support by the kind its file name ends in, the
-# last part before any `.dist` (`sink.flow`, `c0.wd.cooking.count.dist`).
+# Domain of a distribution's support by its kind: the last part of a bundle
+# file's name (`sink.flow`) or of a model file's section (`[cooking.count]`).
 SUPPORT_DOMAIN = {
     "duration": (lambda v: v > 0, "durations must be > 0"),
     "level": (lambda v: v >= 0, "levels must be >= 0"),
@@ -63,9 +62,9 @@ class EmpiricalDistribution:
             raise OccsimError("support and probs must align")
         if not (np.isfinite(self.support).all() and np.isfinite(self.probs).all()):
             raise OccsimError("support and probabilities must be finite")
-        if np.any(self.support[1:] <= self.support[:-1]):
+        if (self.support[1:] <= self.support[:-1]).any():
             raise OccsimError("support must be strictly increasing with no duplicates")
-        if np.any(self.probs < 0):
+        if (self.probs < 0).any():
             raise OccsimError("probabilities must be nonnegative")
         total = float(self.probs.sum())
         if abs(total - 1.0) > PROB_TOL:
@@ -115,36 +114,53 @@ class EmpiricalDistribution:
         idx = np.searchsorted(self.support, points, side="right")
         return np.concatenate([[0.0], self._cum])[idx]
 
+    def section(self) -> tuple[str, np.ndarray]:
+        """The `unit,<unit>` head line and `value,probability` rows of a `.dist` body."""
+        return f"unit,{self.unit}", np.stack([self.support, self.probs], axis=1)
+
     def write(self, path: str | Path) -> None:
-        rows = number_text(np.stack([self.support, self.probs], axis=1))
-        write_lines(path, [f"unit,{self.unit}", *map(",".join, rows)])
+        head, rows = self.section()
+        write_lines(path, [head, *map(",".join, number_text(rows))])
 
     @classmethod
     def read(cls, path: str | Path) -> "EmpiricalDistribution":
         """A `write` file, its support inside the `SUPPORT_DOMAIN` of the kind
         its name ends in; bad input raises OccsimError naming the file."""
         with reading(path) as lines:
-            if not lines.first.startswith("unit,"):
-                raise ValueError("missing unit header")
-            rows = iter(lines)
-            unit = next(rows).split(",", 1)[1]
-            values, probs = [], []
-            for line in rows:
-                try:
-                    v, p = map(float, line.split(","))
-                except ValueError:
-                    raise ValueError(f"expected value,probability, got {line!r}") from None
-                if not 0 <= p <= 1:
-                    raise ValueError(f"probability {p} outside 0..1")
-                if not math.isfinite(v) or (values and v <= values[-1]):
-                    raise ValueError(f"values must be finite and increasing, got {v}")
-                values.append(v)
-                probs.append(p)
-            dist = cls(np.array(values), np.array(probs), unit)
-            kind = os.path.basename(path).removesuffix(".dist").rsplit(".", 1)[-1]
-            if kind in SUPPORT_DOMAIN:
-                in_domain, rule = SUPPORT_DOMAIN[kind]
-                bad = [v for v in values if not in_domain(v)]
-                if bad:
-                    raise ValueError(f"{rule}, got {bad[0]:g}")
+            return cls.parse(lines, lines.numbered, Path(path).name.rsplit(".", 1)[-1])
+
+    @classmethod
+    def parse(cls, lines: Lines, numbered: list[tuple[int, str]], kind: str) -> "EmpiricalDistribution":
+        """The `.dist` body of `numbered`, lines of `lines`, its support inside
+        the `SUPPORT_DOMAIN` of `kind`: its rows in one pass or, when a row
+        fails, through `_dist_rows`, which names the first bad one."""
+        if not numbered or not numbered[0][1].startswith("unit,"):
+            raise ValueError("missing unit header")
+        rows = number_rows([line for _, line in numbered[1:]], 2)
+        if rows is not None:
+            v, p = rows.T
+        if rows is None or not (((p >= 0) & (p <= 1)).all() and np.isfinite(v).all() and (v[1:] > v[:-1]).all()):
+            v, p = _dist_rows(lines, numbered[1:]).T
+        dist = cls(v, p, numbered[0][1].split(",", 1)[1])
+        if kind in SUPPORT_DOMAIN:
+            in_domain, rule = SUPPORT_DOMAIN[kind]
+            bad = [v for v in dist.support.tolist() if not in_domain(v)]
+            if bad:
+                raise ValueError(f"{rule}, got {bad[0]:g}")
         return dist
+
+
+def _dist_rows(lines: Lines, numbered: list[tuple[int, str]]) -> np.ndarray:
+    """The row loop of `EmpiricalDistribution.parse`: a bad row raises at its line."""
+    rows: list[tuple[float, float]] = []
+    for lines.at, line in numbered:
+        try:
+            v, p = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"expected value,probability, got {line!r}") from None
+        if not 0 <= p <= 1:
+            raise ValueError(f"probability {p} outside 0..1")
+        if not math.isfinite(v) or (rows and v <= rows[-1][0]):
+            raise ValueError(f"values must be finite and increasing, got {v}")
+        rows.append((v, p))
+    return np.array(rows).reshape(-1, 2)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .conf import OccsimError, number_text, reading, write_lines
+from .conf import Lines, OccsimError, number_rows, number_text, reading, write_lines
 from .diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -82,37 +83,46 @@ class TPMSet:
             self._thresholds = draw_thresholds(self.initial), draw_thresholds(self.matrices)
         return self._thresholds
 
-    def write(self, path: str | Path) -> None:
-        tokens = ",".join(STATE_TOKENS[a] for a in self.alphabet)
-        rows = number_text(np.vstack([self.initial, self.matrices.reshape(-1, self.n_states)]))
-        write_lines(path, [f"{self.cluster_id},{self.day_type},{tokens}", *map(",".join, rows)])
+    def section(self) -> tuple[str, np.ndarray]:
+        """The `cluster_id,day_type,state tokens` head line and the rows, the
+        initial distribution's then each matrix's, of a model file's chain."""
+        head = ",".join([str(self.cluster_id), self.day_type, *(STATE_TOKENS[a] for a in self.alphabet)])
+        return head, np.vstack([self.initial, self.matrices.reshape(-1, self.n_states)])
 
     @classmethod
-    def read(cls, path: str | Path) -> "TPMSet":
-        with reading(path) as lines:
-            if not lines.first:
-                raise ValueError("empty model file")
-            rows = iter(lines)
-            try:
-                cluster_id, day_type, *tokens = next(rows).split(",")
-                cluster_id, alphabet = int(cluster_id), tuple(STATE_BY_TOKEN[t] for t in tokens)
-            except ValueError:
-                raise ValueError("expected cluster_id,day_type,state tokens") from None
-            except KeyError as exc:
-                raise ValueError(f"unknown state token {exc.args[0]!r}") from None
-            S = len(alphabet)
-            values = []
-            for line in rows:
-                fields = line.split(",")
-                if len(fields) != S:
-                    raise ValueError(f"expected {S} values, got {len(fields)}")
-                values.append(list(map(float, fields)))
-            if not values:
-                raise ValueError("missing initial distribution row")
-            if (len(values) - 1) % S != 0:
-                raise ValueError(f"matrix block size not a multiple of {S}")
-            values = np.array(values)
-            return cls(cluster_id, day_type, alphabet, values[0], values[1:].reshape(-1, S, S))
+    def parse(cls, lines: Lines, numbered: list[tuple[int, str]]) -> "TPMSet":
+        """The chain `section` of `numbered`, lines of `lines`: its rows in one
+        pass or, when a row fails, through `_chain_rows`, which names it."""
+        if not numbered:
+            raise ValueError("expected cluster_id,day_type,state tokens")
+        lines.at, head = numbered[0]
+        try:
+            cluster_id, day_type, *tokens = head.split(",")
+            cluster_id, alphabet = int(cluster_id), tuple(STATE_BY_TOKEN[t] for t in tokens)
+        except ValueError:
+            raise ValueError("expected cluster_id,day_type,state tokens") from None
+        except KeyError as exc:
+            raise ValueError(f"unknown state token {exc.args[0]!r}") from None
+        S = len(alphabet)
+        values = number_rows([line for _, line in numbered[1:]], S)
+        if values is None:
+            values = _chain_rows(lines, numbered[1:], S)
+        if not len(values):
+            raise ValueError("missing initial distribution row")
+        if (len(values) - 1) % S != 0:
+            raise ValueError(f"matrix block size not a multiple of {S}")
+        return cls(cluster_id, day_type, alphabet, values[0], values[1:].reshape(-1, S, S))
+
+
+def _chain_rows(lines: Lines, numbered: list[tuple[int, str]], width: int) -> np.ndarray:
+    """The row loop of `TPMSet.parse`: a bad row raises at its line."""
+    values = []
+    for lines.at, line in numbered:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"expected {width} values, got {len(fields)}")
+        values.append(list(map(float, fields)))
+    return np.array(values).reshape(-1, width)
 
 
 @dataclass
@@ -238,15 +248,23 @@ def runs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
+# Cells (rows x steps) `state_counts` adds in one bincount, so its temporaries stay small.
+COUNT_BLOCK_CELLS = 1 << 16
+
+
 def state_counts(X: np.ndarray, w: np.ndarray, labels: np.ndarray, k: int, n_states: int) -> np.ndarray:
     """(k, steps, n_states) weighted count of each state (or, for
     `estimate_tpm`, each transition code) at each step within each cluster.
-    One bincount per step adds the weights of each cell in row order from
-    0.0, as a per-cell running sum would."""
-    cells = labels * n_states
-    counts = np.empty((k, X.shape[1], n_states))
-    for t in range(X.shape[1]):
-        counts[:, t] = np.bincount(cells + X[:, t], w, minlength=k * n_states).reshape(k, n_states)
+    One bincount per block of steps adds the weights of each cell in row
+    order from 0.0, as a per-cell running sum would."""
+    n, steps = X.shape
+    counts = np.empty((k, steps, n_states))
+    size = max(1, COUNT_BLOCK_CELLS // max(n, 1))
+    for lo in range(0, steps, size):
+        block = X[:, lo : lo + size]
+        m = block.shape[1]
+        cells = (labels[:, None] * m + np.arange(m)) * n_states + block
+        counts[:, lo : lo + m] = np.bincount(cells.ravel(), np.repeat(w, m), k * m * n_states).reshape(k, m, -1)
     return counts
 
 
@@ -297,52 +315,91 @@ def train_cluster_day_model(
 
 
 # -- model directory layout --------------------------------------------------
-# Per (cluster, day type) stem `c<id>.<wd|we>`: `<stem>.tpm`, `<stem>.presence.tpm`
-# and, per event activity, `<stem>.<act>.count.dist` plus `.onset.dist` and
-# `.duration.dist` when the count has mass above zero.  Other files are ignored.
+# One file per (cluster, day type), `c<id>.<wd|we>.tpm`: sections in
+# _SECTIONS order, each under its `[name]` line.  `[tpm]` and
+# `[presence]` each hold a `TPMSet.section`; each event activity's
+# `[<act>.count]`, and its `[<act>.duration]` and `[<act>.onset]` when the
+# count has mass above zero, an `EmpiricalDistribution.section`.  Other
+# files are ignored.
 
-_ACT_FILE = {a: STATE_TOKENS[a].lower() for a in EVENT_ACTIVITIES}
+_ACT_NAME = {a: STATE_TOKENS[a].lower() for a in EVENT_ACTIVITIES}
+_CHAINS = {"[tpm]": FULL_ALPHABET, "[presence]": PRESENCE_ALPHABET}
+_DISTS = [f"[{act}.{kind}]" for act in _ACT_NAME.values() for kind in ("count", "duration", "onset")]
+_SECTIONS = {name: i for i, name in enumerate([*_CHAINS, *_DISTS])}
 _TPM_NAME = re.compile(r"c(\d+)\.(wd|we)\.tpm")
+# The names `save_model_dir` owns: its own and those of the layout before it,
+# which held each chain and distribution in a file of its own.
+_ACTS = "|".join(map(str.lower, STATE_TOKENS.values()))
+_MODEL_NAME = re.compile(rf"c\d+\.(wd|we)\.((presence\.)?tpm|({_ACTS})\.(count|duration|onset)\.dist)")
 
 
 def save_model_dir(directory: str | Path, models: dict[str, dict[int, ClusterDayModel]]) -> None:
-    """Write a model tree from models keyed by day type, then cluster id."""
+    """Write a model tree from models keyed by day type, then cluster id, and
+    delete any other file of `directory` with a model file's name."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    written = set()
     for m in (model for by_cluster in models.values() for model in by_cluster.values()):
-        stem = f"c{m.cluster_id}.{m.day_type.lower()}"
-        m.tpms.write(directory / f"{stem}.tpm")
-        m.presence_tpms.write(directory / f"{stem}.presence.tpm")
-        for activity, act in _ACT_FILE.items():
-            st = m.stats[activity]
-            st.occurrences_dist.write(directory / f"{stem}.{act}.count.dist")
-            if st.duration_dist is not None:
-                st.duration_dist.write(directory / f"{stem}.{act}.duration.dist")
-            if st.onset_dist is not None:
-                st.onset_dist.write(directory / f"{stem}.{act}.onset.dist")
+        parts = [m.tpms, m.presence_tpms]
+        for st in map(m.stats.get, _ACT_NAME):
+            parts += [st.occurrences_dist, st.duration_dist, st.onset_dist]
+        sections = [(name, *part.section()) for name, part in zip(_SECTIONS, parts) if part is not None]
+        texts = iter(number_text(np.concatenate([rows.ravel() for *_, rows in sections])))
+        lines = []
+        for name, head, rows in sections:
+            lines += [name, head, *map(",".join, zip(*[islice(texts, rows.size)] * rows.shape[1]))]
+        path = directory / f"c{m.cluster_id}.{m.day_type.lower()}.tpm"
+        write_lines(path, lines)
+        written.add(path.name)
+    for path in directory.iterdir():
+        if _MODEL_NAME.fullmatch(path.name) and path.name not in written:
+            path.unlink()
 
 
-def _read_model_file(path: Path, required: bool = True):
-    """A `.tpm` or `.dist` model file, or None for an absent file that is not
-    `required`; a missing required file or a bad one is an OccsimError naming it."""
-    if not path.exists():
-        if required:
-            raise OccsimError(f"missing expected file: {path}")
-        return None
-    return TPMSet.read(path) if path.suffix == ".tpm" else EmpiricalDistribution.read(path)
-
-
-def _read_day_tpm(path: Path, alphabet: tuple[ActivityState, ...], header: tuple[int, str]) -> TPMSet:
-    """A model tree's `.tpm` file: a whole day over `alphabet` in order, under its file name's `header`."""
-    tpms = _read_model_file(path)
-    if (tpms.cluster_id, tpms.day_type) != header:
-        raise OccsimError(f"{path}: header {tpms.cluster_id},{tpms.day_type} does not match the file name")
-    if tpms.alphabet != alphabet:
-        got, want = (",".join(STATE_TOKENS[a] for a in states) for states in (tpms.alphabet, alphabet))
-        raise OccsimError(f"{path}: states {got}, expected {want}")
-    if tpms.n_steps != N_STEPS:
-        raise OccsimError(f"{path}: {tpms.n_steps - 1} matrices, expected {N_STEPS - 1}")
-    return tpms
+def read_model_file(path: Path) -> ClusterDayModel:
+    """A model file; an OccsimError names a bad one and the line at fault: a
+    row, a chain's head line or a distribution's header for a fault of the
+    whole, or the header after a missing section."""
+    match = _TPM_NAME.fullmatch(path.name)
+    if match is None:
+        raise OccsimError(f"{path}: model file name does not match c<int>.<wd|we>.tpm")
+    header = int(match[1]), match[2].upper()
+    parts: dict = {}
+    with reading(path) as lines:
+        numbered = lines.numbered
+        starts = [i for i, (_, line) in enumerate(numbered) if line[0] == "["]
+        if numbered and starts[:1] != [0]:
+            lines.at = numbered[0][0]
+            raise ValueError("expected a [section] header line")
+        for i, end in zip(starts, [*starts[1:], len(numbered)]):
+            lines.at, name = numbered[i]
+            if name not in _SECTIONS:
+                raise ValueError(f"unknown section {name}")
+            if parts and _SECTIONS[name] <= _SECTIONS[next(reversed(parts))]:
+                raise ValueError(f"section {name} repeated or out of order")
+            body = numbered[i + 1 : end]
+            if name not in _CHAINS:
+                parts[name] = EmpiricalDistribution.parse(lines, body, name[1:-1].rpartition(".")[2])
+                continue
+            parts[name] = tpms = TPMSet.parse(lines, body)
+            if (tpms.cluster_id, tpms.day_type) != header:
+                raise ValueError(f"header {tpms.cluster_id},{tpms.day_type} does not match the file name")
+            if tpms.alphabet != _CHAINS[name]:
+                got, want = (",".join(STATE_TOKENS[a] for a in states) for states in (tpms.alphabet, _CHAINS[name]))
+                raise ValueError(f"states {got}, expected {want}")
+            if tpms.n_steps != N_STEPS:
+                raise ValueError(f"{tpms.n_steps - 1} matrices, expected {N_STEPS - 1}")
+        for name in _SECTIONS:  # required: a chain, a count, and the rest of a count with events
+            count = parts.get(name.rpartition(".")[0] + ".count]")
+            if name not in parts and (count is None or np.any(count.probs[count.support > 0] > 0)):
+                later = [numbered[i][0] for i in starts if _SECTIONS[numbered[i][1]] > _SECTIONS[name]]
+                lines.at = later[0] if later else None  # the header where it belongs
+                raise ValueError(f"missing section {name}")
+    stats = {
+        a: ActivityStats(a, parts.get(f"[{act}.duration]"), parts.get(f"[{act}.onset]"), parts[f"[{act}.count]"])
+        for a, act in _ACT_NAME.items()
+    }
+    return ClusterDayModel(*header, parts["[tpm]"], parts["[presence]"], stats)
 
 
 def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel]]:
@@ -351,27 +408,9 @@ def load_model_dir(directory: str | Path) -> dict[str, dict[int, ClusterDayModel
     if not directory.is_dir():
         raise OccsimError(f"model directory not found: {directory}")
     models: dict[str, dict[int, ClusterDayModel]] = {}
-    tpm_files = sorted(p for p in directory.glob("c*.tpm") if not p.name.endswith(".presence.tpm"))
-    if not tpm_files:
+    paths = sorted(p for p in directory.glob("c*.tpm") if not p.name.endswith(".presence.tpm"))
+    if not paths:
         raise OccsimError(f"no TPM files in {directory}")
-    for tpm_path in tpm_files:
-        match = _TPM_NAME.fullmatch(tpm_path.name)
-        if match is None:
-            raise OccsimError(f"{tpm_path}: model file name does not match c<int>.<wd|we>.tpm")
-        stem = tpm_path.name[: -len(".tpm")]
-        cluster_id, day_type = header = int(match[1]), match[2].upper()
-        tpms = _read_day_tpm(tpm_path, FULL_ALPHABET, header)
-        presence_tpms = _read_day_tpm(directory / f"{stem}.presence.tpm", PRESENCE_ALPHABET, header)
-        stats: dict[ActivityState, ActivityStats] = {}
-        for activity, act in _ACT_FILE.items():
-            count = _read_model_file(directory / f"{stem}.{act}.count.dist")
-            has_events = bool(np.any(count.probs[count.support > 0] > 0))
-            duration, onset = (
-                _read_model_file(directory / f"{stem}.{act}.{kind}.dist", has_events)
-                for kind in ("duration", "onset")
-            )
-            stats[activity] = ActivityStats(activity, duration, onset, count)
-        models.setdefault(day_type, {})[cluster_id] = ClusterDayModel(
-            cluster_id, day_type, tpms, presence_tpms, stats
-        )
+    for model in map(read_model_file, paths):
+        models.setdefault(model.day_type, {})[model.cluster_id] = model
     return models

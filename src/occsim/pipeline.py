@@ -332,7 +332,8 @@ def simulate_stage(
     tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg: Settings, log=None
 ) -> np.ndarray:
     """Generate household schedules and the occupant-day table from the
-    `load_simulation_inputs` tuple; returns the table written."""
+    `load_simulation_inputs` tuple, deleting every `household_<h>.csv` of h
+    >= n_households in `out_dir`; returns the table written."""
     log = sys.stderr if log is None else log
     if cfg.n_households < 1:
         raise StageError("simulate", f"n_households must be positive, got {cfg.n_households}")
@@ -353,6 +354,10 @@ def simulate_stage(
             raise StageError("simulate", f"{day_type} cluster ids are not 0..{k - 1}")
     with failing("simulate"):
         out_dir.mkdir(parents=True, exist_ok=True)
+        for path in out_dir.glob("household_*.csv"):  # an earlier run's, of more households
+            h = path.name[len("household_") : -len(".csv")]
+            if h.isdecimal() and h == str(int(h)) and int(h) >= cfg.n_households:
+                path.unlink()
 
     # Only the states outlive a household, one row per occupant in a block per
     # chunk; one id string serves all of an occupant's days.

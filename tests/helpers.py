@@ -1,6 +1,7 @@
 """Small constructors and reference measures shared by the tests."""
 
 import bisect
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -56,6 +57,41 @@ def day_uniforms(tpms, rng, holds=None) -> np.ndarray:
 
 def point_mass(value: float, unit: str = "") -> EmpiricalDistribution:
     return EmpiricalDistribution(np.array([value]), np.array([1.0]), unit)
+
+
+def model_section(tpms_dir, name):
+    """The model file and section header that hold what the file `name`
+    held when each chain and distribution had a file of its own:
+    `c0.wd.tpm` is `[tpm]` of `c0.wd.tpm`, `c0.wd.presence.tpm` its
+    `[presence]` and `c0.wd.cooking.count.dist` its `[cooking.count]`."""
+    stem, part = re.fullmatch(r"(c\d+\.w[de])\.(.+)", name).groups()
+    section = {"tpm": "tpm", "presence.tpm": "presence"}.get(part, part.removesuffix(".dist"))
+    return tpms_dir / f"{stem}.tpm", f"[{section}]"
+
+
+def _section_bounds(lines, section):
+    """The index of the header `section` in a model file's lines and of the line after its last."""
+    start = lines.index(section)
+    return start, next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+
+
+def section_lines(path, section):
+    """The lines under the header `section` of the model file `path`."""
+    lines = path.read_text().splitlines()
+    start, end = _section_bounds(lines, section)
+    return lines[start + 1 : end]
+
+
+def edit_section(path, section, edit) -> int:
+    """Replace the lines under the header `section` of the model file `path`
+    by `edit` of them, or delete the section, header included, where `edit`
+    gives None.  Returns the file line number of the header."""
+    lines = path.read_text().splitlines()
+    start, end = _section_bounds(lines, section)
+    body = edit(lines[start + 1 : end])
+    lines[start:end] = [] if body is None else [section, *body]
+    path.write_text("\n".join(lines) + "\n")
+    return start + 1
 
 
 def make_seq(states, day_type="WD", weight=1.0, rid="r0"):
@@ -212,13 +248,13 @@ def scalar_place_events(presence, stats, rng):
 
 
 def state_counts_reference(X, w, labels, k, n_states):
-    """The one-bincount form `markov_train.state_counts` replaced: the flat
-    (cluster, step, state) cell of every entry, each weighed by its row's
-    weight through `np.repeat`."""
-    steps = X.shape[1]
-    cells = (labels[:, None] * steps + np.arange(steps)) * n_states + X
-    counts = np.bincount(cells.ravel(), np.repeat(w, steps), minlength=k * steps * n_states)
-    return counts.reshape(k, steps, n_states)
+    """The per-step loop `markov_train.state_counts` replaced: one bincount
+    per step, adding each cell's weights in row order from 0.0."""
+    cells = labels * n_states
+    counts = np.empty((k, X.shape[1], n_states))
+    for t in range(X.shape[1]):
+        counts[:, t] = np.bincount(cells + X[:, t], w, minlength=k * n_states).reshape(k, n_states)
+    return counts
 
 
 def estimate_tpm_reference(table, alphabet, *, fallback, alpha):

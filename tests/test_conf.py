@@ -7,12 +7,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import occsim
-from occsim.conf import number_text, read_step_values, reading, write_lines
+from occsim.conf import number_rows, number_text, read_step_values, reading, write_lines
 from occsim.distributions import EmpiricalDistribution
+from occsim.markov_train import read_model_file
 
 # Signed zeros, subnormals, the extreme exponents and the non-finite values.
 EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, -1e-300, 1e300, 1.7976931348623157e308,
@@ -38,6 +39,26 @@ def test_number_text_is_12g_of_each_value(pool, picks, rows):
 def test_number_text_keeps_shape_of_empty_and_nested_input():
     assert number_text(np.empty(0)) == []
     assert number_text([[1, 0.5], [-0.0, 2e-7]]) == [["1", "0.5"], ["-0", "2e-07"]]
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(
+    st.lists(st.lists(st.sampled_from([*"0123456789+-eE._ naIFy\t\x00٣\u00a0", "inf", "1e309"]), max_size=6).map("".join), min_size=1),
+    st.integers(1, 3),
+)
+@example(["1_0,2", "3,4"], 2)
+@example(["1,2", "3"], 2)
+def test_number_rows_reads_only_what_the_row_loops_read(fields, width):
+    """The one-pass parse of model and bundle rows accepts no line that
+    Python's float, which the row loops use, would read otherwise: it reads
+    each number to the same bits, or gives None for a row loop to name."""
+    rows = [",".join(fields[i : i + width]).strip() for i in range(0, len(fields), width)]
+    rows = [row for row in rows if row]  # as `Lines` gives them
+    values = number_rows(rows, width)
+    if values is not None:
+        assert values.shape == (len(rows), width)
+        want = [[float(field) for field in row.split(",")] for row in rows]
+        assert values.tobytes() == np.array(want).tobytes()
 
 
 def test_write_lines_ends_every_line_in_lf(tmp_path):
@@ -157,7 +178,7 @@ def test_cli_import_loads_no_hash_module():
 
 
 def test_readers_take_only_a_path():
-    for reader in (reading, read_step_values, EmpiricalDistribution.read):
+    for reader in (reading, read_step_values, EmpiricalDistribution.read, read_model_file):
         assert list(inspect.signature(reader).parameters) == ["path"], reader
 
 

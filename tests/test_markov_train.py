@@ -1,11 +1,13 @@
+import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from occsim import markov_train, streams
-from occsim.conf import OccsimError, write_step_values
+from occsim import distributions, markov_train, streams
+from occsim.conf import OccsimError, number_text, reading, write_lines, write_step_values
 from occsim.diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -22,17 +24,22 @@ from occsim.markov_train import (
     estimate_statistics,
     estimate_tpm,
     load_model_dir,
+    read_model_file,
     runs,
     save_model_dir,
     state_counts,
     train_cluster_day_model,
 )
+from occsim.distributions import EmpiricalDistribution
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
+from occsim.synth import generate_corpus, truth_models
 from tests.helpers import (
     activity_statistics,
+    edit_section,
     estimate_tpm_reference,
     forward_marginals,
     make_seq,
+    model_section,
     state_counts_reference,
     whole_table_runs,
 )
@@ -232,13 +239,23 @@ def test_one_pass_statistics_match_per_activity_oracle(rows):
 
 
 @settings(derandomize=True, database=None)
-@given(_weighted_tables, st.integers(1, 5), st.lists(st.integers(0, 4), min_size=12, max_size=12))
+@given(
+    _weighted_tables,
+    st.integers(1, 5),
+    st.lists(st.integers(0, 4), min_size=12, max_size=12),
+    st.sampled_from([markov_train.COUNT_BLOCK_CELLS, 500, 96, 7, 1]),
+)
 # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit, so the cells must add in row order
-@example([([3] * N_STEPS, 0.1), ([2] * N_STEPS, 0.0), ([3] * N_STEPS, 0.2), ([3] * N_STEPS, 0.3)], 2, [0, 1] + [0] * 10)
-def test_state_counts_match_one_bincount_form(rows, k, label_draws):
+@example(
+    [([3] * N_STEPS, 0.1), ([2] * N_STEPS, 0.0), ([3] * N_STEPS, 0.2), ([3] * N_STEPS, 0.3)], 2, [0, 1] + [0] * 10, 96
+)
+def test_state_counts_match_the_step_loop(rows, k, label_draws, block_cells):
+    """Blocks of steps of any size, one step or every step, count with the
+    bits of the per-step loop."""
     X, w = _table(rows)["states"], np.array([weight for _, weight in rows])
     labels = np.array(label_draws[: len(w)], dtype=np.intp) % k
-    got = state_counts(X, w, labels, k, S)
+    with patch.object(markov_train, "COUNT_BLOCK_CELLS", block_cells):
+        got = state_counts(X, w, labels, k, S)
     assert got.shape == (k, N_STEPS, S)
     assert got.tobytes() == state_counts_reference(X, w, labels, k, S).tobytes()
 
@@ -350,9 +367,11 @@ def test_estimate_statistics_events_only_on_zero_weight_days():
 def test_tpmset_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     tpms = estimate_tpm(random_corpus(rng), cluster_id=3, **ABSORBING)
-    path = tmp_path / "c3.wd.tpm"
-    tpms.write(path)
-    back = TPMSet.read(path)
+    head, rows = tpms.section()
+    path = tmp_path / "chain"
+    write_lines(path, [head, *map(",".join, number_text(rows))])
+    with reading(path) as lines:
+        back = TPMSet.parse(lines, lines.numbered)
     assert back.cluster_id == 3 and back.day_type == "WD"
     assert back.alphabet == tpms.alphabet
     assert np.abs(back.initial - tpms.initial).max() <= 1e-9
@@ -401,18 +420,20 @@ def _with_cell(lines, row, value):
     return lines[:row] + [",".join(cells)] + lines[row + 1 :]
 
 
+# Each corruption edits the lines under `[tpm]`, the section's first line
+# being file line 2; the pattern follows "<path>: ".
 @pytest.mark.parametrize(
     "corrupt, pattern",
     [
-        (lambda lines: [], "empty model file"),
-        (lambda lines: lines[:1], "missing initial distribution row"),
-        (lambda lines: ["0"] + lines[1:], "line 1: expected cluster_id,day_type"),
-        (lambda lines: ["x" + lines[0]] + lines[1:], "line 1: expected cluster_id,day_type"),
-        (lambda lines: lines[:5] + [lines[5] + ",0"] + lines[6:], "line 6: expected 7 values, got 8"),
-        (lambda lines: _with_cell(lines, 5, "abc"), "line 6: could not convert"),
-        (lambda lines: _with_cell(lines, 5, "nan"), "non-finite"),
-        (lambda lines: lines[:-1], "not a multiple of 7"),
-        (lambda lines: lines[:2], r"matrices must be \(T, 7, 7\)"),
+        (lambda lines: [], "line 1: expected cluster_id,day_type,state tokens"),
+        (lambda lines: lines[:1], "line 2: missing initial distribution row"),
+        (lambda lines: ["0"] + lines[1:], "line 2: expected cluster_id,day_type"),
+        (lambda lines: ["x" + lines[0]] + lines[1:], "line 2: expected cluster_id,day_type"),
+        (lambda lines: lines[:5] + [lines[5] + ",0"] + lines[6:], "line 7: expected 7 values, got 8"),
+        (lambda lines: _with_cell(lines, 5, "abc"), "line 7: could not convert"),
+        (lambda lines: _with_cell(lines, 5, "nan"), "line 2: non-finite"),
+        (lambda lines: lines[:-1], "line 2: matrix block size not a multiple of 7"),
+        (lambda lines: lines[:2], r"line 2: matrices must be \(T, 7, 7\)"),
     ],
     ids=[
         "empty", "header_only", "short_header", "bad_cluster_id", "wide_row",
@@ -420,13 +441,13 @@ def _with_cell(lines, row, value):
     ],
 )
 def test_tpmset_read_errors_name_the_file(tmp_path, corrupt, pattern):
-    tpms = estimate_tpm(random_corpus(np.random.default_rng(5)), **ABSORBING)
+    model = train_cluster_day_model(random_corpus(np.random.default_rng(5)), 0, "WD", **ABSORBING)
+    save_model_dir(tmp_path, {"WD": {0: model}})
     path = tmp_path / "c0.wd.tpm"
-    tpms.write(path)
-    path.write_text("".join(ln + "\n" for ln in corrupt(path.read_text().splitlines())))
-    with pytest.raises(OccsimError, match=pattern) as exc:
-        TPMSet.read(path)
-    assert str(path) in str(exc.value)
+    edit_section(path, "[tpm]", corrupt)
+    with pytest.raises(OccsimError) as exc:
+        read_model_file(path)
+    assert re.match(f"{re.escape(str(path))}: {pattern}", str(exc.value)), str(exc.value)
 
 
 def test_tpmset_reduced_horizon_allowed():
@@ -457,13 +478,11 @@ def test_save_load_model_dir(tmp_path):
     wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), 0, "WD", **ABSORBING)
     we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), 0, "WE", **ABSORBING)
     save_model_dir(tmp_path, {"WD": {0: wd}, "WE": {0: we}})
-    expected = set()
-    for stem in ("c0.wd", "c0.we"):
-        expected |= {f"{stem}.tpm", f"{stem}.presence.tpm"}
-        expected |= {
-            f"{stem}.{act}.{kind}.dist" for act in EVENT_FILES for kind in ("count", "onset", "duration")
-        }
-    assert {p.name for p in tmp_path.iterdir()} == expected
+    assert {p.name for p in tmp_path.iterdir()} == {"c0.wd.tpm", "c0.we.tpm"}
+    headers = [line for line in (tmp_path / "c0.wd.tpm").read_text().splitlines() if line.startswith("[")]
+    assert headers == ["[tpm]", "[presence]"] + [
+        f"[{act}.{kind}]" for act in EVENT_FILES for kind in ("count", "duration", "onset")
+    ]
     loaded = load_model_dir(tmp_path)
     assert set(loaded) == {"WD", "WE"}
     back = loaded["WD"][0]
@@ -478,11 +497,76 @@ def test_save_load_model_dir(tmp_path):
     assert np.allclose(cook.occurrences_dist.probs, ref.occurrences_dist.probs)
 
 
+def _printed(values):
+    """`values` as a model file holds them: each number read back from its `.12g` text."""
+    return np.array([float(f"{v:.12g}") for v in np.ravel(values)]).reshape(np.shape(values))
+
+
+@pytest.mark.parametrize("seed", [9, 31, 57])
+def test_model_dir_round_trips_to_equal_arrays(tmp_path, seed):
+    """Every chain and distribution loads to the arrays its printed numbers
+    give, bit for bit, the distributions renormalized as on construction."""
+    corpus = generate_corpus(40, seed)
+    models = {}
+    for day_type in ("WD", "WE"):
+        table = corpus[corpus["day_type"] == day_type]
+        models[day_type] = {c: train_cluster_day_model(table[c::2], c, day_type, **ABSORBING) for c in range(2)}
+    save_model_dir(tmp_path, models)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c0.wd.tpm", "c0.we.tpm", "c1.wd.tpm", "c1.we.tpm"]
+    loaded = load_model_dir(tmp_path)
+    for day_type, by_cluster in models.items():
+        assert sorted(loaded[day_type]) == [0, 1]
+        for c, model in by_cluster.items():
+            back = loaded[day_type][c]
+            assert (back.cluster_id, back.day_type) == (c, day_type)
+            for got, want in ((back.tpms, model.tpms), (back.presence_tpms, model.presence_tpms)):
+                assert (got.cluster_id, got.day_type, got.alphabet) == (want.cluster_id, want.day_type, want.alphabet)
+                assert got.initial.tobytes() == _printed(want.initial).tobytes()
+                assert got.matrices.tobytes() == _printed(want.matrices).tobytes()
+            for activity in EVENT_ACTIVITIES:
+                got, want = back.stats[activity], model.stats[activity]
+                for a, b in (
+                    (got.occurrences_dist, want.occurrences_dist),
+                    (got.duration_dist, want.duration_dist),
+                    (got.onset_dist, want.onset_dist),
+                ):
+                    assert (a is None) == (b is None)
+                    if b is not None:
+                        assert _same_dist(a, EmpiricalDistribution(_printed(b.support), _printed(b.probs), b.unit))
+
+
+def test_clean_model_loads_without_the_row_loops(tmp_path, monkeypatch):
+    """A clean model file is parsed in one pass per section: the row loops,
+    which only name a bad line, never run."""
+
+    def row_loop(*args):
+        raise AssertionError("row loop ran on a clean model")
+
+    monkeypatch.setattr(markov_train, "_chain_rows", row_loop)
+    monkeypatch.setattr(distributions, "_dist_rows", row_loop)
+    save_model_dir(tmp_path, truth_models(4))
+    loaded = load_model_dir(tmp_path)
+    assert {dt: sorted(by_cluster) for dt, by_cluster in loaded.items()} == {"WD": [0, 1, 2, 3], "WE": [0, 1, 2, 3]}
+
+
+def test_save_model_dir_deletes_only_files_of_a_model_name(tmp_path):
+    """A model directory holds what the last save wrote: older model files,
+    and files of the layout with a file per chain and distribution, go;
+    files of any other name stay."""
+    model = train_cluster_day_model(random_corpus(np.random.default_rng(3), n=6), 0, "WD", **ABSORBING)
+    stale = ["c0.we.tpm", "c7.wd.tpm", "c0.wd.presence.tpm", "c1.we.cooking.count.dist", "c0.wd.sleep.onset.dist"]
+    foreign = ["notes.txt", "c0.wd.tpm.bak", "c0.wd.cooking.profile", "c0.wd.cooking.level.dist", "x0.wd.tpm"]
+    for name in stale + foreign:
+        (tmp_path / name).write_text("kept?\n")
+    save_model_dir(tmp_path, {"WD": {0: model}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c0.wd.tpm", *foreign])
+
+
 def test_save_model_dir_skips_onset_and_duration_without_events(tmp_path):
     seqs = np.concatenate([make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)])
     save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(seqs, 0, "WD", **ABSORBING)}})
-    names = {p.name for p in tmp_path.iterdir()}
-    assert "c0.wd.laundry.count.dist" in names and "c0.wd.laundry.onset.dist" not in names
+    lines = (tmp_path / "c0.wd.tpm").read_text().splitlines()
+    assert "[laundry.count]" in lines and "[laundry.onset]" not in lines and "[laundry.duration]" not in lines
     back = load_model_dir(tmp_path)["WD"][0].stats[ActivityState.LAUNDRY]
     assert back.onset_dist is None and back.duration_dist is None
 
@@ -525,21 +609,68 @@ def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
     "name", ["c0.wd.cooking.count.dist", "c0.wd.laundry.duration.dist", "c0.wd.dishwashing.onset.dist"]
 )
 def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
+    """A missing section is named with the line where it belongs, the next
+    section's header."""
     rng = np.random.default_rng(6)
     save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
-    (tmp_path / name).unlink()
-    with pytest.raises(OccsimError, match=f"missing expected file: .*{name}"):
+    path, section = model_section(tmp_path, name)
+    line = edit_section(path, section, lambda lines: None)
+    with pytest.raises(OccsimError) as exc:
         load_model_dir(tmp_path)
+    assert str(exc.value) == f"{path}: line {line}: missing section {section}"
+
+
+def _repeat_tpm(lines):
+    return lines + lines[:1], f"line {len(lines) + 1}: section [tpm] repeated or out of order"
+
+
+def _unknown_section(lines):
+    at = lines.index("[presence]")
+    return lines[:at] + ["[sleep.count]"] + lines[at:], f"line {at + 1}: unknown section [sleep.count]"
+
+
+def _swap_presence_and_tpm(lines):
+    at = lines.index("[presence]")
+    end = lines.index("[cooking.count]")
+    return lines[at:end] + lines[:at] + lines[end:], f"line {end - at + 1}: section [tpm] repeated or out of order"
+
+
+def _drop_last_section(lines):
+    return lines[: lines.index("[personalhygiene.onset]")], "missing section [personalhygiene.onset]"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _repeat_tpm,
+        _unknown_section,
+        _swap_presence_and_tpm,
+        lambda lines: (["0,WD"] + lines, "line 1: expected a [section] header line"),
+        _drop_last_section,
+    ],
+    ids=["repeated", "unknown", "out_of_order", "before_first", "last_missing"],
+)
+def test_load_model_dir_names_the_line_of_a_bad_section(tmp_path, edit):
+    """A repeated, unknown or misplaced section header, or a line before the
+    first, is named by its line; a missing last section by the file alone."""
+    rng = np.random.default_rng(6)
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
+    path = tmp_path / "c0.wd.tpm"
+    lines, message = edit(path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(OccsimError) as exc:
+        load_model_dir(tmp_path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_load_model_dir_names_a_bad_dist_file(tmp_path):
     rng = np.random.default_rng(6)
     save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
-    path = tmp_path / "c0.wd.cooking.onset.dist"
-    path.write_text("unit,steps\n3,abc\n")
-    with pytest.raises(OccsimError, match="line 2: expected value,probability") as exc:
+    path = tmp_path / "c0.wd.tpm"
+    line = edit_section(path, "[cooking.onset]", lambda lines: ["unit,steps", "3,abc"])
+    with pytest.raises(OccsimError) as exc:
         load_model_dir(tmp_path)
-    assert str(exc.value).startswith(str(path))
+    assert str(exc.value) == f"{path}: line {line + 2}: expected value,probability, got '3,abc'"
 
 
 def test_save_model_dir_accepts_nested_dict(tmp_path):

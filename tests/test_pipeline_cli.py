@@ -28,7 +28,7 @@ from occsim.diary_ingest import (
 )
 from occsim.distributions import EmpiricalDistribution
 from occsim.household import HouseholdConfig, attach_appliance_events, build_household, draw_households
-from occsim.markov_train import TPMSet, estimate_tpm, train_cluster_day_model
+from occsim.markov_train import estimate_tpm, read_model_file, train_cluster_day_model
 from occsim.occupant_sim import SimCalendar, simulate_year, walk_occupants
 from occsim.pipeline import (
     CHOICES,
@@ -46,6 +46,7 @@ from occsim.pipeline import (
 from occsim.schedule_io import assemble_schedule, read_schedule_file
 from occsim.synth import write_input_tree
 from occsim.validate import ComparisonReport
+from tests.helpers import edit_section, model_section, section_lines
 
 
 @pytest.fixture(scope="module")
@@ -191,12 +192,8 @@ def test_run_pipeline_artifacts(pipeline_run):
     assert (out / "model.wd.clusters").exists()
     assert (out / "model.we.clusters").exists()
     tpm_files = {p.name for p in (out / "tpms").iterdir()}
-    for c in range(4):
-        for dt in ("wd", "we"):
-            assert f"c{c}.{dt}.tpm" in tpm_files
-            assert f"c{c}.{dt}.presence.tpm" in tpm_files
-            assert f"c{c}.{dt}.cooking.count.dist" in tpm_files
-    assert not [name for name in tpm_files if name.endswith(".profile") or ".sleep." in name]
+    assert tpm_files == {f"c{c}.{dt}.tpm" for c in range(4) for dt in ("wd", "we")}
+    assert "[cooking.count]" in (out / "tpms" / "c3.we.tpm").read_text().splitlines()
     for h in range(2):
         sched = read_schedule_file(out / f"household_{h}.csv")
         assert sched.n_days == 6
@@ -451,6 +448,72 @@ def test_cli_stagewise_matches_run_across_settings(synth_tree, pipeline_run, tmp
     assert _tree_bytes(tmp_path / "stagewise") == run
     assert run != _tree_bytes(pipeline_run)
     _assert_pinned(tmp_path / "out", case)
+
+
+def _rerun_settings(synth_tree, **keys):
+    return {
+        "diaries": synth_tree / "diaries.csv",
+        "code_map": synth_tree / "code_map.csv",
+        "bundle": synth_tree / "bundle",
+        "reference": synth_tree / "reference",
+        "household": synth_tree / "household.conf",
+        "base_seed": 101,
+        "n_days": 6,
+        "k_range": "4:4",
+        **keys,
+    }
+
+
+def test_rerun_with_fewer_clusters_fails_as_a_fresh_run(synth_tree, tmp_path, capsys):
+    """A k = 3 run into the `out/` of a k = 4 run exits 6 as a fresh k = 3
+    run does: train deleted the stale `c3` model files, and only those."""
+    assert main(["run", "--config", str(_write_conf(tmp_path, **_rerun_settings(synth_tree)))]) == 0
+    foreign = ["notes.txt", "c3.wd.tpm.bak", "c3.wd.cooking.profile"]
+    for name in foreign:
+        (tmp_path / "out" / "tpms" / name).write_text("kept\n")
+    capsys.readouterr()
+    conf = _write_conf(tmp_path, **_rerun_settings(synth_tree, k_range="3:3"))
+    assert main(["run", "--config", str(conf)]) == 6
+    message = "simulate: WD cluster shares have 4 entries but model has 3 clusters"
+    assert message in capsys.readouterr().err
+    fresh = _write_conf(tmp_path, **_rerun_settings(synth_tree, k_range="3:3", out="fresh"))
+    assert main(["run", "--config", str(fresh)]) == 6
+    assert message in capsys.readouterr().err
+    names = {p.name for p in (tmp_path / "out" / "tpms").iterdir()}
+    assert names == {f"c{c}.{dt}.tpm" for c in range(3) for dt in ("wd", "we")} | set(foreign)
+    assert _tree_bytes(tmp_path / "out" / "tpms") == {
+        **_tree_bytes(tmp_path / "fresh" / "tpms"), **{name: b"kept\n" for name in foreign}
+    }
+
+
+def test_rerun_with_fewer_households_matches_a_fresh_run(synth_tree, tmp_path):
+    """An n_households = 2 run into the `out/` of a 3-household run leaves
+    the tree of a fresh run: simulate deleted `household_2.csv`, and no file
+    of another name."""
+    assert main(["run", "--config", str(_write_conf(tmp_path, **_rerun_settings(synth_tree, n_households=3)))]) == 0
+    foreign = ["notes.txt", "household_02.csv", "household_x.csv", "household_2.csv.bak", "household_٣.csv"]
+    for name in foreign:
+        (tmp_path / "out" / name).write_text("kept\n")
+    assert main(["run", "--config", str(_write_conf(tmp_path, **_rerun_settings(synth_tree, n_households=2)))]) == 0
+    fresh = _write_conf(tmp_path, **_rerun_settings(synth_tree, n_households=2, out="fresh"))
+    assert main(["run", "--config", str(fresh)]) == 0
+    for name in foreign:
+        assert (tmp_path / "out" / name).read_text() == "kept\n"
+        (tmp_path / "out" / name).unlink()
+    assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "fresh")
+
+
+def test_model_dir_of_the_layout_before_sections_is_rejected(synth_tree, pipeline_run, tmp_path, capsys):
+    """A model directory written with a file per chain and distribution
+    stops simulate (exit 6) at its first model file, whose chain has no
+    section header."""
+    tpms = tmp_path / "tpms"
+    tpms.mkdir()
+    for path in (pipeline_run / "tpms").iterdir():
+        lines = path.read_text().splitlines()
+        (tpms / path.name).write_text("\n".join(lines[1 : lines.index("[presence]")]) + "\n")
+    assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
+    assert f"{tpms / 'c0.wd.tpm'}: line 1: expected a [section] header line" in capsys.readouterr().err
 
 
 @st.composite
@@ -748,22 +811,23 @@ def test_unknown_start_weekday_is_a_usage_error(capsys, command):
 
 # Per kind of text input: the corrupted file, under a copy of the synth tree
 # that also holds the run's models, cluster files and sequence table; the
-# 0-based index of the line replaced; the command that reads the file and
-# its exit code; and (id, bad line, message) cases, where "{prev}" repeats
-# the line before, "{codes}" its fields after the third and "{rest}" its
-# fields after the fourth.
+# 0-based index of the line replaced, or a section header and the index
+# counted from it; the command that reads the file and its exit code; and
+# (id, bad line, message) cases, where "{prev}" repeats the line before,
+# "{codes}" its fields after the third and "{rest}" its fields after the
+# fourth, and "{line}" in a message is the replaced line's number.
 BAD_LINES = {
     "dist": (
-        "tpms/c0.wd.cooking.onset.dist",
-        2,
+        "tpms/c0.wd.tpm",
+        ("[cooking.onset]", 3),
         "simulate",
         6,
         [
-            ("past_end", "0,1.5", "line 3: probability 1.5 outside 0..1"),
-            ("negative", "0,-0.5", "line 3: probability -0.5 outside 0..1"),
-            ("duplicate", "{prev}", "line 3: values must be finite and increasing"),
-            ("fields", "0,0.5,1", "line 3: expected value,probability, got '0,0.5,1'"),
-            ("nan_text", "0,abc", "line 3: expected value,probability, got '0,abc'"),
+            ("past_end", "0,1.5", "line {line}: probability 1.5 outside 0..1"),
+            ("negative", "0,-0.5", "line {line}: probability -0.5 outside 0..1"),
+            ("duplicate", "{prev}", "line {line}: values must be finite and increasing"),
+            ("fields", "0,0.5,1", "line {line}: expected value,probability, got '0,0.5,1'"),
+            ("nan_text", "0,abc", "line {line}: expected value,probability, got '0,abc'"),
         ],
     ),
     "ref": (
@@ -915,27 +979,30 @@ def test_simulate_rejects_bad_step_value_line(synth_tree, pipeline_run, tmp_path
     _, line, message = cases[case]
     path = tmp_path / name
     lines = path.read_text().splitlines()
+    if isinstance(index, tuple):
+        index = lines.index(index[0]) + index[1]
     prev = lines[index - 1].split(",")
     lines[index] = line.format(prev=",".join(prev), codes=",".join(prev[3:]), rest=",".join(prev[4:]))
     path.write_text("\n".join(lines) + "\n")
     assert _read_by(command, tmp_path, tmp_path / "out") == code
     err = capsys.readouterr().err
-    assert f"{path}: {message}" in err
+    assert f"{path}: {message.format(line=index + 1)}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
 # Each line-based kind a library reader parses: (its file in a synth tree
-# after `occsim run`, the reader, the separator of a line's fields).
+# after `occsim run`, the reader, the separator of a line's fields).  The
+# model file kinds differ in the section whose header line 0 is (SECTIONS).
 READERS = {
     "project": ("project.conf", ProjectConfig.read, "="),
     "household": ("household.conf", HouseholdConfig.read, "="),
     "code_map": ("code_map.csv", ActivityCodeMap.read, ","),
     "clusters": ("out/model.wd.clusters", ClusterModel.read, ","),
-    "tpm": ("out/tpms/c0.wd.tpm", TPMSet.read, ","),
-    "presence_tpm": ("out/tpms/c1.we.presence.tpm", TPMSet.read, ","),
-    "count_dist": ("out/tpms/c0.wd.cooking.count.dist", EmpiricalDistribution.read, ","),
-    "onset_dist": ("out/tpms/c1.we.laundry.onset.dist", EmpiricalDistribution.read, ","),
+    "tpm": ("out/tpms/c0.wd.tpm", read_model_file, ","),
+    "presence_tpm": ("out/tpms/c1.we.tpm", read_model_file, ","),
+    "count_dist": ("out/tpms/c0.wd.tpm", read_model_file, ","),
+    "onset_dist": ("out/tpms/c1.we.tpm", read_model_file, ","),
     "bundle": ("bundle/sink.flow", EmpiricalDistribution.read, ","),
     "ref": ("reference/lighting.wd.ref", read_step_values, ","),
     "schedule": ("out/household_0.csv", read_schedule_file, ","),
@@ -950,6 +1017,9 @@ REQUIRED_LINES = {
     "code_map": lambda line: line.startswith("DEFAULT,"),
 }
 UNIQUE_LINES = {"project": lambda line: False, "household": lambda line: False}
+SECTIONS = {
+    "tpm": "[tpm]", "presence_tpm": "[presence]", "count_dist": "[cooking.count]", "onset_dist": "[laundry.onset]"
+}
 # What a corrupted field or line holds: empty, signed zero, non-finite and
 # overflowing numbers, separators, a non-ASCII digit, NUL, a state token and
 # key names.
@@ -979,7 +1049,10 @@ def corrupt_dir(tmp_path_factory):
 @example(kind="schedule", edit="duplicate", line=0, field=0, atom="")  # a repeated peak line names its line
 @example(kind="schedule", edit="delete", line=0, field=0, atom="")  # so does a missing peak line
 @example(kind="clusters", edit="duplicate", line=0, field=0, atom="")  # a model header line is read once
-@example(kind="tpm", edit="delete", line=0, field=0, atom="")
+@example(kind="tpm", edit="delete", line=0, field=0, atom="")  # a section header is required
+@example(kind="count_dist", edit="delete", line=0, field=0, atom="")
+@example(kind="presence_tpm", edit="duplicate", line=0, field=0, atom="")  # and read once
+@example(kind="onset_dist", edit="line", line=0, field=0, atom="Sleep")
 def test_reader_names_the_file_of_any_corrupted_line(
     synth_tree, pipeline_run, corrupt_dir, kind, edit, line, field, atom
 ):
@@ -991,7 +1064,8 @@ def test_reader_names_the_file_of_any_corrupted_line(
     without a word fails here."""
     name, read, sep = READERS[kind]
     lines = (synth_tree / name).read_text().splitlines()
-    line %= len(lines)
+    start = lines.index(SECTIONS[kind]) if kind in SECTIONS else 0
+    line = start + line % (len(lines) - start)
     table = {"delete": REQUIRED_LINES, "duplicate": UNIQUE_LINES}.get(edit)
     must_raise = table is not None and table.get(kind, lambda _: True)(lines[line])
     if edit == "field":
@@ -1023,7 +1097,6 @@ def test_simulate_rejects_bad_model_file_name(synth_tree, pipeline_run, tmp_path
     tpms = tmp_path / "tpms"
     shutil.copytree(pipeline_run / "tpms", tpms)
     shutil.copy(tpms / "c0.wd.tpm", tpms / name)
-    shutil.copy(tpms / "c0.wd.presence.tpm", tpms / name.replace(".tpm", ".presence.tpm"))
     assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
     assert f"{name}: model file name does not match c<int>.<wd|we>.tpm" in capsys.readouterr().err
 
@@ -1036,16 +1109,16 @@ def test_simulate_rejects_tpm_header_that_disagrees_with_file_name(
 ):
     tpms = tmp_path / "tpms"
     shutil.copytree(pipeline_run / "tpms", tpms)
-    lines = (tpms / name).read_text().splitlines()
-    lines[0] = header + "," + lines[0].split(",", 2)[2]
-    (tpms / name).write_text("\n".join(lines) + "\n")
+    path, section = model_section(tpms, name)
+    line = edit_section(path, section, lambda lines: [header + "," + lines[0].split(",", 2)[2], *lines[1:]])
     assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
-    assert f"{name}: header {header} does not match the file name" in capsys.readouterr().err
+    assert f"{path}: line {line + 1}: header {header} does not match the file name" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-# A bundle channel's or model file's support outside its domain: (channel or
-# model file, support line, message).
+# A bundle channel's or model section's support outside its domain: (channel,
+# or the model file that held the section (`model_section`), support line,
+# message).
 BAD_CHANNELS = [
     ("sink.flow", "-1.0,1", "flows must be >= 0, got -1"),
     ("sink.count", "-2,1", "counts must be whole and >= 0, got -2"),
@@ -1071,10 +1144,15 @@ def test_simulate_rejects_bundle_channel_outside_its_domain(
     bundle, tpms = tmp_path / "bundle", tmp_path / "tpms"
     shutil.copytree(synth_tree / "bundle", bundle)
     shutil.copytree(pipeline_run / "tpms", tpms)
-    (tpms if channel.endswith(".dist") else bundle).joinpath(channel).write_text(f"unit,x\n{line}\n")
+    if channel.endswith(".dist"):  # named by the section's header line
+        path, section = model_section(tpms, channel)
+        where = f"{path}: line {edit_section(path, section, lambda lines: ['unit,x', line])}"
+    else:
+        (bundle / channel).write_text(f"unit,x\n{line}\n")
+        where = bundle / channel
     out = tmp_path / "out"
     assert _simulate(synth_tree, tpms, synth_tree / "reference", out, bundle=bundle) == 6
-    assert f"{channel}: {message}" in capsys.readouterr().err
+    assert f"{where}: {message}" in capsys.readouterr().err
     assert not list(out.glob("household_*.csv"))
 
 
@@ -1082,52 +1160,45 @@ def test_simulate_rejects_bundle_channel_outside_its_domain(
     "name", ["c0.wd.cooking.count.dist", "c1.wd.laundry.duration.dist", "c0.we.dishwashing.onset.dist"]
 )
 def test_simulate_rejects_half_deleted_model(synth_tree, pipeline_run, tmp_path, capsys, name):
+    """A deleted section is named with the header line where it belongs."""
     tpms = tmp_path / "tpms"
     shutil.copytree(pipeline_run / "tpms", tpms)
-    (tpms / name).unlink()
+    path, section = model_section(tpms, name)
+    line = edit_section(path, section, lambda lines: None)
+    message = f"{path}: line {line}: missing section {section}"
     assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
-    assert f"missing expected file: {tpms / name}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     occupant = ["simulate-occupant", "--tpms", str(tpms), "--wd-cluster", "0", "--we-cluster", "1"]
     assert main(occupant + ["--out", str(tmp_path / "occ.csv"), "--days", "2", "--seed", "1"]) == 6
-    assert f"missing expected file: {tpms / name}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 FULL_TOKENS = ",".join(STATE_TOKENS.values())
 
 
-def _swap_first_two_states(path):
-    lines = path.read_text().splitlines()
+def _swap_first_two_states(lines):
     head = lines[0].split(",")
     head[2], head[3] = head[3], head[2]
-    path.write_text("\n".join([",".join(head)] + lines[1:]) + "\n")
+    return [",".join(head)] + lines[1:]
 
 
-def _keep_50_matrices(path):
-    lines = path.read_text().splitlines()
+def _keep_50_matrices(lines):
     n_states = len(lines[0].split(",")) - 2
-    path.write_text("\n".join(lines[: 2 + 50 * n_states]) + "\n")
+    return lines[: 2 + 50 * n_states]
 
 
-def _tiny_negative_first_row(path):
+def _tiny_negative_first_row(lines):
     # -5e-10 keeps the row's sum within ROW_TOL of 1, but could be drawn
-    lines = path.read_text().splitlines()
-    lines[2] = "0.5,-5e-10,0.5000000005"
-    path.write_text("\n".join(lines) + "\n")
+    return lines[:2] + ["0.5,-5e-10,0.5000000005"] + lines[3:]
 
 
-# (file to break, how, message after the file name)
+# (model part to break, named as in `model_section`, the other chain of its
+# file whose lines it takes or how its lines change, message after the file
+# and its chain's head line)
 BAD_MODELS = {
     "permuted": ("c0.wd.tpm", _swap_first_two_states, "states Away,Sleep," + FULL_TOKENS[len("Sleep,Away,") :]),
-    "presence_as_full": (
-        "c0.wd.tpm",
-        lambda path: shutil.copy(path.parent / "c0.wd.presence.tpm", path),
-        f"states Sleep,Away,HomeActive, expected {FULL_TOKENS}",
-    ),
-    "full_as_presence": (
-        "c1.we.presence.tpm",
-        lambda path: shutil.copy(path.parent / "c1.we.tpm", path),
-        f"states {FULL_TOKENS}, expected Sleep,Away,HomeActive",
-    ),
+    "presence_as_full": ("c0.wd.tpm", "[presence]", f"states Sleep,Away,HomeActive, expected {FULL_TOKENS}"),
+    "full_as_presence": ("c1.we.presence.tpm", "[tpm]", f"states {FULL_TOKENS}, expected Sleep,Away,HomeActive"),
     "short": ("c0.wd.tpm", _keep_50_matrices, "50 matrices, expected 95"),
     "short_presence": ("c1.wd.presence.tpm", _keep_50_matrices, "50 matrices, expected 95"),
     "tiny_negative": ("c0.wd.presence.tpm", _tiny_negative_first_row, "negative probabilities"),
@@ -1139,9 +1210,13 @@ def test_simulate_rejects_model_of_wrong_alphabet_or_length(synth_tree, pipeline
     tpms = tmp_path / "tpms"
     shutil.copytree(pipeline_run / "tpms", tpms)
     name, corrupt, message = BAD_MODELS[case]
-    corrupt(tpms / name)
+    path, section = model_section(tpms, name)
+    if isinstance(corrupt, str):
+        other = section_lines(path, corrupt)
+        corrupt = lambda lines: other
+    line = edit_section(path, section, corrupt)
     assert _simulate(synth_tree, tpms, synth_tree / "reference", tmp_path / "out") == 6
-    assert f"{tpms / name}: {message}" in capsys.readouterr().err
+    assert f"{path}: line {line + 1}: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("household_*.csv"))
 
 
