@@ -93,16 +93,28 @@ def read_step_values(path: str | Path) -> np.ndarray:
     return values
 
 
-def number_rows(rows: list[str], width: int) -> np.ndarray | None:
-    """The (len(rows), width) floats of nonblank stripped lines of `width`
-    comma-separated numbers, parsed and counted in one pass; None when a line
-    is not, for a row loop to name.  A number it reads, Python's float reads
-    alike."""
-    try:
-        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
-    except ValueError:
-        return None
-    return values if values is not None and values.shape == (len(rows), width) else None
+def number_rows(lines: Lines, numbered: list[tuple[int, str]], width: int) -> np.ndarray:
+    """The (len(numbered), width) floats of `numbered`, lines of `lines` that
+    each hold `width` comma-separated numbers, parsed and counted in one pass.
+    When a line fails that pass, Python's float reads them again a line at a
+    time: the first line that is not `width` numbers raises ValueError with
+    `lines.at` on it, else the loop's values are returned.  A number the one
+    pass reads, Python's float reads alike."""
+    if numbered:
+        try:
+            values = np.loadtxt([line for _, line in numbered], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (len(numbered), width):
+            return values
+    at, rows = lines.at, []
+    for lines.at, line in numbered:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"expected {width} values, got {len(fields)}")
+        rows.append(list(map(float, fields)))
+    lines.at = at
+    return np.array(rows).reshape(-1, width)
 
 
 def number_text(values) -> list:

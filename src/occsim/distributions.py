@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
@@ -132,15 +131,20 @@ class EmpiricalDistribution:
     @classmethod
     def parse(cls, lines: Lines, numbered: list[tuple[int, str]], kind: str) -> "EmpiricalDistribution":
         """The `.dist` body of `numbered`, lines of `lines`, its support inside
-        the `SUPPORT_DOMAIN` of `kind`: its rows in one pass or, when a row
-        fails, through `_dist_rows`, which names the first bad one."""
+        the `SUPPORT_DOMAIN` of `kind`: its rows read by `number_rows`, which
+        names a bad one, then range-checked, naming the first out of range."""
         if not numbered or not numbered[0][1].startswith("unit,"):
             raise ValueError("missing unit header")
-        rows = number_rows([line for _, line in numbered[1:]], 2)
-        if rows is not None:
-            v, p = rows.T
-        if rows is None or not (((p >= 0) & (p <= 1)).all() and np.isfinite(v).all() and (v[1:] > v[:-1]).all()):
-            v, p = _dist_rows(lines, numbered[1:]).T
+        v, p = number_rows(lines, numbered[1:], 2).T
+        bad_p = ~((p >= 0) & (p <= 1))
+        bad = bad_p | ~np.isfinite(v)
+        bad[1:] |= v[1:] <= v[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            lines.at = numbered[1 + i][0]
+            if bad_p[i]:
+                raise ValueError(f"probability {float(p[i])} outside 0..1")
+            raise ValueError(f"values must be finite and increasing, got {float(v[i])}")
         dist = cls(v, p, numbered[0][1].split(",", 1)[1])
         if kind in SUPPORT_DOMAIN:
             in_domain, rule = SUPPORT_DOMAIN[kind]
@@ -149,18 +153,3 @@ class EmpiricalDistribution:
                 raise ValueError(f"{rule}, got {bad[0]:g}")
         return dist
 
-
-def _dist_rows(lines: Lines, numbered: list[tuple[int, str]]) -> np.ndarray:
-    """The row loop of `EmpiricalDistribution.parse`: a bad row raises at its line."""
-    rows: list[tuple[float, float]] = []
-    for lines.at, line in numbered:
-        try:
-            v, p = map(float, line.split(","))
-        except ValueError:
-            raise ValueError(f"expected value,probability, got {line!r}") from None
-        if not 0 <= p <= 1:
-            raise ValueError(f"probability {p} outside 0..1")
-        if not math.isfinite(v) or (rows and v <= rows[-1][0]):
-            raise ValueError(f"values must be finite and increasing, got {v}")
-        rows.append((v, p))
-    return np.array(rows).reshape(-1, 2)

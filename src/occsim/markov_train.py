@@ -91,8 +91,8 @@ class TPMSet:
 
     @classmethod
     def parse(cls, lines: Lines, numbered: list[tuple[int, str]]) -> "TPMSet":
-        """The chain `section` of `numbered`, lines of `lines`: its rows in one
-        pass or, when a row fails, through `_chain_rows`, which names it."""
+        """The chain `section` of `numbered`, lines of `lines`, its rows read
+        by `number_rows`, which names a bad one."""
         if not numbered:
             raise ValueError("expected cluster_id,day_type,state tokens")
         lines.at, head = numbered[0]
@@ -104,25 +104,12 @@ class TPMSet:
         except KeyError as exc:
             raise ValueError(f"unknown state token {exc.args[0]!r}") from None
         S = len(alphabet)
-        values = number_rows([line for _, line in numbered[1:]], S)
-        if values is None:
-            values = _chain_rows(lines, numbered[1:], S)
+        values = number_rows(lines, numbered[1:], S)
         if not len(values):
             raise ValueError("missing initial distribution row")
         if (len(values) - 1) % S != 0:
             raise ValueError(f"matrix block size not a multiple of {S}")
         return cls(cluster_id, day_type, alphabet, values[0], values[1:].reshape(-1, S, S))
-
-
-def _chain_rows(lines: Lines, numbered: list[tuple[int, str]], width: int) -> np.ndarray:
-    """The row loop of `TPMSet.parse`: a bad row raises at its line."""
-    values = []
-    for lines.at, line in numbered:
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ValueError(f"expected {width} values, got {len(fields)}")
-        values.append(list(map(float, fields)))
-    return np.array(values).reshape(-1, width)
 
 
 @dataclass

@@ -409,11 +409,14 @@ def validate_stage(
     with failing("validate"):
         out_dir.mkdir(parents=True, exist_ok=True)
     for day_type in DAY_TYPES:
+        path = out_dir / f"validation_report.{day_type.lower()}.csv"
         if day_type not in reports:
             print(f"validate: skipping {day_type} (no data on one side)", file=log)
+            with failing("validate"):
+                path.unlink(missing_ok=True)  # an earlier run's
             continue
         with failing("validate"):
-            reports[day_type].write(out_dir / f"validation_report.{day_type.lower()}.csv")
+            reports[day_type].write(path)
         print(f"validate[{day_type}]:", file=log)
         print(reports[day_type].format_table(), file=log)
     return reports

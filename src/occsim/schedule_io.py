@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .conf import OccsimError, read_step_values
+from .conf import OccsimError, number_rows, read_step_values, reading
 from .diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from .distributions import EmpiricalDistribution
 from .household import EVENT_COLUMNS, HouseholdResult, modulate_schedule
@@ -185,23 +185,6 @@ def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> No
             fh.write("".join([_ROW_TEMPLATE % tuple(row) + "\n" for row in values.T.tolist()]).encode())
 
 
-def _bad_data_line(path: Path) -> str | None:
-    """`line N: reason` for the first data row of a schedule file that does
-    not hold len(SCHEDULE_COLUMNS) numbers, counting file lines from 1."""
-    with path.open() as fh:
-        rows = [(n, line.split(",")) for n, line in enumerate(fh, start=1) if line.strip()]
-    header = next(i for i, (_, cells) in enumerate(rows) if not cells[0].startswith("#"))
-    for n, cells in rows[header + 1 :]:
-        if len(cells) != len(SCHEDULE_COLUMNS):
-            return f"line {n}: number of columns is {len(cells)}, expected {len(SCHEDULE_COLUMNS)}"
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return f"line {n}: could not convert string {cell.strip()!r} to float"
-    return None
-
-
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
     """Read a `write_schedule_file` file; malformed input is an OccsimError
     naming the file, and the line of a malformed row or peak line.  Every
@@ -234,8 +217,13 @@ def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
             raise OccsimError(f"{path}: no schedule data")
         try:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:  # numpy counts rows, not file lines
-            raise OccsimError(f"{path}: {_bad_data_line(path) or exc}") from None
+        except ValueError as exc:  # numpy counts rows, not file lines; the row loop names the file line
+            with reading(path) as lines:
+                fh.seek(0)
+                numbered = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+                header = next(i for i, (_, line) in enumerate(numbered) if line[0] != "#")
+                number_rows(lines, numbered[header + 1 :], len(SCHEDULE_COLUMNS))
+            raise OccsimError(f"{path}: {exc}") from None
     try:
         return HouseholdScheduleYear(data.T, peaks)
     except OccsimError as exc:

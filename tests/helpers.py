@@ -159,6 +159,22 @@ def row_loop_read_sequences(path) -> np.ndarray:
     return row_loop_read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE)
 
 
+def row_loop_number_rows(numbered, width):
+    """The rows of `numbered`, (line number, line) pairs, read a line at a
+    time with Python's float: their (len(numbered), width) values, or the
+    (line number, message) of the first line that is not `width` numbers."""
+    values = []
+    for n, line in numbered:
+        fields = line.split(",")
+        if len(fields) != width:
+            return n, f"expected {width} values, got {len(fields)}"
+        try:
+            values.append([float(field) for field in fields])
+        except ValueError as exc:
+            return n, str(exc)
+    return np.array(values, dtype=np.float64).reshape(-1, width)
+
+
 # -- whole-matrix clustering oracles ------------------------------------------
 # Silhouette from a whole n x n distance matrix, as occsim scored it before
 # the per-cluster state counts: one GEMM over the whole one-hot matrix cast

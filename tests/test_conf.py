@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ import occsim
 from occsim.conf import number_rows, number_text, read_step_values, reading, write_lines
 from occsim.distributions import EmpiricalDistribution
 from occsim.markov_train import read_model_file
+from tests.helpers import row_loop_number_rows
 
 # Signed zeros, subnormals, the extreme exponents and the non-finite values.
 EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, -1e-300, 1e300, 1.7976931348623157e308,
@@ -48,17 +50,23 @@ def test_number_text_keeps_shape_of_empty_and_nested_input():
 )
 @example(["1_0,2", "3,4"], 2)
 @example(["1,2", "3"], 2)
-def test_number_rows_reads_only_what_the_row_loops_read(fields, width):
-    """The one-pass parse of model and bundle rows accepts no line that
-    Python's float, which the row loops use, would read otherwise: it reads
-    each number to the same bits, or gives None for a row loop to name."""
+@example([], 3)
+def test_number_rows_reads_what_the_row_loop_reads(fields, width):
+    """Model, bundle and schedule rows read as Python's float reads them a
+    line at a time: `number_rows` gives the row loop's values to the bit, or
+    raises its message with `lines.at` on its line; an empty body is (0, width)."""
     rows = [",".join(fields[i : i + width]).strip() for i in range(0, len(fields), width)]
-    rows = [row for row in rows if row]  # as `Lines` gives them
-    values = number_rows(rows, width)
-    if values is not None:
-        assert values.shape == (len(rows), width)
-        want = [[float(field) for field in row.split(",")] for row in rows]
-        assert values.tobytes() == np.array(want).tobytes()
+    numbered = [(n, row) for n, row in enumerate(rows, start=3) if row]  # as `Lines` gives them
+    lines = SimpleNamespace(at=1)
+    want = row_loop_number_rows(numbered, width)
+    try:
+        values = number_rows(lines, numbered, width)
+    except ValueError as exc:
+        assert (lines.at, str(exc)) == want
+    else:
+        assert values.shape == want.shape == (len(numbered), width)
+        assert values.tobytes() == want.tobytes()
+        assert lines.at == 1
 
 
 def test_write_lines_ends_every_line_in_lf(tmp_path):
@@ -77,6 +85,21 @@ def test_only_conf_prints_model_numbers_and_writes_text():
         if path.name != "conf.py"
         for needle in (".12g", "write_text(")
         if needle in path.read_text()
+    ]
+    assert found == []
+
+
+def test_only_conf_loops_over_lines_at():
+    # conf.number_rows is the one row loop that names a bad line: no other
+    # module has a `for` loop whose target sets a `Lines.at`
+    src = Path(occsim.__file__).parent
+    found = [
+        f"{path.name}: {ast.unparse(node.target)}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "conf.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.For, ast.comprehension))
+        and any(isinstance(t, ast.Attribute) and t.attr == "at" for t in ast.walk(node.target))
     ]
     assert found == []
 

@@ -227,10 +227,10 @@ def test_read_missing_unit_header(tmp_path):
 @pytest.mark.parametrize(
     "body, pattern",
     [
-        ("1.0,0.5\n2.0;0.5\n", r"bad\.dist: line 3: expected value,probability"),
+        ("1.0,0.5\n2.0;0.5\n", r"bad\.dist: line 3: expected 2 values, got 1"),
         ("1.0,0.5\n2.0,half\n", r"bad\.dist: line 3"),
         ("1.0,0.5,9\n", r"bad\.dist: line 2"),
-        ("# comment\n\n1.0,0.5;9\n", r"bad\.dist: line 4: expected value,probability, got '1\.0,0\.5;9'"),
+        ("# comment\n\n1.0,0.5;9\n", r"bad\.dist: line 4: could not convert string to float: '0\.5;9'"),
         ("1.0,0.5\ninf,0.5\n", r"bad\.dist: .*finite"),
         ("", r"bad\.dist: support must be a nonempty"),
     ],

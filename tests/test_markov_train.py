@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from occsim import distributions, markov_train, streams
+from occsim import conf, markov_train, streams
 from occsim.conf import OccsimError, number_text, reading, write_lines, write_step_values
 from occsim.diary_ingest import (
     EVENT_ACTIVITIES,
@@ -32,7 +32,8 @@ from occsim.markov_train import (
 )
 from occsim.distributions import EmpiricalDistribution
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
-from occsim.synth import generate_corpus, truth_models
+from occsim.schedule_io import REQUIRED_BUNDLE, load_bundle, write_bundle
+from occsim.synth import default_bundle, generate_corpus, truth_models
 from tests.helpers import (
     activity_statistics,
     edit_section,
@@ -535,18 +536,23 @@ def test_model_dir_round_trips_to_equal_arrays(tmp_path, seed):
                         assert _same_dist(a, EmpiricalDistribution(_printed(b.support), _printed(b.probs), b.unit))
 
 
-def test_clean_model_loads_without_the_row_loops(tmp_path, monkeypatch):
-    """A clean model file is parsed in one pass per section: the row loops,
-    which only name a bad line, never run."""
+def test_clean_model_and_bundle_load_without_the_row_loop(tmp_path, monkeypatch):
+    """A clean model file or bundle is parsed in one pass per section: the
+    row loop of `conf.number_rows`, which only names a bad line, never
+    calls the float it reads with."""
 
-    def row_loop(*args):
-        raise AssertionError("row loop ran on a clean model")
+    def row_loop_float(text):
+        raise AssertionError(f"row loop read {text!r} of a clean file")
 
-    monkeypatch.setattr(markov_train, "_chain_rows", row_loop)
-    monkeypatch.setattr(distributions, "_dist_rows", row_loop)
-    save_model_dir(tmp_path, truth_models(4))
-    loaded = load_model_dir(tmp_path)
+    monkeypatch.setattr(conf, "float", row_loop_float, raising=False)
+    save_model_dir(tmp_path / "tpms", truth_models(4))
+    write_bundle(tmp_path / "bundle", default_bundle())
+    loaded = load_model_dir(tmp_path / "tpms")
     assert {dt: sorted(by_cluster) for dt, by_cluster in loaded.items()} == {"WD": [0, 1, 2, 3], "WE": [0, 1, 2, 3]}
+    assert sorted(load_bundle(tmp_path / "bundle")) == sorted(REQUIRED_BUNDLE)
+    write_lines(tmp_path / "bundle" / "sink.flow", ["unit,x", "1_0,1"])  # numpy rejects 1_0, float does not
+    with pytest.raises(AssertionError, match="row loop read '1_0'"):
+        load_bundle(tmp_path / "bundle")
 
 
 def test_save_model_dir_deletes_only_files_of_a_model_name(tmp_path):
@@ -670,7 +676,7 @@ def test_load_model_dir_names_a_bad_dist_file(tmp_path):
     line = edit_section(path, "[cooking.onset]", lambda lines: ["unit,steps", "3,abc"])
     with pytest.raises(OccsimError) as exc:
         load_model_dir(tmp_path)
-    assert str(exc.value) == f"{path}: line {line + 2}: expected value,probability, got '3,abc'"
+    assert str(exc.value) == f"{path}: line {line + 2}: could not convert string to float: 'abc'"
 
 
 def test_save_model_dir_accepts_nested_dict(tmp_path):

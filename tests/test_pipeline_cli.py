@@ -503,6 +503,28 @@ def test_rerun_with_fewer_households_matches_a_fresh_run(synth_tree, tmp_path):
     assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "fresh")
 
 
+def test_rerun_without_weekend_days_deletes_the_weekend_report(synth_tree, tmp_path):
+    """A one-day run into the `out/` of a six-day run, and a stage-wise
+    validate of it into a copy of that `out/`, skip WE and delete its
+    earlier report, and no file of another name."""
+    assert main(["run", "--config", str(_write_conf(tmp_path, **_rerun_settings(synth_tree, n_households=1)))]) == 0
+    out, stagewise = tmp_path / "out", tmp_path / "v"
+    shutil.copytree(out, stagewise)
+    foreign = ["notes.txt", "validation_report.csv", "validation_report.we.csv.bak"]
+    for name in foreign:
+        (out / name).write_text("kept\n")
+        (stagewise / name).write_text("kept\n")
+    one_day = _rerun_settings(synth_tree, n_households=1, n_days=1)
+    assert main(["run", "--config", str(_write_conf(tmp_path, **one_day))]) == 0
+    argv = ["--sim", str(out / "occupant_days.csv"), "--reference", str(out / "sequences.csv"), "--out", str(stagewise)]
+    assert main(["validate", *argv]) == 0
+    wd_report = (out / "validation_report.wd.csv").read_bytes()
+    for directory in (out, stagewise):
+        assert not (directory / "validation_report.we.csv").exists()
+        assert (directory / "validation_report.wd.csv").read_bytes() == wd_report
+        assert [(directory / name).read_text() for name in foreign] == ["kept\n"] * len(foreign)
+
+
 def test_model_dir_of_the_layout_before_sections_is_rejected(synth_tree, pipeline_run, tmp_path, capsys):
     """A model directory written with a file per chain and distribution
     stops simulate (exit 6) at its first model file, whose chain has no
@@ -826,8 +848,8 @@ BAD_LINES = {
             ("past_end", "0,1.5", "line {line}: probability 1.5 outside 0..1"),
             ("negative", "0,-0.5", "line {line}: probability -0.5 outside 0..1"),
             ("duplicate", "{prev}", "line {line}: values must be finite and increasing"),
-            ("fields", "0,0.5,1", "line {line}: expected value,probability, got '0,0.5,1'"),
-            ("nan_text", "0,abc", "line {line}: expected value,probability, got '0,abc'"),
+            ("fields", "0,0.5,1", "line {line}: expected 2 values, got 3"),
+            ("nan_text", "0,abc", "line {line}: could not convert string to float: 'abc'"),
         ],
     ),
     "ref": (
@@ -851,7 +873,7 @@ BAD_LINES = {
         [
             ("past_end", "1,1.5", "line 3: probability 1.5 outside 0..1"),
             ("duplicate", "{prev}", "line 3: values must be finite and increasing"),
-            ("nan_text", "1,abc", "line 3: expected value,probability, got '1,abc'"),
+            ("nan_text", "1,abc", "line 3: could not convert string to float: 'abc'"),
         ],
     ),
     "tpm": (

@@ -335,8 +335,14 @@ def _replace_line(text, index, make):
 
 HEAD = len(SCHEDULE_COLUMNS)  # peak comments plus the header
 BAD_SCHEDULE_FILES = {
-    "ragged_row": (lambda t: _replace_line(t, HEAD + 5, lambda l: l.rsplit(",", 1)[0]), "number of columns"),
-    "non_number": (lambda t: _replace_line(t, HEAD + 7, lambda l: "abc" + l[8:]), "string 'abc'"),
+    "ragged_row": (
+        lambda t: _replace_line(t, HEAD + 5, lambda l: l.rsplit(",", 1)[0]),
+        f"line {HEAD + 6}: expected {len(SCHEDULE_COLUMNS)} values, got {len(SCHEDULE_COLUMNS) - 1}",
+    ),
+    "non_number": (
+        lambda t: _replace_line(t, HEAD + 7, lambda l: "abc" + l[8:]),
+        f"line {HEAD + 8}: could not convert string to float: 'abc'",
+    ),
     "peak_two_fields": (lambda t: _replace_line(t, 2, lambda l: l.rsplit(",", 1)[0]), "line 3: bad peak line"),
     "peak_non_number": (lambda t: _replace_line(t, 0, lambda l: l + "x"), "line 1: bad peak line"),
     "peak_missing": (lambda t: t.split("\n", 1)[1], f"no peak line for {SCHEDULE_COLUMNS[1]}$"),
@@ -368,8 +374,9 @@ def test_read_schedule_error_names_the_file_line(tmp_path, blank_lines):
     lines = path.read_text().splitlines()
     lines[HEAD:HEAD] = [""] * blank_lines
     for index, make, message in [
-        (20, lambda line: "abc" + line[8:], "could not convert string 'abc' to float"),
-        (25, lambda line: line.rsplit(",", 1)[0], f"number of columns is 12, expected {len(SCHEDULE_COLUMNS)}"),
+        (20, lambda line: "abc" + line[8:], "could not convert string to float: 'abc'"),
+        (25, lambda line: line.rsplit(",", 1)[0], f"expected {len(SCHEDULE_COLUMNS)} values, got 12"),
+        (30, lambda line: "#" + line, "could not convert string to float: '#0.500000'"),
     ]:
         index += blank_lines
         path.write_text(_replace_line("\n".join(lines), index, make))
