@@ -26,6 +26,10 @@ from .diary_ingest import (
 )
 from .markov_train import state_counts
 
+# The most assignment rounds of one k-modes fit.
+MAX_ITER = 50
+
+
 @dataclass
 class ClusterModel:
     """Fitted k-modes model over presence sequences."""
@@ -201,7 +205,6 @@ def kmodes(
     X: np.ndarray,
     weights: np.ndarray | None = None,
     k: int = 4,
-    max_iter: int = 50,
     day_type: str = "WD",
 ) -> tuple[ClusterModel, np.ndarray]:
     """Weighted k-modes under matching dissimilarity.
@@ -211,7 +214,7 @@ def kmodes(
     3. recompute each mode per dimension as the weighted most-frequent state,
        reseeding any emptied cluster from the point farthest from its own
        mode,
-    4. repeat until assignments stop changing or `max_iter`.
+    4. repeat until assignments stop changing or `MAX_ITER` times.
 
     Returns the fitted model plus per-sequence labels; the same data give
     the same fit.  The weighted within-cluster distance never increases
@@ -227,7 +230,7 @@ def kmodes(
 
     modes = _initial_modes(X, w, distinct, k, n_states)
     prev_obj = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         labels, own = _assign_with_repair(X, modes)
         obj = float((w * own).sum())
         if obj > prev_obj + 1e-9:

@@ -1,12 +1,10 @@
 """Text files: `reading` (the one place that names a bad file and line),
-`number_rows`, `key = value` configs and `step,value` reference files on
-the read side; `number_text` (the one place that prints a model number)
-and `write_lines` on the write side; `OccsimError`, what every check
-outside the pipeline stages raises."""
+`number_rows` and `key = value` configs on the read side; `number_text`
+(the one place that prints a model number) and `write_lines` on the write
+side; `OccsimError`, what every check outside the pipeline stages raises."""
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable
@@ -66,33 +64,6 @@ def key_values(lines: Lines, parsers: dict[str, Callable[[str], object]]) -> dic
     return values
 
 
-def read_step_values(path: str | Path) -> np.ndarray:
-    """Values of a `step,value` file, one line per step 0..95 in any order;
-    -0 reads as 0.  A wrong field count, a non-number, a step out of range,
-    repeated or left out, or a non-finite or negative value raises OccsimError."""
-    from .diary_ingest import N_STEPS  # diary_ingest imports this module
-
-    values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
-    with reading(path) as lines:
-        for line in lines:
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"expected step,value, got {len(fields)} fields")
-            step, value = int(fields[0]), float(fields[1])
-            if not 0 <= step < N_STEPS:
-                raise ValueError(f"step {step} outside 0..{N_STEPS - 1}")
-            if not np.isnan(values[step]):
-                raise ValueError(f"duplicate step {step}")
-            if not math.isfinite(value):
-                raise ValueError(f"step {step} has non-finite value {value}")
-            if value < 0:
-                raise ValueError(f"step {step} has negative value {value}")
-            values[step] = abs(value)
-        if np.isnan(values).any():
-            raise ValueError(f"expected {N_STEPS} rows, got {int(np.sum(~np.isnan(values)))}")
-    return values
-
-
 def number_rows(lines: Lines, numbered: list[tuple[int, str]], width: int) -> np.ndarray:
     """The (len(numbered), width) floats of `numbered`, lines of `lines` that
     each hold `width` comma-separated numbers, parsed and counted in one pass.
@@ -132,6 +103,3 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write `lines` to a text file, each ending in LF."""
     Path(path).write_text("\n".join([*lines, ""]), newline="\n")
 
-
-def write_step_values(path: str | Path, values: np.ndarray) -> None:
-    write_lines(path, (f"{i},{v}" for i, v in enumerate(number_text(values))))

@@ -179,12 +179,10 @@ def _fixed_width_keys(lookup: dict[str, int]) -> tuple[int, np.ndarray, np.ndarr
     return w, keys[order], np.fromiter(lookup.values(), np.uint8, len(lookup))[order]
 
 
-def _map_block(
-    bodies: list[str], width: int, fixed_keys: tuple[int, np.ndarray, np.ndarray], default: int | None
-) -> np.ndarray | None:
+def _map_block(bodies: list[str], width: int, fixed_keys: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray | None:
     """The codes of row bodies mapped through `_fixed_width_keys` output,
-    a miss to `default`; None unless every body is `width` codes of w
-    bytes joined by commas and every miss has a default."""
+    a miss to `_UNMAPPED`; None unless every body is `width` codes of w
+    bytes joined by commas."""
     w, keys, values = fixed_keys
     encoded = [body.encode() for body in bodies]
     if any(len(body) != width * (w + 1) - 1 for body in encoded):
@@ -195,26 +193,21 @@ def _map_block(
     codes = _cell_integers(cells[:, :w])
     index = np.searchsorted(keys, codes)
     np.minimum(index, len(keys) - 1, out=index)
-    found = keys[index] == codes
     mapped = values[index]
-    if not found.all():
-        if default is None:
-            return None
-        mapped[~found] = default
+    mapped[keys[index] != codes] = _UNMAPPED
     return mapped
 
 
-def _byte_table(lookup: dict[str, int], default: int | None) -> tuple[np.ndarray, int]:
+def _byte_table(lookup: dict[str, int]) -> tuple[np.ndarray, int]:
     """For a lookup whose keys are one ASCII character each: a table indexed
     by two bytes read as one little-endian `uint16` word, and the byte `bad`
     that no code maps to.  The word of an ASCII character other than a
-    comma, then a comma, gives the character's value, or `default` when it
-    has one; every other word gives `bad`.  So one gather over a body's
-    two-byte cells maps each code and checks the comma after it."""
-    bad = min(set(range(256)) - {*lookup.values(), default})  # at most 129 values are taken
+    comma, then a comma, gives the character's value, or `_UNMAPPED` when
+    `lookup` lacks it; every other word gives `bad`.  So one gather over a
+    body's two-byte cells maps each code and checks the comma after it."""
+    bad = min(set(range(256)) - {*lookup.values(), _UNMAPPED})  # at most 129 values are taken
     table = np.full(1 << 16, bad, np.uint8)
-    if default is not None:
-        table[(_COMMA << 8) + np.delete(np.arange(128), _COMMA)] = default
+    table[(_COMMA << 8) + np.delete(np.arange(128), _COMMA)] = _UNMAPPED
     for code, value in lookup.items():
         if code != ",":  # a field is never a comma
             table[(_COMMA << 8) + ord(code)] = value
@@ -223,8 +216,7 @@ def _byte_table(lookup: dict[str, int], default: int | None) -> tuple[np.ndarray
 
 def _map_byte_block(bodies: list[str], width: int, table: np.ndarray, bad: int) -> np.ndarray | None:
     """The codes of row bodies mapped through `_byte_table` output; None
-    unless every body is `width` one-byte codes joined by commas and every
-    code has a value."""
+    unless every body is `width` one-byte codes joined by commas."""
     if any(len(body) != 2 * width - 1 for body in bodies):
         return None
     data = (",".join(bodies) + ",").encode()
@@ -234,16 +226,17 @@ def _map_byte_block(bodies: list[str], width: int, table: np.ndarray, bad: int) 
     return None if (mapped == bad).any() else mapped
 
 
-def _block_mapper(lookup: dict[str, int], default: int | None):
-    """How `_read_rows` maps a block's row bodies through `lookup`, as a
-    function of (bodies, width) that gives the codes or None: one table
-    gather when every key is one ASCII character, a sorted search when
-    every key takes the same w <= 8 bytes.  None for any other lookup."""
+def _block_mapper(lookup: dict[str, int]):
+    """How `_read_rows` maps a block's diary row bodies through `lookup`, a
+    miss to `_UNMAPPED`, as a function of (bodies, width) that gives the
+    codes or None: one table gather when every key is one ASCII character,
+    a sorted search when every key takes the same w <= 8 bytes.  None for
+    any other lookup."""
     if all(len(code) == 1 and code.isascii() for code in lookup):
-        table, bad = _byte_table(lookup, default)
+        table, bad = _byte_table(lookup)
         return partial(_map_byte_block, table=table, bad=bad)
     fixed_keys = _fixed_width_keys(lookup)
-    return fixed_keys and partial(_map_block, fixed_keys=fixed_keys, default=default)
+    return fixed_keys and partial(_map_block, fixed_keys=fixed_keys)
 
 
 def _row_loop(path: str | Path, block: list[tuple[int, str]], width: int, get, heads: list, codes: bytearray):
@@ -258,27 +251,17 @@ def _row_loop(path: str | Path, block: list[tuple[int, str]], width: int, get, h
             raise OccsimError(f"{path}: row {row}: unknown state token {exc.args[0]!r}") from None
 
 
-def _read_rows(
-    path: str | Path,
-    lookup: dict[str, int],
-    width: int,
-    dtype: np.dtype,
-    default: int | None = None,
-    map_block=None,
-) -> np.ndarray:
+def _read_rows(path: str | Path, lookup: dict[str, int], width: int, dtype: np.dtype, map_block) -> np.ndarray:
     """The `dtype` table of a file with a header line, then rows of
     respondent_id,day_type,weight and `width` codes, each code mapped
-    through `lookup`, or to `default` when it has one and `lookup` lacks
-    the code.  Blank lines are skipped but counted in the row numbers that
-    errors name; a code without a value is an OccsimError naming its
-    row, as are bytes that are not UTF-8.
+    through `lookup`.  Blank lines are skipped but counted in the row
+    numbers that errors name; a code `lookup` raises KeyError for is an
+    OccsimError naming its row, as are bytes that are not UTF-8.
 
     Rows go `_ROW_BLOCK` at a time through `map_block(bodies, width)`,
-    `_block_mapper`'s when not given, which returns their codes or None; a
-    block it does not map goes through `_row_loop`, which builds every
-    error message."""
-    map_block = map_block or _block_mapper(lookup, default)
-    get = (lookup if default is None else defaultdict(lambda: default, lookup)).__getitem__
+    which returns their codes, as `lookup` maps them, or None; a block it
+    does not map, and every block when `map_block` is None, goes through
+    `_row_loop`, which builds every error message."""
     heads, codes, block = [], bytearray(), []
 
     def take_block():
@@ -287,7 +270,7 @@ def _read_rows(
         if parts and all(len(head_body) == 4 for head_body in parts):
             mapped = map_block([head_body[3] for head_body in parts], width)
         if mapped is None:
-            _row_loop(path, block, width, get, heads, codes)
+            _row_loop(path, block, width, lookup.__getitem__, heads, codes)
         else:  # each row is its three head fields and a body of `width` codes
             heads.extend(_row_head(path, row, head_body, 4) for (row, _), head_body in zip(block, parts))
             codes.extend(mapped)
@@ -320,8 +303,8 @@ def parse_diaries(path: str | Path, code_map: ActivityCodeMap) -> ParseResult:
     records; unknown codes map to the code map's default state and are
     tallied in the result.
     """
-    lookup = {code: int(state) for code, state in code_map.mapping.items()}
-    diaries = _read_rows(path, lookup, N_MINUTES, DIARY, default=_UNMAPPED)
+    lookup = defaultdict(lambda: _UNMAPPED, ((code, int(state)) for code, state in code_map.mapping.items()))
+    diaries = _read_rows(path, lookup, N_MINUTES, DIARY, _block_mapper(lookup))
     minutes = diaries["minutes"]
     unmapped = minutes.view(np.uint8) == _UNMAPPED
     minutes[unmapped] = int(code_map.default_state)
@@ -452,7 +435,7 @@ def _decode_sequence_block(bodies: list[str], width: int) -> np.ndarray | None:
 def read_sequences(path: str | Path) -> np.ndarray:
     """Read a sequence file into a SEQUENCE table; a malformed row or an
     unknown state token is an OccsimError naming the file and row."""
-    return _read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE, map_block=_decode_sequence_block)
+    return _read_rows(path, _INDEX_BY_TOKEN, N_STEPS, SEQUENCE, _decode_sequence_block)
 
 
 def load_sequences_any(path: str | Path, code_map: ActivityCodeMap | None = None) -> tuple[np.ndarray, int]:

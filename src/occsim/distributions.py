@@ -73,15 +73,11 @@ class EmpiricalDistribution:
         self.thresholds = draw_thresholds(self.probs).tolist()
 
     @classmethod
-    def from_weights(
-        cls, values: np.ndarray, weights: np.ndarray | None = None, unit: str = ""
-    ) -> "EmpiricalDistribution":
+    def from_weights(cls, values: np.ndarray, weights: np.ndarray, unit: str = "") -> "EmpiricalDistribution":
         """Aggregate (possibly repeated) weighted samples into a distribution."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise OccsimError("no samples")
-        if weights is None:
-            weights = np.ones_like(values)
         weights = np.asarray(weights, dtype=np.float64)
         support, inverse = np.unique(values, return_inverse=True)
         mass = np.bincount(inverse, weights=weights, minlength=support.size)

@@ -31,6 +31,7 @@ import numpy as np
 from . import streams
 from .conf import OccsimError
 from .diary_ingest import DAY_TYPES, EVENT_ACTIVITIES, N_STEPS, ActivityState, sequence_table
+from .distributions import draw_thresholds
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 
 RETRY_BUDGET = 20
@@ -87,9 +88,9 @@ def _walk_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats] | None)
     nothing holds: every state draws from its plain row, unscaled.  With
     holds, leaving event state s after step t draws from `matrices[t, s]`
     with column s zeroed and the uniform scaled by `1 - p[s]` (no draw if
-    that is <= 1e-12), falling back to the last nonzero column.  Threshold
-    rows read inf from the fallback column on, so counting entries `<= r`
-    gives the drawn column; they come as contiguous (T, S - 1, S) columns.
+    that is <= 1e-12), through that row's `draw_thresholds`, so counting
+    entries `<= r` gives the drawn column; they come as contiguous
+    (T, S - 1, S) columns.
     Event states with a duration distribution get its `table(_hold_steps)`
     the same way, its hold steps capped at n_steps.
     """
@@ -102,9 +103,7 @@ def _walk_tables(tpms: TPMSet, holds: dict[ActivityState, ActivityStats] | None)
             continue
         p = tpms.matrices[:, e].copy()
         p[:, e] = 0.0
-        nonzero = p != 0.0
-        last = np.where(nonzero.any(axis=1), S - 1 - np.argmax(nonzero[:, ::-1], axis=1), e)
-        trans[:, e] = np.where(np.arange(S - 1) >= last[:, None], np.inf, np.cumsum(p[:, :-1], axis=1))
+        trans[:, e] = draw_thresholds(p)
         scale[:, e] = 1.0 - tpms.matrices[:, e, e]
         st = holds.get(activity)
         if st is not None and st.duration_dist is not None:

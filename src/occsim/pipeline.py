@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
@@ -225,9 +224,8 @@ def load_sequences(path: Path, code_map: Path | None, stage: str) -> tuple[np.nd
     return sequences, unknown
 
 
-def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log=None) -> np.ndarray:
+def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log) -> np.ndarray:
     """Parse diaries (minute- or step-resolution) and write the sequence table."""
-    log = sys.stderr if log is None else log
     sequences, unknown = load_sequences(diaries, code_map, "ingest")
     with failing("ingest"):
         out_file.parent.mkdir(parents=True, exist_ok=True)
@@ -239,11 +237,10 @@ def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log=None)
 
 
 def cluster_stage(
-    sequences: np.ndarray, day_type: str, out_file: Path, cfg: Settings, log=None
+    sequences: np.ndarray, day_type: str, out_file: Path, cfg: Settings, log
 ) -> SelectKResult:
     """Select k on one day type's sequences, by their weights unless
     `cfg.unweighted_clustering`, and write the cluster model."""
-    log = sys.stderr if log is None else log
     subset = sequences[sequences["day_type"] == day_type]
     if not len(subset):
         raise StageError("cluster", f"no {day_type} sequences")
@@ -266,10 +263,9 @@ def cluster_stage(
 
 
 def train_stage(
-    sequences: np.ndarray, cluster_models: dict[str, ClusterModel], out_dir: Path, cfg: Settings, log=None
+    sequences: np.ndarray, cluster_models: dict[str, ClusterModel], out_dir: Path, cfg: Settings, log
 ) -> dict[str, dict[int, ClusterDayModel]]:
     """Assign sequences to clusters and fit per-(cluster, day-type) models."""
-    log = sys.stderr if log is None else log
     models: dict[str, dict[int, ClusterDayModel]] = {}
     for day_type, cmodel in sorted(cluster_models.items()):
         subset = sequences[sequences["day_type"] == day_type]
@@ -329,12 +325,11 @@ def load_simulation_inputs(
 
 
 def simulate_stage(
-    tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg: Settings, log=None
+    tpms_dir: Path, inputs: SimulationInputs, out_dir: Path, cfg: Settings, log
 ) -> np.ndarray:
     """Generate household schedules and the occupant-day table from the
     `load_simulation_inputs` tuple, deleting every `household_<h>.csv` of h
     >= n_households in `out_dir`; returns the table written."""
-    log = sys.stderr if log is None else log
     if cfg.n_households < 1:
         raise StageError("simulate", f"n_households must be positive, got {cfg.n_households}")
     with failing("simulate"):
@@ -394,10 +389,9 @@ def simulate_stage(
 
 
 def validate_stage(
-    sim_days: np.ndarray, ref_days: np.ndarray, out_dir: Path, log=None
+    sim_days: np.ndarray, ref_days: np.ndarray, out_dir: Path, log
 ) -> dict[str, ComparisonReport]:
     """Compare simulated occupant days against the reference corpus (SEQUENCE tables)."""
-    log = sys.stderr if log is None else log
     # Every report is computed before any is written, so a failure leaves no report.
     reports: dict[str, ComparisonReport] = {}
     for day_type in DAY_TYPES:
@@ -422,9 +416,8 @@ def validate_stage(
     return reports
 
 
-def run_pipeline(cfg: ProjectConfig, log=None) -> int:
+def run_pipeline(cfg: ProjectConfig, log) -> int:
     """Run ingest, cluster, train, simulate, and validate end to end."""
-    log = sys.stderr if log is None else log
     cfg = resolve_seed(cfg, log, "run")
     marker = cfg.out / ".partial"
     with failing("config"):  # `out` is a project.conf key

@@ -11,13 +11,14 @@ occupants row is a fraction already and passes through unchanged.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .conf import OccsimError, number_rows, read_step_values, reading
+from .conf import OccsimError, number_rows, number_text, reading, write_lines
 from .diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from .distributions import EmpiricalDistribution
 from .household import EVENT_COLUMNS, HouseholdResult, modulate_schedule
@@ -186,44 +187,48 @@ def write_schedule_file(path: str | Path, schedule: HouseholdScheduleYear) -> No
 
 
 def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
-    """Read a `write_schedule_file` file; malformed input is an OccsimError
-    naming the file, and the line of a malformed row or peak line.  Every
-    column but occupants needs exactly one peak line."""
+    """Read a `write_schedule_file` file; malformed input, bytes that are
+    not UTF-8 included, is an OccsimError naming the file, and the line of
+    a malformed row or peak line.  Every column but occupants needs
+    exactly one peak line."""
     path = Path(path)
     peaks: dict[str, float] = {}
-    with path.open() as fh:
-        header = None
-        for n, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                try:
-                    _, name, text = line[1:].strip().split(",")
-                    value = float(text)
-                except ValueError:
-                    raise OccsimError(f"{path}: line {n}: bad peak line {line.strip()!r}") from None
-                if name in peaks or name not in SCHEDULE_COLUMNS[1:]:
-                    problem = "repeated" if name in peaks else "unknown"
-                    raise OccsimError(f"{path}: line {n}: {problem} peak {name!r}")
-                peaks[name] = value
-            elif line.strip():
-                header = line.strip().split(",")
-                break
-        if header != list(SCHEDULE_COLUMNS):
-            raise OccsimError(f"{path}: missing or unexpected column header")
-        missing = [name for name in SCHEDULE_COLUMNS[1:] if name not in peaks]
-        if missing:
-            raise OccsimError(f"{path}: no peak line for {', '.join(missing)}")
-        first = next((line for line in fh if line.strip()), None)
-        if first is None:
-            raise OccsimError(f"{path}: no schedule data")
-        try:
-            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:  # numpy counts rows, not file lines; the row loop names the file line
-            with reading(path) as lines:
-                fh.seek(0)
-                numbered = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
-                header = next(i for i, (_, line) in enumerate(numbered) if line[0] != "#")
-                number_rows(lines, numbered[header + 1 :], len(SCHEDULE_COLUMNS))
-            raise OccsimError(f"{path}: {exc}") from None
+    try:
+        with path.open() as fh:
+            header = None
+            for n, line in enumerate(fh, start=1):
+                if line.startswith("#"):
+                    try:
+                        _, name, text = line[1:].strip().split(",")
+                        value = float(text)
+                    except ValueError:
+                        raise OccsimError(f"{path}: line {n}: bad peak line {line.strip()!r}") from None
+                    if name in peaks or name not in SCHEDULE_COLUMNS[1:]:
+                        problem = "repeated" if name in peaks else "unknown"
+                        raise OccsimError(f"{path}: line {n}: {problem} peak {name!r}")
+                    peaks[name] = value
+                elif line.strip():
+                    header = line.strip().split(",")
+                    break
+            if header != list(SCHEDULE_COLUMNS):
+                raise OccsimError(f"{path}: missing or unexpected column header")
+            missing = [name for name in SCHEDULE_COLUMNS[1:] if name not in peaks]
+            if missing:
+                raise OccsimError(f"{path}: no peak line for {', '.join(missing)}")
+            first = next((line for line in fh if line.strip()), None)
+            if first is None:
+                raise OccsimError(f"{path}: no schedule data")
+            try:
+                data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:  # numpy counts rows, not file lines; the row loop names the file line
+                with reading(path) as lines:
+                    fh.seek(0)
+                    numbered = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+                    header = next(i for i, (_, line) in enumerate(numbered) if line[0] != "#")
+                    number_rows(lines, numbered[header + 1 :], len(SCHEDULE_COLUMNS))
+                raise OccsimError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the peak and header loop decodes whole chunks, data rows too
+        raise OccsimError(f"{path}: {exc}") from None
     try:
         return HouseholdScheduleYear(data.T, peaks)
     except OccsimError as exc:
@@ -231,6 +236,35 @@ def read_schedule_file(path: str | Path) -> HouseholdScheduleYear:
 
 
 # -- reference schedules and distribution bundles ---------------------------
+
+
+def read_step_values(path: str | Path) -> np.ndarray:
+    """Values of a `step,value` file, one line per step 0..95 in any order;
+    -0 reads as 0.  A wrong field count, a non-number, a step out of range,
+    repeated or left out, or a non-finite or negative value raises OccsimError."""
+    values = np.full(N_STEPS, np.nan)  # nan: step not seen yet
+    with reading(path) as lines:
+        for line in lines:
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"expected step,value, got {len(fields)} fields")
+            step, value = int(fields[0]), float(fields[1])
+            if not 0 <= step < N_STEPS:
+                raise ValueError(f"step {step} outside 0..{N_STEPS - 1}")
+            if not np.isnan(values[step]):
+                raise ValueError(f"duplicate step {step}")
+            if not math.isfinite(value):
+                raise ValueError(f"step {step} has non-finite value {value}")
+            if value < 0:
+                raise ValueError(f"step {step} has negative value {value}")
+            values[step] = abs(value)
+        if np.isnan(values).any():
+            raise ValueError(f"expected {N_STEPS} rows, got {int(np.sum(~np.isnan(values)))}")
+    return values
+
+
+def write_step_values(path: str | Path, values: np.ndarray) -> None:
+    write_lines(path, (f"{i},{v}" for i, v in enumerate(number_text(values))))
 
 
 def load_reference_dir(directory: str | Path) -> np.ndarray:

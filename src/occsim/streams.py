@@ -40,15 +40,15 @@ def child(seq: np.random.SeedSequence, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy, spawn_key=key)
 
 
-def generator(seq: np.random.SeedSequence | int, *path: int) -> np.random.Generator:
-    """Generator for a (possibly derived) stream."""
-    if isinstance(seq, (int, np.integer)):
-        seq = root(int(seq))
-    if path:
-        seq = child(seq, *path)
-    return np.random.default_rng(seq)
+# Uniforms that `uniforms` draws at a time.
+UNIFORM_BLOCK = 512
 
 
-def uniforms(rng: np.random.Generator, block: int = 512):
-    """`rng.random()` as a `draw()`, drawn `block` at a time (the rest of the last block is lost)."""
-    return itertools.chain.from_iterable(iter(lambda: rng.random(block).tolist(), None)).__next__
+def generator(seq: np.random.SeedSequence, *path: int) -> np.random.Generator:
+    """Generator for the stream `child(seq, *path)`."""
+    return np.random.default_rng(child(seq, *path))
+
+
+def uniforms(rng: np.random.Generator):
+    """`rng.random()` as a `draw()`, drawn `UNIFORM_BLOCK` at a time (the rest of the last block is lost)."""
+    return itertools.chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)).__next__

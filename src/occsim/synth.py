@@ -27,11 +27,12 @@ from .diary_ingest import (
     sequence_rows,
     sequence_table,
 )
-from .conf import OccsimError, number_text, write_lines, write_step_values
+from .conf import OccsimError, number_text, write_lines
 from .distributions import EmpiricalDistribution
 from .household import DEFAULT_CLUSTER_SHARES, HouseholdConfig, _draw_index
 from .markov_train import ActivityStats, ClusterDayModel, TPMSet
 from .occupant_sim import uniforms_per_day, walk_days
+from .schedule_io import MODULATED_END_USES, write_bundle, write_step_values
 
 SHORT_CODES = {
     ActivityState.SLEEP: "s",
@@ -79,18 +80,15 @@ def _bumps(spec: list[tuple[float, float, float]]) -> np.ndarray:
 
 
 def _entry_hazards(wake: int, sleep: int) -> dict[ActivityState, np.ndarray]:
-    hazards = {
+    """Each event activity's per-step entry probability from HomeActive.
+    Their total peaks at 0.275 over the archetypes; one above the 0.96 they
+    take from HomeActive's row would leave it negative, which TPMSet rejects."""
+    return {
         ActivityState.COOKING: _bumps([(wake + 3, 3, 0.10), (34, 3, 0.06), (58, 4, 0.16)]),
         ActivityState.DISHWASHING: _bumps([(wake + 7, 2, 0.05), (64, 3, 0.09)]),
         ActivityState.LAUNDRY: _bumps([(44, 14, 0.04)]),
         ActivityState.PERSONAL_HYGIENE: _bumps([(wake + 2, 3, 0.16), (min(sleep - 4, 92), 4, 0.08)]),
     }
-    total = sum(hazards.values())
-    over = total > 0.5
-    if np.any(over):
-        scale = np.where(over, 0.5 / total, 1.0)
-        hazards = {a: h * scale for a, h in hazards.items()}
-    return hazards
 
 
 def _skeleton(wake: int, away: tuple[int, int] | None, sleep: int) -> np.ndarray:
@@ -182,22 +180,18 @@ def truth_models(k: int = 4) -> dict[str, dict[int, ClusterDayModel]]:
     return {dt: {c: build_truth_model(c, dt) for c in range(k)} for dt in DAY_TYPES}
 
 
-def generate_corpus(
-    n_per_day_type: int,
-    base_seed: int,
-    shares: tuple[float, ...] = PLANTED_SHARES,
-    day_types: tuple[str, ...] = DAY_TYPES,
-    vary_weights: bool = True,
-) -> np.ndarray:
-    """Draw a mixed-cluster SEQUENCE table with planted shares.  Each diary
-    draws its cluster, day and weight from streams of its own; each (day
-    type, cluster) group of days is walked in one call."""
-    models = {dt: {c: build_truth_model(c, dt) for c in range(len(shares))} for dt in day_types}
+def generate_corpus(n_per_day_type: int, base_seed: int) -> np.ndarray:
+    """Draw `n_per_day_type` diaries of each day type from `truth_models`,
+    each of cluster c with probability `PLANTED_SHARES[c]`.  Each diary
+    draws its cluster, day and weight in 0.5..1.5 from streams of its own,
+    keyed by its day type's index in `DAY_TYPES`; each (day type, cluster)
+    group of days is walked in one call."""
+    models = truth_models()
     root = streams.root(base_seed)
     ids, weights, blocks = [], [], []
-    for di, dt in enumerate(day_types):
+    for di, dt in enumerate(DAY_TYPES):
         picks = [streams.generator(root, streams.SYNTH, di, i, 0) for i in range(n_per_day_type)]
-        clusters = np.array([_draw_index(shares, pick) for pick in picks])
+        clusters = np.array([_draw_index(PLANTED_SHARES, pick) for pick in picks])
         states = np.empty((n_per_day_type, N_STEPS), dtype=np.int8)
         for cluster, model in models[dt].items():
             rows = np.flatnonzero(clusters == cluster)
@@ -207,12 +201,9 @@ def generate_corpus(
                 states[rows] = walk_days(model.tpms, u, model.stats)
         blocks.append(states)
         for i in range(n_per_day_type):
-            weight = 1.0
-            if vary_weights:
-                weight = round(float(streams.generator(root, streams.SYNTH, di, i, 2).uniform(0.5, 1.5)), 6)
             ids.append(f"r{dt.lower()}{i:05d}")
-            weights.append(weight)
-    day_type_column = [dt for dt in day_types for _ in range(n_per_day_type)]
+            weights.append(round(float(streams.generator(root, streams.SYNTH, di, i, 2).uniform(0.5, 1.5)), 6))
+    day_type_column = [dt for dt in DAY_TYPES for _ in range(n_per_day_type)]
     return sequence_table(ids, day_type_column, weights, np.concatenate(blocks))
 
 
@@ -308,8 +299,6 @@ def write_input_tree(
     n_days: int = 28,
 ) -> SynthLayout:
     """Generate the full demonstration input tree under `out_dir`."""
-    from .schedule_io import MODULATED_END_USES, write_bundle
-
     sizes = {"n_per_day_type": n_per_day_type, "n_households": n_households, "n_days": n_days}
     for name, size in sizes.items():
         if not isinstance(size, (int, np.integer)) or size < 1:

@@ -145,16 +145,13 @@ class ComparisonReport:
         return "\n".join(out)
 
 
-def compare_behavior(
-    sim_days: np.ndarray,
-    ref_stats: dict[ActivityState, ActivityStats],
-    activities: tuple[ActivityState, ...] | None = None,
-) -> ComparisonReport:
-    """Compare a SEQUENCE table of simulated days per activity against reference statistics."""
+def compare_behavior(sim_days: np.ndarray, ref_stats: dict[ActivityState, ActivityStats]) -> ComparisonReport:
+    """Compare a SEQUENCE table of simulated days against reference
+    statistics, for each activity of `ref_stats` in its order."""
     if not len(sim_days):
         raise OccsimError("no simulated days")
     rows = []
-    sim_stats = estimate_statistics(sim_days, activities or tuple(ref_stats))
+    sim_stats = estimate_statistics(sim_days, tuple(ref_stats))
     for activity, sim in sim_stats.items():
         ref = ref_stats[activity]
         rows.append(

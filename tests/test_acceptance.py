@@ -6,6 +6,7 @@ module is deterministic.
 """
 
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -395,7 +396,7 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
     for name in ("a", "b"):
         tree = tmp_path / name
         write_input_tree(tree, n_per_day_type=150, base_seed=606, n_households=2, n_days=6)
-        code = run_pipeline(ProjectConfig.read(tree / "project.conf"))
+        code = run_pipeline(ProjectConfig.read(tree / "project.conf"), log=sys.stderr)
         assert code == 0
         outputs.append(tree / "out")
     files_a = sorted(p.relative_to(outputs[0]) for p in outputs[0].rglob("*") if p.is_file())

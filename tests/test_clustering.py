@@ -445,10 +445,16 @@ BAD_CLUSTER_LINES = [
 ]
 
 
+def _weekdays(n, seed):
+    """The weekday rows of `generate_corpus(n, seed)`."""
+    corpus = generate_corpus(n, seed)
+    return corpus[corpus["day_type"] == "WD"]
+
+
 @pytest.mark.parametrize("index,line,message", BAD_CLUSTER_LINES)
 def test_cli_train_rejects_bad_cluster_file(tmp_path, capsys, index, line, message):
     sequences = tmp_path / "sequences.csv"
-    write_diaries(sequences, generate_corpus(6, base_seed=3, day_types=("WD",)))
+    write_diaries(sequences, _weekdays(6, 3))
     lines = _cluster_lines()
     lines[index] = line
     path = tmp_path / "bad.clusters"
@@ -493,7 +499,7 @@ def test_distinct_rows_match_unique_rows(data, steps, n):
 
 
 def test_pairwise_distances_match_reference_on_a_corpus():
-    X = project_to_presence(generate_corpus(300, base_seed=5, day_types=("WD",))["states"])
+    X = project_to_presence(_weekdays(300, 5)["states"])
     labels = kmodes(X, k=4)[1]
     assert np.array_equal(pairwise_distances(X, labels), _cluster_sums_reference(X, labels, 4))
 
@@ -540,7 +546,7 @@ def _select_k_reference(X, w, k_range, epsilon, monkeypatch):
 
 @pytest.mark.parametrize("weights", [None, "weight"])
 def test_select_k_matches_per_run_reference(monkeypatch, weights):
-    corpus = generate_corpus(240, base_seed=17, day_types=("WD",))
+    corpus = _weekdays(240, 17)
     X, w = project_to_presence(corpus["states"]), None if weights is None else corpus[weights]
     kwargs = dict(k_range=range(2, 6), epsilon=0.01)
     got = select_k(X, w, **kwargs)
@@ -601,7 +607,7 @@ def test_select_k_peak_memory_stays_below_2_kib_per_row():
     """The stage holds (n, k) sums and per-row temporaries, no n x n array:
     the uint8 matrix it once held alone took n bytes a row."""
     n = 3000
-    corpus = generate_corpus(n, base_seed=31, day_types=("WD",))
+    corpus = _weekdays(n, 31)
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
     tracemalloc.start()
     try:

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import occsim
-from occsim.conf import number_rows, number_text, read_step_values, reading, write_lines
+from occsim.conf import number_rows, number_text, reading, write_lines
 from occsim.distributions import EmpiricalDistribution
 from occsim.markov_train import read_model_file
+from occsim.schedule_io import read_step_values
 from tests.helpers import row_loop_number_rows
 
 # Signed zeros, subnormals, the extreme exponents and the non-finite values.
@@ -198,6 +199,21 @@ def test_cli_import_loads_no_hash_module():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_one_function_level_import():
+    """Modules import at their top, so an import cycle shows when a module
+    loads.  The one import inside a function keeps `synth` out of
+    `import occsim.cli`, which every command pays for."""
+    found = [
+        f"{path.stem}.{func.name}: {ast.unparse(node)}"
+        for path in sorted(Path(occsim.__file__).parent.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == ["cli._cmd_synth: from .synth import write_input_tree"]
 
 
 def test_readers_take_only_a_path():

@@ -14,7 +14,6 @@ from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     _BLOCK_ROWS,
     _ROW_BLOCK,
-    _read_rows,
     DAY_TYPES,
     FULL_ALPHABET,
     N_MINUTES,
@@ -35,7 +34,7 @@ from occsim.diary_ingest import (
     write_sequences,
 )
 from occsim.synth import default_code_map, write_diaries, write_input_tree
-from tests.helpers import row_loop_parse_diaries, row_loop_read_rows, row_loop_read_sequences
+from tests.helpers import row_loop_parse_diaries, row_loop_read_sequences
 
 CMAP = ActivityCodeMap(
     {
@@ -617,8 +616,33 @@ def _parsed(code_map):
     return parse
 
 
+# ATUS-style six-digit activity codes, one of them unmapped: the sorted
+# search over codes of one width, which synth's one-letter codes never take
+_ATUS_MAP = ActivityCodeMap(
+    {
+        "010101": ActivityState.SLEEP,
+        "010201": ActivityState.PERSONAL_HYGIENE,
+        "020201": ActivityState.COOKING,
+        "020203": ActivityState.DISHWASHING,
+        "120303": ActivityState.HOME_ACTIVE,
+        "050101": ActivityState.AWAY,
+    },
+    ActivityState.HOME_ACTIVE,
+)
+_ATUS_CODES = [*_ATUS_MAP.mapping, "180101"]
+
+
+def _atus_row(r):
+    codes = [_ATUS_CODES[(r + m) % len(_ATUS_CODES)] for m in range(N_MINUTES)]
+    return f"r{r},{DAY_TYPES[r % 2]},{r + 0.5}," + ",".join(codes) + "\n"
+
+
+_ATUS_FILE = ("h\n" + "".join(map(_atus_row, range(3)))).encode()
+
+
 @given(diary_files())
 @example((b"h\n" + b"r0,WD,1," + b",".join([b"s"] * N_MINUTES) + b"\n", CMAP))
+@example((_ATUS_FILE, _ATUS_MAP))
 def test_parse_diaries_matches_the_row_loop(tmp_path_factory, case):
     _assert_parse_matches_the_row_loop(tmp_path_factory, case)
 
@@ -647,43 +671,41 @@ def test_read_sequences_matches_the_row_loop(tmp_path_factory, data):
     assert _outcome(read_sequences, path) == _outcome(row_loop_read_sequences, path)
 
 
-_TWO_CODES = {"a": 0, "b": 1}  # one width, and no default
-
-
-def _two_code_rows(tmp_path, bad):
-    """A file of `_ROW_BLOCK` + 2 rows of `N_STEPS` codes a and b; `bad`
-    maps a row to "c", a code missing from `_TWO_CODES`, or to "-1", a bad weight."""
+def _sleep_away_rows(tmp_path, bad):
+    """A sequence file of `_ROW_BLOCK` + 2 rows of Sleep and Away; `bad`
+    maps a row to "Sleeq", a token that is no state but starts like Sleep,
+    or to "-1", a bad weight."""
     rows = []
     for row in range(1, _ROW_BLOCK + 3):
-        codes = ["ab"[(row + i) % 2] for i in range(N_STEPS)]
-        if bad.get(row) == "c":
-            codes[7] = "c"
-        rows.append(f"r{row},WE,{'-1' if bad.get(row) == '-1' else row}," + ",".join(codes))
+        tokens = [("Sleep", "Away")[(row + i) % 2] for i in range(N_STEPS)]
+        if bad.get(row) == "Sleeq":
+            tokens[7] = "Sleeq"
+        rows.append(f"r{row},WE,{'-1' if bad.get(row) == '-1' else row}," + ",".join(tokens))
     return _diary_file(tmp_path, rows)
 
 
-def test_fixed_width_lookup_without_default_maps_like_the_row_loop(tmp_path):
-    path = _two_code_rows(tmp_path, {})
-    expected = _outcome(lambda p: row_loop_read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path)
-    assert _outcome(lambda p: _read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path) == expected
+def test_read_sequences_decodes_blocks_like_the_row_loop(tmp_path):
+    path = _sleep_away_rows(tmp_path, {})
+    assert _outcome(read_sequences, path) == _outcome(row_loop_read_sequences, path)
 
 
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ({3: "c", 5: "-1"}, "row 3: unknown state token 'c'"),
-        ({3: "-1", 5: "c"}, "row 3: bad weight '-1'"),
-        ({_ROW_BLOCK + 2: "c"}, f"row {_ROW_BLOCK + 2}: unknown state token 'c'"),
+        ({3: "Sleeq", 5: "-1"}, "row 3: unknown state token 'Sleeq'"),
+        ({3: "-1", 5: "Sleeq"}, "row 3: bad weight '-1'"),
+        ({_ROW_BLOCK + 2: "Sleeq"}, f"row {_ROW_BLOCK + 2}: unknown state token 'Sleeq'"),
     ],
+    ids=["token_then_weight", "weight_then_token", "second_block"],
 )
-def test_fixed_width_lookup_without_default_names_the_first_bad_row(tmp_path, bad, message):
-    """A code that a lookup without a default lacks sends its block to the
-    row loop, so the block's first bad row is the one named."""
-    path = _two_code_rows(tmp_path, bad)
+def test_read_sequences_names_the_first_bad_row(tmp_path, bad, message):
+    """A token that is no state sends its block to the row loop, so the
+    block's first bad row is the one named."""
+    path = _sleep_away_rows(tmp_path, bad)
     with pytest.raises(OccsimError) as exc:
-        _read_rows(path, _TWO_CODES, N_STEPS, SEQUENCE)
+        read_sequences(path)
     assert str(exc.value) == f"{path}: {message}"
-    assert _outcome(lambda p: row_loop_read_rows(p, _TWO_CODES, N_STEPS, SEQUENCE), path) == str(exc.value)
+    assert _outcome(row_loop_read_sequences, path) == str(exc.value)
 
 
 def test_a_synth_tree_takes_only_the_fast_paths(tmp_path, monkeypatch):

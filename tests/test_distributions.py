@@ -187,7 +187,7 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="align"):
         EmpiricalDistribution(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        EmpiricalDistribution.from_weights(np.array([]))
+        EmpiricalDistribution.from_weights(np.array([]), np.array([]))
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from occsim import conf, markov_train, streams
-from occsim.conf import OccsimError, number_text, reading, write_lines, write_step_values
+from occsim.conf import OccsimError, number_text, reading, write_lines
 from occsim.diary_ingest import (
     EVENT_ACTIVITIES,
     FULL_ALPHABET,
@@ -32,7 +32,7 @@ from occsim.markov_train import (
 )
 from occsim.distributions import EmpiricalDistribution
 from occsim.occupant_sim import OccupantProfile, SimCalendar, simulate_year, walk_occupants
-from occsim.schedule_io import REQUIRED_BUNDLE, load_bundle, write_bundle
+from occsim.schedule_io import REQUIRED_BUNDLE, load_bundle, write_bundle, write_step_values
 from occsim.synth import default_bundle, generate_corpus, truth_models
 from tests.helpers import (
     activity_statistics,

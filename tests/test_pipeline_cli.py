@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from occsim import occupant_sim, pipeline
 from occsim.cli import FLAGS, _build_parser, _settings, main
 from occsim.clustering import ClusterModel, select_k
-from occsim.conf import OccsimError, read_step_values
+from occsim.conf import OccsimError
 from occsim.diary_ingest import (
     SEQUENCE,
     STATE_TOKENS,
@@ -43,7 +43,7 @@ from occsim.pipeline import (
     simulate_stage,
     train_stage,
 )
-from occsim.schedule_io import assemble_schedule, read_schedule_file
+from occsim.schedule_io import assemble_schedule, read_schedule_file, read_step_values
 from occsim.synth import write_input_tree
 from occsim.validate import ComparisonReport
 from tests.helpers import edit_section, model_section, section_lines
@@ -217,7 +217,7 @@ def test_run_pipeline_logs_to_redirected_stderr(synth_tree, pipeline_run, tmp_pa
     cfg.out = tmp_path / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        assert run_pipeline(cfg) == 0
+        assert run_pipeline(cfg, log=sys.stderr) == 0
     lines = err.getvalue().splitlines()
     assert lines[0].startswith("ingest: ") and lines[-1] == "run: done"
     for stage in ("cluster[WD]: ", "cluster[WE]: ", "train: ", "simulate: ", "validate[WD]:"):
@@ -789,7 +789,8 @@ def test_simulate_rejects_zero_days_or_households(synth_tree, pipeline_run, tmp_
     out = tmp_path / "out"
     bundle, reference, household = (synth_tree / name for name in ("bundle", "reference", "household.conf"))
     with pytest.raises(StageError, match=message) as exc:
-        simulate_stage(pipeline_run / "tpms", load_simulation_inputs(bundle, reference, household, cfg), out, cfg)
+        inputs = load_simulation_inputs(bundle, reference, household, cfg)
+        simulate_stage(pipeline_run / "tpms", inputs, out, cfg, log=sys.stderr)
     assert exc.value.exit_code == 6
     assert not out.exists()
 
@@ -1112,6 +1113,28 @@ def test_reader_names_the_file_of_any_corrupted_line(
         assert str(exc).startswith(f"{path}: ")
     else:
         assert not must_raise, f"{name}: {edit} of line {line + 1} read without an error"
+
+
+# (kind, index of the line that starts with a byte that is not UTF-8): a
+# schedule's line 41, which the first chunk its header loop decodes holds,
+# and its last line, which only np.loadtxt reaches; in each other kind a line
+# of its section.
+BAD_BYTE_LINES = [("schedule", 40), ("schedule", -1)] + [(kind, 1) for kind in sorted(READERS) if kind != "schedule"]
+
+
+@pytest.mark.parametrize("kind, index", BAD_BYTE_LINES)
+def test_reader_names_the_file_of_a_byte_that_is_not_utf8(synth_tree, pipeline_run, tmp_path, kind, index):
+    name, read, _ = READERS[kind]
+    lines = (synth_tree / name).read_bytes().splitlines()
+    if kind in SECTIONS:
+        index += lines.index(SECTIONS[kind].encode())
+    lines[index] = b"\xff" + lines[index]
+    path = tmp_path / Path(name).name
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises((OccsimError, StageError)) as exc:
+        read(path)
+    assert type(exc.value) is (StageError if kind == "project" else OccsimError)
+    assert str(exc.value).startswith(f"config: {path}: " if kind == "project" else f"{path}: ")
 
 
 @pytest.mark.parametrize("name", ["cx.wd.tpm", "c0.wd.x.tpm", "c0.xx.tpm"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from occsim.conf import OccsimError, read_step_values, write_step_values
+from occsim.conf import OccsimError
 from occsim.diary_ingest import DAY_TYPES, N_STEPS, ActivityState
 from occsim.household import EVENT, EVENT_COLUMNS, HouseholdResult
 from occsim.occupant_sim import SimCalendar
@@ -20,8 +20,10 @@ from occsim.schedule_io import (
     load_reference_dir,
     rasterize_events,
     read_schedule_file,
+    read_step_values,
     write_bundle,
     write_schedule_file,
+    write_step_values,
 )
 from occsim.synth import default_bundle, default_reference
 

@@ -5,15 +5,15 @@ from occsim import streams
 
 
 def test_same_path_same_draws():
-    a = streams.generator(5, streams.HOUSEHOLD, 3)
-    b = streams.generator(5, streams.HOUSEHOLD, 3)
+    a = streams.generator(streams.root(5), streams.HOUSEHOLD, 3)
+    b = streams.generator(streams.root(5), streams.HOUSEHOLD, 3)
     assert np.array_equal(a.random(8), b.random(8))
 
 
 def test_different_path_different_draws():
-    a = streams.generator(5, streams.HOUSEHOLD, 3)
-    b = streams.generator(5, streams.HOUSEHOLD, 4)
-    c = streams.generator(5, streams.OCCUPANT, 3)
+    a = streams.generator(streams.root(5), streams.HOUSEHOLD, 3)
+    b = streams.generator(streams.root(5), streams.HOUSEHOLD, 4)
+    c = streams.generator(streams.root(5), streams.OCCUPANT, 3)
     assert not np.array_equal(a.random(8), b.random(8))
     assert not np.array_equal(a.random(8), c.random(8))
 
@@ -42,10 +42,10 @@ def test_generator_accepts_seedsequence():
     assert a.random() == b.random()
 
 
-@pytest.mark.parametrize("block", [1, 3, 512])
-def test_uniforms_are_repeated_random_calls_across_blocks(block):
-    draw = streams.uniforms(streams.generator(5, streams.OCCUPANT), block)
-    rng = streams.generator(5, streams.OCCUPANT)
-    got = [draw() for _ in range(2 * block + 5)]
-    assert got == [rng.random() for _ in range(2 * block + 5)]
+def test_uniforms_are_repeated_random_calls_across_blocks():
+    draw = streams.uniforms(streams.generator(streams.root(5), streams.OCCUPANT))
+    rng = streams.generator(streams.root(5), streams.OCCUPANT)
+    n = 2 * streams.UNIFORM_BLOCK + 5
+    got = [draw() for _ in range(n)]
+    assert got == [rng.random() for _ in range(n)]
     assert all(type(r) is float for r in got)

@@ -96,11 +96,6 @@ def test_generate_corpus_deterministic_and_planted_shares():
     assert np.any(c1["states"] != c2["states"][0])  # corpus is not a constant
 
 
-def test_generate_corpus_weights_can_be_uniform():
-    c = generate_corpus(10, base_seed=5, vary_weights=False)
-    assert np.all(c["weight"] == 1.0)
-
-
 def test_write_diaries_round_trip(tmp_path):
     corpus = generate_corpus(25, base_seed=9)
     path = tmp_path / "diaries.csv"

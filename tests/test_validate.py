@@ -185,7 +185,7 @@ def test_compare_behavior_selected_activities():
     rng = np.random.default_rng(32)
     corpus = _random_corpus(rng, n=10)
     ref = estimate_statistics(corpus)
-    report = compare_behavior(corpus, ref, (ActivityState.COOKING,))
+    report = compare_behavior(corpus, {ActivityState.COOKING: ref[ActivityState.COOKING]})
     assert [r.activity for r in report.rows] == [ActivityState.COOKING]
     with pytest.raises(OccsimError, match="no simulated days"):
         compare_behavior(corpus[:0], ref)
