@@ -23,7 +23,6 @@ from occsim import streams
 from occsim.diary_ingest import N_STEPS, STATE_TOKENS
 from occsim.markov_train import estimate_statistics, train_cluster_day_model
 from occsim.occupant_sim import days_to_sequences, place_events, walk_days
-from occsim.pipeline import Settings
 from occsim.synth import build_truth_model
 from occsim.validate import compare_behavior
 
@@ -58,10 +57,7 @@ def main(argv=None):
     truth = build_truth_model(args.cluster, args.day_type)
     u = streams.generator(root, streams.SYNTH).random((args.train, 2 * N_STEPS))
     corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), args.day_type, "t")
-    defaults = Settings()
-    model = train_cluster_day_model(
-        corpus, args.cluster, args.day_type, fallback=defaults.tpm_fallback, alpha=defaults.tpm_alpha
-    )
+    model = train_cluster_day_model(corpus, cluster_id=args.cluster, day_type=args.day_type)
     reference = estimate_statistics(corpus)
 
     rows = []

@@ -47,7 +47,7 @@ def main(argv=None):
                     help="optional CSV of the two aggregate series")
     args = ap.parse_args(argv)
 
-    models = truth_models(4)
+    models = truth_models()
     bundle = default_bundle()
     counts = EmpiricalDistribution(
         np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.45, 0.25]), "count"

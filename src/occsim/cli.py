@@ -30,7 +30,6 @@ from .pipeline import (
     ProjectConfig,
     Settings,
     StageError,
-    boolean,
     cluster_stage,
     failing,
     ingest_stage,
@@ -50,9 +49,6 @@ _SHORT_FLAGS = {
     "base_seed": "--seed",
     "n_households": "--households",
     "n_days": "--days",
-    "tpm_fallback": "--fallback",
-    "tpm_alpha": "--alpha",
-    "unweighted_clustering": "--unweighted",
 }
 FLAGS = {f.name: _SHORT_FLAGS.get(f.name, "--" + f.name.replace("_", "-")) for f in fields(Settings)}
 
@@ -79,13 +75,10 @@ def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
     A flag left out stays out of the namespace, so its field keeps the
     Settings default."""
     for name in names:
-        kwargs = {"dest": name, "default": argparse.SUPPRESS, "help": f"project.conf key {name}"}
-        if PARSERS[name] is boolean:
-            p.add_argument(FLAGS[name], action="store_true", **kwargs)
-        else:
-            choices = CHOICES.get(name)
-            metavar = None if choices is None else "{" + ",".join(map(str, choices)) + "}"
-            p.add_argument(FLAGS[name], type=_flag_type(PARSERS[name]), metavar=metavar, **kwargs)
+        choices = CHOICES.get(name)
+        metavar = None if choices is None else "{" + ",".join(map(str, choices)) + "}"
+        p.add_argument(FLAGS[name], dest=name, type=_flag_type(PARSERS[name]), metavar=metavar,
+                       default=argparse.SUPPRESS, help=f"project.conf key {name}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,14 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_map(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--day-type", choices=["wd", "we", "both"], default="both")
-    _add_settings(p, "k_range", "epsilon", "unweighted_clustering")
+    _add_settings(p, "k_range", "epsilon")
 
     p = sub.add_parser("train", help="fit per-cluster day-type models")
     p.add_argument("--diaries", type=Path, required=True, help="diaries or sequences file")
     _add_code_map(p)
     p.add_argument("--clusters", type=Path, nargs="+", required=True, help="cluster model files")
     p.add_argument("--out", type=Path, required=True, help="output model directory")
-    _add_settings(p, "tpm_fallback", "tpm_alpha")
 
     p = sub.add_parser("simulate", help="generate household schedules")
     p.add_argument("--tpms", type=Path, required=True, help="trained model directory")
@@ -176,7 +168,7 @@ def _cmd_train(args, log) -> int:
         if model.day_type in cluster_models:
             raise StageError("train", f"duplicate cluster model for day type {model.day_type}")
         cluster_models[model.day_type] = model
-    train_stage(sequences, cluster_models, args.out, _settings(args), log=log)
+    train_stage(sequences, cluster_models, args.out, log=log)
     return 0
 
 

@@ -201,12 +201,7 @@ def _initial_modes(X: np.ndarray, w: np.ndarray, distinct: np.ndarray, k: int, n
     return distinct[chosen]
 
 
-def kmodes(
-    X: np.ndarray,
-    weights: np.ndarray | None = None,
-    k: int = 4,
-    day_type: str = "WD",
-) -> tuple[ClusterModel, np.ndarray]:
+def kmodes(X: np.ndarray, weights: np.ndarray, k: int, day_type: str) -> tuple[ClusterModel, np.ndarray]:
     """Weighted k-modes under matching dissimilarity.
 
     1. initialize modes as k distinct sequences by density (`_initial_modes`),
@@ -269,7 +264,7 @@ def _coerce_data(X, weights):
     X = np.asarray(X, dtype=np.int8)
     if X.ndim != 2:
         raise OccsimError("data must be an (n, steps) matrix")
-    w = np.ones(X.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape != (X.shape[0],):
         raise OccsimError("weights must align with data rows")
     if np.any(w < 0):
@@ -319,14 +314,7 @@ class SelectKResult:
     labels: np.ndarray = field(repr=False)
 
 
-def select_k(
-    X: np.ndarray,
-    weights: np.ndarray | None = None,
-    *,
-    k_range: range,
-    epsilon: float,
-    day_type: str = "WD",
-) -> SelectKResult:
+def select_k(X: np.ndarray, weights: np.ndarray, *, k_range: range, epsilon: float, day_type: str) -> SelectKResult:
     """Fit k-modes once for each k of a k range (every k >= 2) and pick k by
     the silhouette over every row.
 
@@ -341,7 +329,7 @@ def select_k(
     table: dict[int, float] = {}
     fits: dict[int, tuple[ClusterModel, np.ndarray]] = {}
     for k in k_range:
-        fits[k] = kmodes(X, w, k=k, day_type=day_type)
+        fits[k] = kmodes(X, w, k, day_type)
         table[k] = silhouette(X, fits[k][1])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)

@@ -73,7 +73,7 @@ class EmpiricalDistribution:
         self.thresholds = draw_thresholds(self.probs).tolist()
 
     @classmethod
-    def from_weights(cls, values: np.ndarray, weights: np.ndarray, unit: str = "") -> "EmpiricalDistribution":
+    def from_weights(cls, values: np.ndarray, weights: np.ndarray, unit: str) -> "EmpiricalDistribution":
         """Aggregate (possibly repeated) weighted samples into a distribution."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:

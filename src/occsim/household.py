@@ -186,9 +186,7 @@ def _draw_index(shares, rng: np.random.Generator) -> int:
     return bisect_right(thresholds, rng.random() * total)
 
 
-def sample_household(
-    config: HouseholdConfig, rng: np.random.Generator, index: int = 0
-) -> list[OccupantProfile]:
+def sample_household(config: HouseholdConfig, rng: np.random.Generator, index: int) -> list[OccupantProfile]:
     """Draw occupant count, then weekday and weekend clusters per occupant."""
     return [
         OccupantProfile(

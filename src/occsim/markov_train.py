@@ -2,9 +2,8 @@
 
 A day of 96 steps is governed by 95 row-stochastic matrices (matrix t maps
 the state at step t to the state at step t+1) plus an initial distribution
-for step 0.  Estimation uses weighted transition counts; rows that were
-never visited fall back to a configurable row (absorbing self-transition by
-default) so every matrix stays stochastic.
+for step 0.  Estimation uses weighted transition counts; a row that was
+never visited stays in its state, so every matrix stays stochastic.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .diary_ingest import (
 from .distributions import EmpiricalDistribution, draw_thresholds
 
 ROW_TOL = 1e-9
-FALLBACKS = ("absorbing", "uniform", "laplace")
 
 
 @dataclass
@@ -162,24 +160,13 @@ def _columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     return table["states"], w, day_type
 
 
-def estimate_tpm(
-    table: np.ndarray,
-    alphabet: tuple[ActivityState, ...] = FULL_ALPHABET,
-    cluster_id: int = 0,
-    *,
-    fallback: str,
-    alpha: float,
-) -> TPMSet:
+def estimate_tpm(table: np.ndarray, *, alphabet: tuple[ActivityState, ...], cluster_id: int) -> TPMSet:
     """Weighted maximum-likelihood estimate of the per-step matrices.
 
-    Rows with zero visit weight take the configured fallback row.  With the
-    default absorbing fallback, forward-propagating the initial distribution
-    reproduces the weighted empirical per-step state frequencies exactly.
+    A row with zero visit weight stays in its state.  Forward-propagating
+    the initial distribution then reproduces the weighted empirical
+    per-step state frequencies exactly.
     """
-    if fallback not in FALLBACKS:
-        raise OccsimError(f"fallback must be one of {FALLBACKS}")
-    if not 0 <= alpha < np.inf:
-        raise OccsimError(f"alpha must be finite and nonnegative, got {alpha}")
     X, w, day_type = _columns(table)
     idx = _state_lut(alphabet)[X]
     if np.any(idx < 0):
@@ -192,20 +179,9 @@ def estimate_tpm(
     pairs = idx[:, :-1] * np.int16(S)  # (state at t, state at t+1) as one code below S * S
     pairs += idx[:, 1:]
     counts = state_counts(pairs, w, labels, 1, S * S)[0].reshape(-1, S, S)
-    if fallback == "laplace":
-        counts = counts + alpha
-    totals = counts.sum(axis=2)
-    matrices = np.zeros_like(counts)
-    visited = totals > 0
-    matrices[visited] = counts[visited] / totals[visited][:, None]
-    if np.any(~visited):
-        if fallback == "uniform":
-            matrices[~visited] = 1.0 / S
-        else:
-            # absorbing, or laplace with alpha = 0
-            eye = np.eye(S)
-            t_i, s_i = np.nonzero(~visited)
-            matrices[t_i, s_i] = eye[s_i]
+    t_i, s_i = np.nonzero(counts.sum(axis=2) == 0)
+    counts[t_i, s_i, s_i] = 1.0
+    matrices = counts / counts.sum(axis=2, keepdims=True)
     matrices /= matrices.sum(axis=2, keepdims=True)
     return TPMSet(cluster_id, day_type, tuple(alphabet), initial, matrices)
 
@@ -281,20 +257,13 @@ def estimate_statistics(
     return stats
 
 
-def train_cluster_day_model(
-    table: np.ndarray,
-    cluster_id: int,
-    day_type: str,
-    *,
-    fallback: str,
-    alpha: float,
-) -> ClusterDayModel:
+def train_cluster_day_model(table: np.ndarray, *, cluster_id: int, day_type: str) -> ClusterDayModel:
     """Fit the full-state chain, the presence chain, and the statistics of
     the event activities, which are all that simulation samples from."""
-    tpms = estimate_tpm(table, FULL_ALPHABET, cluster_id, fallback=fallback, alpha=alpha)
+    tpms = estimate_tpm(table, alphabet=FULL_ALPHABET, cluster_id=cluster_id)
     presence = table.copy()
     presence["states"] = project_to_presence(table["states"])
-    presence_tpms = estimate_tpm(presence, PRESENCE_ALPHABET, cluster_id, fallback=fallback, alpha=alpha)
+    presence_tpms = estimate_tpm(presence, alphabet=PRESENCE_ALPHABET, cluster_id=cluster_id)
     stats = estimate_statistics(table, EVENT_ACTIVITIES)
     if day_type != tpms.day_type:
         raise OccsimError(f"sequences are {tpms.day_type}, expected {day_type}")

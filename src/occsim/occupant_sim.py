@@ -77,7 +77,7 @@ def _hold_steps(duration_minutes: float) -> int:
     return max(1, math.ceil(duration_minutes / 15.0))
 
 
-def uniforms_per_day(tpms: TPMSet, holds: dict | None = None) -> int:
+def uniforms_per_day(tpms: TPMSet, holds: dict | None) -> int:
     """The width of one day's block of uniforms for `walk_days`: n_steps, or
     2 * n_steps when the walk holds events."""
     return tpms.n_steps if holds is None else 2 * tpms.n_steps
@@ -209,7 +209,7 @@ def place_events(
     return states, failures
 
 
-def days_to_sequences(days: np.ndarray, day_type: str | list[str] = "WD", prefix: str = "sim") -> np.ndarray:
+def days_to_sequences(days: np.ndarray, day_type: str | list[str], prefix: str) -> np.ndarray:
     """Unit-weight SEQUENCE rows `<prefix><i>` of an (n, 96) state matrix; one `day_type` or one per row."""
     return sequence_table([f"{prefix}{i}" for i in range(len(days))], day_type, 1.0, days)
 

@@ -31,7 +31,6 @@ from .diary_ingest import (
 )
 from .household import HouseholdConfig, build_household, draw_households
 from .markov_train import (
-    FALLBACKS,
     ClusterDayModel,
     estimate_statistics,
     load_model_dir,
@@ -124,15 +123,8 @@ def _one_of(parse, allowed: tuple):
     return parse_choice
 
 
-def boolean(value: str) -> bool:
-    """1, true or yes is True; 0, false or no is False; in any case."""
-    word = _one_of(str.lower, ("1", "true", "yes", "0", "false", "no"))(value)
-    return word in ("1", "true", "yes")
-
-
 # The Settings fields whose value is one of a few.
-CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "tpm_fallback": FALLBACKS,
-           "start_weekday": WEEKDAY_NAMES}
+CHOICES = {"approach": (1, 2, 3), "modulation": ("present", "active"), "start_weekday": WEEKDAY_NAMES}
 
 # Keys of settings that are gone: a project.conf may still hold them, and
 # ProjectConfig.read accepts and ignores them.
@@ -152,10 +144,7 @@ class Settings:
     approach: int = 3
     k_range: tuple[int, int] = (3, 10)
     epsilon: float = 0.01
-    tpm_fallback: str = "absorbing"
-    tpm_alpha: float = 0.0
     modulation: str = "present"
-    unweighted_clustering: bool = False
 
 
 # Settings field -> parser of its project.conf value and of its stage flag's
@@ -169,10 +158,7 @@ PARSERS = {
     "approach": _one_of(int, CHOICES["approach"]),
     "k_range": parse_k_range,
     "epsilon": finite_nonnegative,
-    "tpm_fallback": _one_of(str, CHOICES["tpm_fallback"]),
-    "tpm_alpha": finite_nonnegative,
     "modulation": _one_of(str, CHOICES["modulation"]),
-    "unweighted_clustering": boolean,
 }
 
 
@@ -239,15 +225,15 @@ def ingest_stage(diaries: Path, code_map: Path | None, out_file: Path, log) -> n
 def cluster_stage(
     sequences: np.ndarray, day_type: str, out_file: Path, cfg: Settings, log
 ) -> SelectKResult:
-    """Select k on one day type's sequences, by their weights unless
-    `cfg.unweighted_clustering`, and write the cluster model."""
+    """Select k on one day type's sequences, by their weights, and write the
+    cluster model."""
     subset = sequences[sequences["day_type"] == day_type]
     if not len(subset):
         raise StageError("cluster", f"no {day_type} sequences")
     with failing("cluster", f"{day_type}: "):
         result = select_k(
             project_to_presence(subset["states"]),
-            None if cfg.unweighted_clustering else subset["weight"],
+            subset["weight"],
             k_range=range(cfg.k_range[0], cfg.k_range[1] + 1),
             epsilon=cfg.epsilon,
             day_type=day_type,
@@ -263,7 +249,7 @@ def cluster_stage(
 
 
 def train_stage(
-    sequences: np.ndarray, cluster_models: dict[str, ClusterModel], out_dir: Path, cfg: Settings, log
+    sequences: np.ndarray, cluster_models: dict[str, ClusterModel], out_dir: Path, log
 ) -> dict[str, dict[int, ClusterDayModel]]:
     """Assign sequences to clusters and fit per-(cluster, day-type) models."""
     models: dict[str, dict[int, ClusterDayModel]] = {}
@@ -278,9 +264,7 @@ def train_stage(
             if not len(members):
                 raise StageError("train", f"cluster {c} has no {day_type} sequences")
             with failing("train", f"cluster {c} {day_type}: "):
-                models[day_type][c] = train_cluster_day_model(
-                    members, cluster_id=c, day_type=day_type, fallback=cfg.tpm_fallback, alpha=cfg.tpm_alpha
-                )
+                models[day_type][c] = train_cluster_day_model(members, cluster_id=c, day_type=day_type)
             print(f"train: cluster {c} {day_type}: {len(members)} sequences", file=log)
     with failing("train"):
         save_model_dir(out_dir, models)
@@ -429,7 +413,7 @@ def run_pipeline(cfg: ProjectConfig, log) -> int:
         dt: cluster_stage(sequences, dt, cfg.out / f"model.{dt.lower()}.clusters", cfg, log=log).model
         for dt in DAY_TYPES
     }
-    train_stage(sequences, cluster_models, cfg.out / "tpms", cfg, log=log)
+    train_stage(sequences, cluster_models, cfg.out / "tpms", log=log)
     sim_days = simulate_stage(cfg.out / "tpms", inputs, cfg.out, cfg, log=log)
     # sequences.csv holds the ingested diaries, so they are not parsed twice.
     validate_stage(sim_days, load_sequences(cfg.out / "sequences.csv", None, "validate")[0], cfg.out, log=log)

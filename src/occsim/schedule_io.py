@@ -67,10 +67,6 @@ class HouseholdScheduleYear:
             raise OccsimError(f"schedule needs {len(SCHEDULE_COLUMNS)} columns over whole days, got {shape}")
 
     @property
-    def n_days(self) -> int:
-        return self.values.shape[1] // N_STEPS
-
-    @property
     def columns(self) -> MappingProxyType:
         """Read-only {column name: row of `values`} view."""
         return MappingProxyType(dict(zip(SCHEDULE_COLUMNS, self.values)))

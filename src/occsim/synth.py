@@ -176,8 +176,9 @@ def build_truth_model(cluster_id: int, day_type: str) -> ClusterDayModel:
     return ClusterDayModel(cluster_id, day_type, tpms, presence_tpms, stats)
 
 
-def truth_models(k: int = 4) -> dict[str, dict[int, ClusterDayModel]]:
-    return {dt: {c: build_truth_model(c, dt) for c in range(k)} for dt in DAY_TYPES}
+def truth_models() -> dict[str, dict[int, ClusterDayModel]]:
+    """The planted model of each cluster of `PLANTED_SHARES` and day type."""
+    return {dt: {c: build_truth_model(c, dt) for c in range(len(PLANTED_SHARES))} for dt in DAY_TYPES}
 
 
 def generate_corpus(n_per_day_type: int, base_seed: int) -> np.ndarray:

@@ -273,7 +273,7 @@ def state_counts_reference(X, w, labels, k, n_states):
     return counts
 
 
-def estimate_tpm_reference(table, alphabet, *, fallback, alpha):
+def estimate_tpm_reference(table, alphabet):
     """The initial distribution and matrices of `markov_train.estimate_tpm`
     as it was before it counted through `state_counts`: int64 state indices
     and a loop that bincounts each step's transitions on its own."""
@@ -290,19 +290,12 @@ def estimate_tpm_reference(table, alphabet, *, fallback, alpha):
     for t in range(T):
         flat = idx[:, t] * S + idx[:, t + 1]
         counts[t] = np.bincount(flat, weights=w, minlength=S * S).reshape(S, S)
-    if fallback == "laplace":
-        counts = counts + alpha
     totals = counts.sum(axis=2)
     matrices = np.zeros_like(counts)
     visited = totals > 0
     matrices[visited] = counts[visited] / totals[visited][:, None]
-    if np.any(~visited):
-        if fallback == "uniform":
-            matrices[~visited] = 1.0 / S
-        else:
-            eye = np.eye(S)
-            t_i, s_i = np.nonzero(~visited)
-            matrices[t_i, s_i] = eye[s_i]
+    t_i, s_i = np.nonzero(~visited)
+    matrices[t_i, s_i] = np.eye(S)[s_i]  # an unvisited row stays in its state
     matrices /= matrices.sum(axis=2, keepdims=True)
     return initial, matrices
 

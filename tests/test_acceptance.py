@@ -54,8 +54,6 @@ from occsim.synth import (
 from occsim.validate import compare_behavior
 from tests.helpers import forward_marginals, point_mass
 
-ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
-
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -69,7 +67,7 @@ def test_criterion_01_tpm_identity():
     marg_err = 0.0
     for day_type in ("WD", "WE"):
         seqs = corpus[corpus["day_type"] == day_type]
-        tpms = estimate_tpm(seqs, **ABSORBING)
+        tpms = estimate_tpm(seqs, alphabet=FULL_ALPHABET, cluster_id=0)
         row_err = max(row_err, float(np.abs(tpms.matrices.sum(axis=2) - 1.0).max()))
         X, w = seqs["states"], seqs["weight"]
         empirical = np.stack(
@@ -96,7 +94,7 @@ def test_criterion_02_model_recovery():
     truth = TPMSet(0, "WD", alphabet, np.full(S, 1 / S), m)
     n_days = 50_000
     days = walk_days(truth, np.random.default_rng(7).random((n_days, N_STEPS)))
-    refit = estimate_tpm(days_to_sequences(days), alphabet, **ABSORBING)
+    refit = estimate_tpm(days_to_sequences(days, "WD", "sim"), alphabet=alphabet, cluster_id=0)
     visits = n_days * forward_marginals(truth)[:-1]
     mask = visits >= 500
     worst = float(np.abs(refit.matrices - truth.matrices)[mask].max())
@@ -114,10 +112,10 @@ def test_criterion_03_approach3_fidelity():
     t0 = time.perf_counter()
     truth = build_truth_model(0, "WD")
     u = streams.generator(streams.root(501), 1).random((20_000, 2 * N_STEPS))
-    corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), prefix="t")
-    model = train_cluster_day_model(corpus, 0, "WD", **ABSORBING)
+    corpus = days_to_sequences(walk_days(truth.tpms, u, truth.stats), "WD", "t")
+    model = train_cluster_day_model(corpus, cluster_id=0, day_type="WD")
     u = streams.generator(streams.root(501), 2).random((10_000, 2 * N_STEPS))
-    sim = days_to_sequences(walk_days(model.tpms, u, model.stats), prefix="s")
+    sim = days_to_sequences(walk_days(model.tpms, u, model.stats), "WD", "s")
     report = compare_behavior(sim, estimate_statistics(corpus))
     ks_vals = [
         v for r in report.rows for v in (r.ks_duration, r.ks_onset) if v is not None
@@ -155,7 +153,7 @@ def test_criterion_05_cluster_shares():
     wd = np.zeros(4)
     we = np.zeros(4)
     for _ in range(n):
-        (profile,) = sample_household(config, rng)
+        (profile,) = sample_household(config, rng, 0)
         wd[profile.weekday_cluster] += 1
         we[profile.weekend_cluster] += 1
     target = np.array(PLANTED_SHARES)
@@ -214,7 +212,7 @@ def _naive_silhouette(X, labels):
 def test_criterion_06_clustering_oracle():
     X = _planted_instance(11)
     target = _brute_force_cost(X, 2)
-    model, labels = kmodes(X, k=2)
+    model, labels = kmodes(X, np.ones(len(X)), 2, "WD")
     cost = int(np.count_nonzero(X != model.modes[labels]))
     rng = np.random.default_rng(5)
     sil_err = 0.0
@@ -361,7 +359,7 @@ def test_criterion_09_conservation():
 
 def test_criterion_10_heterogeneity_control():
     t0 = time.perf_counter()
-    models = truth_models(4)
+    models = truth_models()
     bundle = default_bundle()
     counts = EmpiricalDistribution(np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.45, 0.25]), "count")
     config = HouseholdConfig(counts, PLANTED_SHARES, PLANTED_SHARES)
@@ -435,6 +433,7 @@ def test_criterion_12_planted_structure_recovery():
                 w,
                 k_range=range(2, 8),
                 epsilon=0.01,
+                day_type=day_type,
             )
             agreement = 0.0
             if result.k_star == len(PLANTED_SHARES):

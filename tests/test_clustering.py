@@ -137,7 +137,7 @@ def test_kmodes_recovers_planted_partition():
     m1 = np.full(N_STEPS, 2, dtype=np.int8)
     m1[:20] = 1
     X, truth = planted_matrix(rng, [m0, m1], per_cluster=5, flips=3)
-    model, labels = kmodes(X, k=2)
+    model, labels = kmodes(X, np.ones(len(X)), 2, "WD")
     # same partition up to cluster relabeling
     maps = {}
     for t, l in zip(truth, labels):
@@ -166,13 +166,13 @@ def test_kmodes_k_exceeds_distinct():
     X = np.zeros((5, N_STEPS), dtype=np.int8)
     X[2:] = 1  # two distinct rows
     with pytest.raises(OccsimError, match="exceeds"):
-        kmodes(X, k=3)
+        kmodes(X, np.ones(len(X)), 3, "WD")
 
 
 def test_kmodes_weighted_shares():
     X = np.zeros((4, N_STEPS), dtype=np.int8)
     X[2:] = 2
-    model, labels = kmodes(X, weights=np.array([3.0, 1.0, 1.0, 1.0]), k=2)
+    model, labels = kmodes(X, np.array([3.0, 1.0, 1.0, 1.0]), 2, "WD")
     shares = sorted(model.shares)
     assert shares == pytest.approx([2 / 6, 4 / 6])
 
@@ -182,15 +182,15 @@ def test_kmodes_matches_brute_force():
     m0 = np.zeros(N_STEPS, dtype=np.int8)
     m1 = np.full(N_STEPS, 2, dtype=np.int8)
     X, _ = planted_matrix(rng, [m0, m1], per_cluster=4, flips=30)
-    model, labels = kmodes(X, k=2)
+    model, labels = kmodes(X, np.ones(len(X)), 2, "WD")
     assert model_cost(X, labels, model.modes) == brute_force_cost(X, 2)
 
 
 def test_kmodes_draws_no_random_numbers():
     X, _ = _three_cluster_data()
     with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("kmodes drew a generator")):
-        first, labels = kmodes(X, k=3)
-    again, labels_again = kmodes(X, k=3)
+        first, labels = kmodes(X, np.ones(len(X)), 3, "WD")
+    again, labels_again = kmodes(X, np.ones(len(X)), 3, "WD")
     assert np.array_equal(first.modes, again.modes) and np.array_equal(labels, labels_again)
 
 
@@ -241,7 +241,7 @@ def test_initial_modes_never_repeat_a_row_of_zero_density():
     for k in (2, 3):
         modes = clustering._initial_modes(X, w, distinct, k, 3)
         assert len({tuple(mode) for mode in modes}) == k
-    model, labels = kmodes(X, w, k=3)
+    model, labels = kmodes(X, w, 3, "WD")
     assert sorted(model.modes[:, 0]) == [0, 1, 2]
     assert sorted(model.shares) == [0.0, 0.0, 1.0]
 
@@ -251,7 +251,7 @@ def test_kmodes_with_k_equal_to_the_distinct_rows():
     X[2:5] = 1
     X[5:] = 2
     w = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 3.0, 1.0])
-    model, labels = kmodes(X, w, k=3)
+    model, labels = kmodes(X, w, 3, "WD")
     assert model_cost(X, labels, model.modes, w) == 0.0
     assert sorted(model.shares) == pytest.approx([3 / 10, 3 / 10, 4 / 10])
 
@@ -329,7 +329,7 @@ def _three_cluster_data(per=8):
 
 def test_select_k_finds_planted_k():
     X, _ = _three_cluster_data()
-    result = select_k(X, k_range=range(2, 6), epsilon=0.01)
+    result = select_k(X, np.ones(len(X)), k_range=range(2, 6), epsilon=0.01, day_type="WD")
     assert result.k_star == 3
     assert list(result.table) == [2, 3, 4, 5]
     assert result.model.k == 3
@@ -338,14 +338,14 @@ def test_select_k_finds_planted_k():
 def test_select_k_epsilon_rule_prefers_largest_within_band():
     X, _ = _three_cluster_data()
     # an epsilon wider than any score gap must choose the top of the range
-    result = select_k(X, k_range=range(2, 5), epsilon=1.0)
+    result = select_k(X, np.ones(len(X)), k_range=range(2, 5), epsilon=1.0, day_type="WD")
     assert result.k_star == 4
 
 
 def test_select_k_deterministic():
     X, _ = _three_cluster_data()
-    r1 = select_k(X, k_range=range(2, 5), epsilon=0.01)
-    r2 = select_k(X, k_range=range(2, 5), epsilon=0.01)
+    r1 = select_k(X, np.ones(len(X)), k_range=range(2, 5), epsilon=0.01, day_type="WD")
+    r2 = select_k(X, np.ones(len(X)), k_range=range(2, 5), epsilon=0.01, day_type="WD")
     assert r1.k_star == r2.k_star
     assert np.array_equal(r1.model.modes, r2.model.modes)
     assert r1.table == r2.table
@@ -366,7 +366,7 @@ def test_select_k_deterministic():
 def test_select_k_rejects_out_of_range_parameters(kwargs, message):
     X, _ = _three_cluster_data(per=40)
     with pytest.raises(OccsimError, match=message):
-        select_k(X, **{"k_range": range(2, 4), "epsilon": 0.01, **kwargs})
+        select_k(X, np.ones(len(X)), **{"k_range": range(2, 4), "epsilon": 0.01, "day_type": "WD", **kwargs})
 
 
 def test_cluster_model_round_trip(tmp_path):
@@ -500,7 +500,7 @@ def test_distinct_rows_match_unique_rows(data, steps, n):
 
 def test_pairwise_distances_match_reference_on_a_corpus():
     X = project_to_presence(_weekdays(300, 5)["states"])
-    labels = kmodes(X, k=4)[1]
+    labels = kmodes(X, np.ones(len(X)), 4, "WD")[1]
     assert np.array_equal(pairwise_distances(X, labels), _cluster_sums_reference(X, labels, 4))
 
 
@@ -537,7 +537,7 @@ def _select_k_reference(X, w, k_range, epsilon, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(clustering, "_weighted_modes", _weighted_modes_reference)
         for k in k_range:
-            fits[k] = kmodes(X, w, k=k)
+            fits[k] = kmodes(X, w, k, "WD")
             table[k] = _silhouette_reference(X, fits[k][1])
     best = max(table.values())
     k_star = max(k for k, score in table.items() if score >= best - epsilon)
@@ -547,9 +547,10 @@ def _select_k_reference(X, w, k_range, epsilon, monkeypatch):
 @pytest.mark.parametrize("weights", [None, "weight"])
 def test_select_k_matches_per_run_reference(monkeypatch, weights):
     corpus = _weekdays(240, 17)
-    X, w = project_to_presence(corpus["states"]), None if weights is None else corpus[weights]
+    X = project_to_presence(corpus["states"])
+    w = np.ones(len(X)) if weights is None else corpus[weights]  # None: unit weights
     kwargs = dict(k_range=range(2, 6), epsilon=0.01)
-    got = select_k(X, w, **kwargs)
+    got = select_k(X, w, **kwargs, day_type="WD")
     k_star, table, model, labels = _select_k_reference(X, w, **kwargs, monkeypatch=monkeypatch)
     assert got.table == table
     assert got.k_star == k_star
@@ -595,6 +596,7 @@ def test_silhouette_and_select_k_equal_whole_matrix_oracles(case):
     if distinct < 2:
         return
     kwargs = dict(k_range=range(2, min(distinct, 4) + 1), epsilon=0.01)
+    kwargs.update(weights=np.ones(len(presence)), day_type="WD")
     got = select_k(presence, **kwargs)
     with mock.patch.object(clustering, "silhouette", _oracle_silhouette):
         expected = select_k(presence, **kwargs)
@@ -611,7 +613,7 @@ def test_select_k_peak_memory_stays_below_2_kib_per_row():
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
     tracemalloc.start()
     try:
-        select_k(X, w, k_range=range(3, 5), epsilon=0.01)
+        select_k(X, w, k_range=range(3, 5), epsilon=0.01, day_type="WD")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -627,6 +629,6 @@ def test_sampled_silhouette_picks_the_planted_k(seed, day_type):
     corpus = generate_corpus(1500, seed)
     corpus = corpus[corpus["day_type"] == day_type]
     X, w = project_to_presence(corpus["states"]), corpus["weight"]
-    result = select_k(X, w, k_range=range(3, 11), epsilon=0.01)
+    result = select_k(X, w, k_range=range(3, 11), epsilon=0.01, day_type="WD")
     assert result.k_star == 4
     assert result.table[5] < result.table[4] - 0.01  # outside epsilon

@@ -554,7 +554,7 @@ def test_build_household_output_is_pinned(approach, vacation, modulation):
         vacation=vacation,
     )
     cal = SimCalendar(start_weekday=2, n_days=10)
-    res = one_household(4, truth_models(4), default_bundle(), config, cal, base_seed=77, approach=approach)
+    res = one_household(4, truth_models(), default_bundle(), config, cal, base_seed=77, approach=approach)
     reference = np.array([[default_reference(use, dt) for dt in DAY_TYPES] for use in MODULATED_END_USES])
     values = assemble_schedule(res, reference, cal, modulation=modulation).values
     events = hashlib.sha256(res.appliance_events.tobytes() + res.water_events.tobytes()).hexdigest()

@@ -46,7 +46,6 @@ from tests.helpers import (
 )
 
 S = len(FULL_ALPHABET)
-ABSORBING = {"fallback": "absorbing", "alpha": 0.0}
 
 
 def random_corpus(rng, n=12, day_type="WD"):
@@ -67,7 +66,7 @@ def empirical_marginals(seqs):
 def test_estimate_tpm_weighted_frozen():
     a = make_seq([0, 1], weight=2.0, rid="a")
     b = make_seq([0, 2], weight=1.0, rid="b")
-    tpms = estimate_tpm(np.concatenate([a, b]), **ABSORBING)
+    tpms = estimate_tpm(np.concatenate([a, b]), alphabet=FULL_ALPHABET, cluster_id=0)
     assert np.allclose(tpms.initial, np.eye(S)[0])
     row = np.zeros(S)
     row[1] = 2 / 3
@@ -80,56 +79,24 @@ def test_estimate_tpm_weighted_frozen():
     assert np.allclose(tpms.matrices[1, 2], np.eye(S)[2])
 
 
-def test_estimate_tpm_uniform_fallback():
-    a = make_seq([0], rid="a")
-    tpms = estimate_tpm(a, fallback="uniform", alpha=0.0)
-    assert np.allclose(tpms.matrices[0, 1], np.full(S, 1 / S))
-    # visited rows are untouched by the fallback
-    assert np.allclose(tpms.matrices[0, 0], np.eye(S)[2])
-
-
-def test_estimate_tpm_laplace_smoothing():
-    a = make_seq([0, 1], weight=2.0, rid="a")
-    b = make_seq([0, 2], weight=1.0, rid="b")
-    tpms = estimate_tpm(np.concatenate([a, b]), fallback="laplace", alpha=1.0)
-    expected = (np.array([0.0, 2.0, 1.0, 0, 0, 0, 0]) + 1.0) / (3.0 + S)
-    assert np.allclose(tpms.matrices[0, 0], expected)
-    # rows with no visits become uniform under positive alpha
-    assert np.allclose(tpms.matrices[0, 3], np.full(S, 1 / S))
-
-
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
-def test_estimate_tpm_rejects_bad_alpha(alpha):
-    with pytest.raises(OccsimError, match="alpha must be finite and nonnegative"):
-        estimate_tpm(make_seq([0, 1]), fallback="laplace", alpha=alpha)
-
-
-def test_estimate_tpm_laplace_zero_alpha_is_absorbing():
-    a = make_seq([0], rid="a")
-    tpms = estimate_tpm(a, fallback="laplace", alpha=0.0)
-    assert np.allclose(tpms.matrices[0, 4], np.eye(S)[4])
-
-
 def test_estimate_tpm_input_validation():
     with pytest.raises(OccsimError, match="no sequences"):
-        estimate_tpm(np.empty(0, dtype=SEQUENCE), **ABSORBING)
+        estimate_tpm(np.empty(0, dtype=SEQUENCE), alphabet=FULL_ALPHABET, cluster_id=0)
     with pytest.raises(OccsimError, match="day types"):
         mixed = np.concatenate([make_seq([0], rid="a"), make_seq([0], day_type="WE", rid="b")])
-        estimate_tpm(mixed, **ABSORBING)
+        estimate_tpm(mixed, alphabet=FULL_ALPHABET, cluster_id=0)
     with pytest.raises(OccsimError, match="total weight must be positive"):
         zero = np.concatenate([make_seq([0], weight=0.0, rid="a"), make_seq([0], weight=0.0, rid="b")])
-        estimate_tpm(zero, **ABSORBING)
-    with pytest.raises(OccsimError, match="fallback"):
-        estimate_tpm(make_seq([0]), fallback="magic", alpha=0.0)
+        estimate_tpm(zero, alphabet=FULL_ALPHABET, cluster_id=0)
     cooking = make_seq([int(ActivityState.COOKING)])
     with pytest.raises(OccsimError, match="not in alphabet"):
-        estimate_tpm(cooking, alphabet=PRESENCE_ALPHABET, **ABSORBING)
+        estimate_tpm(cooking, alphabet=PRESENCE_ALPHABET, cluster_id=0)
 
 
 def test_forward_marginals_reproduce_frequencies():
     rng = np.random.default_rng(13)
     seqs = random_corpus(rng, n=20)
-    tpms = estimate_tpm(seqs, **ABSORBING)
+    tpms = estimate_tpm(seqs, alphabet=FULL_ALPHABET, cluster_id=0)
     assert np.abs(forward_marginals(tpms) - empirical_marginals(seqs)).max() <= 1e-9
 
 
@@ -137,7 +104,7 @@ def test_forward_marginals_reproduce_frequencies():
 def test_forward_marginal_identity_property(seed):
     rng = np.random.default_rng(seed)
     seqs = random_corpus(rng, n=4)
-    tpms = estimate_tpm(seqs, **ABSORBING)
+    tpms = estimate_tpm(seqs, alphabet=FULL_ALPHABET, cluster_id=0)
     marg = forward_marginals(tpms)
     assert np.abs(marg - empirical_marginals(seqs)).max() <= 1e-9
     assert np.allclose(tpms.matrices.sum(axis=2), 1.0, atol=1e-12)
@@ -262,32 +229,26 @@ def test_state_counts_match_the_step_loop(rows, k, label_draws, block_cells):
 
 
 _seven_decimals = st.one_of(st.just(0.0), st.integers(1, 10**9).map(lambda i: i / 10**7))
-_fallbacks = st.one_of(
-    st.sampled_from([("absorbing", 0.0), ("uniform", 0.0), ("laplace", 0.0)]),
-    st.tuples(st.just("laplace"), st.floats(1e-7, 3.0)),
-)
 
 
 @settings(derandomize=True, database=None, max_examples=150)
 @given(
     st.lists(st.tuples(_days, _seven_decimals), min_size=1, max_size=30).filter(lambda rows: sum(w for _, w in rows) > 0),
     st.booleans(),
-    _fallbacks,
 )
-@example([([3] * N_STEPS, 0.1234567)], False, ("laplace", 0.25))  # one row: every other (step, state) row unvisited
-@example([([3] * N_STEPS, 0.1), ([2] * N_STEPS, 0.0), ([3] * N_STEPS, 0.2), ([3] * N_STEPS, 0.3)], True, ("uniform", 0.0))
-@example([([0] * 40 + [1] * 56, 1.0000001), ([1] * N_STEPS, 2.5)], False, ("absorbing", 0.0))
-def test_estimate_tpm_counts_match_the_step_loop(rows, presence, fallback):
+@example([([3] * N_STEPS, 0.1234567)], False)  # one row: every other (step, state) row unvisited
+@example([([3] * N_STEPS, 0.1), ([2] * N_STEPS, 0.0), ([3] * N_STEPS, 0.2), ([3] * N_STEPS, 0.3)], True)
+@example([([0] * 40 + [1] * 56, 1.0000001), ([1] * N_STEPS, 2.5)], False)
+def test_estimate_tpm_counts_match_the_step_loop(rows, presence):
     """`estimate_tpm` counts through `state_counts` with the bits of the
-    per-step loop it replaced, on either alphabet and under every fallback."""
+    per-step loop it replaced, on either alphabet, unvisited rows included."""
     table = _table(rows)
     alphabet = FULL_ALPHABET
     if presence:
         table["states"] = project_to_presence(table["states"])
         alphabet = PRESENCE_ALPHABET
-    kind, alpha = fallback
-    got = estimate_tpm(table, alphabet, fallback=kind, alpha=alpha)
-    initial, matrices = estimate_tpm_reference(table, alphabet, fallback=kind, alpha=alpha)
+    got = estimate_tpm(table, alphabet=alphabet, cluster_id=0)
+    initial, matrices = estimate_tpm_reference(table, alphabet)
     assert np.array_equal(got.initial.view(np.uint64), initial.view(np.uint64))
     assert np.array_equal(got.matrices.view(np.uint64), matrices.view(np.uint64))
 
@@ -301,7 +262,7 @@ def test_estimate_tpm_traced_peak_per_row():
     table = sequence_table([f"r{i}" for i in range(len(X))], "WD", weights, X)
     tracemalloc.start()
     try:
-        estimate_tpm(table, **ABSORBING)
+        estimate_tpm(table, alphabet=FULL_ALPHABET, cluster_id=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,7 +328,7 @@ def test_estimate_statistics_events_only_on_zero_weight_days():
 
 def test_tpmset_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    tpms = estimate_tpm(random_corpus(rng), cluster_id=3, **ABSORBING)
+    tpms = estimate_tpm(random_corpus(rng), alphabet=FULL_ALPHABET, cluster_id=3)
     head, rows = tpms.section()
     path = tmp_path / "chain"
     write_lines(path, [head, *map(",".join, number_text(rows))])
@@ -442,7 +403,7 @@ def _with_cell(lines, row, value):
     ],
 )
 def test_tpmset_read_errors_name_the_file(tmp_path, corrupt, pattern):
-    model = train_cluster_day_model(random_corpus(np.random.default_rng(5)), 0, "WD", **ABSORBING)
+    model = train_cluster_day_model(random_corpus(np.random.default_rng(5)), cluster_id=0, day_type="WD")
     save_model_dir(tmp_path, {"WD": {0: model}})
     path = tmp_path / "c0.wd.tpm"
     edit_section(path, "[tpm]", corrupt)
@@ -460,7 +421,7 @@ def test_tpmset_reduced_horizon_allowed():
 
 def test_train_cluster_day_model_folds_presence():
     rng = np.random.default_rng(4)
-    model = train_cluster_day_model(random_corpus(rng), cluster_id=1, day_type="WD", **ABSORBING)
+    model = train_cluster_day_model(random_corpus(rng), cluster_id=1, day_type="WD")
     assert model.tpms.n_states == S
     assert model.presence_tpms.alphabet == PRESENCE_ALPHABET
     assert model.presence_tpms.matrices.shape == (95, 3, 3)
@@ -476,8 +437,8 @@ EVENT_FILES = ("cooking", "dishwashing", "laundry", "personalhygiene")
 
 def test_save_load_model_dir(tmp_path):
     rng = np.random.default_rng(6)
-    wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), 0, "WD", **ABSORBING)
-    we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), 0, "WE", **ABSORBING)
+    wd = train_cluster_day_model(random_corpus(rng, n=8, day_type="WD"), cluster_id=0, day_type="WD")
+    we = train_cluster_day_model(random_corpus(rng, n=8, day_type="WE"), cluster_id=0, day_type="WE")
     save_model_dir(tmp_path, {"WD": {0: wd}, "WE": {0: we}})
     assert {p.name for p in tmp_path.iterdir()} == {"c0.wd.tpm", "c0.we.tpm"}
     headers = [line for line in (tmp_path / "c0.wd.tpm").read_text().splitlines() if line.startswith("[")]
@@ -511,7 +472,7 @@ def test_model_dir_round_trips_to_equal_arrays(tmp_path, seed):
     models = {}
     for day_type in ("WD", "WE"):
         table = corpus[corpus["day_type"] == day_type]
-        models[day_type] = {c: train_cluster_day_model(table[c::2], c, day_type, **ABSORBING) for c in range(2)}
+        models[day_type] = {c: train_cluster_day_model(table[c::2], cluster_id=c, day_type=day_type) for c in range(2)}
     save_model_dir(tmp_path, models)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c0.wd.tpm", "c0.we.tpm", "c1.wd.tpm", "c1.we.tpm"]
     loaded = load_model_dir(tmp_path)
@@ -545,7 +506,7 @@ def test_clean_model_and_bundle_load_without_the_row_loop(tmp_path, monkeypatch)
         raise AssertionError(f"row loop read {text!r} of a clean file")
 
     monkeypatch.setattr(conf, "float", row_loop_float, raising=False)
-    save_model_dir(tmp_path / "tpms", truth_models(4))
+    save_model_dir(tmp_path / "tpms", truth_models())
     write_bundle(tmp_path / "bundle", default_bundle())
     loaded = load_model_dir(tmp_path / "tpms")
     assert {dt: sorted(by_cluster) for dt, by_cluster in loaded.items()} == {"WD": [0, 1, 2, 3], "WE": [0, 1, 2, 3]}
@@ -559,7 +520,7 @@ def test_save_model_dir_deletes_only_files_of_a_model_name(tmp_path):
     """A model directory holds what the last save wrote: older model files,
     and files of the layout with a file per chain and distribution, go;
     files of any other name stay."""
-    model = train_cluster_day_model(random_corpus(np.random.default_rng(3), n=6), 0, "WD", **ABSORBING)
+    model = train_cluster_day_model(random_corpus(np.random.default_rng(3), n=6), cluster_id=0, day_type="WD")
     stale = ["c0.we.tpm", "c7.wd.tpm", "c0.wd.presence.tpm", "c1.we.cooking.count.dist", "c0.wd.sleep.onset.dist"]
     foreign = ["notes.txt", "c0.wd.tpm.bak", "c0.wd.cooking.profile", "c0.wd.cooking.level.dist", "x0.wd.tpm"]
     for name in stale + foreign:
@@ -570,7 +531,7 @@ def test_save_model_dir_deletes_only_files_of_a_model_name(tmp_path):
 
 def test_save_model_dir_skips_onset_and_duration_without_events(tmp_path):
     seqs = np.concatenate([make_seq([0] * N_STEPS, rid=f"r{i}") for i in range(3)])
-    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(seqs, 0, "WD", **ABSORBING)}})
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(seqs, cluster_id=0, day_type="WD")}})
     lines = (tmp_path / "c0.wd.tpm").read_text().splitlines()
     assert "[laundry.count]" in lines and "[laundry.onset]" not in lines and "[laundry.duration]" not in lines
     back = load_model_dir(tmp_path)["WD"][0].stats[ActivityState.LAUNDRY]
@@ -593,7 +554,7 @@ def _write_old_extras(directory, model, sequences):
 def test_old_model_dir_loads_to_the_same_simulation(tmp_path):
     rng = np.random.default_rng(11)
     corpora = {dt: random_corpus(rng, n=10, day_type=dt) for dt in ("WD", "WE")}
-    models = [train_cluster_day_model(seqs, 0, dt, **ABSORBING) for dt, seqs in corpora.items()]
+    models = [train_cluster_day_model(seqs, cluster_id=0, day_type=dt) for dt, seqs in corpora.items()]
     new, old = tmp_path / "new", tmp_path / "old"
     save_model_dir(new, {m.day_type: {0: m} for m in models})
     save_model_dir(old, {m.day_type: {0: m} for m in models})
@@ -618,7 +579,7 @@ def test_load_model_dir_rejects_missing_event_file(tmp_path, name):
     """A missing section is named with the line where it belongs, the next
     section's header."""
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), cluster_id=0, day_type="WD")}})
     path, section = model_section(tmp_path, name)
     line = edit_section(path, section, lambda lines: None)
     with pytest.raises(OccsimError) as exc:
@@ -660,7 +621,7 @@ def test_load_model_dir_names_the_line_of_a_bad_section(tmp_path, edit):
     """A repeated, unknown or misplaced section header, or a line before the
     first, is named by its line; a missing last section by the file alone."""
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), cluster_id=0, day_type="WD")}})
     path = tmp_path / "c0.wd.tpm"
     lines, message = edit(path.read_text().splitlines())
     path.write_text("".join(line + "\n" for line in lines))
@@ -671,7 +632,7 @@ def test_load_model_dir_names_the_line_of_a_bad_section(tmp_path, edit):
 
 def test_load_model_dir_names_a_bad_dist_file(tmp_path):
     rng = np.random.default_rng(6)
-    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), 0, "WD", **ABSORBING)}})
+    save_model_dir(tmp_path, {"WD": {0: train_cluster_day_model(random_corpus(rng, n=8), cluster_id=0, day_type="WD")}})
     path = tmp_path / "c0.wd.tpm"
     line = edit_section(path, "[cooking.onset]", lambda lines: ["unit,steps", "3,abc"])
     with pytest.raises(OccsimError) as exc:
@@ -681,7 +642,7 @@ def test_load_model_dir_names_a_bad_dist_file(tmp_path):
 
 def test_save_model_dir_accepts_nested_dict(tmp_path):
     rng = np.random.default_rng(8)
-    wd = train_cluster_day_model(random_corpus(rng, n=6), 0, "WD", **ABSORBING)
+    wd = train_cluster_day_model(random_corpus(rng, n=6), cluster_id=0, day_type="WD")
     save_model_dir(tmp_path, {"WD": {0: wd}})
     loaded = load_model_dir(tmp_path)
     assert np.abs(loaded["WD"][0].tpms.matrices - wd.tpms.matrices).max() <= 1e-9

@@ -36,7 +36,6 @@ from occsim.pipeline import (
     ProjectConfig,
     Settings,
     StageError,
-    boolean,
     cluster_stage,
     load_simulation_inputs,
     run_pipeline,
@@ -94,7 +93,6 @@ def test_config_read_resolves_relative_paths(tmp_path):
                 "repeats = 4",
                 "silhouette_sample = 1",
                 "approach = 2",
-                "unweighted_clustering = true",
             ]
         )
         + "\n"
@@ -107,11 +105,10 @@ def test_config_read_resolves_relative_paths(tmp_path):
     assert not hasattr(cfg, "repeats")  # retired keys: read and ignored,
     assert not hasattr(cfg, "silhouette_sample")  # whatever their value
     assert cfg.approach == 2
-    assert cfg.unweighted_clustering is True
     # untouched defaults
     assert cfg.n_days == 365
     assert cfg.modulation == "present"
-    assert cfg.tpm_fallback == "absorbing"
+    assert cfg.epsilon == 0.01
 
 
 def _write_conf(tmp_path, **overrides):
@@ -152,9 +149,7 @@ def test_config_read_errors(tmp_path):
         ("n_days", "0", "n_days: expected a whole number >= 1, got 0"),
         ("n_days", "36501", "n_days: expected a whole number <= 36500, got 36501"),
         ("n_households", "-2", "n_households: expected a whole number >= 1, got -2"),
-        ("tpm_fallback", "magic", r"line 6: tpm_fallback: expected one of \('absorbing', 'uniform', 'laplace'\)"),
         ("start_weekday", "funday", r"line 6: start_weekday: expected one of \('monday', .*, got 'funday'"),
-        ("unweighted_clustering", "ture", r"line 6: unweighted_clustering: expected one of \('1', 'true', 'yes', "),
     ]:
         with pytest.raises(StageError, match=pattern) as exc:
             ProjectConfig.read(_write_conf(tmp_path, **{key: value}))
@@ -196,7 +191,7 @@ def test_run_pipeline_artifacts(pipeline_run):
     assert "[cooking.count]" in (out / "tpms" / "c3.we.tpm").read_text().splitlines()
     for h in range(2):
         sched = read_schedule_file(out / f"household_{h}.csv")
-        assert sched.n_days == 6
+        assert sched.values.shape[1] == 6 * 96
         occ = sched.columns["occupants"]
         assert occ.min() >= 0.0 and occ.max() <= 1.0
     days, _ = load_sequences_any(out / "occupant_days.csv")
@@ -414,13 +409,7 @@ STAGEWISE_CASES = {
     "approach_1": ({"approach": "1"}, {"simulate": ["--approach", "1"]}, False),
     "approach_2": ({"approach": "2"}, {"simulate": ["--approach", "2"]}, False),
     "modulation_active": ({"modulation": "active"}, {"simulate": ["--modulation", "active"]}, False),
-    "unweighted": ({"unweighted_clustering": "true"}, {"cluster": ["--unweighted"]}, False),
     "vacation": ({}, {}, True),
-    "laplace": (
-        {"tpm_fallback": "laplace", "tpm_alpha": "0.5"},
-        {"train": ["--fallback", "laplace", "--alpha", "0.5"]},
-        False,
-    ),
 }
 
 
@@ -548,8 +537,6 @@ def run_settings(draw):
         "n_households": draw(st.integers(1, 3)),
         "n_days": draw(st.integers(1, 9)),
         "k_range": "4:4",
-        "unweighted_clustering": draw(st.booleans()),
-        "tpm_alpha": draw(st.sampled_from([0.0, 0.5, 3.0])),
     }
     keys |= {name: draw(st.sampled_from(CHOICES[name])) for name in sorted(CHOICES)}
     start = draw(st.none() | st.integers(0, keys["n_days"] - 1))
@@ -557,19 +544,11 @@ def run_settings(draw):
     return {name: str(value).lower() for name, value in keys.items() if value is not None}, vacation
 
 
-def _flag(name, value):
-    """The stage flag that restates the project.conf key `name = value`."""
-    if PARSERS[name] is boolean:
-        return [FLAGS[name]] if boolean(value) else []
-    return [FLAGS[name], value]
-
-
 @settings(max_examples=6, derandomize=True, database=None)
 @given(case=run_settings())
 @example(case=(  # approach 1 with a vacation and every other setting off its default
     {"base_seed": "9", "n_households": "2", "n_days": "9", "start_weekday": "thursday", "approach": "1",
-     "k_range": "4:4", "tpm_fallback": "laplace", "tpm_alpha": "0.5",
-     "modulation": "active", "unweighted_clustering": "true"},
+     "k_range": "4:4", "modulation": "active"},
     (2, 5),
 ))
 def test_run_matches_stages_over_combined_settings(synth_tree, tmp_path_factory, case):
@@ -585,8 +564,8 @@ def test_run_matches_stages_over_combined_settings(synth_tree, tmp_path_factory,
     assert main(["run", "--config", str(_write_conf(tmp, **paths, **keys))]) == 0
     run = _tree_bytes(tmp / "out")
     flags = {
-        command: [arg for name in STAGE_SETTINGS[command] if name in keys for arg in _flag(name, keys[name])]
-        for command in ("cluster", "train", "simulate")
+        command: [arg for name in STAGE_SETTINGS[command] if name in keys for arg in (FLAGS[name], keys[name])]
+        for command in ("cluster", "simulate")
     }
     _run_stages(synth_tree, tmp / "stagewise", household, flags)
     assert _tree_bytes(tmp / "stagewise") == run
@@ -947,17 +926,16 @@ BAD_LINES = {
         "run",
         2,
         [
-            (
-                "bool_typo",
-                "unweighted_clustering = ture",
-                "line 13: unweighted_clustering: expected one of "
-                "('1', 'true', 'yes', '0', 'false', 'no'), got 'ture'",
-            ),
+            # a removed setting's key is unknown, whatever its value
+            ("bool_typo", "unweighted_clustering = ture", "line 13: unknown key 'unweighted_clustering'"),
+            ("retired_fallback", "tpm_fallback = laplace", "line 13: unknown key 'tpm_fallback'"),
+            ("retired_alpha", "tpm_alpha = 0.5", "line 13: unknown key 'tpm_alpha'"),
+            ("retired_unweighted", "unweighted_clustering = true", "line 13: unknown key 'unweighted_clustering'"),
             ("nan_text", "epsilon = abc", "line 13: epsilon: could not convert string to float: 'abc'"),
             ("negative", "epsilon = -1", "line 13: epsilon: expected a finite number >= 0, got -1.0"),
             ("nan", "epsilon = nan", "line 13: epsilon: expected a finite number >= 0, got nan"),
-            ("negative_alpha", "tpm_alpha = -1", "line 13: tpm_alpha: expected a finite number >= 0, got -1.0"),
-            ("infinite_alpha", "tpm_alpha = inf", "line 13: tpm_alpha: expected a finite number >= 0, got inf"),
+            ("negative_alpha", "tpm_alpha = -1", "line 13: unknown key 'tpm_alpha'"),
+            ("infinite_alpha", "tpm_alpha = inf", "line 13: unknown key 'tpm_alpha'"),
             (
                 "past_max_days",
                 "n_days = 100000000000",
@@ -1292,20 +1270,15 @@ def test_cluster_rejects_out_of_range_parameter(pipeline_run, tmp_path, capsys, 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
 def test_train_rejects_out_of_range_alpha(pipeline_run, tmp_path, capsys, alpha):
-    """As for cluster: a usage error from the flag, exit 5 from estimate_tpm's
-    own check for Settings built in code, and no model directory either way."""
+    """train has no --alpha: an alpha that was out of range is a usage error
+    as an unrecognized argument, whatever its value, and no model directory
+    is written."""
     clusters = [pipeline_run / f"model.{dt}.clusters" for dt in ("wd", "we")]
     args = ["train", "--diaries", str(pipeline_run / "sequences.csv"), "--clusters", *map(str, clusters)]
     with pytest.raises(SystemExit) as exc:
-        main(args + ["--out", str(tmp_path / "tpms"), "--fallback", "laplace", f"--alpha={alpha}"])
+        main(args + ["--out", str(tmp_path / "tpms"), f"--alpha={alpha}"])
     assert exc.value.code == 2
-    assert f"argument --alpha: expected a finite number >= 0, got {float(alpha)}" in capsys.readouterr().err
-    cluster_models = {m.day_type: m for m in map(ClusterModel.read, clusters)}
-    cfg = Settings(tpm_fallback="laplace", tpm_alpha=float(alpha))
-    sequences = read_sequences(pipeline_run / "sequences.csv")
-    with pytest.raises(StageError, match="alpha must be finite and nonnegative") as exc:
-        train_stage(sequences, cluster_models, tmp_path / "tpms", cfg, log=io.StringIO())
-    assert exc.value.exit_code == 5
+    assert f"unrecognized arguments: --alpha={alpha}" in capsys.readouterr().err
     assert not (tmp_path / "tpms").exists()
 
 
@@ -1323,7 +1296,6 @@ def test_run_rejects_out_of_range_parameter(synth_tree, tmp_path, key, value, co
         "base_seed": 1,
         "n_days": 2,
         "k_range": "4:4",
-        "tpm_fallback": "laplace",
     }
     settings[key] = value
     assert main(["run", "--config", str(_write_conf(tmp_path, **settings))]) == code
@@ -1560,24 +1532,6 @@ def test_run_is_deterministic(synth_tree, pipeline_run, tmp_path):
         assert (tree2 / "out" / rel).read_bytes() == (pipeline_run / rel).read_bytes(), rel
 
 
-def test_cluster_unweighted_clusters_unit_weights(pipeline_run, tmp_path):
-    unit = read_sequences(pipeline_run / "sequences.csv")
-    unit["weight"] = 1.0
-    write_sequences(tmp_path / "unit.csv", unit)
-    options = ["--k-range", "4:4"]
-    for name, source, extra in [
-        ("weighted", pipeline_run / "sequences.csv", []),
-        ("unweighted", pipeline_run / "sequences.csv", ["--unweighted"]),
-        ("unit", tmp_path / "unit.csv", []),
-    ]:
-        assert main(["cluster", "--input", str(source), "--out", str(tmp_path / name), *options, *extra]) == 0
-    for day_type in ("wd", "we"):
-        model = f"model.{day_type}.clusters"
-        unweighted = (tmp_path / "unweighted" / model).read_bytes()
-        assert unweighted == (tmp_path / "unit" / model).read_bytes()
-        assert unweighted != (tmp_path / "weighted" / model).read_bytes()
-
-
 def test_synth_leaves_unset_options_to_write_input_tree(tmp_path, monkeypatch):
     calls = []
 
@@ -1627,12 +1581,24 @@ def test_cluster_takes_no_seed(pipeline_run, tmp_path, capsys):
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
 
 
-@pytest.mark.parametrize("flag, value", [("--silhouette-sample", "768"), ("--seed", "5")])
-def test_cluster_removed_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cluster --silhouette-sample 768",
+        "cluster --seed 5",
+        "cluster --unweighted",
+        "train --alpha 0.5",
+        "train --fallback laplace",
+    ],
+)
+def test_removed_flag_is_a_usage_error(synth_tree, pipeline_run, tmp_path, capsys, argv):
+    """A flag of a removed setting exits 2 before the stage writes anything."""
+    command, *removed = argv.split()
     with pytest.raises(SystemExit) as exc:
-        main(["cluster", *REQUIRED_FLAGS["cluster"], flag, value])
+        main([command, *map(str, _inputs(command, synth_tree, pipeline_run)), "--out", str(tmp_path), *removed])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["simulate", "simulate-occupant", "synth"])
@@ -1682,7 +1648,8 @@ def test_malformed_k_range_is_a_usage_error(pipeline_run, synth_tree, tmp_path, 
     assert f"argument --k-range: {reason}\n" in flag_error
 
 
-# The required flags of each subcommand that takes settings.
+# The required flags of each subcommand that takes settings, and of train,
+# which takes none.
 REQUIRED_FLAGS = {
     "cluster": ["--input", "s.csv", "--out", "o"],
     "train": ["--diaries", "s.csv", "--clusters", "m.clusters", "--out", "o"],
@@ -1691,8 +1658,7 @@ REQUIRED_FLAGS = {
 }
 SETTING_NAMES = {f.name for f in fields(Settings)}
 STAGE_SETTINGS = {
-    "cluster": ["k_range", "epsilon", "unweighted_clustering"],
-    "train": ["tpm_fallback", "tpm_alpha"],
+    "cluster": ["k_range", "epsilon"],
     "simulate": ["n_households", "n_days", "start_weekday", "base_seed", "approach", "modulation"],
     "simulate-occupant": ["n_days", "start_weekday", "base_seed", "approach"],
 }
@@ -1714,10 +1680,7 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
         "approach": "1",
         "k_range": "2:5",
         "epsilon": "0.5",
-        "tpm_fallback": "laplace",
-        "tpm_alpha": "0.5",
         "modulation": "active",
-        "unweighted_clustering": "true",
     }
     assert set(values) == SETTING_NAMES == set(FLAGS)
     cfg = ProjectConfig.read(_write_conf(tmp_path, **values))
@@ -1728,7 +1691,7 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
     for command, names in STAGE_SETTINGS.items():
         argv = [command, *REQUIRED_FLAGS[command]]
         for name in names:
-            argv += [FLAGS[name]] if name == "unweighted_clustering" else [FLAGS[name], values[name]]
+            argv += [FLAGS[name], values[name]]
         settings = _settings(_build_parser().parse_args(argv))
         assert {name: getattr(settings, name) for name in names} == {name: getattr(cfg, name) for name in names}
 
@@ -1737,8 +1700,8 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
     "kernel, names",
     [
         (select_k, ["k_range", "epsilon"]),
-        (estimate_tpm, ["fallback", "alpha"]),
-        (train_cluster_day_model, ["fallback", "alpha"]),
+        (estimate_tpm, ["alphabet", "cluster_id"]),
+        (train_cluster_day_model, ["cluster_id", "day_type"]),
         (assemble_schedule, ["modulation"]),
         (attach_appliance_events, ["year_minutes"]),
         (build_household, ["approach"]),
@@ -1749,13 +1712,15 @@ def test_each_setting_is_one_project_conf_key_and_one_stage_flag(tmp_path):
     ],
 )
 def test_kernels_take_settings_without_defaults(kernel, names):
+    """A setting of a library kernel, or a choice of what it fits, is a
+    keyword without a default."""
     parameters = inspect.signature(kernel).parameters
     for name in names:
         assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY, name
         assert parameters[name].default is inspect.Parameter.empty, name
 
 
-@pytest.mark.parametrize("stage", [cluster_stage, train_stage, simulate_stage, load_simulation_inputs])
+@pytest.mark.parametrize("stage", [cluster_stage, simulate_stage, load_simulation_inputs])
 def test_stages_take_one_settings_object(stage):
     parameters = inspect.signature(stage).parameters
     assert not SETTING_NAMES & set(parameters)

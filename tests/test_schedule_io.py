@@ -176,7 +176,6 @@ def test_assemble_schedule_normalizes_rows():
     cal = SimCalendar(start_weekday=0, n_days=1)
     sched = assemble_schedule(_day_result(np.full(N_STEPS, 0.5), cooking), ref, cal, modulation="present")
     assert sched.values.shape == (len(SCHEDULE_COLUMNS), N_STEPS)
-    assert sched.n_days == 1
     assert sched.peaks["cooking_range"] == 12.0
     assert sched.columns["cooking_range"][3] == 1.0
     assert sched.columns["cooking_range"][10] == 0.5
@@ -215,7 +214,7 @@ def test_schedule_file_round_trip(tmp_path):
     assert n_comments == len(SCHEDULE_COLUMNS) - 1
     assert len(lines) - n_comments == 1 + 2 * N_STEPS  # header + rows
     back = read_schedule_file(path)
-    assert back.n_days == 2
+    assert back.values.shape[1] == 2 * N_STEPS
     assert np.abs(back.values - sched.values).max() <= 5e-7
     for name, peak in sched.peaks.items():
         assert back.peaks[name] == pytest.approx(peak, rel=1e-8)

@@ -44,7 +44,7 @@ def test_truth_model_is_valid_chain():
 
 
 def test_truth_models_cover_clusters_and_day_types():
-    models = truth_models(4)
+    models = truth_models()
     assert set(models) == {"WD", "WE"}
     for dt in ("WD", "WE"):
         assert sorted(models[dt]) == [0, 1, 2, 3]

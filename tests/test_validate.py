@@ -126,7 +126,7 @@ def test_save_model_dir_does_not_load_numpy_ma(tmp_path):
         f"import sys; sys.path.insert(0, {env_path!r})\n"
         "from occsim.markov_train import save_model_dir\n"
         "from occsim.synth import truth_models\n"
-        f"save_model_dir({str(tmp_path)!r}, truth_models(1))\n"
+        f"save_model_dir({str(tmp_path)!r}, truth_models())\n"
         "print('numpy.ma' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
